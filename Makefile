@@ -12,11 +12,14 @@ test:
 
 # The full gate, in order:
 # - build, tests, and the static-analysis report over every application,
-#   with the MHP warning set diffed against test/analyze_expect.txt;
+#   with the MHP warning set diffed against test/analyze_expect.txt and
+#   the --json report cmp'd against test/golden/analyze.json;
 # - bad command-line input pinned to its exit code (test/cli_exit_codes.sh);
-# - smokes: a 20%-drop lossy run, elision, record->replay (lossy,
-#   interval-GC, and both bus backends), mesi/dragon runs checked
-#   against the oracle, a corpus trace file, and a short seeded fuzz;
+# - smokes: a 20%-drop lossy run, paper-scale TSP p8 on a lossy wire (a
+#   lock grant overtaking its retransmitted ack once crashed the lock
+#   forwarding path), elision, record->replay (lossy, interval-GC, and
+#   both bus backends), mesi/dragon runs checked against the oracle, a
+#   corpus trace file, and a short seeded fuzz;
 # - the bench gate: a --jobs 1 small sweep against bench/baseline_small.json
 #   (deterministic fields exact, wall within a loose 50% because the
 #   baseline came from other hardware; see docs/BENCH.md);
@@ -29,8 +32,10 @@ check:
 	dune runtest
 	dune exec bin/cvm_race.exe -- analyze --all
 	dune exec bin/cvm_race.exe -- analyze --all --mhp --json _build/analyze.json --expect test/analyze_expect.txt
+	cmp test/golden/analyze.json _build/analyze.json
 	sh test/cli_exit_codes.sh _build/default/bin/cvm_race.exe _build/default/bench/main.exe
 	dune exec bin/cvm_race.exe -- run sor --scale small -p 4 --drop 0.2 --watchdog 500
+	dune exec bin/cvm_race.exe -- run tsp -p 8 --drop 0.05 --dup 0.0125 --reorder 0.025 --transport
 	dune exec bin/cvm_race.exe -- run water --scale small -p 4 --elide
 	dune exec bin/cvm_race.exe -- record sor --scale small -p 4 --drop 0.2 -o _build/sor.cvmt
 	dune exec bin/cvm_race.exe -- replay _build/sor.cvmt

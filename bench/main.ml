@@ -385,9 +385,18 @@ let run_separation () =
 
 let json_out : string option ref = ref None
 
+(* The commit of the working directory's checkout, or null outside one
+   (or without git). *)
+let git_rev () =
+  let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
+  let rev = try input_line ic with End_of_file -> "" in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 when rev <> "" -> Bench_json.String rev
+  | _ -> Bench_json.Null
+
 (* The host stamp: how many points ran at once, on how many cores,
-   under which compiler. Wall and GC fields are only comparable between
-   records whose stamps agree. *)
+   under which compiler, from which commit. Wall and GC fields are only
+   comparable between records whose stamps agree. *)
 let write_json path =
   let open Bench_json in
   let v =
@@ -397,6 +406,7 @@ let write_json path =
         ("jobs", Int !jobs);
         ("host_cores", Int (Domain.recommended_domain_count ()));
         ("ocaml_version", String Sys.ocaml_version);
+        ("git_rev", git_rev ());
         ("scale", String (scale_name ()));
         ("entries", List (List.rev !sweep_entries));
         ( "sections",

@@ -503,7 +503,7 @@ let replay_command =
         Format.fprintf ppf "DEADLOCK@.%s@." (Sim.Engine.diagnosis_to_string diagnosis);
         exit 2
     | Trace.Codec.Corrupt msg ->
-        Format.fprintf ppf "corrupt trace log: %s@." msg;
+        Format.eprintf "corrupt trace log: %s@." msg;
         exit 3
     | Sys_error msg ->
         Format.eprintf "%s@." msg;
@@ -573,7 +573,7 @@ let trace_command =
   let trace log_path chrome stats events =
     try trace log_path chrome stats events with
     | Trace.Codec.Corrupt msg ->
-        Format.fprintf ppf "corrupt trace log: %s@." msg;
+        Format.eprintf "corrupt trace log: %s@." msg;
         exit 3
     | Sys_error msg ->
         Format.eprintf "%s@." msg;
@@ -720,7 +720,7 @@ let json_of_mhp (r : Instrument.Mhp.report) =
       ("shared_sites", sites r.Instrument.Mhp.shared_sites);
     ]
 
-let json_of_analysis ~name (result : Instrument.Static_analysis.result) mhp =
+let json_of_analysis ~name (result : Instrument.Static_analysis.result) ~warnings mhp =
   let c = result.Instrument.Static_analysis.classification in
   Bench_json.Obj
     [
@@ -738,9 +738,7 @@ let json_of_analysis ~name (result : Instrument.Static_analysis.result) mhp =
       ("batched_checks", Bench_json.Int result.Instrument.Static_analysis.batched_checks);
       ( "check_cost_scale",
         Bench_json.Float result.Instrument.Static_analysis.check_cost_scale );
-      ( "warnings",
-        Bench_json.List
-          (List.map json_of_warning result.Instrument.Static_analysis.warnings) );
+      ("warnings", Bench_json.List (List.map json_of_warning warnings));
       ("mhp", match mhp with Some r -> json_of_mhp r | None -> Bench_json.Null);
     ]
 
@@ -800,15 +798,16 @@ let analyze_command =
         let app = Apps.Registry.make ~scale name in
         let binary = app.Apps.App.binary () in
         let result = Instrument.Static_analysis.analyze binary in
-        Core.Report.analysis ppf ~name:app.Apps.App.name result;
-        if result.Instrument.Static_analysis.warnings <> [] then any_warnings := true;
+        let warnings = Instrument.Static_analysis.lint binary in
+        Core.Report.analysis ppf ~name:app.Apps.App.name result ~warnings;
+        if warnings <> [] then any_warnings := true;
         List.iter
           (fun w ->
             warning_lines :=
               Format.asprintf "%s: %a" app.Apps.App.name
                 Instrument.Static_analysis.pp_warning w
               :: !warning_lines)
-          result.Instrument.Static_analysis.warnings;
+          warnings;
         let report =
           if mhp || json <> None then Some (Instrument.Mhp.analyze binary) else None
         in
@@ -818,7 +817,8 @@ let analyze_command =
               app.Apps.App.name Instrument.Mhp.pp_report r
         | _ -> ());
         if json <> None then
-          json_apps := json_of_analysis ~name:app.Apps.App.name result report :: !json_apps)
+          json_apps :=
+            json_of_analysis ~name:app.Apps.App.name result ~warnings report :: !json_apps)
       names;
     let warning_lines = List.rev !warning_lines in
     (match json with

@@ -856,20 +856,11 @@ let run m body =
   Sim.Engine.run m.engine
 
 let memory_checksum m =
-  (* FNV-1a over the final memory image. Unlike the DSM cluster every
-     page is present (the bus machine's memory is the coherent copy), so
-     the per-page presence tag is always 0x01. *)
-  let h = ref 0xcbf29ce484222325L in
-  let mix byte = h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) 0x100000001b3L in
-  Array.iter
-    (fun page ->
-      mix 0x01;
-      let raw = Mem.Page.raw page in
-      for i = 0 to Bytes.length raw - 1 do
-        mix (Char.code (Bytes.unsafe_get raw i))
-      done)
-    m.pages;
-  Int64.to_int (Int64.logand !h 0x3fffffffffffffffL)
+  (* Unlike the DSM cluster every page is present: the bus machine's
+     memory is the coherent copy. *)
+  Mem.Checksum.finish
+    (Array.fold_left (fun h page -> Mem.Checksum.page h (Mem.Page.raw page)) Mem.Checksum.init
+       m.pages)
 
 let backend ?cost ?cfg ~protocol ~nprocs ~pages () =
   let m = create ?cost ?cfg ~protocol ~nprocs ~pages () in

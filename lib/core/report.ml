@@ -115,13 +115,13 @@ let ablation ppf rows =
 (* Per-application rendering of the static pass for `cvm_race analyze`:
    the classification line, the batching summary the cost model consumes,
    and the lint findings. *)
-let analysis ppf ~name (r : Instrument.Static_analysis.result) =
+let analysis ppf ~name (r : Instrument.Static_analysis.result) ~warnings =
   let open Instrument.Static_analysis in
   Format.fprintf ppf "== %s static analysis ==@." name;
   Format.fprintf ppf "  %a@." pp r.classification;
   Format.fprintf ppf "  batching: %d of %d checks batched, per-check charge scale %.3f@."
     r.batched_checks r.classification.instrumented r.check_cost_scale;
-  (match r.warnings with
+  (match warnings with
   | [] -> Format.fprintf ppf "  lint: no statically suspicious shared accesses@."
   | ws ->
       Format.fprintf ppf "  lint: %d warning(s)@." (List.length ws);

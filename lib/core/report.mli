@@ -13,9 +13,14 @@ val faults : Format.formatter -> Experiments.fault_row list -> unit
 val protocols : Format.formatter -> Experiments.protocol_row list -> unit
 
 val analysis :
-  Format.formatter -> name:string -> Instrument.Static_analysis.result -> unit
+  Format.formatter ->
+  name:string ->
+  Instrument.Static_analysis.result ->
+  warnings:Instrument.Static_analysis.warning list ->
+  unit
 (** One application's static-pass result: classification, check batching
-    and lint warnings (the `cvm_race analyze` rendering). *)
+    and the {!Instrument.Static_analysis.lint} warnings (the
+    `cvm_race analyze` rendering). *)
 
 val races : ?symtab:Mem.Symtab.t -> Format.formatter -> Proto.Race.t list -> unit
 (** Race reports, resolved through the symbol table when given. *)

@@ -218,7 +218,7 @@ let covers report ~site_a ~site_b =
 let covers_site report ~site = List.mem site report.may_race_sites
 
 (* The lint view: Mismatch pairs with distinct sites, reported from the
-   under-locked side, deduplicated like {!Static_analysis.lint_warnings}
+   under-locked side, deduplicated like {!Static_analysis.lint}
    so the two warning sets coincide on binaries without disjoint
    non-empty locksets. *)
 let warnings report =

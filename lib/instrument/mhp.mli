@@ -56,7 +56,7 @@ val covers_site : report -> site:string -> bool
 val warnings : report -> Static_analysis.warning list
 (** The lint view: [Mismatch] pairs with distinct sites, reported from
     the under-locked side, deduplicated and sorted. Coincides with
-    {!Static_analysis.lint_warnings} on binaries without
+    {!Static_analysis.lint} on binaries without
     disjoint-but-non-empty lockset pairs. *)
 
 val pp_side : Format.formatter -> side -> unit

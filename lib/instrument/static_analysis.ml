@@ -11,17 +11,20 @@
      the computed address can only reach private data.
 
    Everything else is instrumented: ATOM inserts a procedure call to the
-   analysis routine before it. Two by-products of the same fixpoint:
+   analysis routine before it. A by-product of the same fixpoint is
+   redundant-check batching: an access dominated in its block by a prior
+   check of the same base register and page shares that check, so it
+   pays only [batched_check_cost] of the full discrimination charge
+   ({!check_cost_scale} feeds the driver's cost model).
 
-   - redundant-check batching: an access dominated in its block by a
-     prior check of the same base register and page shares that check,
-     so it pays only [batched_check_cost] of the full discrimination
-     charge ({!check_cost_scale} feeds the driver's cost model);
-   - a shared-access lint: two different sites that may address the same
-     dsm_malloc region in the same static barrier phase, at least one a
-     store, with disjoint must-hold locksets, are statically suspicious
-     — this flags Water's unlocked potential-energy update and TSP's
-     unsynchronized bound read without running the simulator. *)
+   The shared-access lint runs the fixpoint again, on demand ([lint]):
+   two different sites that may address the same dsm_malloc region in
+   the same static barrier phase, at least one a store, with disjoint
+   must-hold locksets, are statically suspicious — this flags Water's
+   unlocked potential-energy update and TSP's unsynchronized bound read
+   without running the simulator. Its pairing is quadratic in a
+   procedure's shared accesses, and the driver, which runs [analyze]
+   before every detecting simulation, never reads it. *)
 
 type classification = {
   stack : int;
@@ -49,8 +52,6 @@ type result = {
   sites : string list;  (* surviving (instrumented) sites, program order *)
   batched_checks : int;  (* checks eliminated by in-block batching *)
   check_cost_scale : float;  (* average per-check charge relative to full *)
-  warnings : warning list;
-  provenance : (string * Dataflow.prov) list;  (* per region-less summary: site -> prov *)
 }
 
 let batched_check_cost = 0.25
@@ -161,19 +162,12 @@ let analyze ?(page_size = 4096) (binary : Binary.t) =
       if bucket = `Instrumented then sites := i.Binary.site :: !sites)
     binary.Binary.sections;
   let batched = ref 0 in
-  let warnings = ref [] in
-  let provenance = ref [] in
   List.iter
     (fun proc ->
-      let accesses = Dataflow.analyze ~page_size proc in
       List.iter
         (fun (a : Dataflow.access) ->
           let bucket = classify_access a in
           c := bump !c a.Dataflow.a_count bucket;
-          (match a.Dataflow.a_base with
-          | Ir.Reg _ ->
-              provenance := (a.Dataflow.a_site, a.Dataflow.a_prov) :: !provenance
-          | _ -> ());
           if bucket = `Instrumented then begin
             batched := !batched + a.Dataflow.a_batched;
             if a.Dataflow.a_count = 1 then sites := a.Dataflow.a_site :: !sites
@@ -182,8 +176,7 @@ let analyze ?(page_size = 4096) (binary : Binary.t) =
                 sites := Printf.sprintf "%s#%d" a.Dataflow.a_site k :: !sites
               done
           end)
-        accesses;
-      warnings := !warnings @ lint_warnings accesses)
+        (Dataflow.analyze ~page_size proc))
     binary.Binary.procs;
   let classification = !c in
   let scale =
@@ -193,24 +186,18 @@ let analyze ?(page_size = 4096) (binary : Binary.t) =
       let b = float_of_int !batched in
       ((inst -. b) +. (b *. batched_check_cost)) /. inst
   in
+  { classification; sites = List.rev !sites; batched_checks = !batched; check_cost_scale = scale }
+
+let lint ?(page_size = 4096) (binary : Binary.t) =
+  List.concat_map
+    (fun proc -> lint_warnings (Dataflow.analyze ~page_size proc))
+    binary.Binary.procs
   (* deterministic report order regardless of CFG discovery order, so
      warning lists diff cleanly in CI *)
-  let warnings =
-    List.stable_sort
-      (fun a b ->
-        compare
-          (a.w_proc, a.w_site, a.w_other_site, a.w_region)
-          (b.w_proc, b.w_site, b.w_other_site, b.w_region))
-      !warnings
-  in
-  {
-    classification;
-    sites = List.rev !sites;
-    batched_checks = !batched;
-    check_cost_scale = scale;
-    warnings;
-    provenance = List.rev !provenance;
-  }
+  |> List.stable_sort (fun a b ->
+         compare
+           (a.w_proc, a.w_site, a.w_other_site, a.w_region)
+           (b.w_proc, b.w_site, b.w_other_site, b.w_region))
 
 let classify binary = (analyze binary).classification
 

@@ -10,9 +10,10 @@
 
     The same fixpoint also yields redundant-check batching (an access
     dominated by a prior check of the same base register and page pays
-    only a fraction of the discrimination cost) and a static
+    only a fraction of the discrimination cost). The static
     shared-access lint (conflicting sites in one barrier phase with
-    disjoint must-hold locksets). *)
+    disjoint must-hold locksets) is a separate, on-demand pass:
+    {!lint}. *)
 
 type classification = {
   stack : int;
@@ -39,9 +40,6 @@ type result = {
   batched_checks : int;
   check_cost_scale : float;
       (** average per-check charge relative to a full check, in (0, 1] *)
-  warnings : warning list;
-  provenance : (string * Dataflow.prov) list;
-      (** computed-address sites with their derived provenance *)
 }
 
 val batched_check_cost : float
@@ -50,6 +48,16 @@ val batched_check_cost : float
 val analyze : ?page_size:int -> Binary.t -> result
 (** Run the data-flow analysis over every procedure and fold in the
     flat sections. *)
+
+val lint : ?page_size:int -> Binary.t -> warning list
+(** The lockset lint: two different sites that may address the same
+    shared region in the same static barrier phase, at least one a
+    store, where one side holds locks and the other holds none (pairs
+    where neither side locks are left to the dynamic detector).
+    Reported from the unlocked side, deduplicated per (site, other
+    site, region), sorted by (proc, site, other site, region). Runs the
+    data-flow fixpoint itself; its pairing is quadratic in each
+    procedure's shared accesses. *)
 
 val classify : Binary.t -> classification
 

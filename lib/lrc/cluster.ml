@@ -263,21 +263,17 @@ let race_sites t (race : Proto.Race.t) =
 let sim_time t = Sim.Engine.now t.engine
 
 let memory_checksum t =
-  (* FNV-1a over the final shared-memory contents: for each page, the
-     first coherent copy found on any node. Which node caches which page
-     is timing-dependent (and irrelevant); the coherent bytes are not. *)
-  let h = ref 0xcbf29ce484222325L in
-  let mix byte = h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) 0x100000001b3L in
+  (* For each page, the first coherent copy found on any node. Which
+     node caches which page is timing-dependent (and irrelevant); the
+     coherent bytes are not. *)
+  let h = ref Mem.Checksum.init in
   for page = 0 to t.geometry.Mem.Geometry.pages - 1 do
-    match Array.find_map (fun node -> Node.coherent_page_raw node page) t.nodes with
-    | None -> mix 0xFF
-    | Some raw ->
-        mix 0x01;
-        for i = 0 to Bytes.length raw - 1 do
-          mix (Char.code (Bytes.unsafe_get raw i))
-        done
+    h :=
+      match Array.find_map (fun node -> Node.coherent_page_raw node page) t.nodes with
+      | None -> Mem.Checksum.absent !h
+      | Some raw -> Mem.Checksum.page !h raw
   done;
-  Int64.to_int (Int64.logand !h 0x3fffffffffffffffL)
+  Mem.Checksum.finish !h
 
 let stats t = t.stats
 let symtab t = t.symtab

@@ -48,6 +48,7 @@ type lock_local = {
   mutable held : bool;
   mutable expecting : bool;  (* we sent Lock_req and await the grant *)
   mutable pending_seq : int option;  (* manager sequence of our request *)
+  mutable early_grants : int;  (* grants that arrived before their manager ack *)
   mutable next_request : (int * Proto.Vclock.t) option;  (* forwarded requester *)
   mutable release_vc : Proto.Vclock.t option;  (* knowledge at our last release *)
 }
@@ -944,6 +945,7 @@ let lock_state t lock =
           held = false;
           expecting = false;
           pending_seq = None;
+          early_grants = 0;
           next_request = None;
           release_vc = None;
         }
@@ -993,6 +995,7 @@ let lock t lock_id =
       Proto.Vclock.merge_into ~dst:t.vc granter_vc;
       open_interval t;
       l.expecting <- false;
+      if l.pending_seq = None then l.early_grants <- l.early_grants + 1;
       l.pending_seq <- None;
       l.held <- true;
       emit_trace t (Racedetect.Oracle.Acquire lock_id);
@@ -1051,8 +1054,16 @@ let on_lock_fwd t ~lock ~requester ~vc ~seq =
   end
 
 let on_lock_ack t ~lock ~seq =
+  (* The grant travels the token chain, a different link from the ack,
+     so under retransmission it can overtake its ack. Such an ack is
+     stale: by now we may be expecting our next request, whose sequence
+     it must not pose as. Acks arrive in request order (one FIFO link
+     from the manager, one outstanding request per lock), so the oldest
+     unacknowledged requests are exactly the early-granted ones: drop
+     that many acks. *)
   let l = lock_state t lock in
-  if l.expecting then l.pending_seq <- Some seq
+  if l.early_grants > 0 then l.early_grants <- l.early_grants - 1
+  else if l.expecting then l.pending_seq <- Some seq
 
 let lock_mgr_state t lock =
   match Hashtbl.find_opt t.lock_mgrs lock with

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Bad command-line input must end in a one-line diagnostic and a
-# documented exit code (README, "Exit codes"): 124 from cvm_race's
-# argument converters, whose diagnostic Cmdliner follows with a usage
-# line, and 2 from bench/main.exe's flag parser.
+# Bad command-line input and hostile files must end in a one-line
+# diagnostic and a documented exit code (README, "Exit codes"): 124 from
+# cvm_race's argument converters, whose diagnostic Cmdliner follows with
+# a usage line; 2 from bench/main.exe's flag parser and for a malformed
+# --trace-file; 3 for a truncated or bit-flipped trace log.
 #
 #   sh test/cli_exit_codes.sh CVM_RACE_EXE BENCH_EXE
 
@@ -10,7 +11,8 @@ set -u
 cvm=$1
 bench=$2
 err=$(mktemp)
-trap 'rm -f "$err"' EXIT
+tmp=$(mktemp -d)
+trap 'rm -f "$err"; rm -rf "$tmp"' EXIT
 status=0
 
 check() {
@@ -46,4 +48,39 @@ check 2 "$cvm" replay /nonexistent/run.cvmt
 check 2 "$bench" --procs 4,x sweep
 check 2 "$bench" --jobs 0 sweep
 check 2 "$bench" bogus
+
+# the last check's diagnostic must contain $1
+says() {
+  if ! grep -qF "$1" "$err"; then
+    echo "FAIL diagnostic lacks \"$1\":"
+    cat "$err"
+    status=1
+  fi
+}
+
+# a malformed trace file: the parse error names the file and the line
+printf 'procs 2\nwords 1\n0 w 0\n1 x 0\n' >"$tmp/bad.trace"
+check 2 "$cvm" run --trace-file "$tmp/bad.trace"
+says "$tmp/bad.trace:4:"
+
+# corrupt logs: truncated, and one bit flipped in the magic and in the
+# format version
+if "$cvm" record sor --scale small -p 2 -o "$tmp/ok.cvmt" >/dev/null 2>"$err"; then
+  head -c 200 "$tmp/ok.cvmt" >"$tmp/truncated.cvmt"
+  cp "$tmp/ok.cvmt" "$tmp/magic.cvmt"
+  printf 'B' | dd of="$tmp/magic.cvmt" bs=1 seek=0 conv=notrunc 2>/dev/null
+  cp "$tmp/ok.cvmt" "$tmp/version.cvmt"
+  printf '\205' | dd of="$tmp/version.cvmt" bs=1 seek=4 conv=notrunc 2>/dev/null
+  check 3 "$cvm" replay "$tmp/truncated.cvmt"
+  says "corrupt trace log"
+  check 3 "$cvm" trace "$tmp/truncated.cvmt"
+  check 3 "$cvm" replay "$tmp/magic.cvmt"
+  says "bad magic"
+  check 3 "$cvm" replay "$tmp/version.cvmt"
+  says "corrupt trace log"
+else
+  echo "FAIL could not record the log to corrupt:"
+  cat "$err"
+  status=1
+fi
 exit $status

@@ -283,6 +283,43 @@ let test_extras_parsed_from_json () =
     [ ("messages", 100); ("barriers", 4) ]
     e.Compare_core.extras
 
+let test_host_stamp_ignored () =
+  (* records from two commits on two hosts: the stamp (git_rev, jobs,
+     host_cores, ocaml_version) is provenance, never compared *)
+  let record ~rev ~cores =
+    Bench_json.Obj
+      [
+        ("schema", Bench_json.String "cvm-race-bench/1");
+        ("jobs", Bench_json.Int 1);
+        ("host_cores", Bench_json.Int cores);
+        ("ocaml_version", Bench_json.String "5.1.1");
+        ("git_rev", rev);
+        ( "entries",
+          Bench_json.List
+            [
+              Bench_json.Obj
+                [
+                  ("app", Bench_json.String "sor");
+                  ("scale", Bench_json.String "small");
+                  ("nprocs", Bench_json.Int 8);
+                  ("detect", Bench_json.Bool true);
+                  ("protocol", Bench_json.String "single-writer");
+                  ("wall_s", Bench_json.Float 1.0);
+                  ("sim_time_ns", Bench_json.Int 5000);
+                  ("races", Bench_json.Int 3);
+                  ("mem_checksum", Bench_json.Int 48879);
+                  ("bytes", Bench_json.Int 4096);
+                ];
+            ] );
+      ]
+  in
+  let baseline = Compare_core.entries_of_json (record ~rev:Bench_json.Null ~cores:2) in
+  let current =
+    Compare_core.entries_of_json (record ~rev:(Bench_json.String "7f62e6d6ba54") ~cores:64)
+  in
+  check Alcotest.bool "same entries" true (baseline = current);
+  check Alcotest.bool "stamp drift passes" true (Compare_core.passed (gate baseline current))
+
 let test_load_failures_are_failure () =
   (* every load failure surfaces as [Failure] with the path prefixed, so
      compare.exe's one handler turns it into a clean usage-error exit *)
@@ -333,6 +370,7 @@ let suite =
         Alcotest.test_case "bus counters compared only when shared" `Quick
           test_bus_counters_compared_only_when_shared;
         Alcotest.test_case "extras parsed from JSON" `Quick test_extras_parsed_from_json;
+        Alcotest.test_case "host stamp and git_rev ignored" `Quick test_host_stamp_ignored;
         Alcotest.test_case "load failures normalize to Failure" `Quick
           test_load_failures_are_failure;
       ] );

@@ -206,8 +206,7 @@ let test_private_accesses_not_counted () =
 (* ------------------------------------------------------------------ *)
 (* The lockset lint                                                    *)
 
-let warnings_of proc =
-  (Static_analysis.analyze (Binary.make ~name:"t" ~procs:[ proc ] [])).Static_analysis.warnings
+let warnings_of proc = Static_analysis.lint (Binary.make ~name:"t" ~procs:[ proc ] [])
 
 let test_lint_flags_unlocked_store () =
   let open Ir in
@@ -336,15 +335,14 @@ let prop_scale_bounded =
 (* ------------------------------------------------------------------ *)
 (* The shipped applications                                            *)
 
-let analyze_app name =
-  let app = Apps.Registry.make ~scale:Apps.Registry.Small name in
-  Static_analysis.analyze (app.Apps.App.binary ())
+let binary_of name = (Apps.Registry.make ~scale:Apps.Registry.Small name).Apps.App.binary ()
+let analyze_app name = Static_analysis.analyze (binary_of name)
+let lint_app name = Static_analysis.lint (binary_of name)
 
 let test_apps_race_free_lint_clean () =
   List.iter
     (fun name ->
-      let r = analyze_app name in
-      match r.Static_analysis.warnings with
+      match lint_app name with
       | [] -> ()
       | w :: _ ->
           Alcotest.fail
@@ -352,8 +350,7 @@ let test_apps_race_free_lint_clean () =
     [ "sor"; "fft"; "lu" ]
 
 let test_water_bug_flagged () =
-  let r = analyze_app "water" in
-  match r.Static_analysis.warnings with
+  match lint_app "water" with
   | [ w ] ->
       check Alcotest.string "the racy potential update" "water:pot_racy"
         w.Static_analysis.w_site;
@@ -363,8 +360,7 @@ let test_water_bug_flagged () =
       Alcotest.fail (Printf.sprintf "water: expected exactly one warning, got %d" (List.length ws))
 
 let test_tsp_bound_read_flagged () =
-  let r = analyze_app "tsp" in
-  match r.Static_analysis.warnings with
+  match lint_app "tsp" with
   | [ w ] ->
       check Alcotest.string "the unsynchronized bound read" "tsp:bound_prune"
         w.Static_analysis.w_site;
@@ -400,6 +396,48 @@ let test_apps_elimination_ordering () =
   in
   monotone ranked
 
+(* The cost model's input, pinned exactly (%h) on the five applications,
+   the nine litmus kernels, and a digest over 200 generated programs
+   (seed 1): moving the lint out of [analyze] must not change it. *)
+let scale_hex binary = Printf.sprintf "%h" (Static_analysis.analyze binary).check_cost_scale
+
+let test_check_cost_scale_pinned () =
+  List.iter
+    (fun (name, want) -> check Alcotest.string name want (scale_hex (binary_of name)))
+    [
+      ("fft", "0x1.40bc52640bc52p-1");
+      ("sor", "0x1.8c30c30c30c31p-1");
+      ("tsp", "0x1.23796ac9dfd13p-1");
+      ("water", "0x1.6a2e8ba2e8ba3p-1");
+      ("lu", "0x1.4c20563b48c2p-1");
+    ];
+  let kernels =
+    [
+      ("diff-cache-reuse", "0x1.43c3c3c3c3c3cp-2");
+      ("gc-interval-rerequest", "0x1.8p-2");
+      ("write-notice-invalid", "0x1.4p-1");
+      ("lock-handoff-chain", "0x1.8p-1");
+      ("lock-chained-publish", "0x1p+0");
+      ("false-sharing-writers", "0x1.cp-2");
+      ("true-sharing-overlap", "0x1.cp-2");
+      ("multi-reader-race", "0x1.4p-1");
+      ("partially-locked", "0x1.8p-1");
+    ]
+  in
+  check Alcotest.int "every kernel pinned" (List.length kernels) (List.length Litmus.kernels);
+  List.iter
+    (fun (k : Litmus.kernel) ->
+      check Alcotest.string k.Litmus.k_name (List.assoc k.Litmus.k_name kernels)
+        (scale_hex (k.Litmus.k_binary ())))
+    Litmus.kernels;
+  let generated =
+    List.init 200 (fun index ->
+        let g = Workload.Generator.generate_seeded ~seed:1 ~index () in
+        scale_hex (Workload.Program.binary g.Workload.Generator.program))
+  in
+  check Alcotest.string "200 generated programs" "c448af98dec32f8398ca74e4f4e9e60d"
+    (Digest.to_hex (Digest.string (String.concat ";" generated)))
+
 let suite =
   [
     ( "dataflow",
@@ -434,5 +472,6 @@ let suite =
         Alcotest.test_case "apps: tsp bound read flagged" `Quick test_tsp_bound_read_flagged;
         Alcotest.test_case "apps: batching scale" `Quick test_apps_batching_scale;
         Alcotest.test_case "apps: elimination ordering" `Quick test_apps_elimination_ordering;
+        Alcotest.test_case "check_cost_scale pinned" `Quick test_check_cost_scale_pinned;
       ] );
   ]

@@ -61,6 +61,33 @@ let test_lossy_coherence protocol () =
         (stats.Sim.Stats.retransmits > 0))
     [ 1; 7; 23 ]
 
+let test_grant_overtaking_its_ack () =
+  (* One lock, hammered under 40% loss. A lock grant travels the token
+     chain, so a retransmitted manager ack can arrive after its grant —
+     even after the node has released and asked again. Taking that stale
+     ack for the new request's sequence number parked the next forward
+     wrongly: a lost handoff (deadlock) or a second parked forward
+     (assertion failure in on_lock_fwd). Seeds 16, 21, 33 and 38 hit it. *)
+  for seed = 1 to 40 do
+    let cfg = fault_cfg ~drop:0.4 seed in
+    let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:2 () in
+    let counter = Lrc.Cluster.alloc cluster 8 in
+    let body node =
+      let open Lrc.Dsm in
+      for _ = 1 to 50 do
+        with_lock node 1 (fun () -> write_int node counter (read_int node counter + 1))
+      done;
+      barrier node;
+      if pid node = 0 then
+        check Alcotest.int (Printf.sprintf "seed %d: no increment lost" seed) 200
+          (read_int node counter)
+    in
+    match Lrc.Cluster.run cluster ~body with
+    | () -> ()
+    | exception Sim.Engine.Deadlock d ->
+        Alcotest.failf "seed %d: %s" seed (Sim.Engine.diagnosis_to_string d)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Report stability: 0% drop vs 20% drop                                *)
 
@@ -206,6 +233,8 @@ let suite =
           (test_lossy_coherence Coherence.Config.Multi_writer);
         Alcotest.test_case "lossy: home-based" `Quick
           (test_lossy_coherence Coherence.Config.Home_based);
+        Alcotest.test_case "lock grant overtaking its ack" `Quick
+          test_grant_overtaking_its_ack;
       ] );
     ( "faults:stability",
       [

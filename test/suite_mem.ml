@@ -1,5 +1,5 @@
 (* Unit and property tests for the memory substrate: geometry, bitmaps,
-   pages and diffs. *)
+   pages, diffs and the memory-image checksum. *)
 
 let check = Alcotest.check
 
@@ -161,6 +161,68 @@ let prop_diff_apply_reconstructs =
       Mem.Diff.apply diff target;
       Mem.Page.equal target current)
 
+(* ------------------------------------------------------------------ *)
+(* Checksum                                                            *)
+
+(* An image is the page sequence a backend hashes: [None] for a page no
+   node holds a coherent copy of. The reference computes FNV-1a-64 in
+   Int64 and masks it to 62 bits. *)
+let fnv1a_int64 image =
+  let h = ref 0xcbf29ce484222325L in
+  let mix byte = h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) 0x100000001b3L in
+  List.iter
+    (function
+      | None -> mix 0xFF
+      | Some raw ->
+          mix 0x01;
+          String.iter (fun c -> mix (Char.code c)) raw)
+    image;
+  Int64.to_int (Int64.logand !h 0x3fffffffffffffffL)
+
+let checksum image =
+  Mem.Checksum.finish
+    (List.fold_left
+       (fun h -> function
+         | None -> Mem.Checksum.absent h
+         | Some raw -> Mem.Checksum.page h (Bytes.of_string raw))
+       Mem.Checksum.init image)
+
+let arb_image =
+  let open QCheck.Gen in
+  (* half the bytes have the top bit set, where a sign slip would show *)
+  let byte = frequency [ (1, char); (1, char_range '\x80' '\xff') ] in
+  let page = frequency [ (1, return None); (4, map Option.some (string_size ~gen:byte (0 -- 512))) ] in
+  QCheck.make
+    ~print:(fun image -> Printf.sprintf "%d page(s)" (List.length image))
+    (list_size (0 -- 64) page)
+
+let prop_checksum_matches_int64 =
+  QCheck.Test.make ~name:"native-int checksum = Int64 FNV-1a reference" ~count:300 arb_image
+    (fun image -> checksum image = fnv1a_int64 image)
+
+let test_checksum_many_pages () =
+  (* a thousand pages: all-0xFF bytes (the absent tag's value), absent
+     pages, and every byte value *)
+  let image =
+    List.init 1000 (fun i ->
+        if i mod 7 = 3 then None
+        else if i mod 2 = 0 then Some (String.make 64 '\xff')
+        else Some (String.init 256 (fun j -> Char.chr ((i + j) land 0xff))))
+  in
+  check Alcotest.int "many pages" (fnv1a_int64 image) (checksum image);
+  check Alcotest.int "empty image" (fnv1a_int64 []) (checksum []);
+  check Alcotest.int "one absent page" (fnv1a_int64 [ None ]) (checksum [ None ]);
+  check Alcotest.bool "absent differs from a present 0xFF byte" true
+    (checksum [ None ] <> checksum [ Some "\xff" ])
+
+let test_checksum_allocates_nothing () =
+  let pages = Array.init 16 (fun i -> Bytes.make 4096 (Char.chr (0x80 + i))) in
+  let before = Gc.minor_words () in
+  let h = Array.fold_left Mem.Checksum.page Mem.Checksum.init pages in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity (Mem.Checksum.finish h));
+  if words > 64.0 then Alcotest.failf "hashing 64 KiB allocated %.0f minor words" words
+
 let suite =
   [
     ( "mem:geometry",
@@ -189,5 +251,11 @@ let suite =
         Alcotest.test_case "empty" `Quick test_diff_empty;
         Alcotest.test_case "to_bitmap" `Quick test_diff_to_bitmap;
         QCheck_alcotest.to_alcotest prop_diff_apply_reconstructs;
+      ] );
+    ( "mem:checksum",
+      [
+        QCheck_alcotest.to_alcotest prop_checksum_matches_int64;
+        Alcotest.test_case "many pages" `Quick test_checksum_many_pages;
+        Alcotest.test_case "allocates nothing" `Quick test_checksum_allocates_nothing;
       ] );
   ]

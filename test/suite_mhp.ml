@@ -70,7 +70,7 @@ let test_warnings_coincide_with_lint () =
   List.iter
     (fun name ->
       let binary = (app name).Apps.App.binary () in
-      let lint = (Instrument.Static_analysis.analyze binary).Instrument.Static_analysis.warnings in
+      let lint = Instrument.Static_analysis.lint binary in
       let mhp = Instrument.Mhp.warnings (Instrument.Mhp.analyze binary) in
       check Alcotest.int (name ^ ": same warning count") (List.length lint) (List.length mhp);
       List.iter2

@@ -188,9 +188,8 @@ let analyze ?(page_size = 4096) (binary : Binary.t) =
   in
   { classification; sites = List.rev !sites; batched_checks = !batched; check_cost_scale = scale }
 
-let lint ?(page_size = 4096) (binary : Binary.t) =
-  List.concat_map
-    (fun proc -> lint_warnings (Dataflow.analyze ~page_size proc))
+let lint (binary : Binary.t) =
+  List.concat_map (fun proc -> lint_warnings (Dataflow.analyze proc))
     binary.Binary.procs
   (* deterministic report order regardless of CFG discovery order, so
      warning lists diff cleanly in CI *)

@@ -49,7 +49,7 @@ val analyze : ?page_size:int -> Binary.t -> result
 (** Run the data-flow analysis over every procedure and fold in the
     flat sections. *)
 
-val lint : ?page_size:int -> Binary.t -> warning list
+val lint : Binary.t -> warning list
 (** The lockset lint: two different sites that may address the same
     shared region in the same static barrier phase, at least one a
     store, where one side holds locks and the other holds none (pairs

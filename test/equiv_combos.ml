@@ -128,7 +128,28 @@ let all : combo list =
           [ 1; 99 ])
       [ "tsp"; "water" ]
   in
-  base @ flag_variants @ fault_variants @ seed_variants
+  let wide_variants =
+    (* wide barriers: the master's detection work (check list, bitmap
+       requests to every process) grows with the processor count, so the
+       p4/p8 grid alone under-covers it *)
+    let combo app ptag protocol nprocs =
+      {
+        label = Printf.sprintf "%s-%s-p%d" app ptag nprocs;
+        app;
+        nprocs;
+        cfg = { Coherence.Config.default with Coherence.Config.protocol };
+      }
+    in
+    List.concat_map
+      (fun app ->
+        List.map (combo app "sw" Coherence.Config.Single_writer) [ 16; 32 ])
+      [ "water"; "tsp"; "lu" ]
+    @ [
+        combo "water" "mw" Coherence.Config.Multi_writer 32;
+        combo "water" "hb" Coherence.Config.Home_based 32;
+      ]
+  in
+  base @ flag_variants @ fault_variants @ seed_variants @ wide_variants
 
 let find label = List.find_opt (fun c -> c.label = label) all
 

@@ -1197,20 +1197,17 @@ let master_run_detection t =
     b.pending_checks <- entries;
     b.check_bytes <- Racedetect.Checklist.size_bytes entries;
     Hashtbl.reset b.collected;
-    let procs_with_requests =
-      List.init t.nprocs Fun.id
-      |> List.filter_map (fun proc ->
-             match Racedetect.Checklist.requests_for_proc entries ~proc with
-             | [] -> None
-             | requests -> Some (proc, requests))
-    in
-    b.expected_replies <- List.length procs_with_requests;
-    List.iter
-      (fun (proc, requests) ->
-        stats.Sim.Stats.bitmaps_requested <-
-          stats.Sim.Stats.bitmaps_requested + List.length requests;
-        send_after t ~delay ~dst:proc (Message.Bitmap_req { requests }))
-      procs_with_requests
+    let plan = Racedetect.Checklist.requests_by_proc entries ~nprocs:t.nprocs in
+    b.expected_replies <-
+      Array.fold_left (fun n requests -> if requests = [] then n else n + 1) 0 plan;
+    Array.iteri
+      (fun proc requests ->
+        if requests <> [] then begin
+          stats.Sim.Stats.bitmaps_requested <-
+            stats.Sim.Stats.bitmaps_requested + List.length requests;
+          send_after t ~delay ~dst:proc (Message.Bitmap_req { requests })
+        end)
+      plan
   end
 
 let master_on_arrive t ~from_ ~vc ~intervals =

@@ -67,7 +67,7 @@ let overlapping_pages a b =
     let ww = inter a.write_pages b.write_pages in
     let rw = inter a.read_pages b.write_pages in
     let wr = inter a.write_pages b.read_pages in
-    List.sort_uniq compare (ww @ rw @ wr)
+    List.sort_uniq Int.compare (ww @ rw @ wr)
   end
   else []
 
@@ -82,7 +82,7 @@ let size_bytes ~with_read_notices t =
 let read_notice_bytes t = 4 * List.length t.read_pages
 
 let compare_ids a b =
-  match compare a.proc b.proc with 0 -> compare a.index b.index | c -> c
+  match Int.compare a.proc b.proc with 0 -> Int.compare a.index b.index | c -> c
 
 let pp ppf t =
   Format.fprintf ppf "s_%d^%d(e%d w:[%s] r:[%s])" t.id.proc t.id.index t.epoch

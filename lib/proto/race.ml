@@ -30,11 +30,31 @@ let normalize t =
   then { t with first = (ib, kb); second = (ia, ka) }
   else t
 
-let compare a b =
-  let a = normalize a and b = normalize b in
-  compare
-    (a.addr, fst a.first, snd a.first, fst a.second, snd a.second)
-    (b.addr, fst b.first, snd b.first, fst b.second, snd b.second)
+(* Polymorphic [compare]'s order on the constructors: Read before Write. *)
+let compare_kind a b =
+  match (a, b) with
+  | Read, Write -> -1
+  | Write, Read -> 1
+  | Read, Read | Write, Write -> 0
+
+(* The order of polymorphic [compare] on the tuple
+   (addr, first id, first kind, second id, second kind) of two
+   normalized reports, field by field. *)
+let compare_normalized a b =
+  match Int.compare a.addr b.addr with
+  | 0 -> (
+      let (ia, ka), (ib, kb) = (a.first, b.first) in
+      match Interval.compare_ids ia ib with
+      | 0 -> (
+          match compare_kind ka kb with
+          | 0 -> (
+              let (ia, ka), (ib, kb) = (a.second, b.second) in
+              match Interval.compare_ids ia ib with 0 -> compare_kind ka kb | c -> c)
+          | c -> c)
+      | c -> c)
+  | c -> c
+
+let compare a b = compare_normalized (normalize a) (normalize b)
 
 let equal a b = compare a b = 0
 
@@ -48,4 +68,4 @@ let pp_named ~name_of ppf t =
 
 let pp ppf t = pp_named ~name_of:(Printf.sprintf "0x%08x") ppf t
 
-let dedup races = List.sort_uniq compare (List.map normalize races)
+let dedup races = List.sort_uniq compare_normalized (List.map normalize races)

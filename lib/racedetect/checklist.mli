@@ -7,7 +7,11 @@ type entry = { a : Proto.Interval.id; b : Proto.Interval.id; pages : int list }
 val bitmap_requests : entry list -> (Proto.Interval.id * int) list
 (** Distinct (interval, page) bitmaps the master must retrieve. *)
 
-val requests_for_proc : entry list -> proc:int -> (Proto.Interval.id * int) list
+val requests_by_proc : entry list -> nprocs:int -> (Proto.Interval.id * int) list array
+(** The master's request plan for one epoch: {!bitmap_requests} split by
+    the owning processor, so bucket [p] holds, in the same order, the
+    requests whose interval has [id.proc = p]. Raises [Invalid_argument]
+    if an entry names a processor outside [0, nprocs). *)
 
 val size_bytes : entry list -> int
 (** Wire size of the check list on the barrier release message. *)

@@ -54,6 +54,17 @@ let concurrent_pairs ?stats intervals =
   | None -> ());
   List.rev !pairs
 
+(* One bit per page, [page mod 63]: two intervals that share a page share
+   its bit, so disjoint signatures prove disjoint page lists with one
+   integer test. *)
+let page_signature pages = List.fold_left (fun sg page -> sg lor (1 lsl (page mod 63))) 0 pages
+
+(* Intervals named by at least one entry, the intervals_in_overlap count. *)
+let involved_count entries =
+  List.concat_map (fun (e : Checklist.entry) -> [ e.a; e.b ]) entries
+  |> List.sort_uniq Proto.Interval.compare_ids
+  |> List.length
+
 let concurrent_check_list ?stats ?probe intervals =
   (* Steps 2 and 3 fused: the concurrent-pair list is never materialized —
      each cross-processor pair is tested and winnowed in place, in the
@@ -69,16 +80,21 @@ let concurrent_check_list ?stats ?probe intervals =
   let n = Array.length arr in
   let procs = Array.make n 0 and indices = Array.make n 0 in
   let vcs = Array.make n [||] in
+  let write_sigs = Array.make n 0 and read_sigs = Array.make n 0 in
   Array.iteri
     (fun i (iv : Proto.Interval.t) ->
       procs.(i) <- iv.Proto.Interval.id.Proto.Interval.proc;
       indices.(i) <- iv.Proto.Interval.id.Proto.Interval.index;
-      vcs.(i) <- iv.Proto.Interval.vc)
+      vcs.(i) <- iv.Proto.Interval.vc;
+      write_sigs.(i) <- page_signature iv.Proto.Interval.write_pages;
+      read_sigs.(i) <- page_signature iv.Proto.Interval.read_pages)
     arr;
   for i = 0 to n - 1 do
     let proc_i = Array.unsafe_get procs i
     and index_i = Array.unsafe_get indices i
-    and vc_i = Array.unsafe_get vcs i in
+    and vc_i = Array.unsafe_get vcs i
+    and wa = Array.unsafe_get write_sigs i
+    and ra = Array.unsafe_get read_sigs i in
     for j = i + 1 to n - 1 do
       if Array.unsafe_get procs j <> proc_i then begin
         incr count;
@@ -87,13 +103,18 @@ let concurrent_check_list ?stats ?probe intervals =
           && Array.unsafe_get vc_i (Array.unsafe_get procs j) < Array.unsafe_get indices j
         then begin
           incr n_concurrent;
-          let a = Array.unsafe_get arr i and b = Array.unsafe_get arr j in
-          match Proto.Interval.overlapping_pages a b with
-          | [] -> ()
-          | pages ->
-              entries :=
-                { Checklist.a = Proto.Interval.id a; b = Proto.Interval.id b; pages }
-                :: !entries
+          let wb = Array.unsafe_get write_sigs j and rb = Array.unsafe_get read_sigs j in
+          (* a page both intervals list sets the same signature bit on
+             both sides, so a zero here means no overlap at all *)
+          if (wa land (wb lor rb)) lor (ra land wb) <> 0 then begin
+            let a = Array.unsafe_get arr i and b = Array.unsafe_get arr j in
+            match Proto.Interval.overlapping_pages a b with
+            | [] -> ()
+            | pages ->
+                entries :=
+                  { Checklist.a = Proto.Interval.id a; b = Proto.Interval.id b; pages }
+                  :: !entries
+          end
         end
       end
     done
@@ -107,11 +128,7 @@ let concurrent_check_list ?stats ?probe intervals =
       s.Sim.Stats.interval_comparisons <- s.Sim.Stats.interval_comparisons + !count;
       s.Sim.Stats.concurrent_pairs <- s.Sim.Stats.concurrent_pairs + !n_concurrent;
       s.Sim.Stats.overlapping_pairs <- s.Sim.Stats.overlapping_pairs + List.length entries;
-      let involved =
-        List.concat_map (fun (e : Checklist.entry) -> [ e.a; e.b ]) entries
-        |> List.sort_uniq compare
-      in
-      s.Sim.Stats.intervals_in_overlap <- s.Sim.Stats.intervals_in_overlap + List.length involved
+      s.Sim.Stats.intervals_in_overlap <- s.Sim.Stats.intervals_in_overlap + involved_count entries
   | None -> ());
   (!n_concurrent, entries)
 
@@ -154,11 +171,7 @@ let check_list ?stats ?probe pairs =
   | Some s ->
       s.Sim.Stats.concurrent_pairs <- s.Sim.Stats.concurrent_pairs + List.length pairs;
       s.Sim.Stats.overlapping_pairs <- s.Sim.Stats.overlapping_pairs + List.length entries;
-      let involved =
-        List.concat_map (fun (e : Checklist.entry) -> [ e.a; e.b ]) entries
-        |> List.sort_uniq compare
-      in
-      s.Sim.Stats.intervals_in_overlap <- s.Sim.Stats.intervals_in_overlap + List.length involved
+      s.Sim.Stats.intervals_in_overlap <- s.Sim.Stats.intervals_in_overlap + involved_count entries
   | None -> ());
   entries
 

@@ -154,10 +154,17 @@ let get_varint c =
 
 let get_bool c = byte c <> 0
 
+(* A length prefix. Every element it counts takes at least one byte, so a
+   count larger than the bytes left is corrupt; rejecting it here keeps a
+   damaged prefix from driving a huge allocation. *)
+let get_length c what =
+  let n = get_varint c in
+  if n < 0 || n > String.length c.src - c.pos then
+    fail "bad %s length %d at byte %d" what n c.pos;
+  n
+
 let get_string c =
-  let len = get_varint c in
-  if len < 0 || c.pos + len > String.length c.src then
-    fail "bad string length %d at byte %d" len c.pos;
+  let len = get_length c "string" in
   let s = String.sub c.src c.pos len in
   c.pos <- c.pos + len;
   s
@@ -171,13 +178,11 @@ let get_float c =
 let get_opt c get = if get_bool c then Some (get c) else None
 
 let get_list c get =
-  let n = get_varint c in
-  if n < 0 then fail "negative list length at byte %d" c.pos;
+  let n = get_length c "list" in
   List.init n (fun _ -> get c)
 
 let get_vc c : Proto.Vclock.t =
-  let n = get_varint c in
-  if n < 0 then fail "negative vclock length at byte %d" c.pos;
+  let n = get_length c "vclock" in
   Array.init n (fun _ -> get_varint c)
 
 let get_iid c : Proto.Interval.id =

@@ -3,7 +3,7 @@
 # diagnostic and a documented exit code (README, "Exit codes"): 124 from
 # cvm_race's argument converters, whose diagnostic Cmdliner follows with
 # a usage line; 2 from bench/main.exe's flag parser and for a malformed
-# --trace-file; 3 for a truncated or bit-flipped trace log.
+# --trace-file; 3 for a truncated, bit-flipped or forged trace log.
 #
 #   sh test/cli_exit_codes.sh CVM_RACE_EXE BENCH_EXE
 
@@ -78,6 +78,13 @@ if "$cvm" record sor --scale small -p 2 -o "$tmp/ok.cvmt" >/dev/null 2>"$err"; t
   says "bad magic"
   check 3 "$cvm" replay "$tmp/version.cvmt"
   says "corrupt trace log"
+  # an appended Lock_acquire (time delta 0, tag 13, proc 0, lock 1) whose
+  # vclock length is 2^55 (zigzag LEB128), followed by two more bytes:
+  # the count must be rejected before anything is allocated
+  cp "$tmp/ok.cvmt" "$tmp/vclen.cvmt"
+  printf '\000\015\000\002\200\200\200\200\200\200\200\200\001\002\004' >>"$tmp/vclen.cvmt"
+  check 3 "$cvm" replay "$tmp/vclen.cvmt"
+  says "bad vclock length"
 else
   echo "FAIL could not record the log to corrupt:"
   cat "$err"

@@ -121,8 +121,173 @@ let test_bitmap_requests_dedup () =
   in
   let requests = Racedetect.Checklist.bitmap_requests entries in
   check Alcotest.int "deduplicated" 5 (List.length requests);
-  let p0 = Racedetect.Checklist.requests_for_proc entries ~proc:0 in
-  check Alcotest.int "proc 0 owns 2 bitmaps" 2 (List.length p0)
+  let plan = Racedetect.Checklist.requests_by_proc entries ~nprocs:4 in
+  check (Alcotest.list Alcotest.int) "bitmaps per proc" [ 2; 2; 1; 0 ]
+    (Array.to_list (Array.map List.length plan))
+
+(* ------------------------------------------------------------------ *)
+(* The detection kernels against reference definitions that sort with
+   polymorphic [compare]: the typed comparators, the per-epoch request
+   plan and the check-list signature prefilter must change nothing. *)
+
+let reference_bitmap_requests entries =
+  let add acc id pages = List.fold_left (fun acc page -> (id, page) :: acc) acc pages in
+  List.fold_left
+    (fun acc (e : Racedetect.Checklist.entry) -> add (add acc e.a e.pages) e.b e.pages)
+    [] entries
+  |> List.sort_uniq compare
+
+let reference_requests_for_proc entries ~proc =
+  List.filter
+    (fun ((id : Proto.Interval.id), _) -> id.proc = proc)
+    (reference_bitmap_requests entries)
+
+let gen_entries =
+  (* few indices per processor, so ids repeat across entries *)
+  let open QCheck.Gen in
+  let id =
+    map2 (fun proc index -> { Proto.Interval.proc; index }) (int_range 0 31) (int_range 1 3)
+  in
+  list_size (int_range 0 40)
+    (map3
+       (fun a b pages -> { Racedetect.Checklist.a; b; pages })
+       id id
+       (list_size (int_range 1 4) (int_range 0 200)))
+
+let prop_requests_by_proc =
+  QCheck.Test.make ~count:300 ~name:"request plan = per-proc filter of the sorted requests"
+    (QCheck.make
+       ~print:(fun es -> String.concat " " (List.map (Format.asprintf "%a" Racedetect.Checklist.pp) es))
+       gen_entries)
+    (fun entries ->
+      let plan = Racedetect.Checklist.requests_by_proc entries ~nprocs:32 in
+      Racedetect.Checklist.bitmap_requests entries = reference_bitmap_requests entries
+      && Array.length plan = 32
+      && List.for_all
+           (fun proc -> plan.(proc) = reference_requests_for_proc entries ~proc)
+           (List.init 32 Fun.id))
+
+(* Interval sets whose pages are drawn from {b, b + 63, b + 126}: pages
+   that differ by 63 share a signature bit, so many concurrent pairs pass
+   the prefilter without really overlapping. *)
+let gen_interval_specs =
+  let open QCheck.Gen in
+  int_range 2 6 >>= fun nprocs ->
+  int_range 1 4 >>= fun per_proc ->
+  let page = map2 (fun base wrap -> base + (63 * wrap)) (int_range 0 4) (int_range 0 2) in
+  let pages = list_size (int_range 0 3) page in
+  let spec proc index =
+    map3
+      (fun seen reads writes -> (proc, index, seen, reads, writes))
+      (array_repeat nprocs (int_range 0 per_proc))
+      pages pages
+  in
+  flatten_l
+    (List.concat_map
+       (fun proc -> List.init per_proc (fun i -> spec proc (i + 1)))
+       (List.init nprocs Fun.id))
+  >|= fun specs -> (nprocs, specs)
+
+let print_interval_specs (nprocs, specs) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "nprocs %d: %s" nprocs
+    (String.concat " "
+       (List.map
+          (fun (proc, index, seen, reads, writes) ->
+            Printf.sprintf "s_%d^%d[vc %s r %s w %s]" proc index
+              (ints (Array.to_list seen)) (ints reads) (ints writes))
+          specs))
+
+let intervals_of_specs (nprocs, specs) =
+  List.map
+    (fun (proc, index, seen, reads, writes) ->
+      let vc = Proto.Vclock.create nprocs in
+      Array.iteri (Proto.Vclock.set vc) seen;
+      Proto.Vclock.set vc proc index;
+      let iv = Proto.Interval.create ~proc ~index ~vc ~epoch:0 in
+      List.iter (Proto.Interval.add_read_page iv) reads;
+      List.iter (Proto.Interval.add_write_page iv) writes;
+      iv)
+    specs
+
+let detector_counts (s : Sim.Stats.t) =
+  [ s.interval_comparisons; s.concurrent_pairs; s.overlapping_pairs; s.intervals_in_overlap ]
+
+let prop_fused_check_list =
+  QCheck.Test.make ~count:500 ~name:"fused check-list scan = check_list of concurrent_pairs"
+    (QCheck.make ~print:print_interval_specs gen_interval_specs)
+    (fun specs ->
+      let intervals = intervals_of_specs specs in
+      let fused_stats = Sim.Stats.create () and split_stats = Sim.Stats.create () in
+      let fused_seen = ref [] and split_seen = ref [] in
+      let n_concurrent, fused =
+        Racedetect.Detector.concurrent_check_list ~stats:fused_stats
+          ~probe:(fun e -> fused_seen := e :: !fused_seen)
+          intervals
+      in
+      let pairs = Racedetect.Detector.concurrent_pairs ~stats:split_stats intervals in
+      let split =
+        Racedetect.Detector.check_list ~stats:split_stats
+          ~probe:(fun e -> split_seen := e :: !split_seen)
+          pairs
+      in
+      let involved =
+        List.concat_map (fun (e : Racedetect.Checklist.entry) -> [ e.a; e.b ]) split
+        |> List.sort_uniq compare |> List.length
+      in
+      fused = split
+      && !fused_seen = !split_seen
+      && n_concurrent = List.length pairs
+      && detector_counts fused_stats = detector_counts split_stats
+      && split_stats.intervals_in_overlap = involved)
+
+let test_signature_collision_not_listed () =
+  (* pages 1 and 64 share signature bit 1 but are different pages *)
+  let a = with_accesses (interval ~proc:0 ~index:2 ~seen:[]) ~reads:[] ~writes:[ (1, ()) ] in
+  let b = with_accesses (interval ~proc:1 ~index:2 ~seen:[]) ~reads:[ (64, ()) ] ~writes:[] in
+  let stats = Sim.Stats.create () in
+  let n_concurrent, entries = Racedetect.Detector.concurrent_check_list ~stats [ a; b ] in
+  check Alcotest.int "concurrent" 1 n_concurrent;
+  check Alcotest.int "no entry" 0 (List.length entries);
+  check Alcotest.int "no overlapping pair" 0 stats.Sim.Stats.overlapping_pairs
+
+let reference_race_compare a b =
+  let a = Proto.Race.normalize a and b = Proto.Race.normalize b in
+  compare
+    (a.addr, fst a.first, snd a.first, fst a.second, snd a.second)
+    (b.addr, fst b.first, snd b.first, fst b.second, snd b.second)
+
+let gen_races =
+  (* few addresses and ids, so keys repeat and pairs come in both orders *)
+  let open QCheck.Gen in
+  let side =
+    map3
+      (fun proc index kind -> ({ Proto.Interval.proc; index }, kind))
+      (int_range 0 3) (int_range 1 3)
+      (oneofl [ Proto.Race.Read; Proto.Race.Write ])
+  in
+  list_size (int_range 0 30)
+    (map3
+       (fun word (first, second) epoch ->
+         { Proto.Race.addr = 8 * word; page = word / 512; word = word mod 512; first; second; epoch })
+       (int_range 0 7) (pair side side) (int_range 0 2))
+
+let prop_race_dedup =
+  QCheck.Test.make ~count:300 ~name:"Race.dedup and compare = polymorphic tuple order"
+    (QCheck.make
+       ~print:(fun rs -> String.concat "; " (List.map (Format.asprintf "%a" Proto.Race.pp) rs))
+       gen_races)
+    (fun races ->
+      Proto.Race.dedup races
+      = List.sort_uniq reference_race_compare (List.map Proto.Race.normalize races)
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b ->
+                 Int.compare (Proto.Race.compare a b) 0
+                 = Int.compare (reference_race_compare a b) 0)
+               races)
+           races)
 
 let test_first_races () =
   let race epoch =
@@ -211,6 +376,11 @@ let suite =
         Alcotest.test_case "rw both directions" `Quick test_races_read_write_both_directions;
         Alcotest.test_case "false sharing ignored" `Quick test_false_sharing_no_race;
         Alcotest.test_case "bitmap request dedup" `Quick test_bitmap_requests_dedup;
+        Alcotest.test_case "signature collision not listed" `Quick
+          test_signature_collision_not_listed;
+        QCheck_alcotest.to_alcotest prop_requests_by_proc;
+        QCheck_alcotest.to_alcotest prop_fused_check_list;
+        QCheck_alcotest.to_alcotest prop_race_dedup;
         Alcotest.test_case "first races" `Quick test_first_races;
       ] );
     ( "oracle",

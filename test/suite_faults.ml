@@ -191,6 +191,39 @@ let test_watchdog_quiet_on_healthy_run () =
       barrier node);
   check Alcotest.bool "completed" true (Lrc.Cluster.sim_time cluster > 0)
 
+let test_lock_cycle_diagnosed backend () =
+  (* p0 takes lock 1 then 2, p1 takes 2 then 1; the idle between the two
+     acquires lets both first grants land, so each waits on the other's
+     lock until the event queue drains *)
+  let cfg = { Coherence.Config.default with Coherence.Config.backend } in
+  let machine = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+  let body (node : Coherence.Node.t) =
+    let first, second = if node.id = 0 then (1, 2) else (2, 1) in
+    node.lock first;
+    node.idle 1_000_000.0;
+    node.lock second;
+    node.unlock second;
+    node.unlock first
+  in
+  match machine.Coherence.Backend.run body with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Sim.Engine.Deadlock diagnosis ->
+      check Alcotest.bool "queue drained, not a stall" false diagnosis.Sim.Engine.diag_stalled;
+      check Alcotest.int "both processes live" 2 diagnosis.Sim.Engine.diag_live;
+      let blocked = List.sort compare diagnosis.Sim.Engine.diag_blocked in
+      check (Alcotest.list Alcotest.int) "both blocked" [ 0; 1 ] (List.map fst blocked);
+      List.iter2
+        (fun (_, label) lock ->
+          let want = Printf.sprintf "grant of lock %d" lock in
+          if not (Testutil.contains label want) then
+            Alcotest.failf "label %S lacks %S" label want)
+        blocked [ 2; 1 ];
+      if backend <> "lrc" then
+        List.iter
+          (fun note ->
+            check Alcotest.bool note true (List.mem note diagnosis.Sim.Engine.diag_notes))
+          [ "lock 1: held by p0, 1 waiting"; "lock 2: held by p1, 1 waiting" ]
+
 (* ------------------------------------------------------------------ *)
 (* RNG stream independence                                              *)
 
@@ -252,4 +285,10 @@ let suite =
         Alcotest.test_case "watchdog quiet when healthy" `Quick
           test_watchdog_quiet_on_healthy_run;
       ] );
+    ( "faults:deadlock",
+      List.map
+        (fun backend ->
+          Alcotest.test_case (backend ^ ": lock cycle diagnosed") `Quick
+            (test_lock_cycle_diagnosed backend))
+        [ "lrc"; "mesi"; "dragon" ] );
   ]

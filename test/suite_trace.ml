@@ -140,6 +140,83 @@ let test_codec_rejects_garbage () =
   Bytes.set wrong_version 4 '\xff';
   check Alcotest.bool "unsupported version" true (corrupt (Bytes.to_string wrong_version))
 
+(* zigzag LEB128, the codec's varint, so a test can forge a field *)
+let varint n =
+  let buf = Buffer.create 10 in
+  let rec go u =
+    if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
+    else begin
+      Buffer.add_char buf (Char.chr (0x80 lor (u land 0x7f)));
+      go (u lsr 7)
+    end
+  in
+  go ((n lsl 1) lxor (n asr (Sys.int_size - 1)));
+  Buffer.contents buf
+
+let test_codec_rejects_huge_lengths () =
+  (* a 1-event log whose last bytes are the vclock: length 2, then 1, 2 *)
+  let log =
+    Trace.Codec.encode sample_meta
+      [| (0, Trace.Event.Lock_acquire { proc = 0; lock = 1; vc = [| 1; 2 |] }) |]
+  in
+  let n = String.length log in
+  check Alcotest.string "vclock is the tail" (varint 2 ^ varint 1 ^ varint 2)
+    (String.sub log (n - 3) 3);
+  let with_vc_length len = String.sub log 0 (n - 3) ^ varint len ^ varint 1 ^ varint 2 in
+  List.iter
+    (fun len ->
+      match Trace.Codec.decode (with_vc_length len) with
+      | _ -> Alcotest.failf "vclock length %d decoded" len
+      | exception Trace.Codec.Corrupt msg ->
+          check Alcotest.bool "names the vclock length" true (Testutil.contains msg "vclock")
+      | exception e -> Alcotest.failf "vclock length %d: %s" len (Printexc.to_string e))
+    [ 3; 1 lsl 30; 1 lsl 55; max_int; -1 ];
+  (* a string length whose end would overflow the cursor *)
+  let bad_string = Trace.Codec.magic ^ String.make 1 (Char.chr Trace.Codec.version) ^ varint max_int in
+  match Trace.Codec.decode bad_string with
+  | _ -> Alcotest.fail "max_int string length decoded"
+  | exception Trace.Codec.Corrupt _ -> ()
+
+let prop_codec_damage_is_corrupt =
+  (* damage the tail of a valid log: truncate it, flip one bit, or
+     replace it with random bytes — decoding succeeds or raises Corrupt,
+     never anything else *)
+  let damage =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun at -> `Truncate at) (int_bound 1_000_000);
+          map2 (fun at bit -> `Flip (at, bit)) (int_bound 1_000_000) (int_bound 7);
+          map2
+            (fun at tail -> `Tail (at, tail))
+            (int_bound 1_000_000)
+            (string_size ~gen:char (int_range 1 24));
+        ])
+  in
+  let print_damage = function
+    | `Truncate at -> Printf.sprintf "truncate at %d" at
+    | `Flip (at, bit) -> Printf.sprintf "flip bit %d of byte %d" bit at
+    | `Tail (at, tail) -> Printf.sprintf "tail %S from %d" tail at
+  in
+  QCheck.Test.make ~name:"codec: a damaged log decodes or raises Corrupt" ~count:1000
+    (QCheck.pair arb_stream (QCheck.make ~print:print_damage damage))
+    (fun (stream, damage) ->
+      let log = Trace.Codec.encode sample_meta (Array.of_list stream) in
+      let n = String.length log in
+      let damaged =
+        match damage with
+        | `Truncate at -> String.sub log 0 (at mod n)
+        | `Flip (at, bit) ->
+            let b = Bytes.of_string log in
+            let at = at mod n in
+            Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl bit)));
+            Bytes.to_string b
+        | `Tail (at, tail) -> String.sub log 0 (at mod n) ^ tail
+      in
+      match Trace.Codec.decode damaged with
+      | _ -> true
+      | exception Trace.Codec.Corrupt _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Recording must not perturb the run                                   *)
 
@@ -462,6 +539,8 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_codec_roundtrip;
         Alcotest.test_case "corrupt logs rejected" `Quick test_codec_rejects_garbage;
+        Alcotest.test_case "huge length prefixes rejected" `Quick test_codec_rejects_huge_lengths;
+        QCheck_alcotest.to_alcotest prop_codec_damage_is_corrupt;
       ] );
     ( "trace:replay",
       [

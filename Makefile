@@ -25,7 +25,7 @@ test:
 #   baseline came from other hardware; see docs/BENCH.md);
 # - fan-out is unobservable: a --jobs 4 sweep against --jobs 1 and a
 #   --sim-jobs 2 p16 sweep against --sim-jobs 1, both with --ignore-wall,
-#   and the 62-combo equivalence matrix regenerated at --jobs 1 and
+#   and the 70-combo equivalence matrix regenerated at --jobs 1 and
 #   --jobs 4, each cmp'd byte-for-byte against the checked-in golden.
 check:
 	dune build

@@ -41,18 +41,19 @@ let compare_kind a b =
    (addr, first id, first kind, second id, second kind) of two
    normalized reports, field by field. *)
 let compare_normalized a b =
-  match Int.compare a.addr b.addr with
-  | 0 -> (
-      let (ia, ka), (ib, kb) = (a.first, b.first) in
-      match Interval.compare_ids ia ib with
-      | 0 -> (
-          match compare_kind ka kb with
-          | 0 -> (
-              let (ia, ka), (ib, kb) = (a.second, b.second) in
-              match Interval.compare_ids ia ib with 0 -> compare_kind ka kb | c -> c)
-          | c -> c)
-      | c -> c)
-  | c -> c
+  let (ia1, ka1), (ia2, ka2) = (a.first, a.second) in
+  let (ib1, kb1), (ib2, kb2) = (b.first, b.second) in
+  let c = Int.compare a.addr b.addr in
+  if c <> 0 then c
+  else
+    let c = Interval.compare_ids ia1 ib1 in
+    if c <> 0 then c
+    else
+      let c = compare_kind ka1 kb1 in
+      if c <> 0 then c
+      else
+        let c = Interval.compare_ids ia2 ib2 in
+        if c <> 0 then c else compare_kind ka2 kb2
 
 let compare a b = compare_normalized (normalize a) (normalize b)
 

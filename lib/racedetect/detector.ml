@@ -56,7 +56,8 @@ let concurrent_pairs ?stats intervals =
 
 (* One bit per page, [page mod 63]: two intervals that share a page share
    its bit, so disjoint signatures prove disjoint page lists with one
-   integer test. *)
+   integer test, and only pairs whose signatures meet have their lists
+   walked. *)
 let page_signature pages = List.fold_left (fun sg page -> sg lor (1 lsl (page mod 63))) 0 pages
 
 (* Intervals named by at least one entry, the intervals_in_overlap count. *)
@@ -104,8 +105,6 @@ let concurrent_check_list ?stats ?probe intervals =
         then begin
           incr n_concurrent;
           let wb = Array.unsafe_get write_sigs j and rb = Array.unsafe_get read_sigs j in
-          (* a page both intervals list sets the same signature bit on
-             both sides, so a zero here means no overlap at all *)
           if (wa land (wb lor rb)) lor (ra land wb) <> 0 then begin
             let a = Array.unsafe_get arr i and b = Array.unsafe_get arr j in
             match Proto.Interval.overlapping_pages a b with

@@ -23,10 +23,10 @@ test:
 # - the bench gate: a --jobs 1 small sweep against bench/baseline_small.json
 #   (deterministic fields exact, wall within a loose 50% because the
 #   baseline came from other hardware; see docs/BENCH.md);
-# - fan-out is unobservable: a --jobs 4 sweep against --jobs 1 and a
-#   --sim-jobs 2 p16 sweep against --sim-jobs 1, both with --ignore-wall,
-#   and the 70-combo equivalence matrix regenerated at --jobs 1 and
-#   --jobs 4, each cmp'd byte-for-byte against the checked-in golden.
+# - fan-out is unobservable: a --jobs 4 sweep against --jobs 1 with
+#   --ignore-wall, and the 70-combo equivalence matrix regenerated at
+#   --jobs 1 and --jobs 4, each cmp'd byte-for-byte against the
+#   checked-in golden.
 check:
 	dune build
 	dune runtest
@@ -55,9 +55,6 @@ check:
 	dune exec bench/main.exe -- --small --jobs 1 --procs 4 sweep --json _build/bench_j1.json
 	dune exec bench/main.exe -- --small --jobs 4 --procs 4 sweep --json _build/bench_j4.json
 	dune exec bench/compare.exe -- _build/bench_j1.json _build/bench_j4.json --ignore-wall
-	dune exec bench/main.exe -- --small --jobs 1 --procs 16 --sim-jobs 1 sweep --json _build/bench_sj1.json
-	dune exec bench/main.exe -- --small --jobs 1 --procs 16 --sim-jobs 2 sweep --json _build/bench_sj2.json
-	dune exec bench/compare.exe -- _build/bench_sj1.json _build/bench_sj2.json --ignore-wall --ignore-sim-jobs
 	dune exec test/gen_equiv_golden.exe -- --jobs 1 _build/perf_equiv_j1.json
 	cmp test/golden/perf_equiv.json _build/perf_equiv_j1.json
 	dune exec test/gen_equiv_golden.exe -- --jobs 4 _build/perf_equiv_j4.json

@@ -13,14 +13,11 @@
 
 let () =
   let usage () =
-    prerr_endline
-      "usage: compare.exe BASELINE.json CURRENT.json [--threshold PCT] [--ignore-wall] \
-       [--ignore-sim-jobs]";
+    prerr_endline "usage: compare.exe BASELINE.json CURRENT.json [--threshold PCT] [--ignore-wall]";
     exit 2
   in
   let threshold_pct = ref 15.0 in
   let ignore_wall = ref false in
-  let ignore_sim_jobs = ref false in
   let rec parse paths = function
     | "--threshold" :: pct :: rest ->
         (match float_of_string_opt pct with
@@ -30,11 +27,6 @@ let () =
     | "--threshold" :: [] -> usage ()
     | "--ignore-wall" :: rest ->
         ignore_wall := true;
-        parse paths rest
-    | "--ignore-sim-jobs" :: rest ->
-        (* for the --sim-jobs CI smoke: sim_jobs is part of the match
-           key, so gating N domains against 1 domain needs it erased *)
-        ignore_sim_jobs := true;
         parse paths rest
     | path :: rest -> parse (path :: paths) rest
     | [] -> List.rev paths
@@ -54,8 +46,8 @@ let () =
   in
   let baseline = load baseline_path and current = load current_path in
   let report =
-    Compare_core.compare_runs ~threshold_pct:!threshold_pct ~ignore_wall:!ignore_wall
-      ~ignore_sim_jobs:!ignore_sim_jobs ~baseline ~current ()
+    Compare_core.compare_runs ~threshold_pct:!threshold_pct ~ignore_wall:!ignore_wall ~baseline
+      ~current ()
   in
   List.iter print_endline report.Compare_core.lines;
   if report.Compare_core.compared = 0 then begin

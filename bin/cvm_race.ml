@@ -51,6 +51,51 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let procs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= Workload.Program.max_procs -> Ok n
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "expected a processor count from 1 to %d, got %S"
+               Workload.Program.max_procs s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* NaN fails both comparisons, so it is rejected too *)
+let probability =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* milliseconds that convert to at least one and at most 10^18 simulated
+   nanoseconds *)
+let watchdog_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some ms when ms *. 1e6 >= 1.0 && ms *. 1e6 <= 1e18 -> Ok ms
+    | _ ->
+        Error (`Msg (Printf.sprintf "expected a watchdog from 0.000001 to 1e12 ms, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let partition_conv =
+  let parse s =
+    match List.map int_of_string_opt (String.split_on_char ',' s) with
+    | [ Some a; Some b; Some t0; Some t1 ] ->
+        if 0 <= t0 && t0 <= t1 then Ok (a, b, t0, t1)
+        else
+          Error
+            (`Msg (Printf.sprintf "partition window must satisfy 0 <= T0 <= T1, got %S" s))
+    | _ -> Error (`Msg (Printf.sprintf "expected four integers A,B,T0,T1, got %S" s))
+  in
+  let pp ppf (a, b, t0, t1) = Format.fprintf ppf "%d,%d,%d,%d" a b t0 t1 in
+  Arg.conv (parse, pp)
+
 let app_arg =
   let doc = "Application to run: fft, sor, tsp, water or lu." in
   Arg.(required & pos 0 (some app_conv) None & info [] ~docv:"APP" ~doc)
@@ -68,8 +113,10 @@ let trace_file_arg =
   Arg.(value & opt (some string) None & info [ "trace-file" ] ~docv:"FILE" ~doc)
 
 let procs_arg =
-  let doc = "Number of simulated processors." in
-  Arg.(value & opt positive_int 8 & info [ "p"; "procs" ] ~docv:"N" ~doc)
+  let doc =
+    Printf.sprintf "Number of simulated processors (at most %d)." Workload.Program.max_procs
+  in
+  Arg.(value & opt procs_conv 8 & info [ "p"; "procs" ] ~docv:"N" ~doc)
 
 let scale_arg =
   let doc =
@@ -153,26 +200,26 @@ let oracle_arg =
 
 let drop_arg =
   let doc = "Per-frame wire drop probability (0.0-1.0). Implies the transport." in
-  Arg.(value & opt float 0.0 & info [ "drop" ] ~docv:"P" ~doc)
+  Arg.(value & opt probability 0.0 & info [ "drop" ] ~docv:"P" ~doc)
 
 let dup_arg =
   let doc = "Per-frame wire duplication probability (0.0-1.0). Implies the transport." in
-  Arg.(value & opt float 0.0 & info [ "dup" ] ~docv:"P" ~doc)
+  Arg.(value & opt probability 0.0 & info [ "dup" ] ~docv:"P" ~doc)
 
 let reorder_arg =
   let doc =
     "Per-frame reorder probability (0.0-1.0): a chosen frame is held back by a random \
      slice of the reorder window. Implies the transport."
   in
-  Arg.(value & opt float 0.0 & info [ "reorder" ] ~docv:"P" ~doc)
+  Arg.(value & opt probability 0.0 & info [ "reorder" ] ~docv:"P" ~doc)
 
 let partition_arg =
   let doc =
-    "One-shot link partition: frames between nodes $(i)A$(i) and $(i)B$(i) (both \
-     directions) are dropped while simulated time is in [$(i)T0$(i), $(i)T1$(i)) \
-     nanoseconds. Repeatable. Implies the transport."
+    "One-shot link partition: frames between nodes $(i,A) and $(i,B) (both directions) \
+     are dropped while simulated time is in [$(i,T0), $(i,T1)) nanoseconds, with 0 <= \
+     $(i,T0) <= $(i,T1). Repeatable. Implies the transport."
   in
-  Arg.(value & opt_all (t4 int int int int) [] & info [ "partition" ] ~docv:"A,B,T0,T1" ~doc)
+  Arg.(value & opt_all partition_conv [] & info [ "partition" ] ~docv:"A,B,T0,T1" ~doc)
 
 let net_seed_arg =
   let doc = "Seed for the network RNG streams (jitter + faults); defaults to the run seed." in
@@ -183,7 +230,7 @@ let watchdog_arg =
     "Deadlock watchdog: abort with a structured diagnosis if this many simulated \
      milliseconds pass without any process making progress."
   in
-  Arg.(value & opt (some float) None & info [ "watchdog" ] ~docv:"MS" ~doc)
+  Arg.(value & opt (some watchdog_conv) None & info [ "watchdog" ] ~docv:"MS" ~doc)
 
 let max_retries_arg =
   let doc = "Transport retry cap per frame before a link is declared failed." in
@@ -202,17 +249,6 @@ let jobs_arg =
       & opt positive_int (Parallel.Pool.default_jobs ())
       & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let sim_jobs_arg =
-  let doc =
-    "Intra-run parallelism: shard the simulation itself over $(docv) domains \
-     (conservative parallel discrete-event execution). Races, statistics, traces and \
-     checksums are byte-identical whatever $(docv) is; only wall-clock changes. Only the \
-     lrc backend over a fault-free, jitter-free, transport-less wire parallelizes; other \
-     configurations fall back to the sequential engine. Composes with $(b,--jobs): that \
-     flag parallelizes across independent runs, this one inside each run."
-  in
-  Arg.(value & opt (some positive_int) None & info [ "sim-jobs" ] ~docv:"N" ~doc)
-
 let elide_arg =
   let doc =
     "Skip the runtime race check at sites the static MHP analysis proves race-free \
@@ -223,7 +259,7 @@ let elide_arg =
 let ppf = Format.std_formatter
 
 let config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs ~oracle
-    ~gc_epochs ~elide ~sim_jobs =
+    ~gc_epochs ~elide =
   {
     Coherence.Config.default with
     backend;
@@ -234,7 +270,6 @@ let config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs ~or
     record_trace = oracle;
     gc_epochs;
     elide_sites = (if elide then Some [] else None);
-    sim_jobs;
   }
 
 let net_config cfg ~drop ~dup ~reorder ~partitions ~net_seed ~watchdog_ms ~max_retries
@@ -306,12 +341,12 @@ let resolve_workload ~scale ~procs app_name trace_file =
 
 let run_command =
   let run app_name trace_file procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide sim_jobs slowdown oracle drop dup reorder
-      partitions net_seed watchdog_ms max_retries transport =
+      stores_from_diffs gc_epochs elide slowdown oracle drop dup reorder partitions
+      net_seed watchdog_ms max_retries transport =
     let app, procs = resolve_workload ~scale ~procs app_name trace_file in
     let cfg =
       config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs ~oracle
-        ~gc_epochs ~elide ~sim_jobs
+        ~gc_epochs ~elide
     in
     let cfg =
       net_config cfg ~drop ~dup ~reorder ~partitions ~net_seed ~watchdog_ms ~max_retries
@@ -342,12 +377,12 @@ let run_command =
     end
   in
   let run app_name trace_file procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide sim_jobs slowdown oracle drop dup reorder
-      partitions net_seed watchdog_ms max_retries transport =
+      stores_from_diffs gc_epochs elide slowdown oracle drop dup reorder partitions
+      net_seed watchdog_ms max_retries transport =
     try
       run app_name trace_file procs scale backend protocol no_detect first_race_only
-        stores_from_diffs gc_epochs elide sim_jobs slowdown oracle drop dup reorder
-        partitions net_seed watchdog_ms max_retries transport
+        stores_from_diffs gc_epochs elide slowdown oracle drop dup reorder partitions
+        net_seed watchdog_ms max_retries transport
     with Sim.Engine.Deadlock diagnosis ->
       Format.fprintf ppf "DEADLOCK@.%s@." (Sim.Engine.diagnosis_to_string diagnosis);
       exit 2
@@ -355,9 +390,9 @@ let run_command =
   let term =
     Term.(const run $ app_or_trace_arg $ trace_file_arg $ procs_arg $ scale_arg
         $ backend_arg $ protocol_arg $ no_detect_arg $ first_race_arg $ diff_stores_arg
-        $ gc_epochs_arg $ elide_arg $ sim_jobs_arg $ slowdown_arg $ oracle_arg $ drop_arg
-        $ dup_arg $ reorder_arg $ partition_arg $ net_seed_arg $ watchdog_arg
-        $ max_retries_arg $ transport_arg)
+        $ gc_epochs_arg $ elide_arg $ slowdown_arg $ oracle_arg $ drop_arg $ dup_arg
+        $ reorder_arg $ partition_arg $ net_seed_arg $ watchdog_arg $ max_retries_arg
+        $ transport_arg)
   in
   Cmd.v
     (Cmd.info "run"
@@ -399,11 +434,11 @@ let record_command =
     Arg.(value & opt string "run.cvmt" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let record app_name procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide sim_jobs drop dup reorder partitions net_seed
-      watchdog_ms max_retries transport out =
+      stores_from_diffs gc_epochs elide drop dup reorder partitions net_seed watchdog_ms
+      max_retries transport out =
     let cfg =
       config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs
-        ~oracle:false ~gc_epochs ~elide ~sim_jobs
+        ~oracle:false ~gc_epochs ~elide
     in
     let cfg =
       net_config cfg ~drop ~dup ~reorder ~partitions ~net_seed ~watchdog_ms ~max_retries
@@ -420,11 +455,11 @@ let record_command =
       (String.length log) out
   in
   let record app_name procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide sim_jobs drop dup reorder partitions net_seed
-      watchdog_ms max_retries transport out =
+      stores_from_diffs gc_epochs elide drop dup reorder partitions net_seed watchdog_ms
+      max_retries transport out =
     try
       record app_name procs scale backend protocol no_detect first_race_only
-        stores_from_diffs gc_epochs elide sim_jobs drop dup reorder partitions net_seed
+        stores_from_diffs gc_epochs elide drop dup reorder partitions net_seed
         watchdog_ms max_retries transport out
     with
     | Sim.Engine.Deadlock diagnosis ->
@@ -437,8 +472,8 @@ let record_command =
   let term =
     Term.(const record $ app_arg $ procs_arg $ scale_arg $ backend_arg $ protocol_arg
         $ no_detect_arg $ first_race_arg $ diff_stores_arg $ gc_epochs_arg $ elide_arg
-        $ sim_jobs_arg $ drop_arg $ dup_arg $ reorder_arg $ partition_arg $ net_seed_arg
-        $ watchdog_arg $ max_retries_arg $ transport_arg $ out_arg)
+        $ drop_arg $ dup_arg $ reorder_arg $ partition_arg $ net_seed_arg $ watchdog_arg
+        $ max_retries_arg $ transport_arg $ out_arg)
   in
   Cmd.v
     (Cmd.info "record"
@@ -556,7 +591,7 @@ let trace_command =
         (fun (s : Trace.Replay.tag_stats) ->
           Format.fprintf ppf "%-16s %10d %12d@." s.Trace.Replay.ts_tag
             s.Trace.Replay.ts_count s.Trace.Replay.ts_bytes)
-        (Trace.Replay.stats_of_log decoded)
+        (Trace.Replay.tags_of_log decoded)
     end;
     if events > 0 then
       Array.iteri
@@ -605,7 +640,7 @@ let table_command =
     let doc = "Which experiment: " ^ Arg.doc_alts_enum ~quoted:false experiments ^ "." in
     Arg.(required & pos 0 (some (enum experiments)) None & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let table which scale backend sim_jobs jobs =
+  let table which scale backend jobs =
     (* figure5, protocols and faults are DSM-mechanism experiments
        (LRC-internal protocol variants, wire faults); --backend does not
        apply to them *)
@@ -616,22 +651,22 @@ let table_command =
     | _ -> ());
     match which with
     | `Table1 ->
-        Core.Report.table1 ppf (Core.Experiments.table1 ~scale ~backend ?sim_jobs ~jobs ())
+        Core.Report.table1 ppf (Core.Experiments.table1 ~scale ~backend ~jobs ())
     | `Table2 -> Core.Report.table2 ppf (Core.Experiments.table2 ~scale ~jobs ())
     | `Table3 ->
-        Core.Report.table3 ppf (Core.Experiments.table3 ~scale ~backend ?sim_jobs ~jobs ())
+        Core.Report.table3 ppf (Core.Experiments.table3 ~scale ~backend ~jobs ())
     | `Figure3 ->
-        Core.Report.figure3 ppf (Core.Experiments.figure3 ~scale ~backend ?sim_jobs ~jobs ())
+        Core.Report.figure3 ppf (Core.Experiments.figure3 ~scale ~backend ~jobs ())
     | `Figure4 ->
-        Core.Report.figure4 ppf (Core.Experiments.figure4 ~scale ~backend ?sim_jobs ~jobs ())
-    | `Figure5 -> Core.Report.figure5 ppf (Core.Experiments.figure5_both ?sim_jobs ~jobs ())
+        Core.Report.figure4 ppf (Core.Experiments.figure4 ~scale ~backend ~jobs ())
+    | `Figure5 -> Core.Report.figure5 ppf (Core.Experiments.figure5_both ~jobs ())
     | `Protocols ->
         Core.Report.protocols ppf
-          (Core.Experiments.protocol_comparison_all ~scale ?sim_jobs ~jobs ())
+          (Core.Experiments.protocol_comparison_all ~scale ~jobs ())
     | `Faults -> Core.Report.faults ppf (Core.Experiments.fault_sweep_all ~scale ~jobs ())
   in
   let term =
-    Term.(const table $ which_arg $ scale_arg $ backend_arg $ sim_jobs_arg $ jobs_arg)
+    Term.(const table $ which_arg $ scale_arg $ backend_arg $ jobs_arg)
   in
   Cmd.v (Cmd.info "table" ~doc:"Regenerate one of the paper's tables or figures.") term
 
@@ -642,16 +677,15 @@ let sweep_command =
   in
   let procs_list_arg =
     let doc = "Comma-separated processor counts." in
-    Arg.(value & opt (list positive_int) [ 2; 4; 8 ] & info [ "p"; "procs" ] ~docv:"N,N,..." ~doc)
+    Arg.(value & opt (list procs_conv) [ 2; 4; 8 ] & info [ "p"; "procs" ] ~docv:"N,N,..." ~doc)
   in
-  let sweep apps procs scale backend sim_jobs jobs =
+  let sweep apps procs scale backend jobs =
     let names = match apps with [] -> Apps.Registry.all_names | names -> names in
     Core.Report.figure4 ppf
-      (Core.Experiments.figure4 ~scale ~procs ~names ~backend ?sim_jobs ~jobs ())
+      (Core.Experiments.figure4 ~scale ~procs ~names ~backend ~jobs ())
   in
   let term =
-    Term.(const sweep $ apps_arg $ procs_list_arg $ scale_arg $ backend_arg $ sim_jobs_arg
-        $ jobs_arg)
+    Term.(const sweep $ apps_arg $ procs_list_arg $ scale_arg $ backend_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "sweep"

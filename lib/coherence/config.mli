@@ -73,15 +73,6 @@ type t = {
           multiple of the word size) *)
   cc_sets : int;  (** bus backends: cache sets per processor *)
   cc_ways : int;  (** bus backends: associativity *)
-  sim_jobs : int option;
-      (** [Some j]: run the simulation on the sharded conservative-PDES
-          engine, with up to [j] domains executing each window's per-node
-          queues ([j = 1]: sharded but inline — the reference schedule).
-          Results, races, stats and traces are byte-identical for every
-          [j]. Only the ["lrc"] backend over a fault-free, jitter-free,
-          transport-less wire parallelizes; any other configuration
-          ignores the setting and runs the legacy single-heap loop.
-          [None] (the default) is the legacy loop. *)
 }
 
 val default : t

@@ -35,10 +35,10 @@ let paper_table1 =
     ("Water", 46.0, 2.31);
   ]
 
-let table1_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?(backend = "lrc") ?sim_jobs name =
+let table1_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) ?(backend = "lrc")
+    name =
   let app = Apps.Registry.make ~scale name in
-  let cfg = { Coherence.Config.default with Coherence.Config.backend; sim_jobs } in
+  let cfg = { Coherence.Config.default with Coherence.Config.backend } in
   let sd = Driver.measure_slowdown ~cfg ~app ~nprocs () in
   let stats = sd.Driver.instrumented.Driver.stats in
   {
@@ -53,8 +53,8 @@ let table1_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
     t1_slowdown = sd.Driver.factor;
   }
 
-let table1 ?scale ?nprocs ?backend ?sim_jobs ?jobs () =
-  pmap ?jobs (table1_row ?scale ?nprocs ?backend ?sim_jobs) Apps.Registry.all_names
+let table1 ?scale ?nprocs ?backend ?jobs () =
+  pmap ?jobs (table1_row ?scale ?nprocs ?backend) Apps.Registry.all_names
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: static instrumentation statistics                          *)
@@ -103,14 +103,14 @@ let table3_of_outcome (outcome : Driver.outcome) =
     t3_private_per_sec = float_of_int stats.Sim.Stats.private_accesses /. seconds;
   }
 
-let table3_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?(backend = "lrc") ?sim_jobs name =
+let table3_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) ?(backend = "lrc")
+    name =
   let app = Apps.Registry.make ~scale name in
-  let cfg = { Coherence.Config.default with Coherence.Config.backend; sim_jobs } in
+  let cfg = { Coherence.Config.default with Coherence.Config.backend } in
   table3_of_outcome (Driver.run ~cfg ~app ~nprocs ())
 
-let table3 ?scale ?nprocs ?backend ?sim_jobs ?jobs () =
-  pmap ?jobs (table3_row ?scale ?nprocs ?backend ?sim_jobs) Apps.Registry.all_names
+let table3 ?scale ?nprocs ?backend ?jobs () =
+  pmap ?jobs (table3_row ?scale ?nprocs ?backend) Apps.Registry.all_names
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: overhead breakdown per application                        *)
@@ -121,10 +121,10 @@ type figure3_row = {
   f3_overheads : (Sim.Stats.overhead_category * float) list;  (* % of base *)
 }
 
-let figure3_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?(backend = "lrc") ?sim_jobs name =
+let figure3_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) ?(backend = "lrc")
+    name =
   let app = Apps.Registry.make ~scale name in
-  let cfg = { Coherence.Config.default with Coherence.Config.backend; sim_jobs } in
+  let cfg = { Coherence.Config.default with Coherence.Config.backend } in
   let sd = Driver.measure_slowdown ~cfg ~app ~nprocs () in
   {
     f3_name = app.Apps.App.name;
@@ -132,18 +132,17 @@ let figure3_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
     f3_overheads = Driver.overhead_percentages sd;
   }
 
-let figure3 ?scale ?nprocs ?backend ?sim_jobs ?jobs () =
-  pmap ?jobs (figure3_row ?scale ?nprocs ?backend ?sim_jobs) Apps.Registry.all_names
+let figure3 ?scale ?nprocs ?backend ?jobs () =
+  pmap ?jobs (figure3_row ?scale ?nprocs ?backend) Apps.Registry.all_names
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: slowdown versus number of processors                      *)
 
 type figure4_row = { f4_name : string; f4_points : (int * float) list }
 
-let figure4_row ?(scale = Apps.Registry.Paper) ?(procs = [ 2; 4; 8 ]) ?(backend = "lrc")
-    ?sim_jobs name =
+let figure4_row ?(scale = Apps.Registry.Paper) ?(procs = [ 2; 4; 8 ]) ?(backend = "lrc") name =
   let app = Apps.Registry.make ~scale name in
-  let cfg = { Coherence.Config.default with Coherence.Config.backend; sim_jobs } in
+  let cfg = { Coherence.Config.default with Coherence.Config.backend } in
   {
     f4_name = app.Apps.App.name;
     f4_points =
@@ -157,15 +156,14 @@ let figure4_row ?(scale = Apps.Registry.Paper) ?(procs = [ 2; 4; 8 ]) ?(backend 
 (* Parallelism is per (app, nprocs) point, not per app: the slowest app
    no longer serializes its whole curve. Each point is a one-processor-
    count row; the points are regrouped per app in input order. *)
-let figure4 ?scale ?(procs = [ 2; 4; 8 ]) ?(names = Apps.Registry.all_names) ?backend
-    ?sim_jobs ?jobs () =
+let figure4 ?scale ?(procs = [ 2; 4; 8 ]) ?(names = Apps.Registry.all_names) ?backend ?jobs () =
   let points =
     List.concat_map (fun name -> List.map (fun nprocs -> (name, nprocs)) procs) names
   in
   let rows =
     pmap ?jobs
       (fun (name, nprocs) ->
-        (name, figure4_row ?scale ~procs:[ nprocs ] ?backend ?sim_jobs name))
+        (name, figure4_row ?scale ~procs:[ nprocs ] ?backend name))
       points
   in
   List.map
@@ -194,8 +192,8 @@ type figure5_result = {
    sequentially consistent system P2 sees qPtr = 100 (qEmpty's value could
    only have propagated together with qPtr's) and the slot races cannot
    occur. *)
-let figure5 ?sim_jobs ~protocol () =
-  let cfg = { Coherence.Config.default with protocol; detect = true; sim_jobs } in
+let figure5 ~protocol () =
+  let cfg = { Coherence.Config.default with protocol; detect = true } in
   let cost = Sim.Cost.default in
   let cluster = Lrc.Cluster.create ~cost ~cfg ~nprocs:3 ~pages:8 () in
   let page = cost.Sim.Cost.page_size in
@@ -254,9 +252,9 @@ let figure5 ?sim_jobs ~protocol () =
     f5_racy_words = racy;
   }
 
-let figure5_both ?sim_jobs ?jobs () =
+let figure5_both ?jobs () =
   pmap ?jobs
-    (fun protocol -> figure5 ?sim_jobs ~protocol ())
+    (fun protocol -> figure5 ~protocol ())
     [ Coherence.Config.Single_writer; Coherence.Config.Seq_consistent ]
 
 (* ------------------------------------------------------------------ *)
@@ -270,15 +268,10 @@ type ablation_row = {
   ab_diff_races : int;
 }
 
-let stores_from_diffs_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?sim_jobs name =
+let stores_from_diffs_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) name =
   let app = Apps.Registry.make ~scale name in
   let cfg =
-    {
-      Coherence.Config.default with
-      Coherence.Config.protocol = Coherence.Config.Multi_writer;
-      sim_jobs;
-    }
+    { Coherence.Config.default with Coherence.Config.protocol = Coherence.Config.Multi_writer }
   in
   let full = Driver.measure_slowdown ~cfg ~app ~nprocs () in
   let cfg_diff = { cfg with Coherence.Config.stores_from_diffs = true } in
@@ -291,8 +284,8 @@ let stores_from_diffs_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default
     ab_diff_races = List.length diff.Driver.instrumented.Driver.races;
   }
 
-let stores_from_diffs_ablation_all ?scale ?nprocs ?sim_jobs ?jobs names =
-  pmap ?jobs (stores_from_diffs_ablation ?scale ?nprocs ?sim_jobs) names
+let stores_from_diffs_ablation_all ?scale ?nprocs ?jobs names =
+  pmap ?jobs (stores_from_diffs_ablation ?scale ?nprocs) names
 
 (* ------------------------------------------------------------------ *)
 (* Protocol comparison: the same applications over the single-writer,
@@ -311,9 +304,9 @@ type protocol_row = {
 let compared_protocols =
   [ Coherence.Config.Single_writer; Coherence.Config.Multi_writer; Coherence.Config.Home_based ]
 
-let protocol_row ?sim_jobs ~scale ~nprocs name protocol =
+let protocol_row ~scale ~nprocs name protocol =
   let app = Apps.Registry.make ~scale name in
-  let cfg = { Coherence.Config.default with Coherence.Config.protocol; detect = false; sim_jobs } in
+  let cfg = { Coherence.Config.default with Coherence.Config.protocol; detect = false } in
   let outcome = Driver.run ~cfg ~app ~nprocs () in
   let stats = outcome.Driver.stats in
   {
@@ -326,17 +319,16 @@ let protocol_row ?sim_jobs ~scale ~nprocs name protocol =
     pr_diffs = stats.Sim.Stats.diffs_created;
   }
 
-let protocol_comparison ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) ?sim_jobs
-    name =
-  List.map (protocol_row ?sim_jobs ~scale ~nprocs name) compared_protocols
+let protocol_comparison ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) name =
+  List.map (protocol_row ~scale ~nprocs name) compared_protocols
 
 let protocol_comparison_all ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?(names = Apps.Registry.all_names) ?sim_jobs ?jobs () =
+    ?(names = Apps.Registry.all_names) ?jobs () =
   let tasks =
     List.concat_map (fun name -> List.map (fun p -> (name, p)) compared_protocols) names
   in
   pmap ?jobs
-    (fun (name, protocol) -> protocol_row ?sim_jobs ~scale ~nprocs name protocol)
+    (fun (name, protocol) -> protocol_row ~scale ~nprocs name protocol)
     tasks
 
 (* ------------------------------------------------------------------ *)
@@ -415,13 +407,10 @@ type retention_row = {
   rt_site_kbytes : int;  (* approximate storage the paper calls prohibitive *)
 }
 
-let site_retention_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?sim_jobs name =
+let site_retention_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) name =
   let app = Apps.Registry.make ~scale name in
-  let plain =
-    Driver.measure_slowdown ~cfg:{ Coherence.Config.default with sim_jobs } ~app ~nprocs ()
-  in
-  let cfg = { Coherence.Config.default with Coherence.Config.retain_sites = true; sim_jobs } in
+  let plain = Driver.measure_slowdown ~app ~nprocs () in
+  let cfg = { Coherence.Config.default with Coherence.Config.retain_sites = true } in
   let retain = Driver.measure_slowdown ~cfg ~app ~nprocs () in
   let entries = retain.Driver.instrumented.Driver.stats.Sim.Stats.site_entries in
   {
@@ -432,8 +421,8 @@ let site_retention_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_pr
     rt_site_kbytes = entries * 32 / 1024;
   }
 
-let site_retention_ablation_all ?scale ?nprocs ?sim_jobs ?jobs names =
-  pmap ?jobs (site_retention_ablation ?scale ?nprocs ?sim_jobs) names
+let site_retention_ablation_all ?scale ?nprocs ?jobs names =
+  pmap ?jobs (site_retention_ablation ?scale ?nprocs) names
 
 (* ------------------------------------------------------------------ *)
 (* The benchmark harness's machine-readable sweep point: one simulated
@@ -454,7 +443,6 @@ type sweep_point = {
   sp_elide : bool;
   sp_protocol : string;
   sp_backend : string;
-  sp_sim_jobs : int option;  (* intra-run parallelism the point ran with *)
   sp_wall_s : float;
   sp_sim_time_ns : int;
   sp_races : int;
@@ -467,8 +455,8 @@ type sweep_point = {
   sp_major_collections : int;
 }
 
-let sweep_point ?(clock = Unix.gettimeofday) ?(backend = "lrc") ?sim_jobs ~scale ~nprocs
-    ~detect ~elide name =
+let sweep_point ?(clock = Unix.gettimeofday) ?(backend = "lrc") ~scale ~nprocs ~detect ~elide
+    name =
   let app = Apps.Registry.make ~scale name in
   let cfg =
     {
@@ -476,7 +464,6 @@ let sweep_point ?(clock = Unix.gettimeofday) ?(backend = "lrc") ?sim_jobs ~scale
       Coherence.Config.backend;
       detect;
       elide_sites = (if elide then Some [] else None);
-      sim_jobs;
     }
   in
   (* level the heap between points so one entry's garbage does not bill
@@ -497,7 +484,6 @@ let sweep_point ?(clock = Unix.gettimeofday) ?(backend = "lrc") ?sim_jobs ~scale
     sp_elide = elide;
     sp_protocol = Coherence.Config.protocol_name cfg.Coherence.Config.protocol;
     sp_backend = backend;
-    sp_sim_jobs = sim_jobs;
     sp_wall_s = t1 -. t0;
     sp_sim_time_ns = outcome.Driver.sim_time_ns;
     sp_races = List.length outcome.Driver.races;
@@ -510,8 +496,8 @@ let sweep_point ?(clock = Unix.gettimeofday) ?(backend = "lrc") ?sim_jobs ~scale
     sp_major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
   }
 
-let sweep_points ?clock ?sim_jobs ?jobs ~scale points =
+let sweep_points ?clock ?jobs ~scale points =
   pmap ?jobs
     (fun (name, nprocs, detect, elide, backend) ->
-      sweep_point ?clock ~backend ?sim_jobs ~scale ~nprocs ~detect ~elide name)
+      sweep_point ?clock ~backend ~scale ~nprocs ~detect ~elide name)
     points

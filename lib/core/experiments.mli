@@ -5,13 +5,7 @@
     Sweep-shaped experiments take [?jobs] (default 1 = sequential) and
     fan their independent simulation runs out over a {!Parallel.Pool};
     rows come back in the same order whatever [jobs] is, so parallel
-    output is identical to sequential output.
-
-    Experiments that run simulations also take [?sim_jobs], the
-    intra-run parallelism knob ({!Coherence.Config.sim_jobs}): each run
-    itself executes on up to that many domains, with byte-identical
-    results for every value. [?jobs] and [?sim_jobs] compose; their
-    domain counts multiply. *)
+    output is identical to sequential output. *)
 
 val default_procs : int
 (** 8, the paper's system size. *)
@@ -34,7 +28,6 @@ val table1_row :
   ?scale:Apps.Registry.scale ->
   ?nprocs:int ->
   ?backend:string ->
-  ?sim_jobs:int ->
   string ->
   table1_row
 
@@ -42,7 +35,6 @@ val table1 :
   ?scale:Apps.Registry.scale ->
   ?nprocs:int ->
   ?backend:string ->
-  ?sim_jobs:int ->
   ?jobs:int ->
   unit ->
   table1_row list
@@ -73,7 +65,6 @@ val table3_row :
   ?scale:Apps.Registry.scale ->
   ?nprocs:int ->
   ?backend:string ->
-  ?sim_jobs:int ->
   string ->
   table3_row
 
@@ -81,7 +72,6 @@ val table3 :
   ?scale:Apps.Registry.scale ->
   ?nprocs:int ->
   ?backend:string ->
-  ?sim_jobs:int ->
   ?jobs:int ->
   unit ->
   table3_row list
@@ -98,7 +88,6 @@ val figure3_row :
   ?scale:Apps.Registry.scale ->
   ?nprocs:int ->
   ?backend:string ->
-  ?sim_jobs:int ->
   string ->
   figure3_row
 
@@ -106,7 +95,6 @@ val figure3 :
   ?scale:Apps.Registry.scale ->
   ?nprocs:int ->
   ?backend:string ->
-  ?sim_jobs:int ->
   ?jobs:int ->
   unit ->
   figure3_row list
@@ -119,7 +107,6 @@ val figure4_row :
   ?scale:Apps.Registry.scale ->
   ?procs:int list ->
   ?backend:string ->
-  ?sim_jobs:int ->
   string ->
   figure4_row
 
@@ -128,7 +115,6 @@ val figure4 :
   ?procs:int list ->
   ?names:string list ->
   ?backend:string ->
-  ?sim_jobs:int ->
   ?jobs:int ->
   unit ->
   figure4_row list
@@ -142,10 +128,10 @@ type figure5_result = {
   f5_racy_words : (int * string) list;
 }
 
-val figure5 : ?sim_jobs:int -> protocol:Coherence.Config.protocol -> unit -> figure5_result
+val figure5 : protocol:Coherence.Config.protocol -> unit -> figure5_result
 (** The section 6.4 missing-release queue, run live under a protocol. *)
 
-val figure5_both : ?sim_jobs:int -> ?jobs:int -> unit -> figure5_result list
+val figure5_both : ?jobs:int -> unit -> figure5_result list
 (** Under LRC (single-writer) and sequential consistency. *)
 
 (** {1 Extension ablations} *)
@@ -159,14 +145,13 @@ type ablation_row = {
 }
 
 val stores_from_diffs_ablation :
-  ?scale:Apps.Registry.scale -> ?nprocs:int -> ?sim_jobs:int -> string -> ablation_row
+  ?scale:Apps.Registry.scale -> ?nprocs:int -> string -> ablation_row
 (** Section 6.5: write bitmaps from multi-writer diffs vs full store
     instrumentation. *)
 
 val stores_from_diffs_ablation_all :
   ?scale:Apps.Registry.scale ->
   ?nprocs:int ->
-  ?sim_jobs:int ->
   ?jobs:int ->
   string list ->
   ablation_row list
@@ -185,7 +170,6 @@ val compared_protocols : Coherence.Config.protocol list
 (** Single-writer, multi-writer, home-based. *)
 
 val protocol_row :
-  ?sim_jobs:int ->
   scale:Apps.Registry.scale ->
   nprocs:int ->
   string ->
@@ -194,7 +178,7 @@ val protocol_row :
 (** One (app, protocol) baseline run. *)
 
 val protocol_comparison :
-  ?scale:Apps.Registry.scale -> ?nprocs:int -> ?sim_jobs:int -> string -> protocol_row list
+  ?scale:Apps.Registry.scale -> ?nprocs:int -> string -> protocol_row list
 (** Baseline (no-detection) runs over single-writer, multi-writer and
     home-based coherence. *)
 
@@ -202,7 +186,6 @@ val protocol_comparison_all :
   ?scale:Apps.Registry.scale ->
   ?nprocs:int ->
   ?names:string list ->
-  ?sim_jobs:int ->
   ?jobs:int ->
   unit ->
   protocol_row list
@@ -249,13 +232,12 @@ type retention_row = {
 }
 
 val site_retention_ablation :
-  ?scale:Apps.Registry.scale -> ?nprocs:int -> ?sim_jobs:int -> string -> retention_row
+  ?scale:Apps.Registry.scale -> ?nprocs:int -> string -> retention_row
 (** Section 6.1: the cost of single-run program-counter retention. *)
 
 val site_retention_ablation_all :
   ?scale:Apps.Registry.scale ->
   ?nprocs:int ->
-  ?sim_jobs:int ->
   ?jobs:int ->
   string list ->
   retention_row list
@@ -270,7 +252,6 @@ type sweep_point = {
   sp_elide : bool;
   sp_protocol : string;
   sp_backend : string;  (** coherence backend the point ran under *)
-  sp_sim_jobs : int option;  (** intra-run parallelism the point ran with *)
   sp_wall_s : float;
   sp_sim_time_ns : int;
   sp_races : int;
@@ -286,7 +267,6 @@ type sweep_point = {
 val sweep_point :
   ?clock:(unit -> float) ->
   ?backend:string ->
-  ?sim_jobs:int ->
   scale:Apps.Registry.scale ->
   nprocs:int ->
   detect:bool ->
@@ -302,7 +282,6 @@ val sweep_point :
 
 val sweep_points :
   ?clock:(unit -> float) ->
-  ?sim_jobs:int ->
   ?jobs:int ->
   scale:Apps.Registry.scale ->
   (string * int * bool * bool * string) list ->

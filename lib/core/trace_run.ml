@@ -37,7 +37,7 @@ let transport_of_meta (tm : Trace.Codec.transport_meta) : Sim.Transport.config =
     ack_bytes = tm.Trace.Codec.tm_ack_bytes;
   }
 
-let meta_of ?cost ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.meta =
+let meta_of ?cost:_ ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.meta =
   let fault = cfg.Coherence.Config.fault in
   {
     Trace.Codec.m_app = app_name;
@@ -70,15 +70,6 @@ let meta_of ?cost ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Co
     m_cc_line_bytes = cfg.Coherence.Config.cc_line_bytes;
     m_cc_sets = cfg.Coherence.Config.cc_sets;
     m_cc_ways = cfg.Coherence.Config.cc_ways;
-    (* The schedule marker, not the domain count: Some 1 when the run
-       used the window-sharded engine (whose event times differ from the
-       legacy loop's), None otherwise. The domain count is deliberately
-       NOT recorded — the whole contract of --sim-jobs is that it is
-       unobservable, and recording it would break the byte-for-byte
-       identity of logs across domain counts. An ineligible config
-       (reliable transport, jitter) fell back to the legacy loop, so it
-       must be stamped None even if the flag was set. *)
-    m_sim_jobs = (if Lrc.Cluster.windowed ?cost cfg then Some 1 else None);
   }
 
 let config_of_meta (m : Trace.Codec.meta) : Coherence.Config.t =
@@ -112,16 +103,11 @@ let config_of_meta (m : Trace.Codec.meta) : Coherence.Config.t =
     cc_line_bytes = m.Trace.Codec.m_cc_line_bytes;
     cc_sets = m.Trace.Codec.m_cc_sets;
     cc_ways = m.Trace.Codec.m_cc_ways;
-    (* A sharded-engine recording replays on the sharded engine (its
-       event times differ from the legacy loop's); the marker is always
-       Some 1 and one domain is all replay ever needs — the interleaving
-       is domain-count-invariant. *)
-    sim_jobs = Option.map (fun _ -> 1) m.Trace.Codec.m_sim_jobs;
   }
 
 let record ?cost ?(cfg = Coherence.Config.default) ~app_name ~scale ~nprocs () =
   let app = Apps.Registry.make ~scale app_name in
-  let meta = meta_of ?cost ~app_name ~scale ~nprocs cfg in
+  let meta = meta_of ~app_name ~scale ~nprocs cfg in
   let recorder = Trace.Sink.recorder meta in
   let cfg = { cfg with Coherence.Config.tracer = Some (Trace.Sink.sink recorder) } in
   let outcome = Driver.run ?cost ~cfg ~app ~nprocs () in

@@ -20,11 +20,8 @@ val meta_of :
   ?cost:Sim.Cost.t ->
   app_name:string -> scale:Apps.Registry.scale -> nprocs:int -> Coherence.Config.t ->
   Trace.Codec.meta
-(** The metadata header a recording of this configuration carries.
-    [m_sim_jobs] is stamped [Some 1] iff the run would use the
-    window-sharded engine under [cost] ({!Lrc.Cluster.windowed}) — a
-    schedule marker, never the domain count, so logs recorded at any
-    [--sim-jobs N] are byte-identical. *)
+(** The metadata header a recording of this configuration carries. The
+    cost model is not part of it: [cost] is ignored. *)
 
 val config_of_meta : Trace.Codec.meta -> Coherence.Config.t
 (** The cluster configuration a log's metadata describes (tracer unset). *)

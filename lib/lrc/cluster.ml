@@ -14,32 +14,8 @@ type t = {
   trace : (int * Racedetect.Oracle.event) list ref;
   recorder : Coherence.Sync_trace.recorder option;
   symtab : Mem.Symtab.t;
-  window_jobs : int option;  (* Some j: sharded engine, j executing domains *)
   mutable alloc_next : int;  (* pre-run shared allocation cursor *)
 }
-
-(* The transport the cluster will actually run: an explicit config wins,
-   and fault injection forces the reliable transport on. *)
-let resolved_transport (cfg : Coherence.Config.t) =
-  match (cfg.Coherence.Config.transport, Sim.Fault.active cfg.Coherence.Config.fault) with
-  | (Some _ as tr), _ -> tr
-  | None, true -> Some Sim.Transport.default_config
-  | None, false -> None
-
-(* Degradation ladder for --sim-jobs: the sharded conservative-PDES
-   engine requires every cross-node interaction to be a message with
-   the full latency floor. The reliable transport (acks, retransmit
-   timers) and delivery jitter schedule wire events below that floor,
-   so any configuration using them — and any N <= 0 — falls back to
-   the legacy single-heap loop, which is identical for every N by
-   virtue of ignoring it. Exported because the trace recorder must
-   stamp logs with the schedule the run actually used, not the one the
-   flag asked for. *)
-let windowed ?(cost = Sim.Cost.default) (cfg : Coherence.Config.t) =
-  match cfg.Coherence.Config.sim_jobs with
-  | Some j when j >= 1 && resolved_transport cfg = None && cost.Sim.Cost.jitter_ns = 0 ->
-      true
-  | _ -> false
 
 let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs ~pages () =
   if nprocs <= 0 then invalid_arg "Cluster.create: need at least one processor";
@@ -54,34 +30,6 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs 
     else None
   in
   let symtab = Mem.Symtab.create () in
-  let transport = resolved_transport cfg in
-  let window_jobs =
-    if windowed ~cost cfg then
-      Some (min (Option.get cfg.Coherence.Config.sim_jobs) nprocs)
-    else None
-  in
-  if window_jobs <> None then
-    Sim.Engine.set_sharded engine ~shards:nprocs ~shard_of_pid:Fun.id
-      ~lookahead:cost.Sim.Cost.msg_latency_ns;
-  (* Per-node stats/trace cells: aliases of the shared structures on the
-     legacy engine (charging "per node" is then charging the shared one),
-     private structures per shard on the sharded engine, merged after the
-     run. *)
-  let node_stats =
-    match window_jobs with
-    | Some _ -> Array.init nprocs (fun _ -> Sim.Stats.create ())
-    | None -> Array.make nprocs stats
-  in
-  let node_trace =
-    match window_jobs with
-    | Some _ -> Array.init nprocs (fun _ -> ref [])
-    | None -> Array.make nprocs trace
-  in
-  let node_timed =
-    match window_jobs with
-    | Some _ -> Array.init nprocs (fun _ -> ref [])
-    | None -> Array.make nprocs timed
-  in
   let runtime =
     {
       Node.engine;
@@ -95,9 +43,6 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs 
       timed;
       recorder;
       symtab;
-      node_stats;
-      node_trace;
-      node_timed;
     }
   in
   let nodes = Array.init nprocs (fun id -> Node.create runtime ~id ~nprocs) in
@@ -111,6 +56,14 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs 
   let root_rng = Sim.Rng.create ~seed:net_seed in
   let jitter_rng = Sim.Rng.split root_rng in
   let fault_rng = Sim.Rng.split root_rng in
+  (* an explicit transport config wins; fault injection forces the
+     reliable transport on *)
+  let transport =
+    match (cfg.Coherence.Config.transport, Sim.Fault.active cfg.Coherence.Config.fault) with
+    | (Some _ as tr), _ -> tr
+    | None, true -> Some Sim.Transport.default_config
+    | None, false -> None
+  in
   (* Sim-level probe: translate the engine/net/transport observer events
      into trace events. Protocol-level events (vector clocks, intervals,
      races) are emitted by {!Node} directly, where the context lives. *)
@@ -153,9 +106,8 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs 
   Sim.Engine.set_probe engine probe;
   let net =
     Sim.Net.create ~rng:jitter_rng ~fault:(Sim.Fault.validate cfg.Coherence.Config.fault)
-      ~fault_rng ?transport ?probe ~describe:Message.describe
-      ~stats_of:(fun src -> node_stats.(src))
-      engine cost stats ~nodes:nprocs ~size_of
+      ~fault_rng ?transport ?probe ~describe:Message.describe engine cost stats
+      ~nodes:nprocs ~size_of
   in
   runtime.Node.net <- Some net;
   Array.iteri
@@ -177,7 +129,6 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs 
     trace;
     recorder;
     symtab;
-    window_jobs;
     alloc_next = geometry.Mem.Geometry.base;
   }
 
@@ -202,46 +153,11 @@ let alloc t ?name ?(align = 0) bytes =
   Array.iter (fun node -> Node.set_alloc_next node next) t.nodes;
   start
 
-(* Fold the sharded engine's per-node structures back into the shared
-   ones. Stats sum; the timed traces merge into (time, proc) order (a
-   stable sort over per-node chronological lists, so same-key events keep
-   their per-node order), and the untimed trace is the merged timed one
-   stripped of timestamps. Everything here is a deterministic function of
-   per-node data that is itself identical for every domain count. *)
-let merge_sharded t =
-  Array.iter
-    (fun s -> if s != t.stats then Sim.Stats.add ~into:t.stats s)
-    t.runtime.Node.node_stats;
-  let merged =
-    Array.to_list t.runtime.Node.node_timed
-    |> List.concat_map (fun r -> List.rev !r)
-    |> List.stable_sort (fun (ta, pa, _) (tb, pb, _) -> compare (ta, pa) (tb, pb))
-  in
-  t.runtime.Node.timed := List.rev merged;
-  t.trace := List.rev_map (fun (_, p, e) -> (p, e)) merged
-
 let run t ~body =
-  let spawn_all () =
-    Array.iter
-      (fun node -> ignore (Sim.Engine.spawn t.engine (fun _pid -> body (Node.view node))))
-      t.nodes
-  in
-  (match t.window_jobs with
-  | Some jobs when jobs > 1 ->
-      (* The gang, not the pool: windows are microseconds of work issued
-         hundreds of thousands of times, so per-round dispatch must be a
-         couple of atomic stores, not per-task mutexes. *)
-      Parallel.Gang.with_gang ~jobs (fun gang ->
-          Sim.Engine.set_batch_runner t.engine (Some (Parallel.Gang.run gang));
-          Fun.protect
-            ~finally:(fun () -> Sim.Engine.set_batch_runner t.engine None)
-            (fun () ->
-              spawn_all ();
-              Sim.Engine.run t.engine))
-  | _ ->
-      spawn_all ();
-      Sim.Engine.run t.engine);
-  if t.window_jobs <> None then merge_sharded t
+  Array.iter
+    (fun node -> ignore (Sim.Engine.spawn t.engine (fun _pid -> body (Node.view node))))
+    t.nodes;
+  Sim.Engine.run t.engine
 
 let races t = Proto.Race.dedup !(t.races)
 

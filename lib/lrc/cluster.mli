@@ -7,13 +7,6 @@ val create : ?cost:Sim.Cost.t -> ?cfg:Coherence.Config.t -> nprocs:int -> pages:
 (** Build a cluster of [nprocs] processors over a shared segment of
     [pages] pages. Page/word sizes come from the cost model. *)
 
-val windowed : ?cost:Sim.Cost.t -> Coherence.Config.t -> bool
-(** Whether this configuration runs on the window-sharded engine: a
-    positive [sim_jobs] with no transport in play (explicit or forced by
-    fault injection) and zero delivery jitter. Everything else falls
-    back to the legacy single-heap loop. Trace recording uses this to
-    stamp logs with the schedule actually used. *)
-
 val node : t -> int -> Node.t
 val nprocs : t -> int
 

@@ -5,38 +5,17 @@
    through two effects: [Advance n] consumes [n] simulated nanoseconds, and
    [Block] suspends the process until another party calls [wake].
 
-   The engine has two execution modes over the same process machinery:
+   The scheduler is a single event loop over a deterministic priority queue,
+   so a given program and seed always produce the same interleaving.
 
-   - Legacy (default): a single event loop over one deterministic priority
-     queue, so a given program and seed always produce the same
-     interleaving. This path is byte-for-byte the historical scheduler.
-
-   - Sharded ([set_sharded]): conservative parallel DES. Each shard owns a
-     private event queue; execution proceeds in windows [W, W + lookahead)
-     where W is the earliest pending event across all shards. Within a
-     window every shard with pending work drains its own queue
-     independently — on separate domains when a batch runner is installed
-     ([set_batch_runner]), inline in shard order otherwise. The lookahead
-     contract: any event a shard schedules on *another* shard must land at
-     or after the window end (cross-shard events are the network, whose
-     latency model is the lookahead). Cross-shard events are buffered in
-     per-shard outboxes and committed at the window barrier in
-     [(time, src shard, emission index)] order, so every destination
-     queue receives the same push sequence — hence assigns the same
-     [(time, node, seq)] keys — no matter how many domains executed the
-     window. Observer callbacks (probes, trace sinks) are deferred to the
-     barrier and flushed in [(time, shard, emission index)] order for the
-     same reason.
-
-   Two failure detectors guard both loops. If the event queue drains while
+   Two failure detectors guard the loop. If the event queue drains while
    processes are still blocked (a lost wakeup or a lock cycle), or if a
    configurable span of virtual time passes in which only bare thunks run
    and no process makes progress (a retransmission livelock), [run] raises
    [Deadlock] carrying a structured diagnosis: every blocked process with
    its label, plus whatever lines the registered subsystem reporters (the
    transport's per-link unacked queues, the lock managers' queue depths)
-   contribute. In sharded mode the watchdog is evaluated at window starts,
-   which is deterministic because window boundaries are. *)
+   contribute. *)
 
 type pid = int
 
@@ -48,14 +27,13 @@ type proc = {
   mutable cont : (unit, unit) Effect.Deep.continuation option;
   mutable wake_pending : bool;
   mutable blocked_label : string;  (* what the process is waiting for *)
-  mutable shard : int;  (* owning shard index; 0 in legacy mode *)
 }
 
 type action = Start of proc * (pid -> unit) | Resume of proc | Thunk of (unit -> unit)
 
 type t = {
   mutable now : int;
-  queue : action Pqueue.t;  (* legacy-mode global queue *)
+  queue : action Pqueue.t;
   mutable procs : proc array;  (* indexed by pid; first [nprocs] slots live *)
   mutable nprocs : int;
   mutable live : int;
@@ -63,45 +41,7 @@ type t = {
   mutable stall_budget : int option;  (* max virtual ns without progress *)
   mutable last_progress : int;  (* last time a process ran or finished *)
   mutable probe : Probe.t option;  (* pure observer of scheduling decisions *)
-  (* sharded mode; [shards = [||]] means legacy *)
-  mutable shards : shard array;
-  mutable shard_of_pid : pid -> int;
-  mutable lookahead : int;
-  mutable batch : ((int * (unit -> unit)) list -> unit) option;
-      (* window executor: [(shard index, drain thunk)] pairs; the index
-         lets the runner keep a stable shard-to-domain placement *)
-  mutable flush_now : int option;  (* virtual time while flushing deferred observers *)
 }
-
-and shard = {
-  s_owner : t;
-  s_index : int;
-  s_queue : action Pqueue.t;
-  mutable s_now : int;
-  mutable s_outbox : outmsg list;  (* cross-shard events, reverse order *)
-  mutable s_emit : int;  (* outbox emission counter, reset per window *)
-  mutable s_defer : defmsg list;  (* deferred observer calls, reverse order *)
-  mutable s_dseq : int;  (* defer emission counter, reset per window *)
-  mutable s_finished : int;  (* processes finished this window *)
-  mutable s_progress : int;  (* time of last Start/Resume this window, or min_int *)
-  mutable s_error : (exn * Printexc.raw_backtrace) option;
-}
-
-and outmsg = { o_at : int; o_src : int; o_emit : int; o_dst : int; o_act : action }
-and defmsg = { d_time : int; d_shard : int; d_seq : int; d_run : unit -> unit }
-
-(* Which shard (if any) the current domain is executing. Keyed per domain
-   so pool workers running different shards of the same engine — or
-   shards of different engines — never observe each other's context. *)
-let current_shard : shard option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let ctx t =
-  match !(Domain.DLS.get current_shard) with
-  | Some s when s.s_owner == t -> Some s
-  | _ -> None
-
-let sharded t = Array.length t.shards > 0
 
 type diagnosis = {
   diag_time : int;  (* simulated time of the diagnosis *)
@@ -137,67 +77,13 @@ let create () =
     stall_budget = None;
     last_progress = 0;
     probe = None;
-    shards = [||];
-    shard_of_pid = (fun _ -> 0);
-    lookahead = 1;
-    batch = None;
-    flush_now = None;
   }
 
-let now t =
-  if Array.length t.shards = 0 then t.now
-  else
-    match ctx t with
-    | Some s -> s.s_now
-    | None -> ( match t.flush_now with Some n -> n | None -> t.now)
-
-let set_sharded t ~shards ~shard_of_pid ~lookahead =
-  if shards < 1 then invalid_arg "Engine.set_sharded: need at least one shard";
-  if t.nprocs > 0 || not (Pqueue.is_empty t.queue) then
-    invalid_arg "Engine.set_sharded: must be called before any spawn or schedule";
-  t.shard_of_pid <- shard_of_pid;
-  t.lookahead <- max 1 lookahead;
-  t.shards <-
-    Array.init shards (fun i ->
-        {
-          s_owner = t;
-          s_index = i;
-          s_queue = Pqueue.create ();
-          s_now = t.now;
-          s_outbox = [];
-          s_emit = 0;
-          s_defer = [];
-          s_dseq = 0;
-          s_finished = 0;
-          s_progress = min_int;
-          s_error = None;
-        })
-
-let set_batch_runner t runner = t.batch <- runner
+let now t = t.now
 
 let set_probe t probe = t.probe <- probe
 
-(* Observer deferral: in sharded mode, callbacks that touch state shared
-   across shards (probes, trace sinks) are queued and run at the window
-   barrier on the main domain, in a merge order that does not depend on
-   execution order. [now] reads the recorded virtual time during the
-   flush, so observers time-stamp events exactly as they would have
-   in-line. Outside sharded execution the thunk runs immediately. *)
-let defer t f =
-  if Array.length t.shards = 0 then f ()
-  else
-    match ctx t with
-    | Some s ->
-        s.s_defer <- { d_time = s.s_now; d_shard = s.s_index; d_seq = s.s_dseq; d_run = f }
-          :: s.s_defer;
-        s.s_dseq <- s.s_dseq + 1
-    | None -> f ()
-
-let emit_probe t event =
-  match t.probe with
-  | None -> ()
-  | Some f -> (
-      match ctx t with Some _ -> defer t (fun () -> f event) | None -> f event)
+let emit_probe t event = match t.probe with Some f -> f event | None -> ()
 
 let add_diagnostic t f = t.diagnostics <- t.diagnostics @ [ f ]
 
@@ -208,50 +94,14 @@ let set_stall_budget t budget =
   t.stall_budget <- budget
 
 let schedule t ~at f =
-  if Array.length t.shards = 0 then begin
-    if at < t.now then invalid_arg "Engine.schedule: cannot schedule in the past";
-    Pqueue.push t.queue ~time:at (Thunk f)
-  end
-  else
-    match ctx t with
-    | Some s ->
-        if at < s.s_now then invalid_arg "Engine.schedule: cannot schedule in the past";
-        Pqueue.push s.s_queue ~node:s.s_index ~time:at (Thunk f)
-    | None ->
-        if at < t.now then invalid_arg "Engine.schedule: cannot schedule in the past";
-        Pqueue.push t.shards.(0).s_queue ~node:0 ~time:at (Thunk f)
+  if at < t.now then invalid_arg "Engine.schedule: cannot schedule in the past";
+  Pqueue.push t.queue ~time:at (Thunk f)
 
-let schedule_after t ~delay f = schedule t ~at:(now t + delay) f
-
-let schedule_node t ~node ~at f =
-  if Array.length t.shards = 0 then begin
-    if at < t.now then invalid_arg "Engine.schedule_node: cannot schedule in the past";
-    Pqueue.push t.queue ~time:at (Thunk f)
-  end
-  else begin
-    if node < 0 || node >= Array.length t.shards then
-      invalid_arg (Printf.sprintf "Engine.schedule_node: unknown shard %d" node);
-    match ctx t with
-    | Some s when s.s_index = node ->
-        if at < s.s_now then
-          invalid_arg "Engine.schedule_node: cannot schedule in the past";
-        Pqueue.push s.s_queue ~node ~time:at (Thunk f)
-    | Some s ->
-        (* Cross-shard: buffered, committed at the window barrier. *)
-        s.s_outbox <-
-          { o_at = at; o_src = s.s_index; o_emit = s.s_emit; o_dst = node; o_act = Thunk f }
-          :: s.s_outbox;
-        s.s_emit <- s.s_emit + 1
-    | None ->
-        if at < t.now then invalid_arg "Engine.schedule_node: cannot schedule in the past";
-        Pqueue.push t.shards.(node).s_queue ~node ~time:at (Thunk f)
-  end
+let schedule_after t ~delay f = schedule t ~at:(t.now + delay) f
 
 let spawn t body =
   let pid = t.nprocs in
-  let proc =
-    { pid; state = Created; cont = None; wake_pending = false; blocked_label = ""; shard = 0 }
-  in
+  let proc = { pid; state = Created; cont = None; wake_pending = false; blocked_label = "" } in
   if pid >= Array.length t.procs then begin
     let grown = Array.make (max 8 (2 * Array.length t.procs)) proc in
     Array.blit t.procs 0 grown 0 t.nprocs;
@@ -260,14 +110,7 @@ let spawn t body =
   t.procs.(pid) <- proc;
   t.nprocs <- t.nprocs + 1;
   t.live <- t.live + 1;
-  if Array.length t.shards = 0 then Pqueue.push t.queue ~time:t.now (Start (proc, body))
-  else begin
-    let shard = t.shard_of_pid pid in
-    if shard < 0 || shard >= Array.length t.shards then
-      invalid_arg (Printf.sprintf "Engine.spawn: shard_of_pid mapped pid %d to %d" pid shard);
-    proc.shard <- shard;
-    Pqueue.push t.shards.(shard).s_queue ~node:shard ~time:t.now (Start (proc, body))
-  end;
+  Pqueue.push t.queue ~time:t.now (Start (proc, body));
   pid
 
 let find_proc t pid =
@@ -289,31 +132,13 @@ let advance_f ns = advance (int_of_float ns)
 
 let block ~label = Effect.perform (Block label)
 
-(* Push a scheduler action owned by the current execution context: the
-   current shard's queue in sharded mode, the global queue otherwise. *)
-let push_local t ~time action =
-  match ctx t with
-  | Some s -> Pqueue.push s.s_queue ~node:s.s_index ~time action
-  | None ->
-      if Array.length t.shards = 0 then Pqueue.push t.queue ~time action
-      else assert false
-
 let wake t pid =
   let proc = find_proc t pid in
-  (match ctx t with
-  | Some s when proc.shard <> s.s_index ->
-      (* A cross-shard wake would race with the target shard's own window
-         execution. The protocols built on this engine only wake
-         processes via messages (which go through [schedule_node]) or on
-         their own node; anything else is a bug. *)
-      invalid_arg
-        (Printf.sprintf "Engine.wake: cross-shard wake of pid %d from shard %d" pid s.s_index)
-  | _ -> ());
   match proc.state with
   | Blocked ->
       proc.state <- Running;
       emit_probe t (Probe.Proc_resume { pid });
-      push_local t ~time:(now t) (Resume proc)
+      Pqueue.push t.queue ~time:t.now (Resume proc)
   | Created | Running -> proc.wake_pending <- true
   | Finished -> ()
 
@@ -327,9 +152,7 @@ let run_fiber t proc body =
       retc =
         (fun () ->
           proc.state <- Finished;
-          (match ctx t with
-          | Some s -> s.s_finished <- s.s_finished + 1
-          | None -> t.live <- t.live - 1);
+          t.live <- t.live - 1;
           emit_probe t (Probe.Proc_finish { pid = proc.pid }));
       exnc = (fun exn -> raise exn);
       effc =
@@ -339,7 +162,7 @@ let run_fiber t proc body =
               Some
                 (fun (k : (a, unit) continuation) ->
                   proc.cont <- Some k;
-                  push_local t ~time:(now t + ns) (Resume proc))
+                  Pqueue.push t.queue ~time:(t.now + ns) (Resume proc))
           | Block label ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -381,148 +204,25 @@ let diagnose t ~stalled =
     diag_notes = List.concat_map (fun f -> f ()) t.diagnostics;
   }
 
-(* Drain one shard's queue up to (but excluding) the window end. Runs on
-   an arbitrary domain; all state it touches is shard-private (or the
-   shard's processes, which no other shard touches — cross-shard wakes
-   are rejected). Exceptions are captured so every active shard of a
-   window runs to its barrier regardless of execution order; the barrier
-   re-raises the lowest-indexed shard's error, which is deterministic. *)
-let exec_shard t s ~w_end =
-  let slot = Domain.DLS.get current_shard in
-  slot := Some s;
-  (try
-     let continue_ = ref true in
-     while !continue_ do
-       match Pqueue.peek_time s.s_queue with
-       | Some time when time < w_end -> (
-           match Pqueue.pop s.s_queue with
-           | None -> assert false
-           | Some (time, action) -> (
-               if time > s.s_now then s.s_now <- time;
-               match action with
-               | Start (proc, body) ->
-                   s.s_progress <- s.s_now;
-                   run_fiber t proc body
-               | Resume proc ->
-                   s.s_progress <- s.s_now;
-                   resume_fiber proc
-               | Thunk f -> f ()))
-       | _ -> continue_ := false
-     done
-   with exn -> s.s_error <- Some (exn, Printexc.get_raw_backtrace ()));
-  slot := None
-
-let compare_out (a : outmsg) (b : outmsg) =
-  compare (a.o_at, a.o_src, a.o_emit) (b.o_at, b.o_src, b.o_emit)
-
-let compare_def (a : defmsg) (b : defmsg) =
-  compare (a.d_time, a.d_shard, a.d_seq) (b.d_time, b.d_shard, b.d_seq)
-
-let run_windows t =
+let run t =
   t.last_progress <- t.now;
   let rec loop () =
-    let w_start =
-      Array.fold_left
-        (fun acc s ->
-          match Pqueue.peek_time s.s_queue with Some tm -> min acc tm | None -> acc)
-        max_int t.shards
-    in
-    if w_start = max_int then begin
-      Array.iter (fun s -> if s.s_now > t.now then t.now <- s.s_now) t.shards;
-      if t.live > 0 then raise (Deadlock (diagnose t ~stalled:false))
-    end
-    else begin
-      if w_start > t.now then t.now <- w_start;
-      (match t.stall_budget with
-      | Some budget when t.live > 0 && t.now - t.last_progress > budget ->
-          raise (Deadlock (diagnose t ~stalled:true))
-      | _ -> ());
-      let w_end = w_start + t.lookahead in
-      let thunks = ref [] in
-      Array.iter
-        (fun s ->
-          s.s_outbox <- [];
-          s.s_emit <- 0;
-          s.s_defer <- [];
-          s.s_dseq <- 0;
-          s.s_finished <- 0;
-          s.s_progress <- min_int;
-          s.s_error <- None;
-          match Pqueue.peek_time s.s_queue with
-          | Some tm when tm < w_end ->
-              thunks := (s.s_index, fun () -> exec_shard t s ~w_end) :: !thunks
-          | _ -> ())
-        t.shards;
-      let thunks = List.rev !thunks in
-      (match (t.batch, thunks) with
-      | Some runner, _ :: _ :: _ -> runner thunks
-      | _ -> List.iter (fun (_, f) -> f ()) thunks);
-      (* Re-raise the first (lowest shard index) captured error, skipping
-         commits: the failure point is then independent of domain count. *)
-      Array.iter
-        (fun s ->
-          match s.s_error with
-          | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-          | None -> ())
-        t.shards;
-      (* Commit cross-shard events in (time, src, emission) order so every
-         destination queue sees a canonical push sequence. *)
-      let out =
-        Array.fold_left (fun acc s -> List.rev_append s.s_outbox acc) [] t.shards
-      in
-      List.iter
-        (fun m ->
-          if m.o_at < w_end then
-            invalid_arg
-              (Printf.sprintf
-                 "Engine: lookahead violation (cross-shard event at t=%d inside window \
-                  ending t=%d)"
-                 m.o_at w_end);
-          Pqueue.push t.shards.(m.o_dst).s_queue ~node:m.o_dst ~time:m.o_at m.o_act)
-        (List.sort compare_out out);
-      Array.iter
-        (fun s ->
-          t.live <- t.live - s.s_finished;
-          if s.s_progress > t.last_progress then t.last_progress <- s.s_progress)
-        t.shards;
-      (* Flush deferred observers in canonical merge order, restoring each
-         call's virtual time for [now]. *)
-      let defers =
-        Array.fold_left (fun acc s -> List.rev_append s.s_defer acc) [] t.shards
-      in
-      List.iter
-        (fun d ->
-          t.flush_now <- Some d.d_time;
-          d.d_run ())
-        (List.sort compare_def defers);
-      t.flush_now <- None;
-      loop ()
-    end
+    match Pqueue.pop t.queue with
+    | None -> if t.live > 0 then raise (Deadlock (diagnose t ~stalled:false))
+    | Some (time, action) ->
+        t.now <- time;
+        (match t.stall_budget with
+        | Some budget when t.live > 0 && t.now - t.last_progress > budget ->
+            raise (Deadlock (diagnose t ~stalled:true))
+        | _ -> ());
+        (match action with
+        | Start (proc, body) ->
+            t.last_progress <- t.now;
+            run_fiber t proc body
+        | Resume proc ->
+            t.last_progress <- t.now;
+            resume_fiber proc
+        | Thunk f -> f ());
+        loop ()
   in
   loop ()
-
-let run t =
-  if Array.length t.shards > 0 then run_windows t
-  else begin
-    t.last_progress <- t.now;
-    let rec loop () =
-      match Pqueue.pop t.queue with
-      | None -> if t.live > 0 then raise (Deadlock (diagnose t ~stalled:false))
-      | Some (time, action) ->
-          t.now <- time;
-          (match t.stall_budget with
-          | Some budget when t.live > 0 && t.now - t.last_progress > budget ->
-              raise (Deadlock (diagnose t ~stalled:true))
-          | _ -> ());
-          (match action with
-          | Start (proc, body) ->
-              t.last_progress <- t.now;
-              run_fiber t proc body
-          | Resume proc ->
-              t.last_progress <- t.now;
-              resume_fiber proc
-          | Thunk f -> f ());
-          loop ()
-    in
-    loop ()
-  end

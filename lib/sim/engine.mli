@@ -2,15 +2,9 @@
 
     Simulated processors are coroutines built on OCaml 5 effect handlers.
     A process interacts with virtual time by [advance]-ing its clock and
-    [block]-ing until woken.
-
-    By default a single event loop drains one deterministic priority
-    queue, so a given program always produces the same interleaving.
-    [set_sharded] switches the engine to conservative parallel DES:
-    per-shard event queues executed window-by-window, with cross-shard
-    events committed at window barriers in a canonical order — the
-    interleaving is then *identical for any number of executing domains*
-    (see docs/PARALLEL.md for the argument). *)
+    [block]-ing until woken. A single event loop drains one deterministic
+    priority queue, so a given program always produces the same
+    interleaving. *)
 
 type t
 
@@ -41,32 +35,7 @@ val diagnosis_to_string : diagnosis -> string
 val create : unit -> t
 
 val now : t -> int
-(** Current simulated time in nanoseconds. In sharded mode this is the
-    executing shard's local clock during window execution, and the
-    recorded emission time during a deferred-observer flush. *)
-
-val set_sharded : t -> shards:int -> shard_of_pid:(pid -> int) -> lookahead:int -> unit
-(** Switch the engine to sharded (conservative parallel DES) execution
-    with [shards] per-shard queues. [shard_of_pid] assigns each spawned
-    process to its owning shard. [lookahead] (clamped to [>= 1]) is the
-    minimum delay, in simulated ns, of any cross-shard event relative to
-    the scheduling shard's clock — for a message-passing system, the
-    network latency floor. Scheduling a cross-shard event that violates
-    the bound raises [Invalid_argument] at the window barrier. Must be
-    called before any [spawn] or [schedule]. *)
-
-val sharded : t -> bool
-
-val set_batch_runner : t -> ((int * (unit -> unit)) list -> unit) option -> unit
-(** Install the executor for a window's per-shard drain thunks, given as
-    [(shard index, thunk)] pairs in shard order (e.g. [Parallel.Gang.run]
-    on a gang of domains — the index lets the runner keep each shard on
-    the same domain every window, which is what makes parallel execution
-    pay). The runner must run every thunk to completion before returning;
-    thunks never raise (shard errors are captured and re-raised
-    deterministically at the barrier). With no runner — or when a window
-    has a single active shard — thunks run inline in shard order. Only
-    consulted in sharded mode. *)
+(** Current simulated time in nanoseconds. *)
 
 val spawn : t -> (pid -> unit) -> pid
 (** Register a process; its body starts running when [run] is called.
@@ -74,26 +43,9 @@ val spawn : t -> (pid -> unit) -> pid
     a growable array indexed by pid, so [spawn] and pid lookup are O(1). *)
 
 val schedule : t -> at:int -> (unit -> unit) -> unit
-(** Run a thunk at an absolute simulated time (e.g. message delivery).
-    In sharded mode the thunk lands on the calling shard (shard 0 when
-    called from outside window execution). *)
+(** Run a thunk at an absolute simulated time (e.g. message delivery). *)
 
 val schedule_after : t -> delay:int -> (unit -> unit) -> unit
-
-val schedule_node : t -> node:int -> at:int -> (unit -> unit) -> unit
-(** Like [schedule], but the thunk belongs to (and runs on) shard [node]
-    in sharded mode. From a different shard the event is buffered and
-    committed at the window barrier, so [at] must respect the lookahead
-    bound. In legacy mode this is exactly [schedule]. *)
-
-val defer : t -> (unit -> unit) -> unit
-(** Run an observer callback that touches cross-shard shared state (trace
-    sinks, probe consumers). In legacy mode, or outside window execution,
-    it runs immediately. During sharded window execution it is queued and
-    flushed at the window barrier in [(time, shard, emission)] order —
-    deterministic regardless of domain count — with [now] restored to the
-    emission time. Deferred thunks must be pure observers: they must not
-    schedule, wake, or otherwise mutate simulation state. *)
 
 val advance : int -> unit
 (** From within a process: consume simulated nanoseconds. *)
@@ -106,17 +58,13 @@ val block : label:string -> unit
     lost: the next [block] returns immediately. *)
 
 val wake : t -> pid -> unit
-(** Make a blocked process runnable at the current simulated time. In
-    sharded mode a process may only be woken from its own shard (waking
-    across shards would race with the target's window execution); a
-    cross-shard wake raises [Invalid_argument]. *)
+(** Make a blocked process runnable at the current simulated time. *)
 
 val set_probe : t -> Probe.t option -> unit
 (** Install (or clear) the scheduling probe: it observes process blocks,
     wakes and finishes at the simulated moment they happen. The probe
     must not mutate simulation state; with no probe installed the hook
-    costs one branch. In sharded mode probe calls are routed through
-    [defer]. *)
+    costs one branch. *)
 
 val add_diagnostic : t -> (unit -> string list) -> unit
 (** Register a subsystem reporter whose lines are included in every
@@ -128,11 +76,9 @@ val set_stall_budget : t -> int option -> unit
     this many virtual nanoseconds pass without any process starting,
     resuming or finishing — only bare thunks such as retransmission
     timers firing — [run] raises [Deadlock] with [diag_stalled = true].
-    Raises [Invalid_argument] on a non-positive budget. In sharded mode
-    the check runs at window starts. *)
+    Raises [Invalid_argument] on a non-positive budget. *)
 
 val run : t -> unit
-(** Drain the event queue(s). Raises [Deadlock] if processes remain
-    blocked or the stall watchdog fires, and re-raises any exception
-    escaping a process body (in sharded mode: the lowest-indexed failing
-    shard's exception, regardless of domain count). *)
+(** Drain the event queue. Raises [Deadlock] if processes remain blocked
+    or the stall watchdog fires, and re-raises any exception escaping a
+    process body. *)

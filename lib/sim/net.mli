@@ -21,7 +21,6 @@ val create :
   ?transport:Transport.config ->
   ?probe:Probe.t ->
   ?describe:('msg -> string) ->
-  ?stats_of:(int -> Stats.t) ->
   Engine.t ->
   Cost.t ->
   Stats.t ->
@@ -39,13 +38,7 @@ val create :
     [probe] observes sends, deliveries and per-frame fault outcomes (and
     is forwarded to the transport for retransmit/ack events); [describe]
     supplies the payload tag those events carry. Probes never perturb
-    delivery order or timing.
-
-    [stats_of] maps a sending node id to the {!Stats} record its traffic
-    is charged to (default: the shared positional record). The sharded
-    runner passes per-node records so concurrent shards never write the
-    same counters; the transport, when configured, still charges its own
-    events to the shared record (transports only run sequentially). *)
+    delivery order or timing. *)
 
 val node_count : 'msg t -> int
 

@@ -141,9 +141,7 @@ let charged t category = t.charges.(category_index category)
 
 let total_charged t = Array.fold_left ( +. ) 0.0 t.charges
 
-(* Accumulate [t] into [into], field by field. Used by the sharded runner
-   to fold per-node counters back into the run-wide record; summing after
-   the run gives the same totals as sharing one record during it. *)
+(* Accumulate [t] into [into], field by field: totals over several runs. *)
 let add ~into t =
   into.messages <- into.messages + t.messages;
   into.fragments <- into.fragments + t.fragments;

@@ -79,9 +79,7 @@ val total_charged : t -> float
 
 val add : into:t -> t -> unit
 (** [add ~into t] accumulates every counter and charge of [t] into
-    [into]. The sharded runner gives each node a private record and folds
-    them into the run-wide one after the run; the totals equal what a
-    single shared record would have accumulated. *)
+    [into], e.g. to total the statistics of several runs. *)
 
 val shared_accesses : t -> int
 val instrumented_accesses : t -> int

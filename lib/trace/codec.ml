@@ -24,14 +24,12 @@
      snooping-bus backends need to reproduce a run, and the Bus event
      (tag 22). Older logs decode as backend "lrc" with the default
      geometry.
-   - v5: [m_sim_jobs], the engine-schedule marker: [Some 1] when the
-     recording ran on the window-sharded --sim-jobs engine (whose event
-     times differ from the legacy loop's), [None] for legacy-loop
-     recordings. The domain count itself is deliberately NOT recorded:
-     the sharded interleaving is identical for every count, and logs
-     recorded at any --sim-jobs N must stay byte-identical. Replay uses
-     the marker to pick the engine and runs one domain. Older logs
-     decode as [None]. *)
+   - v5: an engine-schedule marker after the cache geometry, an optional
+     varint: set when the recording ran on the window-sharded --sim-jobs
+     engine, absent for the single-heap engine. The sharded engine has
+     since been removed (its event times differ from the heap's, so such
+     a log cannot replay), so the encoder always writes the marker
+     absent and the decoder rejects a log whose marker is set. *)
 
 let magic = "CVMT"
 let version = 5
@@ -70,7 +68,6 @@ type meta = {
   m_cc_line_bytes : int;  (* cache geometry for the bus backends (v4+) *)
   m_cc_sets : int;
   m_cc_ways : int;
-  m_sim_jobs : int option;  (* sharded-engine schedule marker (v5+) *)
 }
 
 (* The transport defaults that were current while v1 was the format:
@@ -213,7 +210,7 @@ let get_transport c =
   let tm_ack_bytes = get_varint c in
   { tm_initial_rto_ns; tm_max_rto_ns; tm_max_retries; tm_header_bytes; tm_ack_bytes }
 
-(* always writes the current (v4) layout *)
+(* always writes the current (v5) layout *)
 let put_meta buf m =
   put_string buf m.m_app;
   put_string buf m.m_scale;
@@ -245,7 +242,7 @@ let put_meta buf m =
   put_varint buf m.m_cc_line_bytes;
   put_varint buf m.m_cc_sets;
   put_varint buf m.m_cc_ways;
-  put_opt buf put_varint m.m_sim_jobs
+  put_bool buf false (* v5 engine marker: absent *)
 
 let get_meta ~version c =
   let m_app = get_string c in
@@ -303,7 +300,9 @@ let get_meta ~version c =
       (backend, line_bytes, sets, ways)
     else ("lrc", 64, 64, 2)
   in
-  let m_sim_jobs = if version >= 5 then get_opt c get_varint else None in
+  if version >= 5 && get_bool c then
+    fail "log was recorded on the removed sharded --sim-jobs engine, which this build \
+          cannot replay";
   {
     m_app;
     m_scale;
@@ -329,7 +328,6 @@ let get_meta ~version c =
     m_cc_line_bytes;
     m_cc_sets;
     m_cc_ways;
-    m_sim_jobs;
   }
 
 (* --- events --- *)

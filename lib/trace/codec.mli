@@ -55,14 +55,6 @@ type meta = {
   m_cc_line_bytes : int;  (** cache geometry for the bus backends (v4+) *)
   m_cc_sets : int;
   m_cc_ways : int;
-  m_sim_jobs : int option;
-      (** engine-schedule marker: [Some 1] for logs recorded on the
-          window-sharded [--sim-jobs] engine, [None] for legacy-loop
-          logs (and everything before v5). Never the domain count —
-          the sharded interleaving is domain-count-invariant, and
-          recording the count would break byte-identity of logs
-          across [--sim-jobs N]. Replay picks the engine from this
-          and runs one domain. *)
 }
 
 val v1_transport_defaults : transport_meta
@@ -92,9 +84,10 @@ type decoded = { meta : meta; events : (int * Event.t) array }
 
 val decode : string -> decoded
 (** Parse a complete log. Raises {!Corrupt} on bad magic, a truncated or
-    garbled record, or a format version outside
-    [[min_version, version]] — the error says explicitly whether the log
-    is too old or too new, never a misleading field-level decode crash. *)
+    garbled record, a format version outside [[min_version, version]] —
+    the error says explicitly whether the log is too old or too new,
+    never a misleading field-level decode crash — or a v5 log recorded
+    on the removed sharded engine. *)
 
 val event_bytes : Event.t -> int
 (** Encoded size of one event record, excluding the time delta — used by

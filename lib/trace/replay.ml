@@ -154,7 +154,7 @@ let sim_time_of_log decoded =
 
 type tag_stats = { ts_tag : string; ts_count : int; ts_bytes : int }
 
-let stats_of_log (decoded : Codec.decoded) =
+let tags_of_log (decoded : Codec.decoded) =
   let tbl = Hashtbl.create 24 in
   Array.iter
     (fun (_, e) ->

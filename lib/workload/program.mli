@@ -31,9 +31,18 @@ type t = {
 exception Invalid of string
 (** Raised by {!validate} with a human-readable reason. *)
 
+val max_procs : int
+(** 256: the largest processor count a program, a trace file or the
+    CLI's [-p] accepts. *)
+
+val max_words : int
+(** 2^20: the largest shared-array length, in words, a program or a
+    trace file accepts. *)
+
 val validate : t -> unit
-(** Structural checks: stream count matches [nprocs] (>= 1), word and
-    lock ids in range, every stream holds the same number of barriers
+(** Structural checks: [nprocs] in [[1, max_procs]], [words] in
+    [[1, max_words]], stream count matches [nprocs], word and lock ids
+    in range, every stream holds the same number of barriers
     (they are global rendezvous), locks acquired at most once, released
     only when held, and never held across a barrier or the stream's end
     (a lock held at a barrier can deadlock the rendezvous). *)

@@ -100,7 +100,8 @@ let parse_string ?name text =
           if !events_seen then fail lineno "procs directive must precede events";
           if !procs <> None then fail lineno "duplicate procs directive";
           let n = int_of ~line:lineno "processor count" n in
-          if n < 1 then fail lineno "procs must be >= 1, got %d" n;
+          if n < 1 || n > Program.max_procs then
+            fail lineno "procs must be in [1, %d], got %d" Program.max_procs n;
           procs := Some n;
           streams := Array.make n []
       | [ "words"; n ] ->
@@ -108,7 +109,8 @@ let parse_string ?name text =
           if !events_seen then fail lineno "words directive must precede events";
           if !words <> None then fail lineno "duplicate words directive";
           let n = int_of ~line:lineno "word count" n in
-          if n < 1 then fail lineno "words must be >= 1, got %d" n;
+          if n < 1 || n > Program.max_words then
+            fail lineno "words must be in [1, %d], got %d" Program.max_words n;
           words := Some n
       | toks -> (
           last_line := lineno;

@@ -7,8 +7,8 @@
 
     {v
     name <name>           # optional; defaults to the file's basename
-    procs <n>             # required, before any event
-    words <n>             # required, before any event
+    procs <n>             # required, before any event; 1 to Program.max_procs
+    words <n>             # required, before any event; 1 to Program.max_words
     <p> r <word>          # processor p reads shared word <word>
     <p> w <word>          # processor p writes shared word <word>
     <p> l <lock>          # processor p acquires lock <lock>
@@ -30,7 +30,10 @@
     backslash, the double quote, and the n/t/r control characters —
     covers names containing quotes, [#], newlines or significant
     boundary whitespace. {!to_string} picks whichever form round-trips
-    the name. *)
+    the name.
+
+    The [procs] and [words] limits are checked on the directive's own
+    line, before anything is allocated for them. *)
 
 exception Parse_error of { line : int; msg : string }
 (** [line] is 1-based. Failures not tied to one line — a missing

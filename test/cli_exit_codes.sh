@@ -3,7 +3,8 @@
 # diagnostic and a documented exit code (README, "Exit codes"): 124 from
 # cvm_race's argument converters, whose diagnostic Cmdliner follows with
 # a usage line; 2 from bench/main.exe's flag parser and for a malformed
-# --trace-file; 3 for a truncated, bit-flipped or forged trace log.
+# --trace-file; 3 for a truncated, bit-flipped or forged trace log, or
+# one recorded on the removed sharded --sim-jobs engine.
 #
 #   sh test/cli_exit_codes.sh CVM_RACE_EXE BENCH_EXE
 
@@ -44,6 +45,16 @@ check 124 "$cvm" run sor --scale small -p 0
 check 124 "$cvm" table table2 --scale small --jobs 0
 check 124 "$cvm" run sor --scale small --sim-jobs 0
 check 124 "$cvm" sweep --scale small -p 2,x
+check 124 "$cvm" sweep --scale small -p 2,4611686018427387903
+for cmd in run record; do
+  check 124 "$cvm" $cmd sor --scale small -p 4611686018427387903
+  check 124 "$cvm" $cmd sor --scale small --drop 1.5
+  check 124 "$cvm" $cmd sor --scale small --drop nan
+  check 124 "$cvm" $cmd sor --scale small --dup 2
+  check 124 "$cvm" $cmd sor --scale small --reorder -0.5
+  check 124 "$cvm" $cmd sor --scale small --watchdog 0
+  check 124 "$cvm" $cmd sor --scale small --partition 0,1,100,0
+done
 check 2 "$cvm" replay /nonexistent/run.cvmt
 check 2 "$bench" --procs 4,x sweep
 check 2 "$bench" --jobs 0 sweep
@@ -51,7 +62,7 @@ check 2 "$bench" bogus
 
 # the last check's diagnostic must contain $1
 says() {
-  if ! grep -qF "$1" "$err"; then
+  if ! grep -qF -- "$1" "$err"; then
     echo "FAIL diagnostic lacks \"$1\":"
     cat "$err"
     status=1
@@ -62,6 +73,37 @@ says() {
 printf 'procs 2\nwords 1\n0 w 0\n1 x 0\n' >"$tmp/bad.trace"
 check 2 "$cvm" run --trace-file "$tmp/bad.trace"
 says "$tmp/bad.trace:4:"
+# directive counts past the documented limits, rejected on their own
+# line before anything is allocated for them
+printf 'procs 4611686018427387903\nwords 1\n0 w 0\n' >"$tmp/procs.trace"
+check 2 "$cvm" run --trace-file "$tmp/procs.trace"
+says "$tmp/procs.trace:1:"
+printf 'procs 100000000\nwords 1\n0 w 0\n' >"$tmp/procs8.trace"
+check 2 "$cvm" run --trace-file "$tmp/procs8.trace"
+says "$tmp/procs8.trace:1:"
+printf 'procs 1\nwords 4611686018427387903\n0 w 0\n' >"$tmp/words.trace"
+check 2 "$cvm" run --trace-file "$tmp/words.trace"
+says "$tmp/words.trace:2:"
+
+# a log recorded on the removed sharded --sim-jobs engine
+sharded="$(dirname "$0")/golden/sharded_sor.cvmt"
+check 3 "$cvm" replay "$sharded"
+says "--sim-jobs"
+check 3 "$cvm" replay --log-only "$sharded"
+says "--sim-jobs"
+check 3 "$cvm" trace "$sharded"
+says "--sim-jobs"
+
+# help pages render without Cmdliner markup errors on stderr
+for cmd in run record; do
+  if "$cvm" $cmd --help=plain >/dev/null 2>"$err" && [ ! -s "$err" ]; then
+    echo "ok   clean help: $cvm $cmd --help=plain"
+  else
+    echo "FAIL $cmd --help=plain wrote to stderr or failed:"
+    cat "$err"
+    status=1
+  fi
+done
 
 # corrupt logs: truncated, and one bit flipped in the magic and in the
 # format version

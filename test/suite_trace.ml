@@ -32,7 +32,6 @@ let sample_meta =
     m_cc_line_bytes = 64;
     m_cc_sets = 64;
     m_cc_ways = 2;
-    m_sim_jobs = Some 4;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -176,6 +175,22 @@ let test_codec_rejects_huge_lengths () =
   match Trace.Codec.decode bad_string with
   | _ -> Alcotest.fail "max_int string length decoded"
   | exception Trace.Codec.Corrupt _ -> ()
+
+let test_codec_rejects_sharded_marker () =
+  (* the v5 engine marker is the last metadata byte; this build only
+     writes it absent (0). A set marker (1, then a varint) came from the
+     removed --sim-jobs engine, whose event times the heap cannot
+     reproduce. *)
+  let header = Trace.Codec.encode sample_meta [||] in
+  let n = String.length header in
+  check Alcotest.char "the encoder writes the marker absent" '\000' header.[n - 1];
+  let full = Trace.Codec.encode sample_meta [| (0, Trace.Event.Proc_finish { proc = 0 }) |] in
+  let events = String.sub full n (String.length full - n) in
+  let marked = String.sub header 0 (n - 1) ^ "\001" ^ varint 1 ^ events in
+  match Trace.Codec.decode marked with
+  | _ -> Alcotest.fail "a log with the sharded-engine marker decoded"
+  | exception Trace.Codec.Corrupt msg ->
+      check Alcotest.bool "names the removed engine" true (Testutil.contains msg "--sim-jobs")
 
 let prop_codec_damage_is_corrupt =
   (* damage the tail of a valid log: truncate it, flip one bit, or
@@ -349,7 +364,7 @@ let test_log_only_reconstruction () =
     "sim time from log alone"
     (Some (Lrc.Cluster.sim_time cluster))
     (Trace.Replay.sim_time_of_log decoded);
-  let stats = Trace.Replay.stats_of_log decoded in
+  let stats = Trace.Replay.tags_of_log decoded in
   let total = List.fold_left (fun acc s -> acc + s.Trace.Replay.ts_count) 0 stats in
   check Alcotest.int "stats cover every event" (Array.length decoded.Trace.Codec.events) total
 
@@ -540,6 +555,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_codec_roundtrip;
         Alcotest.test_case "corrupt logs rejected" `Quick test_codec_rejects_garbage;
         Alcotest.test_case "huge length prefixes rejected" `Quick test_codec_rejects_huge_lengths;
+        Alcotest.test_case "sharded-engine marker rejected" `Quick
+          test_codec_rejects_sharded_marker;
         QCheck_alcotest.to_alcotest prop_codec_damage_is_corrupt;
       ] );
     ( "trace:replay",

@@ -36,6 +36,8 @@ let test_validate_rejects () =
   expect_invalid "unlock not held" (program "t" 1 1 [ [ Unlock 0 ] ]);
   expect_invalid "lock across barrier" (program "t" 1 1 [ [ Lock 0; Barrier; Unlock 0 ] ]);
   expect_invalid "lock past stream end" (program "t" 1 1 [ [ Lock 0 ] ]);
+  expect_invalid "too many procs" (program "t" (max_procs + 1) 1 []);
+  expect_invalid "too many words" (program "t" 1 (max_words + 1) [ [] ]);
   (* and the well-formed shapes pass *)
   validate (program "t" 2 2 [ [ Lock 0; Write 0; Unlock 0; Barrier ]; [ Read 1; Barrier ] ])
 
@@ -129,6 +131,80 @@ let test_trace_name_forms () =
    or escape whatever the unquoted reader would truncate or trim. The
    alphabet concentrates on the hostile characters — hash, quote,
    backslash, whitespace — far past their natural frequency. *)
+(* The procs/words limits are checked on the directive line itself, so a
+   huge count ends in a line-numbered Parse_error before anything is
+   allocated for it. *)
+let test_trace_directive_limits () =
+  let expect_error label ~line text =
+    match Workload.Trace_file.parse_string text with
+    | _ -> Alcotest.failf "%s: parse accepted %S" label text
+    | exception Workload.Trace_file.Parse_error e ->
+        check Alcotest.int (label ^ ": error line") line e.line
+  in
+  expect_error "procs max_int" ~line:1 "procs 4611686018427387903\nwords 1\n0 w 0\n";
+  expect_error "procs 10^8" ~line:1 "procs 100000000\nwords 1\n0 w 0\n";
+  expect_error "words max_int" ~line:2 "procs 1\nwords 4611686018427387903\n0 w 0\n";
+  expect_error "one past the procs limit" ~line:1
+    (Printf.sprintf "procs %d\nwords 1\n" (Workload.Program.max_procs + 1));
+  expect_error "one past the words limit" ~line:2
+    (Printf.sprintf "procs 1\nwords %d\n" (Workload.Program.max_words + 1));
+  let p =
+    Workload.Trace_file.parse_string
+      (Printf.sprintf "procs %d\nwords %d\n0 w 0\n" Workload.Program.max_procs
+         Workload.Program.max_words)
+  in
+  check Alcotest.int "both limits themselves parse" Workload.Program.max_procs
+    p.Workload.Program.nprocs
+
+let corpus_dir () = if Sys.file_exists "corpus" then "corpus" else "test/corpus"
+
+let corpus_texts =
+  lazy
+    (let dir = corpus_dir () in
+     Sys.readdir dir |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".trace")
+     |> List.sort compare
+     |> List.map (fun f -> In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+let prop_damaged_trace_parses_or_fails_cleanly =
+  (* damage a corpus file: truncate it, flip bits of one byte, or append
+     random bytes — parsing succeeds or raises Parse_error, never
+     anything else *)
+  let damage =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun at -> `Truncate at) (int_bound 1_000_000);
+          map2 (fun at bits -> `Flip (at, bits)) (int_bound 1_000_000) (int_range 1 255);
+          map (fun tail -> `Tail tail) (string_size ~gen:char (int_range 1 40));
+        ])
+  in
+  let print_damage = function
+    | `Truncate at -> Printf.sprintf "truncate at %d" at
+    | `Flip (at, bits) -> Printf.sprintf "xor byte %d with %d" at bits
+    | `Tail tail -> Printf.sprintf "append %S" tail
+  in
+  QCheck.Test.make ~name:"trace file: a damaged corpus file parses or raises Parse_error"
+    ~count:1000
+    (QCheck.pair (QCheck.int_bound 1000) (QCheck.make ~print:print_damage damage))
+    (fun (file, damage) ->
+      let texts = Lazy.force corpus_texts in
+      let text = List.nth texts (file mod List.length texts) in
+      let n = String.length text in
+      let damaged =
+        match damage with
+        | `Truncate at -> String.sub text 0 (at mod (n + 1))
+        | `Flip (at, bits) ->
+            let b = Bytes.of_string text in
+            let at = at mod n in
+            Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor bits));
+            Bytes.to_string b
+        | `Tail tail -> text ^ tail
+      in
+      match Workload.Trace_file.parse_string damaged with
+      | _ -> true
+      | exception Workload.Trace_file.Parse_error _ -> true)
+
 let prop_name_roundtrips =
   let gen_name =
     QCheck.Gen.(
@@ -215,6 +291,54 @@ let test_generator_differential () =
           (Workload.Harness.kind_name m.Workload.Harness.kind)
           m.Workload.Harness.detail Workload.Program.pp g.Workload.Generator.program
   done
+
+(* The same property on the lrc DSM over a lossy wire: the reliable
+   transport must hide 20% drop, 5% duplication and 10% reordering, so
+   detected = oracle = ground truth still holds, plain and elided. At
+   50% drop a few programs exhaust the transport's retry cap and end in
+   the documented Deadlock, so the rates stay here. *)
+let test_generator_differential_lossy () =
+  let retransmits = ref 0 in
+  let lossy_runner ~backend ~elide (program : Workload.Program.t) =
+    let base = ref 0 in
+    let app = Workload.Program.to_app ~base program in
+    let cfg =
+      {
+        Coherence.Config.default with
+        Coherence.Config.backend;
+        detect = true;
+        record_trace = true;
+        elide_sites = (if elide then Some [] else None);
+        fault = { Sim.Fault.none with Sim.Fault.drop = 0.2; duplicate = 0.05; reorder = 0.1 };
+        transport = Some Sim.Transport.default_config;
+      }
+    in
+    let outcome = Core.Driver.run ~cfg ~app ~nprocs:program.Workload.Program.nprocs () in
+    retransmits := !retransmits + outcome.Core.Driver.stats.Sim.Stats.retransmits;
+    let to_words addrs = List.sort_uniq compare (List.map (fun a -> (a - !base) / 8) addrs) in
+    {
+      Workload.Harness.detected = to_words (Core.Driver.racy_addrs outcome);
+      oracle = to_words (Core.Driver.oracle_addrs outcome);
+      checksum = outcome.Core.Driver.mem_checksum;
+    }
+  in
+  List.iter
+    (fun seed ->
+      for index = 0 to 199 do
+        let g = Workload.Generator.generate_seeded ~seed ~index () in
+        match
+          Workload.Harness.check ~backends:[ "lrc" ] ~runner:lossy_runner
+            ~ground_truth:g.Workload.Generator.racy g.Workload.Generator.program
+        with
+        | None -> ()
+        | Some m ->
+            Alcotest.failf "seed %d program %d: %s mismatch: %s@.%a" seed index
+              (Workload.Harness.kind_name m.Workload.Harness.kind)
+              m.Workload.Harness.detail Workload.Program.pp g.Workload.Generator.program
+      done)
+    [ 1; 2; 3 ];
+  check Alcotest.bool "the wire lost frames the transport had to resend" true
+    (!retransmits > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Harness: a deliberately planted detector bug must be caught, shrunk
@@ -313,7 +437,7 @@ let corpus_expectations =
 
 let test_corpus_replays_clean () =
   (* cwd is test/ under `dune runtest`, the repo root under `dune exec` *)
-  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  let dir = corpus_dir () in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".trace")
@@ -353,6 +477,9 @@ let suite =
       [
         Alcotest.test_case "parse basics" `Quick test_trace_parse_basic;
         Alcotest.test_case "parse errors carry line numbers" `Quick test_trace_parse_errors;
+        Alcotest.test_case "procs/words limits on the directive line" `Quick
+          test_trace_directive_limits;
+        QCheck_alcotest.to_alcotest prop_damaged_trace_parses_or_fails_cleanly;
         Alcotest.test_case "name directive forms" `Quick test_trace_name_forms;
         QCheck_alcotest.to_alcotest prop_name_roundtrips;
         Alcotest.test_case "hand-written round-trip" `Quick test_trace_roundtrip_handwritten;
@@ -367,6 +494,8 @@ let suite =
           test_generator_valid_and_labeled;
         Alcotest.test_case "detector = oracle = ground truth, all backends" `Slow
           test_generator_differential;
+        Alcotest.test_case "lossy wire (lrc): detector = oracle = ground truth" `Slow
+          test_generator_differential_lossy;
       ] );
     ( "workload:harness",
       [

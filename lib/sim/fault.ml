@@ -40,7 +40,7 @@ let active plan =
 
 let validate plan =
   let prob name p =
-    if not (p >= 0.0 && p <= 1.0) (* NaN included *) then
+    if p < 0.0 || p > 1.0 then
       invalid_arg (Printf.sprintf "Fault: %s probability %g outside [0,1]" name p)
   in
   prob "drop" plan.drop;

@@ -127,10 +127,6 @@ let test_trace_name_forms () =
   expect_error "unknown escape" ("name \"a\\qb\"\n" ^ header);
   expect_error "junk after quoted name" ("name \"q\" junk\n" ^ header)
 
-(* The round-trip property the writer must uphold for ANY name: quote
-   or escape whatever the unquoted reader would truncate or trim. The
-   alphabet concentrates on the hostile characters — hash, quote,
-   backslash, whitespace — far past their natural frequency. *)
 (* The procs/words limits are checked on the directive line itself, so a
    huge count ends in a line-numbered Parse_error before anything is
    allocated for it. *)
@@ -205,6 +201,10 @@ let prop_damaged_trace_parses_or_fails_cleanly =
       | _ -> true
       | exception Workload.Trace_file.Parse_error _ -> true)
 
+(* The round-trip property the writer must uphold for ANY name: quote
+   or escape whatever the unquoted reader would truncate or trim. The
+   alphabet concentrates on the hostile characters — hash, quote,
+   backslash, whitespace — far past their natural frequency. *)
 let prop_name_roundtrips =
   let gen_name =
     QCheck.Gen.(

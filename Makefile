@@ -24,16 +24,21 @@ test:
 #   (deterministic fields exact, wall within a loose 50% because the
 #   baseline came from other hardware; see docs/BENCH.md);
 # - fan-out is unobservable: a --jobs 4 sweep against --jobs 1 with
-#   --ignore-wall, and the 70-combo equivalence matrix regenerated at
-#   --jobs 1 and --jobs 4, each cmp'd byte-for-byte against the
-#   checked-in golden.
+#   --ignore-wall; the table, figure and extension rows at small scale
+#   (every experiment but micro and sweep, which print host timings) and
+#   the 70-combo equivalence matrix, each regenerated at --jobs 1 and
+#   --jobs 4 and cmp'd byte-for-byte against its checked-in golden. The
+#   rows drop the "(N.Ns)" section wall lines first.
+ROWS = table1 table2 table3 figure3 figure4 figure5 ablation retention protocols faults separation
+
 check:
 	dune build
 	dune runtest
 	dune exec bin/cvm_race.exe -- analyze --all
 	dune exec bin/cvm_race.exe -- analyze --all --mhp --json _build/analyze.json --expect test/analyze_expect.txt
 	cmp test/golden/analyze.json _build/analyze.json
-	sh test/cli_exit_codes.sh _build/default/bin/cvm_race.exe _build/default/bench/main.exe
+	sh test/cli_exit_codes.sh _build/default/bin/cvm_race.exe _build/default/bench/main.exe \
+	  _build/default/test/gen_equiv_golden.exe
 	dune exec bin/cvm_race.exe -- run sor --scale small -p 4 --drop 0.2 --watchdog 500
 	dune exec bin/cvm_race.exe -- run tsp -p 8 --drop 0.05 --dup 0.0125 --reorder 0.025 --transport
 	dune exec bin/cvm_race.exe -- run water --scale small -p 4 --elide
@@ -55,6 +60,12 @@ check:
 	dune exec bench/main.exe -- --small --jobs 1 --procs 4 sweep --json _build/bench_j1.json
 	dune exec bench/main.exe -- --small --jobs 4 --procs 4 sweep --json _build/bench_j4.json
 	dune exec bench/compare.exe -- _build/bench_j1.json _build/bench_j4.json --ignore-wall
+	dune exec bench/main.exe -- --small --jobs 1 $(ROWS) > _build/rows_j1.raw
+	grep -v '^([0-9.]*s)$$' _build/rows_j1.raw > _build/rows_j1.txt
+	cmp test/golden/bench_rows_small.txt _build/rows_j1.txt
+	dune exec bench/main.exe -- --small --jobs 4 $(ROWS) > _build/rows_j4.raw
+	grep -v '^([0-9.]*s)$$' _build/rows_j4.raw > _build/rows_j4.txt
+	cmp test/golden/bench_rows_small.txt _build/rows_j4.txt
 	dune exec test/gen_equiv_golden.exe -- --jobs 1 _build/perf_equiv_j1.json
 	cmp test/golden/perf_equiv.json _build/perf_equiv_j1.json
 	dune exec test/gen_equiv_golden.exe -- --jobs 4 _build/perf_equiv_j4.json

@@ -1,6 +1,7 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section, plus Bechamel micro-benchmarks for the constant-time
-   building blocks and an ablation for the section 6.5 optimization.
+(* Benchmark harness and the one frontend for batch experiments:
+   regenerates every table and figure of the paper's evaluation section,
+   the extension experiments and ablations, the machine-readable sweep,
+   and Bechamel micro-benchmarks for the constant-time building blocks.
 
      dune exec bench/main.exe            -- everything, paper scale
      dune exec bench/main.exe -- table1  -- one experiment
@@ -9,11 +10,16 @@
      dune exec bench/main.exe -- --jobs 4 sweep   -- fan runs over 4 domains
 
    Every experiment is a fan-out of independent simulation runs, so the
-   harness runs them on a Parallel.Pool ([--jobs N], default the host's
-   recommended domain count). Results are harvested in submission order
-   and all rendering happens on the main domain, so the report and the
-   JSON are identical whatever [--jobs] is; only the wall-clock and GC
-   numbers (real measurements) move.
+   harness runs them with Parallel.map ([--jobs N], from 1 to
+   Parallel.max_jobs, default the host's recommended domain count).
+   Results come back in input order and all rendering happens on the
+   main domain, so the report and the JSON are identical whatever
+   [--jobs] is; only the wall-clock and GC numbers (real measurements)
+   move.
+
+   Bad flags, unknown experiments and a --json file that cannot be
+   opened end in one line on stderr and exit 2, before any experiment
+   runs.
 
    Absolute numbers come from the simulator's calibrated cost model
    (DESIGN.md section 4); the comparison targets are the *shapes* reported
@@ -131,9 +137,9 @@ let scale = ref Apps.Registry.Paper
    separation experiment always runs all three. *)
 let backend = ref "lrc"
 
-(* Set once during flag parsing, before any pool exists; worker domains
+(* Set once during flag parsing, before any helper domain exists; helpers
    only ever read it. *)
-let jobs = ref (Parallel.Pool.default_jobs ())
+let jobs = ref (Parallel.default_jobs ())
 
 let scale_name () = Apps.Registry.scale_name !scale
 
@@ -366,8 +372,6 @@ let run_separation () =
             stats.Sim.Stats.bus_words sp.Core.Experiments.sp_races)
         results)
 
-let json_out : string option ref = ref None
-
 (* The commit of the working directory's checkout, or null outside one
    (or without git). *)
 let git_rev () =
@@ -380,7 +384,7 @@ let git_rev () =
 (* The host stamp: how many points ran at once, on how many cores,
    under which compiler, from which commit. Wall and GC fields are only
    comparable between records whose stamps agree. *)
-let write_json path =
+let write_json (path, oc) =
   let open Bench_json in
   let v =
     Obj
@@ -399,26 +403,33 @@ let write_json path =
                !section_walls) );
       ]
   in
-  to_file path v;
+  output_string oc (to_string v);
+  close_out oc;
   Format.fprintf ppf "@.wrote %s@." path
 
-let all () =
-  run_table1 ();
-  run_table2 ();
-  run_table3 ();
-  run_figure3 ();
-  run_figure4 ();
-  run_figure5 ();
-  run_ablation ();
-  run_retention ();
-  run_protocols ();
-  run_faults ();
-  run_sweep ();
-  run_separation ();
-  run_micro ()
+(* In the order [all] runs them. *)
+let experiments =
+  [
+    ("table1", run_table1);
+    ("table2", run_table2);
+    ("table3", run_table3);
+    ("figure3", run_figure3);
+    ("figure4", run_figure4);
+    ("figure5", run_figure5);
+    ("ablation", run_ablation);
+    ("retention", run_retention);
+    ("protocols", run_protocols);
+    ("faults", run_faults);
+    ("sweep", run_sweep);
+    ("separation", run_separation);
+    ("micro", run_micro);
+  ]
+
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  let json_path = ref None in
   let rec parse_flags = function
     | "--small" :: rest ->
         scale := Apps.Registry.Small;
@@ -427,16 +438,11 @@ let () =
         scale := Apps.Registry.Large;
         parse_flags rest
     | "--backend" :: name :: rest ->
-        if not (Backends.known name) then begin
-          Printf.eprintf "unknown backend %S (available: %s)\n" name
-            (String.concat ", " Backends.all);
-          exit 2
-        end;
+        if not (Backends.known name) then
+          fail "unknown backend %S (available: %s)" name (String.concat ", " Backends.all);
         backend := name;
         parse_flags rest
-    | "--backend" :: [] ->
-        prerr_endline "--backend requires a name (see --list-backends)";
-        exit 2
+    | "--backend" :: [] -> fail "--backend requires a name (see --list-backends)"
     | "--list-backends" :: _ ->
         List.iter
           (fun name ->
@@ -445,57 +451,46 @@ let () =
           Backends.all;
         exit 0
     | "--json" :: path :: rest ->
-        json_out := Some path;
+        json_path := Some path;
         parse_flags rest
-    | "--json" :: [] ->
-        prerr_endline "--json requires a file argument";
-        exit 2
+    | "--json" :: [] -> fail "--json requires a file argument"
     | "--procs" :: spec :: rest ->
         let procs = List.map int_of_string_opt (String.split_on_char ',' spec) in
-        if List.exists (function Some n -> n < 1 | None -> true) procs then begin
-          Printf.eprintf "--procs requires comma-separated positive integers, got %S\n" spec;
-          exit 2
-        end;
+        if
+          List.exists
+            (function Some n -> n < 1 || n > Workload.Program.max_procs | None -> true)
+            procs
+        then
+          fail "--procs requires comma-separated processor counts from 1 to %d, got %S"
+            Workload.Program.max_procs spec;
         sweep_procs := Some (List.filter_map Fun.id procs);
         parse_flags rest
-    | "--procs" :: [] ->
-        prerr_endline "--procs requires a comma-separated list";
-        exit 2
+    | "--procs" :: [] -> fail "--procs requires a comma-separated list"
     | "--jobs" :: n :: rest ->
         (match int_of_string_opt n with
-        | Some n when n >= 1 -> jobs := n
-        | _ ->
-            prerr_endline "--jobs requires a positive integer";
-            exit 2);
+        | Some n when n >= 1 && n <= Parallel.max_jobs -> jobs := n
+        | _ -> fail "--jobs requires an integer from 1 to %d, got %S" Parallel.max_jobs n);
         parse_flags rest
-    | "--jobs" :: [] ->
-        prerr_endline "--jobs requires a positive integer";
-        exit 2
+    | "--jobs" :: [] -> fail "--jobs requires an integer from 1 to %d" Parallel.max_jobs
     | arg :: rest -> arg :: parse_flags rest
     | [] -> []
   in
-  let args = parse_flags args in
-  let dispatch = function
-    | "table1" -> run_table1 ()
-    | "table2" -> run_table2 ()
-    | "table3" -> run_table3 ()
-    | "figure3" -> run_figure3 ()
-    | "figure4" -> run_figure4 ()
-    | "figure5" -> run_figure5 ()
-    | "ablation" -> run_ablation ()
-    | "protocols" -> run_protocols ()
-    | "retention" -> run_retention ()
-    | "faults" -> run_faults ()
-    | "micro" -> run_micro ()
-    | "sweep" -> run_sweep ()
-    | "separation" -> run_separation ()
-    | "all" -> all ()
-    | other ->
-        Printf.eprintf
-          "unknown experiment %S (expected \
-           table1|table2|table3|figure3|figure4|figure5|ablation|retention|protocols|faults|micro|sweep|separation|all)\n"
-          other;
-        exit 2
+  let names = match parse_flags args with [] -> [ "all" ] | names -> names in
+  let runners =
+    List.concat_map
+      (fun name ->
+        match List.assoc_opt name experiments with
+        | Some run -> [ run ]
+        | None when name = "all" -> List.map snd experiments
+        | None ->
+            fail "unknown experiment %S (expected %s|all)" name
+              (String.concat "|" (List.map fst experiments)))
+      names
   in
-  (match args with [] -> all () | args -> List.iter dispatch args);
-  match !json_out with Some path -> write_json path | None -> ()
+  let json =
+    Option.map
+      (fun path -> try (path, open_out path) with Sys_error msg -> fail "%s" msg)
+      !json_path
+  in
+  List.iter (fun run -> run ()) runners;
+  Option.iter write_json json

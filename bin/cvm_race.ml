@@ -13,9 +13,6 @@
              reconstructs the outcome from the log without re-executing
      trace   inspect a binary log: summary, per-tag statistics, or a
              Chrome trace-event JSON export
-     table   regenerate one of the paper's tables/figures (see bench/ for
-             the full harness)
-     sweep   apps x processor-counts overhead sweep over --jobs domains
      analyze run only the static elimination pass: classification,
              redundant-check batching and lockset lint per application
      litmus  explore memory-model litmus tests under a protocol
@@ -25,6 +22,9 @@
 
    `run --trace-file FILE` executes an external per-proc access/sync
    stream (docs/FUZZING.md has the grammar) instead of a named app.
+
+   The paper's tables and figures, and every other batch experiment,
+   come from bench/main.exe.
 *)
 
 open Cmdliner
@@ -43,11 +43,11 @@ let app_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
-let positive_int =
+let int_from lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer of at least %d, got %S" lo s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
@@ -185,7 +185,7 @@ let gc_epochs_arg =
      and reclaim unreachable diffs. Bounds diff storage on long runs; races and the \
      final memory image are unaffected."
   in
-  Arg.(value & opt (some int) None & info [ "gc-epochs" ] ~docv:"K" ~doc)
+  Arg.(value & opt (some (int_from 1)) None & info [ "gc-epochs" ] ~docv:"K" ~doc)
 
 let slowdown_arg =
   let doc = "Also run the uninstrumented baseline and report the slowdown." in
@@ -234,20 +234,11 @@ let watchdog_arg =
 
 let max_retries_arg =
   let doc = "Transport retry cap per frame before a link is declared failed." in
-  Arg.(value & opt (some int) None & info [ "max-retries" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some (int_from 0)) None & info [ "max-retries" ] ~docv:"N" ~doc)
 
 let transport_arg =
   let doc = "Run the reliable transport even over a fault-free wire." in
   Arg.(value & flag & info [ "transport" ] ~doc)
-
-let jobs_arg =
-  let doc =
-    "Number of independent simulation runs to execute in parallel (worker domains). \
-     Output is identical whatever $(docv) is; only wall-clock changes."
-  in
-  Arg.(value
-      & opt positive_int (Parallel.Pool.default_jobs ())
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let elide_arg =
   let doc =
@@ -623,78 +614,6 @@ let trace_command =
           ($(b,--chrome)).")
     term
 
-let table_command =
-  let experiments =
-    [
-      ("table1", `Table1);
-      ("table2", `Table2);
-      ("table3", `Table3);
-      ("figure3", `Figure3);
-      ("figure4", `Figure4);
-      ("figure5", `Figure5);
-      ("protocols", `Protocols);
-      ("faults", `Faults);
-    ]
-  in
-  let which_arg =
-    let doc = "Which experiment: " ^ Arg.doc_alts_enum ~quoted:false experiments ^ "." in
-    Arg.(required & pos 0 (some (enum experiments)) None & info [] ~docv:"EXPERIMENT" ~doc)
-  in
-  let table which scale backend jobs =
-    (* figure5, protocols and faults are DSM-mechanism experiments
-       (LRC-internal protocol variants, wire faults); --backend does not
-       apply to them *)
-    (match which with
-    | (`Figure5 | `Protocols | `Faults) when backend <> "lrc" ->
-        let name = fst (List.find (fun (_, w) -> w = which) experiments) in
-        Format.fprintf ppf "note: %s is DSM-specific; --backend %s ignored@." name backend
-    | _ -> ());
-    match which with
-    | `Table1 ->
-        Core.Report.table1 ppf (Core.Experiments.table1 ~scale ~backend ~jobs ())
-    | `Table2 -> Core.Report.table2 ppf (Core.Experiments.table2 ~scale ~jobs ())
-    | `Table3 ->
-        Core.Report.table3 ppf (Core.Experiments.table3 ~scale ~backend ~jobs ())
-    | `Figure3 ->
-        Core.Report.figure3 ppf (Core.Experiments.figure3 ~scale ~backend ~jobs ())
-    | `Figure4 ->
-        Core.Report.figure4 ppf (Core.Experiments.figure4 ~scale ~backend ~jobs ())
-    | `Figure5 -> Core.Report.figure5 ppf (Core.Experiments.figure5_both ~jobs ())
-    | `Protocols ->
-        Core.Report.protocols ppf
-          (Core.Experiments.protocol_comparison_all ~scale ~jobs ())
-    | `Faults -> Core.Report.faults ppf (Core.Experiments.fault_sweep_all ~scale ~jobs ())
-  in
-  let term =
-    Term.(const table $ which_arg $ scale_arg $ backend_arg $ jobs_arg)
-  in
-  Cmd.v (Cmd.info "table" ~doc:"Regenerate one of the paper's tables or figures.") term
-
-let sweep_command =
-  let apps_arg =
-    let doc = "Applications to sweep (default: the paper's four)." in
-    Arg.(value & pos_all app_conv [] & info [] ~docv:"APP" ~doc)
-  in
-  let procs_list_arg =
-    let doc = "Comma-separated processor counts." in
-    Arg.(value & opt (list procs_conv) [ 2; 4; 8 ] & info [ "p"; "procs" ] ~docv:"N,N,..." ~doc)
-  in
-  let sweep apps procs scale backend jobs =
-    let names = match apps with [] -> Apps.Registry.all_names | names -> names in
-    Core.Report.figure4 ppf
-      (Core.Experiments.figure4 ~scale ~procs ~names ~backend ~jobs ())
-  in
-  let term =
-    Term.(const sweep $ apps_arg $ procs_list_arg $ scale_arg $ backend_arg $ jobs_arg)
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Sweep applications across processor counts (instrumented vs baseline, with \
-          overheads), fanning the independent runs over $(b,--jobs) domains. The full \
-          timed harness with JSON output lives in bench/main.exe.")
-    term
-
 (* --- analyze: static pass, MHP pair report, JSON and baseline modes --- *)
 
 let json_of_warning (w : Instrument.Static_analysis.warning) =
@@ -886,6 +805,12 @@ let analyze_command =
         "note: lint findings are static suspicions; `cvm_race run` confirms them dynamically@.";
     if drifted then exit 1
   in
+  let analyze app_name all scale mhp json expect =
+    try analyze app_name all scale mhp json expect
+    with Sys_error msg ->
+      Format.eprintf "%s@." msg;
+      exit 2
+  in
   let term =
     Term.(const analyze $ app_opt_arg $ all_arg $ scale_arg $ mhp_arg $ json_arg
         $ expect_arg)
@@ -932,7 +857,7 @@ let fuzz_command =
   in
   let count_arg =
     let doc = "Number of programs to generate and check." in
-    Arg.(value & opt int 50 & info [ "count" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_from 0) 50 & info [ "count" ] ~docv:"N" ~doc)
   in
   let no_shrink_arg =
     let doc = "Report mismatches as generated, without minimizing them." in
@@ -1017,6 +942,12 @@ let fuzz_command =
     | None -> ());
     if report.Workload.Harness.mismatches <> [] then exit 1
   in
+  let fuzz seed count no_shrink repro_dir json backends =
+    try fuzz seed count no_shrink repro_dir json backends
+    with Sys_error msg ->
+      Format.eprintf "%s@." msg;
+      exit 2
+  in
   let term =
     Term.(const fuzz $ seed_arg $ count_arg $ no_shrink_arg $ repro_dir_arg $ json_arg
         $ backends_arg)
@@ -1055,8 +986,6 @@ let () =
             record_command;
             replay_command;
             trace_command;
-            table_command;
-            sweep_command;
             analyze_command;
             litmus_command;
             fuzz_command;

@@ -1,19 +1,15 @@
 (* Regeneration of every table and figure in the paper's evaluation.
-   Each experiment returns structured rows; {!Report} renders them. The
-   benchmark harness and the CLI both drive these functions.
+   Each experiment returns structured rows; {!Report} renders them, and
+   bench/main.exe is the frontend that drives both.
 
-   Every sweep-shaped experiment takes [?jobs] and fans its independent
-   simulation runs out over a {!Parallel.Pool}. Each task builds its own
-   app, cluster and RNGs, so runs share only read-only state (see
-   docs/PARALLEL.md); results come back in input order, making the rows
-   identical whatever [jobs] is. The default is 1 — sequential, on the
-   calling domain — so library callers see no change unless they opt in. *)
+   Every experiment takes [?jobs] and fans its independent simulation
+   runs out with {!Parallel.map}. Each task builds its own app, cluster
+   and RNGs, so runs share only read-only state (see docs/PARALLEL.md);
+   results come back in input order, making the rows identical whatever
+   [jobs] is. The default is 1: sequential, on the calling domain. *)
 
+(* the paper's system size *)
 let default_procs = 8
-
-let pmap ?(jobs = 1) f xs =
-  if jobs <= 1 then List.map f xs
-  else Parallel.Pool.with_pool ~jobs (fun pool -> Parallel.Pool.map_exn pool f xs)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: application characteristics                                 *)
@@ -27,16 +23,8 @@ type table1_row = {
   t1_slowdown : float;  (* 8-processor instrumented / base *)
 }
 
-let paper_table1 =
-  [
-    ("FFT", 2.0, 2.08);
-    ("SOR", 2.0, 1.83);
-    ("TSP", 177.0, 2.51);
-    ("Water", 46.0, 2.31);
-  ]
-
-let table1_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) ?(backend = "lrc")
-    name =
+let table1_row ~scale ~backend name =
+  let nprocs = default_procs in
   let app = Apps.Registry.make ~scale name in
   let cfg = { Coherence.Config.default with Coherence.Config.backend } in
   let sd = Driver.measure_slowdown ~cfg ~app ~nprocs () in
@@ -53,8 +41,8 @@ let table1_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) ?(backen
     t1_slowdown = sd.Driver.factor;
   }
 
-let table1 ?scale ?nprocs ?backend ?jobs () =
-  pmap ?jobs (table1_row ?scale ?nprocs ?backend) Apps.Registry.all_names
+let table1 ?(scale = Apps.Registry.Paper) ?(backend = "lrc") ?(jobs = 1) () =
+  Parallel.map ~jobs (table1_row ~scale ~backend) Apps.Registry.all_names
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: static instrumentation statistics                          *)
@@ -64,14 +52,15 @@ type table2_row = {
   t2_class : Instrument.Static_analysis.classification;
 }
 
-let table2_row ?(scale = Apps.Registry.Paper) name =
+let table2_row ~scale name =
   let app = Apps.Registry.make ~scale name in
   {
     t2_name = app.Apps.App.name;
     t2_class = Instrument.Static_analysis.classify (app.Apps.App.binary ());
   }
 
-let table2 ?scale ?jobs () = pmap ?jobs (table2_row ?scale) Apps.Registry.all_names
+let table2 ?(scale = Apps.Registry.Paper) ?(jobs = 1) () =
+  Parallel.map ~jobs (table2_row ~scale) Apps.Registry.all_names
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: dynamic metrics                                            *)
@@ -85,7 +74,10 @@ type table3_row = {
   t3_private_per_sec : float;
 }
 
-let table3_of_outcome (outcome : Driver.outcome) =
+let table3_row ~scale ~backend name =
+  let app = Apps.Registry.make ~scale name in
+  let cfg = { Coherence.Config.default with Coherence.Config.backend } in
+  let outcome = Driver.run ~cfg ~app ~nprocs:default_procs () in
   let stats = outcome.Driver.stats in
   let seconds = float_of_int outcome.Driver.sim_time_ns /. 1e9 in
   let pct num den = if den <= 0 then 0.0 else 100.0 *. float_of_int num /. float_of_int den in
@@ -103,14 +95,8 @@ let table3_of_outcome (outcome : Driver.outcome) =
     t3_private_per_sec = float_of_int stats.Sim.Stats.private_accesses /. seconds;
   }
 
-let table3_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) ?(backend = "lrc")
-    name =
-  let app = Apps.Registry.make ~scale name in
-  let cfg = { Coherence.Config.default with Coherence.Config.backend } in
-  table3_of_outcome (Driver.run ~cfg ~app ~nprocs ())
-
-let table3 ?scale ?nprocs ?backend ?jobs () =
-  pmap ?jobs (table3_row ?scale ?nprocs ?backend) Apps.Registry.all_names
+let table3 ?(scale = Apps.Registry.Paper) ?(backend = "lrc") ?(jobs = 1) () =
+  Parallel.map ~jobs (table3_row ~scale ~backend) Apps.Registry.all_names
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: overhead breakdown per application                        *)
@@ -121,57 +107,47 @@ type figure3_row = {
   f3_overheads : (Sim.Stats.overhead_category * float) list;  (* % of base *)
 }
 
-let figure3_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) ?(backend = "lrc")
-    name =
+let figure3_row ~scale ~backend name =
   let app = Apps.Registry.make ~scale name in
   let cfg = { Coherence.Config.default with Coherence.Config.backend } in
-  let sd = Driver.measure_slowdown ~cfg ~app ~nprocs () in
+  let sd = Driver.measure_slowdown ~cfg ~app ~nprocs:default_procs () in
   {
     f3_name = app.Apps.App.name;
     f3_slowdown = sd.Driver.factor;
     f3_overheads = Driver.overhead_percentages sd;
   }
 
-let figure3 ?scale ?nprocs ?backend ?jobs () =
-  pmap ?jobs (figure3_row ?scale ?nprocs ?backend) Apps.Registry.all_names
+let figure3 ?(scale = Apps.Registry.Paper) ?(backend = "lrc") ?(jobs = 1) () =
+  Parallel.map ~jobs (figure3_row ~scale ~backend) Apps.Registry.all_names
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: slowdown versus number of processors                      *)
 
 type figure4_row = { f4_name : string; f4_points : (int * float) list }
 
-let figure4_row ?(scale = Apps.Registry.Paper) ?(procs = [ 2; 4; 8 ]) ?(backend = "lrc") name =
-  let app = Apps.Registry.make ~scale name in
-  let cfg = { Coherence.Config.default with Coherence.Config.backend } in
-  {
-    f4_name = app.Apps.App.name;
-    f4_points =
-      List.map
-        (fun nprocs ->
-          let sd = Driver.measure_slowdown ~cfg ~app ~nprocs () in
-          (nprocs, sd.Driver.factor))
-        procs;
-  }
-
 (* Parallelism is per (app, nprocs) point, not per app: the slowest app
-   no longer serializes its whole curve. Each point is a one-processor-
-   count row; the points are regrouped per app in input order. *)
-let figure4 ?scale ?(procs = [ 2; 4; 8 ]) ?(names = Apps.Registry.all_names) ?backend ?jobs () =
+   does not serialize its whole curve. The points are regrouped per app
+   in input order. *)
+let figure4 ?(scale = Apps.Registry.Paper) ?(procs = [ 2; 4; 8 ])
+    ?(names = Apps.Registry.all_names) ?(backend = "lrc") ?(jobs = 1) () =
   let points =
     List.concat_map (fun name -> List.map (fun nprocs -> (name, nprocs)) procs) names
   in
-  let rows =
-    pmap ?jobs
+  let results =
+    Parallel.map ~jobs
       (fun (name, nprocs) ->
-        (name, figure4_row ?scale ~procs:[ nprocs ] ?backend name))
+        let app = Apps.Registry.make ~scale name in
+        let cfg = { Coherence.Config.default with Coherence.Config.backend } in
+        let sd = Driver.measure_slowdown ~cfg ~app ~nprocs () in
+        (name, app.Apps.App.name, (nprocs, sd.Driver.factor)))
       points
   in
   List.map
     (fun name ->
-      let mine = List.filter_map (fun (n, row) -> if n = name then Some row else None) rows in
+      let mine = List.filter (fun (n, _, _) -> n = name) results in
       {
-        f4_name = (match mine with row :: _ -> row.f4_name | [] -> name);
-        f4_points = List.concat_map (fun row -> row.f4_points) mine;
+        f4_name = (match mine with (_, app_name, _) :: _ -> app_name | [] -> name);
+        f4_points = List.map (fun (_, _, point) -> point) mine;
       })
     names
 
@@ -252,8 +228,8 @@ let figure5 ~protocol () =
     f5_racy_words = racy;
   }
 
-let figure5_both ?jobs () =
-  pmap ?jobs
+let figure5_both ?(jobs = 1) () =
+  Parallel.map ~jobs
     (fun protocol -> figure5 ~protocol ())
     [ Coherence.Config.Single_writer; Coherence.Config.Seq_consistent ]
 
@@ -268,7 +244,8 @@ type ablation_row = {
   ab_diff_races : int;
 }
 
-let stores_from_diffs_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) name =
+let stores_from_diffs_ablation ~scale name =
+  let nprocs = default_procs in
   let app = Apps.Registry.make ~scale name in
   let cfg =
     { Coherence.Config.default with Coherence.Config.protocol = Coherence.Config.Multi_writer }
@@ -284,8 +261,8 @@ let stores_from_diffs_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default
     ab_diff_races = List.length diff.Driver.instrumented.Driver.races;
   }
 
-let stores_from_diffs_ablation_all ?scale ?nprocs ?jobs names =
-  pmap ?jobs (stores_from_diffs_ablation ?scale ?nprocs) names
+let stores_from_diffs_ablation_all ?(scale = Apps.Registry.Paper) ?(jobs = 1) names =
+  Parallel.map ~jobs (stores_from_diffs_ablation ~scale) names
 
 (* ------------------------------------------------------------------ *)
 (* Protocol comparison: the same applications over the single-writer,
@@ -301,13 +278,10 @@ type protocol_row = {
   pr_diffs : int;
 }
 
-let compared_protocols =
-  [ Coherence.Config.Single_writer; Coherence.Config.Multi_writer; Coherence.Config.Home_based ]
-
-let protocol_row ~scale ~nprocs name protocol =
+let protocol_row ~scale name protocol =
   let app = Apps.Registry.make ~scale name in
   let cfg = { Coherence.Config.default with Coherence.Config.protocol; detect = false } in
-  let outcome = Driver.run ~cfg ~app ~nprocs () in
+  let outcome = Driver.run ~cfg ~app ~nprocs:default_procs () in
   let stats = outcome.Driver.stats in
   {
     pr_app = app.Apps.App.name;
@@ -319,17 +293,16 @@ let protocol_row ~scale ~nprocs name protocol =
     pr_diffs = stats.Sim.Stats.diffs_created;
   }
 
-let protocol_comparison ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) name =
-  List.map (protocol_row ~scale ~nprocs name) compared_protocols
-
-let protocol_comparison_all ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?(names = Apps.Registry.all_names) ?jobs () =
-  let tasks =
-    List.concat_map (fun name -> List.map (fun p -> (name, p)) compared_protocols) names
+let protocol_comparison_all ?(scale = Apps.Registry.Paper) ?(jobs = 1) () =
+  let protocols =
+    [ Coherence.Config.Single_writer; Coherence.Config.Multi_writer; Coherence.Config.Home_based ]
   in
-  pmap ?jobs
-    (fun (name, protocol) -> protocol_row ~scale ~nprocs name protocol)
-    tasks
+  let tasks =
+    List.concat_map
+      (fun name -> List.map (fun p -> (name, p)) protocols)
+      Apps.Registry.all_names
+  in
+  Parallel.map ~jobs (fun (name, protocol) -> protocol_row ~scale name protocol) tasks
 
 (* ------------------------------------------------------------------ *)
 (* Robustness: race-report stability over a lossy wire                  *)
@@ -354,8 +327,7 @@ type fault_row = {
    applications; retransmission delays can reorder lock grants, so for
    lock-based applications last-writer-dependent words may differ — the
    rows report the comparison rather than asserting it. *)
-let fault_sweep ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?(drops = [ 0.0; 0.05; 0.2 ]) name =
+let fault_sweep ~scale ~nprocs ~drops name =
   let app = Apps.Registry.make ~scale name in
   let baseline = Driver.run ~app ~nprocs () in
   let base_addrs = Driver.racy_addrs baseline in
@@ -393,8 +365,10 @@ let fault_sweep ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
 
 (* One task per app: each task's reliable baseline is reused by its own
    drop points, so the unit of independence is the whole per-app sweep. *)
-let fault_sweep_all ?scale ?nprocs ?drops ?jobs () =
-  List.concat (pmap ?jobs (fault_sweep ?scale ?nprocs ?drops) Apps.Registry.all_names)
+let fault_sweep_all ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
+    ?(drops = [ 0.0; 0.05; 0.2 ]) ?(jobs = 1) () =
+  List.concat
+    (Parallel.map ~jobs (fault_sweep ~scale ~nprocs ~drops) Apps.Registry.all_names)
 
 (* ------------------------------------------------------------------ *)
 (* Section 6.1 ablation: single-run site retention vs plain detection   *)
@@ -407,7 +381,8 @@ type retention_row = {
   rt_site_kbytes : int;  (* approximate storage the paper calls prohibitive *)
 }
 
-let site_retention_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) name =
+let site_retention_ablation ~scale name =
+  let nprocs = default_procs in
   let app = Apps.Registry.make ~scale name in
   let plain = Driver.measure_slowdown ~app ~nprocs () in
   let cfg = { Coherence.Config.default with Coherence.Config.retain_sites = true } in
@@ -421,15 +396,15 @@ let site_retention_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_pr
     rt_site_kbytes = entries * 32 / 1024;
   }
 
-let site_retention_ablation_all ?scale ?nprocs ?jobs names =
-  pmap ?jobs (site_retention_ablation ?scale ?nprocs) names
+let site_retention_ablation_all ?(scale = Apps.Registry.Paper) ?(jobs = 1) names =
+  Parallel.map ~jobs (site_retention_ablation ~scale) names
 
 (* ------------------------------------------------------------------ *)
 (* The benchmark harness's machine-readable sweep point: one simulated
    run per (app, nprocs, detect, elide) tuple, timed and bracketed by GC
    counters so allocation pressure is part of the record. Words come
    from [Gc.counters], which counts only the calling domain, so a point
-   measured beside concurrent pool tasks is billed for its own
+   measured beside concurrent tasks is billed for its own
    allocation alone. Collection counts come from [Gc.quick_stat] and are
    program-wide: in OCaml 5 every collection stops all domains. [clock]
    defaults to wall time; the bench harness passes its monotonic
@@ -455,8 +430,7 @@ type sweep_point = {
   sp_major_collections : int;
 }
 
-let sweep_point ?(clock = Unix.gettimeofday) ?(backend = "lrc") ~scale ~nprocs ~detect ~elide
-    name =
+let sweep_point ~clock ~scale (name, nprocs, detect, elide, backend) =
   let app = Apps.Registry.make ~scale name in
   let cfg =
     {
@@ -496,8 +470,5 @@ let sweep_point ?(clock = Unix.gettimeofday) ?(backend = "lrc") ~scale ~nprocs ~
     sp_major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
   }
 
-let sweep_points ?clock ?jobs ~scale points =
-  pmap ?jobs
-    (fun (name, nprocs, detect, elide, backend) ->
-      sweep_point ?clock ~backend ~scale ~nprocs ~detect ~elide name)
-    points
+let sweep_points ?(clock = Unix.gettimeofday) ?(jobs = 1) ~scale points =
+  Parallel.map ~jobs (sweep_point ~clock ~scale) points

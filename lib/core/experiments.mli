@@ -1,14 +1,14 @@
 (** Regeneration of every table and figure in the paper's evaluation,
-    plus this library's extension experiments. Each function returns
-    structured rows; {!Report} renders them.
+    plus this library's extension experiments: one entry point per
+    experiment, each returning structured rows for {!Report} to render.
+    bench/main.exe is the frontend.
 
-    Sweep-shaped experiments take [?jobs] (default 1 = sequential) and
-    fan their independent simulation runs out over a {!Parallel.Pool};
-    rows come back in the same order whatever [jobs] is, so parallel
-    output is identical to sequential output. *)
-
-val default_procs : int
-(** 8, the paper's system size. *)
+    Application runs use 8 processors, the paper's system size, unless
+    the entry point takes a count. Every entry point but {!figure5}
+    takes [?jobs] (default 1 = sequential) and fans its independent
+    simulation runs out with {!Parallel.map}; rows come back in the same
+    order whatever [jobs] is, so parallel output is identical to
+    sequential output. *)
 
 (** {1 Table 1 — application characteristics} *)
 
@@ -21,23 +21,8 @@ type table1_row = {
   t1_slowdown : float;
 }
 
-val paper_table1 : (string * float * float) list
-(** (app, intervals/barrier, slowdown) as published. *)
-
-val table1_row :
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?backend:string ->
-  string ->
-  table1_row
-
 val table1 :
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?backend:string ->
-  ?jobs:int ->
-  unit ->
-  table1_row list
+  ?scale:Apps.Registry.scale -> ?backend:string -> ?jobs:int -> unit -> table1_row list
 
 (** {1 Table 2 — static instrumentation statistics} *)
 
@@ -46,7 +31,6 @@ type table2_row = {
   t2_class : Instrument.Static_analysis.classification;
 }
 
-val table2_row : ?scale:Apps.Registry.scale -> string -> table2_row
 val table2 : ?scale:Apps.Registry.scale -> ?jobs:int -> unit -> table2_row list
 
 (** {1 Table 3 — dynamic metrics} *)
@@ -60,21 +44,8 @@ type table3_row = {
   t3_private_per_sec : float;
 }
 
-val table3_of_outcome : Driver.outcome -> table3_row
-val table3_row :
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?backend:string ->
-  string ->
-  table3_row
-
 val table3 :
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?backend:string ->
-  ?jobs:int ->
-  unit ->
-  table3_row list
+  ?scale:Apps.Registry.scale -> ?backend:string -> ?jobs:int -> unit -> table3_row list
 
 (** {1 Figure 3 — overhead breakdown} *)
 
@@ -84,31 +55,12 @@ type figure3_row = {
   f3_overheads : (Sim.Stats.overhead_category * float) list;
 }
 
-val figure3_row :
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?backend:string ->
-  string ->
-  figure3_row
-
 val figure3 :
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?backend:string ->
-  ?jobs:int ->
-  unit ->
-  figure3_row list
+  ?scale:Apps.Registry.scale -> ?backend:string -> ?jobs:int -> unit -> figure3_row list
 
 (** {1 Figure 4 — slowdown versus processors} *)
 
 type figure4_row = { f4_name : string; f4_points : (int * float) list }
-
-val figure4_row :
-  ?scale:Apps.Registry.scale ->
-  ?procs:int list ->
-  ?backend:string ->
-  string ->
-  figure4_row
 
 val figure4 :
   ?scale:Apps.Registry.scale ->
@@ -118,7 +70,8 @@ val figure4 :
   ?jobs:int ->
   unit ->
   figure4_row list
-(** Parallelism is per (app, nprocs) point. *)
+(** Slowdown at each of [procs] (default 2, 4, 8) for each of [names]
+    (default the paper's four apps); one task per (app, nprocs) point. *)
 
 (** {1 Figure 5 — weak-memory-only races} *)
 
@@ -144,17 +97,10 @@ type ablation_row = {
   ab_diff_races : int;
 }
 
-val stores_from_diffs_ablation :
-  ?scale:Apps.Registry.scale -> ?nprocs:int -> string -> ablation_row
-(** Section 6.5: write bitmaps from multi-writer diffs vs full store
-    instrumentation. *)
-
 val stores_from_diffs_ablation_all :
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?jobs:int ->
-  string list ->
-  ablation_row list
+  ?scale:Apps.Registry.scale -> ?jobs:int -> string list -> ablation_row list
+(** Section 6.5, per named app: write bitmaps from multi-writer diffs vs
+    full store instrumentation. *)
 
 type protocol_row = {
   pr_app : string;
@@ -166,31 +112,11 @@ type protocol_row = {
   pr_diffs : int;
 }
 
-val compared_protocols : Coherence.Config.protocol list
-(** Single-writer, multi-writer, home-based. *)
-
-val protocol_row :
-  scale:Apps.Registry.scale ->
-  nprocs:int ->
-  string ->
-  Coherence.Config.protocol ->
-  protocol_row
-(** One (app, protocol) baseline run. *)
-
-val protocol_comparison :
-  ?scale:Apps.Registry.scale -> ?nprocs:int -> string -> protocol_row list
-(** Baseline (no-detection) runs over single-writer, multi-writer and
-    home-based coherence. *)
-
 val protocol_comparison_all :
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?names:string list ->
-  ?jobs:int ->
-  unit ->
-  protocol_row list
-(** {!protocol_comparison} over [names] (default the paper's four apps),
-    one pool task per (app, protocol) pair. *)
+  ?scale:Apps.Registry.scale -> ?jobs:int -> unit -> protocol_row list
+(** Baseline (no-detection) runs of the paper's four apps over
+    single-writer, multi-writer and home-based coherence, one task per
+    (app, protocol) pair. *)
 
 type fault_row = {
   fs_app : string;
@@ -204,17 +130,6 @@ type fault_row = {
   fs_time_ms : float;
 }
 
-val fault_sweep :
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?drops:float list ->
-  string ->
-  fault_row list
-(** One application over the reliable wire, then over {!Sim.Transport}
-    with each wire-loss rate in [drops] (default 0%, 5%, 20%; duplication
-    and reorder scale with the drop rate). Rows compare racy-address sets
-    and final memory checksums against the reliable baseline. *)
-
 val fault_sweep_all :
   ?scale:Apps.Registry.scale ->
   ?nprocs:int ->
@@ -222,6 +137,11 @@ val fault_sweep_all :
   ?jobs:int ->
   unit ->
   fault_row list
+(** Each of the paper's four apps over the reliable wire, then over
+    {!Sim.Transport} with each wire-loss rate in [drops] (default 0%, 5%,
+    20%; duplication and reorder scale with the drop rate). Rows compare
+    racy-address sets and final memory checksums against the reliable
+    baseline. One task per app. *)
 
 type retention_row = {
   rt_app : string;
@@ -231,16 +151,10 @@ type retention_row = {
   rt_site_kbytes : int;
 }
 
-val site_retention_ablation :
-  ?scale:Apps.Registry.scale -> ?nprocs:int -> string -> retention_row
-(** Section 6.1: the cost of single-run program-counter retention. *)
-
 val site_retention_ablation_all :
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?jobs:int ->
-  string list ->
-  retention_row list
+  ?scale:Apps.Registry.scale -> ?jobs:int -> string list -> retention_row list
+(** Section 6.1, per named app: the cost of single-run program-counter
+    retention. *)
 
 (** {1 Benchmark sweep points} *)
 
@@ -264,27 +178,17 @@ type sweep_point = {
   sp_major_collections : int;
 }
 
-val sweep_point :
-  ?clock:(unit -> float) ->
-  ?backend:string ->
-  scale:Apps.Registry.scale ->
-  nprocs:int ->
-  detect:bool ->
-  elide:bool ->
-  string ->
-  sweep_point
-(** One benchmark sweep measurement: a full simulated run after a
-    [Gc.full_major], timed with [clock] (default wall time; the bench
-    harness passes its monotonic clock). The word counts are deltas of
-    [Gc.counters], which counts only the calling domain, so they stay
-    the point's own when it runs beside other pool tasks. The collection
-    counts are deltas of [Gc.quick_stat] and are program-wide. *)
-
 val sweep_points :
   ?clock:(unit -> float) ->
   ?jobs:int ->
   scale:Apps.Registry.scale ->
   (string * int * bool * bool * string) list ->
   sweep_point list
-(** {!sweep_point} over [(app, nprocs, detect, elide, backend)] tuples,
-    one pool task per point, in input order. *)
+(** One benchmark sweep measurement per [(app, nprocs, detect, elide,
+    backend)] tuple, one task per point, in input order: a full
+    simulated run after a [Gc.full_major], timed with [clock] (default
+    wall time; the bench harness passes its monotonic clock). The word
+    counts are deltas of [Gc.counters], which counts only the domain
+    running the point, so they stay the point's own when it runs beside
+    other tasks. The collection counts are deltas of [Gc.quick_stat]
+    and are program-wide. *)

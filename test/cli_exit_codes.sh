@@ -2,24 +2,27 @@
 # Bad command-line input and hostile files must end in a one-line
 # diagnostic and a documented exit code (README, "Exit codes"): 124 from
 # cvm_race's argument converters, whose diagnostic Cmdliner follows with
-# a usage line; 2 from bench/main.exe's flag parser and for a malformed
-# --trace-file; 3 for a truncated, bit-flipped or forged trace log, or
-# one recorded on the removed sharded --sim-jobs engine.
+# a usage line; 2 from the bench/main.exe and gen_equiv_golden flag
+# parsers, for a file that cannot be read or written, and for a
+# malformed --trace-file; 3 for a truncated, bit-flipped or forged trace
+# log, or one recorded on the removed sharded --sim-jobs engine.
 #
-#   sh test/cli_exit_codes.sh CVM_RACE_EXE BENCH_EXE
+#   sh test/cli_exit_codes.sh CVM_RACE_EXE BENCH_EXE GEN_EQUIV_GOLDEN_EXE
 
 set -u
 cvm=$1
 bench=$2
+gen=$3
+out=$(mktemp)
 err=$(mktemp)
 tmp=$(mktemp -d)
-trap 'rm -f "$err"; rm -rf "$tmp"' EXIT
+trap 'rm -f "$out" "$err"; rm -rf "$tmp"' EXIT
 status=0
 
 check() {
   want=$1
   shift
-  "$@" >/dev/null 2>"$err"
+  "$@" >"$out" 2>"$err"
   got=$?
   if [ "$want" -eq 124 ]; then
     # one diagnostic line, then Cmdliner's "Usage:" line
@@ -39,27 +42,6 @@ check() {
   fi
 }
 
-check 124 "$cvm" table bogus
-check 124 "$cvm" run nosuchapp
-check 124 "$cvm" run sor --scale small -p 0
-check 124 "$cvm" table table2 --scale small --jobs 0
-check 124 "$cvm" run sor --scale small --sim-jobs 0
-check 124 "$cvm" sweep --scale small -p 2,x
-check 124 "$cvm" sweep --scale small -p 2,4611686018427387903
-for cmd in run record; do
-  check 124 "$cvm" $cmd sor --scale small -p 4611686018427387903
-  check 124 "$cvm" $cmd sor --scale small --drop 1.5
-  check 124 "$cvm" $cmd sor --scale small --drop nan
-  check 124 "$cvm" $cmd sor --scale small --dup 2
-  check 124 "$cvm" $cmd sor --scale small --reorder -0.5
-  check 124 "$cvm" $cmd sor --scale small --watchdog 0
-  check 124 "$cvm" $cmd sor --scale small --partition 0,1,100,0
-done
-check 2 "$cvm" replay /nonexistent/run.cvmt
-check 2 "$bench" --procs 4,x sweep
-check 2 "$bench" --jobs 0 sweep
-check 2 "$bench" bogus
-
 # the last check's diagnostic must contain $1
 says() {
   if ! grep -qF -- "$1" "$err"; then
@@ -68,6 +50,59 @@ says() {
     status=1
   fi
 }
+
+# the last check printed nothing on stdout: it failed before any work
+silent() {
+  if [ -s "$out" ]; then
+    echo "FAIL wrote to stdout before failing:"
+    head -3 "$out"
+    status=1
+  fi
+}
+
+check 124 "$cvm" table table1
+says "unknown command 'table'"
+check 124 "$cvm" run nosuchapp
+check 124 "$cvm" run sor --scale small -p 0
+check 124 "$cvm" run sor --scale small --sim-jobs 0
+for cmd in run record; do
+  check 124 "$cvm" $cmd sor --scale small -p 4611686018427387903
+  check 124 "$cvm" $cmd sor --scale small --drop 1.5
+  check 124 "$cvm" $cmd sor --scale small --drop nan
+  check 124 "$cvm" $cmd sor --scale small --dup 2
+  check 124 "$cvm" $cmd sor --scale small --reorder -0.5
+  check 124 "$cvm" $cmd sor --scale small --watchdog 0
+  check 124 "$cvm" $cmd sor --scale small --partition 0,1,100,0
+  check 124 "$cvm" $cmd sor --scale small --gc-epochs=0
+  check 124 "$cvm" $cmd sor --scale small --gc-epochs=-1
+  check 124 "$cvm" $cmd sor --scale small --max-retries=-1 --drop 0.1
+done
+check 124 "$cvm" fuzz --count=-1
+check 2 "$cvm" replay /nonexistent/run.cvmt
+check 2 "$cvm" analyze --json /nonexistent/analyze.json
+check 2 "$cvm" analyze --expect /nonexistent/expect.txt
+check 2 "$cvm" fuzz --count 1 --json /nonexistent/fuzz.json
+check 2 "$bench" --procs 4,x sweep
+check 2 "$bench" --procs 300 sweep
+says "from 1 to 256"
+check 2 "$bench" --procs 4,4611686018427387903 sweep
+says "from 1 to 256"
+check 2 "$bench" --jobs 0 sweep
+check 2 "$bench" --jobs 129 table2
+says "from 1 to 128"
+check 2 "$bench" bogus
+check 2 "$bench" --small --json /nonexistent/bench.json table2
+silent
+check 2 "$gen" --jobs 129
+check 2 "$gen" --jobs 0
+# the most domains Parallel.map allows
+if "$bench" --small --jobs 128 table2 >/dev/null 2>"$err" && [ ! -s "$err" ]; then
+  echo "ok   exit 0: $bench --small --jobs 128 table2"
+else
+  echo "FAIL --jobs 128 failed or wrote to stderr:"
+  cat "$err"
+  status=1
+fi
 
 # a malformed trace file: the parse error names the file and the line
 printf 'procs 2\nwords 1\n0 w 0\n1 x 0\n' >"$tmp/bad.trace"

@@ -7,24 +7,26 @@
 
      dune exec test/gen_equiv_golden.exe -- [--jobs N] [OUT.json]
 
-   Combos are independent simulation runs, so they fan out over a
-   Parallel.Pool ([--jobs]); results are harvested and written in combo
-   order, so the file is identical whatever [--jobs] is (make check
-   cmps a --jobs 1 and a --jobs 4 run against the checked-in golden).
+   Combos are independent simulation runs, so they fan out with
+   Parallel.map ([--jobs], from 1 to Parallel.max_jobs); results come
+   back and are written in combo order, so the file is identical
+   whatever [--jobs] is (make check cmps a --jobs 1 and a --jobs 4 run
+   against the checked-in golden).
 
    Regenerate only when a combo definition or an intended behavior change
    makes the old goldens stale — never to paper over a mismatch. *)
 
 let () =
   let usage () =
-    prerr_endline "usage: gen_equiv_golden.exe [--jobs N] [OUT.json]";
+    Printf.eprintf "usage: gen_equiv_golden.exe [--jobs N] [OUT.json], N from 1 to %d\n"
+      Parallel.max_jobs;
     exit 2
   in
-  let jobs = ref (Parallel.Pool.default_jobs ()) in
+  let jobs = ref (Parallel.default_jobs ()) in
   let rec parse out = function
     | "--jobs" :: n :: rest ->
         (match int_of_string_opt n with
-        | Some n when n >= 1 -> jobs := n
+        | Some n when n >= 1 && n <= Parallel.max_jobs -> jobs := n
         | _ -> usage ());
         parse out rest
     | "--jobs" :: [] -> usage ()
@@ -39,10 +41,7 @@ let () =
   in
   let combos = Equiv_combos.all in
   Printf.printf "running %d combos on %d domain(s)...\n%!" (List.length combos) !jobs;
-  let results =
-    Parallel.Pool.with_pool ~jobs:!jobs (fun pool ->
-        Parallel.Pool.map_exn pool Equiv_combos.run combos)
-  in
+  let results = Parallel.map ~jobs:!jobs Equiv_combos.run combos in
   let entries =
     List.map2
       (fun (combo : Equiv_combos.combo) (result : Equiv_combos.result) ->

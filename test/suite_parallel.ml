@@ -1,17 +1,17 @@
-(* The Domains work pool.
+(* Parallel.map.
 
-   The pool's whole contract is: results come back in submission order,
-   a raising task becomes an [Error] without taking the pool (or any
-   other task) down, and running an experiment at [jobs > 1] yields
-   exactly the rows the sequential run yields. Each property is tested
-   directly, the last one against real [Core.Experiments] sweeps. *)
+   Its whole contract is: results come back in input order, every task
+   runs, the first failure in input order is re-raised, and running an
+   experiment at [jobs > 1] yields exactly the rows the sequential run
+   yields. Each property is tested directly, the last one against real
+   [Core.Experiments] sweeps. *)
 
 let check = Alcotest.check
 
 exception Boom of int
 
 (* Burn a task-dependent amount of CPU so parallel completions genuinely
-   finish out of submission order before harvesting. *)
+   finish out of input order. *)
 let spin n =
   let acc = ref 0 in
   for i = 1 to 1 + (n mod 97) * 500 do
@@ -29,84 +29,48 @@ let prop_order jobs =
         ignore (spin x);
         (x * 2) + 1
       in
-      let expected = List.map f xs in
-      let actual =
-        Parallel.Pool.with_pool ~jobs (fun pool -> Parallel.Pool.map_exn pool f xs)
-      in
-      actual = expected)
+      Parallel.map ~jobs f xs = List.map f xs)
 
-let test_failure_isolation () =
-  Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-      let tasks =
-        [
-          (fun () -> 10);
-          (fun () -> raise (Boom 42));
-          (fun () -> 30);
-        ]
-      in
-      (match Parallel.Pool.run pool tasks with
-      | [ Ok 10; Error f; Ok 30 ] ->
-          check Alcotest.bool "the task's own exception is preserved" true
-            (f.Parallel.Pool.f_exn = Boom 42)
-      | _ -> Alcotest.fail "expected [Ok 10; Error _; Ok 30] in submission order");
-      (* the failure poisoned nothing: the same pool keeps working *)
-      check (Alcotest.list Alcotest.int) "pool usable after a failed task" [ 1; 2; 3 ]
-        (Parallel.Pool.map_exn pool (fun x -> x) [ 1; 2; 3 ]))
+let test_map_reraises () =
+  Alcotest.check_raises "map re-raises the task's failure" (Boom 7) (fun () ->
+      ignore (Parallel.map ~jobs:2 (fun x -> if x = 1 then raise (Boom 7) else x) [ 0; 1; 2 ]))
 
-let test_map_exn_reraises () =
-  Alcotest.check_raises "map_exn re-raises the first failure" (Boom 7) (fun () ->
-      Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-          ignore
-            (Parallel.Pool.map_exn pool
-               (fun x -> if x = 1 then raise (Boom 7) else x)
-               [ 0; 1; 2 ])))
+(* The later failure is quick and the earlier one slow, so the later one
+   usually raises first in time; the earlier in input order must still
+   win, after every task has run. *)
+let test_first_failure_in_order () =
+  let ran = Atomic.make 0 in
+  Alcotest.check_raises "the earlier failure in input order" (Boom 2) (fun () ->
+      ignore
+        (Parallel.map ~jobs:4
+           (fun x ->
+             Atomic.incr ran;
+             if x = 2 then begin
+               ignore (spin 96);
+               raise (Boom 2)
+             end;
+             if x = 5 then raise (Boom 5);
+             x)
+           (List.init 8 Fun.id)));
+  check Alcotest.int "every task ran" 8 (Atomic.get ran)
 
-let test_submit_after_shutdown () =
-  let pool = Parallel.Pool.create ~jobs:2 () in
-  Parallel.Pool.shutdown pool;
-  (try
-     ignore (Parallel.Pool.map_exn pool (fun x -> x) [ 1 ]);
-     Alcotest.fail "submit after shutdown should raise"
-   with Invalid_argument _ -> ());
-  (* shutdown is idempotent *)
-  Parallel.Pool.shutdown pool
+let test_max_jobs () =
+  let xs = List.init 300 Fun.id in
+  check (Alcotest.list Alcotest.int) "same as List.map" (List.map succ xs)
+    (Parallel.map ~jobs:Parallel.max_jobs succ xs)
 
-let test_progress_in_order () =
-  let seen = ref [] in
-  let results =
-    Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-        Parallel.Pool.map
-          ~progress:(fun i -> seen := i :: !seen)
-          pool
-          (fun x -> ignore (spin x); x)
-          [ 5; 3; 8; 1 ])
-  in
-  check (Alcotest.list Alcotest.int) "progress fires in submission order" [ 0; 1; 2; 3 ]
-    (List.rev !seen);
-  check Alcotest.int "all results harvested" 4 (List.length results)
+let test_jobs_out_of_range () =
+  List.iter
+    (fun jobs ->
+      match Parallel.map ~jobs Fun.id [ 1 ] with
+      | _ -> Alcotest.failf "jobs=%d accepted" jobs
+      | exception Invalid_argument _ -> ())
+    [ 0; Parallel.max_jobs + 1 ]
 
-let test_deadline () =
-  (* a sleeping task past the pool deadline resolves to a structured
-     [Error] instead of wedging the harvest; other tasks are untouched.
-     The sleeper is short enough (1.5 s) that its domain finishes on its
-     own before the process exits. *)
-  Parallel.Pool.with_pool ~jobs:2 ~deadline_s:0.2 (fun pool ->
-      let a = Parallel.Pool.submit ~label:"quick" pool (fun () -> 1) in
-      let b = Parallel.Pool.submit ~label:"sleeper" pool (fun () -> Unix.sleepf 1.5; 2) in
-      let c = Parallel.Pool.submit ~label:"quick2" pool (fun () -> 3) in
-      check Alcotest.int "task before the sleeper unaffected" 1
-        (match Parallel.Pool.await a with Ok v -> v | Error _ -> -1);
-      (match Parallel.Pool.await b with
-      | Error { Parallel.Pool.f_exn = Parallel.Pool.Deadline_exceeded { label; elapsed_s }; _ }
-        ->
-          check Alcotest.string "failure names the task" "sleeper" label;
-          check Alcotest.bool "elapsed at least the deadline" true (elapsed_s >= 0.2)
-      | Ok _ -> Alcotest.fail "sleeper should miss its deadline"
-      | Error _ -> Alcotest.fail "expected Deadline_exceeded");
-      check Alcotest.int "task after the sleeper unaffected" 3
-        (match Parallel.Pool.await c with Ok v -> v | Error _ -> -1));
-  (* give the sleeper's domain time to drain before later suites *)
-  Unix.sleepf 1.5
+let test_jobs1_on_caller () =
+  let self = Domain.self () in
+  check Alcotest.bool "every task ran on the calling domain" true
+    (List.for_all (fun d -> d = self) (Parallel.map ~jobs:1 (fun _ -> Domain.self ()) [ 1; 2; 3 ]))
 
 (* The claim the whole bench/experiment wiring rests on: a sweep's rows
    are identical whatever the job count. *)
@@ -124,8 +88,8 @@ let test_figure5_jobs_equal () =
   and par = Core.Experiments.figure5_both ~jobs:2 () in
   check Alcotest.bool "figure 5 rows identical at jobs=1 and jobs=2" true (seq = par)
 
-(* A sweep point's word counts are its own: measured on a 2-job pool
-   beside a concurrent point, they match the same point run alone. A
+(* A sweep point's word counts are its own: measured beside a
+   concurrent point at jobs 2, they match the same point run alone. A
    program-wide counter would also bill the neighbour's allocation. *)
 
 let test_sweep_point_words_own () =
@@ -147,11 +111,13 @@ let suite =
     ( "parallel-pool",
       List.map QCheck_alcotest.to_alcotest [ prop_order 1; prop_order 2; prop_order 8 ]
       @ [
-          Alcotest.test_case "raising task is isolated" `Quick test_failure_isolation;
-          Alcotest.test_case "map_exn re-raises" `Quick test_map_exn_reraises;
-          Alcotest.test_case "submit after shutdown" `Quick test_submit_after_shutdown;
-          Alcotest.test_case "progress in submission order" `Quick test_progress_in_order;
-          Alcotest.test_case "deadline turns a wedged task into Error" `Quick test_deadline;
+          Alcotest.test_case "map re-raises" `Quick test_map_reraises;
+          Alcotest.test_case "earlier failure wins, every task runs" `Quick
+            test_first_failure_in_order;
+          Alcotest.test_case "map at jobs=max_jobs equals List.map" `Quick test_max_jobs;
+          Alcotest.test_case "jobs outside 1..max_jobs rejected" `Quick
+            test_jobs_out_of_range;
+          Alcotest.test_case "jobs=1 runs on the calling domain" `Quick test_jobs1_on_caller;
           Alcotest.test_case "fault sweep equal across jobs" `Quick
             test_experiments_jobs_equal;
           Alcotest.test_case "figure 5 equal across jobs" `Quick test_figure5_jobs_equal;

@@ -9,7 +9,7 @@
    Two layers:
    - the combo matrix: a handful of pinned combos (one per combo family)
      give named, fast-failing coverage, and the FULL combo space then
-     runs fanned out over a Parallel.Pool — every combo, every
+     runs fanned out with Parallel.map — every combo, every
      `dune runtest`, not a random sample;
    - cross-version replay: binary trace logs recorded by the
      pre-optimization build replay against the current build and must
@@ -75,15 +75,12 @@ let test_golden_is_complete () =
   check (Alcotest.list Alcotest.string) "combos without goldens" [] missing
 
 let test_full_matrix () =
-  (* the whole combo space, one pool task per combo. [Equiv_combos.run]
+  (* the whole combo space, one task per combo. [Equiv_combos.run]
      builds the app and cluster inside the task and the golden lookup
      happens back on this domain, so the matrix is safe at any job
      count; on a many-core host it finishes in wall-clock over jobs. *)
   let combos = Equiv_combos.all in
-  let results =
-    Parallel.Pool.with_pool ~jobs:(Parallel.Pool.default_jobs ()) (fun pool ->
-        Parallel.Pool.map_exn pool Equiv_combos.run combos)
-  in
+  let results = Parallel.map ~jobs:(Parallel.default_jobs ()) Equiv_combos.run combos in
   let diverged =
     List.filter_map
       (fun ((c : Equiv_combos.combo), actual) ->

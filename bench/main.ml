@@ -384,7 +384,7 @@ let git_rev () =
 (* The host stamp: how many points ran at once, on how many cores,
    under which compiler, from which commit. Wall and GC fields are only
    comparable between records whose stamps agree. *)
-let write_json (path, oc) =
+let write_json path =
   let open Bench_json in
   let v =
     Obj
@@ -403,8 +403,7 @@ let write_json (path, oc) =
                !section_walls) );
       ]
   in
-  output_string oc (to_string v);
-  close_out oc;
+  to_file path v;
   Format.fprintf ppf "@.wrote %s@." path
 
 (* In the order [all] runs them. *)
@@ -487,10 +486,15 @@ let () =
               (String.concat "|" (List.map fst experiments)))
       names
   in
-  let json =
-    Option.map
-      (fun path -> try (path, open_out path) with Sys_error msg -> fail "%s" msg)
-      !json_path
+  (* Fail on an unwritable --json before any experiment runs, but write
+     it only at the end: a channel held open across the run changes the
+     word counts the sweep points measure. *)
+  let writable path =
+    try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o666 path)
+    with Sys_error msg -> fail "%s" msg
   in
+  Option.iter writable !json_path;
   List.iter (fun run -> run ()) runners;
-  Option.iter write_json json
+  Option.iter
+    (fun path -> try write_json path with Sys_error msg -> fail "%s" msg)
+    !json_path

@@ -12,7 +12,8 @@
 
    The recorded outcome is everything the optimization must not change:
    the full race set (canonically ordered), the final memory checksum,
-   simulated time, and the wire byte/message totals. *)
+   simulated time, and the wire byte/message totals; bus combos also
+   record their bus and cache counters. *)
 
 type combo = { label : string; app : string; nprocs : int; cfg : Coherence.Config.t }
 
@@ -149,11 +150,54 @@ let all : combo list =
         combo "water" "hb" Coherence.Config.Home_based 32;
       ]
   in
-  base @ flag_variants @ fault_variants @ seed_variants @ wide_variants
+  let bus_variants =
+    (* the snooping-bus machine: both protocols on every app at two
+       sizes; a 4-set cache, under which every app evicts and writes back
+       dirty lines (at the default 64 sets only water evicts); and the
+       detection switches *)
+    let combo ?(tag = "") ?(nprocs = 4) app backend cfg =
+      {
+        label = Printf.sprintf "%s-%s%s-p%d" app backend tag nprocs;
+        app;
+        nprocs;
+        cfg = { cfg with Coherence.Config.backend };
+      }
+    in
+    let default = Coherence.Config.default in
+    List.concat_map
+      (fun backend ->
+        List.concat_map
+          (fun app ->
+            [
+              combo app backend default;
+              combo ~nprocs:8 app backend default;
+              combo ~tag:"-sets4" app backend
+                { default with Coherence.Config.cc_sets = 4 };
+            ])
+          Apps.Registry.extended_names
+        @ [
+            combo ~tag:"-nodetect" "water" backend
+              { default with Coherence.Config.detect = false };
+            combo ~tag:"-elide" "water" backend
+              { default with Coherence.Config.elide_sites = Some [] };
+          ])
+      [ "mesi"; "dragon" ]
+  in
+  base @ flag_variants @ fault_variants @ seed_variants @ wide_variants @ bus_variants
 
 let find label = List.find_opt (fun c -> c.label = label) all
 
 (* ------------------------------------------------------------------ *)
+
+type cc_counts = {
+  bus_transactions : int;
+  bus_words : int;
+  cache_hits : int;
+  cache_misses : int;
+  cache_evictions : int;
+  invalidations : int;
+  updates_applied : int;
+}
 
 type result = {
   races : string list;  (* canonical race strings, sorted *)
@@ -163,6 +207,7 @@ type result = {
   bytes : int;
   read_notice_bytes : int;
   bitmap_round_bytes : int;
+  cc : cc_counts option;  (* bus combos only, so LRC entries keep their shape *)
 }
 
 let race_string (r : Proto.Race.t) =
@@ -189,39 +234,86 @@ let run (combo : combo) : result =
     bytes = stats.Sim.Stats.bytes;
     read_notice_bytes = stats.Sim.Stats.read_notice_bytes;
     bitmap_round_bytes = stats.Sim.Stats.bitmap_round_bytes;
+    cc =
+      (if combo.cfg.Coherence.Config.backend = "lrc" then None
+       else
+         Some
+           {
+             bus_transactions = stats.Sim.Stats.bus_transactions;
+             bus_words = stats.Sim.Stats.bus_words;
+             cache_hits = stats.Sim.Stats.cache_hits;
+             cache_misses = stats.Sim.Stats.cache_misses;
+             cache_evictions = stats.Sim.Stats.cache_evictions;
+             invalidations = stats.Sim.Stats.invalidations;
+             updates_applied = stats.Sim.Stats.updates_applied;
+           });
   }
+
+let cc_fields (c : cc_counts) =
+  [
+    ("bus_transactions", c.bus_transactions);
+    ("bus_words", c.bus_words);
+    ("cache_hits", c.cache_hits);
+    ("cache_misses", c.cache_misses);
+    ("cache_evictions", c.cache_evictions);
+    ("invalidations", c.invalidations);
+    ("updates_applied", c.updates_applied);
+  ]
 
 let result_to_json (r : result) =
   let open Bench_json in
   Obj
-    [
-      ("races", List (List.map (fun s -> String s) r.races));
-      ("mem_checksum", Int r.mem_checksum);
-      ("sim_time_ns", Int r.sim_time_ns);
-      ("messages", Int r.messages);
-      ("bytes", Int r.bytes);
-      ("read_notice_bytes", Int r.read_notice_bytes);
-      ("bitmap_round_bytes", Int r.bitmap_round_bytes);
-    ]
+    ([
+       ("races", List (List.map (fun s -> String s) r.races));
+       ("mem_checksum", Int r.mem_checksum);
+       ("sim_time_ns", Int r.sim_time_ns);
+       ("messages", Int r.messages);
+       ("bytes", Int r.bytes);
+       ("read_notice_bytes", Int r.read_notice_bytes);
+       ("bitmap_round_bytes", Int r.bitmap_round_bytes);
+     ]
+    @
+    match r.cc with
+    | None -> []
+    | Some c -> List.map (fun (name, n) -> (name, Int n)) (cc_fields c))
 
 let result_of_json v =
   let open Bench_json in
+  let int name = to_int_exn (member name v) in
   {
     races = to_list_exn (member "races" v) |> List.map to_string_exn;
-    mem_checksum = to_int_exn (member "mem_checksum" v);
-    sim_time_ns = to_int_exn (member "sim_time_ns" v);
-    messages = to_int_exn (member "messages" v);
-    bytes = to_int_exn (member "bytes" v);
-    read_notice_bytes = to_int_exn (member "read_notice_bytes" v);
-    bitmap_round_bytes = to_int_exn (member "bitmap_round_bytes" v);
+    mem_checksum = int "mem_checksum";
+    sim_time_ns = int "sim_time_ns";
+    messages = int "messages";
+    bytes = int "bytes";
+    read_notice_bytes = int "read_notice_bytes";
+    bitmap_round_bytes = int "bitmap_round_bytes";
+    cc =
+      (match member "bus_transactions" v with
+      | Null -> None
+      | _ ->
+          Some
+            {
+              bus_transactions = int "bus_transactions";
+              bus_words = int "bus_words";
+              cache_hits = int "cache_hits";
+              cache_misses = int "cache_misses";
+              cache_evictions = int "cache_evictions";
+              invalidations = int "invalidations";
+              updates_applied = int "updates_applied";
+            });
   }
 
 let pp_result ppf (r : result) =
   Format.fprintf ppf
     "@[<v>races: [%s]@ mem_checksum: %d@ sim_time_ns: %d@ messages: %d@ bytes: %d@ \
-     read_notice_bytes: %d@ bitmap_round_bytes: %d@]"
+     read_notice_bytes: %d@ bitmap_round_bytes: %d"
     (String.concat "; " r.races)
-    r.mem_checksum r.sim_time_ns r.messages r.bytes r.read_notice_bytes r.bitmap_round_bytes
+    r.mem_checksum r.sim_time_ns r.messages r.bytes r.read_notice_bytes r.bitmap_round_bytes;
+  Option.iter
+    (fun c -> List.iter (fun (name, n) -> Format.fprintf ppf "@ %s: %d" name n) (cc_fields c))
+    r.cc;
+  Format.fprintf ppf "@]"
 
 let golden_path = "test/golden/perf_equiv.json"
 

@@ -46,7 +46,8 @@ let run_label label =
 let test_combo label () = check result_t label (golden_for label) (run_label label)
 
 (* One pinned combo per family: base protocol grid, detection-flag
-   variants, lossy wire, alternate scheduling seed. These always run, so
+   variants, lossy wire, alternate scheduling seed, and the bus machine
+   with a cache small enough to evict and write back. These always run, so
    a behavior change in any family fails even if the random sample
    happens to miss it. *)
 let pinned =
@@ -59,6 +60,7 @@ let pinned =
     "sor-nodetect-p4";
     "tsp-drop20-net1312-p4";
     "water-seed99-p8";
+    "sor-mesi-sets4-p4";
   ]
 
 let test_golden_is_complete () =

@@ -6,7 +6,10 @@
    sequential consistency, so every cached copy always equals memory by
    construction; what the cache model decides is *cost*: hits versus bus
    transactions). The state type is the protocol's ['a]; [invalid] is
-   its distinguished empty value. *)
+   its distinguished empty value.
+
+   Every operation runs on the access or snoop path, so none allocates:
+   the scans are top-level loops and results are slot indices. *)
 
 type 'a slot = {
   mutable tag : int;  (* global line number; meaningless when invalid *)
@@ -17,7 +20,6 @@ type 'a slot = {
 type 'a t = {
   sets : int;
   ways : int;
-  invalid : 'a;
   slots : 'a slot array;  (* sets * ways, row-major *)
   mutable tick : int;
 }
@@ -29,71 +31,56 @@ let create ~sets ~ways ~invalid =
   {
     sets;
     ways;
-    invalid;
     slots = Array.init (sets * ways) (fun _ -> { tag = -1; state = invalid; stamp = 0 });
     tick = 0;
   }
 
-let set_of t ~line = line land (t.sets - 1)
+let slot t i = t.slots.(i)
+
+let base_of t ~line = (line land (t.sets - 1)) * t.ways
 
 let touch t slot =
   t.tick <- t.tick + 1;
   slot.stamp <- t.tick
 
+(* Index in [i, stop) of the valid slot tagged [line], or -1. *)
+let rec scan slots ~line ~is_valid i stop =
+  if i >= stop then -1
+  else
+    let slot = Array.unsafe_get slots i in
+    if slot.tag = line && is_valid slot.state then i
+    else scan slots ~line ~is_valid (i + 1) stop
+
 (* Hit lookup on the access path: bumps the LRU clock. *)
 let find t ~line ~is_valid =
-  let base = set_of t ~line * t.ways in
-  let rec go i =
-    if i >= t.ways then None
-    else
-      let slot = t.slots.(base + i) in
-      if slot.tag = line && is_valid slot.state then begin
-        touch t slot;
-        Some slot
-      end
-      else go (i + 1)
-  in
-  go 0
+  let base = base_of t ~line in
+  let i = scan t.slots ~line ~is_valid base (base + t.ways) in
+  if i >= 0 then touch t t.slots.(i);
+  i
 
 (* Snoop lookup: other processors probing for [line] on a bus
    transaction. No LRU update — a snoop is not a use. *)
 let probe t ~line ~is_valid =
-  let base = set_of t ~line * t.ways in
-  let rec go i =
-    if i >= t.ways then None
+  let base = base_of t ~line in
+  scan t.slots ~line ~is_valid base (base + t.ways)
+
+(* The first invalid way in [i, stop), else the first way with the
+   smallest stamp ([best] is the least-recent valid way seen so far). *)
+let rec pick slots ~is_valid i stop best =
+  if i >= stop then best
+  else
+    let slot = Array.unsafe_get slots i in
+    if not (is_valid slot.state) then i
     else
-      let slot = t.slots.(base + i) in
-      if slot.tag = line && is_valid slot.state then Some slot else go (i + 1)
-  in
-  go 0
+      let best = if slot.stamp < (Array.unsafe_get slots best).stamp then i else best in
+      pick slots ~is_valid (i + 1) stop best
 
-type 'a eviction = { victim_tag : int; victim_state : 'a }
+let victim t ~line ~is_valid =
+  let base = base_of t ~line in
+  pick t.slots ~is_valid base (base + t.ways) base
 
-(* Claim a slot for [line]: an invalid way if one exists, otherwise the
-   LRU way of the set (returning what it held so the caller can emit a
-   writeback for dirty states). The slot comes back tagged [line] in the
-   [invalid] state; the caller sets the fill state. *)
-let fill t ~line ~is_valid =
-  let base = set_of t ~line * t.ways in
-  let chosen = ref t.slots.(base) in
-  (try
-     for i = 0 to t.ways - 1 do
-       let slot = t.slots.(base + i) in
-       if not (is_valid slot.state) then begin
-         chosen := slot;
-         raise Exit
-       end;
-       if slot.stamp < !chosen.stamp then chosen := slot
-     done
-   with Exit -> ());
-  let slot = !chosen in
-  let eviction =
-    if is_valid slot.state then Some { victim_tag = slot.tag; victim_state = slot.state }
-    else None
-  in
+let claim t i ~line ~state =
+  let slot = t.slots.(i) in
   slot.tag <- line;
-  slot.state <- t.invalid;
-  touch t slot;
-  (slot, eviction)
-
-let iter t f = Array.iter (fun slot -> f slot) t.slots
+  slot.state <- state;
+  touch t slot

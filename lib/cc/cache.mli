@@ -2,7 +2,12 @@
 
     Holds tags and protocol states only — the data words live in the
     machine's single coherent memory image. Parametric in the state type
-    so MESI and Dragon share the structure. *)
+    so MESI and Dragon share the structure.
+
+    Slots are named by index. No operation here allocates: a lookup
+    returns a slot index or [-1], and replacement is two steps
+    ({!victim}, then {!claim}) so the caller can read what it displaces
+    in place. *)
 
 type 'a slot = {
   mutable tag : int;  (** global line number; meaningless when invalid *)
@@ -15,18 +20,22 @@ type 'a t
 val create : sets:int -> ways:int -> invalid:'a -> 'a t
 (** [sets] must be a positive power of two. *)
 
-val find : 'a t -> line:int -> is_valid:('a -> bool) -> 'a slot option
-(** Access-path lookup; touches the LRU clock on a hit. *)
+val slot : 'a t -> int -> 'a slot
+(** The slot at an index returned by {!find}, {!probe} or {!victim}. *)
 
-val probe : 'a t -> line:int -> is_valid:('a -> bool) -> 'a slot option
-(** Snoop lookup; never touches the LRU clock (a snoop is not a use). *)
+val find : 'a t -> line:int -> is_valid:('a -> bool) -> int
+(** Access-path lookup: the index of the valid slot holding [line], or
+    [-1]. Touches the LRU clock on a hit. *)
 
-type 'a eviction = { victim_tag : int; victim_state : 'a }
+val probe : 'a t -> line:int -> is_valid:('a -> bool) -> int
+(** Snoop lookup, as {!find} but never touching the LRU clock (a snoop
+    is not a use). *)
 
-val fill : 'a t -> line:int -> is_valid:('a -> bool) -> 'a slot * 'a eviction option
-(** Claim a slot for [line]: an invalid way if any, else the set's LRU
-    way. Returns the displaced valid line, if one, so the caller can
-    emit a writeback for dirty states. The slot comes back tagged
-    [line] with the [invalid] state; the caller sets the fill state. *)
+val victim : 'a t -> line:int -> is_valid:('a -> bool) -> int
+(** The slot a fill of [line] takes: the set's first invalid way if it
+    has one, else its least-recently-touched way (the first of equals).
+    Changes nothing; a valid victim is an eviction, and its tag and state
+    are the caller's to read before {!claim}. *)
 
-val iter : 'a t -> ('a slot -> unit) -> unit
+val claim : 'a t -> int -> line:int -> state:'a -> unit
+(** Retag a slot to [line] in [state] and touch it. *)

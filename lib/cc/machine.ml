@@ -214,9 +214,9 @@ let instrument m p page word kind =
     match kind with Proto.Race.Read -> p.read_bits | Proto.Race.Write -> p.write_bits
   in
   let bitmap =
-    match Hashtbl.find_opt table page with
-    | Some bm -> bm
-    | None ->
+    match Hashtbl.find table page with
+    | bm -> bm
+    | exception Not_found ->
         let bm = Mem.Bitmap.create (words_per_page m) in
         Hashtbl.replace table page bm;
         bm
@@ -297,85 +297,91 @@ let bus m p ~kind ~line ~words ~supply =
   m.bus_busy_until <- start + dur;
   Sim.Engine.advance (start + dur - now)
 
-let others m p f =
-  Array.iter (fun q -> if q.id <> p.id then f q) m.procs
-
 let line_of m addr = addr lsr m.line_shift
 
 (* Claim a cache slot for [line]; a displaced dirty line pays a
    writeback transaction (clean evictions are silent). *)
 let fill_line m p ~line ~state =
-  let slot, evicted = Cache.fill p.cache ~line ~is_valid in
-  slot.state <- state;
-  match evicted with
-  | None -> ()
-  | Some { Cache.victim_tag; victim_state } ->
-      m.stats.Sim.Stats.cache_evictions <- m.stats.Sim.Stats.cache_evictions + 1;
-      (match victim_state with
-      | L_mod | L_shared_dirty ->
-          bus m p ~kind:B_wb ~line:victim_tag ~words:m.line_words ~supply:`Mem
-      | _ -> ())
+  let i = Cache.victim p.cache ~line ~is_valid in
+  let victim = Cache.slot p.cache i in
+  let victim_tag = victim.Cache.tag and victim_state = victim.Cache.state in
+  Cache.claim p.cache i ~line ~state;
+  if is_valid victim_state then begin
+    m.stats.Sim.Stats.cache_evictions <- m.stats.Sim.Stats.cache_evictions + 1;
+    match victim_state with
+    | L_mod | L_shared_dirty ->
+        bus m p ~kind:B_wb ~line:victim_tag ~words:m.line_words ~supply:`Mem
+    | _ -> ()
+  end
+
+(* Processor [id]'s slot for [line], or -1; the requester [p] does not
+   snoop itself. Snoops visit processors in id order in plain loops: a
+   closure per snoop would allocate on every bus transaction. *)
+let snoop m p id ~line =
+  if id = p.id then -1 else Cache.probe m.procs.(id).cache ~line ~is_valid
 
 (* --- MESI ---------------------------------------------------------- *)
 
 let mesi_read_miss m p ~line =
   let shared = ref false in
-  others m p (fun q ->
-      match Cache.probe q.cache ~line ~is_valid with
-      | Some slot ->
-          shared := true;
-          (* an M supplier flushes to memory as it downgrades; the flush
-             rides the same fill transaction (Illinois-style), so it is
-             not counted as a separate writeback *)
-          (match slot.state with
-          | L_mod | L_excl -> slot.state <- L_shared
-          | _ -> ())
-      | None -> ());
+  for id = 0 to m.nprocs - 1 do
+    let i = snoop m p id ~line in
+    if i >= 0 then begin
+      shared := true;
+      (* an M supplier flushes to memory as it downgrades; the flush
+         rides the same fill transaction (Illinois-style), so it is
+         not counted as a separate writeback *)
+      let slot = Cache.slot m.procs.(id).cache i in
+      match slot.Cache.state with L_mod | L_excl -> slot.Cache.state <- L_shared | _ -> ()
+    end
+  done;
   fill_line m p ~line ~state:(if !shared then L_shared else L_excl);
   bus m p ~kind:B_rd ~line ~words:m.line_words
     ~supply:(if !shared then `Cache else `Mem)
+
+(* Invalidate every other copy of [line]; true if there was one. *)
+let mesi_invalidate_others m p ~line =
+  let shared = ref false in
+  for id = 0 to m.nprocs - 1 do
+    let i = snoop m p id ~line in
+    if i >= 0 then begin
+      shared := true;
+      (Cache.slot m.procs.(id).cache i).Cache.state <- L_inv;
+      m.stats.Sim.Stats.invalidations <- m.stats.Sim.Stats.invalidations + 1
+    end
+  done;
+  !shared
 
 let mesi_write_hit m p slot ~line =
   match slot.Cache.state with
   | L_mod -> ()
   | L_excl -> slot.Cache.state <- L_mod
   | L_shared ->
-      others m p (fun q ->
-          match Cache.probe q.cache ~line ~is_valid with
-          | Some s ->
-              s.Cache.state <- L_inv;
-              m.stats.Sim.Stats.invalidations <- m.stats.Sim.Stats.invalidations + 1
-          | None -> ());
+      ignore (mesi_invalidate_others m p ~line);
       slot.Cache.state <- L_mod;
       bus m p ~kind:B_upgr ~line ~words:0 ~supply:`None
   | L_inv | L_shared_clean | L_shared_dirty -> assert false
 
 let mesi_write_miss m p ~line =
-  let shared = ref false in
-  others m p (fun q ->
-      match Cache.probe q.cache ~line ~is_valid with
-      | Some slot ->
-          shared := true;
-          slot.Cache.state <- L_inv;
-          m.stats.Sim.Stats.invalidations <- m.stats.Sim.Stats.invalidations + 1
-      | None -> ());
+  let shared = mesi_invalidate_others m p ~line in
   fill_line m p ~line ~state:L_mod;
-  bus m p ~kind:B_rdx ~line ~words:m.line_words
-    ~supply:(if !shared then `Cache else `Mem)
+  bus m p ~kind:B_rdx ~line ~words:m.line_words ~supply:(if shared then `Cache else `Mem)
 
 (* --- Dragon -------------------------------------------------------- *)
 
 let dragon_read_miss m p ~line =
   let shared = ref false in
-  others m p (fun q ->
-      match Cache.probe q.cache ~line ~is_valid with
-      | Some slot ->
-          shared := true;
-          (match slot.Cache.state with
-          | L_mod -> slot.Cache.state <- L_shared_dirty  (* keeps ownership *)
-          | L_excl -> slot.Cache.state <- L_shared_clean
-          | _ -> ())
-      | None -> ());
+  for id = 0 to m.nprocs - 1 do
+    let i = snoop m p id ~line in
+    if i >= 0 then begin
+      shared := true;
+      let slot = Cache.slot m.procs.(id).cache i in
+      match slot.Cache.state with
+      | L_mod -> slot.Cache.state <- L_shared_dirty  (* keeps ownership *)
+      | L_excl -> slot.Cache.state <- L_shared_clean
+      | _ -> ()
+    end
+  done;
   fill_line m p ~line ~state:(if !shared then L_shared_clean else L_excl);
   bus m p ~kind:B_rd ~line ~words:m.line_words
     ~supply:(if !shared then `Cache else `Mem)
@@ -385,13 +391,15 @@ let dragon_update m p slot ~line =
      in place, the previous owner demotes, the writer becomes owner. If
      the other copies have meanwhile been evicted, silently promote *)
   let sharers = ref 0 in
-  others m p (fun q ->
-      match Cache.probe q.cache ~line ~is_valid with
-      | Some s ->
-          incr sharers;
-          m.stats.Sim.Stats.updates_applied <- m.stats.Sim.Stats.updates_applied + 1;
-          if s.Cache.state = L_shared_dirty then s.Cache.state <- L_shared_clean
-      | None -> ());
+  for id = 0 to m.nprocs - 1 do
+    let i = snoop m p id ~line in
+    if i >= 0 then begin
+      incr sharers;
+      m.stats.Sim.Stats.updates_applied <- m.stats.Sim.Stats.updates_applied + 1;
+      let s = Cache.slot m.procs.(id).cache i in
+      if s.Cache.state = L_shared_dirty then s.Cache.state <- L_shared_clean
+    end
+  done;
   if !sharers = 0 then slot.Cache.state <- L_mod
   else begin
     slot.Cache.state <- L_shared_dirty;
@@ -407,37 +415,41 @@ let dragon_write_hit m p slot ~line =
 
 let dragon_write_miss m p ~line =
   dragon_read_miss m p ~line;
-  match Cache.find p.cache ~line ~is_valid with
-  | Some slot -> dragon_write_hit m p slot ~line
-  | None -> assert false
+  let i = Cache.find p.cache ~line ~is_valid in
+  assert (i >= 0);
+  dragon_write_hit m p (Cache.slot p.cache i) ~line
 
 (* --- protocol-independent access path ------------------------------ *)
 
 let cache_read m p addr =
   let line = line_of m addr in
   charge_local p m.cost.Sim.Cost.cache_hit_ns;
-  match Cache.find p.cache ~line ~is_valid with
-  | Some _ -> m.stats.Sim.Stats.cache_hits <- m.stats.Sim.Stats.cache_hits + 1
-  | None ->
-      m.stats.Sim.Stats.cache_misses <- m.stats.Sim.Stats.cache_misses + 1;
-      (match m.protocol with
-      | Mesi -> mesi_read_miss m p ~line
-      | Dragon -> dragon_read_miss m p ~line)
+  if Cache.find p.cache ~line ~is_valid >= 0 then
+    m.stats.Sim.Stats.cache_hits <- m.stats.Sim.Stats.cache_hits + 1
+  else begin
+    m.stats.Sim.Stats.cache_misses <- m.stats.Sim.Stats.cache_misses + 1;
+    match m.protocol with
+    | Mesi -> mesi_read_miss m p ~line
+    | Dragon -> dragon_read_miss m p ~line
+  end
 
 let cache_write m p addr =
   let line = line_of m addr in
   charge_local p m.cost.Sim.Cost.cache_hit_ns;
-  match Cache.find p.cache ~line ~is_valid with
-  | Some slot ->
-      m.stats.Sim.Stats.cache_hits <- m.stats.Sim.Stats.cache_hits + 1;
-      (match m.protocol with
-      | Mesi -> mesi_write_hit m p slot ~line
-      | Dragon -> dragon_write_hit m p slot ~line)
-  | None ->
-      m.stats.Sim.Stats.cache_misses <- m.stats.Sim.Stats.cache_misses + 1;
-      (match m.protocol with
-      | Mesi -> mesi_write_miss m p ~line
-      | Dragon -> dragon_write_miss m p ~line)
+  let i = Cache.find p.cache ~line ~is_valid in
+  if i >= 0 then begin
+    m.stats.Sim.Stats.cache_hits <- m.stats.Sim.Stats.cache_hits + 1;
+    let slot = Cache.slot p.cache i in
+    match m.protocol with
+    | Mesi -> mesi_write_hit m p slot ~line
+    | Dragon -> dragon_write_hit m p slot ~line
+  end
+  else begin
+    m.stats.Sim.Stats.cache_misses <- m.stats.Sim.Stats.cache_misses + 1;
+    match m.protocol with
+    | Mesi -> mesi_write_miss m p ~line
+    | Dragon -> dragon_write_miss m p ~line
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Shared-memory accesses                                               *)
@@ -452,44 +464,55 @@ let check_addr m addr =
   if not (Mem.Geometry.in_shared m.geometry addr) then bad_shared addr;
   if addr mod m.geometry.Mem.Geometry.word_size <> 0 then bad_aligned addr
 
-let read_access m p ~site addr =
-  check_addr m addr;
-  let page = Mem.Geometry.page_of_addr m.geometry addr in
-  let word = Mem.Geometry.word_in_page m.geometry addr in
-  read_note m p ~site addr page word;
-  cache_read m p addr;
-  (page, word)
+(* Each accessor checks the address before anything else, then computes
+   its page and word itself: returning them as a pair would allocate on
+   every access. *)
+let page_of m addr = Mem.Geometry.page_of_addr m.geometry addr
 
-let write_access m p ~site addr =
-  check_addr m addr;
-  let page = Mem.Geometry.page_of_addr m.geometry addr in
-  let word = Mem.Geometry.word_in_page m.geometry addr in
+let word_of m addr = Mem.Geometry.word_in_page m.geometry addr
+
+let read_access m p ~site addr page word =
+  read_note m p ~site addr page word;
+  cache_read m p addr
+
+let write_access m p ~site addr page word =
   write_note m p ~site addr page word;
-  cache_write m p addr;
-  (page, word)
+  cache_write m p addr
 
 let read_word m p ?(site = "?") addr =
-  let page, word = read_access m p ~site addr in
+  check_addr m addr;
+  let page = page_of m addr and word = word_of m addr in
+  read_access m p ~site addr page word;
   Mem.Page.get_int64 m.pages.(page) word
 
 let read_word_int m p ?(site = "?") addr =
-  let page, word = read_access m p ~site addr in
+  check_addr m addr;
+  let page = page_of m addr and word = word_of m addr in
+  read_access m p ~site addr page word;
   Mem.Page.get_int m.pages.(page) word
 
 let read_word_float m p ?(site = "?") addr =
-  let page, word = read_access m p ~site addr in
+  check_addr m addr;
+  let page = page_of m addr and word = word_of m addr in
+  read_access m p ~site addr page word;
   Mem.Page.get_float m.pages.(page) word
 
 let write_word m p ?(site = "?") addr value =
-  let page, word = write_access m p ~site addr in
+  check_addr m addr;
+  let page = page_of m addr and word = word_of m addr in
+  write_access m p ~site addr page word;
   Mem.Page.set_int64 m.pages.(page) word value
 
 let write_word_int m p ?(site = "?") addr value =
-  let page, word = write_access m p ~site addr in
+  check_addr m addr;
+  let page = page_of m addr and word = word_of m addr in
+  write_access m p ~site addr page word;
   Mem.Page.set_int m.pages.(page) word value
 
 let write_word_float m p ?(site = "?") addr value =
-  let page, word = write_access m p ~site addr in
+  check_addr m addr;
+  let page = page_of m addr and word = word_of m addr in
+  write_access m p ~site addr page word;
   Mem.Page.set_float m.pages.(page) word value
 
 let touch_private m p n =

@@ -8,6 +8,13 @@
    The scheduler is a single event loop over a deterministic priority queue,
    so a given program and seed always produce the same interleaving.
 
+   [Advance] is the hot path: every bus transaction and every flush of a
+   processor's time debt performs one. Each process therefore owns its
+   [Resume] action and its [Advance] handler, built once, with the
+   duration passed through [pending]; what an advance still allocates
+   is the effect payload, the continuation, [Some k] and the queue
+   entry, 11 words in all.
+
    Two failure detectors guard the loop. If the event queue drains while
    processes are still blocked (a lost wakeup or a lock cycle), or if a
    configurable span of virtual time passes in which only bare thunks run
@@ -27,9 +34,11 @@ type proc = {
   mutable cont : (unit, unit) Effect.Deep.continuation option;
   mutable wake_pending : bool;
   mutable blocked_label : string;  (* what the process is waiting for *)
+  mutable pending : int;  (* duration of the [Advance] being handled *)
+  resume : action;  (* [Resume] of this process, queued on every wakeup *)
 }
 
-type action = Start of proc * (pid -> unit) | Resume of proc | Thunk of (unit -> unit)
+and action = Start of proc * (pid -> unit) | Resume of proc | Thunk of (unit -> unit)
 
 type t = {
   mutable now : int;
@@ -83,8 +92,6 @@ let now t = t.now
 
 let set_probe t probe = t.probe <- probe
 
-let emit_probe t event = match t.probe with Some f -> f event | None -> ()
-
 let add_diagnostic t f = t.diagnostics <- t.diagnostics @ [ f ]
 
 let set_stall_budget t budget =
@@ -101,7 +108,17 @@ let schedule_after t ~delay f = schedule t ~at:(t.now + delay) f
 
 let spawn t body =
   let pid = t.nprocs in
-  let proc = { pid; state = Created; cont = None; wake_pending = false; blocked_label = "" } in
+  let rec proc =
+    {
+      pid;
+      state = Created;
+      cont = None;
+      wake_pending = false;
+      blocked_label = "";
+      pending = 0;
+      resume = Resume proc;
+    }
+  in
   if pid >= Array.length t.procs then begin
     let grown = Array.make (max 8 (2 * Array.length t.procs)) proc in
     Array.blit t.procs 0 grown 0 t.nprocs;
@@ -137,8 +154,8 @@ let wake t pid =
   match proc.state with
   | Blocked ->
       proc.state <- Running;
-      emit_probe t (Probe.Proc_resume { pid });
-      Pqueue.push t.queue ~time:t.now (Resume proc)
+      (match t.probe with Some f -> f (Probe.Proc_resume { pid }) | None -> ());
+      Pqueue.push t.queue ~time:t.now proc.resume
   | Created | Running -> proc.wake_pending <- true
   | Finished -> ()
 
@@ -147,22 +164,28 @@ let wake t pid =
 let run_fiber t proc body =
   let open Effect.Deep in
   proc.state <- Running;
+  let on_advance =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        proc.cont <- Some k;
+        Pqueue.push t.queue ~time:(t.now + proc.pending) proc.resume)
+  in
   match_with body proc.pid
     {
       retc =
         (fun () ->
           proc.state <- Finished;
           t.live <- t.live - 1;
-          emit_probe t (Probe.Proc_finish { pid = proc.pid }));
+          match t.probe with
+          | Some f -> f (Probe.Proc_finish { pid = proc.pid })
+          | None -> ());
       exnc = (fun exn -> raise exn);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Advance ns ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  proc.cont <- Some k;
-                  Pqueue.push t.queue ~time:(t.now + ns) (Resume proc))
+              proc.pending <- ns;
+              on_advance
           | Block label ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -174,7 +197,9 @@ let run_fiber t proc body =
                     proc.state <- Blocked;
                     proc.blocked_label <- label;
                     proc.cont <- Some k;
-                    emit_probe t (Probe.Proc_block { pid = proc.pid; label })
+                    match t.probe with
+                    | Some f -> f (Probe.Proc_block { pid = proc.pid; label })
+                    | None -> ()
                   end)
           | _ -> None);
     }
@@ -207,22 +232,25 @@ let diagnose t ~stalled =
 let run t =
   t.last_progress <- t.now;
   let rec loop () =
-    match Pqueue.pop t.queue with
-    | None -> if t.live > 0 then raise (Deadlock (diagnose t ~stalled:false))
-    | Some (time, action) ->
-        t.now <- time;
-        (match t.stall_budget with
-        | Some budget when t.live > 0 && t.now - t.last_progress > budget ->
-            raise (Deadlock (diagnose t ~stalled:true))
-        | _ -> ());
-        (match action with
-        | Start (proc, body) ->
-            t.last_progress <- t.now;
-            run_fiber t proc body
-        | Resume proc ->
-            t.last_progress <- t.now;
-            resume_fiber proc
-        | Thunk f -> f ());
-        loop ()
+    if Pqueue.is_empty t.queue then begin
+      if t.live > 0 then raise (Deadlock (diagnose t ~stalled:false))
+    end
+    else begin
+      t.now <- Pqueue.top_time t.queue;
+      let action = Pqueue.take t.queue in
+      (match t.stall_budget with
+      | Some budget when t.live > 0 && t.now - t.last_progress > budget ->
+          raise (Deadlock (diagnose t ~stalled:true))
+      | _ -> ());
+      (match action with
+      | Start (proc, body) ->
+          t.last_progress <- t.now;
+          run_fiber t proc body
+      | Resume proc ->
+          t.last_progress <- t.now;
+          resume_fiber proc
+      | Thunk f -> f ());
+      loop ()
+    end
   in
   loop ()

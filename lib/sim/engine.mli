@@ -48,7 +48,11 @@ val schedule : t -> at:int -> (unit -> unit) -> unit
 val schedule_after : t -> delay:int -> (unit -> unit) -> unit
 
 val advance : int -> unit
-(** From within a process: consume simulated nanoseconds. *)
+(** From within a process: consume simulated nanoseconds. A positive
+    duration suspends the process and allocates 11 minor words: the
+    effect payload, the continuation, its [Some] and the event-queue
+    entry. The process's resume action and handler are built once, when
+    it starts. *)
 
 val advance_f : float -> unit
 

@@ -47,7 +47,9 @@ type 'msg t = {
 
 let node_count t = Array.length t.nodes
 
-let emit_probe t event = match t.probe with Some f -> f event | None -> ()
+(* Every probe event is built under [Some f] only: with no probe
+   installed, a send or delivery pays one branch, not the event and the
+   [describe]/[size_of] calls that fill it. *)
 
 (* Partition windows have no event of their own on the wire; report each
    open/close transition at the first wire activity that observes it.
@@ -55,15 +57,14 @@ let emit_probe t event = match t.probe with Some f -> f event | None -> ()
    probe installed. *)
 let note_partitions t =
   match (t.fault, t.probe) with
-  | Some fault, Some _ ->
+  | Some fault, Some f ->
       let now = Engine.now t.engine in
       List.iteri
         (fun i (p : Fault.partition) ->
           let down = now >= p.Fault.p_from_ns && now < p.Fault.p_until_ns in
           if down <> t.partition_down.(i) then begin
             t.partition_down.(i) <- down;
-            emit_probe t
-              (Probe.Partition { a = p.Fault.p_a; b = p.Fault.p_b; up = not down })
+            f (Probe.Partition { a = p.Fault.p_a; b = p.Fault.p_b; up = not down })
           end)
         (Fault.windows fault)
   | _ -> ()
@@ -97,14 +98,17 @@ let deliver_ordered t ~src ~dst ~delay msg =
   let node = t.nodes.(dst) in
   Engine.schedule t.engine ~at (fun () ->
       t.in_flight.(link) <- t.in_flight.(link) - 1;
-      emit_probe t
-        (Probe.Deliver { src; dst; bytes = t.size_of msg; tag = t.describe msg });
+      (match t.probe with
+      | Some f -> f (Probe.Deliver { src; dst; bytes = t.size_of msg; tag = t.describe msg })
+      | None -> ());
       deliver t node msg)
 
 let send t ~src ~dst msg =
   if dst < 0 || dst >= Array.length t.nodes then invalid_arg "Net.send: bad destination";
   let bytes = t.size_of msg in
-  emit_probe t (Probe.Send { src; dst; bytes; tag = t.describe msg });
+  (match t.probe with
+  | Some f -> f (Probe.Send { src; dst; bytes; tag = t.describe msg })
+  | None -> ());
   t.stats.Stats.messages <- t.stats.Stats.messages + 1;
   if src = dst then begin
     (* loopback: protocol stack only — no wire, no faults, no transport *)
@@ -165,23 +169,26 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
         in
         let verdicts = verdict.Fault.v_delays in
         (* report only frames the plan actually touched *)
-        (if verdict.Fault.v_partitioned then
-           emit_probe t (Probe.Fault { src; dst; outcome = Probe.Blackholed })
-         else if verdict.Fault.v_dropped && verdicts = [] then
-           emit_probe t (Probe.Fault { src; dst; outcome = Probe.Dropped })
-         else
-           match verdicts with
-           | first :: rest when first > 0 || rest <> [] || verdict.Fault.v_dropped ->
-               emit_probe t
-                 (Probe.Fault
-                    {
-                      src;
-                      dst;
-                      outcome =
-                        Probe.Passed
-                          { copies = List.length verdicts; extra_delay_ns = first };
-                    })
-           | _ -> ());
+        (match t.probe with
+        | None -> ()
+        | Some f -> (
+            if verdict.Fault.v_partitioned then
+              f (Probe.Fault { src; dst; outcome = Probe.Blackholed })
+            else if verdict.Fault.v_dropped && verdicts = [] then
+              f (Probe.Fault { src; dst; outcome = Probe.Dropped })
+            else
+              match verdicts with
+              | first :: rest when first > 0 || rest <> [] || verdict.Fault.v_dropped ->
+                  f
+                    (Probe.Fault
+                       {
+                         src;
+                         dst;
+                         outcome =
+                           Probe.Passed
+                             { copies = List.length verdicts; extra_delay_ns = first };
+                       })
+              | _ -> ()));
         (match verdicts with
         | [] -> stats.Stats.frames_dropped <- stats.Stats.frames_dropped + 1
         | _ :: extra_copies ->
@@ -200,8 +207,10 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
           verdicts
       in
       let deliver_up ~src ~dst payload =
-        emit_probe t
-          (Probe.Deliver { src; dst; bytes = t.size_of payload; tag = t.describe payload });
+        (match t.probe with
+        | Some f ->
+            f (Probe.Deliver { src; dst; bytes = t.size_of payload; tag = t.describe payload })
+        | None -> ());
         deliver t t.nodes.(dst) payload
       in
       t.transport <-

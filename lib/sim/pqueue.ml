@@ -67,18 +67,18 @@ let push t ~time value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      t.data.(t.size) <- nil_entry ();
-      sift_down t 0
-    end
-    else t.data.(0) <- nil_entry ();
-    Some (top.time, top.value)
-  end
+let top_time t =
+  if t.size = 0 then invalid_arg "Pqueue.top_time: empty queue";
+  t.data.(0).time
 
-let peek_time t = if t.size = 0 then None else Some t.data.(0).time
+let take t =
+  if t.size = 0 then invalid_arg "Pqueue.take: empty queue";
+  let top = t.data.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.data.(0) <- t.data.(t.size);
+    t.data.(t.size) <- nil_entry ();
+    sift_down t 0
+  end
+  else t.data.(0) <- nil_entry ();
+  top.value

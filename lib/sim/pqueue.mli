@@ -2,7 +2,10 @@
 
     Entries are ordered by [time]; ties break by insertion order, so a run
     that schedules the same events in the same order always pops them in the
-    same order. *)
+    same order.
+
+    [push] allocates one 4-word entry; [top_time] and [take] allocate
+    nothing. *)
 
 type 'a t
 
@@ -13,10 +16,11 @@ val is_empty : 'a t -> bool
 val push : 'a t -> time:int -> 'a -> unit
 (** [push t ~time v] inserts [v] at simulated time [time] (nanoseconds). *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the earliest entry, or [None] when empty. The
-    vacated slot is cleared, so popped values do not stay reachable
-    through the heap's backing array. *)
+val top_time : 'a t -> int
+(** Time of the earliest entry. Raises [Invalid_argument] when the queue
+    is empty. *)
 
-val peek_time : 'a t -> int option
-(** Time of the earliest entry without removing it. *)
+val take : 'a t -> 'a
+(** Remove the earliest entry and return its value. The vacated slot is
+    cleared, so taken values do not stay reachable through the heap's
+    backing array. Raises [Invalid_argument] when the queue is empty. *)

@@ -83,8 +83,6 @@ let create ?probe cfg engine stats ~nodes ~wire_send ~deliver =
     probe;
   }
 
-let emit_probe t event = match t.probe with Some f -> f event | None -> ()
-
 let link t ~src ~dst = (src * t.nodes) + dst
 
 let frame_bytes cfg ~payload_bytes = function
@@ -108,12 +106,12 @@ and on_timeout t ~src ~dst s =
        diagnosis instead of being retried forever *)
     s.failed <- true;
     t.stats.Stats.link_failures <- t.stats.Stats.link_failures + 1;
-    emit_probe t (Probe.Link_failure { src; dst })
+    match t.probe with Some f -> f (Probe.Link_failure { src; dst }) | None -> ()
   end
   else begin
     let seq, payload = Queue.peek s.unacked in
     t.stats.Stats.retransmits <- t.stats.Stats.retransmits + 1;
-    emit_probe t (Probe.Retransmit { src; dst; seq });
+    (match t.probe with Some f -> f (Probe.Retransmit { src; dst; seq }) | None -> ());
     t.wire_send ~src ~dst (Data { seq; payload });
     s.rto <- min (2 * s.rto) t.cfg.max_rto_ns;
     arm_timer t ~src ~dst s
@@ -166,7 +164,9 @@ let on_data t ~src ~dst ~seq payload =
   (* every data frame earns a cumulative ack; a lost ack is repaired by
      the next one (or by the retransmission it provokes) *)
   t.stats.Stats.acks_sent <- t.stats.Stats.acks_sent + 1;
-  emit_probe t (Probe.Ack_tx { src = dst; dst = src; cum = r.expected - 1 });
+  (match t.probe with
+  | Some f -> f (Probe.Ack_tx { src = dst; dst = src; cum = r.expected - 1 })
+  | None -> ());
   t.wire_send ~src:dst ~dst:src (Ack { cum = r.expected - 1 })
 
 let wire_receive t ~src ~dst frame =

@@ -49,6 +49,66 @@ let test_dragon_updates () =
   check Alcotest.int "no DSM messages on a bus machine" 0 stats.Sim.Stats.messages
 
 (* ------------------------------------------------------------------ *)
+(* The hit path allocates nothing: a shared access that hits pays
+   counters and a bitmap bit, never the minor heap. *)
+
+let hit_words backend =
+  let cfg = { Coherence.Config.default with Coherence.Config.backend; detect = true } in
+  let machine = Backends.create ~cfg ~nprocs:1 ~pages:2 () in
+  let addr = machine.Coherence.Backend.alloc 8 ~name:"hits" in
+  let words = ref 0.0 in
+  machine.Coherence.Backend.run (fun node ->
+      (* the miss that brings the line in, then a read and a write that
+         settle its state *)
+      node.Coherence.Node.write_word_int ~site:"warm" addr 1;
+      ignore (node.Coherence.Node.read_word_int ~site:"warm" addr);
+      node.Coherence.Node.write_word_int ~site:"warm" addr 2;
+      let before = Gc.minor_words () in
+      for i = 1 to 10_000 do
+        ignore (Sys.opaque_identity (node.Coherence.Node.read_word_int ~site:"hit:r" addr));
+        node.Coherence.Node.write_word_int ~site:"hit:w" addr i
+      done;
+      words := Gc.minor_words () -. before);
+  let stats = machine.Coherence.Backend.stats in
+  check Alcotest.int "one miss, every other access a hit" 1 stats.Sim.Stats.cache_misses;
+  !words
+
+let test_hits_allocate_nothing backend () =
+  let words = hit_words backend in
+  if words > 64.0 then
+    Alcotest.failf "20,000 %s cache hits allocated %.0f minor words" backend words
+
+(* Replacement: an invalid way first, else the least recently touched;
+   [find] touches, [probe] does not. *)
+let test_cache_replacement () =
+  let is_valid s = s <> 0 in
+  let cache = Cc.Cache.create ~sets:2 ~ways:3 ~invalid:0 in
+  let victim line = Cc.Cache.victim cache ~line ~is_valid in
+  (* even lines map to set 0, slots 0..2 *)
+  List.iter
+    (fun line ->
+      let i = victim line in
+      check Alcotest.int "an invalid way is chosen first, in way order" (line / 2) i;
+      Cc.Cache.claim cache i ~line ~state:1)
+    [ 0; 2; 4 ];
+  check Alcotest.int "full set: the least-recently-touched way" 0 (victim 6);
+  check Alcotest.int "find hits" 0 (Cc.Cache.find cache ~line:0 ~is_valid);
+  check Alcotest.int "find touched way 0; way 1 is now least recent" 1 (victim 6);
+  check Alcotest.int "probe hits" 1 (Cc.Cache.probe cache ~line:2 ~is_valid);
+  check Alcotest.int "probe did not touch way 1" 1 (victim 6);
+  check Alcotest.int "a miss is -1" (-1) (Cc.Cache.find cache ~line:6 ~is_valid);
+  check Alcotest.int "another set's lines are not seen" (-1)
+    (Cc.Cache.probe cache ~line:1 ~is_valid);
+  (Cc.Cache.slot cache 2).Cc.Cache.state <- 0;
+  check Alcotest.int "an invalid way beats the least recent one" 2 (victim 6);
+  check Alcotest.int "an invalid slot does not hit" (-1)
+    (Cc.Cache.probe cache ~line:4 ~is_valid);
+  Cc.Cache.claim cache 2 ~line:6 ~state:1;
+  check Alcotest.int "claim retags the slot" 2 (Cc.Cache.probe cache ~line:6 ~is_valid);
+  ignore (Cc.Cache.find cache ~line:2 ~is_valid);
+  check Alcotest.int "claim touched way 2, so way 0 is least recent" 0 (victim 8)
+
+(* ------------------------------------------------------------------ *)
 (* Registry and configuration edges. *)
 
 let test_registry () =
@@ -171,6 +231,11 @@ let suite =
         Alcotest.test_case "backend registry" `Quick test_registry;
         Alcotest.test_case "faults rejected" `Quick test_cc_rejects_faults;
         Alcotest.test_case "bad line size rejected" `Quick test_cc_rejects_bad_line;
+        Alcotest.test_case "mesi cache hits allocate nothing" `Quick
+          (test_hits_allocate_nothing "mesi");
+        Alcotest.test_case "dragon cache hits allocate nothing" `Quick
+          (test_hits_allocate_nothing "dragon");
+        Alcotest.test_case "cache replacement rules" `Quick test_cache_replacement;
         QCheck_alcotest.to_alcotest prop_backend_independent;
       ] );
   ]

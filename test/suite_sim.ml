@@ -11,26 +11,31 @@ let test_pqueue_ordering () =
   Sim.Pqueue.push q ~time:30 "c";
   Sim.Pqueue.push q ~time:10 "a";
   Sim.Pqueue.push q ~time:20 "b";
-  check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string)) "first" (Some (10, "a"))
-    (Sim.Pqueue.pop q);
-  check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string)) "second" (Some (20, "b"))
-    (Sim.Pqueue.pop q);
-  check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string)) "third" (Some (30, "c"))
-    (Sim.Pqueue.pop q);
-  check Alcotest.bool "empty" true (Sim.Pqueue.pop q = None)
+  let next () =
+    let time = Sim.Pqueue.top_time q in
+    (time, Sim.Pqueue.take q)
+  in
+  check (Alcotest.pair Alcotest.int Alcotest.string) "first" (10, "a") (next ());
+  check (Alcotest.pair Alcotest.int Alcotest.string) "second" (20, "b") (next ());
+  check (Alcotest.pair Alcotest.int Alcotest.string) "third" (30, "c") (next ());
+  check Alcotest.bool "empty" true (Sim.Pqueue.is_empty q);
+  Alcotest.check_raises "take from an empty queue"
+    (Invalid_argument "Pqueue.take: empty queue") (fun () -> ignore (Sim.Pqueue.take q))
 
 let test_pqueue_tie_break () =
   (* same time: pops in insertion order, the determinism guarantee *)
   let q = Sim.Pqueue.create () in
   List.iter (fun v -> Sim.Pqueue.push q ~time:5 v) [ 1; 2; 3; 4; 5 ];
-  let popped = List.init 5 (fun _ -> snd (Option.get (Sim.Pqueue.pop q))) in
+  let popped = List.init 5 (fun _ -> Sim.Pqueue.take q) in
   check (Alcotest.list Alcotest.int) "fifo at equal time" [ 1; 2; 3; 4; 5 ] popped
 
 let test_pqueue_peek () =
   let q = Sim.Pqueue.create () in
-  check (Alcotest.option Alcotest.int) "peek empty" None (Sim.Pqueue.peek_time q);
+  Alcotest.check_raises "top_time of an empty queue"
+    (Invalid_argument "Pqueue.top_time: empty queue") (fun () ->
+      ignore (Sim.Pqueue.top_time q));
   Sim.Pqueue.push q ~time:42 ();
-  check (Alcotest.option Alcotest.int) "peek" (Some 42) (Sim.Pqueue.peek_time q);
+  check Alcotest.int "top_time" 42 (Sim.Pqueue.top_time q);
   check Alcotest.int "length" 1 (Sim.Pqueue.length q)
 
 let prop_pqueue_sorted =
@@ -40,9 +45,10 @@ let prop_pqueue_sorted =
       let q = Sim.Pqueue.create () in
       List.iteri (fun i time -> Sim.Pqueue.push q ~time i) times;
       let rec drain acc =
-        match Sim.Pqueue.pop q with
-        | None -> List.rev acc
-        | Some (time, seq) -> drain ((time, seq) :: acc)
+        if Sim.Pqueue.is_empty q then List.rev acc
+        else
+          let time = Sim.Pqueue.top_time q in
+          drain ((time, Sim.Pqueue.take q) :: acc)
       in
       let popped = drain [] in
       let sorted = List.stable_sort (fun (t1, s1) (t2, s2) ->
@@ -64,7 +70,7 @@ let test_pqueue_pop_clears_slot () =
     Sim.Pqueue.push q ~time:1 (Some v);
     Sim.Pqueue.push q ~time:2 None
   in
-  ignore (Sim.Pqueue.pop q);
+  ignore (Sim.Pqueue.take q);
   Gc.full_major ();
   Gc.full_major ();
   check Alcotest.bool "popped value is collectable while the queue lives" true
@@ -240,6 +246,27 @@ let test_engine_many_procs () =
          Array.iter (fun pid -> Sim.Engine.wake engine pid) pids));
   Sim.Engine.run engine;
   check Alcotest.bool "all woken" true (Array.for_all Fun.id woken)
+
+let test_engine_advance_words () =
+  (* [advance] is performed on every bus transaction: it may allocate
+     the effect payload, the continuation, [Some k] and the queue entry
+     (11 words), plus a fixed start-up per run under 1,000 words *)
+  let procs = 4 and advances = 10_000 in
+  let engine = Sim.Engine.create () in
+  for _ = 1 to procs do
+    ignore
+      (Sim.Engine.spawn engine (fun _ ->
+           for _ = 1 to advances do
+             Sim.Engine.advance 3
+           done))
+  done;
+  let before = Gc.minor_words () in
+  Sim.Engine.run engine;
+  let words = Gc.minor_words () -. before in
+  let calls = float_of_int (procs * advances) in
+  if words > (11.0 *. calls) +. 1000.0 then
+    Alcotest.failf "%.0f advances allocated %.0f minor words (%.2f per call)" calls words
+      (words /. calls)
 
 let test_engine_exception_propagates () =
   let engine = Sim.Engine.create () in
@@ -479,6 +506,7 @@ let suite =
         Alcotest.test_case "growable proc table" `Quick test_engine_many_procs;
         Alcotest.test_case "exception propagates" `Quick test_engine_exception_propagates;
         Alcotest.test_case "scheduled thunk" `Quick test_engine_schedule_thunk;
+        Alcotest.test_case "advance allocates 11 words" `Quick test_engine_advance_words;
       ] );
     ( "sim:net",
       [

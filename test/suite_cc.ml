@@ -78,6 +78,32 @@ let test_hits_allocate_nothing backend () =
   if words > 64.0 then
     Alcotest.failf "20,000 %s cache hits allocated %.0f minor words" backend words
 
+(* A bad address fails with the machine's own diagnostic, before any
+   page arithmetic or accounting. *)
+let test_bad_address_rejected backend () =
+  let cfg = { Coherence.Config.default with Coherence.Config.backend } in
+  let expect what access message =
+    let machine = Backends.create ~cfg ~nprocs:1 ~pages:2 () in
+    let base = machine.Coherence.Backend.alloc 16 ~name:"bad" in
+    match machine.Coherence.Backend.run (fun node -> access node base) with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument m ->
+        check Alcotest.bool (what ^ ": " ^ m) true (Testutil.contains m message)
+  in
+  let private_addr = 64 in
+  expect "private read"
+    (fun node _ -> ignore (node.Coherence.Node.read_word_int private_addr))
+    "Machine: address 0x40 outside the shared segment";
+  expect "private write"
+    (fun node _ -> node.Coherence.Node.write_word_int private_addr 1)
+    "Machine: address 0x40 outside the shared segment";
+  expect "unaligned read"
+    (fun node base -> ignore (node.Coherence.Node.read_word_float (base + 3)))
+    "Machine: unaligned shared access";
+  expect "unaligned write"
+    (fun node base -> node.Coherence.Node.write_word (base + 3) 1L)
+    "Machine: unaligned shared access"
+
 (* Replacement: an invalid way first, else the least recently touched;
    [find] touches, [probe] does not. *)
 let test_cache_replacement () =
@@ -236,6 +262,10 @@ let suite =
         Alcotest.test_case "dragon cache hits allocate nothing" `Quick
           (test_hits_allocate_nothing "dragon");
         Alcotest.test_case "cache replacement rules" `Quick test_cache_replacement;
+        Alcotest.test_case "mesi rejects bad addresses" `Quick
+          (test_bad_address_rejected "mesi");
+        Alcotest.test_case "dragon rejects bad addresses" `Quick
+          (test_bad_address_rejected "dragon");
         QCheck_alcotest.to_alcotest prop_backend_independent;
       ] );
   ]

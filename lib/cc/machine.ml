@@ -464,56 +464,49 @@ let check_addr m addr =
   if not (Mem.Geometry.in_shared m.geometry addr) then bad_shared addr;
   if addr mod m.geometry.Mem.Geometry.word_size <> 0 then bad_aligned addr
 
-(* Each accessor checks the address before anything else, then computes
-   its page and word itself: returning them as a pair would allocate on
-   every access. *)
-let page_of m addr = Mem.Geometry.page_of_addr m.geometry addr
-
+(* The access path proper: check the address first (so a bad one fails
+   with the diagnostic above), account, instrument and run the cache,
+   then return the page holding [addr]. The page is an existing block,
+   so nothing here allocates; each accessor finds its word itself. *)
 let word_of m addr = Mem.Geometry.word_in_page m.geometry addr
 
-let read_access m p ~site addr page word =
-  read_note m p ~site addr page word;
-  cache_read m p addr
+let read_access m p ~site addr =
+  check_addr m addr;
+  let page = Mem.Geometry.page_of_addr m.geometry addr in
+  read_note m p ~site addr page (word_of m addr);
+  cache_read m p addr;
+  m.pages.(page)
 
-let write_access m p ~site addr page word =
-  write_note m p ~site addr page word;
-  cache_write m p addr
+let write_access m p ~site addr =
+  check_addr m addr;
+  let page = Mem.Geometry.page_of_addr m.geometry addr in
+  write_note m p ~site addr page (word_of m addr);
+  cache_write m p addr;
+  m.pages.(page)
 
 let read_word m p ?(site = "?") addr =
-  check_addr m addr;
-  let page = page_of m addr and word = word_of m addr in
-  read_access m p ~site addr page word;
-  Mem.Page.get_int64 m.pages.(page) word
+  let page = read_access m p ~site addr in
+  Mem.Page.get_int64 page (word_of m addr)
 
 let read_word_int m p ?(site = "?") addr =
-  check_addr m addr;
-  let page = page_of m addr and word = word_of m addr in
-  read_access m p ~site addr page word;
-  Mem.Page.get_int m.pages.(page) word
+  let page = read_access m p ~site addr in
+  Mem.Page.get_int page (word_of m addr)
 
 let read_word_float m p ?(site = "?") addr =
-  check_addr m addr;
-  let page = page_of m addr and word = word_of m addr in
-  read_access m p ~site addr page word;
-  Mem.Page.get_float m.pages.(page) word
+  let page = read_access m p ~site addr in
+  Mem.Page.get_float page (word_of m addr)
 
 let write_word m p ?(site = "?") addr value =
-  check_addr m addr;
-  let page = page_of m addr and word = word_of m addr in
-  write_access m p ~site addr page word;
-  Mem.Page.set_int64 m.pages.(page) word value
+  let page = write_access m p ~site addr in
+  Mem.Page.set_int64 page (word_of m addr) value
 
 let write_word_int m p ?(site = "?") addr value =
-  check_addr m addr;
-  let page = page_of m addr and word = word_of m addr in
-  write_access m p ~site addr page word;
-  Mem.Page.set_int m.pages.(page) word value
+  let page = write_access m p ~site addr in
+  Mem.Page.set_int page (word_of m addr) value
 
 let write_word_float m p ?(site = "?") addr value =
-  check_addr m addr;
-  let page = page_of m addr and word = word_of m addr in
-  write_access m p ~site addr page word;
-  Mem.Page.set_float m.pages.(page) word value
+  let page = write_access m p ~site addr in
+  Mem.Page.set_float page (word_of m addr) value
 
 let touch_private m p n =
   m.stats.Sim.Stats.private_accesses <- m.stats.Sim.Stats.private_accesses + n;

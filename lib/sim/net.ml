@@ -40,16 +40,15 @@ type 'msg t = {
   last_delivery : int array;  (* per (src, dst) link: preserve FIFO under jitter *)
   in_flight : int array;  (* per link: wire frames scheduled, not yet delivered *)
   fault : Fault.t option;
-  probe : Probe.t option;  (* pure observer; never perturbs delivery *)
+  probe : Probe.t option;
+      (* pure observer; never perturbs delivery. Events are built under
+         [Some f] only, so without a probe a send or delivery pays one
+         branch, not the event and the [describe]/[size_of] calls *)
   partition_down : bool array;  (* last observed phase of each partition window *)
   mutable transport : 'msg Transport.t option;
 }
 
 let node_count t = Array.length t.nodes
-
-(* Every probe event is built under [Some f] only: with no probe
-   installed, a send or delivery pays one branch, not the event and the
-   [describe]/[size_of] calls that fill it. *)
 
 (* Partition windows have no event of their own on the wire; report each
    open/close transition at the first wire activity that observes it.

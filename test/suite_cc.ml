@@ -52,7 +52,7 @@ let test_dragon_updates () =
 (* The hit path allocates nothing: a shared access that hits pays
    counters and a bitmap bit, never the minor heap. *)
 
-let hit_words backend =
+let test_hits_allocate_nothing backend () =
   let cfg = { Coherence.Config.default with Coherence.Config.backend; detect = true } in
   let machine = Backends.create ~cfg ~nprocs:1 ~pages:2 () in
   let addr = machine.Coherence.Backend.alloc 8 ~name:"hits" in
@@ -71,12 +71,8 @@ let hit_words backend =
       words := Gc.minor_words () -. before);
   let stats = machine.Coherence.Backend.stats in
   check Alcotest.int "one miss, every other access a hit" 1 stats.Sim.Stats.cache_misses;
-  !words
-
-let test_hits_allocate_nothing backend () =
-  let words = hit_words backend in
-  if words > 64.0 then
-    Alcotest.failf "20,000 %s cache hits allocated %.0f minor words" backend words
+  if !words > 64.0 then
+    Alcotest.failf "20,000 %s cache hits allocated %.0f minor words" backend !words
 
 (* A bad address fails with the machine's own diagnostic, before any
    page arithmetic or accounting. *)

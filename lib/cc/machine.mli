@@ -17,19 +17,6 @@
 
 type protocol = Mesi | Dragon
 
-val protocol_name : protocol -> string
-
-type t
-
-val create :
-  ?cost:Sim.Cost.t ->
-  ?cfg:Coherence.Config.t ->
-  protocol:protocol ->
-  nprocs:int ->
-  pages:int ->
-  unit ->
-  t
-
 val backend :
   ?cost:Sim.Cost.t ->
   ?cfg:Coherence.Config.t ->
@@ -38,5 +25,6 @@ val backend :
   pages:int ->
   unit ->
   Coherence.Backend.t
-(** Package a fresh machine behind the backend interface; [name] is
-    ["mesi"] or ["dragon"]. *)
+(** A fresh machine behind the backend interface. Detection, intervals
+    and the oracle trace are the shared {!Coherence.Front}'s; the machine
+    adds caches, the bus and FCFS locks. *)

@@ -12,10 +12,6 @@
 type observer = site:string -> addr:int -> Proto.Race.access_kind -> unit
 
 type t = {
-  name : string;  (* registry id: "lrc", "mesi", "dragon" *)
-  nprocs : int;
-  geometry : Mem.Geometry.t;
-  config : Config.t;
   stats : Sim.Stats.t;
   symtab : Mem.Symtab.t;
   alloc : ?name:string -> ?align:int -> int -> int;
@@ -27,7 +23,6 @@ type t = {
       (* deduplicated race reports from every barrier epoch *)
   trace : unit -> (int * Racedetect.Oracle.event) list;
       (* the access/synchronization log, when [record_trace] was set *)
-  timed_trace : unit -> (int * int * Racedetect.Oracle.event) list;
   sync_trace : unit -> Sync_trace.t option;
       (* the recorded lock-grant order, when [record_sync] was set *)
   sim_time : unit -> int;  (* final simulated time, ns *)

@@ -10,9 +10,7 @@
    code changed, or determinism broke — all three are exactly what this
    exists to catch. *)
 
-let scale_name = Apps.Registry.scale_name
 let scale_of_name = Apps.Registry.scale_of_name
-let protocol_of_name = Coherence.Config.protocol_of_name
 
 (* Both directions of the transport mapping record/rebuild every field:
    a recording made with a tuned RTO, backoff ceiling, retry cap or
@@ -37,11 +35,11 @@ let transport_of_meta (tm : Trace.Codec.transport_meta) : Sim.Transport.config =
     ack_bytes = tm.Trace.Codec.tm_ack_bytes;
   }
 
-let meta_of ?cost:_ ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.meta =
+let meta_of ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.meta =
   let fault = cfg.Coherence.Config.fault in
   {
     Trace.Codec.m_app = app_name;
-    m_scale = scale_name scale;
+    m_scale = Apps.Registry.scale_name scale;
     m_nprocs = nprocs;
     m_protocol = Coherence.Config.protocol_name cfg.Coherence.Config.protocol;
     m_detect = cfg.Coherence.Config.detect;
@@ -75,7 +73,7 @@ let meta_of ?cost:_ ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.
 let config_of_meta (m : Trace.Codec.meta) : Coherence.Config.t =
   {
     Coherence.Config.default with
-    Coherence.Config.protocol = protocol_of_name m.Trace.Codec.m_protocol;
+    Coherence.Config.protocol = Coherence.Config.protocol_of_name m.Trace.Codec.m_protocol;
     detect = m.Trace.Codec.m_detect;
     first_race_only = m.Trace.Codec.m_first_race_only;
     stores_from_diffs = m.Trace.Codec.m_stores_from_diffs;

@@ -6,22 +6,14 @@
     first divergence if the two executions disagree anywhere — from a
     single wire-frame fate up to the final race set and memory image. *)
 
-val scale_name : Apps.Registry.scale -> string
-(** {!Apps.Registry.scale_name}: the spelling a log's [m_scale] carries. *)
-
 val scale_of_name : string -> Apps.Registry.scale
 (** {!Apps.Registry.scale_of_name}. *)
 
-val protocol_of_name : string -> Coherence.Config.protocol
-(** {!Coherence.Config.protocol_of_name}: inverse of
-    {!Coherence.Config.protocol_name}; raises [Invalid_argument]. *)
-
 val meta_of :
-  ?cost:Sim.Cost.t ->
   app_name:string -> scale:Apps.Registry.scale -> nprocs:int -> Coherence.Config.t ->
   Trace.Codec.meta
 (** The metadata header a recording of this configuration carries. The
-    cost model is not part of it: [cost] is ignored. *)
+    cost model is not part of it. *)
 
 val config_of_meta : Trace.Codec.meta -> Coherence.Config.t
 (** The cluster configuration a log's metadata describes (tracer unset). *)

@@ -16,7 +16,7 @@ val watched : t -> int -> bool
 
 val observe : t -> site:string -> addr:int -> Proto.Race.access_kind -> unit
 (** Record an instrumented access; partially applied it is shaped for
-    {!Lrc.Node.set_access_observer}. *)
+    {!Coherence.Backend.t.set_access_observer}. *)
 
 val hits : t -> hit list
 (** All recorded hits, sorted by (addr, site, kind). *)

@@ -3,24 +3,10 @@
    interchangeably with the snooping-bus cache backends. *)
 
 let of_cluster cluster =
-  {
-    Coherence.Backend.name = "lrc";
-    nprocs = Cluster.nprocs cluster;
-    geometry = Cluster.geometry cluster;
-    config = Cluster.config cluster;
-    stats = Cluster.stats cluster;
-    symtab = Cluster.symtab cluster;
-    alloc = (fun ?name ?align bytes -> Cluster.alloc cluster ?name ?align bytes);
-    run = (fun body -> Cluster.run cluster ~body);
-    races = (fun () -> Cluster.races cluster);
-    trace = (fun () -> Cluster.trace cluster);
-    timed_trace = (fun () -> Cluster.timed_trace cluster);
-    sync_trace = (fun () -> Cluster.sync_trace cluster);
-    sim_time = (fun () -> Cluster.sim_time cluster);
-    memory_checksum = (fun () -> Cluster.memory_checksum cluster);
-    set_access_observer =
-      (fun id observer -> Node.set_access_observer (Cluster.node cluster id) observer);
-  }
+  Coherence.Front.backend (Cluster.front cluster)
+    ~alloc:(fun ?name ?align bytes -> Cluster.alloc cluster ?name ?align bytes)
+    ~run:(fun body -> Cluster.run cluster ~body)
+    ~memory_checksum:(fun () -> Cluster.memory_checksum cluster)
 
 let create ?cost ?cfg ~nprocs ~pages () =
   of_cluster (Cluster.create ?cost ?cfg ~nprocs ~pages ())

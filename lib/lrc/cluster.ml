@@ -2,50 +2,23 @@
    processor, and the run driver that spawns the SPMD application body on
    every node. *)
 
+module Front = Coherence.Front
+
 type t = {
-  engine : Sim.Engine.t;
-  cost : Sim.Cost.t;
-  stats : Sim.Stats.t;
-  cfg : Coherence.Config.t;
-  geometry : Mem.Geometry.t;
+  front : Front.t;  (* engine, stats, intervals, detection, trace *)
   nodes : Node.t array;
-  runtime : Node.runtime;
-  races : Proto.Race.t list ref;
-  trace : (int * Racedetect.Oracle.event) list ref;
-  recorder : Coherence.Sync_trace.recorder option;
-  symtab : Mem.Symtab.t;
-  mutable alloc_next : int;  (* pre-run shared allocation cursor *)
 }
 
 let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs ~pages () =
   if nprocs <= 0 then invalid_arg "Cluster.create: need at least one processor";
-  let engine = Sim.Engine.create () in
-  let stats = Sim.Stats.create () in
-  let geometry = Mem.Geometry.of_cost cost ~pages in
-  let races = ref [] in
-  let trace = ref [] in
-  let timed = ref [] in
-  let recorder =
-    if cfg.Coherence.Config.record_sync then Some (Coherence.Sync_trace.new_recorder ())
-    else None
+  let front =
+    Front.create ~name:"Node" ~cost ~cfg ~nprocs ~pages
+      ~stores_from_diffs:
+        (cfg.Coherence.Config.stores_from_diffs
+        && cfg.Coherence.Config.protocol = Coherence.Config.Multi_writer)
+      ~retain_sites:cfg.Coherence.Config.retain_sites
   in
-  let symtab = Mem.Symtab.create () in
-  let runtime =
-    {
-      Node.engine;
-      cost;
-      stats;
-      cfg;
-      geometry;
-      net = None;
-      races;
-      trace;
-      timed;
-      recorder;
-      symtab;
-    }
-  in
-  let nodes = Array.init nprocs (fun id -> Node.create runtime ~id ~nprocs) in
+  let engine = front.Front.engine in
   let size_of = Message.size ~with_read_notices:cfg.Coherence.Config.detect in
   (* The jitter and fault-plan RNGs are split from one root so they are
      independent streams: enabling fault injection does not perturb the
@@ -64,126 +37,52 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs 
     | None, true -> Some Sim.Transport.default_config
     | None, false -> None
   in
-  (* Sim-level probe: translate the engine/net/transport observer events
-     into trace events. Protocol-level events (vector clocks, intervals,
-     races) are emitted by {!Node} directly, where the context lives. *)
-  let probe =
-    match cfg.Coherence.Config.tracer with
-    | None -> None
-    | Some sink ->
-        Some
-          (fun (ev : Sim.Probe.event) ->
-            let event =
-              match ev with
-              | Sim.Probe.Send { src; dst; bytes; tag } ->
-                  Trace.Event.Msg_send { src; dst; kind = tag; bytes }
-              | Sim.Probe.Deliver { src; dst; bytes; tag } ->
-                  Trace.Event.Msg_deliver { src; dst; kind = tag; bytes }
-              | Sim.Probe.Fault { src; dst; outcome } ->
-                  let outcome =
-                    match outcome with
-                    | Sim.Probe.Passed { copies; extra_delay_ns } ->
-                        Trace.Event.Passed { copies; extra_delay_ns }
-                    | Sim.Probe.Dropped -> Trace.Event.Dropped
-                    | Sim.Probe.Blackholed -> Trace.Event.Blackholed
-                  in
-                  Trace.Event.Fault { src; dst; outcome }
-              | Sim.Probe.Partition { a; b; up } -> Trace.Event.Partition { a; b; up }
-              | Sim.Probe.Retransmit { src; dst; seq } ->
-                  Trace.Event.Retransmit { src; dst; seq }
-              | Sim.Probe.Ack_tx { src; dst; cum } -> Trace.Event.Ack { src; dst; cum }
-              | Sim.Probe.Link_failure { src; dst } ->
-                  Trace.Event.Link_failure { src; dst }
-              | Sim.Probe.Proc_block { pid; label } ->
-                  Trace.Event.Proc_block { proc = pid; label }
-              | Sim.Probe.Proc_resume { pid } ->
-                  Trace.Event.Proc_resume { proc = pid }
-              | Sim.Probe.Proc_finish { pid } ->
-                  Trace.Event.Proc_finish { proc = pid }
-            in
-            Trace.Sink.emit sink ~time:(Sim.Engine.now engine) event)
-  in
-  Sim.Engine.set_probe engine probe;
   let net =
     Sim.Net.create ~rng:jitter_rng ~fault:(Sim.Fault.validate cfg.Coherence.Config.fault)
-      ~fault_rng ?transport ?probe ~describe:Message.describe engine cost stats
-      ~nodes:nprocs ~size_of
+      ~fault_rng ?transport ?probe:front.Front.probe ~describe:Message.describe
+      engine cost front.Front.stats ~nodes:nprocs ~size_of
   in
-  runtime.Node.net <- Some net;
+  let nodes = Array.init nprocs (fun id -> Node.create front net ~id) in
   Array.iteri
     (fun id node -> Sim.Net.set_handler net ~node:id (Node.handle_message node))
     nodes;
-  Sim.Engine.set_stall_budget engine cfg.Coherence.Config.watchdog_ns;
   Sim.Engine.add_diagnostic engine (fun () -> Sim.Net.diagnostics net);
-  Sim.Engine.add_diagnostic engine (fun () ->
-      Node.service_diagnostics nodes.(0));
-  {
-    engine;
-    cost;
-    stats;
-    cfg;
-    geometry;
-    nodes;
-    runtime;
-    races;
-    trace;
-    recorder;
-    symtab;
-    alloc_next = geometry.Mem.Geometry.base;
-  }
+  Sim.Engine.add_diagnostic engine (fun () -> Node.service_diagnostics nodes.(0));
+  { front; nodes }
 
-let node t id = t.nodes.(id)
-let nprocs t = Array.length t.nodes
-
-let alloc t ?name ?(align = 0) bytes =
+let alloc t ?name ?align bytes =
   (* Pre-run shared allocation, visible to every node (the usual way the
      applications lay out their shared data before the workers start). *)
-  if bytes < 0 then invalid_arg "Cluster.alloc";
-  let word = t.geometry.Mem.Geometry.word_size in
-  let round v quantum = (v + quantum - 1) / quantum * quantum in
-  let start = if align > 0 then round t.alloc_next align else round t.alloc_next word in
-  let next = start + round bytes word in
-  if next > Mem.Geometry.limit t.geometry then
-    invalid_arg "Cluster.alloc: shared segment exhausted";
-  (match name with
-  | Some name -> Mem.Symtab.register t.symtab ~name ~base:start ~bytes
-  | None -> ());
-  t.alloc_next <- next;
-  (* keep the per-node allocators consistent for later Node.malloc calls *)
-  Array.iter (fun node -> Node.set_alloc_next node next) t.nodes;
-  start
+  Front.alloc t.front ~who:"Cluster.alloc" ?name ?align bytes
 
 let run t ~body =
+  let engine = t.front.Front.engine in
   Array.iter
-    (fun node -> ignore (Sim.Engine.spawn t.engine (fun _pid -> body (Node.view node))))
+    (fun node -> ignore (Sim.Engine.spawn engine (fun _pid -> body (Node.view node))))
     t.nodes;
-  Sim.Engine.run t.engine
+  Sim.Engine.run engine
 
-let races t = Proto.Race.dedup !(t.races)
-
-let trace t = List.rev !(t.trace)
-
-let timed_trace t = List.rev !(t.runtime.Node.timed)
-
-let sync_trace t =
-  match t.recorder with Some r -> Some (Coherence.Sync_trace.of_recorder r) | None -> None
+let races t = Front.races t.front
+let trace t = Front.trace t.front
+let timed_trace t = Front.timed_trace t.front
+let sync_trace t = Front.sync_trace t.front
 
 let race_sites t (race : Proto.Race.t) =
   (* With [retain_sites]: the source sites of both halves of a race. *)
   let side (interval, kind) =
-    Node.retained_site t.nodes.(interval.Proto.Interval.proc) ~interval ~page:race.page
-      ~word:race.word ~kind
+    Front.retained_site t.front.Front.procs.(interval.Proto.Interval.proc)
+      ~interval ~page:race.page ~word:race.word ~kind
   in
   (side race.first, side race.second)
 
-let sim_time t = Sim.Engine.now t.engine
+let sim_time t = Sim.Engine.now t.front.Front.engine
 
 let memory_checksum t =
   (* For each page, the first coherent copy found on any node. Which
      node caches which page is timing-dependent (and irrelevant); the
      coherent bytes are not. *)
   let h = ref Mem.Checksum.init in
-  for page = 0 to t.geometry.Mem.Geometry.pages - 1 do
+  for page = 0 to t.front.Front.geometry.Mem.Geometry.pages - 1 do
     h :=
       match Array.find_map (fun node -> Node.coherent_page_raw node page) t.nodes with
       | None -> Mem.Checksum.absent !h
@@ -191,7 +90,6 @@ let memory_checksum t =
   done;
   Mem.Checksum.finish !h
 
-let stats t = t.stats
-let symtab t = t.symtab
-let geometry t = t.geometry
-let config t = t.cfg
+let stats t = t.front.Front.stats
+let symtab t = t.front.Front.symtab
+let front t = t.front

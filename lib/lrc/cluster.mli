@@ -7,9 +7,6 @@ val create : ?cost:Sim.Cost.t -> ?cfg:Coherence.Config.t -> nprocs:int -> pages:
 (** Build a cluster of [nprocs] processors over a shared segment of
     [pages] pages. Page/word sizes come from the cost model. *)
 
-val node : t -> int -> Node.t
-val nprocs : t -> int
-
 val alloc : t -> ?name:string -> ?align:int -> int -> int
 (** Pre-run shared allocation visible to every node (how the applications
     lay out their shared data before the workers start). [name] registers
@@ -47,5 +44,6 @@ val memory_checksum : t -> int
 
 val stats : t -> Sim.Stats.t
 val symtab : t -> Mem.Symtab.t
-val geometry : t -> Mem.Geometry.t
-val config : t -> Coherence.Config.t
+
+val front : t -> Coherence.Front.t
+(** The cluster's detection front-end (for {!Backend}). *)

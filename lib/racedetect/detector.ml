@@ -199,15 +199,6 @@ let races_of_entry ?stats ~geometry ~epoch ~source (entry : Checklist.entry) =
     entry.pages;
   List.rev !races
 
-let analyze_epoch ?stats ~geometry ~epoch ~source intervals =
-  let pairs = concurrent_pairs ?stats intervals in
-  let entries = check_list ?stats pairs in
-  let races =
-    List.concat_map (races_of_entry ?stats ~geometry ~epoch ~source) entries
-    |> Proto.Race.dedup
-  in
-  (entries, races)
-
 let first_races races =
   (* Section 6.4: barriers are semantically releases to the master followed
      by releases to everyone, so any race in a prior epoch affects every

@@ -52,16 +52,6 @@ val races_of_entry :
     overlapping word is a data race (true sharing); disjoint words are
     false sharing and produce nothing. *)
 
-val analyze_epoch :
-  ?stats:Sim.Stats.t ->
-  geometry:Mem.Geometry.t ->
-  epoch:int ->
-  source:bitmap_source ->
-  Proto.Interval.t list ->
-  Checklist.entry list * Proto.Race.t list
-(** Steps 2+3+5 for one barrier epoch; returns the check list (for message
-    accounting) and the deduplicated races. *)
-
 val first_races : Proto.Race.t list -> Proto.Race.t list
 (** Section 6.4's "first race" filter: keep only races of the earliest racy
     barrier epoch (races in later epochs are necessarily affected). *)

@@ -50,16 +50,28 @@ let test_dragon_updates () =
 
 (* ------------------------------------------------------------------ *)
 (* The hit path allocates nothing: a shared access that hits pays
-   counters and a bitmap bit, never the minor heap. *)
+   counters and a bitmap bit, never the minor heap. On LRC a hit is an
+   access to a valid page, under every caching protocol, whether the
+   site's check runs or is elided. Int accessors only: a float crosses
+   the Coherence.Node closure boxed on every backend. *)
 
-let test_hits_allocate_nothing backend () =
-  let cfg = { Coherence.Config.default with Coherence.Config.backend; detect = true } in
+let test_hits_allocate_nothing ?(protocol = Coherence.Config.Single_writer) ?(elide = false)
+    backend () =
+  let cfg =
+    {
+      Coherence.Config.default with
+      Coherence.Config.backend;
+      protocol;
+      detect = true;
+      elide_sites = (if elide then Some [ "hit:r"; "hit:w" ] else None);
+    }
+  in
   let machine = Backends.create ~cfg ~nprocs:1 ~pages:2 () in
   let addr = machine.Coherence.Backend.alloc 8 ~name:"hits" in
   let words = ref 0.0 in
   machine.Coherence.Backend.run (fun node ->
-      (* the miss that brings the line in, then a read and a write that
-         settle its state *)
+      (* the miss (or write fault) that brings the line (or page) in,
+         then a read and a write that settle its state *)
       node.Coherence.Node.write_word_int ~site:"warm" addr 1;
       ignore (node.Coherence.Node.read_word_int ~site:"warm" addr);
       node.Coherence.Node.write_word_int ~site:"warm" addr 2;
@@ -70,9 +82,32 @@ let test_hits_allocate_nothing backend () =
       done;
       words := Gc.minor_words () -. before);
   let stats = machine.Coherence.Backend.stats in
-  check Alcotest.int "one miss, every other access a hit" 1 stats.Sim.Stats.cache_misses;
+  if backend = "lrc" then begin
+    check Alcotest.int "one write fault, at the warm-up" 1 stats.Sim.Stats.write_faults;
+    check Alcotest.int "no read fault" 0 stats.Sim.Stats.read_faults;
+    check Alcotest.int "elided checks" (if elide then 20_000 else 0)
+      stats.Sim.Stats.elided_checks
+  end
+  else check Alcotest.int "one miss, every other access a hit" 1 stats.Sim.Stats.cache_misses;
   if !words > 64.0 then
     Alcotest.failf "20,000 %s cache hits allocated %.0f minor words" backend !words
+
+let lrc_hit_cases =
+  List.concat_map
+    (fun (name, protocol) ->
+      List.map
+        (fun elide ->
+          Alcotest.test_case
+            (Printf.sprintf "lrc %s%s valid-page accesses allocate nothing" name
+               (if elide then " elided" else ""))
+            `Quick
+            (test_hits_allocate_nothing ~protocol ~elide "lrc"))
+        [ false; true ])
+    [
+      ("sw", Coherence.Config.Single_writer);
+      ("mw", Coherence.Config.Multi_writer);
+      ("hb", Coherence.Config.Home_based);
+    ]
 
 (* A bad address fails with the machine's own diagnostic, before any
    page arithmetic or accounting. *)
@@ -264,4 +299,5 @@ let suite =
           (test_bad_address_rejected "dragon");
         QCheck_alcotest.to_alcotest prop_backend_independent;
       ] );
+    ("lrc:allocation", lrc_hit_cases);
   ]

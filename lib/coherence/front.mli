@@ -11,8 +11,11 @@
     A backend that ignores a DSM mechanism passes it off at [create]:
     the bus passes [~stores_from_diffs:false] and [~retain_sites:false]. *)
 
-(** One processor's front-end state. *)
-type proc = {
+(** One processor's front-end state. Only this module assigns its
+    fields. A backend reads them, adds its own per-access time to [debt]
+    in place, and (LRC under [stores_from_diffs]) puts the write bitmaps
+    it derives from diffs into [bitmaps]. *)
+type proc = private {
   id : int;
   debt : float array;
       (** local time accrued but not yet advanced, in ns; a 1-element
@@ -37,7 +40,9 @@ type proc = {
   mutable observer : Backend.observer option;  (** watch mode (section 6.1) *)
 }
 
-type t = {
+(** One run's front-end, shared by its processors; only this module
+    assigns its fields. *)
+type t = private {
   name : string;  (** prefix of the diagnostics raised here ("Node", "Machine") *)
   engine : Sim.Engine.t;
   cost : Sim.Cost.t;

@@ -242,19 +242,27 @@ let lossy_cfg =
     transport = Some Sim.Transport.default_config;
   }
 
+(* LRC on a lossy wire, and the mesi bus: the recorder must change
+   neither the statistics nor the outcome *)
 let test_recording_is_behavior_neutral () =
   let app = Apps.Registry.make ~scale:Apps.Registry.Small "sor" in
-  let plain = Core.Driver.run ~cfg:lossy_cfg ~app ~nprocs:4 () in
-  let traced, log =
-    Core.Trace_run.record ~cfg:lossy_cfg ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:4 ()
-  in
-  check Alcotest.int "same simulated time" plain.Core.Driver.sim_time_ns
-    traced.Core.Driver.sim_time_ns;
-  check Alcotest.int "same memory checksum" plain.Core.Driver.mem_checksum
-    traced.Core.Driver.mem_checksum;
-  check Alcotest.bool "same races" true (plain.Core.Driver.races = traced.Core.Driver.races);
-  check Alcotest.bool "log is non-trivial" true
-    (Array.length (Trace.Codec.decode log).Trace.Codec.events > 100)
+  List.iter
+    (fun (label, cfg) ->
+      let plain = Core.Driver.run ~cfg ~app ~nprocs:4 () in
+      let traced, log =
+        Core.Trace_run.record ~cfg ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:4 ()
+      in
+      let stats (o : Core.Driver.outcome) = Format.asprintf "%a" Sim.Stats.pp o.Core.Driver.stats in
+      check Alcotest.string (label ^ ": same statistics") (stats plain) (stats traced);
+      check Alcotest.int (label ^ ": same simulated time") plain.Core.Driver.sim_time_ns
+        traced.Core.Driver.sim_time_ns;
+      check Alcotest.int (label ^ ": same memory checksum") plain.Core.Driver.mem_checksum
+        traced.Core.Driver.mem_checksum;
+      check Alcotest.bool (label ^ ": same races") true
+        (plain.Core.Driver.races = traced.Core.Driver.races);
+      check Alcotest.bool (label ^ ": log is non-trivial") true
+        (Array.length (Trace.Codec.decode log).Trace.Codec.events > 100))
+    [ ("lossy lrc", lossy_cfg); ("mesi", { Coherence.Config.default with backend = "mesi" }) ]
 
 (* ------------------------------------------------------------------ *)
 (* Record -> replay identity for every app under 20% drop              *)
@@ -299,6 +307,47 @@ let test_first_divergence_pinpointed () =
       let report = Format.asprintf "%a" Trace.Replay.pp_divergence d in
       check Alcotest.bool "report names the event index" true
         (Testutil.contains report (string_of_int k))
+
+(* `dune runtest` runs with the test directory as cwd; `dune exec
+   test/test_main.exe` runs from the workspace root *)
+let golden_file name =
+  let local = Filename.concat "golden" name in
+  if Sys.file_exists local then local else Filename.concat "test/golden" name
+
+(* The divergence report, pinned as text: golden/replay_divergence.txt
+   holds it for four damaged copies of one lossy SOR log. *)
+let divergence_report () =
+  let _, log =
+    Core.Trace_run.record ~cfg:lossy_cfg ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:4 ()
+  in
+  let decoded = Trace.Codec.decode log in
+  let events = decoded.Trace.Codec.events in
+  let n = Array.length events in
+  let with_event i f =
+    let copy = Array.copy events in
+    copy.(i) <- f copy.(i);
+    copy
+  in
+  [
+    ( "event n/3 replaced by link-failure 6->7",
+      with_event (n / 3) (fun (time, _) -> (time, Trace.Event.Link_failure { src = 6; dst = 7 })) );
+    ("first event's time plus 1", with_event 0 (fun (time, e) -> (time + 1, e)));
+    ("last event's time plus 1", with_event (n - 1) (fun (time, e) -> (time + 1, e)));
+    ("log cut to its first half", Array.sub events 0 (n / 2));
+  ]
+  |> List.map (fun (label, damaged) ->
+         let replayed =
+           Core.Trace_run.replay (Trace.Codec.encode decoded.Trace.Codec.meta damaged)
+         in
+         match replayed.Core.Trace_run.rr_divergence with
+         | Some d -> Format.asprintf "%s:@.%a@." label Trace.Replay.pp_divergence d
+         | None -> Printf.sprintf "%s: no divergence\n" label)
+  |> String.concat ""
+
+let test_divergence_report_golden () =
+  check Alcotest.string "divergence report"
+    (Core.Trace_run.load (golden_file "replay_divergence.txt"))
+    (divergence_report ())
 
 let test_truncated_live_stream_diverges () =
   (* verifier finish: a live run that ends short of the log is flagged *)
@@ -480,12 +529,6 @@ let test_live_transport_defaults_still_frozen () =
   check Alcotest.int "frozen header_bytes literal" 12 frozen.Trace.Codec.tm_header_bytes;
   check Alcotest.int "frozen ack_bytes literal" 32 frozen.Trace.Codec.tm_ack_bytes
 
-(* `dune runtest` runs with the test directory as cwd; `dune exec
-   test/test_main.exe` runs from the workspace root *)
-let golden_file name =
-  let local = Filename.concat "golden" name in
-  if Sys.file_exists local then local else Filename.concat "test/golden" name
-
 let test_v1_log_decodes_with_frozen_defaults () =
   (* the checked-in pre-optimization logs are format v1: no GC cadence
      existed when they were recorded, and their transport ran the
@@ -571,6 +614,8 @@ let suite =
         Alcotest.test_case "mutated event pinpointed" `Quick test_first_divergence_pinpointed;
         Alcotest.test_case "short live stream flagged" `Quick
           test_truncated_live_stream_diverges;
+        Alcotest.test_case "divergence report matches golden" `Quick
+          test_divergence_report_golden;
       ] );
     ( "trace:meta",
       [

@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: all build test check bench faults clean
+.PHONY: all build test check pins bench faults clean
 
 all: build
 
@@ -70,6 +70,21 @@ check:
 	cmp test/golden/perf_equiv.json _build/perf_equiv_j1.json
 	dune exec test/gen_equiv_golden.exe -- --jobs 4 _build/perf_equiv_j4.json
 	cmp test/golden/perf_equiv.json _build/perf_equiv_j4.json
+
+# Paper-scale outcomes: one pass of each benchmark workload, checked
+# against perfbench/pins.txt (races, checksums, simulated time, wire and
+# bus traffic). Fails unless each result line reports correct with no
+# failed operation. About 40 s on a 2-core host.
+PINS = dsm-paper bus-paper record-replay fuzz
+
+pins:
+	@for w in $(PINS); do \
+	  python3 perfbench/run.py --workload $$w --seconds 0 --trace 0 | tail -n 1 \
+	  | python3 -c 'import json, sys; r = json.load(sys.stdin); \
+	      print("pins: %s correct=%s failed=%d" % (sys.argv[1], r["correct"], r["failed"])); \
+	      sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)' $$w \
+	  || exit 1; \
+	done
 
 # The full drop-rate sweep over every application (slow; paper scale).
 faults:

@@ -247,54 +247,72 @@ let elide_arg =
   in
   Arg.(value & flag & info [ "elide" ] ~doc)
 
-let ppf = Format.std_formatter
-
-let config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs ~oracle
-    ~gc_epochs ~elide =
-  {
-    Coherence.Config.default with
-    backend;
-    protocol;
-    detect = not no_detect;
-    first_race_only;
-    stores_from_diffs;
-    record_trace = oracle;
-    gc_epochs;
-    elide_sites = (if elide then Some [] else None);
-  }
-
-let net_config cfg ~drop ~dup ~reorder ~partitions ~net_seed ~watchdog_ms ~max_retries
-    ~transport =
-  let fault =
+(* The run configuration [run] and [record] share: backend, protocol and
+   detection switches, then the wire and transport flags. *)
+let config_term =
+  let config backend protocol no_detect first_race_only stores_from_diffs gc_epochs elide
+      drop dup reorder partitions net_seed watchdog_ms max_retries transport =
+    let fault =
+      {
+        Sim.Fault.none with
+        Sim.Fault.drop;
+        duplicate = dup;
+        reorder;
+        partitions =
+          List.map
+            (fun (a, b, t0, t1) ->
+              { Sim.Fault.p_a = a; p_b = b; p_from_ns = t0; p_until_ns = t1 })
+            partitions;
+      }
+    in
+    let transport =
+      if transport || Sim.Fault.active fault then
+        let base = Sim.Transport.default_config in
+        Some
+          (match max_retries with
+          | Some n -> { base with Sim.Transport.max_retries = n }
+          | None -> base)
+      else None
+    in
     {
-      Sim.Fault.none with
-      Sim.Fault.drop;
-      duplicate = dup;
-      reorder;
-      partitions =
-        List.map
-          (fun (a, b, t0, t1) ->
-            { Sim.Fault.p_a = a; p_b = b; p_from_ns = t0; p_until_ns = t1 })
-          partitions;
+      Coherence.Config.default with
+      backend;
+      protocol;
+      detect = not no_detect;
+      first_race_only;
+      stores_from_diffs;
+      gc_epochs;
+      elide_sites = (if elide then Some [] else None);
+      fault;
+      transport;
+      net_seed;
+      watchdog_ns = Option.map (fun ms -> int_of_float (ms *. 1e6)) watchdog_ms;
     }
   in
-  let transport_cfg =
-    if transport || Sim.Fault.active fault then
-      let base = Sim.Transport.default_config in
-      Some
-        (match max_retries with
-        | Some n -> { base with Sim.Transport.max_retries = n }
-        | None -> base)
-    else None
-  in
-  {
-    cfg with
-    Coherence.Config.fault;
-    transport = transport_cfg;
-    net_seed;
-    watchdog_ns =
-      (match watchdog_ms with Some ms -> Some (int_of_float (ms *. 1e6)) | None -> None);
-  }
+  Term.(const config $ backend_arg $ protocol_arg $ no_detect_arg $ first_race_arg
+      $ diff_stores_arg $ gc_epochs_arg $ elide_arg $ drop_arg $ dup_arg $ reorder_arg
+      $ partition_arg $ net_seed_arg $ watchdog_arg $ max_retries_arg $ transport_arg)
+
+let ppf = Format.std_formatter
+
+(* The failures every subcommand reports the same way: a simulated
+   deadlock prints its diagnosis and exits 2, a file that cannot be read
+   or written exits 2, and a malformed trace log exits 3. *)
+let guarded f =
+  try f () with
+  | Sim.Engine.Deadlock diagnosis ->
+      Format.fprintf ppf "DEADLOCK@.%s@." (Sim.Engine.diagnosis_to_string diagnosis);
+      exit 2
+  | Sys_error msg ->
+      Format.eprintf "%s@." msg;
+      exit 2
+  | Trace.Codec.Corrupt msg ->
+      Format.eprintf "corrupt trace log: %s@." msg;
+      exit 3
+
+let print_faults cfg =
+  if Sim.Fault.active cfg.Coherence.Config.fault then
+    Format.fprintf ppf "wire faults: %s@." (Sim.Fault.describe cfg.Coherence.Config.fault)
 
 let print_outcome (outcome : Core.Driver.outcome) =
   Format.fprintf ppf "== %s on %d processors (detect %s) ==@." outcome.Core.Driver.app_name
@@ -317,13 +335,9 @@ let resolve_workload ~scale ~procs app_name trace_file =
       try
         let program = Workload.Trace_file.parse_file path in
         (Workload.Program.to_app program, program.Workload.Program.nprocs)
-      with
-      | Workload.Trace_file.Parse_error { line; msg } ->
+      with Workload.Trace_file.Parse_error { line; msg } ->
           if line > 0 then Format.eprintf "%s:%d: %s@." path line msg
           else Format.eprintf "%s: %s@." path msg;
-          exit 2
-      | Sys_error msg ->
-          Format.eprintf "%s@." msg;
           exit 2)
   | None, Some name -> (Apps.Registry.make ~scale name, procs)
   | None, None ->
@@ -331,20 +345,11 @@ let resolve_workload ~scale ~procs app_name trace_file =
       exit 2
 
 let run_command =
-  let run app_name trace_file procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide slowdown oracle drop dup reorder partitions
-      net_seed watchdog_ms max_retries transport =
+  let run app_name trace_file procs scale cfg slowdown oracle =
+    guarded @@ fun () ->
     let app, procs = resolve_workload ~scale ~procs app_name trace_file in
-    let cfg =
-      config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs ~oracle
-        ~gc_epochs ~elide
-    in
-    let cfg =
-      net_config cfg ~drop ~dup ~reorder ~partitions ~net_seed ~watchdog_ms ~max_retries
-        ~transport
-    in
-    if Sim.Fault.active cfg.Coherence.Config.fault then
-      Format.fprintf ppf "wire faults: %s@." (Sim.Fault.describe cfg.Coherence.Config.fault);
+    let cfg = { cfg with Coherence.Config.record_trace = oracle } in
+    print_faults cfg;
     if slowdown then begin
       let sd = Core.Driver.measure_slowdown ~cfg ~app ~nprocs:procs () in
       print_outcome sd.Core.Driver.instrumented;
@@ -367,23 +372,9 @@ let run_command =
       end
     end
   in
-  let run app_name trace_file procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide slowdown oracle drop dup reorder partitions
-      net_seed watchdog_ms max_retries transport =
-    try
-      run app_name trace_file procs scale backend protocol no_detect first_race_only
-        stores_from_diffs gc_epochs elide slowdown oracle drop dup reorder partitions
-        net_seed watchdog_ms max_retries transport
-    with Sim.Engine.Deadlock diagnosis ->
-      Format.fprintf ppf "DEADLOCK@.%s@." (Sim.Engine.diagnosis_to_string diagnosis);
-      exit 2
-  in
   let term =
     Term.(const run $ app_or_trace_arg $ trace_file_arg $ procs_arg $ scale_arg
-        $ backend_arg $ protocol_arg $ no_detect_arg $ first_race_arg $ diff_stores_arg
-        $ gc_epochs_arg $ elide_arg $ slowdown_arg $ oracle_arg $ drop_arg $ dup_arg
-        $ reorder_arg $ partition_arg $ net_seed_arg $ watchdog_arg $ max_retries_arg
-        $ transport_arg)
+        $ config_term $ slowdown_arg $ oracle_arg)
   in
   Cmd.v
     (Cmd.info "run"
@@ -424,19 +415,9 @@ let record_command =
     let doc = "Output file for the binary trace log." in
     Arg.(value & opt string "run.cvmt" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
-  let record app_name procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide drop dup reorder partitions net_seed watchdog_ms
-      max_retries transport out =
-    let cfg =
-      config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs
-        ~oracle:false ~gc_epochs ~elide
-    in
-    let cfg =
-      net_config cfg ~drop ~dup ~reorder ~partitions ~net_seed ~watchdog_ms ~max_retries
-        ~transport
-    in
-    if Sim.Fault.active cfg.Coherence.Config.fault then
-      Format.fprintf ppf "wire faults: %s@." (Sim.Fault.describe cfg.Coherence.Config.fault);
+  let record app_name procs scale cfg out =
+    guarded @@ fun () ->
+    print_faults cfg;
     let outcome, log = Core.Trace_run.record ~cfg ~app_name ~scale ~nprocs:procs () in
     Core.Trace_run.save out log;
     print_outcome outcome;
@@ -445,27 +426,7 @@ let record_command =
       (Array.length decoded.Trace.Codec.events)
       (String.length log) out
   in
-  let record app_name procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide drop dup reorder partitions net_seed watchdog_ms
-      max_retries transport out =
-    try
-      record app_name procs scale backend protocol no_detect first_race_only
-        stores_from_diffs gc_epochs elide drop dup reorder partitions net_seed
-        watchdog_ms max_retries transport out
-    with
-    | Sim.Engine.Deadlock diagnosis ->
-        Format.fprintf ppf "DEADLOCK@.%s@." (Sim.Engine.diagnosis_to_string diagnosis);
-        exit 2
-    | Sys_error msg ->
-        Format.eprintf "%s@." msg;
-        exit 2
-  in
-  let term =
-    Term.(const record $ app_arg $ procs_arg $ scale_arg $ backend_arg $ protocol_arg
-        $ no_detect_arg $ first_race_arg $ diff_stores_arg $ gc_epochs_arg $ elide_arg
-        $ drop_arg $ dup_arg $ reorder_arg $ partition_arg $ net_seed_arg $ watchdog_arg
-        $ max_retries_arg $ transport_arg $ out_arg)
-  in
+  let term = Term.(const record $ app_arg $ procs_arg $ scale_arg $ config_term $ out_arg) in
   Cmd.v
     (Cmd.info "record"
        ~doc:
@@ -486,6 +447,7 @@ let replay_command =
     Arg.(value & flag & info [ "log-only" ] ~doc)
   in
   let replay log_path log_only =
+    guarded @@ fun () ->
     let log = Core.Trace_run.load log_path in
     if log_only then begin
       let decoded = Trace.Codec.decode log in
@@ -523,18 +485,6 @@ let replay_command =
             "replay verified: event streams, race set and memory checksum identical@."
     end
   in
-  let replay log_path log_only =
-    try replay log_path log_only with
-    | Sim.Engine.Deadlock diagnosis ->
-        Format.fprintf ppf "DEADLOCK@.%s@." (Sim.Engine.diagnosis_to_string diagnosis);
-        exit 2
-    | Trace.Codec.Corrupt msg ->
-        Format.eprintf "corrupt trace log: %s@." msg;
-        exit 3
-    | Sys_error msg ->
-        Format.eprintf "%s@." msg;
-        exit 2
-  in
   let term = Term.(const replay $ log_arg $ log_only_arg) in
   Cmd.v
     (Cmd.info "replay"
@@ -557,6 +507,7 @@ let trace_command =
     Arg.(value & opt int 0 & info [ "events" ] ~docv:"N" ~doc)
   in
   let trace log_path chrome stats events =
+    guarded @@ fun () ->
     let log = Core.Trace_run.load log_path in
     let decoded = Trace.Codec.decode log in
     let m = decoded.Trace.Codec.meta in
@@ -595,15 +546,6 @@ let trace_command =
         Core.Trace_run.save out (Trace.Chrome.export decoded);
         Format.fprintf ppf "chrome trace -> %s@." out
     | None -> ()
-  in
-  let trace log_path chrome stats events =
-    try trace log_path chrome stats events with
-    | Trace.Codec.Corrupt msg ->
-        Format.eprintf "corrupt trace log: %s@." msg;
-        exit 3
-    | Sys_error msg ->
-        Format.eprintf "%s@." msg;
-        exit 2
   in
   let term = Term.(const trace $ log_arg $ chrome_arg $ stats_arg $ events_arg) in
   Cmd.v
@@ -737,6 +679,7 @@ let analyze_command =
     Arg.(value & opt (some string) None & info [ "expect" ] ~docv:"FILE" ~doc)
   in
   let analyze app_name all scale mhp json expect =
+    guarded @@ fun () ->
     let names =
       match (app_name, all) with
       | _, true -> Apps.Registry.extended_names
@@ -805,12 +748,6 @@ let analyze_command =
         "note: lint findings are static suspicions; `cvm_race run` confirms them dynamically@.";
     if drifted then exit 1
   in
-  let analyze app_name all scale mhp json expect =
-    try analyze app_name all scale mhp json expect
-    with Sys_error msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
-  in
   let term =
     Term.(const analyze $ app_opt_arg $ all_arg $ scale_arg $ mhp_arg $ json_arg
         $ expect_arg)
@@ -877,6 +814,7 @@ let fuzz_command =
         & info [ "backends" ] ~docv:"B,B,..." ~doc)
   in
   let fuzz seed count no_shrink repro_dir json backends =
+    guarded @@ fun () ->
     List.iter
       (fun b ->
         if not (Backends.known b) then begin
@@ -941,12 +879,6 @@ let fuzz_command =
         Format.fprintf ppf "fuzz report JSON -> %s@." path
     | None -> ());
     if report.Workload.Harness.mismatches <> [] then exit 1
-  in
-  let fuzz seed count no_shrink repro_dir json backends =
-    try fuzz seed count no_shrink repro_dir json backends
-    with Sys_error msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
   in
   let term =
     Term.(const fuzz $ seed_arg $ count_arg $ no_shrink_arg $ repro_dir_arg $ json_arg

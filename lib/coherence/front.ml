@@ -40,7 +40,6 @@ type t = {
   symtab : Mem.Symtab.t;
   nprocs : int;
   procs : proc array;
-  probe : Sim.Probe.t option;
   stores_from_diffs : bool;
   retain_sites : bool;
   elide : (string, unit) Hashtbl.t;
@@ -48,7 +47,6 @@ type t = {
   mutable timed : (int * int * Racedetect.Oracle.event) list;
   mutable races : Proto.Race.t list;
   mutable race_seen : bool;
-  g_fast : bool;
   g_base : int;
   g_limit : int;
   g_page_shift : int;
@@ -107,30 +105,6 @@ let emit_trace t p event =
   t.timed <- (Sim.Engine.now t.engine, p.id, event) :: t.timed
 
 let trace_sync t p event = if t.cfg.Config.record_trace then emit_trace t p event
-
-(* Sim-level probe events, for the record/replay sink. Protocol events
-   (vector clocks, intervals, races) are emitted by the callers below,
-   where that context lives. *)
-let event_of_probe : Sim.Probe.event -> Trace.Event.t = function
-  | Sim.Probe.Send { src; dst; bytes; tag } -> Trace.Event.Msg_send { src; dst; kind = tag; bytes }
-  | Sim.Probe.Deliver { src; dst; bytes; tag } ->
-      Trace.Event.Msg_deliver { src; dst; kind = tag; bytes }
-  | Sim.Probe.Fault { src; dst; outcome } ->
-      let outcome =
-        match outcome with
-        | Sim.Probe.Passed { copies; extra_delay_ns } ->
-            Trace.Event.Passed { copies; extra_delay_ns }
-        | Sim.Probe.Dropped -> Trace.Event.Dropped
-        | Sim.Probe.Blackholed -> Trace.Event.Blackholed
-      in
-      Trace.Event.Fault { src; dst; outcome }
-  | Sim.Probe.Partition { a; b; up } -> Trace.Event.Partition { a; b; up }
-  | Sim.Probe.Retransmit { src; dst; seq } -> Trace.Event.Retransmit { src; dst; seq }
-  | Sim.Probe.Ack_tx { src; dst; cum } -> Trace.Event.Ack { src; dst; cum }
-  | Sim.Probe.Link_failure { src; dst } -> Trace.Event.Link_failure { src; dst }
-  | Sim.Probe.Proc_block { pid; label } -> Trace.Event.Proc_block { proc = pid; label }
-  | Sim.Probe.Proc_resume { pid } -> Trace.Event.Proc_resume { proc = pid }
-  | Sim.Probe.Proc_finish { pid } -> Trace.Event.Proc_finish { proc = pid }
 
 (* ------------------------------------------------------------------ *)
 (* Intervals                                                            *)
@@ -215,24 +189,15 @@ let bad_aligned t addr =
   invalid_arg (Printf.sprintf "%s: unaligned shared access 0x%x" t.name addr)
 
 let check_addr t addr =
-  if t.g_fast then begin
-    if addr < t.g_base || addr >= t.g_limit then bad_shared t addr;
-    if addr land t.g_word_mask <> 0 then bad_aligned t addr
-  end
-  else begin
-    if not (Mem.Geometry.in_shared t.geometry addr) then bad_shared t addr;
-    if addr mod t.geometry.Mem.Geometry.word_size <> 0 then bad_aligned t addr
-  end
+  if addr < t.g_base || addr >= t.g_limit then bad_shared t addr;
+  if addr land t.g_word_mask <> 0 then bad_aligned t addr
 
-(* Page/word of a checked address: shifts and masks on the fast path, the
-   division-based {!Mem.Geometry} functions otherwise. *)
-let page_of t addr =
-  if t.g_fast then (addr - t.g_base) lsr t.g_page_shift
-  else Mem.Geometry.page_of_addr t.geometry addr
+(* Page/word of a checked address. {!Mem.Geometry.create} admits only
+   power-of-two page and word sizes and a page-aligned base, so these
+   are shifts and masks. *)
+let page_of t addr = (addr - t.g_base) lsr t.g_page_shift
 
-let word_of t addr =
-  if t.g_fast then (addr land t.g_page_mask) lsr t.g_word_shift
-  else Mem.Geometry.word_in_page t.geometry addr
+let word_of t addr = (addr land t.g_page_mask) lsr t.g_word_shift
 
 (* The inserted analysis-routine call: a procedure call plus the check
    that decides shared vs private and sets the per-page bitmap bit. *)
@@ -455,8 +420,6 @@ let backend t ~alloc ~run ~memory_checksum =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
 let shift_of n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
@@ -466,20 +429,11 @@ let create ~name ~cost ~cfg ~nprocs ~pages ~stores_from_diffs ~retain_sites =
   let geometry = Mem.Geometry.of_cost cost ~pages in
   let page_size = geometry.Mem.Geometry.page_size in
   let word_size = geometry.Mem.Geometry.word_size in
-  let g_fast =
-    is_pow2 page_size && is_pow2 word_size && geometry.Mem.Geometry.base land (page_size - 1) = 0
-  in
   let elide = Hashtbl.create 8 in
   (match cfg.Config.elide_sites with
   | Some sites -> List.iter (fun site -> Hashtbl.replace elide site ()) sites
   | None -> ());
-  let probe =
-    match cfg.Config.tracer with
-    | None -> None
-    | Some sink ->
-        Some (fun ev -> Trace.Sink.emit sink ~time:(Sim.Engine.now engine) (event_of_probe ev))
-  in
-  Sim.Engine.set_probe engine probe;
+  Sim.Engine.set_tracer engine cfg.Config.tracer;
   Sim.Engine.set_stall_budget engine cfg.Config.watchdog_ns;
   let proc id =
     let vc = Proto.Vclock.create nprocs in
@@ -512,7 +466,6 @@ let create ~name ~cost ~cfg ~nprocs ~pages ~stores_from_diffs ~retain_sites =
       symtab = Mem.Symtab.create ();
       nprocs;
       procs = Array.init nprocs proc;
-      probe;
       stores_from_diffs;
       retain_sites;
       elide;
@@ -521,12 +474,11 @@ let create ~name ~cost ~cfg ~nprocs ~pages ~stores_from_diffs ~retain_sites =
       timed = [];
       races = [];
       race_seen = false;
-      g_fast;
       g_base = geometry.Mem.Geometry.base;
       g_limit = Mem.Geometry.limit geometry;
-      g_page_shift = (if g_fast then shift_of page_size else 0);
+      g_page_shift = shift_of page_size;
       g_page_mask = page_size - 1;
-      g_word_shift = (if g_fast then shift_of word_size else 0);
+      g_word_shift = shift_of word_size;
       g_word_mask = word_size - 1;
     }
   in

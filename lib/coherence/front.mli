@@ -52,9 +52,6 @@ type t = private {
   symtab : Mem.Symtab.t;
   nprocs : int;
   procs : proc array;
-  probe : Sim.Probe.t option;
-      (** the engine's probe, translating sim events into the tracer;
-          a backend with a network hands it to {!Sim.Net.create} *)
   stores_from_diffs : bool;
       (** effective section 6.5 switch: stores set no write bit *)
   retain_sites : bool;  (** effective section 6.1 site retention *)
@@ -64,10 +61,9 @@ type t = private {
       (** oracle trace, (ns, proc, event), newest first *)
   mutable races : Proto.Race.t list;
   mutable race_seen : bool;  (** for [first_race_only] *)
-  g_fast : bool;
-      (** page and word sizes are powers of two and the base is
-          page-aligned: the address arithmetic below is shifts and masks *)
   g_base : int;
+      (** the geometry as shifts and masks ({!Mem.Geometry.create} admits
+          only power-of-two sizes and a page-aligned base) *)
   g_limit : int;
   g_page_shift : int;
   g_page_mask : int;
@@ -85,8 +81,9 @@ val create :
   retain_sites:bool ->
   t
 (** The engine, statistics, geometry and symbol table of one run, with
-    the probe and stall budget installed and every processor's first
-    interval open. *)
+    the tracer and stall budget installed on the engine and every
+    processor's first interval open. Raises [Invalid_argument] when the
+    cost model's page or word size is not a power of two. *)
 
 (** {1 Time} *)
 

@@ -282,7 +282,11 @@ type access = {
 let proven_private a =
   match a.a_base with Ir.Fp _ | Ir.Gp _ -> true | Ir.Reg _ -> is_private a.a_prov
 
-let analyze ?(page_size = 4096) (proc : Ir.proc) =
+(* the page size the batching groups checks by: every simulated run uses
+   4096-byte pages *)
+let page_size = 4096
+
+let analyze (proc : Ir.proc) =
   let in_states = fixpoint proc in
   let phase_of = phases proc in
   let accesses = ref [] in

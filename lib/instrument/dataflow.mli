@@ -71,6 +71,6 @@ val proven_private : access -> bool
 (** Frame/global-pointer addressing, or computed provenance that can
     only reach private data. *)
 
-val analyze : ?page_size:int -> Ir.proc -> access list
+val analyze : Ir.proc -> access list
 (** Run the fixpoint and return every static access with its derived
     facts, in program order. *)

@@ -136,7 +136,7 @@ let pair_order p q =
       side_key q.p_b,
       q.p_phases )
 
-let analyze ?(page_size = 4096) (binary : Binary.t) =
+let analyze (binary : Binary.t) =
   let by_key : (string * string * string * int * string * int, pair) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -145,7 +145,7 @@ let analyze ?(page_size = 4096) (binary : Binary.t) =
   List.iter
     (fun proc ->
       let accesses =
-        Dataflow.analyze ~page_size proc |> List.filter is_shared |> Array.of_list
+        Dataflow.analyze proc |> List.filter is_shared |> Array.of_list
       in
       Array.iter (fun (a : Dataflow.access) -> Hashtbl.replace shared a.Dataflow.a_site ()) accesses;
       let n = Array.length accesses in
@@ -206,7 +206,7 @@ let analyze ?(page_size = 4096) (binary : Binary.t) =
   in
   { pairs; may_race_sites; race_free_sites; shared_sites }
 
-let race_free_sites ?page_size binary = (analyze ?page_size binary).race_free_sites
+let race_free_sites binary = (analyze binary).race_free_sites
 
 let covers report ~site_a ~site_b =
   List.exists

@@ -39,11 +39,11 @@ type report = {
 val severity_rank : severity -> int
 val severity_name : severity -> string
 
-val analyze : ?page_size:int -> Binary.t -> report
+val analyze : Binary.t -> report
 (** Run {!Dataflow.analyze} over every procedure and pair up the shared
     accesses. Deterministic for a given binary. *)
 
-val race_free_sites : ?page_size:int -> Binary.t -> string list
+val race_free_sites : Binary.t -> string list
 (** Shared sites the analysis proves race-free (no pair membership). *)
 
 val covers : report -> site_a:string -> site_b:string -> bool

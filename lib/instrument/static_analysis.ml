@@ -152,7 +152,7 @@ let lint_warnings accesses =
 (* ------------------------------------------------------------------ *)
 (* Whole-binary analysis                                               *)
 
-let analyze ?(page_size = 4096) (binary : Binary.t) =
+let analyze (binary : Binary.t) =
   let c = ref empty in
   let sites = ref [] in
   List.iter
@@ -176,7 +176,7 @@ let analyze ?(page_size = 4096) (binary : Binary.t) =
                 sites := Printf.sprintf "%s#%d" a.Dataflow.a_site k :: !sites
               done
           end)
-        (Dataflow.analyze ~page_size proc))
+        (Dataflow.analyze proc))
     binary.Binary.procs;
   let classification = !c in
   let scale =

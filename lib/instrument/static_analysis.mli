@@ -45,7 +45,7 @@ type result = {
 val batched_check_cost : float
 (** Cost of a batched check relative to a full one. *)
 
-val analyze : ?page_size:int -> Binary.t -> result
+val analyze : Binary.t -> result
 (** Run the data-flow analysis over every procedure and fold in the
     flat sections. *)
 

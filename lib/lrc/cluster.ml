@@ -39,7 +39,7 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs 
   in
   let net =
     Sim.Net.create ~rng:jitter_rng ~fault:(Sim.Fault.validate cfg.Coherence.Config.fault)
-      ~fault_rng ?transport ?probe:front.Front.probe ~describe:Message.describe
+      ~fault_rng ?transport ~describe:Message.describe
       engine cost front.Front.stats ~nodes:nprocs ~size_of
   in
   let nodes = Array.init nprocs (fun id -> Node.create front net ~id) in

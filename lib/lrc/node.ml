@@ -753,25 +753,13 @@ let on_lock_req t msg =
 (* ------------------------------------------------------------------ *)
 (* Barrier master (runs at processor 0, in handler context)            *)
 
-let closed_unseen t ~vc =
-  (* Same indexed walk as [unseen_intervals], with the master's whole
-     knowledge ([max_seen]) as the upper bound. *)
-  let acc = ref [] in
-  for proc = t.rt.nprocs - 1 downto 0 do
-    for index = Array.unsafe_get t.max_seen proc downto Proto.Vclock.get vc proc + 1 do
-      match Hashtbl.find_opt t.log { Proto.Interval.proc; index } with
-      | Some interval when interval.Proto.Interval.closed -> acc := interval :: !acc
-      | _ -> ()
-    done
-  done;
-  !acc
-
 let master_finish_barrier t ~delay ~races =
   let b = t.barrier in
   Front.report t.rt races;
   List.iter
     (fun (node, vc, _) ->
-      let intervals = closed_unseen t ~vc in
+      (* bounded by the master's whole knowledge *)
+      let intervals = unseen_intervals t ~upto:t.max_seen ~requester_vc:vc in
       send_after t ~delay ~dst:node
         (Message.Barrier_release
            { master_vc = Proto.Vclock.copy b.master_vc; intervals; check_list_size = b.check_bytes }))

@@ -8,9 +8,18 @@
 
 type t = { base : int; page_size : int; word_size : int; pages : int }
 
+(* Power-of-two sizes and a page-aligned base make every address split
+   a shift and a mask, which the per-access check relies on. *)
 let create ?(base = 0x4000_0000) ~page_size ~word_size ~pages () =
-  if page_size <= 0 || word_size <= 0 || pages < 0 then invalid_arg "Geometry.create";
-  if page_size mod word_size <> 0 then invalid_arg "Geometry.create: page/word mismatch";
+  let pow2 n = n > 0 && n land (n - 1) = 0 in
+  if not (pow2 page_size && pow2 word_size) || word_size > page_size || pages < 0
+     || base land (page_size - 1) <> 0
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Geometry.create: page size %d, word size %d, base 0x%x, %d pages (need power-of-two \
+          sizes, a word no larger than a page, a page-aligned base)"
+         page_size word_size base pages);
   { base; page_size; word_size; pages }
 
 let of_cost (cost : Sim.Cost.t) ~pages =

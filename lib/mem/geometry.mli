@@ -8,6 +8,9 @@
 type t = { base : int; page_size : int; word_size : int; pages : int }
 
 val create : ?base:int -> page_size:int -> word_size:int -> pages:int -> unit -> t
+(** Raises [Invalid_argument] unless the page and word sizes are powers
+    of two, the word is no larger than the page, [base] is page-aligned
+    and [pages] is not negative. *)
 
 val of_cost : Sim.Cost.t -> pages:int -> t
 (** Geometry using the page/word sizes of a cost model. *)

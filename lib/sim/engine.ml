@@ -49,7 +49,7 @@ type t = {
   mutable diagnostics : (unit -> string list) list;  (* subsystem reporters *)
   mutable stall_budget : int option;  (* max virtual ns without progress *)
   mutable last_progress : int;  (* last time a process ran or finished *)
-  mutable probe : Probe.t option;  (* pure observer of scheduling decisions *)
+  mutable tracer : Trace.Sink.t option;  (* the run's record/replay sink *)
 }
 
 type diagnosis = {
@@ -85,12 +85,14 @@ let create () =
     diagnostics = [];
     stall_budget = None;
     last_progress = 0;
-    probe = None;
+    tracer = None;
   }
 
 let now t = t.now
 
-let set_probe t probe = t.probe <- probe
+let set_tracer t tracer = t.tracer <- tracer
+
+let tracer t = t.tracer
 
 let add_diagnostic t f = t.diagnostics <- t.diagnostics @ [ f ]
 
@@ -154,7 +156,9 @@ let wake t pid =
   match proc.state with
   | Blocked ->
       proc.state <- Running;
-      (match t.probe with Some f -> f (Probe.Proc_resume { pid }) | None -> ());
+      (match t.tracer with
+      | Some sink -> Trace.Sink.emit sink ~time:t.now (Trace.Event.Proc_resume { proc = pid })
+      | None -> ());
       Pqueue.push t.queue ~time:t.now proc.resume
   | Created | Running -> proc.wake_pending <- true
   | Finished -> ()
@@ -176,8 +180,9 @@ let run_fiber t proc body =
         (fun () ->
           proc.state <- Finished;
           t.live <- t.live - 1;
-          match t.probe with
-          | Some f -> f (Probe.Proc_finish { pid = proc.pid })
+          match t.tracer with
+          | Some sink ->
+              Trace.Sink.emit sink ~time:t.now (Trace.Event.Proc_finish { proc = proc.pid })
           | None -> ());
       exnc = (fun exn -> raise exn);
       effc =
@@ -197,8 +202,10 @@ let run_fiber t proc body =
                     proc.state <- Blocked;
                     proc.blocked_label <- label;
                     proc.cont <- Some k;
-                    match t.probe with
-                    | Some f -> f (Probe.Proc_block { pid = proc.pid; label })
+                    match t.tracer with
+                    | Some sink ->
+                        Trace.Sink.emit sink ~time:t.now
+                          (Trace.Event.Proc_block { proc = proc.pid; label })
                     | None -> ()
                   end)
           | _ -> None);

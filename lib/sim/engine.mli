@@ -64,11 +64,14 @@ val block : label:string -> unit
 val wake : t -> pid -> unit
 (** Make a blocked process runnable at the current simulated time. *)
 
-val set_probe : t -> Probe.t option -> unit
-(** Install (or clear) the scheduling probe: it observes process blocks,
-    wakes and finishes at the simulated moment they happen. The probe
-    must not mutate simulation state; with no probe installed the hook
-    costs one branch. *)
+val set_tracer : t -> Trace.Sink.t option -> unit
+(** Install (or clear) the run's trace sink. The engine emits process
+    blocks, wakes and finishes into it at the simulated moment they
+    happen; {!Net} and {!Transport} read it at creation for their wire
+    and transport events. Emitting never schedules, draws randomness or
+    advances time; with no sink installed each hook costs one branch. *)
+
+val tracer : t -> Trace.Sink.t option
 
 val add_diagnostic : t -> (unit -> string list) -> unit
 (** Register a subsystem reporter whose lines are included in every

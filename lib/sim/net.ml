@@ -22,71 +22,65 @@
    coroutine themselves. Self-sends use the loopback path: no wire, no
    faults, {!Cost.t.loopback_ns} delay. *)
 
-type 'msg node = {
-  id : int;
-  inbox : 'msg Queue.t;
-  mutable handler : ('msg -> unit) option;
-  mutable waiter : Engine.pid option;
-}
-
 type 'msg t = {
   engine : Engine.t;
   cost : Cost.t;
   stats : Stats.t;
-  nodes : 'msg node array;
+  handlers : ('msg -> unit) option array;  (* per node *)
   size_of : 'msg -> int;
-  describe : 'msg -> string;  (* payload tag for the probe's send/deliver events *)
+  describe : 'msg -> string;  (* payload tag of the traced send/deliver events *)
   rng : Rng.t;  (* jitter stream — independent from the fault streams *)
   last_delivery : int array;  (* per (src, dst) link: preserve FIFO under jitter *)
   in_flight : int array;  (* per link: wire frames scheduled, not yet delivered *)
   fault : Fault.t option;
-  probe : Probe.t option;
-      (* pure observer; never perturbs delivery. Events are built under
-         [Some f] only, so without a probe a send or delivery pays one
-         branch, not the event and the [describe]/[size_of] calls *)
+  tracer : Trace.Sink.t option;
+      (* the engine's sink, read at [create]; never perturbs delivery.
+         Events are built under [Some] only, so without a tracer a send
+         or delivery pays one branch, not the event and the
+         [describe]/[size_of] calls *)
   partition_down : bool array;  (* last observed phase of each partition window *)
   mutable transport : 'msg Transport.t option;
 }
 
-let node_count t = Array.length t.nodes
+let node_count t = Array.length t.handlers
 
 (* Partition windows have no event of their own on the wire; report each
    open/close transition at the first wire activity that observes it.
    Lazy observation keeps the event queue identical with and without a
-   probe installed. *)
+   tracer installed. *)
 let note_partitions t =
-  match (t.fault, t.probe) with
-  | Some fault, Some f ->
+  match (t.fault, t.tracer) with
+  | Some fault, Some sink ->
       let now = Engine.now t.engine in
       List.iteri
         (fun i (p : Fault.partition) ->
           let down = now >= p.Fault.p_from_ns && now < p.Fault.p_until_ns in
           if down <> t.partition_down.(i) then begin
             t.partition_down.(i) <- down;
-            f (Probe.Partition { a = p.Fault.p_a; b = p.Fault.p_b; up = not down })
+            Trace.Sink.emit sink ~time:now
+              (Trace.Event.Partition { a = p.Fault.p_a; b = p.Fault.p_b; up = not down })
           end)
         (Fault.windows fault)
   | _ -> ()
 
-let set_handler t ~node f = t.nodes.(node).handler <- Some f
+let set_handler t ~node f = t.handlers.(node) <- Some f
 
-let deliver t node msg =
-  match node.handler with
+let deliver t ~src ~dst msg =
+  (match t.tracer with
+  | Some sink ->
+      Trace.Sink.emit sink ~time:(Engine.now t.engine)
+        (Trace.Event.Msg_deliver { src; dst; kind = t.describe msg; bytes = t.size_of msg })
+  | None -> ());
+  match t.handlers.(dst) with
   | Some f -> f msg
-  | None -> (
-      Queue.add msg node.inbox;
-      match node.waiter with
-      | Some pid ->
-          node.waiter <- None;
-          Engine.wake t.engine pid
-      | None -> ())
+  | None -> invalid_arg (Printf.sprintf "Net: no handler at node %d" dst)
 
 let base_delay t ~bytes =
   let delay = Cost.message_ns t.cost ~bytes in
   if t.cost.Cost.jitter_ns > 0 then delay + Rng.int t.rng (t.cost.Cost.jitter_ns + 1)
   else delay
 
-let link_of t ~src ~dst = (src * Array.length t.nodes) + dst
+let link_of t ~src ~dst = (src * Array.length t.handlers) + dst
 
 (* Reliable delivery with the per-link FIFO clamp (seed behaviour). *)
 let deliver_ordered t ~src ~dst ~delay msg =
@@ -94,19 +88,17 @@ let deliver_ordered t ~src ~dst ~delay msg =
   let at = max (Engine.now t.engine + delay) (t.last_delivery.(link) + 1) in
   t.last_delivery.(link) <- at;
   t.in_flight.(link) <- t.in_flight.(link) + 1;
-  let node = t.nodes.(dst) in
   Engine.schedule t.engine ~at (fun () ->
       t.in_flight.(link) <- t.in_flight.(link) - 1;
-      (match t.probe with
-      | Some f -> f (Probe.Deliver { src; dst; bytes = t.size_of msg; tag = t.describe msg })
-      | None -> ());
-      deliver t node msg)
+      deliver t ~src ~dst msg)
 
 let send t ~src ~dst msg =
-  if dst < 0 || dst >= Array.length t.nodes then invalid_arg "Net.send: bad destination";
+  if dst < 0 || dst >= Array.length t.handlers then invalid_arg "Net.send: bad destination";
   let bytes = t.size_of msg in
-  (match t.probe with
-  | Some f -> f (Probe.Send { src; dst; bytes; tag = t.describe msg })
+  (match t.tracer with
+  | Some sink ->
+      Trace.Sink.emit sink ~time:(Engine.now t.engine)
+        (Trace.Event.Msg_send { src; dst; kind = t.describe msg; bytes })
   | None -> ());
   t.stats.Stats.messages <- t.stats.Stats.messages + 1;
   if src = dst then begin
@@ -123,7 +115,7 @@ let send t ~src ~dst msg =
         t.stats.Stats.bytes <- t.stats.Stats.bytes + Cost.wire_bytes t.cost ~bytes;
         deliver_ordered t ~src ~dst ~delay:(base_delay t ~bytes) msg
 
-let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transport ?probe
+let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transport
     ?(describe = fun _ -> "msg") engine cost stats ~nodes ~size_of =
   if Fault.active fault && transport = None then
     invalid_arg "Net.create: an active fault plan requires the reliable transport";
@@ -144,10 +136,10 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
              match fault_rng with Some r -> r | None -> Rng.create ~seed:1
            in
            Some (Fault.create ~nodes ~rng:frng fault));
-      probe;
+      tracer = Engine.tracer engine;
       partition_down = Array.make (List.length fault.Fault.partitions) false;
       transport = None;
-      nodes = Array.init nodes (fun id -> { id; inbox = Queue.create (); handler = None; waiter = None });
+      handlers = Array.make nodes None;
     }
   in
   (match transport with
@@ -168,25 +160,20 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
         in
         let verdicts = verdict.Fault.v_delays in
         (* report only frames the plan actually touched *)
-        (match t.probe with
+        (match t.tracer with
         | None -> ()
-        | Some f -> (
-            if verdict.Fault.v_partitioned then
-              f (Probe.Fault { src; dst; outcome = Probe.Blackholed })
-            else if verdict.Fault.v_dropped && verdicts = [] then
-              f (Probe.Fault { src; dst; outcome = Probe.Dropped })
+        | Some sink -> (
+            let fault outcome =
+              Trace.Sink.emit sink ~time:(Engine.now engine)
+                (Trace.Event.Fault { src; dst; outcome })
+            in
+            if verdict.Fault.v_partitioned then fault Trace.Event.Blackholed
+            else if verdict.Fault.v_dropped && verdicts = [] then fault Trace.Event.Dropped
             else
               match verdicts with
               | first :: rest when first > 0 || rest <> [] || verdict.Fault.v_dropped ->
-                  f
-                    (Probe.Fault
-                       {
-                         src;
-                         dst;
-                         outcome =
-                           Probe.Passed
-                             { copies = List.length verdicts; extra_delay_ns = first };
-                       })
+                  fault
+                    (Trace.Event.Passed { copies = List.length verdicts; extra_delay_ns = first })
               | _ -> ()));
         (match verdicts with
         | [] -> stats.Stats.frames_dropped <- stats.Stats.frames_dropped + 1
@@ -205,35 +192,14 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
                 | None -> ()))
           verdicts
       in
-      let deliver_up ~src ~dst payload =
-        (match t.probe with
-        | Some f ->
-            f (Probe.Deliver { src; dst; bytes = t.size_of payload; tag = t.describe payload })
-        | None -> ());
-        deliver t t.nodes.(dst) payload
-      in
       t.transport <-
-        Some (Transport.create ?probe cfg engine stats ~nodes ~wire_send ~deliver:deliver_up));
+        Some (Transport.create cfg engine stats ~nodes ~wire_send ~deliver:(deliver t)));
   t
-
-(* Blocking receive for nodes that drain their inbox from application code
-   (used by tests and simple examples; the DSM uses handlers instead). *)
-let recv t ~node:id =
-  let node = t.nodes.(id) in
-  let rec wait () =
-    match Queue.take_opt node.inbox with
-    | Some msg -> msg
-    | None ->
-        node.waiter <- Some id;
-        Engine.block ~label:(Printf.sprintf "net recv at node %d" id);
-        wait ()
-  in
-  wait ()
 
 let transport t = t.transport
 
 let diagnostics t =
-  let n = Array.length t.nodes in
+  let n = Array.length t.handlers in
   let wire_lines = ref [] in
   for src = n - 1 downto 0 do
     for dst = n - 1 downto 0 do

@@ -19,7 +19,6 @@ val create :
   ?fault:Fault.plan ->
   ?fault_rng:Rng.t ->
   ?transport:Transport.config ->
-  ?probe:Probe.t ->
   ?describe:('msg -> string) ->
   Engine.t ->
   Cost.t ->
@@ -35,26 +34,23 @@ val create :
     plan requires [transport] (raises [Invalid_argument] otherwise);
     [transport] alone runs the reliable transport over a fault-free wire.
 
-    [probe] observes sends, deliveries and per-frame fault outcomes (and
-    is forwarded to the transport for retransmit/ack events); [describe]
-    supplies the payload tag those events carry. Probes never perturb
-    delivery order or timing. *)
+    When the engine has a tracer ({!Engine.set_tracer}), the network
+    emits sends, deliveries, per-frame fault outcomes and partition
+    transitions into it; [describe] supplies the payload tag the send
+    and delivery events carry. Tracing never perturbs delivery order or
+    timing. *)
 
 val node_count : 'msg t -> int
 
 val set_handler : 'msg t -> node:int -> ('msg -> unit) -> unit
-(** Install the delivery handler for a node. Without a handler, messages
-    queue for {!recv}. *)
+(** Install the delivery handler for a node. Delivering to a node
+    without one raises [Invalid_argument]. *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Asynchronous send; delivery happens after latency + bandwidth delay.
     A self-send is delivered after {!Cost.t.loopback_ns} — loopback never
     touches the wire, so it is lossless even under an aggressive fault
     plan. *)
-
-val recv : 'msg t -> node:int -> 'msg
-(** Blocking receive for handler-less nodes. Assumes the calling process's
-    pid equals the node id (the cluster spawns one process per node). *)
 
 val transport : 'msg t -> 'msg Transport.t option
 (** The transport instance, when one was configured (introspection for

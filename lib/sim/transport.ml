@@ -54,10 +54,10 @@ type 'a t = {
   receivers : 'a receiver array;
   wire_send : src:int -> dst:int -> 'a frame -> unit;
   deliver : src:int -> dst:int -> 'a -> unit;
-  probe : Probe.t option;  (* retransmit/ack/link-failure observer *)
+  tracer : Trace.Sink.t option;  (* the engine's sink, read at [create] *)
 }
 
-let create ?probe cfg engine stats ~nodes ~wire_send ~deliver =
+let create cfg engine stats ~nodes ~wire_send ~deliver =
   if cfg.initial_rto_ns <= 0 || cfg.max_rto_ns < cfg.initial_rto_ns then
     invalid_arg "Transport: need 0 < initial_rto_ns <= max_rto_ns";
   if cfg.max_retries < 0 then invalid_arg "Transport: negative retry cap";
@@ -80,7 +80,7 @@ let create ?probe cfg engine stats ~nodes ~wire_send ~deliver =
       Array.init (nodes * nodes) (fun _ -> { expected = 0; parked = Hashtbl.create 8 });
     wire_send;
     deliver;
-    probe;
+    tracer = Engine.tracer engine;
   }
 
 let link t ~src ~dst = (src * t.nodes) + dst
@@ -106,12 +106,18 @@ and on_timeout t ~src ~dst s =
        diagnosis instead of being retried forever *)
     s.failed <- true;
     t.stats.Stats.link_failures <- t.stats.Stats.link_failures + 1;
-    match t.probe with Some f -> f (Probe.Link_failure { src; dst }) | None -> ()
+    match t.tracer with
+    | Some sink ->
+        Trace.Sink.emit sink ~time:(Engine.now t.engine) (Trace.Event.Link_failure { src; dst })
+    | None -> ()
   end
   else begin
     let seq, payload = Queue.peek s.unacked in
     t.stats.Stats.retransmits <- t.stats.Stats.retransmits + 1;
-    (match t.probe with Some f -> f (Probe.Retransmit { src; dst; seq }) | None -> ());
+    (match t.tracer with
+    | Some sink ->
+        Trace.Sink.emit sink ~time:(Engine.now t.engine) (Trace.Event.Retransmit { src; dst; seq })
+    | None -> ());
     t.wire_send ~src ~dst (Data { seq; payload });
     s.rto <- min (2 * s.rto) t.cfg.max_rto_ns;
     arm_timer t ~src ~dst s
@@ -164,8 +170,10 @@ let on_data t ~src ~dst ~seq payload =
   (* every data frame earns a cumulative ack; a lost ack is repaired by
      the next one (or by the retransmission it provokes) *)
   t.stats.Stats.acks_sent <- t.stats.Stats.acks_sent + 1;
-  (match t.probe with
-  | Some f -> f (Probe.Ack_tx { src = dst; dst = src; cum = r.expected - 1 })
+  (match t.tracer with
+  | Some sink ->
+      Trace.Sink.emit sink ~time:(Engine.now t.engine)
+        (Trace.Event.Ack { src = dst; dst = src; cum = r.expected - 1 })
   | None -> ());
   t.wire_send ~src:dst ~dst:src (Ack { cum = r.expected - 1 })
 

@@ -26,7 +26,6 @@ type 'a frame = Data of { seq : int; payload : 'a } | Ack of { cum : int }
 type 'a t
 
 val create :
-  ?probe:Probe.t ->
   config ->
   Engine.t ->
   Stats.t ->
@@ -35,8 +34,9 @@ val create :
   deliver:(src:int -> dst:int -> 'a -> unit) ->
   'a t
 (** [wire_send] puts a frame on the (lossy) wire; [deliver] is the
-    exactly-once, per-link-FIFO upcall to the layer above. [probe]
-    observes retransmissions, cumulative acks and link failures. *)
+    exactly-once, per-link-FIFO upcall to the layer above. With an
+    engine tracer ({!Engine.set_tracer}) installed, retransmissions,
+    cumulative acks and link failures are emitted into it. *)
 
 val send : 'a t -> src:int -> dst:int -> 'a -> unit
 (** Enqueue a payload on link (src, dst): assigns the next sequence

@@ -7,33 +7,17 @@
    zigzag keeps the odd negative — an ack's cumulative -1 — cheap).
    Floats (fault probabilities) are 8 fixed little-endian bytes.
 
-   Format history:
-   - v1: transport recorded as a bool plus the retry cap only; no
-     interval-GC cadence. Decoding a v1 log synthesizes the missing
-     fields from the frozen v1 defaults below.
-   - v2: full transport config (RTO, backoff ceiling, retry cap, header
-     and ack wire sizes) and the interval-GC cadence [m_gc_epochs], so a
-     tuned-transport or GC-enabled recording replays under exactly the
-     configuration that produced it.
-   - v3: instrumentation-elision flag [m_elide]. Only the flag is
-     stored, not the site set: the set is a pure function of the app's
-     binary, so replay re-derives it and necessarily agrees with the
-     recording build. Decoding an older log reads [m_elide = false].
-   - v4: backend id [m_backend] ("lrc", "mesi", "dragon", ...) plus the
-     cache geometry [m_cc_line_bytes]/[m_cc_sets]/[m_cc_ways] the
-     snooping-bus backends need to reproduce a run, and the Bus event
-     (tag 22). Older logs decode as backend "lrc" with the default
-     geometry.
-   - v5: an engine-schedule marker after the cache geometry, an optional
-     varint: set when the recording ran on the window-sharded --sim-jobs
-     engine, absent for the single-heap engine. The sharded engine has
-     since been removed (its event times differ from the heap's, so such
-     a log cannot replay), so the encoder always writes the marker
-     absent and the decoder rejects a log whose marker is set. *)
+   This build reads and writes format v5 only; a log of an older format
+   is refused with a message naming its version. The metadata ends with
+   an engine-schedule marker, an optional varint that was set when the
+   recording ran on the removed window-sharded --sim-jobs engine. Its
+   event times differ from the heap's, so such a log cannot replay: the
+   encoder always writes the marker absent and the decoder rejects a log
+   whose marker is set. *)
 
 let magic = "CVMT"
 let version = 5
-let min_version = 1
+let min_version = 5
 
 type transport_meta = {
   tm_initial_rto_ns : int;
@@ -63,26 +47,12 @@ type meta = {
   m_transport : transport_meta option;
   m_watchdog_ns : int option;
   m_gc_epochs : int option;
-  m_elide : bool;  (* elide checks at statically race-free sites (v3+) *)
-  m_backend : string;  (* coherence backend id, "lrc" before v4 *)
-  m_cc_line_bytes : int;  (* cache geometry for the bus backends (v4+) *)
+  m_elide : bool;  (* elide checks at statically race-free sites *)
+  m_backend : string;  (* coherence backend id *)
+  m_cc_line_bytes : int;  (* cache geometry for the bus backends *)
   m_cc_sets : int;
   m_cc_ways : int;
 }
-
-(* The transport defaults that were current while v1 was the format:
-   v1 logs recorded only the retry cap, everything else was implicitly
-   "the default". Frozen here — NOT read from Sim.Transport — so a later
-   change to the live defaults can never silently alter what an old log
-   replays as. *)
-let v1_transport_defaults =
-  {
-    tm_initial_rto_ns = 1_000_000;
-    tm_max_rto_ns = 16_000_000;
-    tm_max_retries = 20;
-    tm_header_bytes = 12;
-    tm_ack_bytes = 32;
-  }
 
 (* --- primitive writers --- *)
 
@@ -210,7 +180,6 @@ let get_transport c =
   let tm_ack_bytes = get_varint c in
   { tm_initial_rto_ns; tm_max_rto_ns; tm_max_retries; tm_header_bytes; tm_ack_bytes }
 
-(* always writes the current (v5) layout *)
 let put_meta buf m =
   put_string buf m.m_app;
   put_string buf m.m_scale;
@@ -244,7 +213,7 @@ let put_meta buf m =
   put_varint buf m.m_cc_ways;
   put_bool buf false (* v5 engine marker: absent *)
 
-let get_meta ~version c =
+let get_meta c =
   let m_app = get_string c in
   let m_scale = get_string c in
   let m_nprocs = get_varint c in
@@ -268,39 +237,15 @@ let get_meta ~version c =
         let until_ns = get_varint c in
         (a, b, from_ns, until_ns))
   in
-  let m_transport, m_watchdog_ns, m_gc_epochs =
-    if version = 1 then begin
-      (* v1 tail: transport flag + retry cap + watchdog; no GC cadence *)
-      let transport_on = get_bool c in
-      let max_retries = get_opt c get_varint in
-      let watchdog = get_opt c get_varint in
-      let transport =
-        if not transport_on then None
-        else
-          Some
-            (match max_retries with
-            | Some tm_max_retries -> { v1_transport_defaults with tm_max_retries }
-            | None -> v1_transport_defaults)
-      in
-      (transport, watchdog, None)
-    end
-    else
-      let transport = get_opt c get_transport in
-      let watchdog = get_opt c get_varint in
-      let gc_epochs = get_opt c get_varint in
-      (transport, watchdog, gc_epochs)
-  in
-  let m_elide = if version >= 3 then get_bool c else false in
-  let m_backend, m_cc_line_bytes, m_cc_sets, m_cc_ways =
-    if version >= 4 then
-      let backend = get_string c in
-      let line_bytes = get_varint c in
-      let sets = get_varint c in
-      let ways = get_varint c in
-      (backend, line_bytes, sets, ways)
-    else ("lrc", 64, 64, 2)
-  in
-  if version >= 5 && get_bool c then
+  let m_transport = get_opt c get_transport in
+  let m_watchdog_ns = get_opt c get_varint in
+  let m_gc_epochs = get_opt c get_varint in
+  let m_elide = get_bool c in
+  let m_backend = get_string c in
+  let m_cc_line_bytes = get_varint c in
+  let m_cc_sets = get_varint c in
+  let m_cc_ways = get_varint c in
+  if get_bool c then
     fail "log was recorded on the removed sharded --sim-jobs engine, which this build \
           cannot replay";
   {
@@ -648,7 +593,7 @@ let decode s =
        it with the build that recorded it"
       log_version min_version;
   let c = { src = s; pos = 5 } in
-  let meta = get_meta ~version:log_version c in
+  let meta = get_meta c in
   let events = ref [] in
   let last_time = ref 0 in
   while c.pos < String.length s do

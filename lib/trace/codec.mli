@@ -11,8 +11,8 @@ val version : int
 (** The format version this build writes (v5). *)
 
 val min_version : int
-(** The oldest format version this build still decodes (v1: no
-    transport tuning beyond the retry cap, no interval-GC cadence). *)
+(** The oldest format version this build decodes: v5, the one it
+    writes. *)
 
 type transport_meta = {
   tm_initial_rto_ns : int;
@@ -44,22 +44,16 @@ type meta = {
   m_partitions : (int * int * int * int) list;  (** a, b, from_ns, until_ns *)
   m_transport : transport_meta option;
   m_watchdog_ns : int option;
-  m_gc_epochs : int option;  (** interval-GC cadence; [None] before v2 *)
+  m_gc_epochs : int option;  (** interval-GC cadence *)
   m_elide : bool;
-      (** elide checks at statically race-free sites; [false] before v3.
-          Only the flag is stored — the site set is re-derived from the
-          app's binary at replay time *)
-  m_backend : string;
-      (** coherence backend id ("lrc", "mesi", "dragon"); ["lrc"] before
-          v4 — every pre-v4 log was recorded by the DSM cluster *)
-  m_cc_line_bytes : int;  (** cache geometry for the bus backends (v4+) *)
+      (** elide checks at statically race-free sites. Only the flag is
+          stored — the site set is re-derived from the app's binary at
+          replay time *)
+  m_backend : string;  (** coherence backend id ("lrc", "mesi", "dragon") *)
+  m_cc_line_bytes : int;  (** cache geometry for the bus backends *)
   m_cc_sets : int;
   m_cc_ways : int;
 }
-
-val v1_transport_defaults : transport_meta
-(** The transport defaults frozen at the v1 format: decoding a v1 log
-    that ran the transport yields these with the recorded retry cap. *)
 
 exception Corrupt of string
 (** Raised by {!decode} on a malformed log. *)

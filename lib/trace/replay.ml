@@ -5,7 +5,10 @@
 
    The first mismatch is latched: index into the recorded stream,
    expected and actual events, and the last recorded activity of every
-   processor at that point (a cheap "where was everyone" summary). *)
+   processor at that point (a cheap "where was everyone" summary). That
+   summary is read back from the recorded log when the divergence
+   latches: a matched live event equals its recorded one, time included,
+   so the verifier keeps no copy of the stream. *)
 
 type divergence = {
   d_index : int;  (* 0-based position in the recorded stream *)
@@ -18,7 +21,6 @@ type divergence = {
 type verifier = {
   log : (int * Event.t) array;
   nprocs : int;
-  last_by_proc : string option array;
   mutable next : int;  (* index of the next expected event *)
   mutable divergence : divergence option;
 }
@@ -46,27 +48,26 @@ let proc_of (e : Event.t) =
 let create (decoded : Codec.decoded) =
   {
     log = decoded.Codec.events;
-    nprocs = decoded.Codec.meta.Codec.m_nprocs;
-    last_by_proc = Array.make (max 1 decoded.Codec.meta.Codec.m_nprocs) None;
+    nprocs = max 1 decoded.Codec.meta.Codec.m_nprocs;
     next = 0;
     divergence = None;
   }
 
+(* Each processor's last matched event, scanning the log back from the
+   last match until every processor has one. *)
 let proc_state t =
-  let acc = ref [] in
-  for p = Array.length t.last_by_proc - 1 downto 0 do
-    match t.last_by_proc.(p) with
-    | Some s -> acc := (p, s) :: !acc
-    | None -> ()
+  let last = Array.make t.nprocs None in
+  let missing = ref t.nprocs and i = ref (t.next - 1) in
+  while !missing > 0 && !i >= 0 do
+    let time, event = t.log.(!i) in
+    (match proc_of event with
+    | Some p when p >= 0 && p < t.nprocs && last.(p) = None ->
+        last.(p) <- Some (Printf.sprintf "%s @ %d ns" (Event.to_string event) time);
+        decr missing
+    | _ -> ());
+    decr i
   done;
-  !acc
-
-let note_proc t ~time event =
-  match proc_of event with
-  | Some p when p >= 0 && p < Array.length t.last_by_proc ->
-      t.last_by_proc.(p) <-
-        Some (Printf.sprintf "%s @ %d ns" (Event.to_string event) time)
-  | _ -> ()
+  List.filter_map Fun.id (List.init t.nprocs (fun p -> Option.map (fun s -> (p, s)) last.(p)))
 
 let diverge t ~time ~expected ~actual =
   if t.divergence = None then
@@ -86,10 +87,7 @@ let check t ~time event =
       diverge t ~time ~expected:None ~actual:(Some (time, event))
     else begin
       let (exp_time, exp_event) as expected = t.log.(t.next) in
-      if exp_time = time && Event.equal exp_event event then begin
-        note_proc t ~time event;
-        t.next <- t.next + 1
-      end
+      if exp_time = time && Event.equal exp_event event then t.next <- t.next + 1
       else diverge t ~time ~expected:(Some expected) ~actual:(Some (time, event))
     end
   end

@@ -32,6 +32,21 @@ let test_geometry_errors () =
   Alcotest.check_raises "bad page" (Invalid_argument "Geometry.addr_of: bad page") (fun () ->
       ignore (Mem.Geometry.addr_of geometry ~page:4 ~word:0))
 
+(* the per-access check splits addresses with shifts and masks, so a
+   layout they cannot express is refused when the geometry is made *)
+let test_geometry_rejects_layouts () =
+  let rejected label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  rejected "4104-byte pages" (fun () ->
+      Mem.Geometry.create ~page_size:4104 ~word_size:8 ~pages:4 ());
+  rejected "unaligned base" (fun () ->
+      Mem.Geometry.create ~base:100 ~page_size:4096 ~word_size:8 ~pages:4 ());
+  rejected "backend with 4104-byte pages" (fun () ->
+      Backends.create ~cost:{ Sim.Cost.default with page_size = 4104 } ~nprocs:2 ~pages:4 ())
+
 (* ------------------------------------------------------------------ *)
 (* Bitmap                                                              *)
 
@@ -230,6 +245,8 @@ let suite =
         Alcotest.test_case "bounds" `Quick test_geometry_bounds;
         Alcotest.test_case "roundtrip" `Quick test_geometry_roundtrip;
         Alcotest.test_case "errors" `Quick test_geometry_errors;
+        Alcotest.test_case "non-power-of-two layouts rejected" `Quick
+          test_geometry_rejects_layouts;
       ] );
     ( "mem:bitmap",
       [

@@ -13,7 +13,9 @@
      `dune runtest`, not a random sample;
    - cross-version replay: binary trace logs recorded by the
      pre-optimization build replay against the current build and must
-     produce identical event streams, races and checksums. *)
+     produce identical event streams, races and checksums. Their headers
+     have since been re-encoded in the current format; the event bytes
+     are as recorded. *)
 
 let check = Alcotest.check
 

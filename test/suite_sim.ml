@@ -313,19 +313,46 @@ let test_net_fifo_same_size () =
   Sim.Engine.run engine;
   check (Alcotest.list Alcotest.int) "fifo" [ 1; 2; 3 ] (List.rev !received)
 
-let test_net_recv_blocking () =
+let test_net_no_handler_raises () =
   let engine = Sim.Engine.create () in
-  let stats = Sim.Stats.create () in
-  let net = Sim.Net.create engine Sim.Cost.default stats ~nodes:2 ~size_of:(fun _ -> 8) in
-  let got = ref 0 in
-  (* pid 0 = node 0 receiver; recv assumes pid = node id *)
-  ignore (Sim.Engine.spawn engine (fun _ -> got := Sim.Net.recv net ~node:0));
-  ignore
-    (Sim.Engine.spawn engine (fun _ ->
-         Sim.Engine.advance 10;
-         Sim.Net.send net ~src:1 ~dst:0 42));
+  let net =
+    Sim.Net.create engine Sim.Cost.default (Sim.Stats.create ()) ~nodes:2 ~size_of:(fun _ -> 8)
+  in
+  ignore (Sim.Engine.spawn engine (fun _ -> Sim.Net.send net ~src:0 ~dst:1 42));
+  match Sim.Engine.run engine with
+  | () -> Alcotest.fail "delivered to a node without a handler"
+  | exception Invalid_argument msg ->
+      check Alcotest.string "names the node" "Net: no handler at node 1" msg
+
+(* the engine's tracer sees scheduling events, and a network created on
+   the engine sees its sends and deliveries, each at its simulated time *)
+let test_engine_tracer_events () =
+  let engine = Sim.Engine.create () in
+  let seen = ref [] in
+  Sim.Engine.set_tracer engine
+    (Some
+       { Trace.Sink.emit = (fun ~time e -> seen := (time, Trace.Event.to_string e) :: !seen) });
+  let net =
+    Sim.Net.create ~describe:string_of_int engine Sim.Cost.default (Sim.Stats.create ())
+      ~nodes:2 ~size_of:(fun _ -> 64)
+  in
+  Sim.Net.set_handler net ~node:1 (fun _ -> Sim.Engine.wake engine 1);
+  ignore (Sim.Engine.spawn engine (fun _ -> Sim.Net.send net ~src:0 ~dst:1 7));
+  ignore (Sim.Engine.spawn engine (fun _ -> Sim.Engine.block ~label:"msg"));
   Sim.Engine.run engine;
-  check Alcotest.int "received" 42 !got
+  let at = Sim.Cost.message_ns Sim.Cost.default ~bytes:64 in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "events"
+    [
+      (0, "send 0->1 7 (64B)");
+      (0, "finish p0");
+      (0, "block p1 (msg)");
+      (at, "deliver 0->1 7 (64B)");
+      (at, "resume p1");
+      (at, "finish p1");
+    ]
+    (List.rev !seen)
 
 (* ------------------------------------------------------------------ *)
 (* Transport over a lossy wire                                         *)
@@ -387,7 +414,9 @@ let test_transport_retry_cap_diagnosed () =
   in
   let engine, stats, net = lossy_net ~plan ~seed:13 ~nodes:2 () in
   Sim.Engine.add_diagnostic engine (fun () -> Sim.Net.diagnostics net);
-  ignore (Sim.Engine.spawn engine (fun _ -> ignore (Sim.Net.recv net ~node:0)));
+  (* the receiver (pid 0) waits for node 0's handler to wake it *)
+  Sim.Net.set_handler net ~node:0 (fun _ -> Sim.Engine.wake engine 0);
+  ignore (Sim.Engine.spawn engine (fun _ -> Sim.Engine.block ~label:"net recv at node 0"));
   ignore
     (Sim.Engine.spawn engine (fun _ ->
          Sim.Engine.advance 10;
@@ -512,7 +541,9 @@ let suite =
       [
         Alcotest.test_case "latency + accounting" `Quick test_net_latency_and_accounting;
         Alcotest.test_case "fifo same-size" `Quick test_net_fifo_same_size;
-        Alcotest.test_case "blocking recv" `Quick test_net_recv_blocking;
+        Alcotest.test_case "no handler raises" `Quick test_net_no_handler_raises;
+        Alcotest.test_case "engine tracer sees sends and deliveries" `Quick
+          test_engine_tracer_events;
       ] );
     ( "sim:transport",
       [

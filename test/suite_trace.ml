@@ -24,7 +24,14 @@ let sample_meta =
     m_spike_ns = 2_000_000;
     m_partitions = [ (0, 1, 5_000, 10_000); (2, 3, 0, max_int) ];
     m_transport =
-      Some { Trace.Codec.v1_transport_defaults with Trace.Codec.tm_max_retries = 5 };
+      Some
+        {
+          Trace.Codec.tm_initial_rto_ns = 1_000_000;
+          tm_max_rto_ns = 16_000_000;
+          tm_max_retries = 5;
+          tm_header_bytes = 12;
+          tm_ack_bytes = 32;
+        };
     m_watchdog_ns = Some 200_000_000;
     m_gc_epochs = Some 2;
     m_elide = true;
@@ -505,49 +512,6 @@ let test_elide_record_replay () =
   check Alcotest.bool "plain recording has the flag unset" false
     (Trace.Codec.decode plain_log).Trace.Codec.meta.Trace.Codec.m_elide
 
-(* The live transport defaults must equal the constants frozen into the
-   codec for format-v1 logs: if a default is ever tuned, the codec needs
-   a new format version (and this pin updated deliberately). *)
-
-let test_live_transport_defaults_still_frozen () =
-  let live = Sim.Transport.default_config in
-  let frozen = Trace.Codec.v1_transport_defaults in
-  check Alcotest.int "initial_rto_ns" frozen.Trace.Codec.tm_initial_rto_ns
-    live.Sim.Transport.initial_rto_ns;
-  check Alcotest.int "max_rto_ns" frozen.Trace.Codec.tm_max_rto_ns live.Sim.Transport.max_rto_ns;
-  check Alcotest.int "max_retries" frozen.Trace.Codec.tm_max_retries
-    live.Sim.Transport.max_retries;
-  check Alcotest.int "header_bytes" frozen.Trace.Codec.tm_header_bytes
-    live.Sim.Transport.header_bytes;
-  check Alcotest.int "ack_bytes" frozen.Trace.Codec.tm_ack_bytes live.Sim.Transport.ack_bytes;
-  (* the frozen literals themselves, spelled out: changing either side
-     must be a conscious act *)
-  check Alcotest.int "frozen initial_rto_ns literal" 1_000_000
-    frozen.Trace.Codec.tm_initial_rto_ns;
-  check Alcotest.int "frozen max_rto_ns literal" 16_000_000 frozen.Trace.Codec.tm_max_rto_ns;
-  check Alcotest.int "frozen max_retries literal" 20 frozen.Trace.Codec.tm_max_retries;
-  check Alcotest.int "frozen header_bytes literal" 12 frozen.Trace.Codec.tm_header_bytes;
-  check Alcotest.int "frozen ack_bytes literal" 32 frozen.Trace.Codec.tm_ack_bytes
-
-let test_v1_log_decodes_with_frozen_defaults () =
-  (* the checked-in pre-optimization logs are format v1: no GC cadence
-     existed when they were recorded, and their transport ran the
-     defaults frozen in the codec — decoding must say so, not guess
-     from today's defaults *)
-  let decoded = Trace.Codec.decode (Core.Trace_run.load (golden_file "pre_opt_sor_drop.cvmt")) in
-  let m = decoded.Trace.Codec.meta in
-  check (Alcotest.option Alcotest.int) "v1 log has no GC cadence" None
-    m.Trace.Codec.m_gc_epochs;
-  (match m.Trace.Codec.m_transport with
-  | None -> Alcotest.fail "lossy v1 log should carry a transport config"
-  | Some tm ->
-      check Alcotest.int "v1 frozen initial RTO"
-        Trace.Codec.v1_transport_defaults.Trace.Codec.tm_initial_rto_ns
-        tm.Trace.Codec.tm_initial_rto_ns;
-      check Alcotest.int "v1 frozen header bytes"
-        Trace.Codec.v1_transport_defaults.Trace.Codec.tm_header_bytes
-        tm.Trace.Codec.tm_header_bytes)
-
 let test_version_window_messages () =
   let msg_of s = match Trace.Codec.decode s with
     | _ -> "decoded successfully"
@@ -564,7 +528,10 @@ let test_version_window_messages () =
     (Testutil.contains newer "newer");
   let older = msg_of (with_version 0) in
   check Alcotest.bool "prehistoric version says the log is too old" true
-    (Testutil.contains older "older")
+    (Testutil.contains older "older");
+  let retired = msg_of (with_version (Trace.Codec.version - 1)) in
+  check Alcotest.bool "a retired version says the log is too old" true
+    (Testutil.contains retired "older")
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export smoke                                                  *)
@@ -625,10 +592,6 @@ let suite =
           test_tuned_transport_record_replay;
         Alcotest.test_case "elide flag recorded and replayed" `Quick
           test_elide_record_replay;
-        Alcotest.test_case "live transport defaults match frozen v1" `Quick
-          test_live_transport_defaults_still_frozen;
-        Alcotest.test_case "v1 log decodes with frozen defaults" `Quick
-          test_v1_log_decodes_with_frozen_defaults;
         Alcotest.test_case "version window messages" `Quick test_version_window_messages;
       ] );
     ( "trace:offline",

@@ -336,9 +336,9 @@ let resolve_workload ~scale ~procs app_name trace_file =
         let program = Workload.Trace_file.parse_file path in
         (Workload.Program.to_app program, program.Workload.Program.nprocs)
       with Workload.Trace_file.Parse_error { line; msg } ->
-          if line > 0 then Format.eprintf "%s:%d: %s@." path line msg
-          else Format.eprintf "%s: %s@." path msg;
-          exit 2)
+        if line > 0 then Format.eprintf "%s:%d: %s@." path line msg
+        else Format.eprintf "%s: %s@." path msg;
+        exit 2)
   | None, Some name -> (Apps.Registry.make ~scale name, procs)
   | None, None ->
       Format.eprintf "give an APP name or --trace-file FILE@.";

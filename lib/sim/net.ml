@@ -172,8 +172,8 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
             else
               match verdicts with
               | first :: rest when first > 0 || rest <> [] || verdict.Fault.v_dropped ->
-                  fault
-                    (Trace.Event.Passed { copies = List.length verdicts; extra_delay_ns = first })
+                  let copies = List.length verdicts in
+                  fault (Trace.Event.Passed { copies; extra_delay_ns = first })
               | _ -> ()));
         (match verdicts with
         | [] -> stats.Stats.frames_dropped <- stats.Stats.frames_dropped + 1

@@ -108,7 +108,8 @@ and on_timeout t ~src ~dst s =
     t.stats.Stats.link_failures <- t.stats.Stats.link_failures + 1;
     match t.tracer with
     | Some sink ->
-        Trace.Sink.emit sink ~time:(Engine.now t.engine) (Trace.Event.Link_failure { src; dst })
+        Trace.Sink.emit sink ~time:(Engine.now t.engine)
+          (Trace.Event.Link_failure { src; dst })
     | None -> ()
   end
   else begin
@@ -116,7 +117,8 @@ and on_timeout t ~src ~dst s =
     t.stats.Stats.retransmits <- t.stats.Stats.retransmits + 1;
     (match t.tracer with
     | Some sink ->
-        Trace.Sink.emit sink ~time:(Engine.now t.engine) (Trace.Event.Retransmit { src; dst; seq })
+        Trace.Sink.emit sink ~time:(Engine.now t.engine)
+          (Trace.Event.Retransmit { src; dst; seq })
     | None -> ());
     t.wire_send ~src ~dst (Data { seq; payload });
     s.rto <- min (2 * s.rto) t.cfg.max_rto_ns;

@@ -67,7 +67,7 @@ let proc_state t =
     | _ -> ());
     decr i
   done;
-  List.filter_map Fun.id (List.init t.nprocs (fun p -> Option.map (fun s -> (p, s)) last.(p)))
+  List.filter_map (fun p -> Option.map (fun s -> (p, s)) last.(p)) (List.init t.nprocs Fun.id)
 
 let diverge t ~time ~expected ~actual =
   if t.divergence = None then

@@ -259,7 +259,9 @@ let test_recording_is_behavior_neutral () =
       let traced, log =
         Core.Trace_run.record ~cfg ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:4 ()
       in
-      let stats (o : Core.Driver.outcome) = Format.asprintf "%a" Sim.Stats.pp o.Core.Driver.stats in
+      let stats (o : Core.Driver.outcome) =
+        Format.asprintf "%a" Sim.Stats.pp o.Core.Driver.stats
+      in
       check Alcotest.string (label ^ ": same statistics") (stats plain) (stats traced);
       check Alcotest.int (label ^ ": same simulated time") plain.Core.Driver.sim_time_ns
         traced.Core.Driver.sim_time_ns;
@@ -337,7 +339,8 @@ let divergence_report () =
   in
   [
     ( "event n/3 replaced by link-failure 6->7",
-      with_event (n / 3) (fun (time, _) -> (time, Trace.Event.Link_failure { src = 6; dst = 7 })) );
+      with_event (n / 3) (fun (time, _) ->
+          (time, Trace.Event.Link_failure { src = 6; dst = 7 })) );
     ("first event's time plus 1", with_event 0 (fun (time, e) -> (time + 1, e)));
     ("last event's time plus 1", with_event (n - 1) (fun (time, e) -> (time + 1, e)));
     ("log cut to its first half", Array.sub events 0 (n / 2));

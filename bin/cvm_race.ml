@@ -222,8 +222,11 @@ let partition_arg =
   Arg.(value & opt_all partition_conv [] & info [ "partition" ] ~docv:"A,B,T0,T1" ~doc)
 
 let net_seed_arg =
-  let doc = "Seed for the network RNG streams (jitter + faults); defaults to the run seed." in
-  Arg.(value & opt (some int) None & info [ "net-seed" ] ~docv:"N" ~doc)
+  let doc =
+    "Seed for the network RNG streams: the jitter draws and the fault plan's per-link \
+     decisions. It is the run's only seed; with no faults and no jitter it changes nothing."
+  in
+  Arg.(value & opt int Coherence.Config.default.seed & info [ "net-seed" ] ~docv:"N" ~doc)
 
 let watchdog_arg =
   let doc =
@@ -285,7 +288,7 @@ let config_term =
       elide_sites = (if elide then Some [] else None);
       fault;
       transport;
-      net_seed;
+      seed = net_seed;
       watchdog_ns = Option.map (fun ms -> int_of_float (ms *. 1e6)) watchdog_ms;
     }
   in

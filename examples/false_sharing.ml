@@ -15,9 +15,9 @@
 *)
 
 let () =
-  let cluster = Lrc.Cluster.create ~nprocs:4 ~pages:4 () in
-  let stripe = Lrc.Cluster.alloc cluster (4 * 8) in
-  let hot = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~nprocs:4 ~pages:4 () in
+  let stripe = cluster.Coherence.Backend.alloc (4 * 8) in
+  let hot = cluster.Coherence.Backend.alloc 8 in
   let body node =
     let open Lrc.Dsm in
     barrier node;
@@ -29,8 +29,8 @@ let () =
     if pid node = 1 || pid node = 2 then write_int node hot (pid node) ~site:"hot";
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
-  let stats = Lrc.Cluster.stats cluster in
+  cluster.Coherence.Backend.run body;
+  let stats = cluster.Coherence.Backend.stats in
   Format.printf "page ping-pong: %d ownership/copy fetches (false sharing is expensive!)@."
     stats.Sim.Stats.pages_fetched;
   Format.printf "detector funnel:@.";
@@ -41,5 +41,5 @@ let () =
     stats.Sim.Stats.bitmaps_total;
   Format.printf "  races ...................... %d@.@." stats.Sim.Stats.races_reported;
   List.iter (fun race -> Format.printf "  %a@." Proto.Race.pp race)
-    (Lrc.Cluster.races cluster);
+    (cluster.Coherence.Backend.races ());
   Format.printf "@.The striped words never appear: overlapping pages, disjoint bits.@."

@@ -9,11 +9,11 @@ let () =
   (* A cluster is nprocs simulated processors connected by a modeled
      network, running the lazy-release-consistent DSM with online race
      detection on (the default configuration). *)
-  let cluster = Lrc.Cluster.create ~nprocs:4 ~pages:8 () in
+  let cluster = Backends.create ~nprocs:4 ~pages:8 () in
 
   (* Shared memory is allocated up front (like G_MALLOC) ... *)
-  let hits = Lrc.Cluster.alloc cluster 8 in
-  let scratch = Lrc.Cluster.alloc cluster 8 in
+  let hits = cluster.Coherence.Backend.alloc 8 in
+  let scratch = cluster.Coherence.Backend.alloc 8 in
 
   (* ... and the SPMD body below runs on every processor. *)
   let body node =
@@ -34,12 +34,12 @@ let () =
     if pid node = 0 then Format.printf "hits = %d (expected 4)@." (read_int node hits);
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
 
   (* The detector ran at each barrier, comparing the access bitmaps of
      concurrent intervals. Only the unsynchronized pair is reported. *)
   Format.printf "@.The detector found:@.";
   List.iter (fun race -> Format.printf "  %a@." Proto.Race.pp race)
-    (Lrc.Cluster.races cluster);
+    (cluster.Coherence.Backend.races ());
   Format.printf "@.(the lock-protected counter at 0x%x is NOT reported;@." hits;
   Format.printf " the unsynchronized word is 0x%x)@." scratch

@@ -8,9 +8,9 @@
 
 let () =
   let cfg = { Coherence.Config.default with Coherence.Config.record_trace = true } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:3 ~pages:4 () in
-  let x = Lrc.Cluster.alloc cluster 8 ~name:"x" in
-  let sum = Lrc.Cluster.alloc cluster 8 ~name:"sum" in
+  let cluster = Backends.create ~cfg ~nprocs:3 ~pages:4 () in
+  let x = cluster.Coherence.Backend.alloc 8 ~name:"x" in
+  let sum = cluster.Coherence.Backend.alloc 8 ~name:"sum" in
   let body node =
     let open Lrc.Dsm in
     barrier node;
@@ -25,8 +25,9 @@ let () =
     if pid node = 2 then ignore (read_int node x) (* races with p0 *);
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
-  Core.Timeline.render Format.std_formatter ~nprocs:3 (Lrc.Cluster.timed_trace cluster);
+  cluster.Coherence.Backend.run body;
+  Core.Timeline.render Format.std_formatter ~nprocs:3
+    (cluster.Coherence.Backend.timed_trace ());
   Format.printf "@.";
-  Core.Report.races ~symtab:(Lrc.Cluster.symtab cluster) Format.std_formatter
-    (Lrc.Cluster.races cluster)
+  Core.Report.races ~symtab:cluster.Coherence.Backend.symtab Format.std_formatter
+    (cluster.Coherence.Backend.races ())

@@ -55,7 +55,6 @@ type lock_state = {
 type proc = {
   fe : Front.proc;  (* clock, intervals, bitmaps, time debt *)
   cache : lstate Cache.t;
-  mutable pid : Sim.Engine.pid;
 }
 
 type t = {
@@ -303,10 +302,6 @@ let write_access m p ~site addr =
 
 let word_of m addr = Front.word_of m.rt addr
 
-let read_word m p ?(site = "?") addr =
-  let page = read_access m p ~site addr in
-  Mem.Page.get_int64 page (word_of m addr)
-
 let read_word_int m p ?(site = "?") addr =
   let page = read_access m p ~site addr in
   Mem.Page.get_int page (word_of m addr)
@@ -314,10 +309,6 @@ let read_word_int m p ?(site = "?") addr =
 let read_word_float m p ?(site = "?") addr =
   let page = read_access m p ~site addr in
   Mem.Page.get_float page (word_of m addr)
-
-let write_word m p ?(site = "?") addr value =
-  let page = write_access m p ~site addr in
-  Mem.Page.set_int64 page (word_of m addr) value
 
 let write_word_int m p ?(site = "?") addr value =
   let page = write_access m p ~site addr in
@@ -374,7 +365,7 @@ let unlock m p lock_id =
   match Queue.take_opt l.waiting with
   | Some next ->
       l.holder <- Some next;
-      Sim.Engine.wake m.rt.engine m.procs.(next).pid
+      Sim.Engine.wake m.rt.engine next
   | None -> l.holder <- None
 
 (* ------------------------------------------------------------------ *)
@@ -405,7 +396,7 @@ let release_barrier m ~last ~epoch =
   m.barrier_arrivals <- [];
   m.barrier_intervals <- [];
   List.iter
-    (fun qid -> if qid <> last then Sim.Engine.wake m.rt.engine m.procs.(qid).pid)
+    (fun qid -> if qid <> last then Sim.Engine.wake m.rt.engine qid)
     arrivals
 
 let barrier m p =
@@ -420,9 +411,6 @@ let barrier m p =
   if List.length m.barrier_arrivals < m.rt.nprocs then
     Sim.Engine.block ~label:"barrier release (bus)"
   else release_barrier m ~last:p.fe.id ~epoch:p.fe.epoch
-
-let alloc m ?name ?align bytes =
-  Front.alloc m.rt ~who:"Machine.malloc" ?name ?align bytes
 
 (* ------------------------------------------------------------------ *)
 (* Construction and the Backend packaging                               *)
@@ -475,7 +463,6 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~protoco
               cache =
                 Cache.create ~sets:cfg.Coherence.Config.cc_sets
                   ~ways:cfg.Coherence.Config.cc_ways ~invalid:L_inv;
-              pid = fe.Front.id;
             })
           rt.Front.procs;
       bus_busy_until = 0;
@@ -497,15 +484,14 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~protoco
         [ Printf.sprintf "barrier: %d/%d arrived" (List.length m.barrier_arrivals) nprocs ]);
   m
 
-let view m p =
-  let rt = m.rt and fe = p.fe in
+let view m id =
+  let rt = m.rt and p = m.procs.(id) in
+  let fe = p.fe in
   {
     Coherence.Node.id = fe.Front.id;
     nprocs = rt.Front.nprocs;
     geometry = rt.Front.geometry;
     malloc = (fun ?name ?align bytes -> Front.malloc rt fe ?name ?align bytes);
-    read_word = (fun ?site addr -> read_word m p ?site addr);
-    write_word = (fun ?site addr value -> write_word m p ?site addr value);
     read_word_int = (fun ?site addr -> read_word_int m p ?site addr);
     write_word_int = (fun ?site addr value -> write_word_int m p ?site addr value);
     read_word_float = (fun ?site addr -> read_word_float m p ?site addr);
@@ -518,12 +504,6 @@ let view m p =
     touch_private = (fun n -> Front.touch_private rt fe n);
   }
 
-let run m body =
-  Array.iter
-    (fun p -> p.pid <- Sim.Engine.spawn m.rt.engine (fun _pid -> body (view m p)))
-    m.procs;
-  Sim.Engine.run m.rt.engine
-
 let memory_checksum m =
   (* Unlike the DSM cluster every page is present: the bus machine's
      memory is the coherent copy. *)
@@ -533,5 +513,5 @@ let memory_checksum m =
 
 let backend ?cost ?cfg ~protocol ~nprocs ~pages () =
   let m = create ?cost ?cfg ~protocol ~nprocs ~pages () in
-  Front.backend m.rt ~alloc:(alloc m) ~run:(run m)
+  Front.backend m.rt ~who:"Machine.malloc" ~view:(view m)
     ~memory_checksum:(fun () -> memory_checksum m)

@@ -21,8 +21,13 @@ type t = {
          simulation to completion *)
   races : unit -> Proto.Race.t list;
       (* deduplicated race reports from every barrier epoch *)
+  race_sites : Proto.Race.t -> string option * string option;
+      (* with [retain_sites]: the source sites of the two halves of a
+         race (the single-run identification of section 6.1) *)
   trace : unit -> (int * Racedetect.Oracle.event) list;
       (* the access/synchronization log, when [record_trace] was set *)
+  timed_trace : unit -> (int * int * Racedetect.Oracle.event) list;
+      (* the same log as (ns, proc, event), for [Core.Timeline] *)
   sync_trace : unit -> Sync_trace.t option;
       (* the recorded lock-grant order, when [record_sync] was set *)
   sim_time : unit -> int;  (* final simulated time, ns *)

@@ -36,6 +36,8 @@ type t = {
   replay : Sync_trace.t option;  (* enforce a recorded lock-grant order *)
   record_sync : bool;  (* record lock-grant order for later replay *)
   seed : int;
+      (* roots the network RNG streams (jitter and fault plan); with no
+         jitter and no faults it changes nothing *)
   fault : Sim.Fault.plan;
       (* wire fault plan (drops/dups/reorder/partitions); requires the
          transport when active *)
@@ -51,9 +53,6 @@ type t = {
          reachable write notice can request any more. Bounds diff storage
          on long multi-writer runs at the cost of extra validation traffic.
          None (the default) keeps every diff for the whole run. *)
-  net_seed : int option;
-      (* separate seed for the network RNGs (jitter + faults); defaults
-         to [seed] so existing runs are unchanged *)
   tracer : Trace.Sink.t option;
       (* record/replay event sink: every sim- and protocol-level event is
          emitted into it (recorder, replay verifier, or a tee of both) *)
@@ -87,7 +86,6 @@ let default =
     transport = None;
     watchdog_ns = None;
     gc_epochs = None;
-    net_seed = None;
     tracer = None;
     elide_sites = None;
     cc_line_bytes = 64;

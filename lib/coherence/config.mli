@@ -38,6 +38,9 @@ type t = {
   replay : Sync_trace.t option;  (** enforce a recorded lock-grant order *)
   record_sync : bool;  (** record lock-grant order for later replay *)
   seed : int;
+      (** roots the network RNG streams: the jitter draws and the fault
+          plan's per-link decisions. With [jitter_ns = 0] and no faults
+          it changes nothing. *)
   fault : Sim.Fault.plan;
       (** wire fault plan (drops, duplicates, reorder, delay spikes,
           partitions); an active plan requires [transport] *)
@@ -54,9 +57,6 @@ type t = {
           [k] barrier epochs, validate all invalid pages and, one barrier
           later, drop the diffs no reachable write notice can request any
           more. [None] (the default) retains every diff for the run. *)
-  net_seed : int option;
-      (** separate seed for the network RNG streams (jitter and fault
-          plan); [None] derives them from [seed] *)
   tracer : Trace.Sink.t option;
       (** record/replay event sink: every sim- and protocol-level event
           the run produces is emitted into it — a {!Trace.Sink.recorder}

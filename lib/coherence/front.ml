@@ -393,25 +393,35 @@ let report t races =
   t.stats.Sim.Stats.barriers <- t.stats.Sim.Stats.barriers + 1
 
 (* ------------------------------------------------------------------ *)
-(* Results                                                              *)
+(* The backend surface                                                  *)
 
-let retained_site p ~interval ~page ~word ~kind =
-  Hashtbl.find_opt p.site_store (interval, page, word, kind)
+(* Engine pids are dense from 0 in spawn order, and [run] spawns the
+   processors in id order, so processor [id] is process [id]: a backend
+   wakes a blocked processor by its id. *)
+let run t ~view body =
+  Array.iter
+    (fun p -> ignore (Sim.Engine.spawn t.engine (fun _pid -> body (view p.id))))
+    t.procs;
+  Sim.Engine.run t.engine
 
-let races t = Proto.Race.dedup t.races
-let timed_trace t = List.rev t.timed
-let trace t = List.rev_map (fun (_, proc, event) -> (proc, event)) t.timed
-let sync_trace t = Option.map Sync_trace.of_recorder t.recorder
+let race_sites t (race : Proto.Race.t) =
+  let side ((interval : Proto.Interval.id), kind) =
+    Hashtbl.find_opt t.procs.(interval.proc).site_store
+      (interval, race.page, race.word, kind)
+  in
+  (side race.first, side race.second)
 
-let backend t ~alloc ~run ~memory_checksum =
+let backend t ~who ~view ~memory_checksum =
   {
     Backend.stats = t.stats;
     symtab = t.symtab;
-    alloc;
-    run;
-    races = (fun () -> races t);
-    trace = (fun () -> trace t);
-    sync_trace = (fun () -> sync_trace t);
+    alloc = (fun ?name ?align bytes -> alloc t ~who ?name ?align bytes);
+    run = run t ~view;
+    races = (fun () -> Proto.Race.dedup t.races);
+    race_sites = race_sites t;
+    trace = (fun () -> List.rev_map (fun (_, proc, event) -> (proc, event)) t.timed);
+    timed_trace = (fun () -> List.rev t.timed);
+    sync_trace = (fun () -> Option.map Sync_trace.of_recorder t.recorder);
     sim_time = (fun () -> Sim.Engine.now t.engine);
     memory_checksum;
     set_access_observer = (fun id observer -> t.procs.(id).observer <- Some observer);

@@ -123,10 +123,6 @@ val malloc : t -> proc -> ?name:string -> ?align:int -> int -> int
     same program points get identical addresses on every processor.
     Processor 0 registers [name] in the symbol table. *)
 
-val alloc : t -> who:string -> ?name:string -> ?align:int -> int -> int
-(** Pre-run allocation through processor 0's cursor, copied to every
-    processor; [who] prefixes the diagnostics. *)
-
 (** {1 Intervals and synchronization points} *)
 
 val open_interval : t -> proc -> unit
@@ -181,23 +177,16 @@ val report : t -> Proto.Race.t list -> unit
 (** Close a barrier's detection: apply [first_race_only], keep the races,
     trace and count them. *)
 
-(** {1 Trace and results} *)
+(** {1 Trace and the backend surface} *)
 
 val tracing : t -> bool
 val emit_sink : t -> Trace.Event.t -> unit
 
-val retained_site :
-  proc -> interval:Proto.Interval.id -> page:int -> word:int -> kind:Proto.Race.access_kind ->
-  string option
-
-val races : t -> Proto.Race.t list
-val trace : t -> Racedetect.Oracle.trace
-val timed_trace : t -> (int * int * Racedetect.Oracle.event) list
-val sync_trace : t -> Sync_trace.t option
-
 val backend :
-  t ->
-  alloc:(?name:string -> ?align:int -> int -> int) ->
-  run:((Node.t -> unit) -> unit) ->
-  memory_checksum:(unit -> int) ->
-  Backend.t
+  t -> who:string -> view:(int -> Node.t) -> memory_checksum:(unit -> int) -> Backend.t
+(** The run behind the backend interface. [alloc] is pre-run allocation
+    through processor 0's cursor, copied to every processor, with [who]
+    prefixing its diagnostics. [run] spawns one process per processor in
+    id order, each running the body on [view id], and drives the engine
+    to completion; so processor [id] is engine process [id], which is how
+    a backend wakes it. *)

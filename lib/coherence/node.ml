@@ -16,8 +16,6 @@ type t = {
       (* bump allocation over the shared segment; SPMD programs calling at
          the same program points get identical addresses on every
          processor *)
-  read_word : ?site:string -> int -> int64;
-  write_word : ?site:string -> int -> int64 -> unit;
   read_word_int : ?site:string -> int -> int;
   write_word_int : ?site:string -> int -> int -> unit;
   read_word_float : ?site:string -> int -> float;

@@ -13,7 +13,7 @@ type outcome = {
   watch_hits : Instrument.Watch.hit list;  (** present when watching *)
   symtab : Mem.Symtab.t;  (** variable names for symbolic race reports *)
   mem_checksum : int;
-      (** {!Lrc.Cluster.memory_checksum} of the final shared-memory image;
+      (** the backend's [memory_checksum] of the final shared-memory image;
           the fault sweep compares it across drop rates *)
 }
 

@@ -171,11 +171,11 @@ type figure5_result = {
 let figure5 ~protocol () =
   let cfg = { Coherence.Config.default with protocol; detect = true } in
   let cost = Sim.Cost.default in
-  let cluster = Lrc.Cluster.create ~cost ~cfg ~nprocs:3 ~pages:8 () in
+  let cluster = Backends.create ~cost ~cfg ~nprocs:3 ~pages:8 () in
   let page = cost.Sim.Cost.page_size in
-  let qptr = Lrc.Cluster.alloc cluster ~align:page 8 in
-  let qempty = Lrc.Cluster.alloc cluster ~align:page 8 in
-  let slots = Lrc.Cluster.alloc cluster ~align:page (128 * 8) in
+  let qptr = cluster.Coherence.Backend.alloc ~align:page 8 in
+  let qempty = cluster.Coherence.Backend.alloc ~align:page 8 in
+  let slots = cluster.Coherence.Backend.alloc ~align:page (128 * 8) in
   let slot_addr v = slots + ((v - 37) * 8) in
   let p2_qptr = ref 0 in
   let body node =
@@ -210,14 +210,14 @@ let figure5 ~protocol () =
           [ 37; 38; 39; 40 ]);
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
   let symbolic addr =
     if addr = qptr then "qPtr"
     else if addr = qempty then "qEmpty"
     else Printf.sprintf "slot[%d]" (((addr - slots) / 8) + 37)
   in
   let racy =
-    Lrc.Cluster.races cluster
+    cluster.Coherence.Backend.races ()
     |> List.map (fun (r : Proto.Race.t) -> r.addr)
     |> List.sort_uniq compare
     |> List.map (fun addr -> (addr, symbolic addr))

@@ -6,7 +6,7 @@
 type entry = { time_ns : int; proc : int; label : string }
 
 val rows : nprocs:int -> (int * int * Racedetect.Oracle.event) list -> entry list
-(** Fold a timed trace ({!Lrc.Cluster.timed_trace}) into sync rows. *)
+(** Fold a timed trace ({!Coherence.Backend.t}'s [timed_trace]) into sync rows. *)
 
 val render :
   ?max_rows:int ->

@@ -46,7 +46,7 @@ let meta_of ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.me
     m_first_race_only = cfg.Coherence.Config.first_race_only;
     m_stores_from_diffs = cfg.Coherence.Config.stores_from_diffs;
     m_seed = cfg.Coherence.Config.seed;
-    m_net_seed = cfg.Coherence.Config.net_seed;
+    m_net_seed = None;
     m_drop = fault.Sim.Fault.drop;
     m_dup = fault.Sim.Fault.duplicate;
     m_reorder = fault.Sim.Fault.reorder;
@@ -77,8 +77,8 @@ let config_of_meta (m : Trace.Codec.meta) : Coherence.Config.t =
     detect = m.Trace.Codec.m_detect;
     first_race_only = m.Trace.Codec.m_first_race_only;
     stores_from_diffs = m.Trace.Codec.m_stores_from_diffs;
-    seed = m.Trace.Codec.m_seed;
-    net_seed = m.Trace.Codec.m_net_seed;
+    (* a log recorded with a separate network seed replays under it *)
+    seed = Option.value m.Trace.Codec.m_net_seed ~default:m.Trace.Codec.m_seed;
     fault =
       {
         Sim.Fault.drop = m.Trace.Codec.m_drop;

@@ -26,8 +26,8 @@ type test = {
 let run ?(protocol = Coherence.Config.Single_writer) ~delays test =
   if Array.length delays <> test.nprocs then invalid_arg "Litmus.run: delay per processor";
   let cfg = { Coherence.Config.default with Coherence.Config.protocol; detect = false } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:test.nprocs ~pages:4 () in
-  let base = Lrc.Cluster.alloc cluster (test.shared_words * 8) ~name:"litmus" in
+  let cluster = Backends.create ~cfg ~nprocs:test.nprocs ~pages:4 () in
+  let base = cluster.Coherence.Backend.alloc (test.shared_words * 8) ~name:"litmus" in
   let observed = Array.make test.nprocs [] in
   let body node =
     let pid = Lrc.Dsm.pid node in
@@ -36,7 +36,7 @@ let run ?(protocol = Coherence.Config.Single_writer) ~delays test =
     observed.(pid) <- test.body ~base node ~delay:(Lrc.Dsm.idle node);
     Lrc.Dsm.barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
   List.concat (Array.to_list observed)
 
 let default_grid =

@@ -16,9 +16,6 @@ let nprocs (n : node) = n.Coherence.Node.nprocs
 
 let malloc (n : node) ?name ?align bytes = n.Coherence.Node.malloc ?name ?align bytes
 
-let read_int64 (n : node) ?site addr = n.Coherence.Node.read_word ?site addr
-let write_int64 (n : node) ?site addr value = n.Coherence.Node.write_word ?site addr value
-
 let read_float (n : node) ?site addr = n.Coherence.Node.read_word_float ?site addr
 
 let write_float (n : node) ?site addr value =

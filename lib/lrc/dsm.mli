@@ -2,7 +2,7 @@
     applications (and any user program) code against.
 
     All addresses are byte addresses inside the shared segment returned by
-    {!malloc} / {!Cluster.alloc}; accesses must be word-aligned. The
+    {!malloc} / a backend's [alloc]; accesses must be word-aligned. The
     optional [site] labels are symbolic program counters used by the
     two-run race identification of paper section 6.1. *)
 
@@ -18,8 +18,6 @@ val malloc : node -> ?name:string -> ?align:int -> int -> int
 
 (** {1 Word accesses} *)
 
-val read_int64 : node -> ?site:string -> int -> int64
-val write_int64 : node -> ?site:string -> int -> int64 -> unit
 val read_float : node -> ?site:string -> int -> float
 val write_float : node -> ?site:string -> int -> float -> unit
 val read_int : node -> ?site:string -> int -> int

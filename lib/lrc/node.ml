@@ -550,10 +550,6 @@ let write_access t ~site addr =
 
 let sc_protocol t = t.rt.cfg.Coherence.Config.protocol = Coherence.Config.Seq_consistent
 
-let read_word t ?(site = "?") addr =
-  if sc_protocol t then sc_read t ~site addr
-  else Mem.Page.get_int64 (read_access t ~site addr).data (word_of t addr)
-
 let read_word_int t ?(site = "?") addr =
   if sc_protocol t then Int64.to_int (sc_read t ~site addr)
   else Mem.Page.get_int (read_access t ~site addr).data (word_of t addr)
@@ -561,10 +557,6 @@ let read_word_int t ?(site = "?") addr =
 let read_word_float t ?(site = "?") addr =
   if sc_protocol t then Int64.float_of_bits (sc_read t ~site addr)
   else Mem.Page.get_float (read_access t ~site addr).data (word_of t addr)
-
-let write_word t ?(site = "?") addr value =
-  if sc_protocol t then sc_write t ~site addr value
-  else Mem.Page.set_int64 (write_access t ~site addr).data (word_of t addr) value
 
 let write_word_int t ?(site = "?") addr value =
   if sc_protocol t then sc_write t ~site addr (Int64.of_int value)
@@ -1186,8 +1178,6 @@ let view t =
     nprocs = rt.Front.nprocs;
     geometry = rt.Front.geometry;
     malloc = (fun ?name ?align bytes -> Front.malloc rt fe ?name ?align bytes);
-    read_word = (fun ?site addr -> read_word t ?site addr);
-    write_word = (fun ?site addr value -> write_word t ?site addr value);
     read_word_int = (fun ?site addr -> read_word_int t ?site addr);
     write_word_int = (fun ?site addr value -> write_word_int t ?site addr value);
     read_word_float = (fun ?site addr -> read_word_float t ?site addr);

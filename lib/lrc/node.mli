@@ -24,15 +24,15 @@ val handle_message : t -> Message.t -> unit
     blocks. *)
 
 val view : t -> Coherence.Node.t
-(** The backend-independent processor handle over this node — what
-    {!Cluster.run} hands to application bodies. Reads and writes fault,
+(** The backend-independent processor handle over this node — what the
+    cluster's [run] hands to application bodies. Reads and writes fault,
     fetch and instrument as the configuration dictates; [site] is the
     symbolic "program counter" recorded by watch mode (section 6.1). *)
 
 val coherent_page_raw : t -> int -> Bytes.t option
 (** This node's copy of a page, if coherent: valid and with no pending
     write notices. All coherent copies of a page agree once the run is
-    over, so {!Cluster.memory_checksum} can hash any one of them. *)
+    over, so the cluster's [memory_checksum] can hash any one of them. *)
 
 val service_diagnostics : t -> string list
 (** Queue depths of the central services hosted at this node (parked lock

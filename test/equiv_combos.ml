@@ -106,7 +106,7 @@ let all : combo list =
                       Coherence.Config.default with
                       Coherence.Config.fault = faulty drop;
                       transport = Some Sim.Transport.default_config;
-                      net_seed = Some net_seed;
+                      seed = net_seed;
                       watchdog_ns = Some 2_000_000_000;
                     };
                 })
@@ -115,7 +115,9 @@ let all : combo list =
       [ "sor"; "water"; "tsp" ]
   in
   let seed_variants =
-    (* alternate scheduling seeds for the lock-heavy apps *)
+    (* the seed roots only the network RNG, so with no faults and no
+       jitter it is inert: these combos pin each lock-heavy app's outcome
+       equal to its default-seed twin (tsp-sw-p8, water-sw-p8) *)
     List.concat_map
       (fun app ->
         List.map

@@ -132,7 +132,7 @@ let test_bad_address_rejected backend () =
     (fun node base -> ignore (node.Coherence.Node.read_word_float (base + 3)))
     "Machine: unaligned shared access";
   expect "unaligned write"
-    (fun node base -> node.Coherence.Node.write_word (base + 3) 1L)
+    (fun node base -> node.Coherence.Node.write_word_int (base + 3) 1)
     "Machine: unaligned shared access"
 
 (* Replacement: an invalid way first, else the least recently touched;
@@ -229,8 +229,8 @@ let random_program ~rounds ~words seed =
         let word = h mod words in
         let addr = base + (8 * word) in
         if h land 16 = 0 then
-          node.Coherence.Node.write_word ~site:"prop:w" addr (Int64.of_int h)
-        else ignore (node.Coherence.Node.read_word ~site:"prop:r" addr)
+          node.Coherence.Node.write_word_int ~site:"prop:w" addr h
+        else ignore (node.Coherence.Node.read_word_int ~site:"prop:r" addr)
       done;
       node.Coherence.Node.barrier ()
     done

@@ -21,10 +21,10 @@ let scenario_mixed protocol () =
   (* lock-protected counter (no race), unsynchronized write/read pair
      (race), false sharing on one page (no race) *)
   let cfg = { Testutil.detect_cfg with protocol } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:3 ~pages:4 () in
-  let counter = Lrc.Cluster.alloc cluster 8 in
-  let racy = Lrc.Cluster.alloc cluster 8 in
-  let striped = Lrc.Cluster.alloc cluster (3 * 8) in
+  let cluster = Backends.create ~cfg ~nprocs:3 ~pages:4 () in
+  let counter = cluster.Coherence.Backend.alloc 8 in
+  let racy = cluster.Coherence.Backend.alloc 8 in
+  let striped = cluster.Coherence.Backend.alloc (3 * 8) in
   let body node =
     let open Lrc.Dsm in
     barrier node;
@@ -36,38 +36,38 @@ let scenario_mixed protocol () =
     if pid node = 1 then ignore (read_int node racy);
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
   let detected = Testutil.racy_addrs_of cluster in
-  let oracle = Racedetect.Oracle.racy_addrs ~nprocs:3 (Lrc.Cluster.trace cluster) in
+  let oracle = Racedetect.Oracle.racy_addrs ~nprocs:3 (cluster.Coherence.Backend.trace ()) in
   check Testutil.addr_list "only the unsynchronized word races" [ racy ] detected;
   check Testutil.addr_list "oracle agrees" oracle detected
 
 let test_detect_off_reports_nothing () =
   let cfg = { Coherence.Config.default with detect = false } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 8 in
   let body node =
     let open Lrc.Dsm in
     barrier node;
     if pid node = 0 then write_int node x 1 else ignore (read_int node x);
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
   check Alcotest.int "no reports with detection off" 0
-    (List.length (Lrc.Cluster.races cluster))
+    (List.length (cluster.Coherence.Backend.races ()))
 
 let test_race_report_details () =
   let cfg = Testutil.detect_cfg in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 16 in
+  let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 16 in
   let body node =
     let open Lrc.Dsm in
     barrier node;
     write_int_at node x 1 (pid node) (* word 1: write-write race *);
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
-  match Lrc.Cluster.races cluster with
+  cluster.Coherence.Backend.run body;
+  match cluster.Coherence.Backend.races () with
   | [ race ] ->
       check Alcotest.int "address" (x + 8) race.Proto.Race.addr;
       check Alcotest.int "word" 1 race.Proto.Race.word;
@@ -82,8 +82,8 @@ let test_race_report_details () =
    between (detection still happens at the final barrier) *)
 let test_lock_chain_no_false_positive () =
   let cfg = Testutil.detect_cfg in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~cfg ~nprocs:4 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 8 in
   let body node =
     let open Lrc.Dsm in
     barrier node;
@@ -99,7 +99,7 @@ let test_lock_chain_no_false_positive () =
     end;
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
   check Testutil.addr_list "no false positives" [] (Testutil.racy_addrs_of cluster)
 
 (* ------------------------------------------------------------------ *)
@@ -142,8 +142,8 @@ let random_program_case =
 let run_random_program protocol procs =
   let nprocs = List.length procs in
   let cfg = { Testutil.detect_cfg with protocol } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs ~pages:4 () in
-  let base = Lrc.Cluster.alloc cluster (8 * 8) in
+  let cluster = Backends.create ~cfg ~nprocs ~pages:4 () in
+  let base = cluster.Coherence.Backend.alloc (8 * 8) in
   (* every processor must arrive at every barrier: pad with the maximum
      barrier count *)
   let barrier_count segments =
@@ -173,9 +173,9 @@ let run_random_program protocol procs =
     done;
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
   let detected = Testutil.racy_addrs_of cluster in
-  let oracle = Racedetect.Oracle.racy_addrs ~nprocs (Lrc.Cluster.trace cluster) in
+  let oracle = Racedetect.Oracle.racy_addrs ~nprocs (cluster.Coherence.Backend.trace ()) in
   (detected, oracle)
 
 let prop_random_matches_oracle (name, protocol) =
@@ -192,8 +192,8 @@ let prop_random_matches_oracle (name, protocol) =
 let test_first_race_only () =
   let run first_race_only =
     let cfg = { Testutil.detect_cfg with first_race_only } in
-    let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-    let x = Lrc.Cluster.alloc cluster 16 in
+    let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+    let x = cluster.Coherence.Backend.alloc 16 in
     let body node =
       let open Lrc.Dsm in
       barrier node;
@@ -202,8 +202,8 @@ let test_first_race_only () =
       write_int_at node x 1 (pid node) (* race in epoch 2 *);
       barrier node
     in
-    Lrc.Cluster.run cluster ~body;
-    List.map (fun (r : Proto.Race.t) -> r.epoch) (Lrc.Cluster.races cluster)
+    cluster.Coherence.Backend.run body;
+    List.map (fun (r : Proto.Race.t) -> r.epoch) (cluster.Coherence.Backend.races ())
     |> List.sort_uniq compare
   in
   check (Alcotest.list Alcotest.int) "all epochs without filter" [ 1; 2 ] (run false);
@@ -221,8 +221,8 @@ let run_overwrite_scenario ~stores_from_diffs ~same_value =
       stores_from_diffs;
     }
   in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 8 in
   let body node =
     let open Lrc.Dsm in
     if pid node = 0 then write_int node x 7;
@@ -233,8 +233,8 @@ let run_overwrite_scenario ~stores_from_diffs ~same_value =
     if pid node = 1 then write_int node x (if same_value then 7 else 8);
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
-  List.length (Lrc.Cluster.races cluster)
+  cluster.Coherence.Backend.run body;
+  List.length (cluster.Coherence.Backend.races ())
 
 let test_stores_from_diffs_detects () =
   check Alcotest.bool "different-value ww race found" true
@@ -269,8 +269,8 @@ let test_figure5_lrc_vs_sc () =
 
 let test_site_retention_resolves_race () =
   let cfg = { Testutil.detect_cfg with retain_sites = true } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 8 in
   let body node =
     let open Lrc.Dsm in
     barrier node;
@@ -278,10 +278,10 @@ let test_site_retention_resolves_race () =
     if pid node = 1 then ignore (read_int node x ~site:"demo:consume");
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
-  match Lrc.Cluster.races cluster with
+  cluster.Coherence.Backend.run body;
+  match cluster.Coherence.Backend.races () with
   | [ race ] ->
-      let a, b = Lrc.Cluster.race_sites cluster race in
+      let a, b = cluster.Coherence.Backend.race_sites race in
       let sites = List.sort compare [ a; b ] in
       check
         (Alcotest.list (Alcotest.option Alcotest.string))
@@ -291,8 +291,8 @@ let test_site_retention_resolves_race () =
   | races -> Alcotest.fail (Printf.sprintf "expected one race, got %d" (List.length races))
 
 let test_site_retention_off_resolves_nothing () =
-  let cluster = Lrc.Cluster.create ~cfg:Testutil.detect_cfg ~nprocs:2 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~cfg:Testutil.detect_cfg ~nprocs:2 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 8 in
   let body node =
     let open Lrc.Dsm in
     barrier node;
@@ -300,10 +300,10 @@ let test_site_retention_off_resolves_nothing () =
     if pid node = 1 then ignore (read_int node x);
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
-  match Lrc.Cluster.races cluster with
+  cluster.Coherence.Backend.run body;
+  match cluster.Coherence.Backend.races () with
   | [ race ] ->
-      let a, b = Lrc.Cluster.race_sites cluster race in
+      let a, b = cluster.Coherence.Backend.race_sites race in
       check Alcotest.bool "no sites without retention" true (a = None && b = None)
   | _ -> Alcotest.fail "expected one race"
 

@@ -60,8 +60,8 @@ let test_symtab_overlap_rejected () =
     (fun () -> Mem.Symtab.register symtab ~name:"b" ~base:8 ~bytes:8)
 
 let test_symbolic_race_reports () =
-  let cluster = Lrc.Cluster.create ~cfg:Testutil.detect_cfg ~nprocs:2 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 8 ~name:"shared_flag" in
+  let cluster = Backends.create ~cfg:Testutil.detect_cfg ~nprocs:2 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 8 ~name:"shared_flag" in
   let body node =
     let open Lrc.Dsm in
     barrier node;
@@ -69,12 +69,13 @@ let test_symbolic_race_reports () =
     if pid node = 1 then ignore (read_int node x);
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
-  match Lrc.Cluster.races cluster with
+  cluster.Coherence.Backend.run body;
+  match cluster.Coherence.Backend.races () with
   | [ race ] ->
       let rendered =
         Format.asprintf "%a"
-          (Proto.Race.pp_named ~name_of:(Mem.Symtab.name_of (Lrc.Cluster.symtab cluster)))
+          (Proto.Race.pp_named
+             ~name_of:(Mem.Symtab.name_of cluster.Coherence.Backend.symtab))
           race
       in
       check Alcotest.bool "symbolic name in report" true
@@ -89,8 +90,8 @@ let test_hb_fetch_waits_for_flush () =
      version has arrived — force the gap with a slow network *)
   let cost = { Sim.Cost.default with msg_latency_ns = 2_000_000 } in
   let cfg = { Coherence.Config.default with protocol = Coherence.Config.Home_based } in
-  let cluster = Lrc.Cluster.create ~cost ~cfg ~nprocs:3 ~pages:4 () in
-  let x = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~cost ~cfg ~nprocs:3 ~pages:4 () in
+  let x = cluster.Coherence.Backend.alloc 8 in
   (* page 0's home is processor 0; the writer and reader are 1 and 2 *)
   let body node =
     let open Lrc.Dsm in
@@ -103,7 +104,7 @@ let test_hb_fetch_waits_for_flush () =
     end;
     barrier node
   in
-  Lrc.Cluster.run cluster ~body
+  cluster.Coherence.Backend.run body
 
 let test_hb_paper_counters () =
   (* under HLRC all coherence data motion is flushes + home fetches *)
@@ -132,8 +133,8 @@ let test_fragmentation_math () =
 let test_fragments_counted () =
   (* a tiny MTU forces page fetches to fragment *)
   let cost = { Sim.Cost.default with max_message_bytes = 1024 } in
-  let cluster = Lrc.Cluster.create ~cost ~nprocs:2 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~cost ~nprocs:2 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 8 in
   let body node =
     let open Lrc.Dsm in
     if pid node = 0 then write_int node x 5;
@@ -141,8 +142,8 @@ let test_fragments_counted () =
     if pid node = 1 then ignore (read_int node x) (* 4 KB page fetch: 4+ fragments *);
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
-  let stats = Lrc.Cluster.stats cluster in
+  cluster.Coherence.Backend.run body;
+  let stats = cluster.Coherence.Backend.stats in
   check Alcotest.bool "more fragments than messages" true
     (stats.Sim.Stats.fragments > stats.Sim.Stats.messages)
 
@@ -155,9 +156,9 @@ let test_jitter_coherence protocol () =
     (fun seed ->
       let cost = { Sim.Cost.default with jitter_ns = 400_000 } in
       let cfg = { Testutil.detect_cfg with protocol; seed } in
-      let cluster = Lrc.Cluster.create ~cost ~cfg ~nprocs:4 ~pages:4 () in
-      let counter = Lrc.Cluster.alloc cluster 8 in
-      let racy = Lrc.Cluster.alloc cluster 8 in
+      let cluster = Backends.create ~cost ~cfg ~nprocs:4 ~pages:4 () in
+      let counter = cluster.Coherence.Backend.alloc 8 in
+      let racy = cluster.Coherence.Backend.alloc 8 in
       let body node =
         let open Lrc.Dsm in
         barrier node;
@@ -176,9 +177,9 @@ let test_jitter_coherence protocol () =
         end;
         barrier node
       in
-      Lrc.Cluster.run cluster ~body;
+      cluster.Coherence.Backend.run body;
       let detected = Testutil.racy_addrs_of cluster in
-      let oracle = Racedetect.Oracle.racy_addrs ~nprocs:4 (Lrc.Cluster.trace cluster) in
+      let oracle = Racedetect.Oracle.racy_addrs ~nprocs:4 (cluster.Coherence.Backend.trace ()) in
       check Testutil.addr_list "detector = oracle under jitter" oracle detected;
       check Testutil.addr_list "exactly the racy word" [ racy ] detected)
     [ 1; 7; 23 ]

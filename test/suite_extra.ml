@@ -63,15 +63,15 @@ let test_page_data_size () =
 (* Interval accounting: 2 intervals per processor per barrier           *)
 
 let test_two_intervals_per_barrier () =
-  let cluster = Lrc.Cluster.create ~nprocs:4 ~pages:2 () in
+  let cluster = Backends.create ~nprocs:4 ~pages:2 () in
   let barriers = 6 in
   let body node =
     for _ = 1 to barriers do
       Lrc.Dsm.barrier node
     done
   in
-  Lrc.Cluster.run cluster ~body;
-  let stats = Lrc.Cluster.stats cluster in
+  cluster.Coherence.Backend.run body;
+  let stats = cluster.Coherence.Backend.stats in
   check Alcotest.int "barriers counted once" barriers stats.Sim.Stats.barriers;
   (* each barrier creates 2 intervals per processor (arrive + depart),
      plus the initial interval of each processor *)
@@ -80,14 +80,14 @@ let test_two_intervals_per_barrier () =
     stats.Sim.Stats.intervals_created
 
 let test_lock_creates_two_intervals () =
-  let cluster = Lrc.Cluster.create ~nprocs:2 ~pages:2 () in
+  let cluster = Backends.create ~nprocs:2 ~pages:2 () in
   let body node =
     Lrc.Dsm.barrier node;
     if Lrc.Dsm.pid node = 0 then Lrc.Dsm.with_lock node 3 (fun () -> ());
     Lrc.Dsm.barrier node
   in
-  Lrc.Cluster.run cluster ~body;
-  let stats = Lrc.Cluster.stats cluster in
+  cluster.Coherence.Backend.run body;
+  let stats = cluster.Coherence.Backend.stats in
   (* 2 procs x (1 initial + 2x2 barrier) + 2 for the acquire/release *)
   check Alcotest.int "acquire and release each open an interval" 12
     stats.Sim.Stats.intervals_created
@@ -97,8 +97,8 @@ let test_lock_creates_two_intervals () =
 
 let test_sc_reads_latest () =
   let cfg = { Coherence.Config.default with protocol = Coherence.Config.Seq_consistent } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 8 in
   let seen = ref (-1) in
   let body node =
     let open Lrc.Dsm in
@@ -113,7 +113,7 @@ let test_sc_reads_latest () =
     end;
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
   check Alcotest.int "SC read sees the unsynchronized write" 9 !seen
 
 (* ------------------------------------------------------------------ *)
@@ -122,8 +122,8 @@ let test_sc_reads_latest () =
 
 let test_consolidate_runs_detection () =
   let cfg = Testutil.detect_cfg in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 8 in
   let body node =
     let open Lrc.Dsm in
     barrier node;
@@ -134,7 +134,7 @@ let test_consolidate_runs_detection () =
     consolidate node;
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
   check Testutil.addr_list "consolidation found the race" [ x ]
     (Testutil.racy_addrs_of cluster)
 
@@ -142,8 +142,8 @@ let test_consolidate_runs_detection () =
 (* Float traffic through the DSM                                       *)
 
 let test_float_roundtrip_through_dsm () =
-  let cluster = Lrc.Cluster.create ~nprocs:2 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 16 in
+  let cluster = Backends.create ~nprocs:2 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 16 in
   let got = ref 0.0 in
   let body node =
     let open Lrc.Dsm in
@@ -155,7 +155,7 @@ let test_float_roundtrip_through_dsm () =
     if pid node = 1 then got := read_float node x;
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
   check (Alcotest.float 0.0) "exact float transfer" 3.14159265 !got
 
 (* ------------------------------------------------------------------ *)
@@ -173,16 +173,16 @@ let test_stats_charges () =
 let test_detect_changes_traffic_only_in_detect_runs () =
   let run detect =
     let cfg = { Coherence.Config.default with detect } in
-    let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-    let x = Lrc.Cluster.alloc cluster 8 in
+    let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+    let x = cluster.Coherence.Backend.alloc 8 in
     let body node =
       let open Lrc.Dsm in
       barrier node;
       if pid node = 0 then write_int node x 1 else ignore (read_int node x);
       barrier node
     in
-    Lrc.Cluster.run cluster ~body;
-    Lrc.Cluster.stats cluster
+    cluster.Coherence.Backend.run body;
+    cluster.Coherence.Backend.stats
   in
   let off = run false and on = run true in
   check Alcotest.int "no read-notice bytes when off" 0 off.Sim.Stats.read_notice_bytes;
@@ -231,16 +231,16 @@ let test_driver_slowdown_sane () =
 
 let test_timeline_rows () =
   let cfg = { Coherence.Config.default with record_trace = true } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 8 in
   let body node =
     let open Lrc.Dsm in
     barrier node;
     with_lock node 1 (fun () -> write_int node x (pid node));
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
-  let rows = Core.Timeline.rows ~nprocs:2 (Lrc.Cluster.timed_trace cluster) in
+  cluster.Coherence.Backend.run body;
+  let rows = Core.Timeline.rows ~nprocs:2 (cluster.Coherence.Backend.timed_trace ()) in
   (* 2 barriers + acquire/release per proc = 8 sync rows, time-ordered *)
   check Alcotest.int "sync rows" 8 (List.length rows);
   let times = List.map (fun (r : Core.Timeline.entry) -> r.time_ns) rows in

@@ -29,9 +29,9 @@ let test_lossy_coherence protocol () =
   List.iter
     (fun seed ->
       let cfg = { (fault_cfg seed) with Coherence.Config.protocol } in
-      let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:4 () in
-      let counter = Lrc.Cluster.alloc cluster 8 in
-      let racy = Lrc.Cluster.alloc cluster 8 in
+      let cluster = Backends.create ~cfg ~nprocs:4 ~pages:4 () in
+      let counter = cluster.Coherence.Backend.alloc 8 in
+      let racy = cluster.Coherence.Backend.alloc 8 in
       let body node =
         let open Lrc.Dsm in
         barrier node;
@@ -50,12 +50,12 @@ let test_lossy_coherence protocol () =
         end;
         barrier node
       in
-      Lrc.Cluster.run cluster ~body;
+      cluster.Coherence.Backend.run body;
       let detected = Testutil.racy_addrs_of cluster in
-      let oracle = Racedetect.Oracle.racy_addrs ~nprocs:4 (Lrc.Cluster.trace cluster) in
+      let oracle = Racedetect.Oracle.racy_addrs ~nprocs:4 (cluster.Coherence.Backend.trace ()) in
       check Testutil.addr_list "detector = oracle under loss" oracle detected;
       check Testutil.addr_list "exactly the racy word" [ racy ] detected;
-      let stats = Lrc.Cluster.stats cluster in
+      let stats = cluster.Coherence.Backend.stats in
       check Alcotest.bool "wire was lossy" true (stats.Sim.Stats.frames_dropped > 0);
       check Alcotest.bool "retransmissions repaired it" true
         (stats.Sim.Stats.retransmits > 0))
@@ -70,8 +70,8 @@ let test_grant_overtaking_its_ack () =
      (assertion failure in on_lock_fwd). Seeds 16, 21, 33 and 38 hit it. *)
   for seed = 1 to 40 do
     let cfg = fault_cfg ~drop:0.4 seed in
-    let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:2 () in
-    let counter = Lrc.Cluster.alloc cluster 8 in
+    let cluster = Backends.create ~cfg ~nprocs:4 ~pages:2 () in
+    let counter = cluster.Coherence.Backend.alloc 8 in
     let body node =
       let open Lrc.Dsm in
       for _ = 1 to 50 do
@@ -82,7 +82,7 @@ let test_grant_overtaking_its_ack () =
         check Alcotest.int (Printf.sprintf "seed %d: no increment lost" seed) 200
           (read_int node counter)
     in
-    match Lrc.Cluster.run cluster ~body with
+    match cluster.Coherence.Backend.run body with
     | () -> ()
     | exception Sim.Engine.Deadlock d ->
         Alcotest.failf "seed %d: %s" seed (Sim.Engine.diagnosis_to_string d)
@@ -144,8 +144,8 @@ let test_capped_retries_structured_diagnosis () =
       transport = Some { Sim.Transport.default_config with Sim.Transport.max_retries = 5 };
     }
   in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-  match Lrc.Cluster.run cluster ~body:(fun node -> Lrc.Dsm.barrier node) with
+  let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+  match cluster.Coherence.Backend.run (fun node -> Lrc.Dsm.barrier node) with
   | () -> Alcotest.fail "expected Deadlock"
   | exception Sim.Engine.Deadlock diagnosis ->
       let text = Sim.Engine.diagnosis_to_string diagnosis in
@@ -156,7 +156,7 @@ let test_capped_retries_structured_diagnosis () =
       check Alcotest.bool "reports the half-arrived barrier" true
         (Testutil.contains text "1 of 2 arrival(s)");
       check Alcotest.bool "link failure counted" true
-        ((Lrc.Cluster.stats cluster).Sim.Stats.link_failures > 0)
+        (cluster.Coherence.Backend.stats.Sim.Stats.link_failures > 0)
 
 let test_watchdog_breaks_retransmission_livelock () =
   (* with an effectively unbounded retry cap the timers alone would spin
@@ -170,8 +170,8 @@ let test_watchdog_breaks_retransmission_livelock () =
       watchdog_ns = Some 200_000_000;
     }
   in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-  match Lrc.Cluster.run cluster ~body:(fun node -> Lrc.Dsm.barrier node) with
+  let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
+  match cluster.Coherence.Backend.run (fun node -> Lrc.Dsm.barrier node) with
   | () -> Alcotest.fail "expected stall Deadlock"
   | exception Sim.Engine.Deadlock diagnosis ->
       check Alcotest.bool "watchdog verdict" true diagnosis.Sim.Engine.diag_stalled;
@@ -181,15 +181,15 @@ let test_watchdog_breaks_retransmission_livelock () =
 let test_watchdog_quiet_on_healthy_run () =
   (* a tight watchdog must not fire on a healthy lossy run *)
   let cfg = fault_cfg ~watchdog_ns:50_000_000 5 in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:4 () in
-  let counter = Lrc.Cluster.alloc cluster 8 in
-  Lrc.Cluster.run cluster ~body:(fun node ->
+  let cluster = Backends.create ~cfg ~nprocs:4 ~pages:4 () in
+  let counter = cluster.Coherence.Backend.alloc 8 in
+  cluster.Coherence.Backend.run (fun node ->
       let open Lrc.Dsm in
       barrier node;
       with_lock node 0 (fun () ->
           write_int node counter (read_int node counter + 1));
       barrier node);
-  check Alcotest.bool "completed" true (Lrc.Cluster.sim_time cluster > 0)
+  check Alcotest.bool "completed" true (cluster.Coherence.Backend.sim_time () > 0)
 
 let test_lock_cycle_diagnosed backend () =
   (* p0 takes lock 1 then 2, p1 takes 2 then 1; the idle between the two
@@ -241,7 +241,7 @@ let test_fault_rng_does_not_perturb_jitter () =
         Coherence.Config.default with
         Coherence.Config.fault = lossy_plan drop;
         transport = (if transport then Some Sim.Transport.default_config else None);
-        net_seed = Some 99;
+        seed = 99;
       }
     in
     Core.Driver.run ~cost ~cfg ~app ~nprocs:4 ()

@@ -17,8 +17,8 @@ let protocols =
 
 let test_barrier_publishes protocol () =
   let cfg = { Coherence.Config.default with protocol } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:4 () in
-  let base = Lrc.Cluster.alloc cluster (4 * 8) in
+  let cluster = Backends.create ~cfg ~nprocs:4 ~pages:4 () in
+  let base = cluster.Coherence.Backend.alloc (4 * 8) in
   let body node =
     let open Lrc.Dsm in
     write_int_at node base (pid node) (100 + pid node);
@@ -30,15 +30,15 @@ let test_barrier_publishes protocol () =
     done;
     barrier node
   in
-  Lrc.Cluster.run cluster ~body
+  cluster.Coherence.Backend.run body
 
 (* ------------------------------------------------------------------ *)
 (* Lock-protected read-modify-write: mutual exclusion + visibility     *)
 
 let test_lock_counter protocol () =
   let cfg = { Coherence.Config.default with protocol } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:4 () in
-  let counter = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~cfg ~nprocs:4 ~pages:4 () in
+  let counter = cluster.Coherence.Backend.alloc 8 in
   let rounds = 10 in
   let body node =
     let open Lrc.Dsm in
@@ -56,7 +56,7 @@ let test_lock_counter protocol () =
     end;
     barrier node
   in
-  Lrc.Cluster.run cluster ~body
+  cluster.Coherence.Backend.run body
 
 (* Regression for the ownership-steal bug: many counters share pages,
    each guarded by its own lock, with randomized compute delays to vary
@@ -64,8 +64,8 @@ let test_lock_counter protocol () =
 let test_lost_update_stress ~seed ~detect () =
   let worker_count = 8 and ncounters = 16 and rounds = 12 in
   let cfg = { Coherence.Config.default with detect; seed } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:worker_count ~pages:4 () in
-  let base = Lrc.Cluster.alloc cluster (ncounters * 8 * 32) in
+  let cluster = Backends.create ~cfg ~nprocs:worker_count ~pages:4 () in
+  let base = cluster.Coherence.Backend.alloc (ncounters * 8 * 32) in
   let addr k = base + (k * 8 * 32) in
   let rng_master = Sim.Rng.create ~seed in
   let rngs = Array.init worker_count (fun _ -> Sim.Rng.split rng_master) in
@@ -93,15 +93,15 @@ let test_lost_update_stress ~seed ~detect () =
     end;
     barrier node
   in
-  Lrc.Cluster.run cluster ~body
+  cluster.Coherence.Backend.run body
 
 (* ------------------------------------------------------------------ *)
 (* LRC semantics: an unsynchronized read may be stale (and the paper
    depends on it: Figure 5); a synchronized read must be fresh.         *)
 
 let test_stale_read_before_sync () =
-  let cluster = Lrc.Cluster.create ~nprocs:2 ~pages:4 () in
-  let x = Lrc.Cluster.alloc cluster 8 in
+  let cluster = Backends.create ~nprocs:2 ~pages:4 () in
+  let x = cluster.Coherence.Backend.alloc 8 in
   let observed = ref (-1) in
   let body node =
     let open Lrc.Dsm in
@@ -125,7 +125,7 @@ let test_stale_read_before_sync () =
     end;
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
   check Alcotest.int "pre-sync read is stale under LRC" 1 !observed
 
 (* ------------------------------------------------------------------ *)
@@ -133,8 +133,8 @@ let test_stale_read_before_sync () =
 
 let test_multi_writer_merges () =
   let cfg = { Coherence.Config.default with protocol = Coherence.Config.Multi_writer } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:2 () in
-  let base = Lrc.Cluster.alloc cluster (64 * 8) in
+  let cluster = Backends.create ~cfg ~nprocs:4 ~pages:2 () in
+  let base = cluster.Coherence.Backend.alloc (64 * 8) in
   let body node =
     let open Lrc.Dsm in
     barrier node;
@@ -152,42 +152,42 @@ let test_multi_writer_merges () =
       done;
     barrier node
   in
-  Lrc.Cluster.run cluster ~body;
-  let stats = Lrc.Cluster.stats cluster in
+  cluster.Coherence.Backend.run body;
+  let stats = cluster.Coherence.Backend.stats in
   check Alcotest.bool "diffs were created" true (stats.Sim.Stats.diffs_created > 0)
 
 (* ------------------------------------------------------------------ *)
 (* API misuse errors                                                   *)
 
 let test_lock_not_reentrant () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:2 () in
+  let cluster = Backends.create ~nprocs:1 ~pages:2 () in
   let body node =
     Lrc.Dsm.lock node 1;
     Lrc.Dsm.lock node 1
   in
-  match Lrc.Cluster.run cluster ~body with
+  match cluster.Coherence.Backend.run body with
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument m ->
       check Alcotest.bool "message" true (Testutil.contains m "already held")
 
 let test_unlock_without_lock () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:2 () in
-  match Lrc.Cluster.run cluster ~body:(fun node -> Lrc.Dsm.unlock node 1) with
+  let cluster = Backends.create ~nprocs:1 ~pages:2 () in
+  match cluster.Coherence.Backend.run (fun node -> Lrc.Dsm.unlock node 1) with
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument m ->
       check Alcotest.bool "message" true (Testutil.contains m "not held")
 
 let test_unaligned_access_rejected () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 16 in
-  match Lrc.Cluster.run cluster ~body:(fun node -> ignore (Lrc.Dsm.read_int node (x + 3))) with
+  let cluster = Backends.create ~nprocs:1 ~pages:2 () in
+  let x = cluster.Coherence.Backend.alloc 16 in
+  match cluster.Coherence.Backend.run (fun node -> ignore (Lrc.Dsm.read_int node (x + 3))) with
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument m ->
       check Alcotest.bool "message" true (Testutil.contains m "unaligned")
 
 let test_private_address_rejected () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:2 () in
-  match Lrc.Cluster.run cluster ~body:(fun node -> ignore (Lrc.Dsm.read_int node 64)) with
+  let cluster = Backends.create ~nprocs:1 ~pages:2 () in
+  match cluster.Coherence.Backend.run (fun node -> ignore (Lrc.Dsm.read_int node 64)) with
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument m ->
       check Alcotest.bool "message" true (Testutil.contains m "outside the shared segment")
@@ -196,27 +196,27 @@ let test_private_address_rejected () =
 (* Allocation                                                          *)
 
 let test_alloc_alignment () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:8 () in
-  let a = Lrc.Cluster.alloc cluster 24 in
-  let b = Lrc.Cluster.alloc cluster ~align:4096 8 in
+  let cluster = Backends.create ~nprocs:1 ~pages:8 () in
+  let a = cluster.Coherence.Backend.alloc 24 in
+  let b = cluster.Coherence.Backend.alloc ~align:4096 8 in
   check Alcotest.int "page aligned" 0 (b mod 4096);
   check Alcotest.bool "disjoint" true (b >= a + 24)
 
 let test_alloc_exhaustion () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:1 () in
+  let cluster = Backends.create ~nprocs:1 ~pages:1 () in
   Alcotest.check_raises "exhausted" (Invalid_argument "Cluster.alloc: shared segment exhausted")
-    (fun () -> ignore (Lrc.Cluster.alloc cluster 8192))
+    (fun () -> ignore (cluster.Coherence.Backend.alloc 8192))
 
 let test_node_malloc_follows_cluster_alloc () =
-  let cluster = Lrc.Cluster.create ~nprocs:2 ~pages:8 () in
-  let a = Lrc.Cluster.alloc cluster 64 in
+  let cluster = Backends.create ~nprocs:2 ~pages:8 () in
+  let a = cluster.Coherence.Backend.alloc 64 in
   let got = ref [] in
   let body node =
     let addr = Lrc.Dsm.malloc node 8 in
     got := addr :: !got;
     Lrc.Dsm.barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  cluster.Coherence.Backend.run body;
   match !got with
   | [ x; y ] ->
       check Alcotest.int "same SPMD address" x y;
@@ -228,7 +228,7 @@ let test_node_malloc_follows_cluster_alloc () =
 
 let grant_order_of cluster =
   (* reconstruct per-lock grant order from the oracle trace's acquires *)
-  Lrc.Cluster.trace cluster
+  cluster.Coherence.Backend.trace ()
   |> List.filter_map (function
        | proc, Racedetect.Oracle.Acquire lock -> Some (lock, proc)
        | _ -> None)
@@ -243,7 +243,7 @@ let test_record_replay () =
         replay;
       }
     in
-    Lrc.Cluster.create ~cost ~cfg ~nprocs:4 ~pages:4 ()
+    Backends.create ~cost ~cfg ~nprocs:4 ~pages:4 ()
   in
   let body counter node =
     let open Lrc.Dsm in
@@ -258,23 +258,23 @@ let test_record_replay () =
   in
   (* run 1 with the default cost model *)
   let c1 = make_cluster ~cost:Sim.Cost.default () in
-  let counter1 = Lrc.Cluster.alloc c1 8 in
-  Lrc.Cluster.run c1 ~body:(body counter1);
-  let recorded = Option.get (Lrc.Cluster.sync_trace c1) in
+  let counter1 = c1.Coherence.Backend.alloc 8 in
+  c1.Coherence.Backend.run (body counter1);
+  let recorded = Option.get (c1.Coherence.Backend.sync_trace ()) in
   let order1 = grant_order_of c1 in
   (* run 2 with a very different cost model, replaying the order *)
   let cost2 = { Sim.Cost.default with msg_latency_ns = 900_000; proc_call_ns = 500.0 } in
   let c2 = make_cluster ~replay:(Some recorded) ~cost:cost2 () in
-  let counter2 = Lrc.Cluster.alloc c2 8 in
-  Lrc.Cluster.run c2 ~body:(body counter2);
+  let counter2 = c2.Coherence.Backend.alloc 8 in
+  c2.Coherence.Backend.run (body counter2);
   let order2 = grant_order_of c2 in
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
     "grant order reproduced under perturbed timing" order1 order2;
   (* and without replay the perturbed run may (and here does) differ *)
   let c3 = make_cluster ~cost:cost2 () in
-  let counter3 = Lrc.Cluster.alloc c3 8 in
-  Lrc.Cluster.run c3 ~body:(body counter3);
+  let counter3 = c3.Coherence.Backend.alloc 8 in
+  c3.Coherence.Backend.run (body counter3);
   ignore counter3
 
 (* ------------------------------------------------------------------ *)
@@ -283,8 +283,8 @@ let test_record_replay () =
 let test_deterministic_runs () =
   let run () =
     let cfg = Testutil.detect_cfg in
-    let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:4 () in
-    let x = Lrc.Cluster.alloc cluster 64 in
+    let cluster = Backends.create ~cfg ~nprocs:4 ~pages:4 () in
+    let x = cluster.Coherence.Backend.alloc 64 in
     let body node =
       let open Lrc.Dsm in
       barrier node;
@@ -294,8 +294,10 @@ let test_deterministic_runs () =
       write_int_at node x (1 + pid node) (pid node);
       barrier node
     in
-    Lrc.Cluster.run cluster ~body;
-    (Lrc.Cluster.sim_time cluster, Lrc.Cluster.trace cluster, Testutil.racy_addrs_of cluster)
+    cluster.Coherence.Backend.run body;
+    ( cluster.Coherence.Backend.sim_time (),
+      cluster.Coherence.Backend.trace (),
+      Testutil.racy_addrs_of cluster )
   in
   let t1, trace1, races1 = run () in
   let t2, trace2, races2 = run () in

@@ -388,23 +388,23 @@ let test_log_only_reconstruction () =
   let meta = Core.Trace_run.meta_of ~app_name:"custom" ~scale:Apps.Registry.Small ~nprocs:4 cfg in
   let recorder = Trace.Sink.recorder meta in
   let cfg = { cfg with Coherence.Config.tracer = Some (Trace.Sink.sink recorder) } in
-  let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:4 () in
-  let racy = Lrc.Cluster.alloc cluster 8 in
-  Lrc.Cluster.run cluster ~body:(fun node ->
+  let cluster = Backends.create ~cfg ~nprocs:4 ~pages:4 () in
+  let racy = cluster.Coherence.Backend.alloc 8 in
+  cluster.Coherence.Backend.run (fun node ->
       let open Lrc.Dsm in
       barrier node;
       if pid node = 0 then write_int node racy 1;
       if pid node = 3 then ignore (read_int node racy);
       barrier node);
-  let live = Proto.Race.dedup (Lrc.Cluster.races cluster) in
+  let live = Proto.Race.dedup (cluster.Coherence.Backend.races ()) in
   check Alcotest.bool "the body races" true (live <> []);
   (* Run_end is the driver's job; emit it here the same way *)
   Trace.Sink.emit (Trace.Sink.sink recorder)
-    ~time:(Lrc.Cluster.sim_time cluster)
+    ~time:(cluster.Coherence.Backend.sim_time ())
     (Trace.Event.Run_end
        {
-         checksum = Lrc.Cluster.memory_checksum cluster;
-         sim_time_ns = Lrc.Cluster.sim_time cluster;
+         checksum = cluster.Coherence.Backend.memory_checksum ();
+         sim_time_ns = cluster.Coherence.Backend.sim_time ();
          races = List.length live;
        });
   let decoded = Trace.Codec.decode (Trace.Sink.contents recorder) in
@@ -416,12 +416,12 @@ let test_log_only_reconstruction () =
   check
     (Alcotest.option Alcotest.int)
     "checksum from log alone"
-    (Some (Lrc.Cluster.memory_checksum cluster))
+    (Some (cluster.Coherence.Backend.memory_checksum ()))
     (Trace.Replay.checksum_of_log decoded);
   check
     (Alcotest.option Alcotest.int)
     "sim time from log alone"
-    (Some (Lrc.Cluster.sim_time cluster))
+    (Some (cluster.Coherence.Backend.sim_time ()))
     (Trace.Replay.sim_time_of_log decoded);
   let stats = Trace.Replay.tags_of_log decoded in
   let total = List.fold_left (fun acc s -> acc + s.Trace.Replay.ts_count) 0 stats in

@@ -10,12 +10,12 @@ let contains haystack needle =
 (* Run an SPMD body on a fresh cluster and return it for inspection. *)
 let run_cluster ?(cfg = Coherence.Config.default) ?(cost = Sim.Cost.default) ?(nprocs = 4)
     ?(pages = 8) body =
-  let cluster = Lrc.Cluster.create ~cost ~cfg ~nprocs ~pages () in
-  Lrc.Cluster.run cluster ~body;
+  let cluster = Backends.create ~cost ~cfg ~nprocs ~pages () in
+  cluster.Coherence.Backend.run body;
   cluster
 
 let racy_addrs_of cluster =
-  Lrc.Cluster.races cluster
+  cluster.Coherence.Backend.races ()
   |> List.map (fun (r : Proto.Race.t) -> r.addr)
   |> List.sort_uniq compare
 

@@ -341,8 +341,6 @@ let run_sweep () =
    is visible as data. Points also land in the JSON sweep entries
    (keyed by backend), so compare.exe gates them like any other. *)
 
-let separation_backends = [ "lrc"; "mesi"; "dragon" ]
-
 let run_separation () =
   section "CC vs DSM separation: consistency traffic as p scales";
   let names = [ "sor"; "water" ] in
@@ -351,7 +349,7 @@ let run_separation () =
     List.concat_map
       (fun name ->
         List.concat_map
-          (fun nprocs -> List.map (fun b -> (name, nprocs, true, false, b)) separation_backends)
+          (fun nprocs -> List.map (fun b -> (name, nprocs, true, false, b)) Backends.all)
           procs)
       names
   in

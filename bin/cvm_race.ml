@@ -251,7 +251,9 @@ let elide_arg =
   Arg.(value & flag & info [ "elide" ] ~doc)
 
 (* The run configuration [run] and [record] share: backend, protocol and
-   detection switches, then the wire and transport flags. *)
+   detection switches, then the wire and transport flags. A bus backend
+   has no lossy wire, so it rejects fault and transport flags here, as a
+   bad command line. *)
 let config_term =
   let config backend protocol no_detect first_race_only stores_from_diffs gc_epochs elide
       drop dup reorder partitions net_seed watchdog_ms max_retries transport =
@@ -277,24 +279,34 @@ let config_term =
           | None -> base)
       else None
     in
-    {
-      Coherence.Config.default with
-      backend;
-      protocol;
-      detect = not no_detect;
-      first_race_only;
-      stores_from_diffs;
-      gc_epochs;
-      elide_sites = (if elide then Some [] else None);
-      fault;
-      transport;
-      seed = net_seed;
-      watchdog_ns = Option.map (fun ms -> int_of_float (ms *. 1e6)) watchdog_ms;
-    }
+    if backend <> "lrc" && transport <> None then
+      Error
+        (`Msg
+          (Printf.sprintf
+             "--backend %s: wire faults and the reliable transport need the lrc backend \
+              (a snooping bus has no lossy wire)"
+             backend))
+    else
+      Ok
+        {
+          Coherence.Config.default with
+          backend;
+          protocol;
+          detect = not no_detect;
+          first_race_only;
+          stores_from_diffs;
+          gc_epochs;
+          elide_sites = (if elide then Some [] else None);
+          fault;
+          transport;
+          seed = net_seed;
+          watchdog_ns = Option.map (fun ms -> int_of_float (ms *. 1e6)) watchdog_ms;
+        }
   in
-  Term.(const config $ backend_arg $ protocol_arg $ no_detect_arg $ first_race_arg
+  Term.(term_result ~usage:true
+      (const config $ backend_arg $ protocol_arg $ no_detect_arg $ first_race_arg
       $ diff_stores_arg $ gc_epochs_arg $ elide_arg $ drop_arg $ dup_arg $ reorder_arg
-      $ partition_arg $ net_seed_arg $ watchdog_arg $ max_retries_arg $ transport_arg)
+      $ partition_arg $ net_seed_arg $ watchdog_arg $ max_retries_arg $ transport_arg))
 
 let ppf = Format.std_formatter
 
@@ -813,7 +825,7 @@ let fuzz_command =
   in
   let backends_arg =
     let doc = "Comma-separated backends to cross-check (default: every registered one)." in
-    Arg.(value & opt (list string) Workload.Harness.all_backends
+    Arg.(value & opt (list string) Backends.all
         & info [ "backends" ] ~docv:"B,B,..." ~doc)
   in
   let fuzz seed count no_shrink repro_dir json backends =

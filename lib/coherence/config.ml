@@ -70,6 +70,11 @@ type t = {
   cc_ways : int;  (* bus backends: associativity *)
 }
 
+(* Every backend allocates per-processor state that grows with the
+   processor count, so an unchecked count can exhaust memory before the
+   run starts. *)
+let max_procs = 256
+
 let default =
   {
     backend = "lrc";

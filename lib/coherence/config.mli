@@ -75,6 +75,10 @@ type t = {
   cc_ways : int;  (** bus backends: associativity *)
 }
 
+val max_procs : int
+(** 256: the largest processor count a run accepts. The CLI's [-p], trace
+    files and trace-log metadata are held to it. *)
+
 val default : t
 (** Single-writer protocol, detection on, everything else off. *)
 

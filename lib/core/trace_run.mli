@@ -15,8 +15,15 @@ val meta_of :
 (** The metadata header a recording of this configuration carries. The
     cost model is not part of it. *)
 
-val config_of_meta : Trace.Codec.meta -> Coherence.Config.t
-(** The cluster configuration a log's metadata describes (tracer unset). *)
+val config_of_meta : ?cost:Sim.Cost.t -> Trace.Codec.meta -> Coherence.Config.t
+(** The configuration a log's metadata describes (tracer unset). It
+    first checks every field a run is built from against what a
+    recording can hold: known application, scale, protocol and backend
+    names, 1 to {!Coherence.Config.max_procs} processors, a valid fault
+    plan and transport, no wire faults or transport on a bus backend, a
+    positive watchdog and GC cadence, and a cache geometry that fits the
+    cost model's word and page sizes (default {!Sim.Cost.default}).
+    Raises {!Trace.Codec.Corrupt} otherwise. *)
 
 val record :
   ?cost:Sim.Cost.t ->
@@ -42,8 +49,8 @@ val clean : replay_result -> bool
 
 val replay : ?cost:Sim.Cost.t -> string -> replay_result
 (** Verify a binary log by re-execution. Raises {!Trace.Codec.Corrupt}
-    on a malformed log and [Invalid_argument] on unknown app/protocol
-    names in the metadata. *)
+    on a malformed log or metadata {!config_of_meta} rejects, before
+    anything is built. *)
 
 val load : string -> string
 (** Read a whole binary file. *)

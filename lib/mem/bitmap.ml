@@ -90,17 +90,6 @@ let union_into ~dst src =
     Array.unsafe_set dst.words i (Array.unsafe_get dst.words i lor Array.unsafe_get src.words i)
   done
 
-let iter_set t f =
-  for w = 0 to Array.length t.words - 1 do
-    let x = Array.unsafe_get t.words w in
-    if x <> 0 then begin
-      let base = w * bits_per_word in
-      for b = 0 to bits_per_word - 1 do
-        if x land (1 lsl b) <> 0 then f (base + b)
-      done
-    end
-  done
-
 let copy t = { words = Array.copy t.words; nbits = t.nbits }
 
 (* wire size when shipped: the packed byte encoding, independent of the

@@ -28,7 +28,6 @@ val inter : t -> t -> t
 (** Fresh bitmap with the bits set in both. *)
 
 val union_into : dst:t -> t -> unit
-val iter_set : t -> (int -> unit) -> unit
 val set_indices : t -> int list
 val copy : t -> t
 

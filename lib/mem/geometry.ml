@@ -37,8 +37,6 @@ let page_of_addr t addr =
 
 let word_in_page t addr = addr mod t.page_size / t.word_size
 
-let word_of_addr t addr = (addr - t.base) / t.word_size
-
 let addr_of t ~page ~word =
   if page < 0 || page >= t.pages then invalid_arg "Geometry.addr_of: bad page";
   if word < 0 || word >= words_per_page t then invalid_arg "Geometry.addr_of: bad word";

@@ -29,9 +29,6 @@ val page_of_addr : t -> int -> int
 val word_in_page : t -> int -> int
 (** Word offset within its page. *)
 
-val word_of_addr : t -> int -> int
-(** Global word index within the shared segment. *)
-
 val addr_of : t -> page:int -> word:int -> int
 
 val shared_bytes : t -> int

@@ -71,8 +71,6 @@ let overlapping_pages a b =
   end
   else []
 
-let notice_count t = List.length t.write_pages + List.length t.read_pages
-
 let size_bytes ~with_read_notices t =
   (* id + epoch + version vector + 4 bytes per notice; read and write
      notices are the same size, as in the paper. *)

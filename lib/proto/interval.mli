@@ -37,8 +37,6 @@ val overlapping_pages : t -> t -> int list
 (** Pages written by both intervals, or read by one and written by the
     other — the candidates the detector puts on the check list. *)
 
-val notice_count : t -> int
-
 val size_bytes : with_read_notices:bool -> t -> int
 (** Wire size of the interval structure. Read notices only ship when race
     detection is enabled; their bytes are what Table 3's "Msg Ohead"

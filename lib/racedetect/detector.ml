@@ -131,28 +131,6 @@ let concurrent_check_list ?stats ?probe intervals =
   | None -> ());
   (!n_concurrent, entries)
 
-(* Section 6.2: "we could perform the comparison in time linear with
-   respect to the number of pages in the system by implementing page lists
-   using bitmaps". The list-based version above is what the prototype ran
-   (page lists are usually tiny); this one is the optimization, used when
-   intervals touch many pages. *)
-let page_bitmaps ~npages interval =
-  let reads = Mem.Bitmap.create npages and writes = Mem.Bitmap.create npages in
-  List.iter (Mem.Bitmap.set reads) interval.Proto.Interval.read_pages;
-  List.iter (Mem.Bitmap.set writes) interval.Proto.Interval.write_pages;
-  (reads, writes)
-
-let overlapping_pages_linear ~npages a b =
-  let read_a, write_a = page_bitmaps ~npages a in
-  let read_b, write_b = page_bitmaps ~npages b in
-  (* (Wa & Wb) | (Ra & Wb) | (Rb & Wa): three word-parallel passes over
-     npages bits — the same candidates as
-     {!Proto.Interval.overlapping_pages}, in linear time *)
-  let overlap = Mem.Bitmap.inter write_a write_b in
-  Mem.Bitmap.union_into ~dst:overlap (Mem.Bitmap.inter read_a write_b);
-  Mem.Bitmap.union_into ~dst:overlap (Mem.Bitmap.inter read_b write_a);
-  Mem.Bitmap.set_indices overlap
-
 let check_list ?stats ?probe pairs =
   let entries =
     List.filter_map
@@ -198,15 +176,3 @@ let races_of_entry ?stats ~geometry ~epoch ~source (entry : Checklist.entry) =
         (Mem.Bitmap.inter_indices ba.writes bb.reads))
     entry.pages;
   List.rev !races
-
-let first_races races =
-  (* Section 6.4: barriers are semantically releases to the master followed
-     by releases to everyone, so any race in a prior epoch affects every
-     later race; all "first" races share the earliest racy epoch. *)
-  match races with
-  | [] -> []
-  | _ ->
-      let first_epoch =
-        List.fold_left (fun acc (r : Proto.Race.t) -> min acc r.epoch) max_int races
-      in
-      List.filter (fun (r : Proto.Race.t) -> r.epoch = first_epoch) races

@@ -25,13 +25,6 @@ val concurrent_check_list :
     concurrent-pair list is never built. Returns the concurrent-pair
     count alongside the check list. *)
 
-val overlapping_pages_linear :
-  npages:int -> Proto.Interval.t -> Proto.Interval.t -> int list
-(** Section 6.2's optimization: page lists as bitmaps, so the overlap of a
-    concurrent pair costs time linear in the number of pages in the system
-    instead of quadratic in the list lengths. Same result as
-    {!Proto.Interval.overlapping_pages}. *)
-
 val check_list :
   ?stats:Sim.Stats.t ->
   ?probe:(Checklist.entry -> unit) ->
@@ -51,7 +44,3 @@ val races_of_entry :
 (** Step 5: compare word-level bitmaps for one check-list entry; every
     overlapping word is a data race (true sharing); disjoint words are
     false sharing and produce nothing. *)
-
-val first_races : Proto.Race.t list -> Proto.Race.t list
-(** Section 6.4's "first race" filter: keep only races of the earliest racy
-    barrier epoch (races in later epochs are necessarily affected). *)

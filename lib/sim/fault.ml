@@ -39,8 +39,9 @@ let active plan =
   || plan.partitions <> []
 
 let validate plan =
+  (* NaN fails both comparisons, so it is rejected too *)
   let prob name p =
-    if p < 0.0 || p > 1.0 then
+    if not (p >= 0.0 && p <= 1.0) then
       invalid_arg (Printf.sprintf "Fault: %s probability %g outside [0,1]" name p)
   in
   prob "drop" plan.drop;
@@ -114,8 +115,6 @@ let judge_verdict t ~src ~dst ~now =
     in
     { v_delays = survivors; v_dropped = dropped; v_partitioned = false }
   end
-
-let judge t ~src ~dst ~now = (judge_verdict t ~src ~dst ~now).v_delays
 
 let windows t = t.plan.partitions
 

@@ -33,29 +33,26 @@ val active : plan -> bool
 
 val validate : plan -> plan
 (** Returns the plan; raises [Invalid_argument] on probabilities outside
-    [0,1], negative windows, or inverted partition intervals. *)
+    [0,1] or NaN, negative windows, or inverted partition intervals. *)
 
 type t
 
 val create : nodes:int -> rng:Rng.t -> plan -> t
 (** Split one fault stream per link off [rng]. Validates the plan. *)
 
-val judge : t -> src:int -> dst:int -> now:int -> int list
-(** The fate of one wire frame on link (src, dst) at time [now]: a list
-    of extra delivery delays in nanoseconds, one per surviving copy.
-    [[]] means the frame was lost (dropped or partitioned); two entries
-    mean fault injection duplicated it. *)
-
 type verdict = {
-  v_delays : int list;  (** what {!judge} returns *)
+  v_delays : int list;
+      (** extra delivery delays in nanoseconds, one per surviving copy:
+          [[]] means the frame was lost (dropped or partitioned); two
+          entries mean fault injection duplicated it *)
   v_dropped : bool;  (** one copy was lost to the drop probability *)
   v_partitioned : bool;  (** black-holed by a partition window *)
 }
 
 val judge_verdict : t -> src:int -> dst:int -> now:int -> verdict
-(** Like {!judge}, but annotated with what happened, so an observer (the
-    trace recorder) can tell a random drop from a partition black-hole.
-    Draws exactly the same RNG values as {!judge}. *)
+(** The fate of one wire frame on link (src, dst) at time [now], with
+    what happened, so an observer (the trace recorder) can tell a random
+    drop from a partition black-hole. *)
 
 val partitioned : t -> src:int -> dst:int -> now:int -> bool
 (** Is the link inside one of its scheduled partition windows at [now]? *)

@@ -42,8 +42,6 @@ type 'msg t = {
   mutable transport : 'msg Transport.t option;
 }
 
-let node_count t = Array.length t.handlers
-
 (* Partition windows have no event of their own on the wire; report each
    open/close transition at the first wire activity that observes it.
    Lazy observation keeps the event queue identical with and without a

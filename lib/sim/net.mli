@@ -40,8 +40,6 @@ val create :
     and delivery events carry. Tracing never perturbs delivery order or
     timing. *)
 
-val node_count : 'msg t -> int
-
 val set_handler : 'msg t -> node:int -> ('msg -> unit) -> unit
 (** Install the delivery handler for a node. Delivering to a node
     without one raises [Invalid_argument]. *)

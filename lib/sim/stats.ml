@@ -12,13 +12,6 @@ type overhead_category =
   | Intervals  (* concurrent-interval comparison at the barrier master *)
   | Bitmaps  (* extra barrier round + bitmap comparisons *)
 
-let category_name = function
-  | Cvm_mods -> "CVM Mods"
-  | Proc_call -> "Proc Call"
-  | Access_check -> "Access Check"
-  | Intervals -> "Intervals"
-  | Bitmaps -> "Bitmaps"
-
 let all_categories = [ Cvm_mods; Proc_call; Access_check; Intervals; Bitmaps ]
 
 type t = {

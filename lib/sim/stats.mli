@@ -12,7 +12,6 @@ type overhead_category =
   | Intervals  (** concurrent-interval comparison at the barrier master *)
   | Bitmaps  (** extra barrier round + bitmap comparisons *)
 
-val category_name : overhead_category -> string
 val all_categories : overhead_category list
 
 type t = {

@@ -5,8 +5,6 @@ type t = { emit : time:int -> Event.t -> unit }
 
 let emit t ~time event = t.emit ~time event
 
-let null = { emit = (fun ~time:_ _ -> ()) }
-
 type recorder = { enc : Codec.encoder }
 
 let recorder meta = { enc = Codec.encoder meta }
@@ -15,11 +13,5 @@ let sink r = { emit = (fun ~time event -> Codec.add r.enc ~time event) }
 
 let recorded_count r = Codec.count r.enc
 let contents r = Codec.contents r.enc
-
-let save r path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (contents r))
 
 let tee a b = { emit = (fun ~time event -> a.emit ~time event; b.emit ~time event) }

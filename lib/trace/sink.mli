@@ -4,7 +4,6 @@
 type t = { emit : time:int -> Event.t -> unit }
 
 val emit : t -> time:int -> Event.t -> unit
-val null : t
 
 val tee : t -> t -> t
 (** Forward every event to both sinks, first argument first. *)
@@ -18,6 +17,3 @@ val sink : recorder -> t
 val recorded_count : recorder -> int
 val contents : recorder -> string
 (** The complete binary log (header + metadata + events so far). *)
-
-val save : recorder -> string -> unit
-(** Write {!contents} to a file. *)

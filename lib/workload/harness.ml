@@ -5,8 +5,6 @@
 type result = { detected : int list; oracle : int list; checksum : int }
 type runner = backend:string -> elide:bool -> Program.t -> result
 
-let all_backends = [ "lrc"; "mesi"; "dragon" ]
-
 let driver_runner ~backend ~elide (program : Program.t) =
   let base = ref 0 in
   let app = Program.to_app ~base program in
@@ -48,7 +46,7 @@ let kind_name = function
 let shrinkable = function Ground_truth _ -> false | _ -> true
 let pp_set ws = "{" ^ String.concat "," (List.map string_of_int ws) ^ "}"
 
-let check ?(backends = all_backends) ~runner ?ground_truth program =
+let check ?(backends = Backends.all) ~runner ?ground_truth program =
   let exception Found of mismatch in
   let fail kind detail = raise (Found { program; kind; detail }) in
   try
@@ -240,7 +238,7 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-let fuzz ?knobs ?(backends = all_backends) ?(runner = driver_runner) ?repro_dir ~seed ~count
+let fuzz ?knobs ?(backends = Backends.all) ?(runner = driver_runner) ?repro_dir ~seed ~count
     ~shrink:do_shrink () =
   let events = ref 0 and planted = ref 0 and found = ref 0 in
   let clean = ref 0 and shrink_steps = ref 0 in

@@ -28,9 +28,6 @@ val driver_runner : runner
     detection and trace recording on, racy addresses mapped back to
     word indices via the program's base address. *)
 
-val all_backends : string list
-(** [["lrc"; "mesi"; "dragon"]]. *)
-
 type kind =
   | Detector_vs_oracle of { backend : string; elide : bool }
       (** online detector disagrees with the offline oracle on one run *)
@@ -58,8 +55,8 @@ val check :
   ?ground_truth:int list ->
   Program.t ->
   mismatch option
-(** Run the full differential matrix (backends x elide) and return the
-    first violation, if any. [ground_truth] additionally pins the
+(** Run the full differential matrix ([backends], by default
+    {!Backends.all}, x elide) and return the first violation, if any. [ground_truth] additionally pins the
     detected set to the generator's planted racy words. *)
 
 val shrink : ?backends:string list -> runner:runner -> mismatch -> Program.t * int

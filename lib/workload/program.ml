@@ -29,7 +29,7 @@ let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
    counts, so an unchecked count from a file or a flag can exhaust
    memory before the run starts: 256 processors x 2^20 words runs in a
    few seconds, 1024 x 2^20 does not finish. *)
-let max_procs = 256
+let max_procs = Coherence.Config.max_procs
 let max_words = 1 lsl 20
 
 let validate t =

@@ -32,8 +32,8 @@ exception Invalid of string
 (** Raised by {!validate} with a human-readable reason. *)
 
 val max_procs : int
-(** 256: the largest processor count a program, a trace file or the
-    CLI's [-p] accepts. *)
+(** {!Coherence.Config.max_procs} (256): the largest processor count a
+    program, a trace file or the CLI's [-p] accepts. *)
 
 val max_words : int
 (** 2^20: the largest shared-array length, in words, a program or a

@@ -5,7 +5,8 @@
 # a usage line; 2 from the bench/main.exe and gen_equiv_golden flag
 # parsers, for a file that cannot be read or written, and for a
 # malformed --trace-file; 3 for a truncated, bit-flipped or forged trace
-# log, or one recorded on the removed sharded --sim-jobs engine.
+# log, forged log metadata, or a log recorded on the removed sharded
+# --sim-jobs engine.
 #
 #   sh test/cli_exit_codes.sh CVM_RACE_EXE BENCH_EXE GEN_EQUIV_GOLDEN_EXE
 
@@ -76,6 +77,13 @@ for cmd in run record; do
   check 124 "$cvm" $cmd sor --scale small --gc-epochs=0
   check 124 "$cvm" $cmd sor --scale small --gc-epochs=-1
   check 124 "$cvm" $cmd sor --scale small --max-retries=-1 --drop 0.1
+  # a snooping bus has no lossy wire: fault and transport flags are a
+  # bad command line there
+  check 124 "$cvm" $cmd fft --scale small -p 4 --backend mesi --drop 0.1
+  says "lrc backend"
+  check 124 "$cvm" $cmd fft --scale small -p 4 --backend mesi --transport
+  check 124 "$cvm" $cmd sor --scale small --backend dragon --drop 0.1
+  check 124 "$cvm" $cmd sor --scale small --backend dragon --partition 0,1,0,100
 done
 check 124 "$cvm" fuzz --count=-1
 check 2 "$cvm" replay /nonexistent/run.cvmt
@@ -162,6 +170,16 @@ if "$cvm" record sor --scale small -p 2 -o "$tmp/ok.cvmt" >/dev/null 2>"$err"; t
   printf '\000\015\000\002\200\200\200\200\200\200\200\200\001\002\004' >>"$tmp/vclen.cvmt"
   check 3 "$cvm" replay "$tmp/vclen.cvmt"
   says "bad vclock length"
+  # forged metadata, rejected before anything is built: the first byte
+  # of the app name ("sor" -> "xor") and a zeroed processor count
+  cp "$tmp/ok.cvmt" "$tmp/app.cvmt"
+  printf 'x' | dd of="$tmp/app.cvmt" bs=1 seek=6 conv=notrunc 2>/dev/null
+  check 3 "$cvm" replay "$tmp/app.cvmt"
+  says "unknown application"
+  cp "$tmp/ok.cvmt" "$tmp/procs.cvmt"
+  printf '\000' | dd of="$tmp/procs.cvmt" bs=1 seek=15 conv=notrunc 2>/dev/null
+  check 3 "$cvm" replay "$tmp/procs.cvmt"
+  says "processor count 0"
 else
   echo "FAIL could not record the log to corrupt:"
   cat "$err"

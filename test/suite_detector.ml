@@ -289,22 +289,6 @@ let prop_race_dedup =
                races)
            races)
 
-let test_first_races () =
-  let race epoch =
-    {
-      Proto.Race.addr = 8 * epoch;
-      page = 0;
-      word = epoch;
-      first = ({ Proto.Interval.proc = 0; index = 1 }, Proto.Race.Write);
-      second = ({ Proto.Interval.proc = 1; index = 1 }, Proto.Race.Write);
-      epoch;
-    }
-  in
-  let filtered = Racedetect.Detector.first_races [ race 3; race 1; race 2; race 1 ] in
-  check Alcotest.int "earliest epoch only" 2 (List.length filtered);
-  List.iter (fun (r : Proto.Race.t) -> check Alcotest.int "epoch 1" 1 r.epoch) filtered;
-  check Alcotest.int "empty stays empty" 0 (List.length (Racedetect.Detector.first_races []))
-
 (* ------------------------------------------------------------------ *)
 (* Oracle                                                              *)
 
@@ -381,7 +365,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_requests_by_proc;
         QCheck_alcotest.to_alcotest prop_fused_check_list;
         QCheck_alcotest.to_alcotest prop_race_dedup;
-        Alcotest.test_case "first races" `Quick test_first_races;
       ] );
     ( "oracle",
       [

@@ -190,27 +190,6 @@ let test_jitter_water () =
   (* the body self-checks against the reference; jitter must not corrupt *)
   ignore (Core.Driver.run ~cost ~app ~nprocs:4 ())
 
-(* ------------------------------------------------------------------ *)
-(* Section 6.2: linear-time page-overlap via bitmaps                   *)
-
-let interval_with ~proc ~reads ~writes =
-  let vc = Proto.Vclock.create 4 in
-  Proto.Vclock.set vc proc 2;
-  let interval = Proto.Interval.create ~proc ~index:2 ~vc ~epoch:0 in
-  List.iter (Proto.Interval.add_read_page interval) reads;
-  List.iter (Proto.Interval.add_write_page interval) writes;
-  interval
-
-let prop_linear_overlap_equivalent =
-  QCheck.Test.make ~name:"bitmap page-overlap = list page-overlap" ~count:200
-    QCheck.(quad (list (int_bound 63)) (list (int_bound 63)) (list (int_bound 63))
-              (list (int_bound 63)))
-    (fun (ra, wa, rb, wb) ->
-      let a = interval_with ~proc:0 ~reads:ra ~writes:wa in
-      let b = interval_with ~proc:1 ~reads:rb ~writes:wb in
-      Racedetect.Detector.overlapping_pages_linear ~npages:64 a b
-      = Proto.Interval.overlapping_pages a b)
-
 let suite =
   [
     ( "extensions:lu",
@@ -238,7 +217,6 @@ let suite =
         Alcotest.test_case "jitter: home-based" `Quick
           (test_jitter_coherence Coherence.Config.Home_based);
         Alcotest.test_case "jitter: water self-check" `Quick test_jitter_water;
-        QCheck_alcotest.to_alcotest prop_linear_overlap_equivalent;
       ] );
     ( "extensions:fragmentation",
       [

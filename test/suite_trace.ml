@@ -536,6 +536,61 @@ let test_version_window_messages () =
   check Alcotest.bool "a retired version says the log is too old" true
     (Testutil.contains retired "older")
 
+(* A forged field in an otherwise intact lossy SOR log is rejected as a
+   corrupt log before anything is built: no exception from inside a
+   constructor, and no allocation sized by a forged processor count. *)
+let test_forged_meta_rejected () =
+  let _, log =
+    Core.Trace_run.record ~cfg:lossy_cfg ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:2 ()
+  in
+  let decoded = Trace.Codec.decode log in
+  let m = decoded.Trace.Codec.meta in
+  let transport tm_initial_rto_ns =
+    Option.map (fun tm -> { tm with Trace.Codec.tm_initial_rto_ns }) m.Trace.Codec.m_transport
+  in
+  List.iter
+    (fun (label, forged) ->
+      match Core.Trace_run.replay (Trace.Codec.encode forged decoded.Trace.Codec.events) with
+      | _ -> Alcotest.failf "%s: replayed" label
+      | exception Trace.Codec.Corrupt msg ->
+          check Alcotest.bool (label ^ ": " ^ msg) true (Testutil.contains msg "metadata"))
+    [
+      ("unknown app", { m with Trace.Codec.m_app = "xor" });
+      ("unknown scale", { m with Trace.Codec.m_scale = "huge" });
+      ("unknown protocol", { m with Trace.Codec.m_protocol = "double-writer" });
+      ("unknown backend", { m with Trace.Codec.m_backend = "moesi" });
+      ("0 processors", { m with Trace.Codec.m_nprocs = 0 });
+      ("100,000 processors", { m with Trace.Codec.m_nprocs = 100_000 });
+      ("drop 2.0", { m with Trace.Codec.m_drop = 2.0 });
+      ("drop NaN", { m with Trace.Codec.m_drop = Float.nan });
+      ("negative partition window", { m with Trace.Codec.m_partitions = [ (0, 1, 10, 5) ] });
+      ("zero initial RTO", { m with Trace.Codec.m_transport = transport 0 });
+      ("mesi with faults", { m with Trace.Codec.m_backend = "mesi" });
+      ("dragon with faults", { m with Trace.Codec.m_backend = "dragon" });
+      ("0 cache sets", { m with Trace.Codec.m_cc_sets = 0 });
+      ("0 cache ways", { m with Trace.Codec.m_cc_ways = 0 });
+      ("4-byte cache lines", { m with Trace.Codec.m_cc_line_bytes = 4 });
+      ("0 ns watchdog", { m with Trace.Codec.m_watchdog_ns = Some 0 });
+      ("gc every 0 epochs", { m with Trace.Codec.m_gc_epochs = Some 0 });
+    ]
+
+(* A log recorded with a separate network seed replays under it: the
+   same run recorded with [seed] 7 carries it as the run seed, and
+   re-encoding that as the old (42, Some 7) pair still replays clean. *)
+let test_recorded_net_seed_honoured () =
+  let cfg = { lossy_cfg with Coherence.Config.seed = 7 } in
+  let _, log =
+    Core.Trace_run.record ~cfg ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:2 ()
+  in
+  let decoded = Trace.Codec.decode log in
+  let m = decoded.Trace.Codec.meta in
+  check (Alcotest.option Alcotest.int) "no separate network seed is written" None
+    m.Trace.Codec.m_net_seed;
+  let old_style = { m with Trace.Codec.m_seed = 42; m_net_seed = Some 7 } in
+  let r = Core.Trace_run.replay (Trace.Codec.encode old_style decoded.Trace.Codec.events) in
+  check Alcotest.bool "replays clean under the recorded network seed" true
+    (Core.Trace_run.clean r)
+
 (* ------------------------------------------------------------------ *)
 (* Chrome export smoke                                                  *)
 
@@ -596,6 +651,9 @@ let suite =
         Alcotest.test_case "elide flag recorded and replayed" `Quick
           test_elide_record_replay;
         Alcotest.test_case "version window messages" `Quick test_version_window_messages;
+        Alcotest.test_case "forged metadata rejected" `Quick test_forged_meta_rejected;
+        Alcotest.test_case "recorded network seed honoured" `Quick
+          test_recorded_net_seed_honoured;
       ] );
     ( "trace:offline",
       [

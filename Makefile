@@ -12,8 +12,9 @@ test:
 
 # The full gate, in order:
 # - build, tests, and the static-analysis report over every application,
-#   with the MHP warning set diffed against test/analyze_expect.txt and
-#   the --json report cmp'd against test/golden/analyze.json;
+#   with the lockset-lint warnings (Static_analysis.lint) diffed against
+#   test/analyze_expect.txt and the --json report cmp'd against
+#   test/golden/analyze.json;
 # - bad command-line input pinned to its exit code (test/cli_exit_codes.sh);
 # - smokes: a 20%-drop lossy run, paper-scale TSP p8 on a lossy wire (a
 #   lock grant overtaking its retransmitted ack once crashed the lock

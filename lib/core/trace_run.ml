@@ -70,28 +70,14 @@ let meta_of ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.me
     m_cc_ways = cfg.Coherence.Config.cc_ways;
   }
 
-let fault_of_meta (m : Trace.Codec.meta) : Sim.Fault.plan =
-  {
-    Sim.Fault.drop = m.Trace.Codec.m_drop;
-    duplicate = m.Trace.Codec.m_dup;
-    reorder = m.Trace.Codec.m_reorder;
-    reorder_window_ns = m.Trace.Codec.m_reorder_window_ns;
-    spike = m.Trace.Codec.m_spike;
-    spike_ns = m.Trace.Codec.m_spike_ns;
-    partitions =
-      List.map
-        (fun (p_a, p_b, p_from_ns, p_until_ns) -> { Sim.Fault.p_a; p_b; p_from_ns; p_until_ns })
-        m.Trace.Codec.m_partitions;
-  }
-
-(* Every metadata field a run is built from is checked here, before
-   anything is built, so a forged log ends in [Corrupt] (exit 3) instead
-   of an exception from deep inside a constructor, or an allocation
-   sized by a forged processor count. *)
-let check_meta ~cost (m : Trace.Codec.meta) =
+(* The one check of a log's metadata, made before anything is built
+   from it: a forged field ends in [Corrupt] (exit 3) instead of an
+   exception from deep inside a constructor, or an allocation sized by a
+   forged processor count. Names and the processor count come first;
+   the rest is checked on the configuration they describe. *)
+let config_of_meta ?(cost = Sim.Cost.default) (m : Trace.Codec.meta) : Coherence.Config.t =
   let bad fmt = Printf.ksprintf (fun s -> raise (Trace.Codec.Corrupt ("metadata: " ^ s))) fmt in
   let known what names name = if not (List.mem name names) then bad "unknown %s %S" what name in
-  let pow2 n = n > 0 && n land (n - 1) = 0 in
   known "application" Apps.Registry.extended_names (String.lowercase_ascii m.m_app);
   known "scale" Apps.Registry.(List.map scale_name [ Paper; Small; Large ]) m.m_scale;
   known "protocol"
@@ -101,46 +87,54 @@ let check_meta ~cost (m : Trace.Codec.meta) =
   known "backend" Backends.all m.m_backend;
   if m.m_nprocs < 1 || m.m_nprocs > Coherence.Config.max_procs then
     bad "processor count %d outside [1, %d]" m.m_nprocs Coherence.Config.max_procs;
-  let fault = fault_of_meta m in
-  (match Sim.Fault.validate fault with
+  let cfg =
+    {
+      Coherence.Config.default with
+      Coherence.Config.protocol = Coherence.Config.protocol_of_name m.m_protocol;
+      detect = m.m_detect;
+      first_race_only = m.m_first_race_only;
+      stores_from_diffs = m.m_stores_from_diffs;
+      (* a log recorded with a separate network seed replays under it *)
+      seed = Option.value m.m_net_seed ~default:m.m_seed;
+      fault =
+        {
+          Sim.Fault.drop = m.m_drop;
+          duplicate = m.m_dup;
+          reorder = m.m_reorder;
+          reorder_window_ns = m.m_reorder_window_ns;
+          spike = m.m_spike;
+          spike_ns = m.m_spike_ns;
+          partitions =
+            List.map
+              (fun (p_a, p_b, p_from_ns, p_until_ns) ->
+                { Sim.Fault.p_a; p_b; p_from_ns; p_until_ns })
+              m.m_partitions;
+        };
+      transport = Option.map transport_of_meta m.m_transport;
+      watchdog_ns = m.m_watchdog_ns;
+      gc_epochs = m.m_gc_epochs;
+      elide_sites = (if m.m_elide then Some [] else None);
+      backend = m.m_backend;
+      cc_line_bytes = m.m_cc_line_bytes;
+      cc_sets = m.m_cc_sets;
+      cc_ways = m.m_cc_ways;
+    }
+  in
+  (match
+     (Sim.Fault.validate cfg.fault, Option.map Sim.Transport.validate cfg.transport)
+   with
   | _ -> ()
   | exception Invalid_argument msg -> bad "%s" msg);
-  (match m.m_transport with
-  | Some tm
-    when tm.tm_initial_rto_ns < 1
-         || tm.tm_max_rto_ns < tm.tm_initial_rto_ns
-         || tm.tm_max_retries < 0 || tm.tm_header_bytes < 0 || tm.tm_ack_bytes < 0 ->
-      bad "transport timeouts, retry cap or frame sizes out of range"
-  | _ -> ());
-  if m.m_backend <> "lrc" && (m.m_transport <> None || Sim.Fault.active fault) then
-    bad "backend %s with wire faults or the reliable transport" m.m_backend;
-  (match m.m_watchdog_ns with Some ns when ns < 1 -> bad "watchdog of %d ns" ns | _ -> ());
-  (match m.m_gc_epochs with Some k when k < 1 -> bad "gc every %d epochs" k | _ -> ());
-  let line = m.m_cc_line_bytes in
+  if cfg.backend <> "lrc" && (cfg.transport <> None || Sim.Fault.active cfg.fault) then
+    bad "backend %s with wire faults or the reliable transport" cfg.backend;
+  (match cfg.watchdog_ns with Some ns when ns < 1 -> bad "watchdog of %d ns" ns | _ -> ());
+  (match cfg.gc_epochs with Some k when k < 1 -> bad "gc every %d epochs" k | _ -> ());
+  let pow2 n = n > 0 && n land (n - 1) = 0 in
+  let line = cfg.cc_line_bytes in
   if not (pow2 line && line >= cost.Sim.Cost.word_size && line <= cost.Sim.Cost.page_size)
-     || not (pow2 m.m_cc_sets) || m.m_cc_ways < 1
-  then bad "cache of %d-byte lines, %d sets, %d ways" line m.m_cc_sets m.m_cc_ways
-
-let config_of_meta ?(cost = Sim.Cost.default) (m : Trace.Codec.meta) : Coherence.Config.t =
-  check_meta ~cost m;
-  {
-    Coherence.Config.default with
-    Coherence.Config.protocol = Coherence.Config.protocol_of_name m.Trace.Codec.m_protocol;
-    detect = m.Trace.Codec.m_detect;
-    first_race_only = m.Trace.Codec.m_first_race_only;
-    stores_from_diffs = m.Trace.Codec.m_stores_from_diffs;
-    (* a log recorded with a separate network seed replays under it *)
-    seed = Option.value m.Trace.Codec.m_net_seed ~default:m.Trace.Codec.m_seed;
-    fault = fault_of_meta m;
-    transport = Option.map transport_of_meta m.Trace.Codec.m_transport;
-    watchdog_ns = m.Trace.Codec.m_watchdog_ns;
-    gc_epochs = m.Trace.Codec.m_gc_epochs;
-    elide_sites = (if m.Trace.Codec.m_elide then Some [] else None);
-    backend = m.Trace.Codec.m_backend;
-    cc_line_bytes = m.Trace.Codec.m_cc_line_bytes;
-    cc_sets = m.Trace.Codec.m_cc_sets;
-    cc_ways = m.Trace.Codec.m_cc_ways;
-  }
+     || not (pow2 cfg.cc_sets) || cfg.cc_ways < 1
+  then bad "cache of %d-byte lines, %d sets, %d ways" line cfg.cc_sets cfg.cc_ways;
+  cfg
 
 let record ?cost ?(cfg = Coherence.Config.default) ~app_name ~scale ~nprocs () =
   let app = Apps.Registry.make ~scale app_name in

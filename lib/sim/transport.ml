@@ -57,10 +57,14 @@ type 'a t = {
   tracer : Trace.Sink.t option;  (* the engine's sink, read at [create] *)
 }
 
-let create cfg engine stats ~nodes ~wire_send ~deliver =
+let validate cfg =
   if cfg.initial_rto_ns <= 0 || cfg.max_rto_ns < cfg.initial_rto_ns then
     invalid_arg "Transport: need 0 < initial_rto_ns <= max_rto_ns";
   if cfg.max_retries < 0 then invalid_arg "Transport: negative retry cap";
+  cfg
+
+let create cfg engine stats ~nodes ~wire_send ~deliver =
+  let cfg = validate cfg in
   {
     cfg;
     engine;

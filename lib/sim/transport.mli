@@ -21,6 +21,10 @@ type config = {
 
 val default_config : config
 
+val validate : config -> config
+(** Returns the config; raises [Invalid_argument] unless
+    [0 < initial_rto_ns <= max_rto_ns] and [max_retries >= 0]. *)
+
 type 'a frame = Data of { seq : int; payload : 'a } | Ack of { cum : int }
 
 type 'a t
@@ -34,7 +38,8 @@ val create :
   deliver:(src:int -> dst:int -> 'a -> unit) ->
   'a t
 (** [wire_send] puts a frame on the (lossy) wire; [deliver] is the
-    exactly-once, per-link-FIFO upcall to the layer above. With an
+    exactly-once, per-link-FIFO upcall to the layer above. Validates the
+    config. With an
     engine tracer ({!Engine.set_tracer}) installed, retransmissions,
     cumulative acks and link failures are emitted into it. *)
 

@@ -128,7 +128,6 @@ let config_of_meta ?(cost = Sim.Cost.default) (m : Trace.Codec.meta) : Coherence
   if cfg.backend <> "lrc" && (cfg.transport <> None || Sim.Fault.active cfg.fault) then
     bad "backend %s with wire faults or the reliable transport" cfg.backend;
   (match cfg.watchdog_ns with Some ns when ns < 1 -> bad "watchdog of %d ns" ns | _ -> ());
-  (match cfg.gc_epochs with Some k when k < 1 -> bad "gc every %d epochs" k | _ -> ());
   let pow2 n = n > 0 && n land (n - 1) = 0 in
   let line = cfg.cc_line_bytes in
   if not (pow2 line && line >= cost.Sim.Cost.word_size && line <= cost.Sim.Cost.page_size)

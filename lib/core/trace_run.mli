@@ -21,8 +21,8 @@ val config_of_meta : ?cost:Sim.Cost.t -> Trace.Codec.meta -> Coherence.Config.t
     recording can hold: known application, scale, protocol and backend
     names, 1 to {!Coherence.Config.max_procs} processors, a valid fault
     plan and transport, no wire faults or transport on a bus backend, a
-    positive watchdog and GC cadence, and a cache geometry that fits the
-    cost model's word and page sizes (default {!Sim.Cost.default}).
+    positive watchdog, and a cache geometry that fits the cost model's
+    word and page sizes (default {!Sim.Cost.default}).
     Raises {!Trace.Codec.Corrupt} otherwise. *)
 
 val record :

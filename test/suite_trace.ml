@@ -571,7 +571,6 @@ let test_forged_meta_rejected () =
       ("0 cache ways", { m with Trace.Codec.m_cc_ways = 0 });
       ("4-byte cache lines", { m with Trace.Codec.m_cc_line_bytes = 4 });
       ("0 ns watchdog", { m with Trace.Codec.m_watchdog_ns = Some 0 });
-      ("gc every 0 epochs", { m with Trace.Codec.m_gc_epochs = Some 0 });
     ]
 
 (* A log recorded with a separate network seed replays under it: the

@@ -1,4 +1,4 @@
-(* Run driver: the glue that builds a simulated cluster, runs one of the
+(* Run driver: the glue that builds a simulated machine, runs one of the
    applications on it, and collects everything the experiments need —
    simulated runtime, statistics, race reports, traces and watch hits. *)
 

@@ -1,5 +1,5 @@
-(** Run driver: builds a simulated cluster, runs an application on it and
-    collects everything the experiments need. *)
+(** Run driver: builds the configured machine ({!Backends.create}), runs
+    an application on it and collects everything the experiments need. *)
 
 type outcome = {
   app_name : string;

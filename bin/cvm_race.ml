@@ -63,15 +63,6 @@ let procs_conv =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-(* NaN fails both comparisons, so it is rejected too *)
-let probability =
-  let parse s =
-    match float_of_string_opt s with
-    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
-    | _ -> Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
-
 (* milliseconds that convert to at least one and at most 10^18 simulated
    nanoseconds *)
 let watchdog_conv =
@@ -83,14 +74,11 @@ let watchdog_conv =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* the window and the endpoints are Coherence.Config.check's to judge *)
 let partition_conv =
   let parse s =
     match List.map int_of_string_opt (String.split_on_char ',' s) with
-    | [ Some a; Some b; Some t0; Some t1 ] ->
-        if 0 <= t0 && t0 <= t1 then Ok (a, b, t0, t1)
-        else
-          Error
-            (`Msg (Printf.sprintf "partition window must satisfy 0 <= T0 <= T1, got %S" s))
+    | [ Some a; Some b; Some t0; Some t1 ] -> Ok (a, b, t0, t1)
     | _ -> Error (`Msg (Printf.sprintf "expected four integers A,B,T0,T1, got %S" s))
   in
   let pp ppf (a, b, t0, t1) = Format.fprintf ppf "%d,%d,%d,%d" a b t0 t1 in
@@ -185,7 +173,7 @@ let gc_epochs_arg =
      and reclaim unreachable diffs. Bounds diff storage on long runs; races and the \
      final memory image are unaffected."
   in
-  Arg.(value & opt (some (int_from 1)) None & info [ "gc-epochs" ] ~docv:"K" ~doc)
+  Arg.(value & opt (some int) None & info [ "gc-epochs" ] ~docv:"K" ~doc)
 
 let slowdown_arg =
   let doc = "Also run the uninstrumented baseline and report the slowdown." in
@@ -200,24 +188,25 @@ let oracle_arg =
 
 let drop_arg =
   let doc = "Per-frame wire drop probability (0.0-1.0). Implies the transport." in
-  Arg.(value & opt probability 0.0 & info [ "drop" ] ~docv:"P" ~doc)
+  Arg.(value & opt float 0.0 & info [ "drop" ] ~docv:"P" ~doc)
 
 let dup_arg =
   let doc = "Per-frame wire duplication probability (0.0-1.0). Implies the transport." in
-  Arg.(value & opt probability 0.0 & info [ "dup" ] ~docv:"P" ~doc)
+  Arg.(value & opt float 0.0 & info [ "dup" ] ~docv:"P" ~doc)
 
 let reorder_arg =
   let doc =
     "Per-frame reorder probability (0.0-1.0): a chosen frame is held back by a random \
      slice of the reorder window. Implies the transport."
   in
-  Arg.(value & opt probability 0.0 & info [ "reorder" ] ~docv:"P" ~doc)
+  Arg.(value & opt float 0.0 & info [ "reorder" ] ~docv:"P" ~doc)
 
 let partition_arg =
   let doc =
     "One-shot link partition: frames between nodes $(i,A) and $(i,B) (both directions) \
      are dropped while simulated time is in [$(i,T0), $(i,T1)) nanoseconds, with 0 <= \
-     $(i,T0) <= $(i,T1). Repeatable. Implies the transport."
+     $(i,T0) <= $(i,T1) and two distinct nodes below the processor count. Repeatable. \
+     Implies the transport."
   in
   Arg.(value & opt_all partition_conv [] & info [ "partition" ] ~docv:"A,B,T0,T1" ~doc)
 
@@ -251,15 +240,15 @@ let elide_arg =
   Arg.(value & flag & info [ "elide" ] ~doc)
 
 (* The run configuration [run] and [record] share: backend, protocol and
-   detection switches, then the wire and transport flags. A bus backend
-   has no lossy wire, so it rejects fault and transport flags here, as a
-   bad command line. *)
-let config_term =
-  let config backend protocol no_detect first_race_only stores_from_diffs gc_epochs elide
-      drop dup reorder partitions net_seed watchdog_ms max_retries transport =
+   detection switches, then the wire and transport flags, for the
+   processor count [target] yields with its workload. Config.check judges
+   it, so a configuration it rejects (a bus backend with wire flags, a
+   partition naming no link, ...) is a bad command line. *)
+let config_term target =
+  let config (workload, nprocs) backend protocol no_detect first_race_only stores_from_diffs
+      gc_epochs elide drop dup reorder partitions net_seed watchdog_ms max_retries transport =
     let fault =
       {
-        Sim.Fault.none with
         Sim.Fault.drop;
         duplicate = dup;
         reorder;
@@ -272,39 +261,34 @@ let config_term =
     in
     let transport =
       if transport || Sim.Fault.active fault then
-        let base = Sim.Transport.default_config in
         Some
           (match max_retries with
-          | Some n -> { base with Sim.Transport.max_retries = n }
-          | None -> base)
+          | Some max_retries -> { Sim.Transport.max_retries }
+          | None -> Sim.Transport.default_config)
       else None
     in
-    if backend <> "lrc" && transport <> None then
-      Error
-        (`Msg
-          (Printf.sprintf
-             "--backend %s: wire faults and the reliable transport need the lrc backend \
-              (a snooping bus has no lossy wire)"
-             backend))
-    else
-      Ok
-        {
-          Coherence.Config.default with
-          backend;
-          protocol;
-          detect = not no_detect;
-          first_race_only;
-          stores_from_diffs;
-          gc_epochs;
-          elide_sites = (if elide then Some [] else None);
-          fault;
-          transport;
-          seed = net_seed;
-          watchdog_ns = Option.map (fun ms -> int_of_float (ms *. 1e6)) watchdog_ms;
-        }
+    let cfg =
+      {
+        Coherence.Config.default with
+        backend;
+        protocol;
+        detect = not no_detect;
+        first_race_only;
+        stores_from_diffs;
+        gc_epochs;
+        elide_sites = (if elide then Some [] else None);
+        fault;
+        transport;
+        seed = net_seed;
+        watchdog_ns = Option.map (fun ms -> int_of_float (ms *. 1e6)) watchdog_ms;
+      }
+    in
+    match Coherence.Config.check ~nprocs cfg with
+    | cfg -> Ok ((workload, nprocs), cfg)
+    | exception Invalid_argument msg -> Error (`Msg msg)
   in
   Term.(term_result ~usage:true
-      (const config $ backend_arg $ protocol_arg $ no_detect_arg $ first_race_arg
+      (const config $ target $ backend_arg $ protocol_arg $ no_detect_arg $ first_race_arg
       $ diff_stores_arg $ gc_epochs_arg $ elide_arg $ drop_arg $ dup_arg $ reorder_arg
       $ partition_arg $ net_seed_arg $ watchdog_arg $ max_retries_arg $ transport_arg))
 
@@ -338,31 +322,34 @@ let print_outcome (outcome : Core.Driver.outcome) =
   Core.Report.races ~symtab:outcome.Core.Driver.symtab ppf outcome.Core.Driver.races;
   Format.fprintf ppf "@[<v 2>statistics:@ %a@]@." Sim.Stats.pp outcome.Core.Driver.stats
 
-(* resolve the run target: a registry application, or a trace-file
-   workload (which fixes its own processor count) *)
-let resolve_workload ~scale ~procs app_name trace_file =
-  match (trace_file, app_name) with
-  | Some path, _ -> (
-      if app_name <> None then begin
-        Format.eprintf "cannot give both APP and --trace-file@.";
+(* The run target and its processor count: a registry application at
+   [-p], or a trace-file workload, whose procs directive sets the count. *)
+let workload_term =
+  let resolve app_name trace_file procs scale =
+    guarded @@ fun () ->
+    match (trace_file, app_name) with
+    | Some path, _ -> (
+        if app_name <> None then begin
+          Format.eprintf "cannot give both APP and --trace-file@.";
+          exit 2
+        end;
+        try
+          let program = Workload.Trace_file.parse_file path in
+          (Workload.Program.to_app program, program.Workload.Program.nprocs)
+        with Workload.Trace_file.Parse_error { line; msg } ->
+          if line > 0 then Format.eprintf "%s:%d: %s@." path line msg
+          else Format.eprintf "%s: %s@." path msg;
+          exit 2)
+    | None, Some name -> (Apps.Registry.make ~scale name, procs)
+    | None, None ->
+        Format.eprintf "give an APP name or --trace-file FILE@.";
         exit 2
-      end;
-      try
-        let program = Workload.Trace_file.parse_file path in
-        (Workload.Program.to_app program, program.Workload.Program.nprocs)
-      with Workload.Trace_file.Parse_error { line; msg } ->
-        if line > 0 then Format.eprintf "%s:%d: %s@." path line msg
-        else Format.eprintf "%s: %s@." path msg;
-        exit 2)
-  | None, Some name -> (Apps.Registry.make ~scale name, procs)
-  | None, None ->
-      Format.eprintf "give an APP name or --trace-file FILE@.";
-      exit 2
+  in
+  Term.(const resolve $ app_or_trace_arg $ trace_file_arg $ procs_arg $ scale_arg)
 
 let run_command =
-  let run app_name trace_file procs scale cfg slowdown oracle =
+  let run ((app, procs), cfg) slowdown oracle =
     guarded @@ fun () ->
-    let app, procs = resolve_workload ~scale ~procs app_name trace_file in
     let cfg = { cfg with Coherence.Config.record_trace = oracle } in
     print_faults cfg;
     if slowdown then begin
@@ -387,10 +374,7 @@ let run_command =
       end
     end
   in
-  let term =
-    Term.(const run $ app_or_trace_arg $ trace_file_arg $ procs_arg $ scale_arg
-        $ config_term $ slowdown_arg $ oracle_arg)
-  in
+  let term = Term.(const run $ config_term workload_term $ slowdown_arg $ oracle_arg) in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run an application (or a $(b,--trace-file) workload) under online race detection.")
@@ -430,7 +414,7 @@ let record_command =
     let doc = "Output file for the binary trace log." in
     Arg.(value & opt string "run.cvmt" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
-  let record app_name procs scale cfg out =
+  let record ((app_name, procs), cfg) scale out =
     guarded @@ fun () ->
     print_faults cfg;
     let outcome, log = Core.Trace_run.record ~cfg ~app_name ~scale ~nprocs:procs () in
@@ -441,7 +425,8 @@ let record_command =
       (Array.length decoded.Trace.Codec.events)
       (String.length log) out
   in
-  let term = Term.(const record $ app_arg $ procs_arg $ scale_arg $ config_term $ out_arg) in
+  let target = Term.(const (fun app procs -> (app, procs)) $ app_arg $ procs_arg) in
+  let term = Term.(const record $ config_term target $ scale_arg $ out_arg) in
   Cmd.v
     (Cmd.info "record"
        ~doc:

@@ -19,5 +19,8 @@ val create :
   pages:int ->
   unit ->
   Coherence.Backend.t
-(** Build the backend named by [cfg.backend]. Raises [Invalid_argument]
-    with the list of available names on an unknown backend. *)
+(** Build the backend named by [cfg.backend] from the effective
+    configuration {!Coherence.Config.check} returns. Raises
+    [Invalid_argument] with its one-line message on a configuration it
+    rejects, and with the list of available names on an unknown
+    backend. *)

@@ -20,10 +20,10 @@
    traffic is bus transactions instead of DSM messages.
 
    Deliberate scope limits versus the DSM cluster: no fault injection or
-   reliable transport (there is no lossy wire on a bus), no multi-writer
-   diffs ([stores_from_diffs] is ignored), no [retain_sites] (the
-   front-end is created with both off), no interval GC, and no
-   lock-grant replay ([Config.replay] is ignored — the machine is
+   reliable transport (there is no lossy wire on a bus; Config.check
+   rejects both), no multi-writer diffs and no [retain_sites] (the
+   configuration Config.check returns has both off), no interval GC, and
+   no lock-grant replay ([Config.replay] is ignored — the machine is
    deterministic, so re-running reproduces the order; [record_sync]
    still records it). *)
 
@@ -415,35 +415,15 @@ let barrier m p =
 (* ------------------------------------------------------------------ *)
 (* Construction and the Backend packaging                               *)
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
 let shift_of n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
 let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~protocol
     ~nprocs ~pages () =
-  if nprocs <= 0 then invalid_arg "Machine.create: need at least one processor";
-  if Sim.Fault.active cfg.Coherence.Config.fault then
-    invalid_arg
-      "Machine.create: fault injection needs the DSM backend (a snooping bus has no \
-       lossy wire)";
-  if cfg.Coherence.Config.transport <> None then
-    invalid_arg
-      "Machine.create: the reliable transport needs the DSM backend (a snooping bus \
-       has no lossy wire)";
   let line_bytes = cfg.Coherence.Config.cc_line_bytes in
   let word_size = cost.Sim.Cost.word_size in
-  if not (is_pow2 line_bytes) || line_bytes < word_size then
-    invalid_arg "Machine.create: cc_line_bytes must be a power of two >= the word size";
-  if line_bytes > cost.Sim.Cost.page_size then
-    invalid_arg "Machine.create: cc_line_bytes must not exceed the page size";
-  if cfg.Coherence.Config.cc_ways <= 0 then
-    invalid_arg "Machine.create: cc_ways must be positive";
-  let rt =
-    Front.create ~name:"Machine" ~cost ~cfg ~nprocs ~pages
-      ~stores_from_diffs:false ~retain_sites:false
-  in
+  let rt = Front.create ~name:"Machine" ~cost ~cfg ~nprocs ~pages in
   let geometry = rt.Front.geometry in
   let m =
     {

@@ -10,10 +10,9 @@
     each bus transaction paying arbitration, transfer, and supplier
     latency through the simulation engine.
 
-    Not supported (rejected or ignored at [create]): fault injection and
-    the reliable transport (no lossy wire on a bus — [invalid_arg]),
-    lock-grant replay, interval GC, diff-based stores, and site
-    retention. *)
+    Not supported: fault injection and the reliable transport (no lossy
+    wire on a bus; {!Coherence.Config.check} rejects them), lock-grant
+    replay, interval GC, diff-based stores, and site retention. *)
 
 type protocol = Mesi | Dragon
 
@@ -27,4 +26,5 @@ val backend :
   Coherence.Backend.t
 (** A fresh machine behind the backend interface. Detection, intervals
     and the oracle trace are the shared {!Coherence.Front}'s; the machine
-    adds caches, the bus and FCFS locks. *)
+    adds caches, the bus and FCFS locks. [cfg] is the effective
+    configuration {!Coherence.Config.check} returned. *)

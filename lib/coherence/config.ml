@@ -1,5 +1,7 @@
-(* Cluster configuration: which coherence protocol to run, whether the
-   race-detection machinery is active, and debugging/replay switches. *)
+(* Run configuration: which backend and coherence protocol to run,
+   whether the race-detection machinery is active, the wire, and
+   debugging/replay switches. [check] judges a configuration once, for
+   every caller: the CLI, log metadata and Backends.create. *)
 
 type protocol =
   | Single_writer
@@ -39,8 +41,8 @@ type t = {
       (* roots the network RNG streams (jitter and fault plan); with no
          jitter and no faults it changes nothing *)
   fault : Sim.Fault.plan;
-      (* wire fault plan (drops/dups/reorder/partitions); requires the
-         transport when active *)
+      (* wire fault plan (drops/dups/reorder/partitions); lrc only, and
+         [check] turns the transport on when it is active *)
   transport : Sim.Transport.config option;
       (* Some: run the reliable transport (seq numbers, acks,
          retransmission) between the DSM and the wire *)
@@ -110,3 +112,58 @@ let protocol_of_name = function
   | "home-based" -> Home_based
   | "sequential-consistency" -> Seq_consistent
   | other -> invalid_arg (Printf.sprintf "Config.protocol_of_name: unknown protocol %S" other)
+
+(* Every rejection is one line: the CLI prints it as a usage error and
+   replay as corrupt log metadata. *)
+let check ?(cost = Sim.Cost.default) ~nprocs t =
+  let bad fmt = Printf.ksprintf invalid_arg fmt in
+  if nprocs < 1 || nprocs > max_procs then
+    bad "processor count %d outside [1, %d]" nprocs max_procs;
+  (* NaN fails both comparisons, so it is rejected too *)
+  let prob name p = if not (p >= 0.0 && p <= 1.0) then bad "%s probability %g outside [0, 1]" name p in
+  prob "drop" t.fault.Sim.Fault.drop;
+  prob "duplicate" t.fault.Sim.Fault.duplicate;
+  prob "reorder" t.fault.Sim.Fault.reorder;
+  List.iter
+    (fun { Sim.Fault.p_a; p_b; p_from_ns; p_until_ns } ->
+      if p_from_ns < 0 || p_until_ns < p_from_ns then
+        bad "partition window [%d, %d) must satisfy 0 <= from <= until" p_from_ns p_until_ns;
+      let node n = n >= 0 && n < nprocs in
+      if not (node p_a && node p_b) || p_a = p_b then
+        bad "partition %d,%d names no link between two of processors 0..%d" p_a p_b
+          (nprocs - 1))
+    t.fault.Sim.Fault.partitions;
+  (match t.transport with
+  | Some { Sim.Transport.max_retries } when max_retries < 0 ->
+      bad "negative retry cap %d" max_retries
+  | _ -> ());
+  let lrc = t.backend = "lrc" in
+  let faults = Sim.Fault.active t.fault in
+  if (not lrc) && (faults || t.transport <> None) then
+    bad
+      "backend %s: wire faults and the reliable transport need the lrc backend (a snooping \
+       bus has no lossy wire)"
+      t.backend;
+  let pow2 n = n > 0 && n land (n - 1) = 0 in
+  let line = t.cc_line_bytes in
+  if not (pow2 line && line >= cost.Sim.Cost.word_size && line <= cost.Sim.Cost.page_size)
+     || not (pow2 t.cc_sets) || t.cc_ways < 1
+  then
+    bad
+      "cache of %d-byte lines, %d sets, %d ways (need power-of-two lines from %d to %d \
+       bytes, power-of-two sets, at least one way)"
+      line t.cc_sets t.cc_ways cost.Sim.Cost.word_size cost.Sim.Cost.page_size;
+  (match t.watchdog_ns with
+  | Some ns when ns < 1 -> bad "watchdog of %d ns (need at least 1)" ns
+  | _ -> ());
+  (match t.gc_epochs with
+  | Some k when k < 1 -> bad "GC cadence of %d epochs (need at least 1)" k
+  | _ -> ());
+  {
+    t with
+    transport =
+      (if faults && t.transport = None then Some Sim.Transport.default_config
+       else t.transport);
+    stores_from_diffs = t.stores_from_diffs && lrc && t.protocol = Multi_writer;
+    retain_sites = t.retain_sites && lrc;
+  }

@@ -1,5 +1,7 @@
-(** Cluster configuration: coherence protocol, detection switches, and
-    replay/debug options. *)
+(** Run configuration: coherence backend and protocol, detection
+    switches, the wire, and replay/debug options. {!check} is the one
+    place a configuration is judged; [Backends.create] calls it on every
+    run. *)
 
 type protocol =
   | Single_writer
@@ -27,13 +29,15 @@ type t = {
   stores_from_diffs : bool;
       (** section 6.5: under the multi-writer protocol, take write bitmaps
           from diffs instead of store instrumentation — cheaper, but a
-          same-value overwrite becomes invisible *)
+          same-value overwrite becomes invisible. Effective only on the
+          lrc backend's multi-writer protocol ({!check}). *)
   retain_sites : bool;
       (** Section 6.1's single-run alternative: retain a site ("program
           counter") per accessed word per interval, so races resolve to
           source sites without a second run — at a storage and runtime
           cost the paper deemed prohibitive. Measured by the
-          [site-retention] ablation. *)
+          [site-retention] ablation. Effective only on the lrc backend
+          ({!check}). *)
   record_trace : bool;  (** log every access/sync event for the oracle *)
   replay : Sync_trace.t option;  (** enforce a recorded lock-grant order *)
   record_sync : bool;  (** record lock-grant order for later replay *)
@@ -42,21 +46,22 @@ type t = {
           plan's per-link decisions. With [jitter_ns = 0] and no faults
           it changes nothing. *)
   fault : Sim.Fault.plan;
-      (** wire fault plan (drops, duplicates, reorder, delay spikes,
-          partitions); an active plan requires [transport] *)
+      (** wire fault plan (drops, duplicates, reorder, partitions); lrc
+          only. An active plan turns [transport] on ({!check}). *)
   transport : Sim.Transport.config option;
       (** [Some cfg]: run the reliable transport (sequence numbers,
           cumulative acks, capped exponential-backoff retransmission)
-          between the DSM and the wire *)
+          between the DSM and the wire; lrc only *)
   watchdog_ns : int option;
-      (** virtual-time stall budget: if this many simulated nanoseconds
-          pass without any process making progress, the run aborts with a
-          structured {!Sim.Engine.Deadlock} diagnosis *)
+      (** virtual-time stall budget, at least 1: if this many simulated
+          nanoseconds pass without any process making progress, the run
+          aborts with a structured {!Sim.Engine.Deadlock} diagnosis *)
   gc_epochs : int option;
       (** interval garbage collection (TreadMarks-style lineage GC): every
-          [k] barrier epochs, validate all invalid pages and, one barrier
-          later, drop the diffs no reachable write notice can request any
-          more. [None] (the default) retains every diff for the run. *)
+          [k >= 1] barrier epochs, validate all invalid pages and, one
+          barrier later, drop the diffs no reachable write notice can
+          request any more. [None] (the default) retains every diff for
+          the run. *)
   tracer : Trace.Sink.t option;
       (** record/replay event sink: every sim- and protocol-level event
           the run produces is emitted into it — a {!Trace.Sink.recorder}
@@ -81,6 +86,21 @@ val max_procs : int
 
 val default : t
 (** Single-writer protocol, detection on, everything else off. *)
+
+val check : ?cost:Sim.Cost.t -> nprocs:int -> t -> t
+(** The configuration a run of [nprocs] processors executes. Raises
+    [Invalid_argument] with a one-line message on a processor count
+    outside [1, {!max_procs}]; a fault probability outside [0, 1] or NaN;
+    a partition window without [0 <= from <= until], or whose endpoints
+    are equal or outside [0, nprocs); a negative retry cap; wire faults
+    or the transport on a backend other than lrc; a cache geometry that
+    does not fit the cost model (default {!Sim.Cost.default}):
+    power-of-two lines from the word to the page size, power-of-two sets,
+    at least one way; or a watchdog or GC cadence below 1. Otherwise it
+    returns the effective configuration: the transport on (with
+    {!Sim.Transport.default_config}) when the wire has faults,
+    [stores_from_diffs] only under lrc multi-writer, [retain_sites] only
+    on lrc. Checking twice returns the same configuration. *)
 
 val protocol_name : protocol -> string
 

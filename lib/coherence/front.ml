@@ -40,8 +40,6 @@ type t = {
   symtab : Mem.Symtab.t;
   nprocs : int;
   procs : proc array;
-  stores_from_diffs : bool;
-  retain_sites : bool;
   elide : (string, unit) Hashtbl.t;
   recorder : Sync_trace.recorder option;
   mutable timed : (int * int * Racedetect.Oracle.event) list;
@@ -151,7 +149,7 @@ let snapshot_bitmaps t p interval =
     pages;
   Hashtbl.reset p.read_bits;
   Hashtbl.reset p.write_bits;
-  if t.retain_sites then begin
+  if t.cfg.Config.retain_sites then begin
     Hashtbl.iter
       (fun (page, word, kind) site ->
         t.stats.Sim.Stats.site_entries <- t.stats.Sim.Stats.site_entries + 1;
@@ -220,7 +218,7 @@ let instrument t p page word kind ~site =
         bm
   in
   Mem.Bitmap.set bitmap word;
-  if t.retain_sites then begin
+  if t.cfg.Config.retain_sites then begin
     (* the extra bookkeeping the paper's section 6.1 prices out *)
     charge_category t p Sim.Stats.Access_check 60.0;
     let key = (page, word, kind) in
@@ -254,7 +252,7 @@ let write_note t p ~site addr =
   let page = page_of t addr in
   charge_local p t.cost.Sim.Cost.instr_ns;
   t.stats.Sim.Stats.shared_writes <- t.stats.Sim.Stats.shared_writes + 1;
-  if t.cfg.Config.detect && not t.stores_from_diffs then
+  if t.cfg.Config.detect && not t.cfg.Config.stores_from_diffs then
     if elided t site then t.stats.Sim.Stats.elided_checks <- t.stats.Sim.Stats.elided_checks + 1
     else instrument t p page (word_of t addr) Proto.Race.Write ~site;
   observe p ~site ~addr Proto.Race.Write;
@@ -434,7 +432,7 @@ let shift_of n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
-let create ~name ~cost ~cfg ~nprocs ~pages ~stores_from_diffs ~retain_sites =
+let create ~name ~cost ~cfg ~nprocs ~pages =
   let engine = Sim.Engine.create () in
   let geometry = Mem.Geometry.of_cost cost ~pages in
   let page_size = geometry.Mem.Geometry.page_size in
@@ -459,8 +457,8 @@ let create ~name ~cost ~cfg ~nprocs ~pages ~stores_from_diffs ~retain_sites =
       read_cache = Array.make pages None;
       write_cache = Array.make pages None;
       bitmaps = Hashtbl.create 64;
-      cur_sites = Hashtbl.create (if retain_sites then 64 else 1);
-      site_store = Hashtbl.create (if retain_sites then 256 else 1);
+      cur_sites = Hashtbl.create (if cfg.Config.retain_sites then 64 else 1);
+      site_store = Hashtbl.create (if cfg.Config.retain_sites then 256 else 1);
       alloc_next = geometry.Mem.Geometry.base;
       observer = None;
     }
@@ -476,8 +474,6 @@ let create ~name ~cost ~cfg ~nprocs ~pages ~stores_from_diffs ~retain_sites =
       symtab = Mem.Symtab.create ();
       nprocs;
       procs = Array.init nprocs proc;
-      stores_from_diffs;
-      retain_sites;
       elide;
       recorder =
         (if cfg.Config.record_sync then Some (Sync_trace.new_recorder ()) else None);

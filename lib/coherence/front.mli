@@ -8,8 +8,9 @@
     access and synchronization point; they keep only what differs: pages,
     faults, diffs and messages on LRC, caches and the bus on the machine.
 
-    A backend that ignores a DSM mechanism passes it off at [create]:
-    the bus passes [~stores_from_diffs:false] and [~retain_sites:false]. *)
+    [create] takes the configuration {!Config.check} returned, so the
+    DSM-only mechanisms are already off on the bus: [stores_from_diffs]
+    holds only under lrc multi-writer, [retain_sites] only on lrc. *)
 
 (** One processor's front-end state. Only this module assigns its
     fields. A backend reads them, adds its own per-access time to [debt]
@@ -52,9 +53,6 @@ type t = private {
   symtab : Mem.Symtab.t;
   nprocs : int;
   procs : proc array;
-  stores_from_diffs : bool;
-      (** effective section 6.5 switch: stores set no write bit *)
-  retain_sites : bool;  (** effective section 6.1 site retention *)
   elide : (string, unit) Hashtbl.t;  (** statically race-free sites *)
   recorder : Sync_trace.recorder option;
   mutable timed : (int * int * Racedetect.Oracle.event) list;
@@ -77,13 +75,12 @@ val create :
   cfg:Config.t ->
   nprocs:int ->
   pages:int ->
-  stores_from_diffs:bool ->
-  retain_sites:bool ->
   t
 (** The engine, statistics, geometry and symbol table of one run, with
     the tracer and stall budget installed on the engine and every
-    processor's first interval open. Raises [Invalid_argument] when the
-    cost model's page or word size is not a power of two. *)
+    processor's first interval open. [cfg] is the effective configuration
+    {!Config.check} returned. Raises [Invalid_argument] when the cost
+    model's page or word size is not a power of two. *)
 
 (** {1 Time} *)
 

@@ -12,29 +12,6 @@
 
 let scale_of_name = Apps.Registry.scale_of_name
 
-(* Both directions of the transport mapping record/rebuild every field:
-   a recording made with a tuned RTO, backoff ceiling, retry cap or
-   header/ack wire sizes must replay under the identical retransmission
-   timing, never under the current defaults. *)
-
-let transport_meta_of (tc : Sim.Transport.config) : Trace.Codec.transport_meta =
-  {
-    Trace.Codec.tm_initial_rto_ns = tc.Sim.Transport.initial_rto_ns;
-    tm_max_rto_ns = tc.Sim.Transport.max_rto_ns;
-    tm_max_retries = tc.Sim.Transport.max_retries;
-    tm_header_bytes = tc.Sim.Transport.header_bytes;
-    tm_ack_bytes = tc.Sim.Transport.ack_bytes;
-  }
-
-let transport_of_meta (tm : Trace.Codec.transport_meta) : Sim.Transport.config =
-  {
-    Sim.Transport.initial_rto_ns = tm.Trace.Codec.tm_initial_rto_ns;
-    max_rto_ns = tm.Trace.Codec.tm_max_rto_ns;
-    max_retries = tm.Trace.Codec.tm_max_retries;
-    header_bytes = tm.Trace.Codec.tm_header_bytes;
-    ack_bytes = tm.Trace.Codec.tm_ack_bytes;
-  }
-
 let meta_of ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.meta =
   let fault = cfg.Coherence.Config.fault in
   {
@@ -46,19 +23,18 @@ let meta_of ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.me
     m_first_race_only = cfg.Coherence.Config.first_race_only;
     m_stores_from_diffs = cfg.Coherence.Config.stores_from_diffs;
     m_seed = cfg.Coherence.Config.seed;
-    m_net_seed = None;
     m_drop = fault.Sim.Fault.drop;
     m_dup = fault.Sim.Fault.duplicate;
     m_reorder = fault.Sim.Fault.reorder;
-    m_reorder_window_ns = fault.Sim.Fault.reorder_window_ns;
-    m_spike = fault.Sim.Fault.spike;
-    m_spike_ns = fault.Sim.Fault.spike_ns;
     m_partitions =
       List.map
         (fun (p : Sim.Fault.partition) ->
           (p.Sim.Fault.p_a, p.Sim.Fault.p_b, p.Sim.Fault.p_from_ns, p.Sim.Fault.p_until_ns))
         fault.Sim.Fault.partitions;
-    m_transport = Option.map transport_meta_of cfg.Coherence.Config.transport;
+    m_transport =
+      Option.map
+        (fun (tc : Sim.Transport.config) -> tc.Sim.Transport.max_retries)
+        cfg.Coherence.Config.transport;
     m_watchdog_ns = cfg.Coherence.Config.watchdog_ns;
     m_gc_epochs = cfg.Coherence.Config.gc_epochs;
     (* only the flag travels in the log; the site set is re-derived from
@@ -70,12 +46,12 @@ let meta_of ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.me
     m_cc_ways = cfg.Coherence.Config.cc_ways;
   }
 
-(* The one check of a log's metadata, made before anything is built
-   from it: a forged field ends in [Corrupt] (exit 3) instead of an
-   exception from deep inside a constructor, or an allocation sized by a
-   forged processor count. Names and the processor count come first;
-   the rest is checked on the configuration they describe. *)
-let config_of_meta ?(cost = Sim.Cost.default) (m : Trace.Codec.meta) : Coherence.Config.t =
+(* A log's metadata is checked before anything is built from it: a
+   forged field ends in [Corrupt] (exit 3) instead of an exception from
+   deep inside a constructor, or an allocation sized by a forged
+   processor count. The names are checked here; the configuration they
+   describe, by Coherence.Config.check. *)
+let config_of_meta ?cost (m : Trace.Codec.meta) : Coherence.Config.t =
   let bad fmt = Printf.ksprintf (fun s -> raise (Trace.Codec.Corrupt ("metadata: " ^ s))) fmt in
   let known what names name = if not (List.mem name names) then bad "unknown %s %S" what name in
   known "application" Apps.Registry.extended_names (String.lowercase_ascii m.m_app);
@@ -85,8 +61,6 @@ let config_of_meta ?(cost = Sim.Cost.default) (m : Trace.Codec.meta) : Coherence
       List.map protocol_name [ Single_writer; Multi_writer; Home_based; Seq_consistent ])
     m.m_protocol;
   known "backend" Backends.all m.m_backend;
-  if m.m_nprocs < 1 || m.m_nprocs > Coherence.Config.max_procs then
-    bad "processor count %d outside [1, %d]" m.m_nprocs Coherence.Config.max_procs;
   let cfg =
     {
       Coherence.Config.default with
@@ -94,23 +68,19 @@ let config_of_meta ?(cost = Sim.Cost.default) (m : Trace.Codec.meta) : Coherence
       detect = m.m_detect;
       first_race_only = m.m_first_race_only;
       stores_from_diffs = m.m_stores_from_diffs;
-      (* a log recorded with a separate network seed replays under it *)
-      seed = Option.value m.m_net_seed ~default:m.m_seed;
+      seed = m.m_seed;
       fault =
         {
           Sim.Fault.drop = m.m_drop;
           duplicate = m.m_dup;
           reorder = m.m_reorder;
-          reorder_window_ns = m.m_reorder_window_ns;
-          spike = m.m_spike;
-          spike_ns = m.m_spike_ns;
           partitions =
             List.map
               (fun (p_a, p_b, p_from_ns, p_until_ns) ->
                 { Sim.Fault.p_a; p_b; p_from_ns; p_until_ns })
               m.m_partitions;
         };
-      transport = Option.map transport_of_meta m.m_transport;
+      transport = Option.map (fun max_retries -> { Sim.Transport.max_retries }) m.m_transport;
       watchdog_ns = m.m_watchdog_ns;
       gc_epochs = m.m_gc_epochs;
       elide_sites = (if m.m_elide then Some [] else None);
@@ -120,20 +90,9 @@ let config_of_meta ?(cost = Sim.Cost.default) (m : Trace.Codec.meta) : Coherence
       cc_ways = m.m_cc_ways;
     }
   in
-  (match
-     (Sim.Fault.validate cfg.fault, Option.map Sim.Transport.validate cfg.transport)
-   with
-  | _ -> ()
-  | exception Invalid_argument msg -> bad "%s" msg);
-  if cfg.backend <> "lrc" && (cfg.transport <> None || Sim.Fault.active cfg.fault) then
-    bad "backend %s with wire faults or the reliable transport" cfg.backend;
-  (match cfg.watchdog_ns with Some ns when ns < 1 -> bad "watchdog of %d ns" ns | _ -> ());
-  let pow2 n = n > 0 && n land (n - 1) = 0 in
-  let line = cfg.cc_line_bytes in
-  if not (pow2 line && line >= cost.Sim.Cost.word_size && line <= cost.Sim.Cost.page_size)
-     || not (pow2 cfg.cc_sets) || cfg.cc_ways < 1
-  then bad "cache of %d-byte lines, %d sets, %d ways" line cfg.cc_sets cfg.cc_ways;
-  cfg
+  match Coherence.Config.check ?cost ~nprocs:m.m_nprocs cfg with
+  | cfg -> cfg
+  | exception Invalid_argument msg -> bad "%s" msg
 
 let record ?cost ?(cfg = Coherence.Config.default) ~app_name ~scale ~nprocs () =
   let app = Apps.Registry.make ~scale app_name in

@@ -16,14 +16,11 @@ val meta_of :
     cost model is not part of it. *)
 
 val config_of_meta : ?cost:Sim.Cost.t -> Trace.Codec.meta -> Coherence.Config.t
-(** The configuration a log's metadata describes (tracer unset). It
-    first checks every field a run is built from against what a
-    recording can hold: known application, scale, protocol and backend
-    names, 1 to {!Coherence.Config.max_procs} processors, a valid fault
-    plan and transport, no wire faults or transport on a bus backend, a
-    positive watchdog, and a cache geometry that fits the cost model's
-    word and page sizes (default {!Sim.Cost.default}).
-    Raises {!Trace.Codec.Corrupt} otherwise. *)
+(** The effective configuration a log's metadata describes (tracer
+    unset). The application, scale, protocol and backend names must be
+    known, and {!Coherence.Config.check} must accept the configuration
+    for [m_nprocs] processors under [cost] (default {!Sim.Cost.default}).
+    Raises {!Trace.Codec.Corrupt} ("metadata: ...") otherwise. *)
 
 val record :
   ?cost:Sim.Cost.t ->

@@ -80,9 +80,5 @@ let lower_proc (proc : Ir.proc) =
 
 let instructions t = t.sections @ List.concat_map lower_proc t.procs
 
-let instruction_count t =
-  List.length t.sections
-  + List.fold_left (fun acc p -> acc + Ir.access_count p) 0 t.procs
-
 let loads t = List.filter (fun i -> i.kind = Load) (instructions t)
 let stores t = List.filter (fun i -> i.kind = Store) (instructions t)

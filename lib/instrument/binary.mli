@@ -41,6 +41,5 @@ val lower_proc : Ir.proc -> instruction list
 val instructions : t -> instruction list
 (** Sections followed by every procedure's lowered accesses. *)
 
-val instruction_count : t -> int
 val loads : t -> instruction list
 val stores : t -> instruction list

@@ -88,17 +88,3 @@ let defined_reg = function
   | Mov { dst; _ } | Lea { dst; _ } | Malloc { dst; _ } | Load { dst = Some dst; _ } ->
       Some dst
   | Load { dst = None; _ } | Store _ | Acquire _ | Release _ | Barrier -> None
-
-let access_count proc =
-  List.fold_left
-    (fun acc b ->
-      List.fold_left
-        (fun acc op ->
-          match op with Load { count; _ } | Store { count; _ } -> acc + count | _ -> acc)
-        acc b.ops)
-    0 proc.blocks
-
-let pp_base ppf = function
-  | Fp off -> Format.fprintf ppf "fp+%d" off
-  | Gp sym -> Format.fprintf ppf "gp(%s)" sym
-  | Reg r -> Format.fprintf ppf "r%d" r

@@ -56,7 +56,3 @@ val validate : proc -> unit
 val defined_reg : op -> reg option
 (** The register an op (re)defines, if any. *)
 
-val access_count : proc -> int
-(** Total static loads+stores (counts expanded). *)
-
-val pp_base : Format.formatter -> base -> unit

@@ -1,18 +1,13 @@
 (* A simulated DSM cluster: the engine, the network and one node per
    processor, behind the backend interface the driver, the litmus
-   harness and the backend registry drive. *)
+   harness and the backend registry drive. [cfg] is the effective
+   configuration Coherence.Config.check returned: the transport is
+   already on when the wire has faults. *)
 
 module Front = Coherence.Front
 
 let backend ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs ~pages () =
-  if nprocs <= 0 then invalid_arg "Cluster.create: need at least one processor";
-  let front =
-    Front.create ~name:"Node" ~cost ~cfg ~nprocs ~pages
-      ~stores_from_diffs:
-        (cfg.Coherence.Config.stores_from_diffs
-        && cfg.Coherence.Config.protocol = Coherence.Config.Multi_writer)
-      ~retain_sites:cfg.Coherence.Config.retain_sites
-  in
+  let front = Front.create ~name:"Node" ~cost ~cfg ~nprocs ~pages in
   let engine = front.Front.engine in
   let size_of = Message.size ~with_read_notices:cfg.Coherence.Config.detect in
   (* The jitter and fault-plan RNGs are split from one root so they are
@@ -21,18 +16,10 @@ let backend ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs
   let root_rng = Sim.Rng.create ~seed:cfg.Coherence.Config.seed in
   let jitter_rng = Sim.Rng.split root_rng in
   let fault_rng = Sim.Rng.split root_rng in
-  (* an explicit transport config wins; fault injection forces the
-     reliable transport on *)
-  let transport =
-    match (cfg.Coherence.Config.transport, Sim.Fault.active cfg.Coherence.Config.fault) with
-    | (Some _ as tr), _ -> tr
-    | None, true -> Some Sim.Transport.default_config
-    | None, false -> None
-  in
   let net =
-    Sim.Net.create ~rng:jitter_rng ~fault:(Sim.Fault.validate cfg.Coherence.Config.fault)
-      ~fault_rng ?transport ~describe:Message.describe
-      engine cost front.Front.stats ~nodes:nprocs ~size_of
+    Sim.Net.create ~rng:jitter_rng ~fault:cfg.Coherence.Config.fault ~fault_rng
+      ?transport:cfg.Coherence.Config.transport ~describe:Message.describe engine cost
+      front.Front.stats ~nodes:nprocs ~size_of
   in
   let nodes = Array.init nprocs (fun id -> Node.create front net ~id) in
   Array.iteri

@@ -10,8 +10,9 @@ val backend :
   unit ->
   Coherence.Backend.t
 (** A fresh cluster of [nprocs] processors over a shared segment of
-    [pages] pages; page and word sizes come from the cost model.
-    Detection, intervals and the oracle trace are the shared
+    [pages] pages; page and word sizes come from the cost model, and
+    [cfg] is the effective configuration {!Coherence.Config.check}
+    returned. Detection, intervals and the oracle trace are the shared
     {!Coherence.Front}'s; the cluster adds pages, faults, diffs and the
     network. Its [memory_checksum] digests, per page, the first coherent
     copy on any node: the fault sweep compares it across drop rates, and

@@ -136,11 +136,17 @@ let send_after t ~delay ~dst msg =
 (* ------------------------------------------------------------------ *)
 (* Interval lifecycle                                                  *)
 
+let home_of t page = page mod t.rt.nprocs
+
 let make_diffs t interval =
-  (* Multi-writer: summarize this interval's writes as word-level diffs.
-     With [stores_from_diffs], the diffs also provide the write bitmaps
-     (section 6.5's optimization). *)
+  (* Summarize this interval's writes as word-level diffs. Multi-writer
+     keeps each diff for the faults that will request it, and with
+     [stores_from_diffs] the diffs also provide the write bitmaps
+     (section 6.5's optimization). Home-based LRC flushes each diff to
+     the page's home at once and retains nothing: the home copy is the
+     authority faults fetch from. *)
   let id = Proto.Interval.id interval in
+  let home_based = t.rt.cfg.Coherence.Config.protocol = Coherence.Config.Home_based in
   List.iter
     (fun page ->
       let entry = t.pages.(page) in
@@ -150,13 +156,18 @@ let make_diffs t interval =
           let diff = Mem.Diff.create ~page ~twin ~current:entry.data in
           entry.twin <- None;
           entry.state <- P_read;
-          Hashtbl.replace t.diff_store (id, page) (diff, interval.Proto.Interval.epoch);
+          if not home_based then
+            Hashtbl.replace t.diff_store (id, page) (diff, interval.Proto.Interval.epoch);
           t.rt.stats.Sim.Stats.diffs_created <- t.rt.stats.Sim.Stats.diffs_created + 1;
           t.rt.stats.Sim.Stats.diff_words <-
             t.rt.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
           charge_local t
             (t.rt.cost.Sim.Cost.diff_word_ns *. float_of_int (words_per_page t));
-          if detect_on t && t.rt.stores_from_diffs then begin
+          if home_based then
+            send t ~dst:(home_of t page)
+              (Message.Diff_flush
+                 { page; diffs = [ (id, diff) ]; vc = Proto.Vclock.copy t.fe.vc })
+          else if detect_on t && t.rt.cfg.Coherence.Config.stores_from_diffs then begin
             let writes = Mem.Diff.to_bitmap diff ~nbits:(words_per_page t) in
             let reads =
               match Hashtbl.find_opt t.fe.bitmaps (id, page) with
@@ -165,30 +176,6 @@ let make_diffs t interval =
             in
             Hashtbl.replace t.fe.bitmaps (id, page) { Racedetect.Detector.reads; writes }
           end)
-    interval.Proto.Interval.write_pages
-
-let home_of t page = page mod t.rt.nprocs
-
-let flush_diffs t interval =
-  (* Home-based LRC: at each release, summarize this interval's writes as
-     diffs and flush them eagerly to each page's home. Nothing is retained
-     locally — the home copy is the authority faults fetch from. *)
-  let id = Proto.Interval.id interval in
-  List.iter
-    (fun page ->
-      let entry = t.pages.(page) in
-      match entry.twin with
-      | None -> ()
-      | Some twin ->
-          let diff = Mem.Diff.create ~page ~twin ~current:entry.data in
-          entry.twin <- None;
-          entry.state <- P_read;
-          t.rt.stats.Sim.Stats.diffs_created <- t.rt.stats.Sim.Stats.diffs_created + 1;
-          t.rt.stats.Sim.Stats.diff_words <-
-            t.rt.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
-          charge_local t (t.rt.cost.Sim.Cost.diff_word_ns *. float_of_int (words_per_page t));
-          send t ~dst:(home_of t page)
-            (Message.Diff_flush { page; diffs = [ (id, diff) ]; vc = Proto.Vclock.copy t.fe.vc }))
     interval.Proto.Interval.write_pages
 
 let learn t interval =
@@ -215,8 +202,8 @@ let close_interval t =
      write bitmaps it derives into the entries the snapshot created *)
   let interval = Front.close_interval t.rt t.fe in
   let protocol = t.rt.cfg.Coherence.Config.protocol in
-  if protocol = Coherence.Config.Multi_writer then make_diffs t interval
-  else if protocol = Coherence.Config.Home_based then flush_diffs t interval
+  if protocol = Coherence.Config.Multi_writer || protocol = Coherence.Config.Home_based then
+    make_diffs t interval
   else begin
     (* single-writer: downgrade our writable pages so the first write of the
        next interval faults locally and generates a fresh write notice *)
@@ -432,19 +419,6 @@ let mw_apply_pending t page =
     entry.pending <- []);
   entry.state <- P_read
 
-let mw_write_fault t page =
-  let entry = t.pages.(page) in
-  if entry.state = P_invalid then mw_apply_pending t page;
-  t.rt.stats.Sim.Stats.write_faults <- t.rt.stats.Sim.Stats.write_faults + 1;
-  Front.emit_sink t.rt (Trace.Event.Page_fault { proc = t.fe.id; page; kind = Proto.Race.Write });
-  Front.flush_time t.fe;
-  Sim.Engine.advance (t.rt.cost.Sim.Cost.fault_ns / 10);
-  entry.twin <- Some (Mem.Page.copy entry.data);
-  charge_local t
-    (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
-  entry.state <- P_write;
-  Proto.Interval.add_write_page t.fe.cur page
-
 (* Home-based LRC faults: fetch the whole page from its home, gated on
    the version knowledge accumulated from write notices. *)
 
@@ -465,21 +439,6 @@ let hb_read_fault t page =
   | _ -> assert false);
   entry.state <- P_read
 
-let hb_write_fault t page =
-  let entry = t.pages.(page) in
-  if entry.state = P_invalid then hb_read_fault t page;
-  t.rt.stats.Sim.Stats.write_faults <- t.rt.stats.Sim.Stats.write_faults + 1;
-  Front.emit_sink t.rt (Trace.Event.Page_fault { proc = t.fe.id; page; kind = Proto.Race.Write });
-  Front.flush_time t.fe;
-  Sim.Engine.advance (t.rt.cost.Sim.Cost.fault_ns / 10);
-  entry.twin <- Some (Mem.Page.copy entry.data);
-  charge_local t (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
-  entry.state <- P_write;
-  Proto.Interval.add_write_page t.fe.cur page
-
-(* ------------------------------------------------------------------ *)
-(* Shared-memory access operations                                     *)
-
 (* For the caching protocols: resolve any fault so [entry.data] holds a
    coherent copy the access may touch. *)
 let ensure_readable t page entry =
@@ -492,14 +451,28 @@ let ensure_readable t page entry =
       match entry.state with P_invalid -> hb_read_fault t page | P_read | P_write -> ())
   | Coherence.Config.Seq_consistent -> ()
 
+(* The multi-writer and home-based write fault: make the page readable,
+   then twin it so the interval's writes become a diff at release. *)
+let twin_write_fault t page entry =
+  ensure_readable t page entry;
+  t.rt.stats.Sim.Stats.write_faults <- t.rt.stats.Sim.Stats.write_faults + 1;
+  Front.emit_sink t.rt (Trace.Event.Page_fault { proc = t.fe.id; page; kind = Proto.Race.Write });
+  Front.flush_time t.fe;
+  Sim.Engine.advance (t.rt.cost.Sim.Cost.fault_ns / 10);
+  entry.twin <- Some (Mem.Page.copy entry.data);
+  charge_local t (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
+  entry.state <- P_write;
+  Proto.Interval.add_write_page t.fe.cur page
+
+(* ------------------------------------------------------------------ *)
+(* Shared-memory access operations                                     *)
+
 let ensure_writable t page entry =
   match t.rt.cfg.Coherence.Config.protocol with
   | Coherence.Config.Single_writer -> (
       match entry.state with P_write -> () | P_invalid | P_read -> sw_write_fault t page)
-  | Coherence.Config.Multi_writer -> (
-      match entry.state with P_write -> () | P_invalid | P_read -> mw_write_fault t page)
-  | Coherence.Config.Home_based -> (
-      match entry.state with P_write -> () | P_invalid | P_read -> hb_write_fault t page)
+  | Coherence.Config.Multi_writer | Coherence.Config.Home_based -> (
+      match entry.state with P_write -> () | P_invalid | P_read -> twin_write_fault t page entry)
   | Coherence.Config.Seq_consistent -> ()
 
 let word_of t addr = Front.word_of t.rt addr
@@ -861,7 +834,6 @@ let gc_diffs t =
      waits a barrier. *)
   match t.rt.cfg.Coherence.Config.gc_epochs with
   | None -> ()
-  | Some k when k <= 0 -> ()
   | Some k ->
       if t.gc_drop_bound >= 0 then begin
         let bound = t.gc_drop_bound in

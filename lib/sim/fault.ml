@@ -1,10 +1,11 @@
 (* Seeded per-link fault injection: the hostile network CVM's end-to-end
    UDP protocols had to survive. A [plan] describes what the wire may do
-   to a frame — drop it, duplicate it, delay it into a reorder, spike its
-   latency, or black-hole it during a scheduled partition. Every decision
-   is drawn from a per-link SplitMix stream, so a (plan, seed) pair always
+   to a frame — drop it, duplicate it, delay it into a reorder, or
+   black-hole it during a scheduled partition. Every decision is drawn
+   from a per-link SplitMix stream, so a (plan, seed) pair always
    produces the same fault schedule regardless of what any other link (or
-   the jitter model) draws. *)
+   the jitter model) draws. Coherence.Config.check judges a plan before
+   any run is built from it. *)
 
 type partition = {
   p_a : int;  (* link endpoints; faults apply in both directions *)
@@ -17,45 +18,14 @@ type plan = {
   drop : float;  (* probability a wire frame is lost *)
   duplicate : float;  (* probability a second copy is injected *)
   reorder : float;  (* probability a frame is held back (extra delay) *)
-  reorder_window_ns : int;  (* max hold-back for a reordered frame *)
-  spike : float;  (* probability of a latency spike *)
-  spike_ns : int;  (* spike magnitude *)
   partitions : partition list;  (* one-shot scheduled link outages *)
 }
 
-let none =
-  {
-    drop = 0.0;
-    duplicate = 0.0;
-    reorder = 0.0;
-    reorder_window_ns = 800_000;
-    spike = 0.0;
-    spike_ns = 2_000_000;
-    partitions = [];
-  }
+let reorder_window_ns = 800_000
+let none = { drop = 0.0; duplicate = 0.0; reorder = 0.0; partitions = [] }
 
 let active plan =
-  plan.drop > 0.0 || plan.duplicate > 0.0 || plan.reorder > 0.0 || plan.spike > 0.0
-  || plan.partitions <> []
-
-let validate plan =
-  (* NaN fails both comparisons, so it is rejected too *)
-  let prob name p =
-    if not (p >= 0.0 && p <= 1.0) then
-      invalid_arg (Printf.sprintf "Fault: %s probability %g outside [0,1]" name p)
-  in
-  prob "drop" plan.drop;
-  prob "duplicate" plan.duplicate;
-  prob "reorder" plan.reorder;
-  prob "spike" plan.spike;
-  if plan.reorder_window_ns < 0 || plan.spike_ns < 0 then
-    invalid_arg "Fault: negative delay window";
-  List.iter
-    (fun p ->
-      if p.p_from_ns < 0 || p.p_until_ns < p.p_from_ns then
-        invalid_arg "Fault: partition window must satisfy 0 <= from <= until")
-    plan.partitions;
-  plan
+  plan.drop > 0.0 || plan.duplicate > 0.0 || plan.reorder > 0.0 || plan.partitions <> []
 
 type t = {
   plan : plan;
@@ -64,7 +34,6 @@ type t = {
 }
 
 let create ~nodes ~rng plan =
-  let plan = validate plan in
   { plan; nodes; links = Array.init (nodes * nodes) (fun _ -> Rng.split rng) }
 
 let partitioned t ~src ~dst ~now =
@@ -78,8 +47,8 @@ let partitioned t ~src ~dst ~now =
    surviving copies ([] means the frame was lost) plus what happened to
    it, so an observer (the trace recorder) can tell a random drop from a
    partition black-hole from a clean pass. Draw order is fixed (drop,
-   duplicate, then per-copy reorder/spike) so a given link stream yields
-   the same schedule independent of traffic on other links. *)
+   duplicate, then per-copy reorder) so a given link stream yields the
+   same schedule independent of traffic on other links. *)
 type verdict = {
   v_delays : int list;  (* extra delay per surviving copy *)
   v_dropped : bool;  (* lost one copy to the drop probability *)
@@ -97,16 +66,9 @@ let judge_verdict t ~src ~dst ~now =
       if t.plan.duplicate > 0.0 && Rng.float rng 1.0 < t.plan.duplicate then 2 else 1
     in
     let extra_delay () =
-      let held =
-        if t.plan.reorder > 0.0 && Rng.float rng 1.0 < t.plan.reorder then
-          Rng.int rng (t.plan.reorder_window_ns + 1)
-        else 0
-      in
-      let spiked =
-        if t.plan.spike > 0.0 && Rng.float rng 1.0 < t.plan.spike then t.plan.spike_ns
-        else 0
-      in
-      held + spiked
+      if t.plan.reorder > 0.0 && Rng.float rng 1.0 < t.plan.reorder then
+        Rng.int rng (reorder_window_ns + 1)
+      else 0
     in
     let delays = List.init copies (fun _ -> extra_delay ()) in
     let survivors =
@@ -131,10 +93,7 @@ let describe plan =
             else "");
            (if plan.reorder > 0.0 then
               Printf.sprintf "reorder %.0f%% (window %d ns)" (100.0 *. plan.reorder)
-                plan.reorder_window_ns
-            else "");
-           (if plan.spike > 0.0 then
-              Printf.sprintf "spike %.0f%% (+%d ns)" (100.0 *. plan.spike) plan.spike_ns
+                reorder_window_ns
             else "");
            (match plan.partitions with
            | [] -> ""

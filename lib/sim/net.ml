@@ -147,7 +147,7 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
       (* the wire below the transport: per-frame byte accounting, fault
          verdicts, unclamped delivery *)
       let wire_send ~src ~dst frame =
-        let bytes = Transport.frame_bytes cfg ~payload_bytes frame in
+        let bytes = Transport.frame_bytes ~payload_bytes frame in
         stats.Stats.fragments <- stats.Stats.fragments + Cost.fragments cost ~bytes;
         stats.Stats.bytes <- stats.Stats.bytes + Cost.wire_bytes cost ~bytes;
         note_partitions t;

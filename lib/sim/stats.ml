@@ -19,7 +19,6 @@ type t = {
   mutable fragments : int;  (* wire fragments after MTU splitting *)
   mutable bytes : int;
   mutable read_notice_bytes : int;  (* bandwidth added by read notices *)
-  mutable baseline_bytes : int;  (* bytes an unmodified CVM would have sent *)
   (* reliable-transport counters (lossy-network mode) *)
   mutable retransmits : int;  (* data frames re-sent after an RTO *)
   mutable rto_timeouts : int;  (* retransmission timer firings *)
@@ -74,7 +73,6 @@ let create () =
     fragments = 0;
     bytes = 0;
     read_notice_bytes = 0;
-    baseline_bytes = 0;
     retransmits = 0;
     rto_timeouts = 0;
     dup_suppressed = 0;
@@ -140,7 +138,6 @@ let add ~into t =
   into.fragments <- into.fragments + t.fragments;
   into.bytes <- into.bytes + t.bytes;
   into.read_notice_bytes <- into.read_notice_bytes + t.read_notice_bytes;
-  into.baseline_bytes <- into.baseline_bytes + t.baseline_bytes;
   into.retransmits <- into.retransmits + t.retransmits;
   into.rto_timeouts <- into.rto_timeouts + t.rto_timeouts;
   into.dup_suppressed <- into.dup_suppressed + t.dup_suppressed;

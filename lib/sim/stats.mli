@@ -19,7 +19,6 @@ type t = {
   mutable fragments : int;
   mutable bytes : int;
   mutable read_notice_bytes : int;
-  mutable baseline_bytes : int;
   mutable retransmits : int;  (** data frames re-sent after an RTO *)
   mutable rto_timeouts : int;  (** retransmission timer firings *)
   mutable dup_suppressed : int;  (** duplicate frames dropped at the receiver *)

@@ -13,21 +13,14 @@
    reorders at will. *)
 
 type config = {
-  initial_rto_ns : int;  (* first retransmission timeout *)
-  max_rto_ns : int;  (* backoff ceiling *)
   max_retries : int;  (* per-frame cap before the link is declared dead *)
-  header_bytes : int;  (* per-data-frame transport header on the wire *)
-  ack_bytes : int;  (* wire size of a cumulative ack *)
 }
 
-let default_config =
-  {
-    initial_rto_ns = 1_000_000 (* ~4x the small-message RTT *);
-    max_rto_ns = 16_000_000;
-    max_retries = 20;
-    header_bytes = 12;
-    ack_bytes = 32;
-  }
+let default_config = { max_retries = 20 }
+let initial_rto_ns = 1_000_000 (* ~4x the small-message RTT *)
+let max_rto_ns = 16_000_000
+let header_bytes = 12
+let ack_bytes = 32
 
 type 'a frame = Data of { seq : int; payload : 'a } | Ack of { cum : int }
 
@@ -57,14 +50,7 @@ type 'a t = {
   tracer : Trace.Sink.t option;  (* the engine's sink, read at [create] *)
 }
 
-let validate cfg =
-  if cfg.initial_rto_ns <= 0 || cfg.max_rto_ns < cfg.initial_rto_ns then
-    invalid_arg "Transport: need 0 < initial_rto_ns <= max_rto_ns";
-  if cfg.max_retries < 0 then invalid_arg "Transport: negative retry cap";
-  cfg
-
 let create cfg engine stats ~nodes ~wire_send ~deliver =
-  let cfg = validate cfg in
   {
     cfg;
     engine;
@@ -76,7 +62,7 @@ let create cfg engine stats ~nodes ~wire_send ~deliver =
             next_seq = 0;
             unacked = Queue.create ();
             retries = 0;
-            rto = cfg.initial_rto_ns;
+            rto = initial_rto_ns;
             timer_gen = 0;
             failed = false;
           });
@@ -89,9 +75,9 @@ let create cfg engine stats ~nodes ~wire_send ~deliver =
 
 let link t ~src ~dst = (src * t.nodes) + dst
 
-let frame_bytes cfg ~payload_bytes = function
-  | Data { payload; _ } -> cfg.header_bytes + payload_bytes payload
-  | Ack _ -> cfg.ack_bytes
+let frame_bytes ~payload_bytes = function
+  | Data { payload; _ } -> header_bytes + payload_bytes payload
+  | Ack _ -> ack_bytes
 
 (* Sender side. *)
 
@@ -125,7 +111,7 @@ and on_timeout t ~src ~dst s =
           (Trace.Event.Retransmit { src; dst; seq })
     | None -> ());
     t.wire_send ~src ~dst (Data { seq; payload });
-    s.rto <- min (2 * s.rto) t.cfg.max_rto_ns;
+    s.rto <- min (2 * s.rto) max_rto_ns;
     arm_timer t ~src ~dst s
   end
 
@@ -154,7 +140,7 @@ let on_ack t ~src ~dst ~cum =
   done;
   if !advanced then begin
     s.retries <- 0;
-    s.rto <- t.cfg.initial_rto_ns;
+    s.rto <- initial_rto_ns;
     if s.failed then ()
     else if Queue.is_empty s.unacked then s.timer_gen <- s.timer_gen + 1 (* disarm *)
     else arm_timer t ~src ~dst s

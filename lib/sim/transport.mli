@@ -12,18 +12,15 @@
     survives. {!Net} provides both ends. *)
 
 type config = {
-  initial_rto_ns : int;  (** first retransmission timeout *)
-  max_rto_ns : int;  (** backoff ceiling *)
   max_retries : int;  (** per-frame cap before the link is declared dead *)
-  header_bytes : int;  (** per-data-frame transport header on the wire *)
-  ack_bytes : int;  (** wire size of a cumulative ack *)
 }
+(** The one setting a run chooses; [Coherence.Config.check] rejects a
+    negative cap. The rest are constants: a 1 ms first retransmission
+    timeout (about 4x the small-message round trip) doubling up to
+    16 ms, a 12-byte header per data frame, and 32-byte acks. *)
 
 val default_config : config
-
-val validate : config -> config
-(** Returns the config; raises [Invalid_argument] unless
-    [0 < initial_rto_ns <= max_rto_ns] and [max_retries >= 0]. *)
+(** A cap of 20 retries. *)
 
 type 'a frame = Data of { seq : int; payload : 'a } | Ack of { cum : int }
 
@@ -38,8 +35,7 @@ val create :
   deliver:(src:int -> dst:int -> 'a -> unit) ->
   'a t
 (** [wire_send] puts a frame on the (lossy) wire; [deliver] is the
-    exactly-once, per-link-FIFO upcall to the layer above. Validates the
-    config. With an
+    exactly-once, per-link-FIFO upcall to the layer above. With an
     engine tracer ({!Engine.set_tracer}) installed, retransmissions,
     cumulative acks and link failures are emitted into it. *)
 
@@ -55,7 +51,7 @@ val wire_receive : 'a t -> src:int -> dst:int -> 'a frame -> unit
     reassembled in order and acked cumulatively; acks advance the
     reverse link's send window. *)
 
-val frame_bytes : config -> payload_bytes:('a -> int) -> 'a frame -> int
+val frame_bytes : payload_bytes:('a -> int) -> 'a frame -> int
 (** Wire size of a frame: payload plus transport header, or the ack size. *)
 
 val unacked : 'a t -> src:int -> dst:int -> int

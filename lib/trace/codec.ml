@@ -7,25 +7,13 @@
    zigzag keeps the odd negative — an ack's cumulative -1 — cheap).
    Floats (fault probabilities) are 8 fixed little-endian bytes.
 
-   This build reads and writes format v5 only; a log of an older format
-   is refused with a message naming its version. The metadata ends with
-   an engine-schedule marker, an optional varint that was set when the
-   recording ran on the removed window-sharded --sim-jobs engine. Its
-   event times differ from the heap's, so such a log cannot replay: the
-   encoder always writes the marker absent and the decoder rejects a log
-   whose marker is set. *)
+   This build reads and writes format v6 only; a log of another format
+   is refused with a message naming its version. The v6 metadata holds
+   exactly what a run can set. *)
 
 let magic = "CVMT"
-let version = 5
-let min_version = 5
-
-type transport_meta = {
-  tm_initial_rto_ns : int;
-  tm_max_rto_ns : int;
-  tm_max_retries : int;
-  tm_header_bytes : int;
-  tm_ack_bytes : int;
-}
+let version = 6
+let min_version = 6
 
 type meta = {
   m_app : string;
@@ -36,15 +24,11 @@ type meta = {
   m_first_race_only : bool;
   m_stores_from_diffs : bool;
   m_seed : int;
-  m_net_seed : int option;
   m_drop : float;
   m_dup : float;
   m_reorder : float;
-  m_reorder_window_ns : int;
-  m_spike : float;
-  m_spike_ns : int;
   m_partitions : (int * int * int * int) list;  (* a, b, from_ns, until_ns *)
-  m_transport : transport_meta option;
+  m_transport : int option;  (* the transport's retry cap, when it runs *)
   m_watchdog_ns : int option;
   m_gc_epochs : int option;
   m_elide : bool;  (* elide checks at statically race-free sites *)
@@ -165,21 +149,6 @@ let get_kind c : Proto.Race.access_kind =
 
 (* --- metadata --- *)
 
-let put_transport buf tm =
-  put_varint buf tm.tm_initial_rto_ns;
-  put_varint buf tm.tm_max_rto_ns;
-  put_varint buf tm.tm_max_retries;
-  put_varint buf tm.tm_header_bytes;
-  put_varint buf tm.tm_ack_bytes
-
-let get_transport c =
-  let tm_initial_rto_ns = get_varint c in
-  let tm_max_rto_ns = get_varint c in
-  let tm_max_retries = get_varint c in
-  let tm_header_bytes = get_varint c in
-  let tm_ack_bytes = get_varint c in
-  { tm_initial_rto_ns; tm_max_rto_ns; tm_max_retries; tm_header_bytes; tm_ack_bytes }
-
 let put_meta buf m =
   put_string buf m.m_app;
   put_string buf m.m_scale;
@@ -189,13 +158,9 @@ let put_meta buf m =
   put_bool buf m.m_first_race_only;
   put_bool buf m.m_stores_from_diffs;
   put_varint buf m.m_seed;
-  put_opt buf put_varint m.m_net_seed;
   put_float buf m.m_drop;
   put_float buf m.m_dup;
   put_float buf m.m_reorder;
-  put_varint buf m.m_reorder_window_ns;
-  put_float buf m.m_spike;
-  put_varint buf m.m_spike_ns;
   put_list buf
     (fun buf (a, b, from_ns, until_ns) ->
       put_varint buf a;
@@ -203,15 +168,14 @@ let put_meta buf m =
       put_varint buf from_ns;
       put_varint buf until_ns)
     m.m_partitions;
-  put_opt buf put_transport m.m_transport;
+  put_opt buf put_varint m.m_transport;
   put_opt buf put_varint m.m_watchdog_ns;
   put_opt buf put_varint m.m_gc_epochs;
   put_bool buf m.m_elide;
   put_string buf m.m_backend;
   put_varint buf m.m_cc_line_bytes;
   put_varint buf m.m_cc_sets;
-  put_varint buf m.m_cc_ways;
-  put_bool buf false (* v5 engine marker: absent *)
+  put_varint buf m.m_cc_ways
 
 let get_meta c =
   let m_app = get_string c in
@@ -222,13 +186,9 @@ let get_meta c =
   let m_first_race_only = get_bool c in
   let m_stores_from_diffs = get_bool c in
   let m_seed = get_varint c in
-  let m_net_seed = get_opt c get_varint in
   let m_drop = get_float c in
   let m_dup = get_float c in
   let m_reorder = get_float c in
-  let m_reorder_window_ns = get_varint c in
-  let m_spike = get_float c in
-  let m_spike_ns = get_varint c in
   let m_partitions =
     get_list c (fun c ->
         let a = get_varint c in
@@ -237,7 +197,7 @@ let get_meta c =
         let until_ns = get_varint c in
         (a, b, from_ns, until_ns))
   in
-  let m_transport = get_opt c get_transport in
+  let m_transport = get_opt c get_varint in
   let m_watchdog_ns = get_opt c get_varint in
   let m_gc_epochs = get_opt c get_varint in
   let m_elide = get_bool c in
@@ -245,9 +205,6 @@ let get_meta c =
   let m_cc_line_bytes = get_varint c in
   let m_cc_sets = get_varint c in
   let m_cc_ways = get_varint c in
-  if get_bool c then
-    fail "log was recorded on the removed sharded --sim-jobs engine, which this build \
-          cannot replay";
   {
     m_app;
     m_scale;
@@ -257,13 +214,9 @@ let get_meta c =
     m_first_race_only;
     m_stores_from_diffs;
     m_seed;
-    m_net_seed;
     m_drop;
     m_dup;
     m_reorder;
-    m_reorder_window_ns;
-    m_spike;
-    m_spike_ns;
     m_partitions;
     m_transport;
     m_watchdog_ns;

@@ -8,22 +8,11 @@
 val magic : string
 
 val version : int
-(** The format version this build writes (v5). *)
+(** The format version this build writes (v6). *)
 
 val min_version : int
-(** The oldest format version this build decodes: v5, the one it
+(** The oldest format version this build decodes: v6, the one it
     writes. *)
-
-type transport_meta = {
-  tm_initial_rto_ns : int;
-  tm_max_rto_ns : int;
-  tm_max_retries : int;
-  tm_header_bytes : int;
-  tm_ack_bytes : int;
-}
-(** The full reliable-transport configuration — every field that can
-    change retransmission timing or wire accounting is recorded, so a
-    tuned-transport recording replays under the exact same transport. *)
 
 type meta = {
   m_app : string;
@@ -33,16 +22,14 @@ type meta = {
   m_detect : bool;
   m_first_race_only : bool;
   m_stores_from_diffs : bool;
-  m_seed : int;
-  m_net_seed : int option;
+  m_seed : int;  (** roots the network RNG streams *)
   m_drop : float;
   m_dup : float;
   m_reorder : float;
-  m_reorder_window_ns : int;
-  m_spike : float;
-  m_spike_ns : int;
   m_partitions : (int * int * int * int) list;  (** a, b, from_ns, until_ns *)
-  m_transport : transport_meta option;
+  m_transport : int option;
+      (** [Some n]: the reliable transport ran with a retry cap of [n]; its
+          timeouts and frame sizes are constants of [Sim.Transport] *)
   m_watchdog_ns : int option;
   m_gc_epochs : int option;  (** interval-GC cadence *)
   m_elide : bool;
@@ -78,10 +65,9 @@ type decoded = { meta : meta; events : (int * Event.t) array }
 
 val decode : string -> decoded
 (** Parse a complete log. Raises {!Corrupt} on bad magic, a truncated or
-    garbled record, a format version outside [[min_version, version]] —
-    the error says explicitly whether the log is too old or too new,
-    never a misleading field-level decode crash — or a v5 log recorded
-    on the removed sharded engine. *)
+    garbled record, or a format version outside [[min_version, version]]
+    — the error says explicitly whether the log is too old or too new,
+    never a misleading field-level decode crash. *)
 
 val event_bytes : Event.t -> int
 (** Encoded size of one event record, excluding the time delta — used by

@@ -5,8 +5,7 @@
 # a usage line; 2 from the bench/main.exe and gen_equiv_golden flag
 # parsers, for a file that cannot be read or written, and for a
 # malformed --trace-file; 3 for a truncated, bit-flipped or forged trace
-# log, forged log metadata, or a log recorded on the removed sharded
-# --sim-jobs engine.
+# log, forged log metadata, or a log of a retired format.
 #
 #   sh test/cli_exit_codes.sh CVM_RACE_EXE BENCH_EXE GEN_EQUIV_GOLDEN_EXE
 
@@ -84,6 +83,12 @@ for cmd in run record; do
   check 124 "$cvm" $cmd fft --scale small -p 4 --backend mesi --transport
   check 124 "$cvm" $cmd sor --scale small --backend dragon --drop 0.1
   check 124 "$cvm" $cmd sor --scale small --backend dragon --partition 0,1,0,100
+  # a partition endpoint must name one of the run's processors, and a
+  # link needs two
+  check 124 "$cvm" $cmd sor --scale small -p 4 --partition 0,9,0,100000000
+  says "names no link"
+  check 124 "$cvm" $cmd sor --scale small -p 4 --partition 1,1,0,100
+  check 124 "$cvm" $cmd sor --scale small -p 4 --partition=-1,0,0,100
 done
 check 124 "$cvm" fuzz --count=-1
 check 2 "$cvm" replay /nonexistent/run.cvmt
@@ -128,14 +133,20 @@ printf 'procs 1\nwords 4611686018427387903\n0 w 0\n' >"$tmp/words.trace"
 check 2 "$cvm" run --trace-file "$tmp/words.trace"
 says "$tmp/words.trace:2:"
 
-# a log recorded on the removed sharded --sim-jobs engine
+# the processor count a trace file's procs directive sets bounds the
+# partition endpoints
+printf 'procs 2\nwords 1\n0 w 0\n' >"$tmp/two.trace"
+check 124 "$cvm" run --trace-file "$tmp/two.trace" --partition 0,2,0,100
+says "names no link"
+
+# a format v5 log, recorded on the removed sharded --sim-jobs engine
 sharded="$(dirname "$0")/golden/sharded_sor.cvmt"
 check 3 "$cvm" replay "$sharded"
-says "--sim-jobs"
+says "format v5 is older"
 check 3 "$cvm" replay --log-only "$sharded"
-says "--sim-jobs"
+says "format v5 is older"
 check 3 "$cvm" trace "$sharded"
-says "--sim-jobs"
+says "format v5 is older"
 
 # help pages render without Cmdliner markup errors on stderr
 for cmd in run record; do
@@ -180,6 +191,19 @@ if "$cvm" record sor --scale small -p 2 -o "$tmp/ok.cvmt" >/dev/null 2>"$err"; t
   printf '\000' | dd of="$tmp/procs.cvmt" bs=1 seek=15 conv=notrunc 2>/dev/null
   check 3 "$cvm" replay "$tmp/procs.cvmt"
   says "processor count 0"
+else
+  echo "FAIL could not record the log to corrupt:"
+  cat "$err"
+  status=1
+fi
+# forged metadata naming a partition endpoint outside the run: byte 60 of
+# a 2-processor SOR log with one partition is its second endpoint, 1
+# (zigzag 2), forged to 9 (zigzag 18)
+if "$cvm" record sor --scale small -p 2 --partition 0,1,0,0 -o "$tmp/part.cvmt" >/dev/null 2>"$err"
+then
+  printf '\022' | dd of="$tmp/part.cvmt" bs=1 seek=60 conv=notrunc 2>/dev/null
+  check 3 "$cvm" replay "$tmp/part.cvmt"
+  says "metadata: partition 0,9 names no link"
 else
   echo "FAIL could not record the log to corrupt:"
   cat "$err"

@@ -195,8 +195,9 @@ let test_cc_rejects_faults () =
   in
   Alcotest.check_raises "bus backends have no lossy wire"
     (Invalid_argument
-       "Machine.create: fault injection needs the DSM backend (a snooping bus has no \
-        lossy wire)") (fun () -> ignore (Backends.create ~cfg ~nprocs:2 ~pages:2 ()))
+       "backend mesi: wire faults and the reliable transport need the lrc backend (a \
+        snooping bus has no lossy wire)") (fun () ->
+      ignore (Backends.create ~cfg ~nprocs:2 ~pages:2 ()))
 
 let test_cc_rejects_bad_line () =
   let cfg =
@@ -208,7 +209,8 @@ let test_cc_rejects_bad_line () =
   in
   Alcotest.check_raises "line size must be a power of two"
     (Invalid_argument
-       "Machine.create: cc_line_bytes must be a power of two >= the word size")
+       "cache of 48-byte lines, 64 sets, 2 ways (need power-of-two lines from 8 to 4096 \
+        bytes, power-of-two sets, at least one way)")
     (fun () -> ignore (Backends.create ~cfg ~nprocs:2 ~pages:2 ()))
 
 (* ------------------------------------------------------------------ *)

@@ -141,7 +141,7 @@ let test_capped_retries_structured_diagnosis () =
     {
       Testutil.detect_cfg with
       Coherence.Config.fault = { Sim.Fault.none with Sim.Fault.partitions = [ severed ] };
-      transport = Some { Sim.Transport.default_config with Sim.Transport.max_retries = 5 };
+      transport = Some { Sim.Transport.max_retries = 5 };
     }
   in
   let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
@@ -166,7 +166,7 @@ let test_watchdog_breaks_retransmission_livelock () =
       (fault_cfg 3) with
       Coherence.Config.fault = { Sim.Fault.none with Sim.Fault.partitions = [ severed ] };
       transport =
-        Some { Sim.Transport.default_config with Sim.Transport.max_retries = max_int };
+        Some { Sim.Transport.max_retries = max_int };
       watchdog_ns = Some 200_000_000;
     }
   in

@@ -137,15 +137,16 @@ let test_pre_opt_replay log () =
   check Alcotest.bool "checksum matches recorded run" true
     result.Core.Trace_run.rr_checksum_match
 
-(* golden/sharded_sor.cvmt was recorded with --sim-jobs 1 before the
-   sharded engine was removed: its events carry that engine's times, so
-   it must be refused, not replayed into a divergence *)
+(* golden/sharded_sor.cvmt is a format v5 log, recorded with --sim-jobs 1
+   before the sharded engine was removed: its events carry that engine's
+   times, so it must be refused, not replayed into a divergence. This
+   build decodes v6 only, so the version refuses it. *)
 let test_sharded_log_rejected () =
   match Core.Trace_run.replay (Core.Trace_run.load (golden_file "sharded_sor.cvmt")) with
   | _ -> Alcotest.fail "a sharded-engine log replayed"
   | exception Trace.Codec.Corrupt msg ->
-      check Alcotest.bool "the diagnostic names the removed engine" true
-        (Testutil.contains msg "--sim-jobs")
+      check Alcotest.bool "the diagnostic names the retired format" true
+        (Testutil.contains msg "format v5 is older")
 
 let suite =
   [

@@ -475,9 +475,7 @@ let prop_transport_exactly_once_fifo =
          FIFO/exactly-once invariant, not the give-up policy, and at 45%
          drop the default cap of 20 is occasionally (and correctly)
          exhausted *)
-      let transport =
-        { Sim.Transport.default_config with Sim.Transport.max_retries = max_int }
-      in
+      let transport = { Sim.Transport.max_retries = max_int } in
       let engine, stats, net = lossy_net ~transport ~plan ~seed ~nodes () in
       let received = Array.make (nodes * nodes) [] in
       for dst = 0 to nodes - 1 do

@@ -15,23 +15,11 @@ let sample_meta =
     m_first_race_only = false;
     m_stores_from_diffs = false;
     m_seed = 42;
-    m_net_seed = Some 7;
     m_drop = 0.2;
     m_dup = 0.05;
     m_reorder = 0.1;
-    m_reorder_window_ns = 400_000;
-    m_spike = 0.01;
-    m_spike_ns = 2_000_000;
     m_partitions = [ (0, 1, 5_000, 10_000); (2, 3, 0, max_int) ];
-    m_transport =
-      Some
-        {
-          Trace.Codec.tm_initial_rto_ns = 1_000_000;
-          tm_max_rto_ns = 16_000_000;
-          tm_max_retries = 5;
-          tm_header_bytes = 12;
-          tm_ack_bytes = 32;
-        };
+    m_transport = Some 5;
     m_watchdog_ns = Some 200_000_000;
     m_gc_epochs = Some 2;
     m_elide = true;
@@ -182,22 +170,6 @@ let test_codec_rejects_huge_lengths () =
   match Trace.Codec.decode bad_string with
   | _ -> Alcotest.fail "max_int string length decoded"
   | exception Trace.Codec.Corrupt _ -> ()
-
-let test_codec_rejects_sharded_marker () =
-  (* the v5 engine marker is the last metadata byte; this build only
-     writes it absent (0). A set marker (1, then a varint) came from the
-     removed --sim-jobs engine, whose event times the heap cannot
-     reproduce. *)
-  let header = Trace.Codec.encode sample_meta [||] in
-  let n = String.length header in
-  check Alcotest.char "the encoder writes the marker absent" '\000' header.[n - 1];
-  let full = Trace.Codec.encode sample_meta [| (0, Trace.Event.Proc_finish { proc = 0 }) |] in
-  let events = String.sub full n (String.length full - n) in
-  let marked = String.sub header 0 (n - 1) ^ "\001" ^ varint 1 ^ events in
-  match Trace.Codec.decode marked with
-  | _ -> Alcotest.fail "a log with the sharded-engine marker decoded"
-  | exception Trace.Codec.Corrupt msg ->
-      check Alcotest.bool "names the removed engine" true (Testutil.contains msg "--sim-jobs")
 
 let prop_codec_damage_is_corrupt =
   (* damage the tail of a valid log: truncate it, flip one bit, or
@@ -458,38 +430,6 @@ let test_gc_epochs_record_replay () =
         (Format.asprintf "%a" Trace.Replay.pp_divergence d));
   check Alcotest.bool "gc-epochs replay clean" true (Core.Trace_run.clean r)
 
-let test_tuned_transport_record_replay () =
-  let tuned =
-    {
-      Sim.Transport.initial_rto_ns = 2_500_000;
-      max_rto_ns = 40_000_000;
-      max_retries = 7;
-      header_bytes = 20;
-      ack_bytes = 48;
-    }
-  in
-  let cfg =
-    {
-      Coherence.Config.default with
-      Coherence.Config.fault = { Sim.Fault.none with Sim.Fault.drop = 0.2 };
-      transport = Some tuned;
-    }
-  in
-  let _, log =
-    Core.Trace_run.record ~cfg ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:4 ()
-  in
-  let m = (Trace.Codec.decode log).Trace.Codec.meta in
-  (match m.Trace.Codec.m_transport with
-  | None -> Alcotest.fail "transport config missing from the meta"
-  | Some tm ->
-      check Alcotest.int "initial RTO recorded" 2_500_000 tm.Trace.Codec.tm_initial_rto_ns;
-      check Alcotest.int "RTO ceiling recorded" 40_000_000 tm.Trace.Codec.tm_max_rto_ns;
-      check Alcotest.int "retry cap recorded" 7 tm.Trace.Codec.tm_max_retries;
-      check Alcotest.int "header bytes recorded" 20 tm.Trace.Codec.tm_header_bytes;
-      check Alcotest.int "ack bytes recorded" 48 tm.Trace.Codec.tm_ack_bytes);
-  let r = Core.Trace_run.replay log in
-  check Alcotest.bool "tuned-transport replay clean" true (Core.Trace_run.clean r)
-
 (* Format v3 appends the instrumentation-elision flag: a log recorded
    with --elide must replay with the same derived elide set, and an
    elide-off log must decode with the flag unset. *)
@@ -545,9 +485,6 @@ let test_forged_meta_rejected () =
   in
   let decoded = Trace.Codec.decode log in
   let m = decoded.Trace.Codec.meta in
-  let transport tm_initial_rto_ns =
-    Option.map (fun tm -> { tm with Trace.Codec.tm_initial_rto_ns }) m.Trace.Codec.m_transport
-  in
   List.iter
     (fun (label, forged) ->
       match Core.Trace_run.replay (Trace.Codec.encode forged decoded.Trace.Codec.events) with
@@ -564,31 +501,15 @@ let test_forged_meta_rejected () =
       ("drop 2.0", { m with Trace.Codec.m_drop = 2.0 });
       ("drop NaN", { m with Trace.Codec.m_drop = Float.nan });
       ("negative partition window", { m with Trace.Codec.m_partitions = [ (0, 1, 10, 5) ] });
-      ("zero initial RTO", { m with Trace.Codec.m_transport = transport 0 });
+      ("partition endpoint 9 of 2", { m with Trace.Codec.m_partitions = [ (0, 9, 0, 10) ] });
       ("mesi with faults", { m with Trace.Codec.m_backend = "mesi" });
       ("dragon with faults", { m with Trace.Codec.m_backend = "dragon" });
       ("0 cache sets", { m with Trace.Codec.m_cc_sets = 0 });
       ("0 cache ways", { m with Trace.Codec.m_cc_ways = 0 });
       ("4-byte cache lines", { m with Trace.Codec.m_cc_line_bytes = 4 });
       ("0 ns watchdog", { m with Trace.Codec.m_watchdog_ns = Some 0 });
+      ("zero GC cadence", { m with Trace.Codec.m_gc_epochs = Some 0 });
     ]
-
-(* A log recorded with a separate network seed replays under it: the
-   same run recorded with [seed] 7 carries it as the run seed, and
-   re-encoding that as the old (42, Some 7) pair still replays clean. *)
-let test_recorded_net_seed_honoured () =
-  let cfg = { lossy_cfg with Coherence.Config.seed = 7 } in
-  let _, log =
-    Core.Trace_run.record ~cfg ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:2 ()
-  in
-  let decoded = Trace.Codec.decode log in
-  let m = decoded.Trace.Codec.meta in
-  check (Alcotest.option Alcotest.int) "no separate network seed is written" None
-    m.Trace.Codec.m_net_seed;
-  let old_style = { m with Trace.Codec.m_seed = 42; m_net_seed = Some 7 } in
-  let r = Core.Trace_run.replay (Trace.Codec.encode old_style decoded.Trace.Codec.events) in
-  check Alcotest.bool "replays clean under the recorded network seed" true
-    (Core.Trace_run.clean r)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export smoke                                                  *)
@@ -622,8 +543,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_codec_roundtrip;
         Alcotest.test_case "corrupt logs rejected" `Quick test_codec_rejects_garbage;
         Alcotest.test_case "huge length prefixes rejected" `Quick test_codec_rejects_huge_lengths;
-        Alcotest.test_case "sharded-engine marker rejected" `Quick
-          test_codec_rejects_sharded_marker;
         QCheck_alcotest.to_alcotest prop_codec_damage_is_corrupt;
       ] );
     ( "trace:replay",
@@ -645,14 +564,10 @@ let suite =
       [
         Alcotest.test_case "gc-epochs recorded and replayed" `Quick
           test_gc_epochs_record_replay;
-        Alcotest.test_case "tuned transport recorded and replayed" `Quick
-          test_tuned_transport_record_replay;
         Alcotest.test_case "elide flag recorded and replayed" `Quick
           test_elide_record_replay;
         Alcotest.test_case "version window messages" `Quick test_version_window_messages;
         Alcotest.test_case "forged metadata rejected" `Quick test_forged_meta_rejected;
-        Alcotest.test_case "recorded network seed honoured" `Quick
-          test_recorded_net_seed_honoured;
       ] );
     ( "trace:offline",
       [

@@ -7,4 +7,5 @@ let () =
    @ Suite_dataflow.suite @ Suite_numerics.suite @ Suite_extra.suite @ Suite_litmus.suite
    @ Suite_extensions.suite @ Suite_faults.suite @ Suite_trace.suite
    @ Suite_parallel.suite @ Suite_bench_compare.suite
-   @ Suite_perf_equiv.suite @ Suite_mhp.suite @ Suite_cc.suite @ Suite_workload.suite)
+   @ Suite_perf_equiv.suite @ Suite_mhp.suite @ Suite_cc.suite @ Suite_workload.suite
+   @ Suite_config.suite)

@@ -11,8 +11,9 @@ test:
 	dune runtest
 
 # The full gate, in order:
-# - build, tests, and the static-analysis report over every application,
-#   with the lockset-lint warnings (Static_analysis.lint) diffed against
+# - build, tests, and the static-analysis report over every application:
+#   the --mhp text report cmp'd against test/golden/analyze.txt, the
+#   lockset warnings (Mhp.warnings) diffed against
 #   test/analyze_expect.txt and the --json report cmp'd against
 #   test/golden/analyze.json;
 # - bad command-line input pinned to its exit code (test/cli_exit_codes.sh);
@@ -36,6 +37,8 @@ check:
 	dune build
 	dune runtest
 	dune exec bin/cvm_race.exe -- analyze --all
+	dune exec bin/cvm_race.exe -- analyze --all --mhp > _build/analyze.txt
+	cmp test/golden/analyze.txt _build/analyze.txt
 	dune exec bin/cvm_race.exe -- analyze --all --mhp --json _build/analyze.json --expect test/analyze_expect.txt
 	cmp test/golden/analyze.json _build/analyze.json
 	sh test/cli_exit_codes.sh _build/default/bin/cvm_race.exe _build/default/bench/main.exe \

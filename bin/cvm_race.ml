@@ -13,8 +13,9 @@
              reconstructs the outcome from the log without re-executing
      trace   inspect a binary log: summary, per-tag statistics, or a
              Chrome trace-event JSON export
-     analyze run only the static elimination pass: classification,
-             redundant-check batching and lockset lint per application
+     analyze run only the static passes: classification and
+             redundant-check batching, and the MHP lockset warnings
+             (--mhp: the whole pair report) per application
      litmus  explore memory-model litmus tests under a protocol
      fuzz    differential fuzzing: seeded random programs with
              by-construction ground truth, detector vs oracle across
@@ -225,7 +226,10 @@ let watchdog_arg =
   Arg.(value & opt (some watchdog_conv) None & info [ "watchdog" ] ~docv:"MS" ~doc)
 
 let max_retries_arg =
-  let doc = "Transport retry cap per frame before a link is declared failed." in
+  let doc =
+    "Transport retry cap per frame before a link is declared failed. Only with the \
+     transport: $(b,--transport) or a fault flag."
+  in
   Arg.(value & opt (some (int_from 0)) None & info [ "max-retries" ] ~docv:"N" ~doc)
 
 let transport_arg =
@@ -243,7 +247,8 @@ let elide_arg =
    detection switches, then the wire and transport flags, for the
    processor count [target] yields with its workload. Config.check judges
    it, so a configuration it rejects (a bus backend with wire flags, a
-   partition naming no link, ...) is a bad command line. *)
+   partition naming no link, ...) is a bad command line, as is a retry
+   cap with no transport to apply it to. *)
 let config_term target =
   let config (workload, nprocs) backend protocol no_detect first_race_only stores_from_diffs
       gc_epochs elide drop dup reorder partitions net_seed watchdog_ms max_retries transport =
@@ -259,13 +264,12 @@ let config_term target =
             partitions;
       }
     in
+    let wire = transport || Sim.Fault.active fault in
     let transport =
-      if transport || Sim.Fault.active fault then
-        Some
-          (match max_retries with
-          | Some max_retries -> { Sim.Transport.max_retries }
-          | None -> Sim.Transport.default_config)
-      else None
+      match max_retries with
+      | Some max_retries when wire -> Some { Sim.Transport.max_retries }
+      | None when wire -> Some Sim.Transport.default_config
+      | _ -> None
     in
     let cfg =
       {
@@ -283,9 +287,15 @@ let config_term target =
         watchdog_ns = Option.map (fun ms -> int_of_float (ms *. 1e6)) watchdog_ms;
       }
     in
-    match Coherence.Config.check ~nprocs cfg with
-    | cfg -> Ok ((workload, nprocs), cfg)
-    | exception Invalid_argument msg -> Error (`Msg msg)
+    if max_retries <> None && not wire then
+      Error
+        (`Msg
+          "--max-retries caps the reliable transport, which runs only with --transport or a \
+           fault flag")
+    else
+      match Coherence.Config.check ~nprocs cfg with
+      | cfg -> Ok ((workload, nprocs), cfg)
+      | exception Invalid_argument msg -> Error (`Msg msg)
   in
   Term.(term_result ~usage:true
       (const config $ target $ backend_arg $ protocol_arg $ no_detect_arg $ first_race_arg
@@ -558,22 +568,20 @@ let trace_command =
 
 (* --- analyze: static pass, MHP pair report, JSON and baseline modes --- *)
 
-let json_of_warning (w : Instrument.Static_analysis.warning) =
+let json_of_warning (w : Instrument.Mhp.warning) =
   Bench_json.Obj
     [
-      ("proc", Bench_json.String w.Instrument.Static_analysis.w_proc);
-      ("site", Bench_json.String w.Instrument.Static_analysis.w_site);
+      ("proc", Bench_json.String w.Instrument.Mhp.w_proc);
+      ("site", Bench_json.String w.Instrument.Mhp.w_site);
       ( "kind",
         Bench_json.String
-          (match w.Instrument.Static_analysis.w_kind with
+          (match w.Instrument.Mhp.w_kind with
           | Instrument.Binary.Load -> "load"
           | Instrument.Binary.Store -> "store") );
-      ("region", Bench_json.String w.Instrument.Static_analysis.w_region);
-      ("other_site", Bench_json.String w.Instrument.Static_analysis.w_other_site);
+      ("region", Bench_json.String w.Instrument.Mhp.w_region);
+      ("other_site", Bench_json.String w.Instrument.Mhp.w_other_site);
       ( "other_locks",
-        Bench_json.List
-          (List.map (fun l -> Bench_json.Int l) w.Instrument.Static_analysis.w_other_locks)
-      );
+        Bench_json.List (List.map (fun l -> Bench_json.Int l) w.Instrument.Mhp.w_other_locks) );
     ]
 
 let json_of_side (s : Instrument.Mhp.side) =
@@ -634,7 +642,7 @@ let json_of_analysis ~name (result : Instrument.Static_analysis.result) ~warning
       ( "check_cost_scale",
         Bench_json.Float result.Instrument.Static_analysis.check_cost_scale );
       ("warnings", Bench_json.List (List.map json_of_warning warnings));
-      ("mhp", match mhp with Some r -> json_of_mhp r | None -> Bench_json.Null);
+      ("mhp", json_of_mhp mhp);
     ]
 
 let read_lines path =
@@ -694,24 +702,19 @@ let analyze_command =
         let app = Apps.Registry.make ~scale name in
         let binary = app.Apps.App.binary () in
         let result = Instrument.Static_analysis.analyze binary in
-        let warnings = Instrument.Static_analysis.lint binary in
+        let report = Instrument.Mhp.analyze binary in
+        let warnings = Instrument.Mhp.warnings report in
         Core.Report.analysis ppf ~name:app.Apps.App.name result ~warnings;
         if warnings <> [] then any_warnings := true;
         List.iter
           (fun w ->
             warning_lines :=
-              Format.asprintf "%s: %a" app.Apps.App.name
-                Instrument.Static_analysis.pp_warning w
+              Format.asprintf "%s: %a" app.Apps.App.name Instrument.Mhp.pp_warning w
               :: !warning_lines)
           warnings;
-        let report =
-          if mhp || json <> None then Some (Instrument.Mhp.analyze binary) else None
-        in
-        (match report with
-        | Some r when mhp ->
-            Format.fprintf ppf "@[<v 2>%s may-happen-in-parallel:@ %a@]@.@."
-              app.Apps.App.name Instrument.Mhp.pp_report r
-        | _ -> ());
+        if mhp then
+          Format.fprintf ppf "@[<v 2>%s may-happen-in-parallel:@ %a@]@.@."
+            app.Apps.App.name Instrument.Mhp.pp_report report;
         if json <> None then
           json_apps :=
             json_of_analysis ~name:app.Apps.App.name result ~warnings report :: !json_apps)
@@ -756,9 +759,9 @@ let analyze_command =
     (Cmd.info "analyze"
        ~doc:
          "Run the static passes alone: per-application access classification, \
-          redundant-check batching, lockset lint warnings, and (with $(b,--mhp)) the \
-          whole-program may-happen-in-parallel pair report. $(b,--expect) compares the \
-          warning lines to a checked-in baseline and exits nonzero on drift; \
+          redundant-check batching, the lockset warnings of the may-happen-in-parallel \
+          analysis, and (with $(b,--mhp)) its whole-program pair report. $(b,--expect) \
+          compares the warning lines to a checked-in baseline and exits nonzero on drift; \
           $(b,--json) writes the full report for tooling.")
     term
 

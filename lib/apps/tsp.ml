@@ -156,10 +156,10 @@ let binary () =
      against the read-only matrix, push children under the queue lock,
      prune against an UNLOCKED read of the global bound, and update the
      bound under its lock. The unlocked prune read is the deliberate
-     benign race — the lint must flag "tsp:bound_prune" against
-     "tsp:bound_update" and nothing else. The private depth-first state
-     (dfs arena, visited bitmap on the stack via a computed register) is
-     what the data-flow pass proves private. *)
+     benign race — the MHP lockset warnings must flag "tsp:bound_prune"
+     against "tsp:bound_update" and nothing else. The private
+     depth-first state (dfs arena, visited bitmap on the stack via a
+     computed register) is what the data-flow pass proves private. *)
   let open Instrument.Ir in
   let matrix = 0 and queue = 1 and bound = 2 and inflight = 3 in
   let best = 4 and dfs = 5 and visited = 6 in

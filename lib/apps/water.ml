@@ -125,11 +125,11 @@ let binary () =
      into a private accumulator, the merge under group locks, the
      potential-energy update — racy arm (no lock, the seeded Splash2
      bug) or fixed arm (global lock) — then the integration phase. The
-     lint must flag "water:pot_racy" against "water:pot_locked" and
-     nothing else; the private force accumulator is what the data-flow
-     pass proves private. The molecule fields are modelled as separate
-     regions (positions / velocities / forces) so the lock discipline on
-     forces is visible to the analysis. *)
+     MHP lockset warnings must flag "water:pot_racy" against
+     "water:pot_locked" and nothing else; the private force accumulator
+     is what the data-flow pass proves private. The molecule fields are
+     modelled as separate regions (positions / velocities / forces) so
+     the lock discipline on forces is visible to the analysis. *)
   let open Instrument.Ir in
   let pos = 0 and frc = 1 and vel = 2 and pot = 3 and pforce = 4 in
   let page = 4096 in

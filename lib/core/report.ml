@@ -114,18 +114,18 @@ let ablation ppf rows =
 
 (* Per-application rendering of the static pass for `cvm_race analyze`:
    the classification line, the batching summary the cost model consumes,
-   and the lint findings. *)
+   and the MHP lockset warnings. *)
 let analysis ppf ~name (r : Instrument.Static_analysis.result) ~warnings =
   let open Instrument.Static_analysis in
   Format.fprintf ppf "== %s static analysis ==@." name;
   Format.fprintf ppf "  %a@." pp r.classification;
   Format.fprintf ppf "  batching: %d of %d checks batched, per-check charge scale %.3f@."
     r.batched_checks r.classification.instrumented r.check_cost_scale;
-  (match warnings with
+  match warnings with
   | [] -> Format.fprintf ppf "  lint: no statically suspicious shared accesses@."
   | ws ->
       Format.fprintf ppf "  lint: %d warning(s)@." (List.length ws);
-      List.iter (fun w -> Format.fprintf ppf "    %a@." pp_warning w) ws)
+      List.iter (fun w -> Format.fprintf ppf "    %a@." Instrument.Mhp.pp_warning w) ws
 
 (* Deterministic report order — page, then word offset, then the interval
    pair — regardless of the order the detector produced the races in, so

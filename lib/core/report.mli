@@ -16,10 +16,10 @@ val analysis :
   Format.formatter ->
   name:string ->
   Instrument.Static_analysis.result ->
-  warnings:Instrument.Static_analysis.warning list ->
+  warnings:Instrument.Mhp.warning list ->
   unit
 (** One application's static-pass result: classification, check batching
-    and the {!Instrument.Static_analysis.lint} warnings (the
+    and the {!Instrument.Mhp.warnings} lockset warnings (the
     `cvm_race analyze` rendering). *)
 
 val races : ?symtab:Mem.Symtab.t -> Format.formatter -> Proto.Race.t list -> unit

@@ -51,7 +51,7 @@ let meta_of ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.me
    deep inside a constructor, or an allocation sized by a forged
    processor count. The names are checked here; the configuration they
    describe, by Coherence.Config.check. *)
-let config_of_meta ?cost (m : Trace.Codec.meta) : Coherence.Config.t =
+let config_of_meta (m : Trace.Codec.meta) : Coherence.Config.t =
   let bad fmt = Printf.ksprintf (fun s -> raise (Trace.Codec.Corrupt ("metadata: " ^ s))) fmt in
   let known what names name = if not (List.mem name names) then bad "unknown %s %S" what name in
   known "application" Apps.Registry.extended_names (String.lowercase_ascii m.m_app);
@@ -90,16 +90,16 @@ let config_of_meta ?cost (m : Trace.Codec.meta) : Coherence.Config.t =
       cc_ways = m.m_cc_ways;
     }
   in
-  match Coherence.Config.check ?cost ~nprocs:m.m_nprocs cfg with
+  match Coherence.Config.check ~nprocs:m.m_nprocs cfg with
   | cfg -> cfg
   | exception Invalid_argument msg -> bad "%s" msg
 
-let record ?cost ?(cfg = Coherence.Config.default) ~app_name ~scale ~nprocs () =
+let record ?(cfg = Coherence.Config.default) ~app_name ~scale ~nprocs () =
   let app = Apps.Registry.make ~scale app_name in
   let meta = meta_of ~app_name ~scale ~nprocs cfg in
   let recorder = Trace.Sink.recorder meta in
   let cfg = { cfg with Coherence.Config.tracer = Some (Trace.Sink.sink recorder) } in
-  let outcome = Driver.run ?cost ~cfg ~app ~nprocs () in
+  let outcome = Driver.run ~cfg ~app ~nprocs () in
   (outcome, Trace.Sink.contents recorder)
 
 type replay_result = {
@@ -112,14 +112,14 @@ type replay_result = {
 
 let clean r = r.rr_divergence = None && r.rr_races_match && r.rr_checksum_match
 
-let replay ?cost log =
+let replay log =
   let decoded = Trace.Codec.decode log in
   let m = decoded.Trace.Codec.meta in
-  let cfg = config_of_meta ?cost m in
+  let cfg = config_of_meta m in
   let app = Apps.Registry.make ~scale:(scale_of_name m.Trace.Codec.m_scale) m.Trace.Codec.m_app in
   let verifier = Trace.Replay.create decoded in
   let cfg = { cfg with Coherence.Config.tracer = Some (Trace.Replay.sink verifier) } in
-  let outcome = Driver.run ?cost ~cfg ~app ~nprocs:m.Trace.Codec.m_nprocs () in
+  let outcome = Driver.run ~cfg ~app ~nprocs:m.Trace.Codec.m_nprocs () in
   let divergence = Trace.Replay.finish verifier in
   let log_races = Trace.Replay.races_of_log decoded in
   let races_match =

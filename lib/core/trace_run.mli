@@ -15,23 +15,23 @@ val meta_of :
 (** The metadata header a recording of this configuration carries. The
     cost model is not part of it. *)
 
-val config_of_meta : ?cost:Sim.Cost.t -> Trace.Codec.meta -> Coherence.Config.t
+val config_of_meta : Trace.Codec.meta -> Coherence.Config.t
 (** The effective configuration a log's metadata describes (tracer
     unset). The application, scale, protocol and backend names must be
     known, and {!Coherence.Config.check} must accept the configuration
-    for [m_nprocs] processors under [cost] (default {!Sim.Cost.default}).
-    Raises {!Trace.Codec.Corrupt} ("metadata: ...") otherwise. *)
+    for [m_nprocs] processors. Raises {!Trace.Codec.Corrupt}
+    ("metadata: ...") otherwise. *)
 
 val record :
-  ?cost:Sim.Cost.t ->
   ?cfg:Coherence.Config.t ->
   app_name:string ->
   scale:Apps.Registry.scale ->
   nprocs:int ->
   unit ->
   Driver.outcome * string
-(** Run once with recording on; returns the outcome and the binary log.
-    Any [tracer] already present in [cfg] is replaced by the recorder. *)
+(** Run once with recording on, under the default cost model (the one
+    replay assumes); returns the outcome and the binary log. Any [tracer]
+    already present in [cfg] is replaced by the recorder. *)
 
 type replay_result = {
   rr_meta : Trace.Codec.meta;
@@ -44,7 +44,7 @@ type replay_result = {
 val clean : replay_result -> bool
 (** No divergence, races match, checksum matches. *)
 
-val replay : ?cost:Sim.Cost.t -> string -> replay_result
+val replay : string -> replay_result
 (** Verify a binary log by re-execution. Raises {!Trace.Codec.Corrupt}
     on a malformed log or metadata {!config_of_meta} rejects, before
     anything is built. *)

@@ -27,16 +27,8 @@ type t = { name : string; sections : instruction list; procs : Ir.proc list }
 val make : name:string -> ?procs:Ir.proc list -> instruction list -> t
 (** Validates every procedure's CFG. *)
 
-val bulk : kind:kind -> addressing:addressing -> origin:origin -> prefix:string -> int -> instruction list
-(** [bulk ~kind ~addressing ~origin ~prefix n] makes [n] alike
-    instructions with distinct sites. *)
-
 val section : origin:origin -> prefix:string -> loads:int -> stores:int -> instruction list
 (** A library or runtime section (addressing irrelevant to elimination). *)
-
-val lower_proc : Ir.proc -> instruction list
-(** One instruction per static access, counts expanded, in program
-    order; addressing is the access's syntactic base. *)
 
 val instructions : t -> instruction list
 (** Sections followed by every procedure's lowered accesses. *)

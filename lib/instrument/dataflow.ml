@@ -10,13 +10,12 @@
 
    joined pointwise at CFG merge points, iterated to fixpoint with a
    worklist. SharedHeap values carry the set of dsm_malloc allocation
-   sites the pointer may address, which the lockset lint consumes.
+   sites the pointer may address, which the MHP pairing ({!Mhp}) consumes.
 
    Alongside provenance we run two cheap companion analyses over the
    same fixpoint:
 
-   - a must-hold lockset (intersection at merges) for the static
-     shared-access lint;
+   - a must-hold lockset (intersection at merges) for the MHP pairing;
    - a redundant-check pass: within a basic block, an access dominated
      by a prior instrumented check of the same base register and page
      needs no second shared/private discrimination — it is "batched"

@@ -24,10 +24,6 @@ val join : prov -> prov -> prov
 
 val prov_equal : prov -> prov -> bool
 
-val is_private : prov -> bool
-(** Can the analysis prove the address never reaches shared data? *)
-
-val regions_of : prov -> Regions.t
 val pp_prov : Format.formatter -> prov -> unit
 
 type disp = Disp of int | Disp_unknown
@@ -37,12 +33,8 @@ type disp = Disp of int | Disp_unknown
 type state = { regs : prov Regmap.t; disps : disp Regmap.t; locks : Intset.t }
 
 val initial_state : state
-val state_join : state -> state -> state
-val state_equal : state -> state -> bool
 val lookup : state -> Ir.reg -> prov
-val lookup_disp : state -> Ir.reg -> disp
 val transfer_op : state -> Ir.op -> state
-val transfer_block : state -> Ir.op list -> state
 
 val fixpoint : Ir.proc -> (string, state) Hashtbl.t
 (** Block-entry states at fixpoint (absent = unreachable). Raises

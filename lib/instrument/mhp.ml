@@ -1,13 +1,10 @@
-(* May-happen-in-parallel analysis over the Dataflow fixpoint.
-
-   The lint in {!Static_analysis} answers one question: is there a
-   shared access whose static lockset looks insufficient? This module
-   answers the whole-program version: which *pairs* of static accesses
-   may execute in parallel on overlapping shared data without a common
-   ordering lock? The model is the SPMD discipline of the paper's
-   applications — every processor runs the same CFG, so an access pair
-   (including a store paired with itself) may run concurrently on two
-   processors whenever:
+(* May-happen-in-parallel analysis over the Dataflow fixpoint: the one
+   static race analysis. It answers the whole-program question: which
+   *pairs* of static accesses may execute in parallel on overlapping
+   shared data without a common ordering lock? The model is the SPMD
+   discipline of the paper's applications — every processor runs the
+   same CFG, so an access pair (including a store paired with itself)
+   may run concurrently on two processors whenever:
 
    - both accesses are shared (computed addresses the provenance pass
      could not prove private), and
@@ -20,12 +17,15 @@
    - their must-hold locksets are disjoint (no common lock orders them).
 
    Pairs split by severity: [Mismatch] (one side locks, the other does
-   not — or both lock, but disjointly) reproduces the lint's warnings;
-   [Unlocked] (neither side holds a lock) is the barrier-disciplined
-   residue a static pass cannot separate from owner-partitioned safety,
-   kept out of the warning set but inside the may-race set.
+   not — or both lock, but disjointly); [Unlocked] (neither side holds
+   a lock) is the barrier-disciplined residue a static pass cannot
+   separate from owner-partitioned safety, kept inside the may-race set.
 
    Everything downstream derives from the pair set:
+   - warnings: a pair of two distinct sites where exactly one side
+     holds no lock flags that side as insufficiently locked — this
+     flags Water's unlocked potential-energy update and TSP's
+     unsynchronized bound read without running the simulator;
    - soundness: every dynamically observed race must land on a flagged
      pair (checked against the detector and the happens-before oracle
      in the test suite);
@@ -217,50 +217,58 @@ let covers report ~site_a ~site_b =
 
 let covers_site report ~site = List.mem site report.may_race_sites
 
-(* The lint view: Mismatch pairs with distinct sites, reported from the
-   under-locked side, deduplicated like {!Static_analysis.lint}
-   so the two warning sets coincide on binaries without disjoint
-   non-empty locksets. *)
+type warning = {
+  w_proc : string;
+  w_site : string;  (* the unlocked access *)
+  w_kind : Binary.kind;
+  w_region : string;  (* the shared allocation both sites may address *)
+  w_other_site : string;  (* the conflicting access *)
+  w_other_locks : int list;  (* locks the conflicting access holds *)
+}
+
+(* A pair of distinct sites where exactly one side holds no lock,
+   reported from that side: one warning per (site, other site, region),
+   carrying the unlocked site's load when it has one. Pairs where both
+   sides lock, disjointly, stay in the report but are not flagged. *)
 let warnings report =
-  let seen = Hashtbl.create 16 in
-  List.filter_map
+  let chosen = Hashtbl.create 16 in
+  List.iter
     (fun p ->
-      if p.p_severity <> Mismatch || p.p_a.s_site = p.p_b.s_site then None
-      else begin
-        let bare, other =
-          if p.p_a.s_locks = [] then (p.p_a, p.p_b)
-          else if p.p_b.s_locks = [] then (p.p_b, p.p_a)
-          else (p.p_a, p.p_b)
-        in
-        let key = (bare.s_site, other.s_site, p.p_region) in
-        if Hashtbl.mem seen key then None
-        else begin
-          Hashtbl.replace seen key ();
-          Some
-            {
-              Static_analysis.w_proc = p.p_proc;
-              w_site = bare.s_site;
-              w_kind = bare.s_kind;
-              w_region = p.p_region;
-              w_other_site = other.s_site;
-              w_other_locks = other.s_locks;
-            }
-        end
+      if p.p_a.s_site <> p.p_b.s_site && (p.p_a.s_locks = []) <> (p.p_b.s_locks = []) then begin
+        let bare, other = if p.p_a.s_locks = [] then (p.p_a, p.p_b) else (p.p_b, p.p_a) in
+        let key = (p.p_proc, bare.s_site, other.s_site, p.p_region) in
+        (* the first load, else the first store *)
+        match Hashtbl.find_opt chosen key with
+        | Some w when w.w_kind = Binary.Load || bare.s_kind = Binary.Store -> ()
+        | _ ->
+            Hashtbl.replace chosen key
+              {
+                w_proc = p.p_proc;
+                w_site = bare.s_site;
+                w_kind = bare.s_kind;
+                w_region = p.p_region;
+                w_other_site = other.s_site;
+                w_other_locks = other.s_locks;
+              }
       end)
-    report.pairs
-  |> List.stable_sort (fun (a : Static_analysis.warning) b ->
-         compare
-           (a.Static_analysis.w_proc, a.w_site, a.w_other_site, a.w_region)
-           (b.Static_analysis.w_proc, b.w_site, b.w_other_site, b.w_region))
+    report.pairs;
+  Hashtbl.fold (fun key w acc -> (key, w) :: acc) chosen []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
+
+let kind_name = function Binary.Load -> "load" | Binary.Store -> "store"
+
+let locks_name = function
+  | [] -> "no locks"
+  | ls -> Printf.sprintf "locks {%s}" (String.concat "," (List.map string_of_int ls))
+
+let pp_warning ppf w =
+  Format.fprintf ppf
+    "%s: %s at %s reaches shared region %s with an empty static lockset (conflicts with %s holding %s)"
+    w.w_proc (kind_name w.w_kind) w.w_site w.w_region w.w_other_site (locks_name w.w_other_locks)
 
 let pp_side ppf s =
-  let kind = match s.s_kind with Binary.Load -> "load" | Binary.Store -> "store" in
-  let locks =
-    match s.s_locks with
-    | [] -> "no locks"
-    | ls -> Printf.sprintf "locks {%s}" (String.concat "," (List.map string_of_int ls))
-  in
-  Format.fprintf ppf "%s at %s [%s]" kind s.s_site locks
+  Format.fprintf ppf "%s at %s [%s]" (kind_name s.s_kind) s.s_site (locks_name s.s_locks)
 
 let pp_pair ppf p =
   Format.fprintf ppf "%s: %s pair on %s (phases {%s}): %a <-> %a" p.p_proc

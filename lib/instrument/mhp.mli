@@ -1,5 +1,4 @@
-(** May-happen-in-parallel analysis: the pairwise upgrade of the
-    {!Static_analysis} lint.
+(** May-happen-in-parallel analysis: the one static race analysis.
 
     Under the SPMD model (every processor runs the same CFG), two
     shared accesses — including a store paired with itself — form a
@@ -12,7 +11,9 @@
     races (soundness is asserted against the runtime detector and the
     happens-before oracle in the test suite); its complement over the
     instrumented shared sites is the statically race-free set whose
-    runtime checks instrumentation elision may skip. *)
+    runtime checks instrumentation elision may skip, and its
+    lock-mismatch pairs give the {!warnings} `cvm_race analyze`
+    prints. *)
 
 type severity =
   | Mismatch  (** one side is lock-disciplined, the other is not (or the locks are disjoint) *)
@@ -36,7 +37,6 @@ type report = {
   shared_sites : string list;  (** every instrumented shared site *)
 }
 
-val severity_rank : severity -> int
 val severity_name : severity -> string
 
 val analyze : Binary.t -> report
@@ -53,12 +53,23 @@ val covers : report -> site_a:string -> site_b:string -> bool
 val covers_site : report -> site:string -> bool
 (** Does the site join at least one pair? *)
 
-val warnings : report -> Static_analysis.warning list
-(** The lint view: [Mismatch] pairs with distinct sites, reported from
-    the under-locked side, deduplicated and sorted. Coincides with
-    {!Static_analysis.lint} on binaries without
-    disjoint-but-non-empty lockset pairs. *)
+type warning = {
+  w_proc : string;
+  w_site : string;  (** the access that holds no lock *)
+  w_kind : Binary.kind;
+  w_region : string;  (** the shared allocation both sites may address *)
+  w_other_site : string;  (** the conflicting, locked access *)
+  w_other_locks : int list;
+}
 
-val pp_side : Format.formatter -> side -> unit
-val pp_pair : Format.formatter -> pair -> unit
+val warnings : report -> warning list
+(** The lockset warnings: every pair of two distinct sites where
+    exactly one side holds no lock (a [Mismatch] pair), reported from
+    that side — one per (site, other site, region), with the site's
+    load when it has one — sorted by (proc, site, other site, region).
+    A pair whose sides hold disjoint non-empty locksets, and a pair
+    where neither side locks (left to the dynamic detector), is not
+    flagged. *)
+
+val pp_warning : Format.formatter -> warning -> unit
 val pp_report : Format.formatter -> report -> unit

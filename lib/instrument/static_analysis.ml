@@ -17,14 +17,8 @@
    pays only [batched_check_cost] of the full discrimination charge
    ({!check_cost_scale} feeds the driver's cost model).
 
-   The shared-access lint runs the fixpoint again, on demand ([lint]):
-   two different sites that may address the same dsm_malloc region in
-   the same static barrier phase, at least one a store, with disjoint
-   must-hold locksets, are statically suspicious — this flags Water's
-   unlocked potential-energy update and TSP's unsynchronized bound read
-   without running the simulator. Its pairing is quadratic in a
-   procedure's shared accesses, and the driver, which runs [analyze]
-   before every detecting simulation, never reads it. *)
+   Static race suspicion is not this pass's business: {!Mhp} pairs the
+   same fixpoint's accesses. *)
 
 type classification = {
   stack : int;
@@ -37,15 +31,6 @@ type classification = {
 
 let empty =
   { stack = 0; static_data = 0; proven_private = 0; library = 0; cvm = 0; instrumented = 0 }
-
-type warning = {
-  w_proc : string;
-  w_site : string;  (* the insufficiently locked access *)
-  w_kind : Binary.kind;
-  w_region : string;  (* the shared allocation both sites may address *)
-  w_other_site : string;  (* the conflicting access *)
-  w_other_locks : int list;  (* locks the conflicting access holds *)
-}
 
 type result = {
   classification : classification;
@@ -81,73 +66,6 @@ let bump c n = function
   | `Library -> { c with library = c.library + n }
   | `Cvm -> { c with cvm = c.cvm + n }
   | `Instrumented -> { c with instrumented = c.instrumented + n }
-
-(* ------------------------------------------------------------------ *)
-(* The lint                                                            *)
-
-let locks_to_list locks = Dataflow.Intset.elements locks
-
-let lint_warnings accesses =
-  let shared =
-    List.filter
-      (fun (a : Dataflow.access) ->
-        a.Dataflow.a_reachable && not (Dataflow.Regions.is_empty a.Dataflow.a_regions))
-      accesses
-  in
-  (* Suspicious pair: two different sites that may address the same
-     region in the same static phase, at least one a store, where one
-     side is lock-disciplined and the other holds nothing. Pairs where
-     both locksets are empty are barrier-disciplined (SOR/FFT/LU style)
-     and left to the dynamic detector — a static pass cannot see the
-     owner-partitioning that makes them safe. *)
-  let suspicious (a : Dataflow.access) (b : Dataflow.access) =
-    a.Dataflow.a_site <> b.Dataflow.a_site
-    && (a.Dataflow.a_kind = Binary.Store || b.Dataflow.a_kind = Binary.Store)
-    && (not (Dataflow.Regions.is_empty (Dataflow.Regions.inter a.Dataflow.a_regions b.Dataflow.a_regions)))
-    && (not (Dataflow.Intset.is_empty (Dataflow.Intset.inter a.Dataflow.a_phases b.Dataflow.a_phases)))
-    && Dataflow.Intset.is_empty (Dataflow.Intset.inter a.Dataflow.a_locks b.Dataflow.a_locks)
-    && Dataflow.Intset.is_empty a.Dataflow.a_locks
-       <> Dataflow.Intset.is_empty b.Dataflow.a_locks
-  in
-  let warnings = ref [] in
-  let seen = Hashtbl.create 16 in
-  let emit (a : Dataflow.access) (b : Dataflow.access) =
-    let region =
-      Dataflow.Regions.min_elt (Dataflow.Regions.inter a.Dataflow.a_regions b.Dataflow.a_regions)
-    in
-    let key = (a.Dataflow.a_site, b.Dataflow.a_site, region) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.replace seen key ();
-      warnings :=
-        {
-          w_proc = a.Dataflow.a_proc;
-          w_site = a.Dataflow.a_site;
-          w_kind = a.Dataflow.a_kind;
-          w_region = region;
-          w_other_site = b.Dataflow.a_site;
-          w_other_locks = locks_to_list b.Dataflow.a_locks;
-        }
-        :: !warnings
-    end
-  in
-  let rec pairs = function
-    | [] -> ()
-    | a :: rest ->
-        List.iter
-          (fun b ->
-            if suspicious a b then begin
-              (* report the access(es) whose static lockset is empty; if
-                 both hold (disjoint) locks, report the first *)
-              let a_empty = Dataflow.Intset.is_empty a.Dataflow.a_locks in
-              let b_empty = Dataflow.Intset.is_empty b.Dataflow.a_locks in
-              if a_empty || not b_empty then emit a b;
-              if b_empty && not a_empty then emit b a
-            end)
-          rest;
-        pairs rest
-  in
-  pairs shared;
-  List.rev !warnings
 
 (* ------------------------------------------------------------------ *)
 (* Whole-binary analysis                                               *)
@@ -188,16 +106,6 @@ let analyze (binary : Binary.t) =
   in
   { classification; sites = List.rev !sites; batched_checks = !batched; check_cost_scale = scale }
 
-let lint (binary : Binary.t) =
-  List.concat_map (fun proc -> lint_warnings (Dataflow.analyze proc))
-    binary.Binary.procs
-  (* deterministic report order regardless of CFG discovery order, so
-     warning lists diff cleanly in CI *)
-  |> List.stable_sort (fun a b ->
-         compare
-           (a.w_proc, a.w_site, a.w_other_site, a.w_region)
-           (b.w_proc, b.w_site, b.w_other_site, b.w_region))
-
 let classify binary = (analyze binary).classification
 
 let total c = c.stack + c.static_data + c.proven_private + c.library + c.cvm + c.instrumented
@@ -213,14 +121,3 @@ let pp ppf c =
     "stack=%d static=%d private=%d library=%d cvm=%d instrumented=%d (%.2f%% eliminated)"
     c.stack c.static_data c.proven_private c.library c.cvm c.instrumented
     (100.0 *. eliminated_fraction c)
-
-let pp_warning ppf w =
-  let kind = match w.w_kind with Binary.Load -> "load" | Binary.Store -> "store" in
-  let locks =
-    match w.w_other_locks with
-    | [] -> "no locks"
-    | ls -> Printf.sprintf "locks {%s}" (String.concat "," (List.map string_of_int ls))
-  in
-  Format.fprintf ppf
-    "%s: %s at %s reaches shared region %s with an empty static lockset (conflicts with %s holding %s)"
-    w.w_proc kind w.w_site w.w_region w.w_other_site locks

@@ -10,10 +10,8 @@
 
     The same fixpoint also yields redundant-check batching (an access
     dominated by a prior check of the same base register and page pays
-    only a fraction of the discrimination cost). The static
-    shared-access lint (conflicting sites in one barrier phase with
-    disjoint must-hold locksets) is a separate, on-demand pass:
-    {!lint}. *)
+    only a fraction of the discrimination cost). Nothing here judges
+    races: {!Mhp} is the static race analysis. *)
 
 type classification = {
   stack : int;
@@ -25,15 +23,6 @@ type classification = {
   instrumented : int;
 }
 
-type warning = {
-  w_proc : string;
-  w_site : string;  (** the insufficiently locked access *)
-  w_kind : Binary.kind;
-  w_region : string;  (** the shared allocation both sites may address *)
-  w_other_site : string;  (** the conflicting access *)
-  w_other_locks : int list;
-}
-
 type result = {
   classification : classification;
   sites : string list;  (** surviving (instrumented) sites, program order *)
@@ -42,22 +31,9 @@ type result = {
       (** average per-check charge relative to a full check, in (0, 1] *)
 }
 
-val batched_check_cost : float
-(** Cost of a batched check relative to a full one. *)
-
 val analyze : Binary.t -> result
 (** Run the data-flow analysis over every procedure and fold in the
     flat sections. *)
-
-val lint : Binary.t -> warning list
-(** The lockset lint: two different sites that may address the same
-    shared region in the same static barrier phase, at least one a
-    store, where one side holds locks and the other holds none (pairs
-    where neither side locks are left to the dynamic detector).
-    Reported from the unlocked side, deduplicated per (site, other
-    site, region), sorted by (proc, site, other site, region). Runs the
-    data-flow fixpoint itself; its pairing is quadratic in each
-    procedure's shared accesses. *)
 
 val classify : Binary.t -> classification
 
@@ -70,4 +46,3 @@ val instrumented_sites : Binary.t -> string list
 (** Sites of the surviving (instrumented) instructions. *)
 
 val pp : Format.formatter -> classification -> unit
-val pp_warning : Format.formatter -> warning -> unit

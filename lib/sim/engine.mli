@@ -29,7 +29,6 @@ exception Deadlock of diagnosis
     how lost wakeups, lock cycles, and exhausted retransmission retries
     in simulated programs surface. *)
 
-val pp_diagnosis : Format.formatter -> diagnosis -> unit
 val diagnosis_to_string : diagnosis -> string
 
 val create : unit -> t

@@ -8,11 +8,7 @@
 val magic : string
 
 val version : int
-(** The format version this build writes (v6). *)
-
-val min_version : int
-(** The oldest format version this build decodes: v6, the one it
-    writes. *)
+(** The format version this build writes and decodes (v6). *)
 
 type meta = {
   m_app : string;
@@ -65,7 +61,7 @@ type decoded = { meta : meta; events : (int * Event.t) array }
 
 val decode : string -> decoded
 (** Parse a complete log. Raises {!Corrupt} on bad magic, a truncated or
-    garbled record, or a format version outside [[min_version, version]]
+    garbled record, or a format version other than {!version}
     — the error says explicitly whether the log is too old or too new,
     never a misleading field-level decode crash. *)
 

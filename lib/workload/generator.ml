@@ -13,35 +13,22 @@
      read only in phases >= 1, so the write is barrier-ordered before
      every read. *)
 
-type knobs = {
-  nprocs : int * int;
-  phases : int * int;
-  ops_per_phase : int * int;
-  private_words : int * int;
-  readonly_words : int * int;
-  locked_words : int * int;
-  racy_words : int * int;
-  nesting : int * int;
-}
-
-let default_knobs =
-  {
-    nprocs = (2, 4);
-    phases = (1, 3);
-    ops_per_phase = (2, 6);
-    private_words = (2, 4);
-    readonly_words = (1, 2);
-    locked_words = (1, 3);
-    racy_words = (0, 2);
-    nesting = (1, 3);
-  }
+(* Inclusive draw ranges: small enough that a failing program is
+   readable, varied enough to cover the role space. Every program has at
+   least the two processors a racy word needs; nesting bounds the locks
+   held around one locked access. *)
+let nprocs_range = (2, 4)
+let phases_range = (1, 3)  (* barriers per stream *)
+let ops_per_phase_range = (2, 6)  (* per-processor accesses per phase, before sync ops *)
+let private_words_range = (2, 4)
+let readonly_words_range = (1, 2)
+let locked_words_range = (1, 3)
+let racy_words_range = (0, 2)
+let nesting_range = (1, 3)
 
 type generated = { program : Program.t; racy : int list; role : string array }
 
-let range rng (lo, hi) =
-  if hi < lo then invalid_arg "Generator.range: empty range"
-  else if hi = lo then lo
-  else lo + Sim.Rng.int rng (hi - lo + 1)
+let range rng (lo, hi) = lo + Sim.Rng.int rng (hi - lo + 1)
 
 (* [k] distinct draws from [0, n); k <= n *)
 let distinct rng k n =
@@ -56,13 +43,13 @@ type racy_plan = {
   rp_both_write : bool;  (** false: first writes, second reads *)
 }
 
-let generate ?(knobs = default_knobs) ~rng ~name () =
-  let nprocs = range rng knobs.nprocs in
-  let phases = range rng knobs.phases in
-  let n_priv = range rng knobs.private_words in
-  let n_ro = range rng knobs.readonly_words in
-  let n_locked = range rng knobs.locked_words in
-  let n_racy = if nprocs < 2 then 0 else range rng knobs.racy_words in
+let generate ~rng ~name =
+  let nprocs = range rng nprocs_range in
+  let phases = range rng phases_range in
+  let n_priv = range rng private_words_range in
+  let n_ro = range rng readonly_words_range in
+  let n_locked = range rng locked_words_range in
+  let n_racy = range rng racy_words_range in
   (* word layout: [private | readonly | locked | racy]; locked word j
      is protected by lock id j *)
   let priv_base = 0 in
@@ -118,7 +105,7 @@ let generate ?(knobs = default_knobs) ~rng ~name () =
       if n_locked > 0 then
         [
           (fun () ->
-            let depth = min n_locked (range rng knobs.nesting) in
+            let depth = min n_locked (range rng nesting_range) in
             let locks = List.sort compare (distinct rng depth n_locked) in
             List.map (fun l -> Program.Lock l) locks
             @ List.map
@@ -145,7 +132,7 @@ let generate ?(knobs = default_knobs) ~rng ~name () =
             for i = 0 to n_ro - 1 do
               emit (Program.Write (ro_base + i))
             done;
-          let n_ops = range rng knobs.ops_per_phase in
+          let n_ops = range rng ops_per_phase_range in
           for _ = 1 to n_ops do
             List.iter emit (body_op rng p phase)
           done;
@@ -173,9 +160,9 @@ let generate ?(knobs = default_knobs) ~rng ~name () =
     role;
   }
 
-let generate_seeded ?knobs ~seed ~index () =
+let generate_seeded ~seed ~index () =
   (* SplitMix-style mix so nearby (seed, index) pairs land on
      unrelated streams *)
   let mixed = (seed * 0x2545F491) lxor (index * 0x9E3779B9) lxor (index lsl 17) in
   let rng = Sim.Rng.create ~seed:mixed in
-  generate ?knobs ~rng ~name:(Printf.sprintf "gen-%d-%d" seed index) ()
+  generate ~rng ~name:(Printf.sprintf "gen-%d-%d" seed index)

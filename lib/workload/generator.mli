@@ -25,33 +25,16 @@
     The union of racy words is the program's ground truth, which the
     differential harness checks the detector and oracle against. *)
 
-type knobs = {
-  nprocs : int * int;  (** inclusive range; racy programs need >= 2 *)
-  phases : int * int;  (** barrier count per stream *)
-  ops_per_phase : int * int;  (** per-processor accesses per phase, before sync ops *)
-  private_words : int * int;
-  readonly_words : int * int;
-  locked_words : int * int;
-  racy_words : int * int;
-  nesting : int * int;  (** max locks held at once around a locked access *)
-}
-
-val default_knobs : knobs
-(** 2-4 procs, 1-3 phases, 2-6 ops/phase, a few words of each role,
-    nesting up to 3 — small enough that a failing program is readable,
-    varied enough to cover the role space. *)
-
 type generated = {
   program : Program.t;
   racy : int list;  (** sorted ground-truth racy word indices *)
   role : string array;  (** per-word role label, for failure reports *)
 }
 
-val generate : ?knobs:knobs -> rng:Sim.Rng.t -> name:string -> unit -> generated
-(** Draw one program. Deterministic in the rng state. The result is
-    {!Program.validate}d before being returned. *)
-
-val generate_seeded : ?knobs:knobs -> seed:int -> index:int -> unit -> generated
-(** [generate] with an rng derived from [(seed, index)] and the name
+val generate_seeded : seed:int -> index:int -> unit -> generated
+(** Draw one program from an rng derived from [(seed, index)], named
     ["gen-<seed>-<index>"] — the spelling the fuzz CLI and repro docs
-    use, so a failing program is reconstructible from its name. *)
+    use, so a failing program is reconstructible from its name. It has
+    2-4 processors, 1-3 phases, 2-6 accesses per processor per phase, a
+    few words of each role and locks nested up to 3 deep, and is
+    {!Program.validate}d before being returned. *)

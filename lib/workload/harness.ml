@@ -238,13 +238,13 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-let fuzz ?knobs ?(backends = Backends.all) ?(runner = driver_runner) ?repro_dir ~seed ~count
+let fuzz ?(backends = Backends.all) ?(runner = driver_runner) ?repro_dir ~seed ~count
     ~shrink:do_shrink () =
   let events = ref 0 and planted = ref 0 and found = ref 0 in
   let clean = ref 0 and shrink_steps = ref 0 in
   let mismatches = ref [] and repro_files = ref [] in
   for index = 0 to count - 1 do
-    let g = Generator.generate_seeded ?knobs ~seed ~index () in
+    let g = Generator.generate_seeded ~seed ~index () in
     events := !events + Program.size g.Generator.program;
     planted := !planted + List.length g.Generator.racy;
     if g.Generator.racy = [] then incr clean;

@@ -80,7 +80,6 @@ type report = {
 }
 
 val fuzz :
-  ?knobs:Generator.knobs ->
   ?backends:string list ->
   ?runner:runner ->
   ?repro_dir:string ->

@@ -76,6 +76,10 @@ for cmd in run record; do
   check 124 "$cvm" $cmd sor --scale small --gc-epochs=0
   check 124 "$cvm" $cmd sor --scale small --gc-epochs=-1
   check 124 "$cvm" $cmd sor --scale small --max-retries=-1 --drop 0.1
+  # a retry cap with no transport to apply it to
+  check 124 "$cvm" $cmd sor --scale small -p 4 --max-retries 5
+  says "--max-retries"
+  check 124 "$cvm" $cmd fft --scale small -p 4 --backend mesi --max-retries 5
   # a snooping bus has no lossy wire: fault and transport flags are a
   # bad command line there
   check 124 "$cvm" $cmd fft --scale small -p 4 --backend mesi --drop 0.1

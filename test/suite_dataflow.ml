@@ -1,7 +1,8 @@
 (* Tests for the register-transfer IR and the provenance data-flow pass:
    lattice laws, transfer functions, the worklist fixpoint on looping
-   CFGs, redundant-check batching, the lockset lint, and the per-app
-   results the static elimination derives from the synthetic CFGs. *)
+   CFGs, redundant-check batching, the lockset warnings the MHP pairs
+   give, and the per-app results the static elimination derives from
+   the synthetic CFGs. *)
 
 let check = Alcotest.check
 
@@ -204,9 +205,10 @@ let test_private_accesses_not_counted () =
     (find_site "private" accesses).Dataflow.a_batched
 
 (* ------------------------------------------------------------------ *)
-(* The lockset lint                                                    *)
+(* The lockset warnings (Mhp.warnings)                                 *)
 
-let warnings_of proc = Static_analysis.lint (Binary.make ~name:"t" ~procs:[ proc ] [])
+let report_of proc = Mhp.analyze (Binary.make ~name:"t" ~procs:[ proc ] [])
+let warnings_of proc = Mhp.warnings (report_of proc)
 
 let test_lint_flags_unlocked_store () =
   let open Ir in
@@ -223,12 +225,9 @@ let test_lint_flags_unlocked_store () =
   in
   match warnings_of p with
   | [ w ] ->
-      check Alcotest.string "the unlocked side is reported" "racy_store"
-        w.Static_analysis.w_site;
-      check Alcotest.string "against the locked conflict" "locked_store"
-        w.Static_analysis.w_other_site;
-      check (Alcotest.list Alcotest.int) "with its lockset" [ 1 ]
-        w.Static_analysis.w_other_locks
+      check Alcotest.string "the unlocked side is reported" "racy_store" w.Mhp.w_site;
+      check Alcotest.string "against the locked conflict" "locked_store" w.Mhp.w_other_site;
+      check (Alcotest.list Alcotest.int) "with its lockset" [ 1 ] w.Mhp.w_other_locks
   | ws -> Alcotest.fail (Printf.sprintf "expected exactly one warning, got %d" (List.length ws))
 
 let test_lint_barrier_discipline_silent () =
@@ -275,6 +274,68 @@ let test_lint_disjoint_regions_silent () =
       ]
   in
   check Alcotest.int "different regions never pair" 0 (List.length (warnings_of p))
+
+let test_lint_disjoint_footprints_silent () =
+  (* one region, but the unlocked store covers bytes [0, 8) and the
+     locked one [64, 72): no overlap, no pair *)
+  let open Ir in
+  let p =
+    proc ~name:"p" ~entry:"e"
+      [
+        block "e" [ malloc_shared ~dst:0 "acc" ] ~succs:[ "racy"; "locked" ];
+        block "racy" [ store (Reg 0) ~site:"head_store" ] ~succs:[ "tail" ];
+        block "locked"
+          [ acquire 1; store (Reg 0) ~offset:64 ~site:"tail_store"; release 1 ]
+          ~succs:[ "tail" ];
+        block "tail" [ barrier ];
+      ]
+  in
+  check Alcotest.int "disjoint footprints never pair" 0 (List.length (warnings_of p))
+
+let test_lint_unknown_pointer_flagged () =
+  (* register 7 is never defined: its provenance is unknown, so the
+     store may address every shared region *)
+  let open Ir in
+  let p =
+    proc ~name:"p" ~entry:"e"
+      [
+        block "e" [ malloc_shared ~dst:0 "acc" ] ~succs:[ "wild"; "locked" ];
+        block "wild" [ store (Reg 7) ~site:"wild_store" ] ~succs:[ "tail" ];
+        block "locked"
+          [ acquire 1; store (Reg 0) ~site:"locked_store"; release 1 ]
+          ~succs:[ "tail" ];
+        block "tail" [ barrier ];
+      ]
+  in
+  match warnings_of p with
+  | [ w ] ->
+      check Alcotest.string "the unknown-pointer store is reported" "wild_store" w.Mhp.w_site;
+      check Alcotest.string "on the locked side's region" "acc" w.Mhp.w_region;
+      check Alcotest.string "against the locked conflict" "locked_store" w.Mhp.w_other_site
+  | ws -> Alcotest.fail (Printf.sprintf "expected exactly one warning, got %d" (List.length ws))
+
+let test_lint_disjoint_locksets_not_flagged () =
+  (* both sides lock, under different locks: a lock-mismatch pair in
+     the report, but neither side holds an empty lockset *)
+  let open Ir in
+  let p =
+    proc ~name:"p" ~entry:"e"
+      [
+        block "e" [ malloc_shared ~dst:0 "acc" ] ~succs:[ "one"; "two" ];
+        block "one" [ acquire 1; store (Reg 0) ~site:"under_1"; release 1 ] ~succs:[ "tail" ];
+        block "two" [ acquire 2; store (Reg 0) ~site:"under_2"; release 2 ] ~succs:[ "tail" ];
+        block "tail" [ barrier ];
+      ]
+  in
+  let r = report_of p in
+  check Alcotest.bool "the pair is a lock mismatch" true
+    (List.exists
+       (fun q ->
+         q.Mhp.p_severity = Mhp.Mismatch
+         && q.Mhp.p_a.Mhp.s_site = "under_1"
+         && q.Mhp.p_b.Mhp.s_site = "under_2")
+       r.Mhp.pairs);
+  check Alcotest.int "no empty-lockset warning" 0 (List.length (Mhp.warnings r))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-binary invariants (qcheck over random flat+CFG binaries)      *)
@@ -337,7 +398,7 @@ let prop_scale_bounded =
 
 let binary_of name = (Apps.Registry.make ~scale:Apps.Registry.Small name).Apps.App.binary ()
 let analyze_app name = Static_analysis.analyze (binary_of name)
-let lint_app name = Static_analysis.lint (binary_of name)
+let lint_app name = Mhp.warnings (Mhp.analyze (binary_of name))
 
 let test_apps_race_free_lint_clean () =
   List.iter
@@ -346,26 +407,25 @@ let test_apps_race_free_lint_clean () =
       | [] -> ()
       | w :: _ ->
           Alcotest.fail
-            (Format.asprintf "%s should lint clean, got: %a" name Static_analysis.pp_warning w))
+            (Format.asprintf "%s should lint clean, got: %a" name Mhp.pp_warning w))
     [ "sor"; "fft"; "lu" ]
 
 let test_water_bug_flagged () =
   match lint_app "water" with
   | [ w ] ->
-      check Alcotest.string "the racy potential update" "water:pot_racy"
-        w.Static_analysis.w_site;
+      check Alcotest.string "the racy potential update" "water:pot_racy" w.Mhp.w_site;
+      check Alcotest.bool "reported by its load" true (w.Mhp.w_kind = Binary.Load);
       check Alcotest.string "conflicts with the locked version" "water:pot_locked"
-        w.Static_analysis.w_other_site
+        w.Mhp.w_other_site
   | ws ->
       Alcotest.fail (Printf.sprintf "water: expected exactly one warning, got %d" (List.length ws))
 
 let test_tsp_bound_read_flagged () =
   match lint_app "tsp" with
   | [ w ] ->
-      check Alcotest.string "the unsynchronized bound read" "tsp:bound_prune"
-        w.Static_analysis.w_site;
+      check Alcotest.string "the unsynchronized bound read" "tsp:bound_prune" w.Mhp.w_site;
       check Alcotest.string "conflicts with the locked update" "tsp:bound_update"
-        w.Static_analysis.w_other_site
+        w.Mhp.w_other_site
   | ws ->
       Alcotest.fail (Printf.sprintf "tsp: expected exactly one warning, got %d" (List.length ws))
 
@@ -398,7 +458,7 @@ let test_apps_elimination_ordering () =
 
 (* The cost model's input, pinned exactly (%h) on the five applications,
    the nine litmus kernels, and a digest over 200 generated programs
-   (seed 1): moving the lint out of [analyze] must not change it. *)
+   (seed 1), so no change to the static passes moves it unnoticed. *)
 let scale_hex binary = Printf.sprintf "%h" (Static_analysis.analyze binary).check_cost_scale
 
 let test_check_cost_scale_pinned () =
@@ -464,6 +524,12 @@ let suite =
           test_lint_barrier_separates_phases;
         Alcotest.test_case "lint: disjoint regions silent" `Quick
           test_lint_disjoint_regions_silent;
+        Alcotest.test_case "lint: disjoint footprints silent" `Quick
+          test_lint_disjoint_footprints_silent;
+        Alcotest.test_case "lint: unknown pointer flagged" `Quick
+          test_lint_unknown_pointer_flagged;
+        Alcotest.test_case "lint: disjoint locksets not flagged" `Quick
+          test_lint_disjoint_locksets_not_flagged;
         QCheck_alcotest.to_alcotest prop_sites_match_classification;
         QCheck_alcotest.to_alcotest prop_eliminated_fraction_bounded;
         QCheck_alcotest.to_alcotest prop_scale_bounded;

@@ -64,23 +64,6 @@ let test_partition_is_exact () =
         r.Instrument.Mhp.race_free_sites)
     app_names
 
-let test_warnings_coincide_with_lint () =
-  (* on the shipped binaries the MHP lint view reproduces the
-     static_analysis warnings exactly *)
-  List.iter
-    (fun name ->
-      let binary = (app name).Apps.App.binary () in
-      let lint = Instrument.Static_analysis.lint binary in
-      let mhp = Instrument.Mhp.warnings (Instrument.Mhp.analyze binary) in
-      check Alcotest.int (name ^ ": same warning count") (List.length lint) (List.length mhp);
-      List.iter2
-        (fun (a : Instrument.Static_analysis.warning) b ->
-          check Alcotest.string (name ^ ": same site") a.w_site b.Instrument.Static_analysis.w_site;
-          check Alcotest.string (name ^ ": same other site") a.w_other_site b.w_other_site;
-          check Alcotest.string (name ^ ": same region") a.w_region b.w_region)
-        lint mhp)
-    app_names
-
 let test_report_deterministic () =
   List.iter
     (fun name ->
@@ -372,7 +355,6 @@ let suite =
         Alcotest.test_case "app report pins" `Quick test_app_report_pins;
         Alcotest.test_case "known racy pairs flagged" `Quick test_known_racy_pairs_flagged;
         Alcotest.test_case "may-race/race-free partition" `Quick test_partition_is_exact;
-        Alcotest.test_case "warnings coincide with lint" `Quick test_warnings_coincide_with_lint;
         Alcotest.test_case "deterministic" `Quick test_report_deterministic;
         Alcotest.test_case "kernel report pins" `Quick test_kernel_report_pins;
         Alcotest.test_case "precision floors" `Quick test_precision_metric;

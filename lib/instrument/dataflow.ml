@@ -260,7 +260,6 @@ let phases (proc : Ir.proc) =
 (* Per-access results                                                  *)
 
 type access = {
-  a_proc : string;
   a_block : string;
   a_index : int;  (* op index within the block *)
   a_kind : Binary.kind;
@@ -330,7 +329,6 @@ let analyze (proc : Ir.proc) =
                  | _ -> ());
               accesses :=
                 {
-                  a_proc = proc.Ir.proc_name;
                   a_block = blk.Ir.label;
                   a_index = i;
                   a_kind = kind;

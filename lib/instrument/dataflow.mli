@@ -41,7 +41,6 @@ val fixpoint : Ir.proc -> (string, state) Hashtbl.t
     [Invalid_argument] on a malformed CFG. *)
 
 type access = {
-  a_proc : string;
   a_block : string;
   a_index : int;
   a_kind : Binary.kind;

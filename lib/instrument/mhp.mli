@@ -67,8 +67,8 @@ val warnings : report -> warning list
     exactly one side holds no lock (a [Mismatch] pair), reported from
     that side — one per (site, other site, region), with the site's
     load when it has one — sorted by (proc, site, other site, region).
-    A pair whose sides hold disjoint non-empty locksets, and a pair
-    where neither side locks (left to the dynamic detector), is not
+    Neither a pair whose sides hold disjoint non-empty locksets nor a
+    pair where neither side locks (left to the dynamic detector) is
     flagged. *)
 
 val pp_warning : Format.formatter -> warning -> unit

@@ -217,10 +217,11 @@ let run_faults () =
    pressure is part of the record. The measurement itself is
    [Core.Experiments.sweep_point] (self-contained, silent), fanned over
    [--jobs] domains; rendering happens here on the main domain, in
-   submission order. The word counts come from the domain-local
-   [Gc.counters], so under [--jobs > 1] each point is still billed for
-   its own allocation only; the collection counts are program-wide, and
-   wall-clock includes contention. Those are measurement fields, not
+   submission order. The word counts are domain-local (minor words from
+   [Gc.minor_words], promoted and major from [Gc.counters]), so under
+   [--jobs > 1] each point is still billed for its own allocation only;
+   the collection counts are program-wide, and wall-clock includes
+   contention. Those are measurement fields, not
    outcomes: bench/compare.exe treats only the deterministic fields as
    gating. *)
 

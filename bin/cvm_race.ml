@@ -700,9 +700,8 @@ let analyze_command =
     List.iter
       (fun name ->
         let app = Apps.Registry.make ~scale name in
-        let binary = app.Apps.App.binary () in
-        let result = Instrument.Static_analysis.analyze binary in
-        let report = Instrument.Mhp.analyze binary in
+        let result = Instrument.Static_analysis.analyze (app.Apps.App.binary ()) in
+        let report = Instrument.Mhp.of_analysis result in
         let warnings = Instrument.Mhp.warnings report in
         Core.Report.analysis ppf ~name:app.Apps.App.name result ~warnings;
         if warnings <> [] then any_warnings := true;

@@ -14,22 +14,13 @@ type t = {
 
 let pages_needed t ~page_size = ((t.memory_bytes + page_size - 1) / page_size) + 4
 
-(* Shared helpers for the synthetic images: Table-2-style section counts
-   with the usual ~3:1 load:store mix. The library and CVM sections stay
-   flat (classified by origin alone); the application text is a CFG —
-   these ops carry the frame/global-pointer accesses, and each app adds
-   its own computed-address structure on top. *)
+(* Shared helper for the synthetic images: the application text's
+   frame- and global-pointer accesses, with the usual ~3:1 load:store
+   mix. The image counts its library and CVM accesses (origin alone
+   eliminates them); each app adds its own computed-address structure
+   on top of these ops. *)
 
 let split n = (n * 3 / 4, n - (n * 3 / 4))
-
-let runtime_sections ~name ~library_name ~library ~cvm =
-  let lib_loads, lib_stores = split library in
-  let cvm_loads, cvm_stores = split cvm in
-  Instrument.Binary.section
-    ~origin:(Instrument.Binary.Library library_name)
-    ~prefix:(name ^ ".lib") ~loads:lib_loads ~stores:lib_stores
-  @ Instrument.Binary.section ~origin:Instrument.Binary.Cvm_runtime ~prefix:(name ^ ".cvm")
-      ~loads:cvm_loads ~stores:cvm_stores
 
 let fp_gp_ops ~name ~stack ~static_data =
   let stack_loads, stack_stores = split stack in

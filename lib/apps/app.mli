@@ -14,11 +14,6 @@ type t = {
 
 val pages_needed : t -> page_size:int -> int
 
-val runtime_sections :
-  name:string -> library_name:string -> library:int -> cvm:int -> Instrument.Binary.instruction list
-(** Flat library and CVM-runtime sections with the usual ~3:1
-    load:store mix. *)
-
 val fp_gp_ops : name:string -> stack:int -> static_data:int -> Instrument.Ir.op list
 (** Frame-pointer and global-pointer accesses for an application-text
-    CFG, again split ~3:1. *)
+    CFG, split ~3:1 between loads and stores. *)

@@ -32,7 +32,7 @@ let total { n1; n2; n3 } = n1 * n2 * n3
 let memory_bytes params = 2 * 2 * total params * 8 (* data + transpose buffer *)
 
 let binary () =
-  (* Synthetic image with the paper's FFT section counts (Table 2). The
+  (* Synthetic image with the paper's FFT counts (Table 2). The
      CFG mirrors the ping-pong structure of the body: each phase reads
      one shared grid and writes the other (never both), with the
      butterflies running in a private workspace — those computed
@@ -96,9 +96,9 @@ let binary () =
         barrier;
       ]
   in
-  Instrument.Binary.make ~name:"fft"
+  Instrument.Binary.make ~name:"fft" ~library:124716 ~cvm:3910
     ~procs:[ proc ~name:"fft_main" ~entry:"entry" [ entry; init; phase1; phase2; check ] ]
-    (App.runtime_sections ~name:"fft" ~library_name:"libm" ~library:124716 ~cvm:3910)
+    ()
 
 (* Deterministic pseudo-random input: a pure function of the flat index,
    so any processor can validate any element without communication. *)

@@ -37,7 +37,7 @@ let reference { n } =
 let memory_bytes { n } = n * n * 8
 
 let binary () =
-  (* No Table 2 row exists for LU; SOR-like section magnitudes. The CFG
+  (* No Table 2 row exists for LU; SOR-like magnitudes. The CFG
      mirrors the body: multiplier computation in the pivot column, a
      barrier, then the rank-1 update of the trailing columns with a
      private workspace for the multiplier row. *)
@@ -76,9 +76,9 @@ let binary () =
       ~succs:[ "factor"; "check" ]
   in
   let check = block "check" [ load (Reg matrix) ~stride:page ~count:20 ~site:"lu:check" ] in
-  Instrument.Binary.make ~name:"lu"
+  Instrument.Binary.make ~name:"lu" ~library:52000 ~cvm:3910
     ~procs:[ proc ~name:"lu_main" ~entry:"entry" [ entry; init; factor; update; check ] ]
-    (App.runtime_sections ~name:"lu" ~library_name:"libm" ~library:52000 ~cvm:3910)
+    ()
 
 let body ({ n } as params) node =
   let open Lrc.Dsm in

@@ -48,7 +48,7 @@ let reference { rows; cols; iters } =
 let memory_bytes { rows; cols; _ } = 2 * rows * cols * 8
 
 let binary () =
-  (* Synthetic image with the paper's SOR section counts (Table 2). The
+  (* Synthetic image with the paper's SOR counts (Table 2). The
      application text is a CFG mirroring the body below: two dsm_malloc
      grids, a private scratch row, an init phase, the sweep loop (reads
      of the four neighbours from the current grid, write to the next)
@@ -97,9 +97,9 @@ let binary () =
   let check =
     block "check" [ load (Reg grid0) ~stride:page ~count:10 ~site:"sor:check"; barrier ]
   in
-  Instrument.Binary.make ~name:"sor"
+  Instrument.Binary.make ~name:"sor" ~library:48717 ~cvm:3910
     ~procs:[ proc ~name:"sor_main" ~entry:"entry" [ entry; init; sweep; check ] ]
-    (App.runtime_sections ~name:"sor" ~library_name:"libc" ~library:48717 ~cvm:3910)
+    ()
 
 let band ~rows ~nprocs ~pid =
   (* contiguous rows [lo, hi) owned by processor [pid] *)

@@ -151,7 +151,7 @@ let memory_bytes { ncities; _ } =
   (ncities * ncities * 8) + (queue_capacity * (ncities + 2) * 8) + 64
 
 let binary () =
-  (* Synthetic image with the paper's TSP section counts (Table 2). The
+  (* Synthetic image with the paper's TSP counts (Table 2). The
      CFG mirrors the worker loop below: pop under the queue lock, expand
      against the read-only matrix, push children under the queue lock,
      prune against an UNLOCKED read of the global bound, and update the
@@ -236,10 +236,10 @@ let binary () =
   let done_ =
     block "done" [ barrier; load (Reg bound) ~count:10 ~site:"tsp:report" ]
   in
-  Instrument.Binary.make ~name:"tsp"
+  Instrument.Binary.make ~name:"tsp" ~library:48717 ~cvm:3910
     ~procs:
       [ proc ~name:"tsp_main" ~entry:"entry" [ entry; init; loop; expand; prune; update; done_ ] ]
-    (App.runtime_sections ~name:"tsp" ~library_name:"libc" ~library:48717 ~cvm:3910)
+    ()
 
 type layout = {
   matrix : int;  (* ncities^2 ints *)

@@ -120,7 +120,7 @@ let reference { nmols; steps; _ } =
 let memory_bytes { nmols; _ } = (nmols * mol_words * 8) + 64
 
 let binary () =
-  (* Synthetic image with the paper's Water section counts (Table 2). The
+  (* Synthetic image with the paper's Water counts (Table 2). The
      CFG mirrors one timestep of the body: clear, pairwise interactions
      into a private accumulator, the merge under group locks, the
      potential-energy update — racy arm (no lock, the seeded Splash2
@@ -221,7 +221,7 @@ let binary () =
         load (Reg pot) ~stride:8 ~count:2 ~site:"water:check_pot";
       ]
   in
-  Instrument.Binary.make ~name:"water"
+  Instrument.Binary.make ~name:"water" ~library:124716 ~cvm:3910
     ~procs:
       [
         proc ~name:"water_main" ~entry:"entry"
@@ -229,7 +229,7 @@ let binary () =
             entry; init; clear; compute; merge; pot_racy; pot_locked; phase_end; integrate; check;
           ];
       ]
-    (App.runtime_sections ~name:"water" ~library_name:"libm" ~library:124716 ~cvm:3910)
+    ()
 
 (* Struct offsets, in words from the start of a molecule record. *)
 let off_pos s axis = (s * 3) + axis

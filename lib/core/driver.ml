@@ -18,16 +18,19 @@ type outcome = {
 
 let run ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ?(watch_addrs = [])
     ~(app : Apps.App.t) ~nprocs () =
-  (* [Some []] means "derive the elision set": the statically race-free
-     sites of the app's binary per the MHP analysis. Recomputed here
-     (deterministically) rather than stored, so record and replay agree. *)
+  (* One static pass serves both uses below, and runs only if one needs
+     it. [Some []] means "derive the elision set": the statically
+     race-free sites of the app's binary per the MHP analysis.
+     Recomputed here (deterministically) rather than stored, so record
+     and replay agree. *)
+  let analysis = lazy (Instrument.Static_analysis.analyze (app.Apps.App.binary ())) in
   let cfg =
     match cfg.Coherence.Config.elide_sites with
     | Some [] ->
+        let report = Instrument.Mhp.of_analysis (Lazy.force analysis) in
         {
           cfg with
-          Coherence.Config.elide_sites =
-            Some (Instrument.Mhp.race_free_sites (app.Apps.App.binary ()));
+          Coherence.Config.elide_sites = Some report.Instrument.Mhp.race_free_sites;
         }
     | _ -> cfg
   in
@@ -35,15 +38,13 @@ let run ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ?(watch_add
      the average per-access discrimination charge (section 5.1): scale
      the access-check cost by the fraction the analysis could not batch. *)
   let cost =
-    if cfg.Coherence.Config.detect then begin
-      let analysis = Instrument.Static_analysis.analyze (app.Apps.App.binary ()) in
+    if cfg.Coherence.Config.detect then
       {
         cost with
         Sim.Cost.access_check_ns =
           cost.Sim.Cost.access_check_ns
-          *. analysis.Instrument.Static_analysis.check_cost_scale;
+          *. (Lazy.force analysis).Instrument.Static_analysis.check_cost_scale;
       }
-    end
     else cost
   in
   let pages = Apps.App.pages_needed app ~page_size:cost.Sim.Cost.page_size in

@@ -402,13 +402,16 @@ let site_retention_ablation_all ?(scale = Apps.Registry.Paper) ?(jobs = 1) names
 (* ------------------------------------------------------------------ *)
 (* The benchmark harness's machine-readable sweep point: one simulated
    run per (app, nprocs, detect, elide) tuple, timed and bracketed by GC
-   counters so allocation pressure is part of the record. Words come
-   from [Gc.counters], which counts only the calling domain, so a point
-   measured beside concurrent tasks is billed for its own
-   allocation alone. Collection counts come from [Gc.quick_stat] and are
-   program-wide: in OCaml 5 every collection stops all domains. [clock]
-   defaults to wall time; the bench harness passes its monotonic
-   clock. *)
+   counters so allocation pressure is part of the record. Every word
+   count is the calling domain's own, so a point measured beside
+   concurrent tasks is billed for its own allocation alone. Minor words
+   come from [Gc.minor_words], which also counts the live part of the
+   minor heap: [Gc.counters]' minor figure moves with how many minor
+   collections fall inside the point. Promoted and major words come
+   from [Gc.counters]. Collection counts come from [Gc.quick_stat] and
+   are program-wide: in OCaml 5 every collection stops all domains.
+   [clock] defaults to wall time; the bench harness passes its
+   monotonic clock. *)
 
 type sweep_point = {
   sp_app : string;  (* lowercase *)
@@ -444,11 +447,13 @@ let sweep_point ~clock ~scale (name, nprocs, detect, elide, backend) =
      the next entry's collector *)
   Gc.full_major ();
   let g0 = Gc.quick_stat () in
-  let minor0, promoted0, major0 = Gc.counters () in
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
   let t0 = clock () in
   let outcome = Driver.run ~cfg ~app ~nprocs () in
   let t1 = clock () in
-  let minor1, promoted1, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
   let g1 = Gc.quick_stat () in
   {
     sp_app = String.lowercase_ascii name;

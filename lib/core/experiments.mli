@@ -188,7 +188,8 @@ val sweep_points :
     backend)] tuple, one task per point, in input order: a full
     simulated run after a [Gc.full_major], timed with [clock] (default
     wall time; the bench harness passes its monotonic clock). The word
-    counts are deltas of [Gc.counters], which counts only the domain
-    running the point, so they stay the point's own when it runs beside
-    other tasks. The collection counts are deltas of [Gc.quick_stat]
-    and are program-wide. *)
+    counts are the running domain's own, so they stay the point's own
+    when it runs beside other tasks: minor words are a delta of
+    [Gc.minor_words], which is exact, and promoted and major words are
+    deltas of [Gc.counters]. The collection counts are deltas of
+    [Gc.quick_stat] and are program-wide. *)

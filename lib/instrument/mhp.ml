@@ -1,10 +1,12 @@
 (* May-happen-in-parallel analysis over the Dataflow fixpoint: the one
-   static race analysis. It answers the whole-program question: which
-   *pairs* of static accesses may execute in parallel on overlapping
-   shared data without a common ordering lock? The model is the SPMD
-   discipline of the paper's applications — every processor runs the
-   same CFG, so an access pair (including a store paired with itself)
-   may run concurrently on two processors whenever:
+   static race analysis. It reads the accesses Static_analysis keeps per
+   procedure, so one fixpoint serves both passes. It answers the
+   whole-program question: which *pairs* of static accesses may execute
+   in parallel on overlapping shared data without a common ordering
+   lock? The model is the SPMD discipline of the paper's applications —
+   every processor runs the same CFG, so an access pair (including a
+   store paired with itself) may run concurrently on two processors
+   whenever:
 
    - both accesses are shared (computed addresses the provenance pass
      could not prove private), and
@@ -136,17 +138,15 @@ let pair_order p q =
       side_key q.p_b,
       q.p_phases )
 
-let analyze (binary : Binary.t) =
+let of_analysis (analysis : Static_analysis.result) =
   let by_key : (string * string * string * int * string * int, pair) Hashtbl.t =
     Hashtbl.create 64
   in
   let participating : (string, unit) Hashtbl.t = Hashtbl.create 32 in
   let shared : (string, unit) Hashtbl.t = Hashtbl.create 32 in
   List.iter
-    (fun proc ->
-      let accesses =
-        Dataflow.analyze proc |> List.filter is_shared |> Array.of_list
-      in
+    (fun (proc_name, accesses) ->
+      let accesses = accesses |> List.filter is_shared |> Array.of_list in
       Array.iter (fun (a : Dataflow.access) -> Hashtbl.replace shared a.Dataflow.a_site ()) accesses;
       let n = Array.length accesses in
       for i = 0 to n - 1 do
@@ -161,7 +161,7 @@ let analyze (binary : Binary.t) =
                 let sa, sb = if side_key sa <= side_key sb then (sa, sb) else (sb, sa) in
                 let p =
                   {
-                    p_proc = proc.Ir.proc_name;
+                    p_proc = proc_name;
                     p_severity = severity_of a b;
                     p_region = region;
                     p_phases =
@@ -189,7 +189,7 @@ let analyze (binary : Binary.t) =
               (common_regions a b)
         done
       done)
-    binary.Binary.procs;
+    analysis.Static_analysis.accesses;
   let pairs = Hashtbl.fold (fun _ p acc -> p :: acc) by_key [] |> List.sort pair_order in
   let may_race_sites =
     Hashtbl.fold (fun site () acc -> site :: acc) participating [] |> List.sort compare
@@ -206,6 +206,7 @@ let analyze (binary : Binary.t) =
   in
   { pairs; may_race_sites; race_free_sites; shared_sites }
 
+let analyze binary = of_analysis (Static_analysis.analyze binary)
 let race_free_sites binary = (analyze binary).race_free_sites
 
 let covers report ~site_a ~site_b =

@@ -13,7 +13,9 @@
     instrumented shared sites is the statically race-free set whose
     runtime checks instrumentation elision may skip, and its
     lock-mismatch pairs give the {!warnings} `cvm_race analyze`
-    prints. *)
+    prints. It pairs the {!Dataflow} accesses that
+    {!Static_analysis.analyze} keeps, so one fixpoint per procedure
+    serves both passes. *)
 
 type severity =
   | Mismatch  (** one side is lock-disciplined, the other is not (or the locks are disjoint) *)
@@ -39,9 +41,12 @@ type report = {
 
 val severity_name : severity -> string
 
+val of_analysis : Static_analysis.result -> report
+(** Pair up the shared accesses the elimination pass kept for each
+    procedure. Deterministic for a given binary. *)
+
 val analyze : Binary.t -> report
-(** Run {!Dataflow.analyze} over every procedure and pair up the shared
-    accesses. Deterministic for a given binary. *)
+(** [of_analysis (Static_analysis.analyze binary)]. *)
 
 val race_free_sites : Binary.t -> string list
 (** Shared sites the analysis proves race-free (no pair membership). *)

@@ -10,6 +10,10 @@
    - the data-flow analysis over the procedure's CFG ({!Dataflow}) proves
      the computed address can only reach private data.
 
+   Origin alone settles the library and runtime cases, so the image
+   only counts those accesses and the pass starts from the two counts;
+   the application text is classified access by access.
+
    Everything else is instrumented: ATOM inserts a procedure call to the
    analysis routine before it. A by-product of the same fixpoint is
    redundant-check batching: an access dominated in its block by a prior
@@ -17,8 +21,8 @@
    pays only [batched_check_cost] of the full discrimination charge
    ({!check_cost_scale} feeds the driver's cost model).
 
-   Static race suspicion is not this pass's business: {!Mhp} pairs the
-   same fixpoint's accesses. *)
+   Static race suspicion is not this pass's business: the result keeps
+   each procedure's accesses, and {!Mhp.of_analysis} pairs them. *)
 
 type classification = {
   stack : int;
@@ -29,29 +33,17 @@ type classification = {
   instrumented : int;
 }
 
-let empty =
-  { stack = 0; static_data = 0; proven_private = 0; library = 0; cvm = 0; instrumented = 0 }
-
 type result = {
   classification : classification;
   sites : string list;  (* surviving (instrumented) sites, program order *)
   batched_checks : int;  (* checks eliminated by in-block batching *)
   check_cost_scale : float;  (* average per-check charge relative to full *)
+  accesses : (string * Dataflow.access list) list;  (* per procedure, for Mhp *)
 }
 
 let batched_check_cost = 0.25
 (* a batched access still sets its bitmap bit but skips the page lookup;
    calibrated share of the full 200 ns discrimination *)
-
-(* Flat section instructions carry no CFG, so a computed access there
-   can never be proven private. *)
-let classify_section_instruction (i : Binary.instruction) =
-  match (i.origin, i.addressing) with
-  | Binary.Library _, _ -> `Library
-  | Binary.Cvm_runtime, _ -> `Cvm
-  | Binary.App_text, Binary.Frame_pointer -> `Stack
-  | Binary.App_text, Binary.Global_pointer -> `Static
-  | Binary.App_text, Binary.Computed -> `Instrumented
 
 let classify_access (a : Dataflow.access) =
   match a.Dataflow.a_base with
@@ -63,39 +55,45 @@ let bump c n = function
   | `Stack -> { c with stack = c.stack + n }
   | `Static -> { c with static_data = c.static_data + n }
   | `Proven_private -> { c with proven_private = c.proven_private + n }
-  | `Library -> { c with library = c.library + n }
-  | `Cvm -> { c with cvm = c.cvm + n }
   | `Instrumented -> { c with instrumented = c.instrumented + n }
 
 (* ------------------------------------------------------------------ *)
 (* Whole-binary analysis                                               *)
 
 let analyze (binary : Binary.t) =
-  let c = ref empty in
+  let c =
+    ref
+      {
+        stack = 0;
+        static_data = 0;
+        proven_private = 0;
+        library = binary.Binary.library;
+        cvm = binary.Binary.cvm;
+        instrumented = 0;
+      }
+  in
   let sites = ref [] in
-  List.iter
-    (fun (i : Binary.instruction) ->
-      let bucket = classify_section_instruction i in
-      c := bump !c 1 bucket;
-      if bucket = `Instrumented then sites := i.Binary.site :: !sites)
-    binary.Binary.sections;
   let batched = ref 0 in
-  List.iter
-    (fun proc ->
-      List.iter
-        (fun (a : Dataflow.access) ->
-          let bucket = classify_access a in
-          c := bump !c a.Dataflow.a_count bucket;
-          if bucket = `Instrumented then begin
-            batched := !batched + a.Dataflow.a_batched;
-            if a.Dataflow.a_count = 1 then sites := a.Dataflow.a_site :: !sites
-            else
-              for k = a.Dataflow.a_count - 1 downto 0 do
-                sites := Printf.sprintf "%s#%d" a.Dataflow.a_site k :: !sites
-              done
-          end)
-        (Dataflow.analyze proc))
-    binary.Binary.procs;
+  let accesses =
+    List.map
+      (fun (proc : Ir.proc) ->
+        let accesses = Dataflow.analyze proc in
+        List.iter
+          (fun (a : Dataflow.access) ->
+            let bucket = classify_access a in
+            c := bump !c a.Dataflow.a_count bucket;
+            if bucket = `Instrumented then begin
+              batched := !batched + a.Dataflow.a_batched;
+              if a.Dataflow.a_count = 1 then sites := a.Dataflow.a_site :: !sites
+              else
+                for k = a.Dataflow.a_count - 1 downto 0 do
+                  sites := Printf.sprintf "%s#%d" a.Dataflow.a_site k :: !sites
+                done
+            end)
+          accesses;
+        (proc.Ir.proc_name, accesses))
+      binary.Binary.procs
+  in
   let classification = !c in
   let scale =
     if classification.instrumented = 0 then 1.0
@@ -104,7 +102,13 @@ let analyze (binary : Binary.t) =
       let b = float_of_int !batched in
       ((inst -. b) +. (b *. batched_check_cost)) /. inst
   in
-  { classification; sites = List.rev !sites; batched_checks = !batched; check_cost_scale = scale }
+  {
+    classification;
+    sites = List.rev !sites;
+    batched_checks = !batched;
+    check_cost_scale = scale;
+    accesses;
+  }
 
 let classify binary = (analyze binary).classification
 

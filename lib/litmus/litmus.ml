@@ -306,7 +306,7 @@ let kernel_binary name ops =
         proc ~name ~entry:"entry"
           [ block "entry" (malloc_shared ~dst:0 ("kernel:" ^ name) :: ops) ];
       ]
-    []
+    ()
 
 let expect node what got want =
   if got <> want then
@@ -499,7 +499,7 @@ let lock_handoff_chain =
                   block "after" [ barrier; load ~site:"lhc:check" (Reg 0); barrier ];
                 ];
             ]
-          []);
+          ());
   }
 
 let lock_chained_publish =

@@ -76,14 +76,6 @@ let inter_indices a b =
   done;
   !hits
 
-let inter a b =
-  same_length a b;
-  let out = create a.nbits in
-  for i = 0 to Array.length a.words - 1 do
-    Array.unsafe_set out.words i (Array.unsafe_get a.words i land Array.unsafe_get b.words i)
-  done;
-  out
-
 let union_into ~dst src =
   same_length dst src;
   for i = 0 to Array.length dst.words - 1 do
@@ -108,6 +100,3 @@ let set_indices t =
     end
   done;
   !hits
-
-let pp ppf t =
-  Format.fprintf ppf "{%s}" (String.concat "," (List.map string_of_int (set_indices t)))

@@ -24,14 +24,9 @@ val intersects : t -> t -> bool
 val inter_indices : t -> t -> int list
 (** Indices set in both bitmaps, ascending — the racy words. *)
 
-val inter : t -> t -> t
-(** Fresh bitmap with the bits set in both. *)
-
 val union_into : dst:t -> t -> unit
 val set_indices : t -> int list
 val copy : t -> t
 
 val size_bytes : t -> int
 (** Wire size when shipped to the barrier master. *)
-
-val pp : Format.formatter -> t -> unit

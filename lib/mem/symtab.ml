@@ -38,10 +38,3 @@ let name_of t addr =
       else if e.bytes > 8 && offset mod 8 = 0 then
         Printf.sprintf "%s[%d]" e.name (offset / 8)
       else Printf.sprintf "%s+%d" e.name offset
-
-let entries t = t.entries
-
-let pp ppf t =
-  List.iter
-    (fun e -> Format.fprintf ppf "0x%08x %6d %s@." e.base e.bytes e.name)
-    t.entries

@@ -7,17 +7,10 @@
 
 type t
 
-type entry = { name : string; base : int; bytes : int }
-
 val create : unit -> t
 
 val register : t -> name:string -> base:int -> bytes:int -> unit
 (** Raises [Invalid_argument] if the range overlaps a registered symbol. *)
 
-val resolve : t -> int -> entry option
-
 val name_of : t -> int -> string
 (** ["counter"], ["grid[512]"], ["x+4"], or the hex address when unknown. *)
-
-val entries : t -> entry list
-val pp : Format.formatter -> t -> unit

@@ -81,8 +81,3 @@ let read_notice_bytes t = 4 * List.length t.read_pages
 
 let compare_ids a b =
   match Int.compare a.proc b.proc with 0 -> Int.compare a.index b.index | c -> c
-
-let pp ppf t =
-  Format.fprintf ppf "s_%d^%d(e%d w:[%s] r:[%s])" t.id.proc t.id.index t.epoch
-    (String.concat ";" (List.map string_of_int t.write_pages))
-    (String.concat ";" (List.map string_of_int t.read_pages))

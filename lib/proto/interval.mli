@@ -47,4 +47,3 @@ val read_notice_bytes : t -> int
 val compare_ids : id -> id -> int
 
 val pp_id : Format.formatter -> id -> unit
-val pp : Format.formatter -> t -> unit

@@ -6,8 +6,6 @@ type t = int array
 
 let create nprocs = Array.make nprocs 0
 
-let size = Array.length
-
 let copy = Array.copy
 
 let get t p = t.(p)

@@ -10,7 +10,6 @@ type t = int array
 val create : int -> t
 (** All-zero clock for [nprocs] processors. *)
 
-val size : t -> int
 val copy : t -> t
 val get : t -> int -> int
 val set : t -> int -> int -> unit

@@ -179,8 +179,6 @@ let wire_receive t ~src ~dst frame =
 
 (* Introspection (watchdog diagnosis and tests). *)
 
-let unacked t ~src ~dst = Queue.length t.senders.(link t ~src ~dst).unacked
-
 let failed_links t =
   let acc = ref [] in
   for src = t.nodes - 1 downto 0 do

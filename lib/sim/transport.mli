@@ -54,9 +54,6 @@ val wire_receive : 'a t -> src:int -> dst:int -> 'a frame -> unit
 val frame_bytes : payload_bytes:('a -> int) -> 'a frame -> int
 (** Wire size of a frame: payload plus transport header, or the ack size. *)
 
-val unacked : 'a t -> src:int -> dst:int -> int
-(** Frames sent on (src, dst) and not yet cumulatively acknowledged. *)
-
 val failed_links : 'a t -> (int * int) list
 (** Links that exhausted the retry cap and were abandoned. *)
 

@@ -13,7 +13,6 @@
 
 let magic = "CVMT"
 let version = 6
-let min_version = 6
 
 type meta = {
   m_app : string;
@@ -540,11 +539,11 @@ let decode s =
       "trace log format v%d is newer than this build supports (max v%d) — replay it with \
        the build that recorded it, or re-record"
       log_version version;
-  if log_version < min_version then
+  if log_version < version then
     fail
       "trace log format v%d is older than the minimum this build supports (v%d) — replay \
        it with the build that recorded it"
-      log_version min_version;
+      log_version version;
   let c = { src = s; pos = 5 } in
   let meta = get_meta c in
   let events = ref [] in

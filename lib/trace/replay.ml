@@ -107,8 +107,6 @@ let finish t =
         diverge t ~time:exp_time ~expected:(Some t.log.(t.next)) ~actual:None);
   t.divergence
 
-let matched t = t.next
-
 let pp_stream_item ppf = function
   | Some (time, event) -> Format.fprintf ppf "%a @@ %d ns" Event.pp event time
   | None -> Format.pp_print_string ppf "(end of stream)"

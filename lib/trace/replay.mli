@@ -34,9 +34,6 @@ val finish : verifier -> divergence option
 (** Declare the live stream over: recorded events not yet matched become
     a divergence with [d_actual = None]. Returns the final verdict. *)
 
-val matched : verifier -> int
-(** Events matched so far. *)
-
 (** {2 Log-only reconstruction} *)
 
 val races_of_log : Codec.decoded -> Proto.Race.t list

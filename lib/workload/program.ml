@@ -149,7 +149,7 @@ let binary t =
         proc ~name:t.name ~entry:"entry"
           [ block "entry" (malloc_shared ~dst:0 (t.name ^ ".mem") :: ops) ];
       ]
-    []
+    ()
 
 (* ------------------------------------------------------------------ *)
 

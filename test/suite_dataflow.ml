@@ -207,7 +207,7 @@ let test_private_accesses_not_counted () =
 (* ------------------------------------------------------------------ *)
 (* The lockset warnings (Mhp.warnings)                                 *)
 
-let report_of proc = Mhp.analyze (Binary.make ~name:"t" ~procs:[ proc ] [])
+let report_of proc = Mhp.analyze (Binary.make ~name:"t" ~procs:[ proc ] ())
 let warnings_of proc = Mhp.warnings (report_of proc)
 
 let test_lint_flags_unlocked_store () =
@@ -338,7 +338,7 @@ let test_lint_disjoint_locksets_not_flagged () =
   check Alcotest.int "no empty-lockset warning" 0 (List.length (Mhp.warnings r))
 
 (* ------------------------------------------------------------------ *)
-(* Whole-binary invariants (qcheck over random flat+CFG binaries)      *)
+(* Whole-binary invariants (qcheck over random binaries)              *)
 
 let gen_binary =
   let open QCheck.Gen in
@@ -363,9 +363,7 @@ let gen_binary =
             block "x" [ barrier ];
           ]
       in
-      Binary.make ~name:"rand" ~procs:[ p ]
-        (Binary.section ~origin:(Binary.Library "libc") ~prefix:"lib" ~loads:lib ~stores:0
-        @ Binary.section ~origin:Binary.Cvm_runtime ~prefix:"cvm" ~loads:cvm ~stores:0))
+      Binary.make ~name:"rand" ~library:lib ~cvm ~procs:[ p ] ())
     (pair
        (quad (int_range 0 40) (int_range 0 40) (int_range 0 200) (int_range 0 50))
        (quad (int_range 1 60) (int_range 0 30) (oneofl [ 8; 64; 4096 ]) bool))

@@ -3,28 +3,30 @@
 
 let check = Alcotest.check
 
-let instruction ?(kind = Instrument.Binary.Load) addressing origin =
-  { Instrument.Binary.kind; addressing; origin; site = "s" }
+(* A one-block procedure over [ops]. *)
+let proc_of ops = Instrument.Ir.(proc ~name:"p" ~entry:"b" [ block "b" ops ])
 
 let test_classification_rules () =
   let open Instrument in
-  let binary =
-    Binary.make ~name:"t"
-      [
-        instruction Binary.Frame_pointer Binary.App_text;
-        instruction Binary.Global_pointer Binary.App_text;
-        instruction Binary.Computed (Binary.Library "libc");
-        instruction Binary.Computed Binary.Cvm_runtime;
-        instruction Binary.Computed Binary.App_text;
-        instruction ~kind:Binary.Store Binary.Computed Binary.App_text;
-      ]
+  (* register 9 is never defined, so its accesses stay instrumented *)
+  let p =
+    proc_of
+      Ir.
+        [
+          load (Fp 0) ~site:"stack";
+          load (Gp "data") ~site:"static";
+          load (Reg 9) ~site:"computed_ld";
+          store (Reg 9) ~site:"computed_st";
+        ]
   in
+  let binary = Binary.make ~name:"t" ~library:1 ~cvm:1 ~procs:[ p ] () in
   let c = Static_analysis.classify binary in
   check Alcotest.int "stack" 1 c.Static_analysis.stack;
   check Alcotest.int "static" 1 c.Static_analysis.static_data;
   check Alcotest.int "library" 1 c.Static_analysis.library;
   check Alcotest.int "cvm" 1 c.Static_analysis.cvm;
-  check Alcotest.int "instrumented (flat computed accesses stay)" 2 c.Static_analysis.instrumented;
+  check Alcotest.int "instrumented (unknown computed accesses stay)" 2
+    c.Static_analysis.instrumented;
   check Alcotest.int "total" 6 (Static_analysis.total c)
 
 let test_proven_private_from_cfg () =
@@ -44,18 +46,15 @@ let test_proven_private_from_cfg () =
             ];
         ])
   in
-  let c = Static_analysis.classify (Binary.make ~name:"t" ~procs:[ p ] []) in
+  let c = Static_analysis.classify (Binary.make ~name:"t" ~procs:[ p ] ()) in
   check Alcotest.int "proven private" 1 c.Static_analysis.proven_private;
   check Alcotest.int "instrumented" 1 c.Static_analysis.instrumented;
   check Alcotest.int "stack" 0 c.Static_analysis.stack
 
 let test_library_always_eliminated () =
-  (* even a frame-pointer access inside a library counts as library *)
+  (* library accesses count as library by origin alone, never as stack *)
   let open Instrument in
-  let binary =
-    Binary.make ~name:"t" [ instruction Binary.Frame_pointer (Binary.Library "libm") ]
-  in
-  let c = Static_analysis.classify binary in
+  let c = Static_analysis.classify (Binary.make ~name:"t" ~library:1 ()) in
   check Alcotest.int "library" 1 c.Static_analysis.library;
   check Alcotest.int "stack" 0 c.Static_analysis.stack
 
@@ -99,16 +98,23 @@ let test_paper_binary_counts () =
 
 let test_instrumented_sites () =
   let open Instrument in
-  let binary =
-    Binary.make ~name:"t"
-      [
-        { Binary.kind = Binary.Load; addressing = Binary.Computed; origin = Binary.App_text;
-          site = "hot" };
-        instruction Binary.Frame_pointer Binary.App_text;
-      ]
-  in
+  let p = proc_of Ir.[ load (Reg 9) ~site:"hot"; load (Fp 0) ~site:"stack" ] in
   check (Alcotest.list Alcotest.string) "sites" [ "hot" ]
-    (Static_analysis.instrumented_sites binary)
+    (Static_analysis.instrumented_sites (Binary.make ~name:"t" ~procs:[ p ] ()))
+
+(* The image counts its library and CVM accesses, so building one
+   allocates a few hundred words whatever those counts are. *)
+let test_binary_build_allocation () =
+  List.iter
+    (fun name ->
+      let app = Apps.Registry.make name in
+      let w0 = Gc.minor_words () in
+      let binary = app.Apps.App.binary () in
+      let words = Gc.minor_words () -. w0 in
+      ignore (Sys.opaque_identity binary);
+      if words >= 10_000.0 then
+        Alcotest.fail (Printf.sprintf "%s: binary () allocated %.0f minor words" name words))
+    Apps.Registry.extended_names
 
 let test_watch () =
   let watch = Instrument.Watch.create ~addrs:[ 100; 200 ] in
@@ -140,6 +146,8 @@ let suite =
         Alcotest.test_case ">99% eliminated" `Quick test_paper_binaries_over_99_percent;
         Alcotest.test_case "table 2 counts" `Quick test_paper_binary_counts;
         Alcotest.test_case "instrumented sites" `Quick test_instrumented_sites;
+        Alcotest.test_case "binary build allocates under 10k words" `Quick
+          test_binary_build_allocation;
         Alcotest.test_case "watch list" `Quick test_watch;
       ] );
   ]

@@ -249,7 +249,7 @@ let binary_of_fops fops =
         proc ~name:"fuzz" ~entry:"entry"
           [ block "entry" (malloc_shared ~dst:0 "fuzz.region" :: ops) ];
       ]
-    []
+    ()
 
 (* Enumerate every interleaving of two processors running [fops] (locks
    exclusive, barriers joint) and collect the union of the oracle's racy

@@ -221,9 +221,8 @@ let run_faults () =
    [Gc.minor_words], promoted and major from [Gc.counters]), so under
    [--jobs > 1] each point is still billed for its own allocation only;
    the collection counts are program-wide, and wall-clock includes
-   contention. Those are measurement fields, not
-   outcomes: bench/compare.exe treats only the deterministic fields as
-   gating. *)
+   contention. Those are measurement fields, not outcomes:
+   bench/compare.exe treats only the deterministic fields as gating. *)
 
 let sweep_entries : Bench_json.t list ref = ref []
 

@@ -67,14 +67,14 @@ let micro_tests () =
   let bitmap_a = Mem.Bitmap.create words and bitmap_b = Mem.Bitmap.create words in
   List.iter (fun i -> Mem.Bitmap.set bitmap_a ((i * 7) mod words)) (List.init 64 Fun.id);
   List.iter (fun i -> Mem.Bitmap.set bitmap_b ((i * 11) mod words)) (List.init 64 Fun.id);
-  let page_size = 4096 and word_size = 8 in
-  let twin = Mem.Page.create ~page_size ~word_size in
-  let current = Mem.Page.create ~page_size ~word_size in
+  let page_size = 4096 in
+  let twin = Mem.Page.create ~page_size in
+  let current = Mem.Page.create ~page_size in
   for i = 0 to 63 do
     Mem.Page.set_int64 current (i * 8) (Int64.of_int i)
   done;
   let diff = Mem.Diff.create ~page:0 ~twin ~current in
-  let target = Mem.Page.create ~page_size ~word_size in
+  let target = Mem.Page.create ~page_size in
   (* a synthetic barrier epoch: 8 procs x 8 intervals, cross-proc concurrent *)
   let epoch_intervals =
     List.concat_map
@@ -213,16 +213,15 @@ let run_faults () =
 
 (* ------------------------------------------------------------------ *)
 (* The machine-readable sweep: one simulated run per (app, nprocs,
-   detect) point, timed and bracketed by GC counters so allocation
-   pressure is part of the record. The measurement itself is
+   detect) point, timed and bracketed by the minor-word counter so
+   allocation pressure is part of the record. The measurement itself is
    [Core.Experiments.sweep_point] (self-contained, silent), fanned over
    [--jobs] domains; rendering happens here on the main domain, in
-   submission order. The word counts are domain-local (minor words from
-   [Gc.minor_words], promoted and major from [Gc.counters]), so under
-   [--jobs > 1] each point is still billed for its own allocation only;
-   the collection counts are program-wide, and wall-clock includes
-   contention. Those are measurement fields, not outcomes:
-   bench/compare.exe treats only the deterministic fields as gating. *)
+   submission order. The word count is domain-local ([Gc.minor_words]),
+   so under [--jobs > 1] each point is still billed for its own
+   allocation only, and wall-clock includes contention. Those are
+   measurement fields, not outcomes: bench/compare.exe treats only the
+   deterministic fields as gating. *)
 
 let sweep_entries : Bench_json.t list ref = ref []
 
@@ -273,10 +272,6 @@ let json_of_sweep_point (sp : Core.Experiments.sweep_point) =
       ("invalidations", Int stats.Sim.Stats.invalidations);
       ("updates_applied", Int stats.Sim.Stats.updates_applied);
       ("minor_words", Float sp.Core.Experiments.sp_minor_words);
-      ("promoted_words", Float sp.Core.Experiments.sp_promoted_words);
-      ("major_words", Float sp.Core.Experiments.sp_major_words);
-      ("minor_collections", Int sp.Core.Experiments.sp_minor_collections);
-      ("major_collections", Int sp.Core.Experiments.sp_major_collections);
     ]
 
 let line_of_sweep_point (sp : Core.Experiments.sweep_point) =

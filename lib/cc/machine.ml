@@ -81,16 +81,6 @@ let close_interval m p =
 (* ------------------------------------------------------------------ *)
 (* The bus                                                              *)
 
-type bus_kind = B_rd | B_rdx | B_upgr | B_upd | B_wb | B_sync
-
-let trace_kind = function
-  | B_rd -> Trace.Event.Bus_rd
-  | B_rdx -> Trace.Event.Bus_rdx
-  | B_upgr -> Trace.Event.Bus_upgr
-  | B_upd -> Trace.Event.Bus_upd
-  | B_wb -> Trace.Event.Bus_wb
-  | B_sync -> Trace.Event.Bus_sync
-
 (* One bus transaction by processor [p]. Called after the requesting
    processor has already applied the snoop-side state changes — the
    transaction is atomic at arbitration, and the wait models bus
@@ -102,15 +92,13 @@ let bus m p ~kind ~line ~words ~supply =
   stats.Sim.Stats.bus_transactions <- stats.Sim.Stats.bus_transactions + 1;
   stats.Sim.Stats.bus_words <- stats.Sim.Stats.bus_words + words;
   (match kind with
-  | B_rd -> stats.Sim.Stats.bus_reads <- stats.Sim.Stats.bus_reads + 1
-  | B_rdx -> stats.Sim.Stats.bus_read_x <- stats.Sim.Stats.bus_read_x + 1
-  | B_upgr -> stats.Sim.Stats.bus_upgrades <- stats.Sim.Stats.bus_upgrades + 1
-  | B_upd -> stats.Sim.Stats.bus_updates <- stats.Sim.Stats.bus_updates + 1
-  | B_wb -> stats.Sim.Stats.bus_writebacks <- stats.Sim.Stats.bus_writebacks + 1
-  | B_sync -> stats.Sim.Stats.bus_syncs <- stats.Sim.Stats.bus_syncs + 1);
-  if Front.tracing m.rt then
-    Front.emit_sink m.rt
-      (Trace.Event.Bus { proc = p.fe.id; kind = trace_kind kind; line });
+  | Trace.Event.Bus_rd -> stats.Sim.Stats.bus_reads <- stats.Sim.Stats.bus_reads + 1
+  | Trace.Event.Bus_rdx -> stats.Sim.Stats.bus_read_x <- stats.Sim.Stats.bus_read_x + 1
+  | Trace.Event.Bus_upgr -> stats.Sim.Stats.bus_upgrades <- stats.Sim.Stats.bus_upgrades + 1
+  | Trace.Event.Bus_upd -> stats.Sim.Stats.bus_updates <- stats.Sim.Stats.bus_updates + 1
+  | Trace.Event.Bus_wb -> stats.Sim.Stats.bus_writebacks <- stats.Sim.Stats.bus_writebacks + 1
+  | Trace.Event.Bus_sync -> stats.Sim.Stats.bus_syncs <- stats.Sim.Stats.bus_syncs + 1);
+  if Front.tracing m.rt then Front.emit_sink m.rt (Trace.Event.Bus { proc = p.fe.id; kind; line });
   let supply_ns =
     match supply with
     | `Mem -> m.rt.cost.Sim.Cost.bus_mem_ns
@@ -141,7 +129,7 @@ let fill_line m p ~line ~state =
     m.rt.stats.Sim.Stats.cache_evictions <- m.rt.stats.Sim.Stats.cache_evictions + 1;
     match victim_state with
     | L_mod | L_shared_dirty ->
-        bus m p ~kind:B_wb ~line:victim_tag ~words:m.line_words ~supply:`Mem
+        bus m p ~kind:Trace.Event.Bus_wb ~line:victim_tag ~words:m.line_words ~supply:`Mem
     | _ -> ()
   end
 
@@ -167,7 +155,7 @@ let mesi_read_miss m p ~line =
     end
   done;
   fill_line m p ~line ~state:(if !shared then L_shared else L_excl);
-  bus m p ~kind:B_rd ~line ~words:m.line_words
+  bus m p ~kind:Trace.Event.Bus_rd ~line ~words:m.line_words
     ~supply:(if !shared then `Cache else `Mem)
 
 (* Invalidate every other copy of [line]; true if there was one. *)
@@ -190,13 +178,14 @@ let mesi_write_hit m p slot ~line =
   | L_shared ->
       ignore (mesi_invalidate_others m p ~line);
       slot.Cache.state <- L_mod;
-      bus m p ~kind:B_upgr ~line ~words:0 ~supply:`None
+      bus m p ~kind:Trace.Event.Bus_upgr ~line ~words:0 ~supply:`None
   | L_inv | L_shared_clean | L_shared_dirty -> assert false
 
 let mesi_write_miss m p ~line =
   let shared = mesi_invalidate_others m p ~line in
   fill_line m p ~line ~state:L_mod;
-  bus m p ~kind:B_rdx ~line ~words:m.line_words ~supply:(if shared then `Cache else `Mem)
+  bus m p ~kind:Trace.Event.Bus_rdx ~line ~words:m.line_words
+    ~supply:(if shared then `Cache else `Mem)
 
 (* --- Dragon -------------------------------------------------------- *)
 
@@ -214,7 +203,7 @@ let dragon_read_miss m p ~line =
     end
   done;
   fill_line m p ~line ~state:(if !shared then L_shared_clean else L_excl);
-  bus m p ~kind:B_rd ~line ~words:m.line_words
+  bus m p ~kind:Trace.Event.Bus_rd ~line ~words:m.line_words
     ~supply:(if !shared then `Cache else `Mem)
 
 let dragon_update m p slot ~line =
@@ -234,7 +223,7 @@ let dragon_update m p slot ~line =
   if !sharers = 0 then slot.Cache.state <- L_mod
   else begin
     slot.Cache.state <- L_shared_dirty;
-    bus m p ~kind:B_upd ~line ~words:1 ~supply:`None
+    bus m p ~kind:Trace.Event.Bus_upd ~line ~words:1 ~supply:`None
   end
 
 let dragon_write_hit m p slot ~line =
@@ -343,7 +332,7 @@ let lock m p lock_id =
   m.rt.stats.Sim.Stats.lock_acquires <- m.rt.stats.Sim.Stats.lock_acquires + 1;
   let l = lock_state m lock_id in
   if l.holder = Some p.fe.id then invalid_arg "Machine.lock: lock already held (not reentrant)";
-  bus m p ~kind:B_sync ~line:lock_id ~words:1 ~supply:`Mem;
+  bus m p ~kind:Trace.Event.Bus_sync ~line:lock_id ~words:1 ~supply:`Mem;
   (match l.holder with
   | None -> l.holder <- Some p.fe.id
   | Some _ ->
@@ -357,7 +346,7 @@ let unlock m p lock_id =
   Front.flush_time p.fe;
   let l = lock_state m lock_id in
   if l.holder <> Some p.fe.id then invalid_arg "Machine.unlock: lock not held";
-  bus m p ~kind:B_sync ~line:lock_id ~words:1 ~supply:`Mem;
+  bus m p ~kind:Trace.Event.Bus_sync ~line:lock_id ~words:1 ~supply:`Mem;
   close_interval m p;
   l.release_vc <- Some (Proto.Vclock.copy p.fe.vc);
   Front.open_interval m.rt p.fe;
@@ -403,7 +392,7 @@ let barrier m p =
   Front.flush_time p.fe;
   Front.enter_barrier m.rt p.fe;
   (* arrival is a fetch-and-increment on the barrier word *)
-  bus m p ~kind:B_sync ~line:0 ~words:1 ~supply:`Mem;
+  bus m p ~kind:Trace.Event.Bus_sync ~line:0 ~words:1 ~supply:`Mem;
   close_interval m p;
   let closed = Front.arrive m.rt p.fe in
   m.barrier_arrivals <- p.fe.id :: m.barrier_arrivals;
@@ -422,7 +411,6 @@ let shift_of n =
 let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~protocol
     ~nprocs ~pages () =
   let line_bytes = cfg.Coherence.Config.cc_line_bytes in
-  let word_size = cost.Sim.Cost.word_size in
   let rt = Front.create ~name:"Machine" ~cost ~cfg ~nprocs ~pages in
   let geometry = rt.Front.geometry in
   let m =
@@ -430,11 +418,10 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~protoco
       rt;
       protocol;
       line_shift = shift_of line_bytes;
-      line_words = line_bytes / word_size;
+      line_words = line_bytes / Mem.Page.word_size;
       pages =
         Array.init geometry.Mem.Geometry.pages (fun _ ->
-            Mem.Page.create ~page_size:geometry.Mem.Geometry.page_size
-              ~word_size:geometry.Mem.Geometry.word_size);
+            Mem.Page.create ~page_size:geometry.Mem.Geometry.page_size);
       procs =
         Array.map
           (fun fe ->
@@ -470,7 +457,6 @@ let view m id =
   {
     Coherence.Node.id = fe.Front.id;
     nprocs = rt.Front.nprocs;
-    geometry = rt.Front.geometry;
     malloc = (fun ?name ?align bytes -> Front.malloc rt fe ?name ?align bytes);
     read_word_int = (fun ?site addr -> read_word_int m p ?site addr);
     write_word_int = (fun ?site addr value -> write_word_int m p ?site addr value);
@@ -488,8 +474,7 @@ let memory_checksum m =
   (* Unlike the DSM cluster every page is present: the bus machine's
      memory is the coherent copy. *)
   Mem.Checksum.finish
-    (Array.fold_left (fun h page -> Mem.Checksum.page h (Mem.Page.raw page)) Mem.Checksum.init
-       m.pages)
+    (Array.fold_left Mem.Checksum.page Mem.Checksum.init m.pages)
 
 let backend ?cost ?cfg ~protocol ~nprocs ~pages () =
   let m = create ?cost ?cfg ~protocol ~nprocs ~pages () in

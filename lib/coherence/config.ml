@@ -146,13 +146,13 @@ let check ?(cost = Sim.Cost.default) ~nprocs t =
       t.backend;
   let pow2 n = n > 0 && n land (n - 1) = 0 in
   let line = t.cc_line_bytes in
-  if not (pow2 line && line >= cost.Sim.Cost.word_size && line <= cost.Sim.Cost.page_size)
+  if not (pow2 line && line >= Mem.Page.word_size && line <= cost.Sim.Cost.page_size)
      || not (pow2 t.cc_sets) || t.cc_ways < 1
   then
     bad
       "cache of %d-byte lines, %d sets, %d ways (need power-of-two lines from %d to %d \
        bytes, power-of-two sets, at least one way)"
-      line t.cc_sets t.cc_ways cost.Sim.Cost.word_size cost.Sim.Cost.page_size;
+      line t.cc_sets t.cc_ways Mem.Page.word_size cost.Sim.Cost.page_size;
   (match t.watchdog_ns with
   | Some ns when ns < 1 -> bad "watchdog of %d ns (need at least 1)" ns
   | _ -> ());

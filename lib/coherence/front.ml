@@ -49,8 +49,6 @@ type t = {
   g_limit : int;
   g_page_shift : int;
   g_page_mask : int;
-  g_word_shift : int;
-  g_word_mask : int;
 }
 
 let words_per_page t = Mem.Geometry.words_per_page t.geometry
@@ -186,16 +184,23 @@ let bad_shared t addr =
 let bad_aligned t addr =
   invalid_arg (Printf.sprintf "%s: unaligned shared access 0x%x" t.name addr)
 
+let shift_of n =
+  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
+  go 0 n
+
+(* The one place an address splits into page and word. The word size is
+   a power of two, and {!Mem.Geometry.create} admits only a power-of-two
+   page size and a page-aligned base, so the split is shifts and masks. *)
+let word_shift = shift_of Mem.Page.word_size
+let word_mask = Mem.Page.word_size - 1
+
 let check_addr t addr =
   if addr < t.g_base || addr >= t.g_limit then bad_shared t addr;
-  if addr land t.g_word_mask <> 0 then bad_aligned t addr
+  if addr land word_mask <> 0 then bad_aligned t addr
 
-(* Page/word of a checked address. {!Mem.Geometry.create} admits only
-   power-of-two page and word sizes and a page-aligned base, so these
-   are shifts and masks. *)
 let page_of t addr = (addr - t.g_base) lsr t.g_page_shift
 
-let word_of t addr = (addr land t.g_page_mask) lsr t.g_word_shift
+let word_of t addr = (addr land t.g_page_mask) lsr word_shift
 
 (* The inserted analysis-routine call: a procedure call plus the check
    that decides shared vs private and sets the per-page bitmap bit. *)
@@ -267,7 +272,7 @@ let bump t p ~who ?name ?(align = 0) bytes =
      and compute identical addresses — the way CVM applications use
      G_MALLOC. Names register once, via processor 0. *)
   if bytes < 0 then invalid_arg who;
-  let word = t.geometry.Mem.Geometry.word_size in
+  let word = Mem.Page.word_size in
   let round v quantum = (v + quantum - 1) / quantum * quantum in
   let start = if align > 0 then round p.alloc_next align else round p.alloc_next word in
   let next = start + round bytes word in
@@ -428,15 +433,10 @@ let backend t ~who ~view ~memory_checksum =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 
-let shift_of n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
-
 let create ~name ~cost ~cfg ~nprocs ~pages =
   let engine = Sim.Engine.create () in
   let geometry = Mem.Geometry.of_cost cost ~pages in
   let page_size = geometry.Mem.Geometry.page_size in
-  let word_size = geometry.Mem.Geometry.word_size in
   let elide = Hashtbl.create 8 in
   (match cfg.Config.elide_sites with
   | Some sites -> List.iter (fun site -> Hashtbl.replace elide site ()) sites
@@ -484,8 +484,6 @@ let create ~name ~cost ~cfg ~nprocs ~pages =
       g_limit = Mem.Geometry.limit geometry;
       g_page_shift = shift_of page_size;
       g_page_mask = page_size - 1;
-      g_word_shift = shift_of word_size;
-      g_word_mask = word_size - 1;
     }
   in
   (* open every processor's first real interval (index 1) *)

@@ -60,13 +60,12 @@ type t = private {
   mutable races : Proto.Race.t list;
   mutable race_seen : bool;  (** for [first_race_only] *)
   g_base : int;
-      (** the geometry as shifts and masks ({!Mem.Geometry.create} admits
-          only power-of-two sizes and a page-aligned base) *)
+      (** the geometry as a limit, a shift and a mask
+          ({!Mem.Geometry.create} admits only a power-of-two page size and
+          a page-aligned base) *)
   g_limit : int;
   g_page_shift : int;
   g_page_mask : int;
-  g_word_shift : int;
-  g_word_mask : int;
 }
 
 val create :
@@ -80,7 +79,8 @@ val create :
     the tracer and stall budget installed on the engine and every
     processor's first interval open. [cfg] is the effective configuration
     {!Config.check} returned. Raises [Invalid_argument] when the cost
-    model's page or word size is not a power of two. *)
+    model's page size is not a power of two of at least one
+    {!Mem.Page.word_size}-byte word. *)
 
 (** {1 Time} *)
 
@@ -111,6 +111,11 @@ val read_note : t -> proc -> site:string -> int -> int
 
 val write_note : t -> proc -> site:string -> int -> int
 (** The same for a write; with [stores_from_diffs] no write bit is set. *)
+
+val page_of : t -> int -> int
+(** Page index of a checked address. With {!word_of}, the one place an
+    address splits into page and word; {!Mem.Geometry.addr_of} is the
+    inverse. *)
 
 val word_of : t -> int -> int
 (** Word index within its page of a checked address. *)

@@ -11,7 +11,6 @@
 type t = {
   id : int;
   nprocs : int;
-  geometry : Mem.Geometry.t;
   malloc : ?name:string -> ?align:int -> int -> int;
       (* bump allocation over the shared segment; SPMD programs calling at
          the same program points get identical addresses on every

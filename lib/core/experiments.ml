@@ -401,16 +401,14 @@ let site_retention_ablation_all ?(scale = Apps.Registry.Paper) ?(jobs = 1) names
 
 (* ------------------------------------------------------------------ *)
 (* The benchmark harness's machine-readable sweep point: one simulated
-   run per (app, nprocs, detect, elide) tuple, timed and bracketed by GC
-   counters so allocation pressure is part of the record. Every word
+   run per (app, nprocs, detect, elide) tuple, timed and bracketed by the
+   minor-word counter so allocation pressure is part of the record. The
    count is the calling domain's own, so a point measured beside
-   concurrent tasks is billed for its own allocation alone. Minor words
-   come from [Gc.minor_words], which also counts the live part of the
-   minor heap: [Gc.counters]' minor figure moves with how many minor
-   collections fall inside the point. Promoted and major words come
-   from [Gc.counters]. Collection counts come from [Gc.quick_stat] and
-   are program-wide: in OCaml 5 every collection stops all domains.
-   [clock] defaults to wall time; the bench harness passes its
+   concurrent tasks is billed for its own allocation alone. It comes
+   from [Gc.minor_words], which also counts the live part of the minor
+   heap, so it repeats at any [--jobs]; promoted and major words and
+   collection counts move with where collections fall, and are not
+   recorded. [clock] defaults to wall time; the bench harness passes its
    monotonic clock. *)
 
 type sweep_point = {
@@ -427,10 +425,6 @@ type sweep_point = {
   sp_mem_checksum : int;
   sp_stats : Sim.Stats.t;
   sp_minor_words : float;
-  sp_promoted_words : float;
-  sp_major_words : float;
-  sp_minor_collections : int;
-  sp_major_collections : int;
 }
 
 let sweep_point ~clock ~scale (name, nprocs, detect, elide, backend) =
@@ -446,15 +440,11 @@ let sweep_point ~clock ~scale (name, nprocs, detect, elide, backend) =
   (* level the heap between points so one entry's garbage does not bill
      the next entry's collector *)
   Gc.full_major ();
-  let g0 = Gc.quick_stat () in
-  let _, promoted0, major0 = Gc.counters () in
   let minor0 = Gc.minor_words () in
   let t0 = clock () in
   let outcome = Driver.run ~cfg ~app ~nprocs () in
   let t1 = clock () in
   let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  let g1 = Gc.quick_stat () in
   {
     sp_app = String.lowercase_ascii name;
     sp_scale = Apps.Registry.scale_name scale;
@@ -469,10 +459,6 @@ let sweep_point ~clock ~scale (name, nprocs, detect, elide, backend) =
     sp_mem_checksum = outcome.Driver.mem_checksum;
     sp_stats = outcome.Driver.stats;
     sp_minor_words = minor1 -. minor0;
-    sp_promoted_words = promoted1 -. promoted0;
-    sp_major_words = major1 -. major0;
-    sp_minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
-    sp_major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
   }
 
 let sweep_points ?(clock = Unix.gettimeofday) ?(jobs = 1) ~scale points =

@@ -172,10 +172,6 @@ type sweep_point = {
   sp_mem_checksum : int;
   sp_stats : Sim.Stats.t;
   sp_minor_words : float;
-  sp_promoted_words : float;
-  sp_major_words : float;
-  sp_minor_collections : int;
-  sp_major_collections : int;
 }
 
 val sweep_points :
@@ -187,9 +183,7 @@ val sweep_points :
 (** One benchmark sweep measurement per [(app, nprocs, detect, elide,
     backend)] tuple, one task per point, in input order: a full
     simulated run after a [Gc.full_major], timed with [clock] (default
-    wall time; the bench harness passes its monotonic clock). The word
-    counts are the running domain's own, so they stay the point's own
-    when it runs beside other tasks: minor words are a delta of
-    [Gc.minor_words], which is exact, and promoted and major words are
-    deltas of [Gc.counters]. The collection counts are deltas of
-    [Gc.quick_stat] and are program-wide. *)
+    wall time; the bench harness passes its monotonic clock). The minor
+    words are a delta of [Gc.minor_words], the running domain's own, so
+    they stay the point's own when it runs beside other tasks and repeat
+    exactly at any [--jobs]. *)

@@ -54,8 +54,6 @@ type report = {
   shared_sites : string list;  (* every instrumented shared site *)
 }
 
-let word_size = 8
-
 let severity_rank = function Mismatch -> 0 | Unlocked -> 1
 let severity_name = function Mismatch -> "lock-mismatch" | Unlocked -> "unlocked"
 let kind_rank = function Binary.Load -> 0 | Binary.Store -> 1
@@ -70,7 +68,7 @@ let footprint (a : Dataflow.access) =
   | Dataflow.Disp d ->
       let first = d + a.Dataflow.a_offset in
       let span = a.Dataflow.a_stride * (a.Dataflow.a_count - 1) in
-      Some (first + min 0 span, first + max 0 span + word_size)
+      Some (first + min 0 span, first + max 0 span + Mem.Page.word_size)
 
 let footprints_overlap a b =
   match (footprint a, footprint b) with

@@ -51,16 +51,14 @@ let touch_private (n : node) count = n.Coherence.Node.touch_private count
 
 (* Block/word helpers used heavily by the applications. *)
 
-let word_size (n : node) = n.Coherence.Node.geometry.Mem.Geometry.word_size
+let addr_of_index base index = base + (index * Mem.Page.word_size)
 
-let addr_of_index node base index = base + (index * word_size node)
-
-let read_float_at node ?site base index = read_float node ?site (addr_of_index node base index)
+let read_float_at node ?site base index = read_float node ?site (addr_of_index base index)
 
 let write_float_at node ?site base index value =
-  write_float node ?site (addr_of_index node base index) value
+  write_float node ?site (addr_of_index base index) value
 
-let read_int_at node ?site base index = read_int node ?site (addr_of_index node base index)
+let read_int_at node ?site base index = read_int node ?site (addr_of_index base index)
 
 let write_int_at node ?site base index value =
-  write_int node ?site (addr_of_index node base index) value
+  write_int node ?site (addr_of_index base index) value

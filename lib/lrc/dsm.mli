@@ -2,7 +2,8 @@
     applications (and any user program) code against.
 
     All addresses are byte addresses inside the shared segment returned by
-    {!malloc} / a backend's [alloc]; accesses must be word-aligned. The
+    {!malloc} / a backend's [alloc]; every access reads or writes one
+    {!Mem.Page.word_size}-byte word and must be word-aligned. The
     optional [site] labels are symbolic program counters used by the
     two-run race identification of paper section 6.1. *)
 
@@ -60,10 +61,12 @@ val idle : node -> float -> unit
     cost lazily and flushes at the next blocking operation). Used to
     stage interleavings in litmus tests and demos. *)
 
-(** {1 Indexed helpers} *)
+(** {1 Indexed helpers}
 
-val word_size : node -> int
-val addr_of_index : node -> int -> int -> int
+    Index [i] of an array at [base] is the word at
+    [base + i * Mem.Page.word_size]. *)
+
+val addr_of_index : int -> int -> int
 
 val read_float_at : node -> ?site:string -> int -> int -> float
 val write_float_at : node -> ?site:string -> int -> int -> float -> unit

@@ -92,7 +92,7 @@ type t = {
       (* two-phase diff GC: epoch bound recorded at the last validate
          barrier, executed (diffs with creation epoch < bound dropped) at
          the next one; -1 when no drop is scheduled *)
-  mutable replies : Message.t list;  (* replies awaited by the app coroutine *)
+  replies : Message.t Queue.t;  (* replies awaited by the app coroutine *)
   (* central services, only populated at processor 0 *)
   page_mgrs : page_mgr array;
   lock_mgrs : (int, lock_mgr) Hashtbl.t;
@@ -274,27 +274,20 @@ let unseen_intervals t ~upto ~requester_vc =
 (* Application-side blocking RPC plumbing                              *)
 
 let push_reply t msg =
-  t.replies <- t.replies @ [ msg ];
+  Queue.add msg t.replies;
   Sim.Engine.wake t.rt.engine t.fe.id
 
-let await_reply t ~label pred =
-  let rec scan acc = function
-    | [] -> None
-    | msg :: rest ->
-        if pred msg then begin
-          t.replies <- List.rev_append acc rest;
-          Some msg
-        end
-        else scan (msg :: acc) rest
-  in
-  let rec wait () =
-    match scan [] t.replies with
-    | Some msg -> msg
-    | None ->
-        Sim.Engine.block ~label;
-        wait ()
-  in
-  wait ()
+(* The next reply, blocking under [label] until there is one. The
+   application coroutine has one request outstanding at a time, and a
+   diff fetch awaits one reply per writer, all for the same page, so the
+   next reply is always the one awaited: each caller matches the
+   constructor it expects and treats anything else as a protocol bug. *)
+let rec await_reply t ~label =
+  if Queue.is_empty t.replies then begin
+    Sim.Engine.block ~label;
+    await_reply t ~label
+  end
+  else Queue.take t.replies
 
 
 (* ------------------------------------------------------------------ *)
@@ -306,7 +299,7 @@ let fault_prologue t =
 
 let install_page t page bytes =
   let entry = t.pages.(page) in
-  Bytes.blit bytes 0 (Mem.Page.raw entry.data) 0 (Bytes.length bytes);
+  Bytes.blit bytes 0 entry.data 0 (Bytes.length bytes);
   t.rt.stats.Sim.Stats.pages_fetched <- t.rt.stats.Sim.Stats.pages_fetched + 1
 
 let sw_read_fault t page =
@@ -314,13 +307,8 @@ let sw_read_fault t page =
   Front.emit_sink t.rt (Trace.Event.Page_fault { proc = t.fe.id; page; kind = Proto.Race.Read });
   fault_prologue t;
   send t ~dst:0 (Message.Copy_req { page; requester = t.fe.id });
-  let reply =
-    await_reply t ~label:(Printf.sprintf "copy of page %d" page) (function
-      | Message.Copy_data { page = p; _ } -> p = page
-      | _ -> false)
-  in
-  (match reply with
-  | Message.Copy_data { data; _ } -> install_page t page data
+  (match await_reply t ~label:(Printf.sprintf "copy of page %d" page) with
+  | Message.Copy_data { page = p; data } when p = page -> install_page t page data
   | _ -> assert false);
   send t ~dst:0 (Message.Page_done { page; requester = t.fe.id });
   let entry = t.pages.(page) in
@@ -344,13 +332,8 @@ let rec sw_write_fault t page =
   else begin
     fault_prologue t;
     send t ~dst:0 (Message.Own_req { page; requester = t.fe.id });
-    let reply =
-      await_reply t ~label:(Printf.sprintf "ownership of page %d" page) (function
-        | Message.Own_data { page = p; _ } -> p = page
-        | _ -> false)
-    in
-    (match reply with
-    | Message.Own_data { data; _ } -> install_page t page data
+    (match await_reply t ~label:(Printf.sprintf "ownership of page %d" page) with
+    | Message.Own_data { page = p; data } when p = page -> install_page t page data
     | _ -> assert false);
     send t ~dst:0 (Message.Page_done { page; requester = t.fe.id });
     entry.owner <- true;
@@ -385,13 +368,8 @@ let mw_apply_pending t page =
       by_proc;
     let received = ref [] in
     for _ = 1 to expected do
-      let reply =
-        await_reply t ~label:(Printf.sprintf "diffs for page %d" page) (function
-          | Message.Diff_reply { page = p; _ } -> p = page
-          | _ -> false)
-      in
-      match reply with
-      | Message.Diff_reply { diffs; _ } -> received := diffs @ !received
+      match await_reply t ~label:(Printf.sprintf "diffs for page %d" page) with
+      | Message.Diff_reply { page = p; diffs } when p = page -> received := diffs @ !received
       | _ -> assert false
     done;
     (* apply in happens-before order; concurrent diffs (false sharing or a
@@ -429,13 +407,8 @@ let hb_read_fault t page =
   fault_prologue t;
   send t ~dst:(home_of t page)
     (Message.Home_req { page; requester = t.fe.id; needed = Proto.Vclock.copy entry.needed });
-  let reply =
-    await_reply t ~label:(Printf.sprintf "home copy of page %d" page) (function
-      | Message.Home_data { page = p; _ } -> p = page
-      | _ -> false)
-  in
-  (match reply with
-  | Message.Home_data { data; _ } -> install_page t page data
+  (match await_reply t ~label:(Printf.sprintf "home copy of page %d" page) with
+  | Message.Home_data { page = p; data } when p = page -> install_page t page data
   | _ -> assert false);
   entry.state <- P_read
 
@@ -459,7 +432,7 @@ let twin_write_fault t page entry =
   Front.emit_sink t.rt (Trace.Event.Page_fault { proc = t.fe.id; page; kind = Proto.Race.Write });
   Front.flush_time t.fe;
   Sim.Engine.advance (t.rt.cost.Sim.Cost.fault_ns / 10);
-  entry.twin <- Some (Mem.Page.copy entry.data);
+  entry.twin <- Some (Bytes.copy entry.data);
   charge_local t (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
   entry.state <- P_write;
   Proto.Interval.add_write_page t.fe.cur page
@@ -484,12 +457,9 @@ let sc_read t ~site addr =
   else begin
     Front.flush_time t.fe;
     send t ~dst:0 (Message.Sc_read_req { addr; requester = t.fe.id });
-    let reply =
-      await_reply t ~label:"sc read" (function
-        | Message.Sc_read_reply { addr = a; _ } -> a = addr
-        | _ -> false)
-    in
-    match reply with Message.Sc_read_reply { value; _ } -> value | _ -> assert false
+    match await_reply t ~label:"sc read" with
+    | Message.Sc_read_reply { addr = a; value } when a = addr -> value
+    | _ -> assert false
   end
 
 let sc_write t ~site addr value =
@@ -498,12 +468,9 @@ let sc_write t ~site addr value =
   else begin
     Front.flush_time t.fe;
     send t ~dst:0 (Message.Sc_write_req { addr; value; requester = t.fe.id });
-    let _ack =
-      await_reply t ~label:"sc write" (function
-        | Message.Sc_write_ack { addr = a } -> a = addr
-        | _ -> false)
-    in
-    ()
+    match await_reply t ~label:"sc write" with
+    | Message.Sc_write_ack { addr = a } when a = addr -> ()
+    | _ -> assert false
   end;
   Proto.Interval.add_write_page t.fe.cur page
 
@@ -580,13 +547,8 @@ let lock t lock_id =
   l.expecting <- true;
   send t ~dst:0
     (Message.Lock_req { lock = lock_id; requester = t.fe.id; vc = Proto.Vclock.copy t.fe.vc });
-  let reply =
-    await_reply t ~label:(Printf.sprintf "grant of lock %d" lock_id) (function
-      | Message.Lock_grant { lock; _ } -> lock = lock_id
-      | _ -> false)
-  in
-  match reply with
-  | Message.Lock_grant { granter_vc; intervals; _ } ->
+  match await_reply t ~label:(Printf.sprintf "grant of lock %d" lock_id) with
+  | Message.Lock_grant { lock; granter_vc; intervals } when lock = lock_id ->
       close_interval t;
       List.iter (incorporate t) intervals;
       Proto.Vclock.merge_into ~dst:t.fe.vc granter_vc;
@@ -864,12 +826,7 @@ let barrier t =
   send t ~dst:0
     (Message.Barrier_arrive { from_ = t.fe.id; vc = Proto.Vclock.copy t.fe.vc; intervals });
   open_interval t;
-  let reply =
-    await_reply t ~label:"barrier release" (function
-      | Message.Barrier_release _ -> true
-      | _ -> false)
-  in
-  match reply with
+  match await_reply t ~label:"barrier release" with
   | Message.Barrier_release { master_vc; intervals; _ } ->
       close_interval t;
       List.iter (incorporate t) intervals;
@@ -914,14 +871,14 @@ let on_copy_fwd t ~page ~requester =
   let entry = t.pages.(page) in
   charge_local t (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
   send t ~dst:requester
-    (Message.Copy_data { page; data = Bytes.copy (Mem.Page.raw entry.data) })
+    (Message.Copy_data { page; data = Bytes.copy entry.data })
 
 let on_own_fwd t ~page ~requester =
   let entry = t.pages.(page) in
   entry.owner <- false;
   if entry.state = P_write then entry.state <- P_read;
   send t ~dst:requester
-    (Message.Own_data { page; data = Bytes.copy (Mem.Page.raw entry.data) })
+    (Message.Own_data { page; data = Bytes.copy entry.data })
 
 (* ------------------------------------------------------------------ *)
 (* Home-based LRC service (runs at each page's home)                   *)
@@ -930,12 +887,9 @@ let home_state t page =
   match Hashtbl.find_opt t.home_pages page with
   | Some home -> home
   | None ->
-      let geometry = t.rt.geometry in
       let home =
         {
-          home_data =
-            Mem.Page.create ~page_size:geometry.Mem.Geometry.page_size
-              ~word_size:geometry.Mem.Geometry.word_size;
+          home_data = Mem.Page.create ~page_size:t.rt.geometry.Mem.Geometry.page_size;
           home_version = Proto.Vclock.create t.rt.nprocs;
           home_waiting = [];
         }
@@ -944,7 +898,7 @@ let home_state t page =
       home
 
 let home_serve t home page requester =
-  send t ~dst:requester (Message.Home_data { page; data = Bytes.copy (Mem.Page.raw home.home_data) })
+  send t ~dst:requester (Message.Home_data { page; data = Bytes.copy home.home_data })
 
 let on_diff_flush t ~page ~diffs ~vc =
   let home = home_state t page in
@@ -1006,16 +960,13 @@ let on_bitmap_req t ~requests =
 (* ------------------------------------------------------------------ *)
 (* Sequential-consistency home-node service                            *)
 
+(* [addr] passed the requester's access check *)
 let on_sc_read t ~addr ~requester =
-  let page = Mem.Geometry.page_of_addr t.rt.geometry addr in
-  let word = Mem.Geometry.word_in_page t.rt.geometry addr in
-  let value = Mem.Page.get_int64 t.pages.(page).data word in
+  let value = Mem.Page.get_int64 t.pages.(Front.page_of t.rt addr).data (word_of t addr) in
   send t ~dst:requester (Message.Sc_read_reply { addr; value })
 
 let on_sc_write t ~addr ~value ~requester =
-  let page = Mem.Geometry.page_of_addr t.rt.geometry addr in
-  let word = Mem.Geometry.word_in_page t.rt.geometry addr in
-  Mem.Page.set_int64 t.pages.(page).data word value;
+  Mem.Page.set_int64 t.pages.(Front.page_of t.rt addr).data (word_of t addr) value;
   send t ~dst:requester (Message.Sc_write_ack { addr })
 
 (* ------------------------------------------------------------------ *)
@@ -1056,9 +1007,7 @@ let create rt net ~id =
   let pages =
     Array.init geometry.Mem.Geometry.pages (fun _ ->
         {
-          data =
-            Mem.Page.create ~page_size:geometry.Mem.Geometry.page_size
-              ~word_size:geometry.Mem.Geometry.word_size;
+          data = Mem.Page.create ~page_size:geometry.Mem.Geometry.page_size;
           state = P_read;
           owner = id = 0;
           twin = None;
@@ -1079,7 +1028,7 @@ let create rt net ~id =
       locks = Hashtbl.create 8;
       diff_store = Hashtbl.create 64;
       gc_drop_bound = -1;
-      replies = [];
+      replies = Queue.create ();
       page_mgrs =
         Array.init
           (if id = 0 then geometry.Mem.Geometry.pages else 0)
@@ -1110,7 +1059,7 @@ let coherent_page_raw t page =
      authoritative contents — all coherent copies of a page agree. *)
   let entry = t.pages.(page) in
   if entry.state = P_invalid || entry.pending <> [] then None
-  else Some (Mem.Page.raw entry.data)
+  else Some entry.data
 
 let service_diagnostics t =
   (* Central-service queue depths at the manager, for the deadlock
@@ -1148,7 +1097,6 @@ let view t =
   {
     Coherence.Node.id = fe.Front.id;
     nprocs = rt.Front.nprocs;
-    geometry = rt.Front.geometry;
     malloc = (fun ?name ?align bytes -> Front.malloc rt fe ?name ?align bytes);
     read_word_int = (fun ?site addr -> read_word_int t ?site addr);
     write_word_int = (fun ?site addr value -> write_word_int t ?site addr value);

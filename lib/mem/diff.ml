@@ -2,23 +2,22 @@
    multi-writer mode): the per-page summary of modifications made during an
    interval, computed by comparing the page against its twin. *)
 
-(* [values] is a flat byte blob, 8 bytes per changed word in [words]
-   order: creating and applying a diff is pure byte movement, with no
-   per-word boxed int64 (pages only support 8-byte words). *)
+(* [values] is a flat byte blob, one word's bytes per changed word in
+   [words] order: creating and applying a diff is pure byte movement, with
+   no per-word boxed int64. *)
 type t = { page : int; words : int array; values : Bytes.t }
 
 external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 
-let value_bytes = 8
+let value_bytes = Page.word_size
 
 let create ~page ~twin ~current =
   let n = Page.words current in
   if Page.words twin <> n then invalid_arg "Diff.create: size mismatch";
-  let tb = Page.raw twin and cb = Page.raw current in
   (* two passes: count the changed words, then fill exactly-sized arrays *)
   let count = ref 0 in
   for word = 0 to n - 1 do
-    if bytes_get64 tb (word * value_bytes) <> bytes_get64 cb (word * value_bytes) then
+    if bytes_get64 twin (word * value_bytes) <> bytes_get64 current (word * value_bytes) then
       incr count
   done;
   let words = Array.make !count 0 in
@@ -26,9 +25,9 @@ let create ~page ~twin ~current =
   let slot = ref 0 in
   for word = 0 to n - 1 do
     let off = word * value_bytes in
-    if bytes_get64 tb off <> bytes_get64 cb off then begin
+    if bytes_get64 twin off <> bytes_get64 current off then begin
       Array.unsafe_set words !slot word;
-      Bytes.blit cb off values (!slot * value_bytes) value_bytes;
+      Bytes.blit current off values (!slot * value_bytes) value_bytes;
       incr slot
     end
   done;
@@ -41,9 +40,8 @@ let word_count t = Array.length t.words
 let is_empty t = word_count t = 0
 
 let apply t target =
-  let dst = Page.raw target in
   for i = 0 to Array.length t.words - 1 do
-    Bytes.blit t.values (i * value_bytes) dst (Array.unsafe_get t.words i * value_bytes)
+    Bytes.blit t.values (i * value_bytes) target (Array.unsafe_get t.words i * value_bytes)
       value_bytes
   done
 

@@ -1,61 +1,47 @@
-(* A page is raw bytes with word-granularity accessors. Words hold either
-   int64 or float values (the float is stored as its bit pattern), which is
-   enough for all four applications: TSP uses integers, SOR/FFT/Water use
-   doubles. *)
+(* A page is its bytes, read and written as 8-byte words. Words hold
+   either int64 or float values (the float is stored as its bit pattern),
+   which is enough for all four applications: TSP uses integers,
+   SOR/FFT/Water use doubles. *)
 
-type t = { data : Bytes.t; word_size : int }
+type t = Bytes.t
 
-let create ~page_size ~word_size =
+let word_size = 8
+
+let create ~page_size =
   if page_size mod word_size <> 0 then invalid_arg "Page.create";
-  if word_size <> 8 then invalid_arg "Page.create: only 8-byte words are supported";
-  { data = Bytes.make page_size '\000'; word_size }
+  Bytes.make page_size '\000'
 
-let words t = Bytes.length t.data / t.word_size
-
-let check t word = if word < 0 || word >= words t then invalid_arg "Page: word out of range"
+let words t = Bytes.length t / word_size
 
 (* Bounds-checked 64-bit loads/stores as compiler primitives, so the int64
    stays unboxed inside each accessor body (no flambda: crossing a function
-   boundary with an int64 would box it). The wire format is little-endian,
-   like Bytes.get_int64_le. *)
+   boundary with an int64 would box it). The bounds check is the word's
+   range check. The wire format is little-endian, like
+   Bytes.get_int64_le. *)
 external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
 let get_int64 t word =
-  check t word;
-  let v = bytes_get64 t.data (word * t.word_size) in
+  let v = bytes_get64 t (word * word_size) in
   if Sys.big_endian then swap64 v else v
 
 let set_int64 t word v =
-  check t word;
   let v = if Sys.big_endian then swap64 v else v in
-  bytes_set64 t.data (word * t.word_size) v
+  bytes_set64 t (word * word_size) v
 
 let get_int t word =
-  check t word;
-  let v = bytes_get64 t.data (word * t.word_size) in
+  let v = bytes_get64 t (word * word_size) in
   Int64.to_int (if Sys.big_endian then swap64 v else v)
 
 let set_int t word v =
-  check t word;
   let v = Int64.of_int v in
-  bytes_set64 t.data (word * t.word_size) (if Sys.big_endian then swap64 v else v)
+  bytes_set64 t (word * word_size) (if Sys.big_endian then swap64 v else v)
 
 let get_float t word =
-  check t word;
-  let v = bytes_get64 t.data (word * t.word_size) in
+  let v = bytes_get64 t (word * word_size) in
   Int64.float_of_bits (if Sys.big_endian then swap64 v else v)
 
 let set_float t word v =
-  check t word;
   let v = Int64.bits_of_float v in
-  bytes_set64 t.data (word * t.word_size) (if Sys.big_endian then swap64 v else v)
-
-let copy t = { data = Bytes.copy t.data; word_size = t.word_size }
-
-let blit_from ~src t = Bytes.blit src.data 0 t.data 0 (Bytes.length t.data)
-
-let raw t = t.data
-
-let equal a b = Bytes.equal a.data b.data
+  bytes_set64 t (word * word_size) (if Sys.big_endian then swap64 v else v)

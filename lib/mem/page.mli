@@ -1,15 +1,26 @@
-(** A page of simulated shared memory with word-granularity accessors.
+(** A page of simulated shared memory: its bytes, with word-granularity
+    accessors.
 
-    Words are 8 bytes and hold either an int64 or a float (stored as its
-    bit pattern) — enough for all four applications (TSP uses integers;
-    SOR, FFT and Water use doubles). *)
+    Words are {!word_size} bytes and hold either an int64 or a float
+    (stored as its bit pattern) — enough for all four applications (TSP
+    uses integers; SOR, FFT and Water use doubles). A page is a plain
+    [Bytes.t], so copying, blitting and comparing pages, and shipping one
+    on the wire, are [Bytes] operations.
 
-type t
+    The accessors take a word index; one outside [\[0, words t)] raises
+    [Invalid_argument]. *)
 
-val create : page_size:int -> word_size:int -> t
-(** All-zero page. Only 8-byte words are supported. *)
+type t = Bytes.t
+
+val word_size : int
+(** 8: the one word size of every layout (the detector keeps one bit per
+    word). *)
+
+val create : page_size:int -> t
+(** All-zero page of [page_size] bytes, a whole number of words. *)
 
 val words : t -> int
+
 val get_int64 : t -> int -> int64
 val set_int64 : t -> int -> int64 -> unit
 val get_float : t -> int -> float
@@ -21,12 +32,3 @@ val get_int : t -> int -> int
     int64 on the access path. *)
 
 val set_int : t -> int -> int -> unit
-
-val copy : t -> t
-(** Used to make twins in the multi-writer protocol. *)
-
-val blit_from : src:t -> t -> unit
-(** Overwrite contents with [src] (page fetch). *)
-
-val raw : t -> Bytes.t
-val equal : t -> t -> bool

@@ -35,6 +35,6 @@ let name_of t addr =
   | Some e ->
       let offset = addr - e.base in
       if offset = 0 then e.name
-      else if e.bytes > 8 && offset mod 8 = 0 then
-        Printf.sprintf "%s[%d]" e.name (offset / 8)
+      else if e.bytes > Page.word_size && offset mod Page.word_size = 0 then
+        Printf.sprintf "%s[%d]" e.name (offset / Page.word_size)
       else Printf.sprintf "%s+%d" e.name offset

@@ -25,7 +25,6 @@ type t = {
   max_message_bytes : int;  (* wire MTU: larger payloads fragment (section 5.3) *)
   fragment_overhead_bytes : int;  (* per-fragment header *)
   page_size : int;  (* bytes; DECstation pages were large, we default 4096 *)
-  word_size : int;  (* bytes per word *)
   (* snooping-bus cache backends (lib/cc): a bus transaction costs
      arbitration plus per-word transfer plus the supplier's latency
      (memory or a cache-to-cache forward); these are orders of magnitude
@@ -58,15 +57,12 @@ let default =
     max_message_bytes = 65_536;
     fragment_overhead_bytes = 24;
     page_size = 4096;
-    word_size = 8;
     cache_hit_ns = 2.0;
     bus_arb_ns = 24.0;
     bus_word_ns = 8.0;
     bus_mem_ns = 180.0;
     bus_c2c_ns = 60.0;
   }
-
-let words_per_page t = t.page_size / t.word_size
 
 let fragments t ~bytes = max 1 ((bytes + t.max_message_bytes - 1) / t.max_message_bytes)
 

@@ -1,8 +1,11 @@
 (** Cost model for the simulated platform (times in nanoseconds).
 
     Defaults approximate the paper's testbed: 250 MHz DEC Alphas on
-    155 Mbit/s ATM. Every constant can be overridden to run what-if
-    calibrations; the benchmark harness uses the defaults. *)
+    155 Mbit/s ATM. Every field can be overridden to run what-if
+    calibrations; the benchmark harness uses the defaults. [page_size]
+    must be a power of two no smaller than a word ([Mem.Geometry.create]
+    rejects any other). The word size is not part of the model: words
+    are always 8 bytes ([Mem.Page.word_size]). *)
 
 type t = {
   instr_ns : float;
@@ -23,7 +26,6 @@ type t = {
   max_message_bytes : int;
   fragment_overhead_bytes : int;
   page_size : int;
-  word_size : int;
   cache_hit_ns : float;
       (** snooping-bus backends: L1 hit, charged on every cached access *)
   bus_arb_ns : float;  (** per-transaction arbitration + address phase *)
@@ -33,8 +35,6 @@ type t = {
 }
 
 val default : t
-
-val words_per_page : t -> int
 
 val fragments : t -> bytes:int -> int
 (** Number of wire fragments a payload needs under the MTU (paper section

@@ -61,15 +61,7 @@ type t =
   | Run_end of { checksum : int; sim_time_ns : int; races : int }
 
 let equal (a : t) (b : t) =
-  match (a, b) with
-  | Race ra, Race rb -> Proto.Race.equal ra rb
-  | Lock_acquire x, Lock_acquire y ->
-      x.proc = y.proc && x.lock = y.lock && Proto.Vclock.equal x.vc y.vc
-  | Lock_release x, Lock_release y ->
-      x.proc = y.proc && x.lock = y.lock && Proto.Vclock.equal x.vc y.vc
-  | Barrier_leave x, Barrier_leave y ->
-      x.proc = y.proc && x.epoch = y.epoch && Proto.Vclock.equal x.vc y.vc
-  | _ -> a = b
+  match (a, b) with Race ra, Race rb -> Proto.Race.equal ra rb | _ -> a = b
 
 let pp_outcome ppf = function
   | Passed { copies; extra_delay_ns } ->

@@ -60,6 +60,9 @@ val bus_kind_name : bus_kind -> string
 (** Short stable name ("rd", "rdx", "upgr", "upd", "wb", "sync"). *)
 
 val equal : t -> t -> bool
+(** Structural equality, except that two [Race] events compare with
+    {!Proto.Race.equal}, which ignores the order of the pair. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -4,7 +4,7 @@
 let check = Alcotest.check
 
 let nprocs = 3
-let geometry = Mem.Geometry.create ~page_size:4096 ~word_size:8 ~pages:8 ()
+let geometry = Mem.Geometry.create ~page_size:4096 ~pages:8 ()
 let words = 512
 
 let interval ~proc ~index ~seen =

@@ -13,7 +13,8 @@ let test_cost_message_ns () =
   let big = Sim.Cost.message_ns cost ~bytes:4096 in
   check Alcotest.int "latency only at 0 bytes" cost.Sim.Cost.msg_latency_ns base;
   check Alcotest.bool "bandwidth term grows" true (big > base);
-  check Alcotest.int "words per page" 512 (Sim.Cost.words_per_page cost)
+  check Alcotest.int "words per page" 512
+    (Mem.Geometry.words_per_page (Mem.Geometry.of_cost cost ~pages:1))
 
 (* ------------------------------------------------------------------ *)
 (* Message sizes                                                       *)

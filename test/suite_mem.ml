@@ -3,34 +3,36 @@
 
 let check = Alcotest.check
 
-let geometry = Mem.Geometry.create ~page_size:4096 ~word_size:8 ~pages:4 ()
+let geometry = Mem.Geometry.create ~page_size:4096 ~pages:4 ()
 
 (* ------------------------------------------------------------------ *)
 (* Geometry                                                            *)
 
 let test_geometry_bounds () =
-  check Alcotest.bool "base shared" true (Mem.Geometry.in_shared geometry geometry.base);
-  check Alcotest.bool "below base private" false
-    (Mem.Geometry.in_shared geometry (geometry.base - 8));
-  check Alcotest.bool "limit private" false
-    (Mem.Geometry.in_shared geometry (Mem.Geometry.limit geometry));
-  check Alcotest.int "shared bytes" (4 * 4096) (Mem.Geometry.shared_bytes geometry)
+  check Alcotest.int "limit" (geometry.base + (4 * 4096)) (Mem.Geometry.limit geometry);
+  check Alcotest.int "words per page" 512 (Mem.Geometry.words_per_page geometry);
+  check Alcotest.int "last word" (Mem.Geometry.limit geometry - Mem.Page.word_size)
+    (Mem.Geometry.addr_of geometry ~page:3 ~word:511)
 
+(* the front-end's address split inverts [addr_of] on every word *)
 let test_geometry_roundtrip () =
+  let front =
+    Coherence.Front.create ~name:"Test" ~cost:Sim.Cost.default ~cfg:Coherence.Config.default
+      ~nprocs:1 ~pages:4
+  in
   for page = 0 to 3 do
     for word = 0 to 511 do
-      let addr = Mem.Geometry.addr_of geometry ~page ~word in
-      check Alcotest.int "page roundtrip" page (Mem.Geometry.page_of_addr geometry addr);
-      check Alcotest.int "word roundtrip" word (Mem.Geometry.word_in_page geometry addr)
+      let addr = Mem.Geometry.addr_of front.Coherence.Front.geometry ~page ~word in
+      check Alcotest.int "page roundtrip" page (Coherence.Front.page_of front addr);
+      check Alcotest.int "word roundtrip" word (Coherence.Front.word_of front addr)
     done
   done
 
 let test_geometry_errors () =
-  Alcotest.check_raises "private address" (Invalid_argument
-      "Geometry.page_of_addr: address not shared") (fun () ->
-      ignore (Mem.Geometry.page_of_addr geometry 0));
   Alcotest.check_raises "bad page" (Invalid_argument "Geometry.addr_of: bad page") (fun () ->
-      ignore (Mem.Geometry.addr_of geometry ~page:4 ~word:0))
+      ignore (Mem.Geometry.addr_of geometry ~page:4 ~word:0));
+  Alcotest.check_raises "bad word" (Invalid_argument "Geometry.addr_of: bad word") (fun () ->
+      ignore (Mem.Geometry.addr_of geometry ~page:0 ~word:512))
 
 (* the per-access check splits addresses with shifts and masks, so a
    layout they cannot express is refused when the geometry is made *)
@@ -41,9 +43,9 @@ let test_geometry_rejects_layouts () =
     | exception Invalid_argument _ -> ()
   in
   rejected "4104-byte pages" (fun () ->
-      Mem.Geometry.create ~page_size:4104 ~word_size:8 ~pages:4 ());
+      Mem.Geometry.create ~page_size:4104 ~pages:4 ());
   rejected "unaligned base" (fun () ->
-      Mem.Geometry.create ~base:100 ~page_size:4096 ~word_size:8 ~pages:4 ());
+      Mem.Geometry.create ~base:100 ~page_size:4096 ~pages:4 ());
   rejected "backend with 4104-byte pages" (fun () ->
       Backends.create ~cost:{ Sim.Cost.default with page_size = 4104 } ~nprocs:2 ~pages:4 ())
 
@@ -115,50 +117,52 @@ let prop_bitmap_cardinal =
 (* Page                                                                *)
 
 let test_page_roundtrip () =
-  let page = Mem.Page.create ~page_size:4096 ~word_size:8 in
+  let page = Mem.Page.create ~page_size:4096 in
   Mem.Page.set_int64 page 0 42L;
   Mem.Page.set_float page 1 3.25;
   Mem.Page.set_int64 page 511 (-1L);
   check Alcotest.int64 "int64" 42L (Mem.Page.get_int64 page 0);
   check (Alcotest.float 0.0) "float" 3.25 (Mem.Page.get_float page 1);
   check Alcotest.int64 "last word" (-1L) (Mem.Page.get_int64 page 511);
-  Alcotest.check_raises "out of range" (Invalid_argument "Page: word out of range") (fun () ->
-      ignore (Mem.Page.get_int64 page 512))
+  Alcotest.check_raises "out of range" (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Mem.Page.get_int64 page 512));
+  Alcotest.check_raises "negative" (Invalid_argument "index out of bounds") (fun () ->
+      Mem.Page.set_int page (-1) 0)
 
 let test_page_copy_blit () =
-  let page = Mem.Page.create ~page_size:4096 ~word_size:8 in
+  let page = Mem.Page.create ~page_size:4096 in
   Mem.Page.set_int64 page 7 99L;
-  let twin = Mem.Page.copy page in
+  let twin = Bytes.copy page in
   Mem.Page.set_int64 page 7 100L;
   check Alcotest.int64 "twin keeps old value" 99L (Mem.Page.get_int64 twin 7);
-  Mem.Page.blit_from ~src:twin page;
+  Bytes.blit twin 0 page 0 (Bytes.length page);
   check Alcotest.int64 "blit restores" 99L (Mem.Page.get_int64 page 7);
-  check Alcotest.bool "equal" true (Mem.Page.equal page twin)
+  check Alcotest.bool "equal" true (Bytes.equal page twin)
 
 (* ------------------------------------------------------------------ *)
 (* Diff                                                                *)
 
 let test_diff_roundtrip () =
-  let twin = Mem.Page.create ~page_size:4096 ~word_size:8 in
-  let current = Mem.Page.copy twin in
+  let twin = Mem.Page.create ~page_size:4096 in
+  let current = Bytes.copy twin in
   Mem.Page.set_int64 current 5 1L;
   Mem.Page.set_int64 current 100 2L;
   let diff = Mem.Diff.create ~page:3 ~twin ~current in
   check Alcotest.int "changed words" 2 (Mem.Diff.word_count diff);
   check Alcotest.int "page id" 3 (Mem.Diff.page diff);
   check (Alcotest.list Alcotest.int) "touched" [ 5; 100 ] (Mem.Diff.touched_words diff);
-  let target = Mem.Page.copy twin in
+  let target = Bytes.copy twin in
   Mem.Diff.apply diff target;
-  check Alcotest.bool "apply reconstructs" true (Mem.Page.equal target current)
+  check Alcotest.bool "apply reconstructs" true (Bytes.equal target current)
 
 let test_diff_empty () =
-  let page = Mem.Page.create ~page_size:4096 ~word_size:8 in
-  let diff = Mem.Diff.create ~page:0 ~twin:page ~current:(Mem.Page.copy page) in
+  let page = Mem.Page.create ~page_size:4096 in
+  let diff = Mem.Diff.create ~page:0 ~twin:page ~current:(Bytes.copy page) in
   check Alcotest.bool "empty" true (Mem.Diff.is_empty diff)
 
 let test_diff_to_bitmap () =
-  let twin = Mem.Page.create ~page_size:4096 ~word_size:8 in
-  let current = Mem.Page.copy twin in
+  let twin = Mem.Page.create ~page_size:4096 in
+  let current = Bytes.copy twin in
   Mem.Page.set_int64 current 9 5L;
   let diff = Mem.Diff.create ~page:0 ~twin ~current in
   let bitmap = Mem.Diff.to_bitmap diff ~nbits:512 in
@@ -168,13 +172,13 @@ let prop_diff_apply_reconstructs =
   QCheck.Test.make ~name:"diff(twin,current) applied to twin copy = current" ~count:100
     QCheck.(list (pair (int_bound 511) int64))
     (fun writes ->
-      let twin = Mem.Page.create ~page_size:4096 ~word_size:8 in
-      let current = Mem.Page.copy twin in
+      let twin = Mem.Page.create ~page_size:4096 in
+      let current = Bytes.copy twin in
       List.iter (fun (word, value) -> Mem.Page.set_int64 current word value) writes;
       let diff = Mem.Diff.create ~page:0 ~twin ~current in
-      let target = Mem.Page.copy twin in
+      let target = Bytes.copy twin in
       Mem.Diff.apply diff target;
-      Mem.Page.equal target current)
+      Bytes.equal target current)
 
 (* ------------------------------------------------------------------ *)
 (* Checksum                                                            *)

@@ -34,9 +34,9 @@ let backend ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs
     let h = ref Mem.Checksum.init in
     for page = 0 to front.Front.geometry.Mem.Geometry.pages - 1 do
       h :=
-        match Array.find_map (fun node -> Node.coherent_page_raw node page) nodes with
+        match Array.find_map (fun node -> Node.coherent_page node page) nodes with
         | None -> Mem.Checksum.absent !h
-        | Some raw -> Mem.Checksum.page !h raw
+        | Some data -> Mem.Checksum.page !h data
     done;
     Mem.Checksum.finish !h
   in

@@ -1051,7 +1051,7 @@ let create rt net ~id =
   learn t fe.Front.cur;
   t
 
-let coherent_page_raw t page =
+let coherent_page t page =
   (* This node's copy of [page], but only if it is coherent: a valid copy
      with no pending write notices. An invalidated copy's bytes are a
      timing-dependent stale snapshot (false sharing), while after the

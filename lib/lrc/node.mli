@@ -29,7 +29,7 @@ val view : t -> Coherence.Node.t
     fetch and instrument as the configuration dictates; [site] is the
     symbolic "program counter" recorded by watch mode (section 6.1). *)
 
-val coherent_page_raw : t -> int -> Bytes.t option
+val coherent_page : t -> int -> Mem.Page.t option
 (** This node's copy of a page, if coherent: valid and with no pending
     write notices. All coherent copies of a page agree once the run is
     over, so the cluster's [memory_checksum] can hash any one of them. *)

@@ -5,7 +5,7 @@
     {!Page.word_size}-byte words. Everything outside it is private
     (stacks, statics, library code), mirroring CVM's layout where all
     shared data is dynamically allocated in one mapped region. The
-    per-access check ({!Coherence.Front}) splits a shared address into
+    per-access check ([Coherence.Front]) splits a shared address into
     its page and word. *)
 
 type t = { base : int; page_size : int; pages : int }

@@ -151,8 +151,10 @@ let test_backend_absent_defaults_lrc () =
 
 let test_old_sim_jobs_field_ignored () =
   (* BENCH files written while the sharded engine existed carry
-     "sim_jobs": null on every entry; the field is not part of the key,
-     so such an entry gates like any other *)
+     "sim_jobs": null on every entry, and files written before sweep
+     points kept only minor words carry promoted and major words and
+     collection counts; no such field is part of the key, so such an
+     entry gates like any other *)
   let null_jobs =
     Compare_core.entry_of_json
       (Bench_json.Obj
@@ -170,6 +172,10 @@ let test_old_sim_jobs_field_ignored () =
            ("races", Bench_json.Int 3);
            ("mem_checksum", Bench_json.Int 48879);
            ("bytes", Bench_json.Int 4096);
+           ("promoted_words", Bench_json.Float 4526.0);
+           ("major_words", Bench_json.Float 4526.0);
+           ("minor_collections", Bench_json.Int 2);
+           ("major_collections", Bench_json.Int 0);
          ])
   in
   check Alcotest.bool "a null sim_jobs entry matches" true

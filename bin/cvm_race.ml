@@ -16,7 +16,7 @@
      analyze run only the static passes: classification and
              redundant-check batching, and the MHP lockset warnings
              (--mhp: the whole pair report) per application
-     litmus  explore memory-model litmus tests under a protocol
+     litmus  explore memory-model litmus tests on a backend and protocol
      fuzz    differential fuzzing: seeded random programs with
              by-construction ground truth, detector vs oracle across
              every backend, mismatches shrunk to trace-file repros
@@ -137,19 +137,21 @@ let backend_arg =
   in
   let doc =
     "Coherence backend: lrc (message-passing DSM), mesi (snooping bus, \
-     write-invalidate) or dragon (snooping bus, write-update). $(b,--list-backends) \
-     prints the registry."
+     write-invalidate) or dragon (snooping bus, write-update). Both buses are \
+     sequentially consistent. $(b,--list-backends) prints the registry."
   in
   Arg.(value & opt backend_conv "lrc" & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
 let protocol_arg =
-  let doc = "Coherence protocol: sw (single-writer), mw (multi-writer), hb (home-based), sc." in
+  let doc =
+    "Coherence protocol of the lrc backend: sw (single-writer), mw (multi-writer) or hb \
+     (home-based); the bus backends ignore it."
+  in
   Arg.(value
       & opt (enum
             [ ("sw", Coherence.Config.Single_writer);
               ("mw", Coherence.Config.Multi_writer);
               ("hb", Coherence.Config.Home_based);
-              ("sc", Coherence.Config.Seq_consistent);
             ]) Coherence.Config.Single_writer
       & info [ "protocol" ] ~docv:"PROTO" ~doc)
 
@@ -765,10 +767,10 @@ let analyze_command =
     term
 
 let litmus_command =
-  let litmus protocol =
+  let litmus backend protocol =
     List.iter
       (fun test ->
-        let outcomes = Litmus.explore ~protocol test in
+        let outcomes = Litmus.explore ~backend ~protocol test in
         Format.fprintf ppf "%-16s: %s@." test.Litmus.name
           (String.concat " | "
              (List.map
@@ -781,12 +783,13 @@ let litmus_command =
                 outcomes)))
       Litmus.all
   in
-  let term = Term.(const litmus $ protocol_arg) in
+  let term = Term.(const litmus $ backend_arg $ protocol_arg) in
   Cmd.v
     (Cmd.info "litmus"
        ~doc:
          "Explore the observable outcomes of classic memory-model litmus tests (MP, SB, \
-          coherence) under the chosen protocol.")
+          coherence) on the chosen backend and protocol; $(b,--backend) mesi or dragon \
+          runs them sequentially consistent.")
     term
 
 let fuzz_command =

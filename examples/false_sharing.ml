@@ -16,8 +16,8 @@
 
 let () =
   let cluster = Backends.create ~nprocs:4 ~pages:4 () in
-  let stripe = cluster.Coherence.Backend.alloc (4 * 8) in
-  let hot = cluster.Coherence.Backend.alloc 8 in
+  let stripe = cluster.Coherence.Backend.alloc (4 * Mem.Page.word_size) in
+  let hot = cluster.Coherence.Backend.alloc Mem.Page.word_size in
   let body node =
     let open Lrc.Dsm in
     barrier node;

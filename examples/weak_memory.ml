@@ -9,8 +9,8 @@
    reads the STALE pointer (37) and its writes collide with P3's: races
    on slot[37] and slot[38] that a sequentially consistent machine could
    never produce (if qEmpty's new value reached P2, qPtr's must have
-   too). Run the same program on the sequential-consistency reference
-   protocol and the slot races vanish.
+   too). Run the same program on the mesi snooping bus, a sequentially
+   consistent machine, and the slot races vanish.
 
      dune exec examples/weak_memory.exe
 *)
@@ -24,7 +24,7 @@ let describe (result : Core.Experiments.figure5_result) =
 let () =
   Format.printf "--- the missing-release queue of section 6.4 ---@.@.";
   describe (Core.Experiments.figure5 ~protocol:Coherence.Config.Single_writer ());
-  describe (Core.Experiments.figure5 ~protocol:Coherence.Config.Seq_consistent ());
+  describe (Core.Experiments.figure5 ~backend:"mesi" ());
   Format.printf "Both runs race on qPtr and qEmpty (the missing synchronization).@.";
   Format.printf "Only the weak-memory run races on the slots: P2 acted on a stale@.";
   Format.printf "pointer that a sequentially consistent system could never show it.@."

@@ -29,7 +29,8 @@ let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let total { n1; n2; n3 } = n1 * n2 * n3
 
-let memory_bytes params = 2 * 2 * total params * 8 (* data + transpose buffer *)
+let memory_bytes params =
+  2 * 2 * total params * Mem.Page.word_size (* data + transpose buffer *)
 
 let binary () =
   (* Synthetic image with the paper's FFT counts (Table 2). The
@@ -163,8 +164,8 @@ let body ({ n1; n2; n3 } as params) node =
   let open Lrc.Dsm in
   let nprocs = nprocs node and pid = pid node in
   let n = total params in
-  let data = malloc node (2 * n * 8) ~name:"fft.data" in
-  let trans = malloc node (2 * n * 8) ~name:"fft.transpose" in
+  let data = malloc node (2 * n * Mem.Page.word_size) ~name:"fft.data" in
+  let trans = malloc node (2 * n * Mem.Page.word_size) ~name:"fft.transpose" in
   (* flat complex index in (a, b, n3) layout: ((a * dim_b) + b) * n3 + c *)
   let re_index i = 2 * i and im_index i = (2 * i) + 1 in
   let planes_of dim_a = ((dim_a + nprocs - 1) / nprocs * pid, min dim_a ((dim_a + nprocs - 1) / nprocs * (pid + 1))) in

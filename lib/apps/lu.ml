@@ -34,7 +34,7 @@ let reference { n } =
   done;
   a
 
-let memory_bytes { n } = n * n * 8
+let memory_bytes { n } = n * n * Mem.Page.word_size
 
 let binary () =
   (* No Table 2 row exists for LU; SOR-like magnitudes. The CFG
@@ -83,7 +83,7 @@ let binary () =
 let body ({ n } as params) node =
   let open Lrc.Dsm in
   let nprocs = nprocs node and pid = pid node in
-  let a = malloc node (n * n * 8) ~name:"lu.matrix" in
+  let a = malloc node (n * n * Mem.Page.word_size) ~name:"lu.matrix" in
   let index i j = (i * n) + j in
   let owner j = j mod nprocs in
   (* initialization: own columns *)

@@ -45,7 +45,7 @@ let reference { rows; cols; iters } =
   done;
   grid.(!cur)
 
-let memory_bytes { rows; cols; _ } = 2 * rows * cols * 8
+let memory_bytes { rows; cols; _ } = 2 * rows * cols * Mem.Page.word_size
 
 let binary () =
   (* Synthetic image with the paper's SOR counts (Table 2). The
@@ -110,8 +110,8 @@ let band ~rows ~nprocs ~pid =
 let body ({ rows; cols; iters } as params) node =
   let open Lrc.Dsm in
   let nprocs = nprocs node and pid = pid node in
-  let grid0 = malloc node (rows * cols * 8) ~name:"sor.grid0" in
-  let grid1 = malloc node (rows * cols * 8) ~name:"sor.grid1" in
+  let grid0 = malloc node (rows * cols * Mem.Page.word_size) ~name:"sor.grid0" in
+  let grid1 = malloc node (rows * cols * Mem.Page.word_size) ~name:"sor.grid1" in
   let grids = [| grid0; grid1 |] in
   let index row col = (row * cols) + col in
   let lo, hi = band ~rows ~nprocs ~pid in

@@ -16,8 +16,6 @@ val large_params : params
 val reference : params -> float array array
 (** Sequential reference grid; the parallel run matches it exactly. *)
 
-val boundary_value : row:int -> col:int -> rows:int -> cols:int -> float
-
 val band : rows:int -> nprocs:int -> pid:int -> int * int
 (** Contiguous rows [lo, hi) owned by a processor. *)
 

@@ -148,7 +148,7 @@ let reference params =
   !best
 
 let memory_bytes { ncities; _ } =
-  (ncities * ncities * 8) + (queue_capacity * (ncities + 2) * 8) + 64
+  (((ncities * ncities) + (queue_capacity * (ncities + 2))) * Mem.Page.word_size) + 64
 
 let binary () =
   (* Synthetic image with the paper's TSP counts (Table 2). The
@@ -253,23 +253,26 @@ type layout = {
 
 let layout node params =
   let record_words = params.ncities + 2 in
-  let matrix = Lrc.Dsm.malloc node (params.ncities * params.ncities * 8) ~name:"tsp.distance_matrix" in
-  let queue_base = Lrc.Dsm.malloc node (queue_capacity * record_words * 8) ~name:"tsp.queue" in
-  let queue_top = Lrc.Dsm.malloc node 8 ~name:"tsp.queue_top" in
-  let in_flight = Lrc.Dsm.malloc node 8 ~name:"tsp.in_flight" in
-  let bound = Lrc.Dsm.malloc node 8 ~name:"tsp.bound" in
-  let best_tour = Lrc.Dsm.malloc node (params.ncities * 8) ~name:"tsp.best_tour" in
+  let words n = n * Mem.Page.word_size in
+  let matrix =
+    Lrc.Dsm.malloc node (words (params.ncities * params.ncities)) ~name:"tsp.distance_matrix"
+  in
+  let queue_base = Lrc.Dsm.malloc node (words (queue_capacity * record_words)) ~name:"tsp.queue" in
+  let queue_top = Lrc.Dsm.malloc node (words 1) ~name:"tsp.queue_top" in
+  let in_flight = Lrc.Dsm.malloc node (words 1) ~name:"tsp.in_flight" in
+  let bound = Lrc.Dsm.malloc node (words 1) ~name:"tsp.bound" in
+  let best_tour = Lrc.Dsm.malloc node (words params.ncities) ~name:"tsp.best_tour" in
   { matrix; queue_base; queue_top; in_flight; bound; best_tour; record_words }
 
 let body params node =
   let open Lrc.Dsm in
   let n = params.ncities in
   let lay = layout node params in
-  let dist_addr i j = lay.matrix + (((i * n) + j) * 8) in
+  let dist_addr i j = addr_of_index lay.matrix ((i * n) + j) in
   let read_dist i j = read_int node (dist_addr i j) ~site:"tsp:dist" in
   (* unsynchronized read of the global bound: the deliberate benign race *)
   let read_bound_racy () = read_int node lay.bound ~site:"tsp:bound_prune" in
-  let record_addr slot = lay.queue_base + (slot * lay.record_words * 8) in
+  let record_addr slot = addr_of_index lay.queue_base (slot * lay.record_words) in
   let push_task ~cost ~depth ~path =
     (* caller holds the queue lock *)
     let top = read_int node lay.queue_top ~site:"tsp:queue_top" in
@@ -277,10 +280,8 @@ let body params node =
     else begin
       let base = record_addr top in
       write_int node base cost ~site:"tsp:queue_cost";
-      write_int node (base + 8) depth ~site:"tsp:queue_depth";
-      Array.iteri
-        (fun k city -> write_int node (base + 16 + (k * 8)) city ~site:"tsp:queue_path")
-        path;
+      write_int_at node base 1 depth ~site:"tsp:queue_depth";
+      Array.iteri (fun k city -> write_int_at node base (2 + k) city ~site:"tsp:queue_path") path;
       write_int node lay.queue_top (top + 1) ~site:"tsp:queue_top";
       true
     end
@@ -293,10 +294,8 @@ let body params node =
       let base = record_addr (top - 1) in
       write_int node lay.queue_top (top - 1) ~site:"tsp:queue_top";
       let cost = read_int node base ~site:"tsp:queue_cost" in
-      let depth = read_int node (base + 8) ~site:"tsp:queue_depth" in
-      let path =
-        Array.init depth (fun k -> read_int node (base + 16 + (k * 8)) ~site:"tsp:queue_path")
-      in
+      let depth = read_int_at node base 1 ~site:"tsp:queue_depth" in
+      let path = Array.init depth (fun k -> read_int_at node base (2 + k) ~site:"tsp:queue_path") in
       Some (cost, depth, path)
     end
   in
@@ -306,7 +305,7 @@ let body params node =
         if cost < best then begin
           write_int node lay.bound cost ~site:"tsp:bound_update";
           Array.iteri
-            (fun k city -> write_int node (lay.best_tour + (k * 8)) city ~site:"tsp:best_tour")
+            (fun k city -> write_int_at node lay.best_tour k city ~site:"tsp:best_tour")
             path
         end)
   in

@@ -19,8 +19,6 @@ val small_params : params
 val distances : params -> int array array
 (** The deterministic instance: pseudo-random cities on a 1000x1000 grid. *)
 
-val nearest_neighbour_bound : int array array -> int
-
 type bound_ctx
 (** Precomputed minimisation context for {!lower_bound}: the matrix
     flattened plus per-city neighbours ranked by ascending distance. *)
@@ -35,8 +33,5 @@ val lower_bound : bound_ctx -> bool array -> current:int -> cost:int -> int
 val reference : params -> int
 (** Optimal tour cost by sequential branch-and-bound; the parallel run's
     self-check compares against it. *)
-
-val lock_queue : int
-val lock_bound : int
 
 val make : params -> App.t

@@ -117,7 +117,7 @@ let reference { nmols; steps; _ } =
   in
   { positions; potential = potential.(0) }
 
-let memory_bytes { nmols; _ } = (nmols * mol_words * 8) + 64
+let memory_bytes { nmols; _ } = (nmols * mol_words * Mem.Page.word_size) + 64
 
 let binary () =
   (* Synthetic image with the paper's Water counts (Table 2). The
@@ -239,9 +239,9 @@ let off_force s axis = 18 + (s * 3) + axis
 let body ({ nmols; steps; mols_per_lock; inject_bug } as params) node =
   let open Lrc.Dsm in
   let nprocs = nprocs node and pid = pid node in
-  let mols = malloc node (nmols * mol_words * 8) ~name:"water.molecules" in
-  let potential = malloc node 8 ~name:"water.potential" in
-  let field mol off = mols + (((mol * mol_words) + off) * 8) in
+  let mols = malloc node (nmols * mol_words * Mem.Page.word_size) ~name:"water.molecules" in
+  let potential = malloc node Mem.Page.word_size ~name:"water.potential" in
+  let field mol off = addr_of_index mols ((mol * mol_words) + off) in
   let read_site mol s ~site:label =
     ( read_float node (field mol (off_pos s 0)) ~site:label,
       read_float node (field mol (off_pos s 1)) ~site:label,

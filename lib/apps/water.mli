@@ -39,7 +39,4 @@ val site_interaction :
 (** Force on the first site from the second, plus the pair's potential
     contribution. *)
 
-val lock_global : int
-val lock_group : int -> int
-
 val make : params -> App.t

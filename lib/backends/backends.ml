@@ -19,7 +19,7 @@ let unknown name =
        (String.concat ", " all))
 
 let create ?cost ?(cfg = Coherence.Config.default) ~nprocs ~pages () =
-  let cfg = Coherence.Config.check ?cost ~nprocs cfg in
+  let cfg = Coherence.Config.check ~nprocs cfg in
   match cfg.Coherence.Config.backend with
   | "lrc" -> Lrc.Cluster.backend ?cost ~cfg ~nprocs ~pages ()
   | "mesi" -> Cc.Machine.backend ?cost ~cfg ~protocol:Cc.Machine.Mesi ~nprocs ~pages ()

@@ -2,7 +2,8 @@
 
     ["lrc"] is the message-passing DSM cluster; ["mesi"] and ["dragon"]
     are the snooping-bus cache-coherent machines (write-invalidate and
-    write-update respectively). *)
+    write-update respectively), sequentially consistent by construction
+    and so the repository's SC reference. *)
 
 val all : string list
 (** Every registered backend name, in presentation order. *)

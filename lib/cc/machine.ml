@@ -52,6 +52,14 @@ type lock_state = {
          before it, so overwriting equals the oracle's accumulation *)
 }
 
+(* The one cache geometry: 64-byte lines, 64 sets, 2 ways (8 KB per
+   processor). Lines only count bus traffic; nothing indexes pages by
+   line, so any page size works. *)
+let line_shift = 6  (* addr lsr line_shift = global line number *)
+let line_words = (1 lsl line_shift) / Mem.Page.word_size
+let sets = 64
+let ways = 2
+
 type proc = {
   fe : Front.proc;  (* clock, intervals, bitmaps, time debt *)
   cache : lstate Cache.t;
@@ -60,8 +68,6 @@ type proc = {
 type t = {
   rt : Front.t;  (* engine, cost, stats and the detection front-end *)
   protocol : protocol;
-  line_shift : int;  (* addr lsr line_shift = global line number *)
-  line_words : int;
   pages : Mem.Page.t array;  (* the single coherent memory image *)
   procs : proc array;
   mutable bus_busy_until : int;  (* FCFS arbitration in virtual time *)
@@ -116,7 +122,7 @@ let bus m p ~kind ~line ~words ~supply =
   m.bus_busy_until <- start + dur;
   Sim.Engine.advance (start + dur - now)
 
-let line_of m addr = addr lsr m.line_shift
+let line_of addr = addr lsr line_shift
 
 (* Claim a cache slot for [line]; a displaced dirty line pays a
    writeback transaction (clean evictions are silent). *)
@@ -129,7 +135,7 @@ let fill_line m p ~line ~state =
     m.rt.stats.Sim.Stats.cache_evictions <- m.rt.stats.Sim.Stats.cache_evictions + 1;
     match victim_state with
     | L_mod | L_shared_dirty ->
-        bus m p ~kind:Trace.Event.Bus_wb ~line:victim_tag ~words:m.line_words ~supply:`Mem
+        bus m p ~kind:Trace.Event.Bus_wb ~line:victim_tag ~words:line_words ~supply:`Mem
     | _ -> ()
   end
 
@@ -155,7 +161,7 @@ let mesi_read_miss m p ~line =
     end
   done;
   fill_line m p ~line ~state:(if !shared then L_shared else L_excl);
-  bus m p ~kind:Trace.Event.Bus_rd ~line ~words:m.line_words
+  bus m p ~kind:Trace.Event.Bus_rd ~line ~words:line_words
     ~supply:(if !shared then `Cache else `Mem)
 
 (* Invalidate every other copy of [line]; true if there was one. *)
@@ -184,7 +190,7 @@ let mesi_write_hit m p slot ~line =
 let mesi_write_miss m p ~line =
   let shared = mesi_invalidate_others m p ~line in
   fill_line m p ~line ~state:L_mod;
-  bus m p ~kind:Trace.Event.Bus_rdx ~line ~words:m.line_words
+  bus m p ~kind:Trace.Event.Bus_rdx ~line ~words:line_words
     ~supply:(if shared then `Cache else `Mem)
 
 (* --- Dragon -------------------------------------------------------- *)
@@ -203,7 +209,7 @@ let dragon_read_miss m p ~line =
     end
   done;
   fill_line m p ~line ~state:(if !shared then L_shared_clean else L_excl);
-  bus m p ~kind:Trace.Event.Bus_rd ~line ~words:m.line_words
+  bus m p ~kind:Trace.Event.Bus_rd ~line ~words:line_words
     ~supply:(if !shared then `Cache else `Mem)
 
 let dragon_update m p slot ~line =
@@ -242,7 +248,7 @@ let dragon_write_miss m p ~line =
 (* --- protocol-independent access path ------------------------------ *)
 
 let cache_read m p addr =
-  let line = line_of m addr in
+  let line = line_of addr in
   charge_local p m.rt.cost.Sim.Cost.cache_hit_ns;
   if Cache.find p.cache ~line ~is_valid >= 0 then
     m.rt.stats.Sim.Stats.cache_hits <- m.rt.stats.Sim.Stats.cache_hits + 1
@@ -254,7 +260,7 @@ let cache_read m p addr =
   end
 
 let cache_write m p addr =
-  let line = line_of m addr in
+  let line = line_of addr in
   charge_local p m.rt.cost.Sim.Cost.cache_hit_ns;
   let i = Cache.find p.cache ~line ~is_valid in
   if i >= 0 then begin
@@ -404,33 +410,20 @@ let barrier m p =
 (* ------------------------------------------------------------------ *)
 (* Construction and the Backend packaging                               *)
 
-let shift_of n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
-
 let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~protocol
     ~nprocs ~pages () =
-  let line_bytes = cfg.Coherence.Config.cc_line_bytes in
   let rt = Front.create ~name:"Machine" ~cost ~cfg ~nprocs ~pages in
   let geometry = rt.Front.geometry in
   let m =
     {
       rt;
       protocol;
-      line_shift = shift_of line_bytes;
-      line_words = line_bytes / Mem.Page.word_size;
       pages =
         Array.init geometry.Mem.Geometry.pages (fun _ ->
             Mem.Page.create ~page_size:geometry.Mem.Geometry.page_size);
       procs =
         Array.map
-          (fun fe ->
-            {
-              fe;
-              cache =
-                Cache.create ~sets:cfg.Coherence.Config.cc_sets
-                  ~ways:cfg.Coherence.Config.cc_ways ~invalid:L_inv;
-            })
+          (fun fe -> { fe; cache = Cache.create ~sets ~ways ~invalid:L_inv })
           rt.Front.procs;
       bus_busy_until = 0;
       locks = Hashtbl.create 16;

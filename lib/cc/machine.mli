@@ -5,10 +5,12 @@
     views, SPMD [run]), but consistency is maintained by hardware-style
     cache coherence over a shared bus instead of DSM messages: MESI
     invalidates remote copies on write, Dragon broadcasts word updates.
-    Data lives in one coherent memory image; per-processor caches model
-    cost and traffic (hits, fills, invalidations, updates, writebacks),
-    each bus transaction paying arbitration, transfer, and supplier
-    latency through the simulation engine.
+    Data lives in one coherent memory image behind an atomic bus, so the
+    machine is sequentially consistent: the repository's SC reference.
+    Per-processor caches of one fixed geometry (64-byte lines, 64 sets,
+    2 ways: 8 KB) model cost and traffic (hits, fills, invalidations,
+    updates, writebacks), each bus transaction paying arbitration,
+    transfer, and supplier latency through the simulation engine.
 
     Not supported: fault injection and the reliable transport (no lossy
     wire on a bus; {!Coherence.Config.check} rejects them), lock-grant

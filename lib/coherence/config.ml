@@ -14,9 +14,6 @@ type protocol =
       (* home-based LRC (HLRC): every page has a home that receives diff
          flushes at each release; faults fetch whole pages from the home,
          gated on a per-page version vector *)
-  | Seq_consistent
-      (* no caching: every access goes to the home node; the reference
-         system for the section 6.4 accuracy discussion (Figure 5) *)
 
 type t = {
   backend : string;
@@ -65,11 +62,6 @@ type t = {
          statically proven race-free for reports to be unchanged);
          Some [] asks the driver to derive the set from the app's binary
          via Instrument.Mhp.race_free_sites *)
-  cc_line_bytes : int;
-      (* bus backends: cache line size in bytes (a power of two, a
-         multiple of the word size) *)
-  cc_sets : int;  (* bus backends: cache sets per processor *)
-  cc_ways : int;  (* bus backends: associativity *)
 }
 
 (* Every backend allocates per-processor state that grows with the
@@ -95,27 +87,22 @@ let default =
     gc_epochs = None;
     tracer = None;
     elide_sites = None;
-    cc_line_bytes = 64;
-    cc_sets = 64;
-    cc_ways = 2;
   }
 
 let protocol_name = function
   | Single_writer -> "single-writer"
   | Multi_writer -> "multi-writer"
   | Home_based -> "home-based"
-  | Seq_consistent -> "sequential-consistency"
 
 let protocol_of_name = function
   | "single-writer" -> Single_writer
   | "multi-writer" -> Multi_writer
   | "home-based" -> Home_based
-  | "sequential-consistency" -> Seq_consistent
   | other -> invalid_arg (Printf.sprintf "Config.protocol_of_name: unknown protocol %S" other)
 
 (* Every rejection is one line: the CLI prints it as a usage error and
    replay as corrupt log metadata. *)
-let check ?(cost = Sim.Cost.default) ~nprocs t =
+let check ~nprocs t =
   let bad fmt = Printf.ksprintf invalid_arg fmt in
   if nprocs < 1 || nprocs > max_procs then
     bad "processor count %d outside [1, %d]" nprocs max_procs;
@@ -144,15 +131,6 @@ let check ?(cost = Sim.Cost.default) ~nprocs t =
       "backend %s: wire faults and the reliable transport need the lrc backend (a snooping \
        bus has no lossy wire)"
       t.backend;
-  let pow2 n = n > 0 && n land (n - 1) = 0 in
-  let line = t.cc_line_bytes in
-  if not (pow2 line && line >= Mem.Page.word_size && line <= cost.Sim.Cost.page_size)
-     || not (pow2 t.cc_sets) || t.cc_ways < 1
-  then
-    bad
-      "cache of %d-byte lines, %d sets, %d ways (need power-of-two lines from %d to %d \
-       bytes, power-of-two sets, at least one way)"
-      line t.cc_sets t.cc_ways Mem.Page.word_size cost.Sim.Cost.page_size;
   (match t.watchdog_ns with
   | Some ns when ns < 1 -> bad "watchdog of %d ns (need at least 1)" ns
   | _ -> ());

@@ -3,6 +3,10 @@
     place a configuration is judged; [Backends.create] calls it on every
     run. *)
 
+(** The lrc backend's coherence protocol, all three lazy release
+    consistent. The sequentially consistent machine is a bus backend
+    (["mesi"] or ["dragon"]: an atomic bus over one memory image), which
+    ignores [protocol]. *)
 type protocol =
   | Single_writer
       (** CVM's base protocol, used by the paper's prototype: one writable
@@ -14,9 +18,6 @@ type protocol =
       (** Home-based LRC (HLRC): every page has a home that receives diff
           flushes at each release; faults fetch whole pages from the home,
           gated on a per-page version vector. *)
-  | Seq_consistent
-      (** No caching: every access goes to the home node. The reference
-          system for the section 6.4 accuracy discussion (Figure 5). *)
 
 type t = {
   backend : string;
@@ -73,11 +74,6 @@ type t = {
           only for statically race-free sites); [Some []] asks the
           driver to derive the set from the app's binary via
           [Instrument.Mhp.race_free_sites] *)
-  cc_line_bytes : int;
-      (** bus backends: cache line size in bytes (a power of two, a
-          multiple of the word size) *)
-  cc_sets : int;  (** bus backends: cache sets per processor *)
-  cc_ways : int;  (** bus backends: associativity *)
 }
 
 val max_procs : int
@@ -87,16 +83,14 @@ val max_procs : int
 val default : t
 (** Single-writer protocol, detection on, everything else off. *)
 
-val check : ?cost:Sim.Cost.t -> nprocs:int -> t -> t
+val check : nprocs:int -> t -> t
 (** The configuration a run of [nprocs] processors executes. Raises
     [Invalid_argument] with a one-line message on a processor count
     outside [1, {!max_procs}]; a fault probability outside [0, 1] or NaN;
     a partition window without [0 <= from <= until], or whose endpoints
     are equal or outside [0, nprocs); a negative retry cap; wire faults
-    or the transport on a backend other than lrc; a cache geometry that
-    does not fit the cost model (default {!Sim.Cost.default}):
-    power-of-two lines from the word to the page size, power-of-two sets,
-    at least one way; or a watchdog or GC cadence below 1. Otherwise it
+    or the transport on a backend other than lrc; or a watchdog or GC
+    cadence below 1. Otherwise it
     returns the effective configuration: the transport on (with
     {!Sim.Transport.default_config}) when the wire has faults,
     [stores_from_diffs] only under lrc multi-writer, [retain_sites] only

@@ -165,18 +165,19 @@ type figure5_result = {
    writes into the slots it believes it owns; P3 concurrently writes slots
    37..40. Under LRC, P2 reads a *stale* qPtr (37) because nothing
    invalidates its cached copy, so its writes collide with P3's. On a
-   sequentially consistent system P2 sees qPtr = 100 (qEmpty's value could
-   only have propagated together with qPtr's) and the slot races cannot
-   occur. *)
-let figure5 ~protocol () =
-  let cfg = { Coherence.Config.default with protocol; detect = true } in
+   sequentially consistent system (a snooping bus) P2 sees qPtr = 100
+   (qEmpty's value could only have propagated together with qPtr's) and
+   the slot races cannot occur. *)
+let figure5 ?(backend = "lrc") ?(protocol = Coherence.Config.Single_writer) () =
+  let cfg = { Coherence.Config.default with backend; protocol; detect = true } in
   let cost = Sim.Cost.default in
   let cluster = Backends.create ~cost ~cfg ~nprocs:3 ~pages:8 () in
   let page = cost.Sim.Cost.page_size in
-  let qptr = cluster.Coherence.Backend.alloc ~align:page 8 in
-  let qempty = cluster.Coherence.Backend.alloc ~align:page 8 in
-  let slots = cluster.Coherence.Backend.alloc ~align:page (128 * 8) in
-  let slot_addr v = slots + ((v - 37) * 8) in
+  let word = Mem.Page.word_size in
+  let qptr = cluster.Coherence.Backend.alloc ~align:page word in
+  let qempty = cluster.Coherence.Backend.alloc ~align:page word in
+  let slots = cluster.Coherence.Backend.alloc ~align:page (128 * word) in
+  let slot_addr v = Lrc.Dsm.addr_of_index slots (v - 37) in
   let p2_qptr = ref 0 in
   let body node =
     let open Lrc.Dsm in
@@ -214,7 +215,7 @@ let figure5 ~protocol () =
   let symbolic addr =
     if addr = qptr then "qPtr"
     else if addr = qempty then "qEmpty"
-    else Printf.sprintf "slot[%d]" (((addr - slots) / 8) + 37)
+    else Printf.sprintf "slot[%d]" (((addr - slots) / word) + 37)
   in
   let racy =
     cluster.Coherence.Backend.races ()
@@ -223,15 +224,15 @@ let figure5 ~protocol () =
     |> List.map (fun addr -> (addr, symbolic addr))
   in
   {
-    f5_protocol = Coherence.Config.protocol_name protocol;
+    f5_protocol =
+      (if backend = "lrc" then Coherence.Config.protocol_name protocol
+       else "sequential-consistency");
     f5_qptr_seen_by_p2 = !p2_qptr;
     f5_racy_words = racy;
   }
 
 let figure5_both ?(jobs = 1) () =
-  Parallel.map ~jobs
-    (fun protocol -> figure5 ~protocol ())
-    [ Coherence.Config.Single_writer; Coherence.Config.Seq_consistent ]
+  Parallel.map ~jobs (fun backend -> figure5 ~backend ()) [ "lrc"; "mesi" ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: the section 6.5 store-instrumentation optimization        *)

@@ -81,11 +81,16 @@ type figure5_result = {
   f5_racy_words : (int * string) list;
 }
 
-val figure5 : protocol:Coherence.Config.protocol -> unit -> figure5_result
-(** The section 6.4 missing-release queue, run live under a protocol. *)
+val figure5 :
+  ?backend:string -> ?protocol:Coherence.Config.protocol -> unit -> figure5_result
+(** The section 6.4 missing-release queue, run live on [backend]
+    (default ["lrc"]) under [protocol] (default single-writer; read only
+    on lrc). [f5_protocol] names the memory model: the protocol on lrc,
+    ["sequential-consistency"] on a bus backend. *)
 
 val figure5_both : ?jobs:int -> unit -> figure5_result list
-(** Under LRC (single-writer) and sequential consistency. *)
+(** Under LRC (single-writer) and sequential consistency (the [mesi]
+    bus). *)
 
 (** {1 Extension ablations} *)
 

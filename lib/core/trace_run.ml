@@ -41,9 +41,6 @@ let meta_of ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.me
        the app's binary at replay (it is a pure function of the binary) *)
     m_elide = cfg.Coherence.Config.elide_sites <> None;
     m_backend = cfg.Coherence.Config.backend;
-    m_cc_line_bytes = cfg.Coherence.Config.cc_line_bytes;
-    m_cc_sets = cfg.Coherence.Config.cc_sets;
-    m_cc_ways = cfg.Coherence.Config.cc_ways;
   }
 
 (* A log's metadata is checked before anything is built from it: a
@@ -57,8 +54,7 @@ let config_of_meta (m : Trace.Codec.meta) : Coherence.Config.t =
   known "application" Apps.Registry.extended_names (String.lowercase_ascii m.m_app);
   known "scale" Apps.Registry.(List.map scale_name [ Paper; Small; Large ]) m.m_scale;
   known "protocol"
-    Coherence.Config.(
-      List.map protocol_name [ Single_writer; Multi_writer; Home_based; Seq_consistent ])
+    Coherence.Config.(List.map protocol_name [ Single_writer; Multi_writer; Home_based ])
     m.m_protocol;
   known "backend" Backends.all m.m_backend;
   let cfg =
@@ -85,9 +81,6 @@ let config_of_meta (m : Trace.Codec.meta) : Coherence.Config.t =
       gc_epochs = m.m_gc_epochs;
       elide_sites = (if m.m_elide then Some [] else None);
       backend = m.m_backend;
-      cc_line_bytes = m.m_cc_line_bytes;
-      cc_sets = m.m_cc_sets;
-      cc_ways = m.m_cc_ways;
     }
   in
   match Coherence.Config.check ~nprocs:m.m_nprocs cfg with

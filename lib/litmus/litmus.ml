@@ -1,15 +1,16 @@
 (* Memory-model litmus tests over the DSM.
 
    Classic two-processor shapes (message passing, store buffering,
-   coherence) run on a simulated cluster under a chosen protocol. Because
-   the simulation is deterministic, a single run shows a single
+   coherence) run on a chosen backend: the LRC cluster under one of its
+   protocols, or a snooping bus, the sequentially consistent machine.
+   Because the simulation is deterministic, a single run shows a single
    interleaving; [explore] sweeps a grid of artificial compute delays and
    collects the set of outcomes actually observable.
 
    The interesting assertions mirror the paper's section 6.4 discussion:
    outcomes forbidden under sequential consistency are observable under
-   LRC when synchronization is missing, and properly synchronized variants
-   admit only SC outcomes under every protocol. *)
+   LRC when synchronization is missing and never on a bus, and properly
+   synchronized variants admit only SC outcomes under every protocol. *)
 
 type registers = (string * int) list
 
@@ -23,11 +24,15 @@ type test = {
   body : base:int -> Lrc.Dsm.node -> delay:(float -> unit) -> registers;
 }
 
-let run ?(protocol = Coherence.Config.Single_writer) ~delays test =
+let run ?(backend = "lrc") ?(protocol = Coherence.Config.Single_writer) ~delays test =
   if Array.length delays <> test.nprocs then invalid_arg "Litmus.run: delay per processor";
-  let cfg = { Coherence.Config.default with Coherence.Config.protocol; detect = false } in
+  let cfg =
+    { Coherence.Config.default with Coherence.Config.backend; protocol; detect = false }
+  in
   let cluster = Backends.create ~cfg ~nprocs:test.nprocs ~pages:4 () in
-  let base = cluster.Coherence.Backend.alloc (test.shared_words * 8) ~name:"litmus" in
+  let base =
+    cluster.Coherence.Backend.alloc (test.shared_words * Mem.Page.word_size) ~name:"litmus"
+  in
   let observed = Array.make test.nprocs [] in
   let body node =
     let pid = Lrc.Dsm.pid node in
@@ -44,7 +49,7 @@ let default_grid =
      remote writes at the default network latency *)
   [| 0.0; 60_000.0; 250_000.0; 800_000.0; 2_000_000.0 |]
 
-let explore ?protocol ?(grid = default_grid) test =
+let explore ?backend ?protocol ?(grid = default_grid) test =
   (* sweep every combination of per-processor start delays *)
   let rec combos = function
     | 0 -> [ [] ]
@@ -52,21 +57,23 @@ let explore ?protocol ?(grid = default_grid) test =
              (combos (n - 1))
   in
   combos test.nprocs
-  |> List.map (fun delays -> run ?protocol ~delays:(Array.of_list delays) test)
+  |> List.map (fun delays -> run ?backend ?protocol ~delays:(Array.of_list delays) test)
   |> List.sort_uniq compare
 
-let observable ?protocol ?grid test outcome =
+let observable ?backend ?protocol ?grid test outcome =
   List.mem (List.sort compare outcome)
-    (List.map (List.sort compare) (explore ?protocol ?grid test))
+    (List.map (List.sort compare) (explore ?backend ?protocol ?grid test))
+
+(* words per page at the default page size *)
+let wpp = Sim.Cost.default.Sim.Cost.page_size / Mem.Page.word_size
 
 (* ------------------------------------------------------------------ *)
-(* The classic shapes. Word 0 is x, word 1 is y — on separate pages
-   (stride 512 words) so page granularity does not couple them.         *)
+(* The classic shapes. x and y are a page apart, so page granularity
+   does not couple them.                                                *)
 
 let x_word = 0
-let y_word = 512
-
-let addr base word = base + (word * 8)
+let y_word = wpp
+let addr = Lrc.Dsm.addr_of_index
 
 let message_passing =
   (* P0: x := 1; y := 1      P1: r1 := y; r2 := x
@@ -274,7 +281,7 @@ let run_kernel ?(backend = "lrc") ?(protocol = Coherence.Config.Multi_writer)
         Some watch
   in
   let base =
-    machine.Coherence.Backend.alloc (kernel.k_words * 8)
+    machine.Coherence.Backend.alloc (kernel.k_words * Mem.Page.word_size)
       ~name:("kernel:" ^ kernel.k_name)
   in
   machine.Coherence.Backend.run (fun node -> kernel.k_body ~base node);
@@ -289,9 +296,6 @@ let run_kernel ?(backend = "lrc") ?(protocol = Coherence.Config.Multi_writer)
     checksum = machine.Coherence.Backend.memory_checksum ();
     watch_hits = (match watch with Some w -> Instrument.Watch.hits w | None -> []);
   }
-
-(* words_per_page at the default geometry: 4096-byte pages, 8-byte words *)
-let wpp = 512
 
 (* Straight-line kernel binary: register 0 holds the kernel's one shared
    allocation, and the op list mirrors the body's shared accesses with
@@ -350,8 +354,8 @@ let diff_cache_reuse =
             store ~count:16 ~site:"dcr:fill" (Reg 0);
             barrier;
             load ~count:16 ~site:"dcr:verify" (Reg 0);
-            store ~offset:(wpp * 8) ~site:"dcr:racy_store" (Reg 0);
-            load ~offset:(wpp * 8) ~site:"dcr:racy_load" (Reg 0);
+            store ~offset:(wpp * Mem.Page.word_size) ~site:"dcr:racy_store" (Reg 0);
+            load ~offset:(wpp * Mem.Page.word_size) ~site:"dcr:racy_load" (Reg 0);
             barrier;
           ]);
   }
@@ -404,8 +408,8 @@ let gc_interval_rerequest =
             barrier;
             barrier;
             load ~count:8 ~site:"gcr:verify" (Reg 0);
-            store ~offset:(wpp * 8) ~site:"gcr:racy_store" (Reg 0);
-            load ~offset:(wpp * 8) ~site:"gcr:racy_load" (Reg 0);
+            store ~offset:(wpp * Mem.Page.word_size) ~site:"gcr:racy_store" (Reg 0);
+            load ~offset:(wpp * Mem.Page.word_size) ~site:"gcr:racy_load" (Reg 0);
             barrier;
           ]);
   }
@@ -541,10 +545,10 @@ let lock_chained_publish =
             load ~site:"lcp:relay_read" (Reg 0);
             release 1;
             acquire 2;
-            store ~offset:8 ~site:"lcp:relay_write" (Reg 0);
+            store ~offset:Mem.Page.word_size ~site:"lcp:relay_write" (Reg 0);
             release 2;
             acquire 2;
-            load ~offset:8 ~site:"lcp:sub" (Reg 0);
+            load ~offset:Mem.Page.word_size ~site:"lcp:sub" (Reg 0);
             release 2;
             barrier;
           ]);

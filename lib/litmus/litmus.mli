@@ -1,11 +1,13 @@
 (** Memory-model litmus tests over the DSM.
 
     Classic shapes (message passing, store buffering, read-read
-    coherence) run under a chosen protocol; [explore] sweeps a grid of
-    per-processor delays and collects the set of outcomes the
+    coherence) run on a chosen backend and protocol; [explore] sweeps a
+    grid of per-processor delays and collects the set of outcomes the
     deterministic simulation can actually exhibit. The assertions mirror
     paper section 6.4: SC-forbidden outcomes become observable under LRC
-    when synchronization is missing, and vanish when it is present. *)
+    when synchronization is missing, and vanish when it is present or
+    when the machine is a snooping bus (["mesi"], ["dragon"]), which is
+    sequentially consistent. *)
 
 type registers = (string * int) list
 
@@ -16,17 +18,24 @@ type test = {
   body : base:int -> Lrc.Dsm.node -> delay:(float -> unit) -> registers;
 }
 
-val run : ?protocol:Coherence.Config.protocol -> delays:float array -> test -> registers
-(** One deterministic execution with the given per-processor start
-    delays; returns the union of every processor's observed registers. *)
+val run :
+  ?backend:string -> ?protocol:Coherence.Config.protocol -> delays:float array -> test -> registers
+(** One deterministic execution on [backend] (default ["lrc"]) under
+    [protocol] (default single-writer; bus backends ignore it) with the
+    given per-processor start delays; returns the union of every
+    processor's observed registers. *)
 
 val default_grid : float array
 
-val explore : ?protocol:Coherence.Config.protocol -> ?grid:float array -> test -> registers list
-(** All distinct outcomes over the delay grid (cartesian product). *)
+val explore :
+  ?backend:string -> ?protocol:Coherence.Config.protocol -> ?grid:float array -> test ->
+  registers list
+(** All distinct outcomes over the delay grid (cartesian product), each
+    run as {!run} does. *)
 
 val observable :
-  ?protocol:Coherence.Config.protocol -> ?grid:float array -> test -> registers -> bool
+  ?backend:string -> ?protocol:Coherence.Config.protocol -> ?grid:float array -> test ->
+  registers -> bool
 
 (** The shapes. x and y live on separate pages. *)
 

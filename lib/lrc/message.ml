@@ -56,11 +56,6 @@ type t =
   (* multi-writer diff fetching *)
   | Diff_req of { page : int; ids : Proto.Interval.id list; requester : int }
   | Diff_reply of { page : int; diffs : (Proto.Interval.id * Mem.Diff.t) list }
-  (* sequential-consistency mode: uncached accesses to the home node *)
-  | Sc_read_req of { addr : int; requester : int }
-  | Sc_read_reply of { addr : int; value : int64 }
-  | Sc_write_req of { addr : int; value : int64; requester : int }
-  | Sc_write_ack of { addr : int }
 
 let header_bytes = 24
 
@@ -105,8 +100,6 @@ let size ~with_read_notices = function
   | Diff_reply { diffs; _ } ->
       header_bytes + 8
       + List.fold_left (fun acc (_, diff) -> acc + 8 + Mem.Diff.size_bytes diff) 0 diffs
-  | Sc_read_req _ | Sc_write_ack _ -> header_bytes + 8
-  | Sc_read_reply _ | Sc_write_req _ -> header_bytes + 16
 
 let describe = function
   | Lock_req _ -> "lock-req"
@@ -129,7 +122,3 @@ let describe = function
   | Home_data _ -> "home-data"
   | Diff_req _ -> "diff-req"
   | Diff_reply _ -> "diff-reply"
-  | Sc_read_req _ -> "sc-read-req"
-  | Sc_read_reply _ -> "sc-read-reply"
-  | Sc_write_req _ -> "sc-write-req"
-  | Sc_write_ack _ -> "sc-write-ack"

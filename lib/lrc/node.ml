@@ -235,8 +235,7 @@ let apply_notices t interval =
         | Coherence.Config.Home_based ->
             (* a later fetch must cover this writer's knowledge *)
             Proto.Vclock.merge_into ~dst:entry.needed interval.Proto.Interval.vc;
-            entry.state <- P_invalid
-        | Coherence.Config.Seq_consistent -> ())
+            entry.state <- P_invalid)
       interval.Proto.Interval.write_pages
   end
 
@@ -412,8 +411,8 @@ let hb_read_fault t page =
   | _ -> assert false);
   entry.state <- P_read
 
-(* For the caching protocols: resolve any fault so [entry.data] holds a
-   coherent copy the access may touch. *)
+(* Resolve any fault so [entry.data] holds a coherent copy the access
+   may touch. *)
 let ensure_readable t page entry =
   match t.rt.cfg.Coherence.Config.protocol with
   | Coherence.Config.Single_writer -> (
@@ -422,7 +421,6 @@ let ensure_readable t page entry =
       match entry.state with P_invalid -> mw_apply_pending t page | P_read | P_write -> ())
   | Coherence.Config.Home_based -> (
       match entry.state with P_invalid -> hb_read_fault t page | P_read | P_write -> ())
-  | Coherence.Config.Seq_consistent -> ()
 
 (* The multi-writer and home-based write fault: make the page readable,
    then twin it so the interval's writes become a diff at release. *)
@@ -446,33 +444,8 @@ let ensure_writable t page entry =
       match entry.state with P_write -> () | P_invalid | P_read -> sw_write_fault t page)
   | Coherence.Config.Multi_writer | Coherence.Config.Home_based -> (
       match entry.state with P_write -> () | P_invalid | P_read -> twin_write_fault t page entry)
-  | Coherence.Config.Seq_consistent -> ()
 
 let word_of t addr = Front.word_of t.rt addr
-
-(* Sequential consistency: no caching; processor 0 is every page's home. *)
-let sc_read t ~site addr =
-  let page = Front.read_note t.rt t.fe ~site addr in
-  if t.fe.id = 0 then Mem.Page.get_int64 t.pages.(page).data (word_of t addr)
-  else begin
-    Front.flush_time t.fe;
-    send t ~dst:0 (Message.Sc_read_req { addr; requester = t.fe.id });
-    match await_reply t ~label:"sc read" with
-    | Message.Sc_read_reply { addr = a; value } when a = addr -> value
-    | _ -> assert false
-  end
-
-let sc_write t ~site addr value =
-  let page = Front.write_note t.rt t.fe ~site addr in
-  if t.fe.id = 0 then Mem.Page.set_int64 t.pages.(page).data (word_of t addr) value
-  else begin
-    Front.flush_time t.fe;
-    send t ~dst:0 (Message.Sc_write_req { addr; value; requester = t.fe.id });
-    match await_reply t ~label:"sc write" with
-    | Message.Sc_write_ack { addr = a } when a = addr -> ()
-    | _ -> assert false
-  end;
-  Proto.Interval.add_write_page t.fe.cur page
 
 (* The front-end checks, accounts and instruments the access and names
    its page; the protocol then resolves any fault. *)
@@ -488,23 +461,17 @@ let write_access t ~site addr =
   ensure_writable t page entry;
   entry
 
-let sc_protocol t = t.rt.cfg.Coherence.Config.protocol = Coherence.Config.Seq_consistent
-
 let read_word_int t ?(site = "?") addr =
-  if sc_protocol t then Int64.to_int (sc_read t ~site addr)
-  else Mem.Page.get_int (read_access t ~site addr).data (word_of t addr)
+  Mem.Page.get_int (read_access t ~site addr).data (word_of t addr)
 
 let read_word_float t ?(site = "?") addr =
-  if sc_protocol t then Int64.float_of_bits (sc_read t ~site addr)
-  else Mem.Page.get_float (read_access t ~site addr).data (word_of t addr)
+  Mem.Page.get_float (read_access t ~site addr).data (word_of t addr)
 
 let write_word_int t ?(site = "?") addr value =
-  if sc_protocol t then sc_write t ~site addr (Int64.of_int value)
-  else Mem.Page.set_int (write_access t ~site addr).data (word_of t addr) value
+  Mem.Page.set_int (write_access t ~site addr).data (word_of t addr) value
 
 let write_word_float t ?(site = "?") addr value =
-  if sc_protocol t then sc_write t ~site addr (Int64.bits_of_float value)
-  else Mem.Page.set_float (write_access t ~site addr).data (word_of t addr) value
+  Mem.Page.set_float (write_access t ~site addr).data (word_of t addr) value
 
 (* ------------------------------------------------------------------ *)
 (* Locks                                                               *)
@@ -958,26 +925,13 @@ let on_bitmap_req t ~requests =
   send t ~dst:0 (Message.Bitmap_reply { from_ = t.fe.id; bitmaps })
 
 (* ------------------------------------------------------------------ *)
-(* Sequential-consistency home-node service                            *)
-
-(* [addr] passed the requester's access check *)
-let on_sc_read t ~addr ~requester =
-  let value = Mem.Page.get_int64 t.pages.(Front.page_of t.rt addr).data (word_of t addr) in
-  send t ~dst:requester (Message.Sc_read_reply { addr; value })
-
-let on_sc_write t ~addr ~value ~requester =
-  Mem.Page.set_int64 t.pages.(Front.page_of t.rt addr).data (word_of t addr) value;
-  send t ~dst:requester (Message.Sc_write_ack { addr })
-
-(* ------------------------------------------------------------------ *)
 (* Message dispatch (runs in handler context at delivery time)         *)
 
 let handle_message t msg =
   match msg with
   (* replies the application coroutine is blocked on *)
   | Message.Lock_grant _ | Message.Barrier_release _ | Message.Copy_data _
-  | Message.Own_data _ | Message.Diff_reply _ | Message.Home_data _
-  | Message.Sc_read_reply _ | Message.Sc_write_ack _ ->
+  | Message.Own_data _ | Message.Diff_reply _ | Message.Home_data _ ->
       push_reply t msg
   (* central services *)
   | Message.Lock_req _ -> on_lock_req t msg
@@ -994,8 +948,6 @@ let handle_message t msg =
   | Message.Diff_req { page; ids; requester } -> on_diff_req t ~page ~ids ~requester
   | Message.Diff_flush { page; diffs; vc } -> on_diff_flush t ~page ~diffs ~vc
   | Message.Home_req { page; requester; needed } -> on_home_req t ~page ~requester ~needed
-  | Message.Sc_read_req { addr; requester } -> on_sc_read t ~addr ~requester
-  | Message.Sc_write_req { addr; value; requester } -> on_sc_write t ~addr ~value ~requester
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)

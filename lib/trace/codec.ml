@@ -7,12 +7,12 @@
    zigzag keeps the odd negative — an ack's cumulative -1 — cheap).
    Floats (fault probabilities) are 8 fixed little-endian bytes.
 
-   This build reads and writes format v6 only; a log of another format
-   is refused with a message naming its version. The v6 metadata holds
+   This build reads and writes format v7 only; a log of another format
+   is refused with a message naming its version. The v7 metadata holds
    exactly what a run can set. *)
 
 let magic = "CVMT"
-let version = 6
+let version = 7
 
 type meta = {
   m_app : string;
@@ -32,9 +32,6 @@ type meta = {
   m_gc_epochs : int option;
   m_elide : bool;  (* elide checks at statically race-free sites *)
   m_backend : string;  (* coherence backend id *)
-  m_cc_line_bytes : int;  (* cache geometry for the bus backends *)
-  m_cc_sets : int;
-  m_cc_ways : int;
 }
 
 (* --- primitive writers --- *)
@@ -171,10 +168,7 @@ let put_meta buf m =
   put_opt buf put_varint m.m_watchdog_ns;
   put_opt buf put_varint m.m_gc_epochs;
   put_bool buf m.m_elide;
-  put_string buf m.m_backend;
-  put_varint buf m.m_cc_line_bytes;
-  put_varint buf m.m_cc_sets;
-  put_varint buf m.m_cc_ways
+  put_string buf m.m_backend
 
 let get_meta c =
   let m_app = get_string c in
@@ -201,9 +195,6 @@ let get_meta c =
   let m_gc_epochs = get_opt c get_varint in
   let m_elide = get_bool c in
   let m_backend = get_string c in
-  let m_cc_line_bytes = get_varint c in
-  let m_cc_sets = get_varint c in
-  let m_cc_ways = get_varint c in
   {
     m_app;
     m_scale;
@@ -222,9 +213,6 @@ let get_meta c =
     m_gc_epochs;
     m_elide;
     m_backend;
-    m_cc_line_bytes;
-    m_cc_sets;
-    m_cc_ways;
   }
 
 (* --- events --- *)

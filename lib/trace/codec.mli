@@ -8,7 +8,7 @@
 val magic : string
 
 val version : int
-(** The format version this build writes and decodes (v6). *)
+(** The format version this build writes and decodes (v7). *)
 
 type meta = {
   m_app : string;
@@ -33,9 +33,6 @@ type meta = {
           stored — the site set is re-derived from the app's binary at
           replay time *)
   m_backend : string;  (** coherence backend id ("lrc", "mesi", "dragon") *)
-  m_cc_line_bytes : int;  (** cache geometry for the bus backends *)
-  m_cc_sets : int;
-  m_cc_ways : int;
 }
 
 exception Corrupt of string

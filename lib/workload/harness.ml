@@ -22,7 +22,9 @@ let driver_runner ~backend ~elide (program : Program.t) =
      so the one left in [base] maps any racy address to a word index.
      The mapping is applied to detector and oracle alike, so a stray
      out-of-array address still surfaces as a set difference. *)
-  let to_words addrs = List.sort_uniq compare (List.map (fun a -> (a - !base) / 8) addrs) in
+  let to_words addrs =
+    List.sort_uniq compare (List.map (fun a -> (a - !base) / Mem.Page.word_size) addrs)
+  in
   {
     detected = to_words (Core.Driver.racy_addrs outcome);
     oracle = to_words (Core.Driver.oracle_addrs outcome);

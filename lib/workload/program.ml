@@ -131,8 +131,8 @@ let binary t =
             per_phase.(!phase) <- List.rev_append ops per_phase.(!phase)
           in
           match op with
-          | Read w -> access (fun ~site -> load ~offset:(w * 8) ~site (Reg 0))
-          | Write w -> access (fun ~site -> store ~offset:(w * 8) ~site (Reg 0))
+          | Read w -> access (fun ~site -> load ~offset:(w * Mem.Page.word_size) ~site (Reg 0))
+          | Write w -> access (fun ~site -> store ~offset:(w * Mem.Page.word_size) ~site (Reg 0))
           | Lock l -> held := l :: !held
           | Unlock l -> held := List.filter (fun h -> h <> l) !held
           | Barrier -> incr phase)
@@ -163,14 +163,14 @@ let run_body t base node =
     failwith
       (Printf.sprintf "workload %s expects %d processors, run with %d" t.name t.nprocs
          (nprocs node));
-  let b = malloc node ~name:(t.name ^ ".mem") (t.words * 8) in
+  let b = malloc node ~name:(t.name ^ ".mem") (t.words * Mem.Page.word_size) in
   (match base with Some r -> r := b | None -> ());
   let pid = pid node in
   List.iteri
     (fun i op ->
       match op with
-      | Read w -> ignore (read_int node ~site:(site ~proc:pid ~index:i) (b + (w * 8)))
-      | Write w -> write_int node ~site:(site ~proc:pid ~index:i) (b + (w * 8)) (value pid i)
+      | Read w -> ignore (read_int_at node ~site:(site ~proc:pid ~index:i) b w)
+      | Write w -> write_int_at node ~site:(site ~proc:pid ~index:i) b w (value pid i)
       | Lock l -> lock node l
       | Unlock l -> unlock node l
       | Barrier -> barrier node)
@@ -186,7 +186,7 @@ let to_app ?base t =
     input_description =
       Printf.sprintf "%d proc(s), %d shared word(s), %d event(s)" t.nprocs t.words (size t);
     synchronization = "locks and barriers (explicit streams)";
-    memory_bytes = t.words * 8;
+    memory_bytes = t.words * Mem.Page.word_size;
     binary = (fun () -> binary t);
     body = run_body t base;
   }

@@ -76,6 +76,8 @@ for cmd in run record; do
   check 124 "$cvm" $cmd sor --scale small --gc-epochs=0
   check 124 "$cvm" $cmd sor --scale small --gc-epochs=-1
   check 124 "$cvm" $cmd sor --scale small --max-retries=-1 --drop 0.1
+  # the retired LRC sequential-consistency protocol: SC is a bus backend
+  check 124 "$cvm" $cmd sor --scale small --protocol sc
   # a retry cap with no transport to apply it to
   check 124 "$cvm" $cmd sor --scale small -p 4 --max-retries 5
   says "--max-retries"
@@ -94,6 +96,7 @@ for cmd in run record; do
   check 124 "$cvm" $cmd sor --scale small -p 4 --partition 1,1,0,100
   check 124 "$cvm" $cmd sor --scale small -p 4 --partition=-1,0,0,100
 done
+check 124 "$cvm" litmus --protocol sc
 check 124 "$cvm" fuzz --count=-1
 check 2 "$cvm" replay /nonexistent/run.cvmt
 check 2 "$cvm" analyze --json /nonexistent/analyze.json

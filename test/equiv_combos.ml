@@ -154,9 +154,8 @@ let all : combo list =
   in
   let bus_variants =
     (* the snooping-bus machine: both protocols on every app at two
-       sizes; a 4-set cache, under which every app evicts and writes back
-       dirty lines (at the default 64 sets only water evicts); and the
-       detection switches *)
+       sizes (at the one cache geometry only water evicts and writes back
+       dirty lines), and the detection switches *)
     let combo ?(tag = "") ?(nprocs = 4) app backend cfg =
       {
         label = Printf.sprintf "%s-%s%s-p%d" app backend tag nprocs;
@@ -170,12 +169,7 @@ let all : combo list =
       (fun backend ->
         List.concat_map
           (fun app ->
-            [
-              combo app backend default;
-              combo ~nprocs:8 app backend default;
-              combo ~tag:"-sets4" app backend
-                { default with Coherence.Config.cc_sets = 4 };
-            ])
+            [ combo app backend default; combo ~nprocs:8 app backend default ])
           Apps.Registry.extended_names
         @ [
             combo ~tag:"-nodetect" "water" backend

@@ -199,20 +199,6 @@ let test_cc_rejects_faults () =
         snooping bus has no lossy wire)") (fun () ->
       ignore (Backends.create ~cfg ~nprocs:2 ~pages:2 ()))
 
-let test_cc_rejects_bad_line () =
-  let cfg =
-    {
-      Coherence.Config.default with
-      Coherence.Config.backend = "dragon";
-      cc_line_bytes = 48;
-    }
-  in
-  Alcotest.check_raises "line size must be a power of two"
-    (Invalid_argument
-       "cache of 48-byte lines, 64 sets, 2 ways (need power-of-two lines from 8 to 4096 \
-        bytes, power-of-two sets, at least one way)")
-    (fun () -> ignore (Backends.create ~cfg ~nprocs:2 ~pages:2 ()))
-
 (* ------------------------------------------------------------------ *)
 (* Property: for barrier-structured SPMD programs, the racy-address set
    is backend-independent. A random program writes random words in
@@ -289,7 +275,6 @@ let suite =
         Alcotest.test_case "Dragon updates, never invalidates" `Quick test_dragon_updates;
         Alcotest.test_case "backend registry" `Quick test_registry;
         Alcotest.test_case "faults rejected" `Quick test_cc_rejects_faults;
-        Alcotest.test_case "bad line size rejected" `Quick test_cc_rejects_bad_line;
         Alcotest.test_case "mesi cache hits allocate nothing" `Quick
           (test_hits_allocate_nothing "mesi");
         Alcotest.test_case "dragon cache hits allocate nothing" `Quick

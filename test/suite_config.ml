@@ -13,43 +13,38 @@ let test_check_table () =
   let cut p_a p_b p_from_ns p_until_ns =
     plan ~partitions:[ { Sim.Fault.p_a; p_b; p_from_ns; p_until_ns } ] ()
   in
-  let small_pages = { Sim.Cost.default with Sim.Cost.page_size = 32 } in
   List.iter
-    (fun (label, cost, nprocs, cfg, needle) ->
-      match Coherence.Config.check ?cost ~nprocs cfg with
+    (fun (label, nprocs, cfg, needle) ->
+      match Coherence.Config.check ~nprocs cfg with
       | _ -> Alcotest.failf "%s: accepted" label
       | exception Invalid_argument msg ->
           check Alcotest.bool (label ^ ": " ^ msg) true
             (Testutil.contains msg needle && not (String.contains msg '\n')))
     [
-      ("0 processors", None, 0, base, "processor count 0");
-      ("257 processors", None, 257, base, "processor count 257");
-      ("drop 1.5", None, 4, faults (plan ~drop:1.5 ()), "drop probability");
-      ("duplicate NaN", None, 4, faults (plan ~duplicate:Float.nan ()), "duplicate probability");
-      ("reorder -0.5", None, 4, faults (plan ~reorder:(-0.5) ()), "reorder probability");
-      ("inverted partition window", None, 4, faults (cut 0 1 100 0), "partition window");
-      ("partition from -1 ns", None, 4, faults (cut 0 1 (-1) 5), "partition window");
-      ("partition endpoint 9 of 4", None, 4, faults (cut 0 9 0 100), "names no link");
-      ("partition endpoint 4 of 4", None, 4, faults (cut 4 0 0 100), "names no link");
-      ("partition endpoint -1", None, 4, faults (cut (-1) 0 0 100), "names no link");
-      ("partition 1,1", None, 4, faults (cut 1 1 0 100), "names no link");
+      ("0 processors", 0, base, "processor count 0");
+      ("257 processors", 257, base, "processor count 257");
+      ("drop 1.5", 4, faults (plan ~drop:1.5 ()), "drop probability");
+      ("duplicate NaN", 4, faults (plan ~duplicate:Float.nan ()), "duplicate probability");
+      ("reorder -0.5", 4, faults (plan ~reorder:(-0.5) ()), "reorder probability");
+      ("inverted partition window", 4, faults (cut 0 1 100 0), "partition window");
+      ("partition from -1 ns", 4, faults (cut 0 1 (-1) 5), "partition window");
+      ("partition endpoint 9 of 4", 4, faults (cut 0 9 0 100), "names no link");
+      ("partition endpoint 4 of 4", 4, faults (cut 4 0 0 100), "names no link");
+      ("partition endpoint -1", 4, faults (cut (-1) 0 0 100), "names no link");
+      ("partition 1,1", 4, faults (cut 1 1 0 100), "names no link");
       ( "negative retry cap",
-        None,
         4,
         { base with Coherence.Config.transport = Some { Sim.Transport.max_retries = -1 } },
         "retry cap" );
       ( "mesi with a drop",
-        None,
         4,
         { (faults (plan ~drop:0.1 ())) with Coherence.Config.backend = "mesi" },
         "lrc backend" );
       ( "dragon with a partition",
-        None,
         4,
         { (faults (cut 0 1 0 100)) with Coherence.Config.backend = "dragon" },
         "lrc backend" );
       ( "mesi with the transport",
-        None,
         4,
         {
           base with
@@ -57,13 +52,8 @@ let test_check_table () =
           transport = Some Sim.Transport.default_config;
         },
         "lrc backend" );
-      ("48-byte lines", None, 4, { base with Coherence.Config.cc_line_bytes = 48 }, "cache of");
-      ("4-byte lines", None, 4, { base with Coherence.Config.cc_line_bytes = 4 }, "cache of");
-      ("lines past the page", Some small_pages, 4, base, "cache of 64-byte lines");
-      ("3 sets", None, 4, { base with Coherence.Config.cc_sets = 3 }, "cache of");
-      ("0 ways", None, 4, { base with Coherence.Config.cc_ways = 0 }, "cache of");
-      ("0 ns watchdog", None, 4, { base with Coherence.Config.watchdog_ns = Some 0 }, "watchdog");
-      ("GC cadence 0", None, 4, { base with Coherence.Config.gc_epochs = Some 0 }, "GC cadence");
+      ("0 ns watchdog", 4, { base with Coherence.Config.watchdog_ns = Some 0 }, "watchdog");
+      ("GC cadence 0", 4, { base with Coherence.Config.gc_epochs = Some 0 }, "GC cadence");
     ];
   (* accepted: both processor-count bounds and a partition between the
      last processor and the first *)

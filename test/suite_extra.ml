@@ -94,10 +94,11 @@ let test_lock_creates_two_intervals () =
     stats.Sim.Stats.intervals_created
 
 (* ------------------------------------------------------------------ *)
-(* Sequential consistency: reads always see the latest write            *)
+(* Sequential consistency (the mesi bus): reads always see the latest
+   write                                                               *)
 
 let test_sc_reads_latest () =
-  let cfg = { Coherence.Config.default with protocol = Coherence.Config.Seq_consistent } in
+  let cfg = { Coherence.Config.default with backend = "mesi" } in
   let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
   let x = cluster.Coherence.Backend.alloc 8 in
   let seen = ref (-1) in

@@ -1,7 +1,8 @@
 (* Memory-model litmus assertions, per protocol — the section 6.4 story
    made executable: LRC exhibits SC-forbidden outcomes exactly where
-   synchronization is missing, sequential consistency never does, and
-   proper locking restores SC outcomes under every protocol. *)
+   synchronization is missing, sequential consistency (the mesi bus)
+   never does, and proper locking restores SC outcomes under every
+   protocol. *)
 
 let check = Alcotest.check
 
@@ -12,17 +13,20 @@ let lrc_protocols =
     ("home-based", Coherence.Config.Home_based);
   ]
 
-let sc = Coherence.Config.Seq_consistent
+(* a machine is a backend and a protocol; the sequentially consistent
+   one is the mesi bus, which ignores the protocol *)
+let lrc protocol = ("lrc", protocol)
+let sc = ("mesi", Coherence.Config.Single_writer)
 
 (* a faster grid than the default for test time *)
 let grid = [| 0.0; 250_000.0; 2_000_000.0 |]
 
-let obs ?(grid = grid) protocol test outcome =
-  Litmus.observable ~protocol ~grid test outcome
+let obs ?(grid = grid) (backend, protocol) test outcome =
+  Litmus.observable ~backend ~protocol ~grid test outcome
 
 let test_late_publish_weak_under protocol () =
   check Alcotest.bool "LRC shows the stale read" true
-    (obs protocol Litmus.message_passing_late_publish [ ("r1", 1); ("r2", 0) ])
+    (obs (lrc protocol) Litmus.message_passing_late_publish [ ("r1", 1); ("r2", 0) ])
 
 let test_late_publish_forbidden_under_sc () =
   check Alcotest.bool "SC never shows the stale read" false
@@ -43,18 +47,20 @@ let test_locked_mp_never_weak protocol () =
   check Alcotest.bool "locking forbids the weak outcome" false
     (List.mem weak (List.map (List.sort compare) outcomes));
   check Alcotest.bool "and the synchronized outcome is observable" true
-    (obs protocol Litmus.message_passing_synchronized [ ("r1", 1); ("r2", 1) ])
+    (obs (lrc protocol) Litmus.message_passing_synchronized [ ("r1", 1); ("r2", 1) ])
 
 let test_sb_weak_under protocol () =
   check Alcotest.bool "LRC shows store buffering" true
-    (obs protocol Litmus.store_buffering [ ("r1", 0); ("r2", 0) ])
+    (obs (lrc protocol) Litmus.store_buffering [ ("r1", 0); ("r2", 0) ])
 
 let test_sb_weak_forbidden_under_sc () =
   check Alcotest.bool "SC forbids r1=0,r2=0" false
     (obs ~grid:Litmus.default_grid sc Litmus.store_buffering [ ("r1", 0); ("r2", 0) ])
 
-let test_coherence_never_backwards protocol () =
-  let outcomes = Litmus.explore ~protocol ~grid:Litmus.default_grid Litmus.coherence_rr in
+let test_coherence_never_backwards (backend, protocol) () =
+  let outcomes =
+    Litmus.explore ~backend ~protocol ~grid:Litmus.default_grid Litmus.coherence_rr
+  in
   let backwards = List.sort compare [ ("r1", 2); ("r2", 1) ] in
   check Alcotest.bool "reads never go backwards" false
     (List.mem backwards (List.map (List.sort compare) outcomes))
@@ -98,7 +104,7 @@ let suite =
               (test_locked_mp_never_weak protocol);
             Alcotest.test_case (name ^ " SB weak") `Quick (test_sb_weak_under protocol);
             Alcotest.test_case (name ^ " coherence") `Quick
-              (test_coherence_never_backwards protocol);
+              (test_coherence_never_backwards (lrc protocol));
           ])
         lrc_protocols
       @ [

@@ -1,22 +1,25 @@
 (* Integration tests for the DSM itself: coherence under all three
-   protocols, locks, barriers, allocation, replay — including a
-   regression stress for the ownership-steal lost-update bug. *)
+   protocols (and on the sequentially consistent mesi bus), locks,
+   barriers, allocation, replay — including a regression stress for the
+   ownership-steal lost-update bug. *)
 
 let check = Alcotest.check
 
-let protocols =
+(* the three LRC protocols, and the sequentially consistent machine: the
+   mesi bus (which ignores the protocol) *)
+let machines =
   [
-    ("single-writer", Coherence.Config.Single_writer);
-    ("multi-writer", Coherence.Config.Multi_writer);
-    ("home-based", Coherence.Config.Home_based);
-    ("seq-consistent", Coherence.Config.Seq_consistent);
+    ("single-writer", "lrc", Coherence.Config.Single_writer);
+    ("multi-writer", "lrc", Coherence.Config.Multi_writer);
+    ("home-based", "lrc", Coherence.Config.Home_based);
+    ("seq-consistent", "mesi", Coherence.Config.Single_writer);
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Basic coherence: a barrier publishes writes                         *)
 
-let test_barrier_publishes protocol () =
-  let cfg = { Coherence.Config.default with protocol } in
+let test_barrier_publishes backend protocol () =
+  let cfg = { Coherence.Config.default with backend; protocol } in
   let cluster = Backends.create ~cfg ~nprocs:4 ~pages:4 () in
   let base = cluster.Coherence.Backend.alloc (4 * 8) in
   let body node =
@@ -35,8 +38,8 @@ let test_barrier_publishes protocol () =
 (* ------------------------------------------------------------------ *)
 (* Lock-protected read-modify-write: mutual exclusion + visibility     *)
 
-let test_lock_counter protocol () =
-  let cfg = { Coherence.Config.default with protocol } in
+let test_lock_counter backend protocol () =
+  let cfg = { Coherence.Config.default with backend; protocol } in
   let cluster = Backends.create ~cfg ~nprocs:4 ~pages:4 () in
   let counter = cluster.Coherence.Backend.alloc 8 in
   let rounds = 10 in
@@ -309,13 +312,14 @@ let suite =
   [
     ( "lrc:coherence",
       List.concat_map
-        (fun (name, protocol) ->
+        (fun (name, backend, protocol) ->
           [
             Alcotest.test_case (name ^ " barrier publishes") `Quick
-              (test_barrier_publishes protocol);
-            Alcotest.test_case (name ^ " lock counter") `Quick (test_lock_counter protocol);
+              (test_barrier_publishes backend protocol);
+            Alcotest.test_case (name ^ " lock counter") `Quick
+              (test_lock_counter backend protocol);
           ])
-        protocols
+        machines
       @ [
           Alcotest.test_case "stale read before sync (LRC)" `Quick test_stale_read_before_sync;
           Alcotest.test_case "multi-writer diff merge" `Quick test_multi_writer_merges;

@@ -49,7 +49,7 @@ let test_combo label () = check result_t label (golden_for label) (run_label lab
 
 (* One pinned combo per family: base protocol grid, detection-flag
    variants, lossy wire, alternate scheduling seed, and the bus machine
-   with a cache small enough to evict and write back. These always run, so
+   on the one app that evicts and writes back. These always run, so
    a behavior change in any family fails even if the random sample
    happens to miss it. *)
 let pinned =
@@ -62,7 +62,7 @@ let pinned =
     "sor-nodetect-p4";
     "tsp-drop20-net1312-p4";
     "water-seed99-p8";
-    "sor-mesi-sets4-p4";
+    "water-mesi-p4";
   ]
 
 let test_golden_is_complete () =
@@ -140,7 +140,7 @@ let test_pre_opt_replay log () =
 (* golden/sharded_sor.cvmt is a format v5 log, recorded with --sim-jobs 1
    before the sharded engine was removed: its events carry that engine's
    times, so it must be refused, not replayed into a divergence. This
-   build decodes v6 only, so the version refuses it. *)
+   build decodes v7 only, so the version refuses it. *)
 let test_sharded_log_rejected () =
   match Core.Trace_run.replay (Core.Trace_run.load (golden_file "sharded_sor.cvmt")) with
   | _ -> Alcotest.fail "a sharded-engine log replayed"

@@ -24,9 +24,6 @@ let sample_meta =
     m_gc_epochs = Some 2;
     m_elide = true;
     m_backend = "lrc";
-    m_cc_line_bytes = 64;
-    m_cc_sets = 64;
-    m_cc_ways = 2;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -495,6 +492,7 @@ let test_forged_meta_rejected () =
       ("unknown app", { m with Trace.Codec.m_app = "xor" });
       ("unknown scale", { m with Trace.Codec.m_scale = "huge" });
       ("unknown protocol", { m with Trace.Codec.m_protocol = "double-writer" });
+      ("retired SC protocol", { m with Trace.Codec.m_protocol = "sequential-consistency" });
       ("unknown backend", { m with Trace.Codec.m_backend = "moesi" });
       ("0 processors", { m with Trace.Codec.m_nprocs = 0 });
       ("100,000 processors", { m with Trace.Codec.m_nprocs = 100_000 });
@@ -504,9 +502,6 @@ let test_forged_meta_rejected () =
       ("partition endpoint 9 of 2", { m with Trace.Codec.m_partitions = [ (0, 9, 0, 10) ] });
       ("mesi with faults", { m with Trace.Codec.m_backend = "mesi" });
       ("dragon with faults", { m with Trace.Codec.m_backend = "dragon" });
-      ("0 cache sets", { m with Trace.Codec.m_cc_sets = 0 });
-      ("0 cache ways", { m with Trace.Codec.m_cc_ways = 0 });
-      ("4-byte cache lines", { m with Trace.Codec.m_cc_line_bytes = 4 });
       ("0 ns watchdog", { m with Trace.Codec.m_watchdog_ns = Some 0 });
       ("zero GC cadence", { m with Trace.Codec.m_gc_epochs = Some 0 });
     ]

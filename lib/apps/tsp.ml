@@ -268,11 +268,15 @@ let body params node =
   let open Lrc.Dsm in
   let n = params.ncities in
   let lay = layout node params in
-  let dist_addr i j = addr_of_index lay.matrix ((i * n) + j) in
+  (* addresses are computed in place on this per-access path: modules
+     compiled opaque (dune's dev profile) do not inline a call to
+     [addr_of_index] or the [*_at] accessors *)
+  let word = Mem.Page.word_size in
+  let dist_addr i j = lay.matrix + (((i * n) + j) * word) in
   let read_dist i j = read_int node (dist_addr i j) ~site:"tsp:dist" in
   (* unsynchronized read of the global bound: the deliberate benign race *)
   let read_bound_racy () = read_int node lay.bound ~site:"tsp:bound_prune" in
-  let record_addr slot = addr_of_index lay.queue_base (slot * lay.record_words) in
+  let record_addr slot = lay.queue_base + (slot * lay.record_words * word) in
   let push_task ~cost ~depth ~path =
     (* caller holds the queue lock *)
     let top = read_int node lay.queue_top ~site:"tsp:queue_top" in
@@ -280,8 +284,10 @@ let body params node =
     else begin
       let base = record_addr top in
       write_int node base cost ~site:"tsp:queue_cost";
-      write_int_at node base 1 depth ~site:"tsp:queue_depth";
-      Array.iteri (fun k city -> write_int_at node base (2 + k) city ~site:"tsp:queue_path") path;
+      write_int node (base + word) depth ~site:"tsp:queue_depth";
+      Array.iteri
+        (fun k city -> write_int node (base + ((2 + k) * word)) city ~site:"tsp:queue_path")
+        path;
       write_int node lay.queue_top (top + 1) ~site:"tsp:queue_top";
       true
     end
@@ -294,8 +300,10 @@ let body params node =
       let base = record_addr (top - 1) in
       write_int node lay.queue_top (top - 1) ~site:"tsp:queue_top";
       let cost = read_int node base ~site:"tsp:queue_cost" in
-      let depth = read_int_at node base 1 ~site:"tsp:queue_depth" in
-      let path = Array.init depth (fun k -> read_int_at node base (2 + k) ~site:"tsp:queue_path") in
+      let depth = read_int node (base + word) ~site:"tsp:queue_depth" in
+      let path =
+        Array.init depth (fun k -> read_int node (base + ((2 + k) * word)) ~site:"tsp:queue_path")
+      in
       Some (cost, depth, path)
     end
   in
@@ -305,7 +313,7 @@ let body params node =
         if cost < best then begin
           write_int node lay.bound cost ~site:"tsp:bound_update";
           Array.iteri
-            (fun k city -> write_int_at node lay.best_tour k city ~site:"tsp:best_tour")
+            (fun k city -> write_int node (lay.best_tour + (k * word)) city ~site:"tsp:best_tour")
             path
         end)
   in

@@ -154,8 +154,9 @@ let all : combo list =
   in
   let bus_variants =
     (* the snooping-bus machine: both protocols on every app at two
-       sizes (at the one cache geometry only water evicts and writes back
-       dirty lines), and the detection switches *)
+       sizes (at the one cache geometry water evicts and writes back
+       dirty lines by the hundred; only tsp p8 evicts otherwise, a few
+       lines), and the detection switches *)
     let combo ?(tag = "") ?(nprocs = 4) app backend cfg =
       {
         label = Printf.sprintf "%s-%s%s-p%d" app backend tag nprocs;

@@ -28,7 +28,7 @@ test:
 # - fan-out is unobservable: a --jobs 4 sweep against --jobs 1 with
 #   --ignore-wall; the table, figure and extension rows at small scale
 #   (every experiment but micro and sweep, which print host timings) and
-#   the 104-combo equivalence matrix, each regenerated at --jobs 1 and
+#   the 94-combo equivalence matrix, each regenerated at --jobs 1 and
 #   --jobs 4 and cmp'd byte-for-byte against its checked-in golden. The
 #   rows drop the "(N.Ns)" section wall lines first.
 ROWS = table1 table2 table3 figure3 figure4 figure5 ablation retention protocols faults separation

@@ -23,7 +23,7 @@ let describe (result : Core.Experiments.figure5_result) =
 
 let () =
   Format.printf "--- the missing-release queue of section 6.4 ---@.@.";
-  describe (Core.Experiments.figure5 ~protocol:Coherence.Config.Single_writer ());
+  describe (Core.Experiments.figure5 ());
   describe (Core.Experiments.figure5 ~backend:"mesi" ());
   Format.printf "Both runs race on qPtr and qEmpty (the missing synchronization).@.";
   Format.printf "Only the weak-memory run races on the slots: P2 acted on a stale@.";

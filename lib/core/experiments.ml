@@ -168,8 +168,8 @@ type figure5_result = {
    sequentially consistent system (a snooping bus) P2 sees qPtr = 100
    (qEmpty's value could only have propagated together with qPtr's) and
    the slot races cannot occur. *)
-let figure5 ?(backend = "lrc") ?(protocol = Coherence.Config.Single_writer) () =
-  let cfg = { Coherence.Config.default with backend; protocol; detect = true } in
+let figure5 ?(backend = "lrc") () =
+  let cfg = { Coherence.Config.default with backend; detect = true } in
   let cost = Sim.Cost.default in
   let cluster = Backends.create ~cost ~cfg ~nprocs:3 ~pages:8 () in
   let page = cost.Sim.Cost.page_size in
@@ -225,7 +225,7 @@ let figure5 ?(backend = "lrc") ?(protocol = Coherence.Config.Single_writer) () =
   in
   {
     f5_protocol =
-      (if backend = "lrc" then Coherence.Config.protocol_name protocol
+      (if backend = "lrc" then Coherence.Config.protocol_name cfg.protocol
        else "sequential-consistency");
     f5_qptr_seen_by_p2 = !p2_qptr;
     f5_racy_words = racy;

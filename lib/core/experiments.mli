@@ -81,12 +81,11 @@ type figure5_result = {
   f5_racy_words : (int * string) list;
 }
 
-val figure5 :
-  ?backend:string -> ?protocol:Coherence.Config.protocol -> unit -> figure5_result
-(** The section 6.4 missing-release queue, run live on [backend]
-    (default ["lrc"]) under [protocol] (default single-writer; read only
-    on lrc). [f5_protocol] names the memory model: the protocol on lrc,
-    ["sequential-consistency"] on a bus backend. *)
+val figure5 : ?backend:string -> unit -> figure5_result
+(** The section 6.4 missing-release queue, run live on [backend]: ["lrc"]
+    (the default; single-writer) or a bus, which is sequentially
+    consistent. [f5_protocol] names the memory model:
+    ["single-writer"] or ["sequential-consistency"]. *)
 
 val figure5_both : ?jobs:int -> unit -> figure5_result list
 (** Under LRC (single-writer) and sequential consistency (the [mesi]

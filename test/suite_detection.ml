@@ -254,7 +254,7 @@ let test_stores_from_diffs_blind_spot () =
 (* Figure 5: weak-memory-only races                                    *)
 
 let test_figure5_lrc_vs_sc () =
-  let lrc = Core.Experiments.figure5 ~protocol:Coherence.Config.Single_writer () in
+  let lrc = Core.Experiments.figure5 () in
   let sc = Core.Experiments.figure5 ~backend:"mesi" () in
   check Alcotest.int "LRC: P2 dequeues through the stale pointer" 37
     lrc.Core.Experiments.f5_qptr_seen_by_p2;

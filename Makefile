@@ -43,7 +43,7 @@ check:
 	cmp test/golden/analyze.json _build/analyze.json
 	sh test/cli_exit_codes.sh _build/default/bin/cvm_race.exe _build/default/bench/main.exe \
 	  _build/default/test/gen_equiv_golden.exe
-	dune exec bin/cvm_race.exe -- run sor --scale small -p 4 --drop 0.2 --watchdog 500
+	dune exec bin/cvm_race.exe -- run sor --scale small -p 4 --drop 0.2
 	dune exec bin/cvm_race.exe -- run tsp -p 8 --drop 0.05 --dup 0.0125 --reorder 0.025 --transport
 	dune exec bin/cvm_race.exe -- run water --scale small -p 4 --elide
 	dune exec bin/cvm_race.exe -- record sor --scale small -p 4 --drop 0.2 -o _build/sor.cvmt

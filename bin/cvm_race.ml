@@ -64,17 +64,6 @@ let procs_conv =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-(* milliseconds that convert to at least one and at most 10^18 simulated
-   nanoseconds *)
-let watchdog_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some ms when ms *. 1e6 >= 1.0 && ms *. 1e6 <= 1e18 -> Ok ms
-    | _ ->
-        Error (`Msg (Printf.sprintf "expected a watchdog from 0.000001 to 1e12 ms, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
-
 (* the window and the endpoints are Coherence.Config.check's to judge *)
 let partition_conv =
   let parse s =
@@ -220,19 +209,15 @@ let net_seed_arg =
   in
   Arg.(value & opt int Coherence.Config.default.seed & info [ "net-seed" ] ~docv:"N" ~doc)
 
-let watchdog_arg =
-  let doc =
-    "Deadlock watchdog: abort with a structured diagnosis if this many simulated \
-     milliseconds pass without any process making progress."
-  in
-  Arg.(value & opt (some watchdog_conv) None & info [ "watchdog" ] ~docv:"MS" ~doc)
-
 let max_retries_arg =
   let doc =
-    "Transport retry cap per frame before a link is declared failed. Only with the \
-     transport: $(b,--transport) or a fault flag."
+    Printf.sprintf
+      "Transport retry cap per frame before a link is declared failed, from 0 to %d; a run \
+       stuck on a failed link ends in a deadlock diagnosis. Only with the transport: \
+       $(b,--transport) or a fault flag."
+      Sim.Transport.max_retry_cap
   in
-  Arg.(value & opt (some (int_from 0)) None & info [ "max-retries" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some int) None & info [ "max-retries" ] ~docv:"N" ~doc)
 
 let transport_arg =
   let doc = "Run the reliable transport even over a fault-free wire." in
@@ -249,11 +234,11 @@ let elide_arg =
    detection switches, then the wire and transport flags, for the
    processor count [target] yields with its workload. Config.check judges
    it, so a configuration it rejects (a bus backend with wire flags, a
-   partition naming no link, ...) is a bad command line, as is a retry
-   cap with no transport to apply it to. *)
+   partition naming no link, a retry cap outside [0, 1000], ...) is a bad
+   command line, as is a retry cap with no transport to apply it to. *)
 let config_term target =
   let config (workload, nprocs) backend protocol no_detect first_race_only stores_from_diffs
-      gc_epochs elide drop dup reorder partitions net_seed watchdog_ms max_retries transport =
+      gc_epochs elide drop dup reorder partitions net_seed max_retries transport =
     let fault =
       {
         Sim.Fault.drop;
@@ -286,7 +271,6 @@ let config_term target =
         fault;
         transport;
         seed = net_seed;
-        watchdog_ns = Option.map (fun ms -> int_of_float (ms *. 1e6)) watchdog_ms;
       }
     in
     if max_retries <> None && not wire then
@@ -302,7 +286,7 @@ let config_term target =
   Term.(term_result ~usage:true
       (const config $ target $ backend_arg $ protocol_arg $ no_detect_arg $ first_race_arg
       $ diff_stores_arg $ gc_epochs_arg $ elide_arg $ drop_arg $ dup_arg $ reorder_arg
-      $ partition_arg $ net_seed_arg $ watchdog_arg $ max_retries_arg $ transport_arg))
+      $ partition_arg $ net_seed_arg $ max_retries_arg $ transport_arg))
 
 let ppf = Format.std_formatter
 
@@ -450,6 +434,12 @@ let log_arg =
   let doc = "Binary trace log produced by $(b,cvm_race record)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"LOG" ~doc)
 
+(* The machine a log ran on: the backend, and the protocol only for lrc
+   (a bus backend ignores it) *)
+let machine_of_meta (m : Trace.Codec.meta) =
+  if m.Trace.Codec.m_backend = "lrc" then "lrc " ^ m.Trace.Codec.m_protocol
+  else m.Trace.Codec.m_backend
+
 let replay_command =
   let log_only_arg =
     let doc =
@@ -465,7 +455,7 @@ let replay_command =
       let decoded = Trace.Codec.decode log in
       let m = decoded.Trace.Codec.meta in
       Format.fprintf ppf "== %s on %d processors (%s, from log only) ==@."
-        m.Trace.Codec.m_app m.Trace.Codec.m_nprocs m.Trace.Codec.m_protocol;
+        m.Trace.Codec.m_app m.Trace.Codec.m_nprocs (machine_of_meta m);
       Core.Report.races ppf (Trace.Replay.races_of_log decoded);
       (match Trace.Replay.checksum_of_log decoded with
       | Some c -> Format.fprintf ppf "memory checksum: %x@." c
@@ -478,8 +468,7 @@ let replay_command =
       let result = Core.Trace_run.replay log in
       let m = result.Core.Trace_run.rr_meta in
       Format.fprintf ppf "== replaying %s on %d processors (%s, scale %s) ==@."
-        m.Trace.Codec.m_app m.Trace.Codec.m_nprocs m.Trace.Codec.m_protocol
-        m.Trace.Codec.m_scale;
+        m.Trace.Codec.m_app m.Trace.Codec.m_nprocs (machine_of_meta m) m.Trace.Codec.m_scale;
       match result.Core.Trace_run.rr_divergence with
       | Some d ->
           Format.fprintf ppf "%a@." Trace.Replay.pp_divergence d;
@@ -524,9 +513,9 @@ let trace_command =
     let decoded = Trace.Codec.decode log in
     let m = decoded.Trace.Codec.meta in
     Format.fprintf ppf
-      "%s: %s on %d processors, protocol %s, scale %s, seed %d, %d event(s), %d bytes@."
-      log_path m.Trace.Codec.m_app m.Trace.Codec.m_nprocs m.Trace.Codec.m_protocol
-      m.Trace.Codec.m_scale m.Trace.Codec.m_seed
+      "%s: %s on %d processors, %s, scale %s, seed %d, %d event(s), %d bytes@." log_path
+      m.Trace.Codec.m_app m.Trace.Codec.m_nprocs (machine_of_meta m) m.Trace.Codec.m_scale
+      m.Trace.Codec.m_seed
       (Array.length decoded.Trace.Codec.events)
       (String.length log);
     if m.Trace.Codec.m_drop > 0.0 || m.Trace.Codec.m_dup > 0.0

@@ -22,7 +22,5 @@ val input_re : int -> float
 
 val input_im : int -> float
 
-val total : params -> int
-
 val make : params -> App.t
 (** Raises [Invalid_argument] unless all dimensions are powers of two. *)

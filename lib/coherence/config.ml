@@ -43,8 +43,6 @@ type t = {
   transport : Sim.Transport.config option;
       (* Some: run the reliable transport (seq numbers, acks,
          retransmission) between the DSM and the wire *)
-  watchdog_ns : int option;
-      (* virtual-time stall budget for the engine's deadlock watchdog *)
   gc_epochs : int option;
       (* interval garbage collection (TreadMarks-style lineage GC): every k
          barrier epochs, validate all invalid pages (forcing the pending
@@ -83,7 +81,6 @@ let default =
     seed = 42;
     fault = Sim.Fault.none;
     transport = None;
-    watchdog_ns = None;
     gc_epochs = None;
     tracer = None;
     elide_sites = None;
@@ -120,9 +117,12 @@ let check ~nprocs t =
         bad "partition %d,%d names no link between two of processors 0..%d" p_a p_b
           (nprocs - 1))
     t.fault.Sim.Fault.partitions;
+  (* a bounded cap ends every retransmission chain, so a run the
+     transport cannot finish drains to the engine's Deadlock diagnosis *)
+  let cap = Sim.Transport.max_retry_cap in
   (match t.transport with
-  | Some { Sim.Transport.max_retries } when max_retries < 0 ->
-      bad "negative retry cap %d" max_retries
+  | Some { Sim.Transport.max_retries = n } when n < 0 || n > cap ->
+      bad "retry cap %d outside [0, %d]" n cap
   | _ -> ());
   let lrc = t.backend = "lrc" in
   let faults = Sim.Fault.active t.fault in
@@ -131,9 +131,6 @@ let check ~nprocs t =
       "backend %s: wire faults and the reliable transport need the lrc backend (a snooping \
        bus has no lossy wire)"
       t.backend;
-  (match t.watchdog_ns with
-  | Some ns when ns < 1 -> bad "watchdog of %d ns (need at least 1)" ns
-  | _ -> ());
   (match t.gc_epochs with
   | Some k when k < 1 -> bad "GC cadence of %d epochs (need at least 1)" k
   | _ -> ());

@@ -53,10 +53,6 @@ type t = {
       (** [Some cfg]: run the reliable transport (sequence numbers,
           cumulative acks, capped exponential-backoff retransmission)
           between the DSM and the wire; lrc only *)
-  watchdog_ns : int option;
-      (** virtual-time stall budget, at least 1: if this many simulated
-          nanoseconds pass without any process making progress, the run
-          aborts with a structured {!Sim.Engine.Deadlock} diagnosis *)
   gc_epochs : int option;
       (** interval garbage collection (TreadMarks-style lineage GC): every
           [k >= 1] barrier epochs, validate all invalid pages and, one
@@ -88,13 +84,15 @@ val check : nprocs:int -> t -> t
     [Invalid_argument] with a one-line message on a processor count
     outside [1, {!max_procs}]; a fault probability outside [0, 1] or NaN;
     a partition window without [0 <= from <= until], or whose endpoints
-    are equal or outside [0, nprocs); a negative retry cap; wire faults
-    or the transport on a backend other than lrc; or a watchdog or GC
-    cadence below 1. Otherwise it
-    returns the effective configuration: the transport on (with
-    {!Sim.Transport.default_config}) when the wire has faults,
-    [stores_from_diffs] only under lrc multi-writer, [retain_sites] only
-    on lrc. Checking twice returns the same configuration. *)
+    are equal or outside [0, nprocs); a retry cap outside
+    [0, {!Sim.Transport.max_retry_cap}], so that every run ends, in its
+    results or in the engine's {!Sim.Engine.Deadlock} diagnosis; wire
+    faults or the transport on a backend other than lrc; or a GC cadence
+    below 1. Otherwise it returns the effective configuration: the
+    transport on (with {!Sim.Transport.default_config}) when the wire has
+    faults, [stores_from_diffs] only under lrc multi-writer,
+    [retain_sites] only on lrc. Checking twice returns the same
+    configuration. *)
 
 val protocol_name : protocol -> string
 

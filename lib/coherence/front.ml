@@ -442,7 +442,6 @@ let create ~name ~cost ~cfg ~nprocs ~pages =
   | Some sites -> List.iter (fun site -> Hashtbl.replace elide site ()) sites
   | None -> ());
   Sim.Engine.set_tracer engine cfg.Config.tracer;
-  Sim.Engine.set_stall_budget engine cfg.Config.watchdog_ns;
   let proc id =
     let vc = Proto.Vclock.create nprocs in
     {

@@ -76,11 +76,11 @@ val create :
   pages:int ->
   t
 (** The engine, statistics, geometry and symbol table of one run, with
-    the tracer and stall budget installed on the engine and every
-    processor's first interval open. [cfg] is the effective configuration
-    {!Config.check} returned. Raises [Invalid_argument] when the cost
-    model's page size is not a power of two of at least one
-    {!Mem.Page.word_size}-byte word. *)
+    the tracer installed on the engine and every processor's first
+    interval open. [cfg] is the effective configuration {!Config.check}
+    returned. Raises [Invalid_argument] when the cost model's page size
+    is not a power of two of at least one {!Mem.Page.word_size}-byte
+    word. *)
 
 (** {1 Time} *)
 

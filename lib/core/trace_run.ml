@@ -35,7 +35,6 @@ let meta_of ~app_name ~scale ~nprocs (cfg : Coherence.Config.t) : Trace.Codec.me
       Option.map
         (fun (tc : Sim.Transport.config) -> tc.Sim.Transport.max_retries)
         cfg.Coherence.Config.transport;
-    m_watchdog_ns = cfg.Coherence.Config.watchdog_ns;
     m_gc_epochs = cfg.Coherence.Config.gc_epochs;
     (* only the flag travels in the log; the site set is re-derived from
        the app's binary at replay (it is a pure function of the binary) *)
@@ -77,7 +76,6 @@ let config_of_meta (m : Trace.Codec.meta) : Coherence.Config.t =
               m.m_partitions;
         };
       transport = Option.map (fun max_retries -> { Sim.Transport.max_retries }) m.m_transport;
-      watchdog_ns = m.m_watchdog_ns;
       gc_epochs = m.m_gc_epochs;
       elide_sites = (if m.m_elide then Some [] else None);
       backend = m.m_backend;

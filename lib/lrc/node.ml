@@ -1014,8 +1014,8 @@ let coherent_page t page =
   else Some entry.data
 
 let service_diagnostics t =
-  (* Central-service queue depths at the manager, for the deadlock
-     watchdog's structured diagnosis. *)
+  (* Central-service queue depths at the manager, for the engine's
+     structured deadlock diagnosis. *)
   let lines = ref [] in
   Hashtbl.iter
     (fun lck m ->

@@ -19,8 +19,6 @@ let create nbits =
   if nbits < 0 then invalid_arg "Bitmap.create";
   { words = Array.make (word_count nbits) 0; nbits }
 
-let length t = t.nbits
-
 let check_index t i = if i < 0 || i >= t.nbits then invalid_arg "Bitmap: index out of range"
 
 let set t i =

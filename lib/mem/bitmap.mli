@@ -10,7 +10,6 @@ type t
 val create : int -> t
 (** [create nbits] is an all-zero bitmap of [nbits] bits. *)
 
-val length : t -> int
 val set : t -> int -> unit
 val get : t -> int -> bool
 val clear_all : t -> unit

@@ -35,8 +35,6 @@ let leq a b =
   in
   scan 0
 
-let equal a b = a = b
-
 let concurrent a b = (not (leq a b)) && not (leq b a)
 
 let size_bytes t = 4 * Array.length t

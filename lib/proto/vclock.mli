@@ -23,8 +23,6 @@ val merge : t -> t -> t
 val leq : t -> t -> bool
 (** Pointwise [<=]: the happens-before-1 order on clocks. *)
 
-val equal : t -> t -> bool
-
 val concurrent : t -> t -> bool
 (** Neither [leq a b] nor [leq b a]. *)
 

@@ -15,14 +15,15 @@
    is the effect payload, the continuation, [Some k] and the queue
    entry, 11 words in all.
 
-   Two failure detectors guard the loop. If the event queue drains while
-   processes are still blocked (a lost wakeup or a lock cycle), or if a
-   configurable span of virtual time passes in which only bare thunks run
-   and no process makes progress (a retransmission livelock), [run] raises
-   [Deadlock] carrying a structured diagnosis: every blocked process with
-   its label, plus whatever lines the registered subsystem reporters (the
-   transport's per-link unacked queues, the lock managers' queue depths)
-   contribute. *)
+   One failure detector guards the loop. If the event queue drains while
+   processes are still blocked (a lost wakeup, a lock cycle, or a link
+   the transport gave up on), [run] raises [Deadlock] carrying a
+   structured diagnosis: every blocked process with its label, plus
+   whatever lines the registered subsystem reporters (the transport's
+   per-link unacked queues, the lock managers' queue depths) contribute.
+   The library's events always drain: the only one that reschedules
+   itself is the transport's retransmission timer, and the retry cap
+   ends every such chain. *)
 
 type pid = int
 
@@ -47,8 +48,6 @@ type t = {
   mutable nprocs : int;
   mutable live : int;
   mutable diagnostics : (unit -> string list) list;  (* subsystem reporters *)
-  mutable stall_budget : int option;  (* max virtual ns without progress *)
-  mutable last_progress : int;  (* last time a process ran or finished *)
   mutable tracer : Trace.Sink.t option;  (* the run's record/replay sink *)
 }
 
@@ -56,15 +55,13 @@ type diagnosis = {
   diag_time : int;  (* simulated time of the diagnosis *)
   diag_live : int;  (* processes not yet finished *)
   diag_blocked : (pid * string) list;  (* blocked processes and their labels *)
-  diag_stalled : bool;  (* true: watchdog budget exceeded; false: queue drained *)
   diag_notes : string list;  (* lines from registered subsystem reporters *)
 }
 
 exception Deadlock of diagnosis
 
 let pp_diagnosis ppf d =
-  Format.fprintf ppf "@[<v>%s at t=%d ns: %d process(es) live, %d blocked"
-    (if d.diag_stalled then "stall watchdog fired" else "event queue drained")
+  Format.fprintf ppf "@[<v>event queue drained at t=%d ns: %d process(es) live, %d blocked"
     d.diag_time d.diag_live
     (List.length d.diag_blocked);
   List.iter
@@ -83,8 +80,6 @@ let create () =
     nprocs = 0;
     live = 0;
     diagnostics = [];
-    stall_budget = None;
-    last_progress = 0;
     tracer = None;
   }
 
@@ -95,12 +90,6 @@ let set_tracer t tracer = t.tracer <- tracer
 let tracer t = t.tracer
 
 let add_diagnostic t f = t.diagnostics <- t.diagnostics @ [ f ]
-
-let set_stall_budget t budget =
-  (match budget with
-  | Some ns when ns <= 0 -> invalid_arg "Engine.set_stall_budget: budget must be positive"
-  | _ -> ());
-  t.stall_budget <- budget
 
 let schedule t ~at f =
   if at < t.now then invalid_arg "Engine.schedule: cannot schedule in the past";
@@ -227,35 +216,24 @@ let blocked_procs t =
   done;
   !acc
 
-let diagnose t ~stalled =
+let diagnose t =
   {
     diag_time = t.now;
     diag_live = t.live;
     diag_blocked = blocked_procs t;
-    diag_stalled = stalled;
     diag_notes = List.concat_map (fun f -> f ()) t.diagnostics;
   }
 
 let run t =
-  t.last_progress <- t.now;
   let rec loop () =
     if Pqueue.is_empty t.queue then begin
-      if t.live > 0 then raise (Deadlock (diagnose t ~stalled:false))
+      if t.live > 0 then raise (Deadlock (diagnose t))
     end
     else begin
       t.now <- Pqueue.top_time t.queue;
-      let action = Pqueue.take t.queue in
-      (match t.stall_budget with
-      | Some budget when t.live > 0 && t.now - t.last_progress > budget ->
-          raise (Deadlock (diagnose t ~stalled:true))
-      | _ -> ());
-      (match action with
-      | Start (proc, body) ->
-          t.last_progress <- t.now;
-          run_fiber t proc body
-      | Resume proc ->
-          t.last_progress <- t.now;
-          resume_fiber proc
+      (match Pqueue.take t.queue with
+      | Start (proc, body) -> run_fiber t proc body
+      | Resume proc -> resume_fiber proc
       | Thunk f -> f ());
       loop ()
     end

@@ -14,20 +14,16 @@ type diagnosis = {
   diag_time : int;  (** simulated time of the diagnosis *)
   diag_live : int;  (** processes not yet finished *)
   diag_blocked : (pid * string) list;  (** blocked processes and their labels *)
-  diag_stalled : bool;
-      (** [true]: the stall watchdog budget was exceeded while processes
-          were live; [false]: the event queue drained with processes
-          still blocked *)
   diag_notes : string list;  (** lines from registered subsystem reporters *)
 }
 
 exception Deadlock of diagnosis
 (** Raised by [run] when the event queue drains while processes are still
-    blocked, or when the stall watchdog fires. The diagnosis lists every
-    blocked process with its label plus the registered subsystem reports
-    (per-link unacked transport frames, per-lock queue depths). This is
-    how lost wakeups, lock cycles, and exhausted retransmission retries
-    in simulated programs surface. *)
+    blocked. The diagnosis lists every blocked process with its label
+    plus the registered subsystem reports (per-link unacked transport
+    frames, per-lock queue depths). This is how lost wakeups, lock
+    cycles, and exhausted retransmission retries in simulated programs
+    surface. *)
 
 val diagnosis_to_string : diagnosis -> string
 
@@ -77,14 +73,11 @@ val add_diagnostic : t -> (unit -> string list) -> unit
     [Deadlock] diagnosis (e.g. the transport's per-link unacked queues,
     the lock managers' queue depths). *)
 
-val set_stall_budget : t -> int option -> unit
-(** Arm (or disarm, with [None]) the no-progress watchdog: if more than
-    this many virtual nanoseconds pass without any process starting,
-    resuming or finishing — only bare thunks such as retransmission
-    timers firing — [run] raises [Deadlock] with [diag_stalled = true].
-    Raises [Invalid_argument] on a non-positive budget. *)
-
 val run : t -> unit
 (** Drain the event queue. Raises [Deadlock] if processes remain blocked
-    or the stall watchdog fires, and re-raises any exception escaping a
-    process body. *)
+    when it is empty, and re-raises any exception escaping a process
+    body. The library's events always drain: deliveries, timed thunks
+    and partition windows fire once, and a {!Transport} retransmission
+    timer re-arms at most [max_retries] times per frame before its link
+    is given up ([Coherence.Config.check] bounds the cap by
+    {!Transport.max_retry_cap}). *)

@@ -4,19 +4,20 @@
    Each directed (src, dst) link carries its own sequence-number space.
    The sender keeps every unacknowledged frame, retransmits the oldest on
    a timer with exponential backoff, and gives the link up after a retry
-   cap (the watchdog then reports the stranded frames). The receiver
-   delivers exactly once and in order: out-of-sequence frames park in a
-   reassembly buffer, duplicates are suppressed, and every data frame is
-   answered with a cumulative ack, so a lost ack is repaired by the next
-   one. The layer above (the DSM) therefore keeps its exactly-once FIFO
-   view of the network while the wire below drops, duplicates and
-   reorders at will. *)
+   cap (the engine's deadlock diagnosis then reports the stranded
+   frames). The receiver delivers exactly once and in order:
+   out-of-sequence frames park in a reassembly buffer, duplicates are
+   suppressed, and every data frame is answered with a cumulative ack, so
+   a lost ack is repaired by the next one. The layer above (the DSM)
+   therefore keeps its exactly-once FIFO view of the network while the
+   wire below drops, duplicates and reorders at will. *)
 
 type config = {
   max_retries : int;  (* per-frame cap before the link is declared dead *)
 }
 
 let default_config = { max_retries = 20 }
+let max_retry_cap = 1_000
 let initial_rto_ns = 1_000_000 (* ~4x the small-message RTT *)
 let max_rto_ns = 16_000_000
 let header_bytes = 12
@@ -92,8 +93,8 @@ and on_timeout t ~src ~dst s =
   t.stats.Stats.rto_timeouts <- t.stats.Stats.rto_timeouts + 1;
   s.retries <- s.retries + 1;
   if s.retries > t.cfg.max_retries then begin
-    (* give the link up; the stranded frames surface in the watchdog's
-       diagnosis instead of being retried forever *)
+    (* give the link up; the stranded frames surface in the engine's
+       deadlock diagnosis instead of being retried forever *)
     s.failed <- true;
     t.stats.Stats.link_failures <- t.stats.Stats.link_failures + 1;
     match t.tracer with
@@ -177,7 +178,7 @@ let wire_receive t ~src ~dst frame =
          of the node it arrives at: flip the link back *)
       on_ack t ~src:dst ~dst:src ~cum
 
-(* Introspection (watchdog diagnosis and tests). *)
+(* Introspection (deadlock diagnosis and tests). *)
 
 let failed_links t =
   let acc = ref [] in

@@ -15,12 +15,20 @@ type config = {
   max_retries : int;  (** per-frame cap before the link is declared dead *)
 }
 (** The one setting a run chooses; [Coherence.Config.check] rejects a
-    negative cap. The rest are constants: a 1 ms first retransmission
-    timeout (about 4x the small-message round trip) doubling up to
-    16 ms, a 12-byte header per data frame, and 32-byte acks. *)
+    cap outside [0, {!max_retry_cap}]. The rest are constants: a 1 ms
+    first retransmission timeout (about 4x the small-message round trip)
+    doubling up to 16 ms, a 12-byte header per data frame, and 32-byte
+    acks. *)
 
 val default_config : config
 (** A cap of 20 retries. *)
+
+val max_retry_cap : int
+(** 1,000: the largest cap a run accepts. A link's timer re-arms at most
+    [max_retries] times per frame, and the timeout tops out at 16 ms, so
+    a dead link is given up within about 16 simulated seconds and a
+    stuck run drains to {!Engine.Deadlock}. [create] itself takes any
+    cap. *)
 
 type 'a frame = Data of { seq : int; payload : 'a } | Ack of { cum : int }
 

@@ -7,12 +7,12 @@
    zigzag keeps the odd negative — an ack's cumulative -1 — cheap).
    Floats (fault probabilities) are 8 fixed little-endian bytes.
 
-   This build reads and writes format v7 only; a log of another format
-   is refused with a message naming its version. The v7 metadata holds
+   This build reads and writes format v8 only; a log of another format
+   is refused with a message naming its version. The v8 metadata holds
    exactly what a run can set. *)
 
 let magic = "CVMT"
-let version = 7
+let version = 8
 
 type meta = {
   m_app : string;
@@ -28,7 +28,6 @@ type meta = {
   m_reorder : float;
   m_partitions : (int * int * int * int) list;  (* a, b, from_ns, until_ns *)
   m_transport : int option;  (* the transport's retry cap, when it runs *)
-  m_watchdog_ns : int option;
   m_gc_epochs : int option;
   m_elide : bool;  (* elide checks at statically race-free sites *)
   m_backend : string;  (* coherence backend id *)
@@ -165,7 +164,6 @@ let put_meta buf m =
       put_varint buf until_ns)
     m.m_partitions;
   put_opt buf put_varint m.m_transport;
-  put_opt buf put_varint m.m_watchdog_ns;
   put_opt buf put_varint m.m_gc_epochs;
   put_bool buf m.m_elide;
   put_string buf m.m_backend
@@ -191,7 +189,6 @@ let get_meta c =
         (a, b, from_ns, until_ns))
   in
   let m_transport = get_opt c get_varint in
-  let m_watchdog_ns = get_opt c get_varint in
   let m_gc_epochs = get_opt c get_varint in
   let m_elide = get_bool c in
   let m_backend = get_string c in
@@ -209,7 +206,6 @@ let get_meta c =
     m_reorder;
     m_partitions;
     m_transport;
-    m_watchdog_ns;
     m_gc_epochs;
     m_elide;
     m_backend;

@@ -8,7 +8,7 @@
 val magic : string
 
 val version : int
-(** The format version this build writes and decodes (v7). *)
+(** The format version this build writes and decodes (v8). *)
 
 type meta = {
   m_app : string;
@@ -26,7 +26,6 @@ type meta = {
   m_transport : int option;
       (** [Some n]: the reliable transport ran with a retry cap of [n]; its
           timeouts and frame sizes are constants of [Sim.Transport] *)
-  m_watchdog_ns : int option;
   m_gc_epochs : int option;  (** interval-GC cadence *)
   m_elide : bool;
       (** elide checks at statically race-free sites. Only the flag is

@@ -189,6 +189,13 @@ let candidates (t : Program.t) =
   in
   procs @ phases @ merges @ ops
 
+(* Greedy minimization to a fixpoint: repeatedly try dropping a whole
+   processor, a whole phase, a barrier (merging adjacent phases), or a
+   single operation (with its matching lock partner), keeping any
+   candidate on which [check] still reports an internal mismatch.
+   Returns the minimized program and the number of successful shrink
+   steps. Bounded by an evaluation budget, so it terminates even on
+   pathological inputs. *)
 let shrink ?backends ~runner (m : mismatch) =
   let still_fails p =
     try

@@ -7,10 +7,10 @@
 
     {v detected = oracle = ground truth, identically on every backend v}
 
-    Any violation is a {!mismatch}; internal mismatches (those
-    checkable without ground truth) are {!shrink}able to a minimized
-    reproducer, which the fuzz loop writes out as a trace file for the
-    regression corpus. *)
+    Any violation is a {!mismatch}; the fuzz loop shrinks internal
+    mismatches (those checkable without ground truth) to a minimized
+    reproducer and writes it out as a trace file for the regression
+    corpus. *)
 
 type result = {
   detected : int list;  (** online detector's racy words, sorted distinct *)
@@ -59,15 +59,6 @@ val check :
     {!Backends.all}, x elide) and return the first violation, if any. [ground_truth] additionally pins the
     detected set to the generator's planted racy words. *)
 
-val shrink : ?backends:string list -> runner:runner -> mismatch -> Program.t * int
-(** Greedy minimization to a fixpoint: repeatedly try dropping a whole
-    processor, a whole phase, a barrier (merging adjacent phases), or a
-    single operation (with its matching lock partner), keeping any
-    candidate on which {!check} still reports an internal mismatch.
-    Returns the minimized program and the number of successful
-    shrink steps. Bounded by an internal evaluation budget, so it
-    terminates even on pathological inputs. *)
-
 type report = {
   programs : int;  (** programs generated and checked *)
   events : int;  (** total events across all programs *)
@@ -90,6 +81,6 @@ val fuzz :
   report
 (** Generate [count] programs from [(seed, 0..count-1)]
     ({!Generator.generate_seeded}), {!check} each against its ground
-    truth, {!shrink} internal mismatches when [shrink] is set, and
+    truth, shrink internal mismatches when [shrink] is set, and
     write each mismatch's (minimized) program as a trace file under
     [repro_dir] when given, creating the directory as needed. *)

@@ -51,6 +51,21 @@ says() {
   fi
 }
 
+# the command's stdout contains $1 and not $2
+names() {
+  want=$1
+  shun=$2
+  shift 2
+  if "$@" >"$out" 2>"$err" && grep -qF -- "$want" "$out" && ! grep -qF -- "$shun" "$out"; then
+    echo "ok   names \"$want\": $*"
+  else
+    echo "FAIL stdout lacks \"$want\" or has \"$shun\": $*"
+    head -3 "$out"
+    cat "$err"
+    status=1
+  fi
+}
+
 # the last check printed nothing on stdout: it failed before any work
 silent() {
   if [ -s "$out" ]; then
@@ -71,11 +86,15 @@ for cmd in run record; do
   check 124 "$cvm" $cmd sor --scale small --drop nan
   check 124 "$cvm" $cmd sor --scale small --dup 2
   check 124 "$cvm" $cmd sor --scale small --reorder -0.5
-  check 124 "$cvm" $cmd sor --scale small --watchdog 0
+  # no stall watchdog: the bounded retry cap ends every run
+  check 124 "$cvm" $cmd sor --scale small --watchdog 500
+  says "unknown option"
   check 124 "$cvm" $cmd sor --scale small --partition 0,1,100,0
   check 124 "$cvm" $cmd sor --scale small --gc-epochs=0
   check 124 "$cvm" $cmd sor --scale small --gc-epochs=-1
   check 124 "$cvm" $cmd sor --scale small --max-retries=-1 --drop 0.1
+  check 124 "$cvm" $cmd sor --scale small --max-retries=1001 --drop 0.1
+  says "retry cap"
   # the retired LRC sequential-consistency protocol: SC is a bus backend
   check 124 "$cvm" $cmd sor --scale small --protocol sc
   # a retry cap with no transport to apply it to
@@ -200,6 +219,20 @@ if "$cvm" record sor --scale small -p 2 -o "$tmp/ok.cvmt" >/dev/null 2>"$err"; t
   says "processor count 0"
 else
   echo "FAIL could not record the log to corrupt:"
+  cat "$err"
+  status=1
+fi
+# trace and replay name the machine a log ran on: the backend, and the
+# protocol only on lrc (a bus backend ignores the protocol its log holds)
+if "$cvm" record sor --scale small -p 2 --backend mesi -o "$tmp/mesi.cvmt" >/dev/null 2>"$err" \
+  && "$cvm" record sor --scale small -p 2 -o "$tmp/lrc.cvmt" >/dev/null 2>"$err"
+then
+  for sub in trace replay "replay --log-only"; do
+    names mesi single-writer "$cvm" $sub "$tmp/mesi.cvmt"
+    names "lrc single-writer" mesi "$cvm" $sub "$tmp/lrc.cvmt"
+  done
+else
+  echo "FAIL could not record the logs to name:"
   cat "$err"
   status=1
 fi

@@ -107,7 +107,6 @@ let all : combo list =
                       Coherence.Config.fault = faulty drop;
                       transport = Some Sim.Transport.default_config;
                       seed = net_seed;
-                      watchdog_ns = Some 2_000_000_000;
                     };
                 })
               [ 7; 1312 ])

@@ -36,6 +36,14 @@ let test_check_table () =
         4,
         { base with Coherence.Config.transport = Some { Sim.Transport.max_retries = -1 } },
         "retry cap" );
+      ( "retry cap above the largest",
+        4,
+        {
+          base with
+          Coherence.Config.transport =
+            Some { Sim.Transport.max_retries = Sim.Transport.max_retry_cap + 1 };
+        },
+        "retry cap" );
       ( "mesi with a drop",
         4,
         { (faults (plan ~drop:0.1 ())) with Coherence.Config.backend = "mesi" },
@@ -52,7 +60,6 @@ let test_check_table () =
           transport = Some Sim.Transport.default_config;
         },
         "lrc backend" );
-      ("0 ns watchdog", 4, { base with Coherence.Config.watchdog_ns = Some 0 }, "watchdog");
       ("GC cadence 0", 4, { base with Coherence.Config.gc_epochs = Some 0 }, "GC cadence");
     ];
   (* accepted: both processor-count bounds and a partition between the

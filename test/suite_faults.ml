@@ -9,14 +9,12 @@ let check = Alcotest.check
 let lossy_plan drop =
   { Sim.Fault.none with Sim.Fault.drop; duplicate = drop /. 4.0; reorder = drop /. 2.0 }
 
-let fault_cfg ?(drop = 0.2) ?watchdog_ns ?transport seed =
+let fault_cfg ?(drop = 0.2) seed =
   {
     Testutil.detect_cfg with
     Coherence.Config.seed;
     fault = lossy_plan drop;
-    transport =
-      (match transport with Some _ as t -> t | None -> Some Sim.Transport.default_config);
-    watchdog_ns;
+    transport = Some Sim.Transport.default_config;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -129,67 +127,49 @@ let test_tsp_racy_set_stable () =
     (Core.Driver.racy_addrs lossy)
 
 (* ------------------------------------------------------------------ *)
-(* Watchdog and capped retries at the cluster level                     *)
+(* Deadlock diagnosis at the cluster level                              *)
 
-let severed = { Sim.Fault.p_a = 0; p_b = 1; p_from_ns = 0; p_until_ns = max_int }
-
-let test_capped_retries_structured_diagnosis () =
-  (* node 1 is permanently partitioned from the manager: the transport
-     exhausts its retry cap and the run ends in a structured diagnosis
-     naming the blocked processes and the dead link — not a livelock *)
+(* Node 1 is permanently partitioned from the manager, so the barrier
+   never completes: the transport exhausts its retry cap on the dead
+   link, the event queue drains, and the run ends in the engine's
+   structured diagnosis. *)
+let severed_barrier max_retries =
+  let severed = { Sim.Fault.p_a = 0; p_b = 1; p_from_ns = 0; p_until_ns = max_int } in
   let cfg =
     {
       Testutil.detect_cfg with
       Coherence.Config.fault = { Sim.Fault.none with Sim.Fault.partitions = [ severed ] };
-      transport = Some { Sim.Transport.max_retries = 5 };
+      transport = Some { Sim.Transport.max_retries };
     }
   in
   let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
   match cluster.Coherence.Backend.run (fun node -> Lrc.Dsm.barrier node) with
   | () -> Alcotest.fail "expected Deadlock"
-  | exception Sim.Engine.Deadlock diagnosis ->
-      let text = Sim.Engine.diagnosis_to_string diagnosis in
-      check Alcotest.bool "not a stall: retries capped, queue drained" false
-        diagnosis.Sim.Engine.diag_stalled;
-      check Alcotest.int "both processes still live" 2 diagnosis.Sim.Engine.diag_live;
-      check Alcotest.bool "reports the dead link" true (Testutil.contains text "FAILED");
-      check Alcotest.bool "reports the half-arrived barrier" true
-        (Testutil.contains text "1 of 2 arrival(s)");
-      check Alcotest.bool "link failure counted" true
-        (cluster.Coherence.Backend.stats.Sim.Stats.link_failures > 0)
+  | exception Sim.Engine.Deadlock diagnosis -> (cluster, diagnosis)
 
-let test_watchdog_breaks_retransmission_livelock () =
-  (* with an effectively unbounded retry cap the timers alone would spin
-     forever; the virtual-time watchdog must cut the run short *)
-  let cfg =
-    {
-      (fault_cfg 3) with
-      Coherence.Config.fault = { Sim.Fault.none with Sim.Fault.partitions = [ severed ] };
-      transport =
-        Some { Sim.Transport.max_retries = max_int };
-      watchdog_ns = Some 200_000_000;
-    }
-  in
-  let cluster = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
-  match cluster.Coherence.Backend.run (fun node -> Lrc.Dsm.barrier node) with
-  | () -> Alcotest.fail "expected stall Deadlock"
-  | exception Sim.Engine.Deadlock diagnosis ->
-      check Alcotest.bool "watchdog verdict" true diagnosis.Sim.Engine.diag_stalled;
-      check Alcotest.bool "transport state in the diagnosis" true
-        (Testutil.contains (Sim.Engine.diagnosis_to_string diagnosis) "unacked")
+let test_capped_retries_structured_diagnosis () =
+  (* the diagnosis names the blocked processes and the dead link *)
+  let cluster, diagnosis = severed_barrier 5 in
+  let text = Sim.Engine.diagnosis_to_string diagnosis in
+  check Alcotest.int "both processes still live" 2 diagnosis.Sim.Engine.diag_live;
+  check Alcotest.bool "reports the dead link" true (Testutil.contains text "FAILED");
+  check Alcotest.bool "reports the half-arrived barrier" true
+    (Testutil.contains text "1 of 2 arrival(s)");
+  check Alcotest.bool "link failure counted" true
+    (cluster.Coherence.Backend.stats.Sim.Stats.link_failures > 0)
 
-let test_watchdog_quiet_on_healthy_run () =
-  (* a tight watchdog must not fire on a healthy lossy run *)
-  let cfg = fault_cfg ~watchdog_ns:50_000_000 5 in
-  let cluster = Backends.create ~cfg ~nprocs:4 ~pages:4 () in
-  let counter = cluster.Coherence.Backend.alloc 8 in
-  cluster.Coherence.Backend.run (fun node ->
-      let open Lrc.Dsm in
-      barrier node;
-      with_lock node 0 (fun () ->
-          write_int node counter (read_int node counter + 1));
-      barrier node);
-  check Alcotest.bool "completed" true (cluster.Coherence.Backend.sim_time () > 0)
+let test_largest_retry_cap_drains () =
+  (* at the largest cap Config.check accepts the timer chain still ends:
+     with the timeout topped out at 16 ms the dead link is given up
+     within about 16 simulated seconds *)
+  let cluster, diagnosis = severed_barrier Sim.Transport.max_retry_cap in
+  let text = Sim.Engine.diagnosis_to_string diagnosis in
+  check Alcotest.bool "queue drained" true (Testutil.contains text "event queue drained");
+  check Alcotest.bool "reports the dead link" true (Testutil.contains text "FAILED");
+  check Alcotest.bool "drained within 17 simulated seconds" true
+    (diagnosis.Sim.Engine.diag_time < 17_000_000_000);
+  check Alcotest.bool "every timeout counted" true
+    (cluster.Coherence.Backend.stats.Sim.Stats.rto_timeouts > Sim.Transport.max_retry_cap)
 
 let test_lock_cycle_diagnosed backend () =
   (* p0 takes lock 1 then 2, p1 takes 2 then 1; the idle between the two
@@ -208,7 +188,6 @@ let test_lock_cycle_diagnosed backend () =
   match machine.Coherence.Backend.run body with
   | () -> Alcotest.fail "expected Deadlock"
   | exception Sim.Engine.Deadlock diagnosis ->
-      check Alcotest.bool "queue drained, not a stall" false diagnosis.Sim.Engine.diag_stalled;
       check Alcotest.int "both processes live" 2 diagnosis.Sim.Engine.diag_live;
       let blocked = List.sort compare diagnosis.Sim.Engine.diag_blocked in
       check (Alcotest.list Alcotest.int) "both blocked" [ 0; 1 ] (List.map fst blocked);
@@ -276,19 +255,13 @@ let suite =
         Alcotest.test_case "fault rng independent of jitter" `Quick
           test_fault_rng_does_not_perturb_jitter;
       ] );
-    ( "faults:watchdog",
-      [
-        Alcotest.test_case "capped retries diagnosed" `Quick
-          test_capped_retries_structured_diagnosis;
-        Alcotest.test_case "watchdog breaks livelock" `Quick
-          test_watchdog_breaks_retransmission_livelock;
-        Alcotest.test_case "watchdog quiet when healthy" `Quick
-          test_watchdog_quiet_on_healthy_run;
-      ] );
     ( "faults:deadlock",
-      List.map
-        (fun backend ->
-          Alcotest.test_case (backend ^ ": lock cycle diagnosed") `Quick
-            (test_lock_cycle_diagnosed backend))
-        [ "lrc"; "mesi"; "dragon" ] );
+      Alcotest.test_case "capped retries diagnosed" `Quick
+        test_capped_retries_structured_diagnosis
+      :: Alcotest.test_case "largest retry cap drains" `Quick test_largest_retry_cap_drains
+      :: List.map
+           (fun backend ->
+             Alcotest.test_case (backend ^ ": lock cycle diagnosed") `Quick
+               (test_lock_cycle_diagnosed backend))
+           [ "lrc"; "mesi"; "dragon" ] );
   ]

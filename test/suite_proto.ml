@@ -38,7 +38,7 @@ let prop_vclock_partial_order =
       let open Proto.Vclock in
       leq a a
       && ((not (leq a b && leq b c)) || leq a c)
-      && ((not (leq a b && leq b a)) || equal a b)
+      && ((not (leq a b && leq b a)) || a = b)
       && leq a (merge a b)
       && leq b (merge a b)
       && ((not (leq a c && leq b c)) || leq (merge a b) c)

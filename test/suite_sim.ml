@@ -179,7 +179,6 @@ let test_engine_deadlock_detected () =
   match Sim.Engine.run engine with
   | () -> Alcotest.fail "expected Deadlock"
   | exception Sim.Engine.Deadlock diagnosis ->
-      check Alcotest.bool "queue-drain diagnosis" false diagnosis.Sim.Engine.diag_stalled;
       check Alcotest.int "one live process" 1 diagnosis.Sim.Engine.diag_live;
       check Alcotest.bool "mentions label" true
         (Testutil.contains (Sim.Engine.diagnosis_to_string diagnosis) "forever")
@@ -194,39 +193,6 @@ let test_engine_deadlock_diagnostics () =
   | exception Sim.Engine.Deadlock diagnosis ->
       check (Alcotest.list Alcotest.string) "reporter lines"
         [ "subsystem: 3 requests stuck" ] diagnosis.Sim.Engine.diag_notes
-
-let test_engine_stall_watchdog () =
-  (* only thunks fire (a retransmission livelock): the watchdog must trip
-     once the no-progress budget is exceeded *)
-  let engine = Sim.Engine.create () in
-  Sim.Engine.set_stall_budget engine (Some 1_000);
-  ignore (Sim.Engine.spawn engine (fun _ -> Sim.Engine.block ~label:"starved"));
-  let rec tick n = if n > 0 then Sim.Engine.schedule_after engine ~delay:100 (fun () -> tick (n - 1)) in
-  Sim.Engine.schedule engine ~at:0 (fun () -> tick 100);
-  (match Sim.Engine.run engine with
-  | () -> Alcotest.fail "expected stall Deadlock"
-  | exception Sim.Engine.Deadlock diagnosis ->
-      check Alcotest.bool "stalled diagnosis" true diagnosis.Sim.Engine.diag_stalled;
-      check Alcotest.bool "within budget + one tick" true
-        (diagnosis.Sim.Engine.diag_time <= 1_200));
-  (* same run without live processes must NOT trip the watchdog *)
-  let engine = Sim.Engine.create () in
-  Sim.Engine.set_stall_budget engine (Some 1_000);
-  let rec tick n = if n > 0 then Sim.Engine.schedule_after engine ~delay:100 (fun () -> tick (n - 1)) in
-  Sim.Engine.schedule engine ~at:0 (fun () -> tick 100);
-  Sim.Engine.run engine
-
-let test_engine_progress_resets_watchdog () =
-  (* a process that keeps advancing holds the watchdog off indefinitely *)
-  let engine = Sim.Engine.create () in
-  Sim.Engine.set_stall_budget engine (Some 1_000);
-  ignore
-    (Sim.Engine.spawn engine (fun _ ->
-         for _ = 1 to 50 do
-           Sim.Engine.advance 900
-         done));
-  Sim.Engine.run engine;
-  check Alcotest.int "ran to completion" 45_000 (Sim.Engine.now engine)
 
 let test_engine_many_procs () =
   (* the growable process table: spawn far past the initial capacity and
@@ -527,9 +493,6 @@ let suite =
         Alcotest.test_case "wake before block" `Quick test_engine_wake_before_block;
         Alcotest.test_case "deadlock detected" `Quick test_engine_deadlock_detected;
         Alcotest.test_case "deadlock diagnostics" `Quick test_engine_deadlock_diagnostics;
-        Alcotest.test_case "stall watchdog" `Quick test_engine_stall_watchdog;
-        Alcotest.test_case "progress resets watchdog" `Quick
-          test_engine_progress_resets_watchdog;
         Alcotest.test_case "growable proc table" `Quick test_engine_many_procs;
         Alcotest.test_case "exception propagates" `Quick test_engine_exception_propagates;
         Alcotest.test_case "scheduled thunk" `Quick test_engine_schedule_thunk;

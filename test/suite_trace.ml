@@ -20,7 +20,6 @@ let sample_meta =
     m_reorder = 0.1;
     m_partitions = [ (0, 1, 5_000, 10_000); (2, 3, 0, max_int) ];
     m_transport = Some 5;
-    m_watchdog_ns = Some 200_000_000;
     m_gc_epochs = Some 2;
     m_elide = true;
     m_backend = "lrc";
@@ -502,7 +501,7 @@ let test_forged_meta_rejected () =
       ("partition endpoint 9 of 2", { m with Trace.Codec.m_partitions = [ (0, 9, 0, 10) ] });
       ("mesi with faults", { m with Trace.Codec.m_backend = "mesi" });
       ("dragon with faults", { m with Trace.Codec.m_backend = "dragon" });
-      ("0 ns watchdog", { m with Trace.Codec.m_watchdog_ns = Some 0 });
+      ("retry cap max_int", { m with Trace.Codec.m_transport = Some max_int });
       ("zero GC cadence", { m with Trace.Codec.m_gc_epochs = Some 0 });
     ]
 

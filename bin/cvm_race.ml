@@ -416,10 +416,8 @@ let record_command =
     let outcome, log = Core.Trace_run.record ~cfg ~app_name ~scale ~nprocs:procs () in
     Core.Trace_run.save out log;
     print_outcome outcome;
-    let decoded = Trace.Codec.decode log in
     Format.fprintf ppf "trace: %d event(s), %d bytes -> %s@."
-      (Array.length decoded.Trace.Codec.events)
-      (String.length log) out
+      (Trace.Codec.decode log).Trace.Codec.count (String.length log) out
   in
   let target = Term.(const (fun app procs -> (app, procs)) $ app_arg $ procs_arg) in
   let term = Term.(const record $ config_term target $ scale_arg $ out_arg) in
@@ -515,9 +513,7 @@ let trace_command =
     Format.fprintf ppf
       "%s: %s on %d processors, %s, scale %s, seed %d, %d event(s), %d bytes@." log_path
       m.Trace.Codec.m_app m.Trace.Codec.m_nprocs (machine_of_meta m) m.Trace.Codec.m_scale
-      m.Trace.Codec.m_seed
-      (Array.length decoded.Trace.Codec.events)
-      (String.length log);
+      m.Trace.Codec.m_seed decoded.Trace.Codec.count (String.length log);
     if m.Trace.Codec.m_drop > 0.0 || m.Trace.Codec.m_dup > 0.0
        || m.Trace.Codec.m_reorder > 0.0
        || m.Trace.Codec.m_partitions <> []
@@ -536,12 +532,11 @@ let trace_command =
             s.Trace.Replay.ts_count s.Trace.Replay.ts_bytes)
         (Trace.Replay.tags_of_log decoded)
     end;
-    if events > 0 then
-      Array.iteri
-        (fun i (time, event) ->
-          if i < events then
-            Format.fprintf ppf "%8d  %10d ns  %a@." i time Trace.Event.pp event)
-        decoded.Trace.Codec.events;
+    let r = Trace.Codec.reader decoded in
+    for i = 0 to min events decoded.Trace.Codec.count - 1 do
+      let event = Trace.Codec.next r in
+      Format.fprintf ppf "%8d  %10d ns  %a@." i (Trace.Codec.time r) Trace.Event.pp event
+    done;
     match chrome with
     | Some out ->
         Core.Trace_run.save out (Trace.Chrome.export decoded);

@@ -19,7 +19,7 @@ let () =
     Core.Trace_run.record ~cfg:lossy ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:4 ()
   in
   let decoded = Trace.Codec.decode log in
-  Format.printf "  %d events, %d bytes, checksum %x@.@." (Array.length decoded.Trace.Codec.events)
+  Format.printf "  %d events, %d bytes, checksum %x@.@." decoded.Trace.Codec.count
     (String.length log) outcome.Core.Driver.mem_checksum;
 
   Format.printf "replaying the pristine log...@.";
@@ -30,8 +30,15 @@ let () =
 
   (* Corrupt the log: find a frame the wire dropped and pretend it was
      delivered. The re-execution still drops it (the fault RNG is part
-     of the replayed configuration), so the streams split right there. *)
-  let events = Array.copy decoded.Trace.Codec.events in
+     of the replayed configuration), so the streams split right there.
+     A decoded log keeps only bytes, so editing it starts from an array
+     of its (time, event) records. *)
+  let r = Trace.Codec.reader decoded in
+  let events =
+    Array.init decoded.Trace.Codec.count (fun _ ->
+        let e = Trace.Codec.next r in
+        (Trace.Codec.time r, e))
+  in
   let mutated = ref None in
   Array.iteri
     (fun i (time, e) ->

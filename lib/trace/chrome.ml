@@ -1,5 +1,6 @@
 (* Chrome trace-event export: one JSON object per event in the "trace
-   event format" that chrome://tracing and Perfetto load directly.
+   event format" that chrome://tracing and Perfetto load directly. The
+   events come from a reader over the log's bytes, one at a time.
 
    Track layout (all under pid 0): one tid per processor, then one tid
    per directed link that ever carried traffic. Blocked stretches render
@@ -211,14 +212,14 @@ let export (decoded : Codec.decoded) =
   for p = 0 to nprocs - 1 do
     thread_name e ~tid:p (Printf.sprintf "proc %d" p)
   done;
-  Array.iter (fun (time, event) -> emit_event e ~time event) decoded.Codec.events;
+  let r = Codec.reader decoded in
+  while Codec.more r do
+    let event = Codec.next r in
+    emit_event e ~time:(Codec.time r) event
+  done;
   (* close any still-open blocked slices at the last timestamp *)
-  let last_time =
-    let n = Array.length decoded.Codec.events in
-    if n = 0 then 0 else fst decoded.Codec.events.(n - 1)
-  in
   Array.iteri
-    (fun p open_ -> if open_ then slice e ~tid:p ~time:last_time ~ph:"E" ~name:"")
+    (fun p open_ -> if open_ then slice e ~tid:p ~time:(Codec.time r) ~ph:"E" ~name:"")
     e.open_block;
   Buffer.add_string e.buf "\n]\n";
   Buffer.contents e.buf

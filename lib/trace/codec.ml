@@ -35,17 +35,19 @@ type meta = {
 
 (* --- primitive writers --- *)
 
-let put_varint buf n =
-  (* zigzag then LEB128 *)
-  let u = (n lsl 1) lxor (n asr (Sys.int_size - 1)) in
-  let rec go u =
-    if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (u land 0x7f)));
-      go (u lsr 7)
-    end
-  in
-  go u
+(* The writers and readers are top-level functions that take the buffer
+   or cursor as an argument: a local recursion or partial application
+   that captured it would allocate a closure per integer coded. *)
+
+let rec put_leb128 buf u =
+  if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (u land 0x7f)));
+    put_leb128 buf (u lsr 7)
+  end
+
+(* zigzag then LEB128 *)
+let put_varint buf n = put_leb128 buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
 
 let put_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
 let put_string buf s =
@@ -60,13 +62,21 @@ let put_opt buf put = function
       put_bool buf true;
       put buf v
 
+let rec put_items buf put = function
+  | [] -> ()
+  | x :: xs ->
+      put buf x;
+      put_items buf put xs
+
 let put_list buf put xs =
   put_varint buf (List.length xs);
-  List.iter (put buf) xs
+  put_items buf put xs
 
 let put_vc buf (vc : Proto.Vclock.t) =
   put_varint buf (Array.length vc);
-  Array.iter (put_varint buf) vc
+  for i = 0 to Array.length vc - 1 do
+    put_varint buf vc.(i)
+  done
 
 let put_iid buf (id : Proto.Interval.id) =
   put_varint buf id.Proto.Interval.proc;
@@ -89,13 +99,13 @@ let byte c =
   c.pos <- c.pos + 1;
   b
 
+let rec get_leb128 c shift acc =
+  let b = byte c in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else get_leb128 c (shift + 7) acc
+
 let get_varint c =
-  let rec go shift acc =
-    let b = byte c in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  let u = go 0 0 in
+  let u = get_leb128 c 0 0 in
   (u lsr 1) lxor (-(u land 1))
 
 let get_bool c = byte c <> 0
@@ -129,7 +139,11 @@ let get_list c get =
 
 let get_vc c : Proto.Vclock.t =
   let n = get_length c "vclock" in
-  Array.init n (fun _ -> get_varint c)
+  let vc = Array.make n 0 in
+  for i = 0 to n - 1 do
+    vc.(i) <- get_varint c
+  done;
+  vc
 
 let get_iid c : Proto.Interval.id =
   let proc = get_varint c in
@@ -213,23 +227,24 @@ let get_meta c =
 
 (* --- events --- *)
 
+let put_tag buf n = Buffer.add_char buf (Char.chr n)
+
 let put_event buf (e : Event.t) =
-  let tag n = Buffer.add_char buf (Char.chr n) in
   match e with
   | Event.Msg_send { src; dst; kind; bytes } ->
-      tag 0;
+      put_tag buf 0;
       put_varint buf src;
       put_varint buf dst;
       put_string buf kind;
       put_varint buf bytes
   | Event.Msg_deliver { src; dst; kind; bytes } ->
-      tag 1;
+      put_tag buf 1;
       put_varint buf src;
       put_varint buf dst;
       put_string buf kind;
       put_varint buf bytes
   | Event.Fault { src; dst; outcome } ->
-      tag 2;
+      put_tag buf 2;
       put_varint buf src;
       put_varint buf dst;
       (match outcome with
@@ -240,87 +255,87 @@ let put_event buf (e : Event.t) =
       | Event.Dropped -> Buffer.add_char buf '\001'
       | Event.Blackholed -> Buffer.add_char buf '\002')
   | Event.Partition { a; b; up } ->
-      tag 3;
+      put_tag buf 3;
       put_varint buf a;
       put_varint buf b;
       put_bool buf up
   | Event.Retransmit { src; dst; seq } ->
-      tag 4;
+      put_tag buf 4;
       put_varint buf src;
       put_varint buf dst;
       put_varint buf seq
   | Event.Ack { src; dst; cum } ->
-      tag 5;
+      put_tag buf 5;
       put_varint buf src;
       put_varint buf dst;
       put_varint buf cum
   | Event.Link_failure { src; dst } ->
-      tag 6;
+      put_tag buf 6;
       put_varint buf src;
       put_varint buf dst
   | Event.Proc_block { proc; label } ->
-      tag 7;
+      put_tag buf 7;
       put_varint buf proc;
       put_string buf label
   | Event.Proc_resume { proc } ->
-      tag 8;
+      put_tag buf 8;
       put_varint buf proc
   | Event.Proc_finish { proc } ->
-      tag 9;
+      put_tag buf 9;
       put_varint buf proc
   | Event.Page_fault { proc; page; kind } ->
-      tag 10;
+      put_tag buf 10;
       put_varint buf proc;
       put_varint buf page;
       put_kind buf kind
   | Event.Diff_fetch { proc; page; count } ->
-      tag 11;
+      put_tag buf 11;
       put_varint buf proc;
       put_varint buf page;
       put_varint buf count
   | Event.Diff_apply { proc; page; words } ->
-      tag 12;
+      put_tag buf 12;
       put_varint buf proc;
       put_varint buf page;
       put_varint buf words
   | Event.Lock_acquire { proc; lock; vc } ->
-      tag 13;
+      put_tag buf 13;
       put_varint buf proc;
       put_varint buf lock;
       put_vc buf vc
   | Event.Lock_release { proc; lock; vc } ->
-      tag 14;
+      put_tag buf 14;
       put_varint buf proc;
       put_varint buf lock;
       put_vc buf vc
   | Event.Barrier_enter { proc; epoch } ->
-      tag 15;
+      put_tag buf 15;
       put_varint buf proc;
       put_varint buf epoch
   | Event.Barrier_leave { proc; epoch; vc } ->
-      tag 16;
+      put_tag buf 16;
       put_varint buf proc;
       put_varint buf epoch;
       put_vc buf vc
   | Event.Interval_open { proc; index; epoch } ->
-      tag 17;
+      put_tag buf 17;
       put_varint buf proc;
       put_varint buf index;
       put_varint buf epoch
   | Event.Interval_close { proc; index; epoch; write_pages; read_pages } ->
-      tag 18;
+      put_tag buf 18;
       put_varint buf proc;
       put_varint buf index;
       put_varint buf epoch;
       put_list buf put_varint write_pages;
       put_list buf put_varint read_pages
   | Event.Check_entry { a; b; pages } ->
-      tag 19;
+      put_tag buf 19;
       put_iid buf a;
       put_iid buf b;
       put_list buf put_varint pages
   | Event.Race r ->
-      tag 20;
+      put_tag buf 20;
       put_varint buf r.Proto.Race.addr;
       put_varint buf r.Proto.Race.page;
       put_varint buf r.Proto.Race.word;
@@ -332,12 +347,12 @@ let put_event buf (e : Event.t) =
       put_kind buf sk;
       put_varint buf r.Proto.Race.epoch
   | Event.Run_end { checksum; sim_time_ns; races } ->
-      tag 21;
+      put_tag buf 21;
       put_varint buf checksum;
       put_varint buf sim_time_ns;
       put_varint buf races
   | Event.Bus { proc; kind; line } ->
-      tag 22;
+      put_tag buf 22;
       put_varint buf proc;
       Buffer.add_char buf
         (match kind with
@@ -512,7 +527,17 @@ let encode meta events =
 
 (* --- decoder --- *)
 
-type decoded = { meta : meta; events : (int * Event.t) array }
+(* A decoded log keeps the log's bytes, not its events: [decode] checks
+   every record once, and a {!reader} decodes them again, one at a time,
+   for whoever walks the log. *)
+type decoded = {
+  meta : meta;
+  log : string;
+  first : int;  (* byte offset of the first record *)
+  count : int;
+  races : Proto.Race.t list;  (* the Race records, in log order *)
+  run_end : (int * int) option;  (* checksum and sim time of the last Run_end *)
+}
 
 let decode s =
   if String.length s < 5 || String.sub s 0 4 <> magic then
@@ -530,18 +555,32 @@ let decode s =
       log_version version;
   let c = { src = s; pos = 5 } in
   let meta = get_meta c in
-  let events = ref [] in
-  let last_time = ref 0 in
+  let first = c.pos in
+  let count = ref 0 and races = ref [] and run_end = ref None in
   while c.pos < String.length s do
-    let delta = get_varint c in
-    let time = !last_time + delta in
-    last_time := time;
-    let event = get_event c in
-    events := (time, event) :: !events
+    (* the time delta: only a reader needs it *)
+    ignore (get_varint c : int);
+    (match get_event c with
+    | Event.Race r -> races := r :: !races
+    | Event.Run_end { checksum; sim_time_ns; _ } -> run_end := Some (checksum, sim_time_ns)
+    | _ -> ());
+    incr count
   done;
-  { meta; events = Array.of_list (List.rev !events) }
+  { meta; log = s; first; count = !count; races = List.rev !races; run_end = !run_end }
 
-let event_bytes event =
-  let buf = Buffer.create 32 in
-  put_event buf event;
-  Buffer.length buf
+(* --- reader --- *)
+
+type reader = { cur : cursor; mutable time : int; mutable start : int }
+
+let reader d = { cur = { src = d.log; pos = d.first }; time = 0; start = d.first }
+let more r = r.cur.pos < String.length r.cur.src
+
+let next r =
+  r.time <- r.time + get_varint r.cur;
+  r.start <- r.cur.pos;
+  get_event r.cur
+
+let time r = r.time
+let event_start r = r.start
+let event_end r = r.cur.pos
+let event_at d start = get_event { src = d.log; pos = start }

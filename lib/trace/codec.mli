@@ -53,14 +53,52 @@ val contents : encoder -> string
 val encode : meta -> (int * Event.t) array -> string
 (** One-shot encoding of a (time, event) stream. *)
 
-type decoded = { meta : meta; events : (int * Event.t) array }
+type decoded = private {
+  meta : meta;
+  log : string;  (** the whole log, as given to {!decode} *)
+  first : int;  (** byte offset of the first record *)
+  count : int;  (** number of records *)
+  races : Proto.Race.t list;  (** the [Race] records, in log order *)
+  run_end : (int * int) option;
+      (** checksum and simulated time of the last [Run_end] record *)
+}
+(** A checked log. It holds the log's bytes, not its events: a decoded
+    log costs the log's size plus its metadata and race records, and
+    {!reader} walks its events one at a time. *)
 
 val decode : string -> decoded
-(** Parse a complete log. Raises {!Corrupt} on bad magic, a truncated or
-    garbled record, or a format version other than {!version}
-    — the error says explicitly whether the log is too old or too new,
-    never a misleading field-level decode crash. *)
+(** Check a complete log in one pass and keep its bytes. Raises
+    {!Corrupt} on bad magic, a truncated or garbled record, or a format
+    version other than {!version} — the error says explicitly whether
+    the log is too old or too new, never a misleading field-level decode
+    crash. The pass allocates only each record's short-lived event. *)
 
-val event_bytes : Event.t -> int
-(** Encoded size of one event record, excluding the time delta — used by
-    [trace --stats]. *)
+(** {2 Walking a decoded log} *)
+
+type reader
+(** A position in a decoded log and the simulated time there. Reading
+    cannot fail: {!decode} checked every record. *)
+
+val reader : decoded -> reader
+(** A reader at the first record, at time 0. *)
+
+val more : reader -> bool
+(** Whether a record is left to read. *)
+
+val next : reader -> Event.t
+(** Decode the next record and step past it; {!time} becomes its time.
+    Call it only when {!more} holds. *)
+
+val time : reader -> int
+(** Absolute simulated time of the record {!next} last returned (0
+    before the first). *)
+
+val event_start : reader -> int
+(** Byte offset of the event {!next} last returned: its tag byte, past
+    the record's time delta. *)
+
+val event_end : reader -> int
+(** Byte offset just past that event, where the next record starts. *)
+
+val event_at : decoded -> int -> Event.t
+(** The event at a byte offset {!event_start} gave for this log. *)

@@ -3,11 +3,14 @@
    verifier is itself a {!Sink.t}, so the cluster needs no special replay
    mode — it just emits into a sink that compares instead of appending.
 
-   The first mismatch is latched: index into the recorded stream,
-   expected and actual events, and the last recorded activity of every
-   processor at that point (a cheap "where was everyone" summary). That
-   summary is read back from the recorded log when the divergence
-   latches: a matched live event equals its recorded one, time included,
+   The verifier holds the decoded log, which keeps the log's bytes, and a
+   reader over them: each live event is compared with the next recorded
+   one, decoded only then. The first mismatch is latched: index into the
+   recorded stream, expected and actual events, and the last recorded
+   activity of every processor at that point (a cheap "where was
+   everyone" summary). For that summary a match stores its record's byte
+   offset and time under its processor, and the latch decodes those
+   records: a matched live event equals its recorded one, time included,
    so the verifier keeps no copy of the stream. *)
 
 type divergence = {
@@ -19,12 +22,15 @@ type divergence = {
 }
 
 type verifier = {
-  log : (int * Event.t) array;
-  nprocs : int;
+  log : Codec.decoded;
+  reader : Codec.reader;
   mutable next : int;  (* index of the next expected event *)
+  last_start : int array;  (* per processor: its last match's event offset, or -1 *)
+  last_time : int array;  (* per processor: its last match's time *)
   mutable divergence : divergence option;
 }
 
+(* The processor an event belongs to, or -1 *)
 let proc_of (e : Event.t) =
   match e with
   | Event.Proc_block { proc; _ }
@@ -40,34 +46,35 @@ let proc_of (e : Event.t) =
   | Event.Interval_open { proc; _ }
   | Event.Interval_close { proc; _ }
   | Event.Bus { proc; _ } ->
-      Some proc
-  | Event.Msg_send { src; _ } -> Some src
-  | Event.Msg_deliver { dst; _ } -> Some dst
-  | _ -> None
+      proc
+  | Event.Msg_send { src; _ } -> src
+  | Event.Msg_deliver { dst; _ } -> dst
+  | _ -> -1
 
 let create (decoded : Codec.decoded) =
+  let nprocs = max 1 decoded.Codec.meta.Codec.m_nprocs in
   {
-    log = decoded.Codec.events;
-    nprocs = max 1 decoded.Codec.meta.Codec.m_nprocs;
+    log = decoded;
+    reader = Codec.reader decoded;
     next = 0;
+    last_start = Array.make nprocs (-1);
+    last_time = Array.make nprocs 0;
     divergence = None;
   }
 
-(* Each processor's last matched event, scanning the log back from the
-   last match until every processor has one. *)
+(* Each processor's last matched event, decoded from the log *)
 let proc_state t =
-  let last = Array.make t.nprocs None in
-  let missing = ref t.nprocs and i = ref (t.next - 1) in
-  while !missing > 0 && !i >= 0 do
-    let time, event = t.log.(!i) in
-    (match proc_of event with
-    | Some p when p >= 0 && p < t.nprocs && last.(p) = None ->
-        last.(p) <- Some (Printf.sprintf "%s @ %d ns" (Event.to_string event) time);
-        decr missing
-    | _ -> ());
-    decr i
-  done;
-  List.filter_map (fun p -> Option.map (fun s -> (p, s)) last.(p)) (List.init t.nprocs Fun.id)
+  List.filter_map
+    (fun p ->
+      let start = t.last_start.(p) in
+      if start < 0 then None
+      else
+        Some
+          ( p,
+            Printf.sprintf "%s @ %d ns"
+              (Event.to_string (Codec.event_at t.log start))
+              t.last_time.(p) ))
+    (List.init (Array.length t.last_start) Fun.id)
 
 let diverge t ~time ~expected ~actual =
   if t.divergence = None then
@@ -83,12 +90,20 @@ let diverge t ~time ~expected ~actual =
 
 let check t ~time event =
   if t.divergence = None then begin
-    if t.next >= Array.length t.log then
+    if not (Codec.more t.reader) then
       diverge t ~time ~expected:None ~actual:(Some (time, event))
     else begin
-      let (exp_time, exp_event) as expected = t.log.(t.next) in
-      if exp_time = time && Event.equal exp_event event then t.next <- t.next + 1
-      else diverge t ~time ~expected:(Some expected) ~actual:(Some (time, event))
+      let expected = Codec.next t.reader in
+      let exp_time = Codec.time t.reader in
+      if exp_time = time && Event.equal expected event then begin
+        t.next <- t.next + 1;
+        let p = proc_of event in
+        if p >= 0 && p < Array.length t.last_start then begin
+          t.last_start.(p) <- Codec.event_start t.reader;
+          t.last_time.(p) <- time
+        end
+      end
+      else diverge t ~time ~expected:(Some (exp_time, expected)) ~actual:(Some (time, event))
     end
   end
 
@@ -102,9 +117,11 @@ let finish t =
   (match t.divergence with
   | Some _ -> ()
   | None ->
-      if t.next < Array.length t.log then
-        let exp_time, _ = t.log.(t.next) in
-        diverge t ~time:exp_time ~expected:(Some t.log.(t.next)) ~actual:None);
+      if Codec.more t.reader then begin
+        let expected = Codec.next t.reader in
+        let exp_time = Codec.time t.reader in
+        diverge t ~time:exp_time ~expected:(Some (exp_time, expected)) ~actual:None
+      end);
   t.divergence
 
 let pp_stream_item ppf = function
@@ -127,39 +144,25 @@ let pp_divergence ppf d =
 
 (* --- log-only reconstruction --- *)
 
-let races_of_log (decoded : Codec.decoded) =
-  Array.fold_left
-    (fun acc (_, e) -> match e with Event.Race r -> r :: acc | _ -> acc)
-    [] decoded.Codec.events
-  |> List.rev |> Proto.Race.dedup
-
-let run_end_of_log (decoded : Codec.decoded) =
-  Array.fold_left
-    (fun acc (_, e) -> match e with Event.Run_end _ -> Some e | _ -> acc)
-    None decoded.Codec.events
-
-let checksum_of_log decoded =
-  match run_end_of_log decoded with
-  | Some (Event.Run_end { checksum; _ }) -> Some checksum
-  | _ -> None
-
-let sim_time_of_log decoded =
-  match run_end_of_log decoded with
-  | Some (Event.Run_end { sim_time_ns; _ }) -> Some sim_time_ns
-  | _ -> None
+(* [decode] gathered the Race records and the last Run_end in its
+   checking pass *)
+let races_of_log (decoded : Codec.decoded) = Proto.Race.dedup decoded.Codec.races
+let checksum_of_log (decoded : Codec.decoded) = Option.map fst decoded.Codec.run_end
+let sim_time_of_log (decoded : Codec.decoded) = Option.map snd decoded.Codec.run_end
 
 type tag_stats = { ts_tag : string; ts_count : int; ts_bytes : int }
 
+(* A record's size, less its time delta, is the span of its event *)
 let tags_of_log (decoded : Codec.decoded) =
   let tbl = Hashtbl.create 24 in
-  Array.iter
-    (fun (_, e) ->
-      let tag = Event.tag e in
-      let count, bytes =
-        match Hashtbl.find_opt tbl tag with Some cb -> cb | None -> (0, 0)
-      in
-      Hashtbl.replace tbl tag (count + 1, bytes + Codec.event_bytes e))
-    decoded.Codec.events;
+  let r = Codec.reader decoded in
+  while Codec.more r do
+    let tag = Event.tag (Codec.next r) in
+    let count, bytes =
+      match Hashtbl.find_opt tbl tag with Some cb -> cb | None -> (0, 0)
+    in
+    Hashtbl.replace tbl tag (count + 1, bytes + Codec.event_end r - Codec.event_start r)
+  done;
   Hashtbl.fold (fun ts_tag (ts_count, ts_bytes) acc ->
       { ts_tag; ts_count; ts_bytes } :: acc)
     tbl []

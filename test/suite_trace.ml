@@ -25,6 +25,14 @@ let sample_meta =
     m_backend = "lrc";
   }
 
+(* A decoded log keeps only bytes; a test that inspects or edits its
+   events builds its own array of (time, event) records *)
+let events_of decoded =
+  let r = Trace.Codec.reader decoded in
+  Array.init decoded.Trace.Codec.count (fun _ ->
+      let e = Trace.Codec.next r in
+      (Trace.Codec.time r, e))
+
 (* ------------------------------------------------------------------ *)
 (* Codec round-trip (property)                                          *)
 
@@ -111,10 +119,20 @@ let prop_codec_roundtrip =
       let events = Array.of_list stream in
       let decoded = Trace.Codec.decode (Trace.Codec.encode sample_meta events) in
       decoded.Trace.Codec.meta = sample_meta
-      && Array.length decoded.Trace.Codec.events = Array.length events
+      && decoded.Trace.Codec.count = Array.length events
       && Array.for_all2
            (fun (t1, e1) (t2, e2) -> t1 = t2 && Trace.Event.equal e1 e2)
-           decoded.Trace.Codec.events events)
+           (events_of decoded) events
+      (* what the checking pass gathers for log-only reconstruction *)
+      && decoded.Trace.Codec.races
+         = List.filter_map (function _, Trace.Event.Race r -> Some r | _ -> None) stream
+      && decoded.Trace.Codec.run_end
+         = List.fold_left
+             (fun last (_, e) ->
+               match e with
+               | Trace.Event.Run_end { checksum; sim_time_ns; _ } -> Some (checksum, sim_time_ns)
+               | _ -> last)
+             None stream)
 
 let test_codec_rejects_garbage () =
   let corrupt s = match Trace.Codec.decode s with
@@ -238,7 +256,7 @@ let test_recording_is_behavior_neutral () =
       check Alcotest.bool (label ^ ": same races") true
         (plain.Core.Driver.races = traced.Core.Driver.races);
       check Alcotest.bool (label ^ ": log is non-trivial") true
-        (Array.length (Trace.Codec.decode log).Trace.Codec.events > 100))
+        ((Trace.Codec.decode log).Trace.Codec.count > 100))
     [ ("lossy lrc", lossy_cfg); ("mesi", { Coherence.Config.default with backend = "mesi" }) ]
 
 (* ------------------------------------------------------------------ *)
@@ -264,7 +282,7 @@ let test_first_divergence_pinpointed () =
     Core.Trace_run.record ~cfg:lossy_cfg ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:4 ()
   in
   let decoded = Trace.Codec.decode log in
-  let events = Array.copy decoded.Trace.Codec.events in
+  let events = events_of decoded in
   let k = Array.length events / 3 in
   let time, _ = events.(k) in
   (* an event the live run can never produce at this point *)
@@ -298,7 +316,7 @@ let divergence_report () =
     Core.Trace_run.record ~cfg:lossy_cfg ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:4 ()
   in
   let decoded = Trace.Codec.decode log in
-  let events = decoded.Trace.Codec.events in
+  let events = events_of decoded in
   let n = Array.length events in
   let with_event i f =
     let copy = Array.copy events in
@@ -334,10 +352,10 @@ let test_truncated_live_stream_diverges () =
   in
   let decoded = Trace.Codec.decode log in
   let v = Trace.Replay.create decoded in
-  let stop = Array.length decoded.Trace.Codec.events - 5 in
+  let stop = decoded.Trace.Codec.count - 5 in
   Array.iteri
     (fun i (time, e) -> if i < stop then Trace.Replay.check v ~time e)
-    decoded.Trace.Codec.events;
+    (events_of decoded);
   match Trace.Replay.finish v with
   | None -> Alcotest.fail "short stream not flagged"
   | Some d ->
@@ -393,7 +411,7 @@ let test_log_only_reconstruction () =
     (Trace.Replay.sim_time_of_log decoded);
   let stats = Trace.Replay.tags_of_log decoded in
   let total = List.fold_left (fun acc s -> acc + s.Trace.Replay.ts_count) 0 stats in
-  check Alcotest.int "stats cover every event" (Array.length decoded.Trace.Codec.events) total
+  check Alcotest.int "stats cover every event" decoded.Trace.Codec.count total
 
 (* ------------------------------------------------------------------ *)
 (* Meta completeness: every config knob that changes the simulation is
@@ -483,7 +501,7 @@ let test_forged_meta_rejected () =
   let m = decoded.Trace.Codec.meta in
   List.iter
     (fun (label, forged) ->
-      match Core.Trace_run.replay (Trace.Codec.encode forged decoded.Trace.Codec.events) with
+      match Core.Trace_run.replay (Trace.Codec.encode forged (events_of decoded)) with
       | _ -> Alcotest.failf "%s: replayed" label
       | exception Trace.Codec.Corrupt msg ->
           check Alcotest.bool (label ^ ": " ^ msg) true (Testutil.contains msg "metadata"))
@@ -530,6 +548,123 @@ let test_chrome_export () =
   in
   check Alcotest.int "slices balanced" (count {|"ph":"B"|}) (count {|"ph":"E"|})
 
+(* ------------------------------------------------------------------ *)
+(* Streaming: allocation, footprint and the divergence summary          *)
+
+(* One small-scale SOR p4 log on a 20%-drop wire, shared by the tests
+   below *)
+let small_sor_log =
+  lazy
+    (snd
+       (Core.Trace_run.record ~cfg:lossy_cfg ~app_name:"sor" ~scale:Apps.Registry.Small
+          ~nprocs:4 ()))
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  let result = Sys.opaque_identity (f ()) in
+  (Gc.minor_words () -. before, result)
+
+(* Coding an integer allocates nothing, so encoding costs about the
+   buffer's growth, and decoding each record's short-lived event *)
+let test_codec_allocation () =
+  let log = Lazy.force small_sor_log in
+  let decoded = Trace.Codec.decode log in
+  let events = events_of decoded in
+  let n = float_of_int (Array.length events) in
+  let words, encoded = minor_words (fun () -> Trace.Codec.encode decoded.Trace.Codec.meta events) in
+  check Alcotest.bool "re-encoding gives the same bytes" true (String.equal encoded log);
+  if words > 2.0 *. n then
+    Alcotest.failf "encoding %.0f events allocated %.0f minor words (%.2f per event)" n words
+      (words /. n);
+  let words, _ = minor_words (fun () -> Trace.Codec.decode log) in
+  if words > 10.0 *. n then
+    Alcotest.failf "decoding %.0f events allocated %.0f minor words (%.2f per event)" n words
+      (words /. n)
+
+(* A decoded log and a fresh verifier hold the log's bytes and a few
+   hundred words more, not its events *)
+let test_decoded_footprint () =
+  let log = Lazy.force small_sor_log in
+  let decoded = Trace.Codec.decode log in
+  let log_words = Obj.reachable_words (Obj.repr log) in
+  List.iter
+    (fun (what, words) ->
+      if words > log_words + 256 then
+        Alcotest.failf "%s reaches %d words from a %d-word log" what words log_words)
+    [
+      ("the decoded log", Obj.reachable_words (Obj.repr decoded));
+      ("a fresh verifier", Obj.reachable_words (Obj.repr (Trace.Replay.create decoded)));
+    ]
+
+(* The summary the verifier reported before it streamed: scan the
+   recorded events back from [k - 1] until every processor has its last
+   one *)
+let reference_proc_state ~nprocs events k =
+  let proc_of : Trace.Event.t -> int option = function
+    | Proc_block { proc; _ }
+    | Proc_resume { proc }
+    | Proc_finish { proc }
+    | Page_fault { proc; _ }
+    | Diff_fetch { proc; _ }
+    | Diff_apply { proc; _ }
+    | Lock_acquire { proc; _ }
+    | Lock_release { proc; _ }
+    | Barrier_enter { proc; _ }
+    | Barrier_leave { proc; _ }
+    | Interval_open { proc; _ }
+    | Interval_close { proc; _ }
+    | Bus { proc; _ } ->
+        Some proc
+    | Msg_send { src; _ } -> Some src
+    | Msg_deliver { dst; _ } -> Some dst
+    | _ -> None
+  in
+  let last = Array.make nprocs None in
+  for i = k - 1 downto 0 do
+    let time, e = events.(i) in
+    match proc_of e with
+    | Some p when p >= 0 && p < nprocs && last.(p) = None ->
+        last.(p) <- Some (Printf.sprintf "%s @ %d ns" (Trace.Event.to_string e) time)
+    | _ -> ()
+  done;
+  List.filter_map (fun p -> Option.map (fun s -> (p, s)) last.(p)) (List.init nprocs Fun.id)
+
+(* At every 7th cut point and the last 10, a live stream that stops
+   there, and a log whose record there is replaced, each diverge at that
+   index with the reference's per-processor summary *)
+let test_divergence_matches_backward_scan () =
+  let decoded = Trace.Codec.decode (Lazy.force small_sor_log) in
+  let meta = decoded.Trace.Codec.meta in
+  let events = events_of decoded in
+  let n = Array.length events in
+  let feed v upto =
+    for i = 0 to upto - 1 do
+      let time, e = events.(i) in
+      Trace.Replay.check v ~time e
+    done
+  in
+  let expect label k = function
+    | None -> Alcotest.failf "%s at %d: no divergence" label k
+    | Some d ->
+        check Alcotest.int (Printf.sprintf "%s at %d: index" label k) k d.Trace.Replay.d_index;
+        check
+          Alcotest.(list (pair int string))
+          (Printf.sprintf "%s at %d: processor summary" label k)
+          (reference_proc_state ~nprocs:meta.Trace.Codec.m_nprocs events k)
+          d.Trace.Replay.d_proc_state
+  in
+  List.init n Fun.id
+  |> List.filter (fun k -> k mod 7 = 0 || k >= n - 10)
+  |> List.iter (fun k ->
+         let v = Trace.Replay.create decoded in
+         feed v k;
+         expect "stream stopped" k (Trace.Replay.finish v);
+         let mutated = Array.copy events in
+         mutated.(k) <- (fst events.(k), Trace.Event.Link_failure { src = 6; dst = 7 });
+         let v = Trace.Replay.create (Trace.Codec.decode (Trace.Codec.encode meta mutated)) in
+         feed v n;
+         expect "record replaced" k (Trace.Replay.finish v))
+
 let suite =
   [
     ( "trace:codec",
@@ -538,6 +673,8 @@ let suite =
         Alcotest.test_case "corrupt logs rejected" `Quick test_codec_rejects_garbage;
         Alcotest.test_case "huge length prefixes rejected" `Quick test_codec_rejects_huge_lengths;
         QCheck_alcotest.to_alcotest prop_codec_damage_is_corrupt;
+        Alcotest.test_case "coding allocates little" `Quick test_codec_allocation;
+        Alcotest.test_case "decoded log holds its bytes" `Quick test_decoded_footprint;
       ] );
     ( "trace:replay",
       [
@@ -553,6 +690,8 @@ let suite =
           test_truncated_live_stream_diverges;
         Alcotest.test_case "divergence report matches golden" `Quick
           test_divergence_report_golden;
+        Alcotest.test_case "divergence summary = backward scan" `Quick
+          test_divergence_matches_backward_scan;
       ] );
     ( "trace:meta",
       [

@@ -19,9 +19,11 @@ test:
 # - bad command-line input pinned to its exit code (test/cli_exit_codes.sh);
 # - smokes: a 20%-drop lossy run, paper-scale TSP p8 on a lossy wire (a
 #   lock grant overtaking its retransmitted ack once crashed the lock
-#   forwarding path), elision, record->replay (lossy, interval-GC, and
-#   both bus backends), mesi/dragon runs checked against the oracle, a
-#   corpus trace file, and a short seeded fuzz;
+#   forwarding path), elision, the section 6.1 hunt on TSP (it exits 1
+#   unless its watched second run grants every lock in the first run's
+#   order), record->replay (lossy, interval-GC, and both bus backends),
+#   mesi/dragon runs checked against the oracle, a corpus trace file,
+#   and a short seeded fuzz;
 # - the bench gate: a --jobs 1 small sweep against bench/baseline_small.json
 #   (deterministic fields exact, wall within a loose 50% because the
 #   baseline came from other hardware; see docs/BENCH.md);
@@ -46,6 +48,7 @@ check:
 	dune exec bin/cvm_race.exe -- run sor --scale small -p 4 --drop 0.2
 	dune exec bin/cvm_race.exe -- run tsp -p 8 --drop 0.05 --dup 0.0125 --reorder 0.025 --transport
 	dune exec bin/cvm_race.exe -- run water --scale small -p 4 --elide
+	dune exec bin/cvm_race.exe -- hunt tsp --scale small -p 4
 	dune exec bin/cvm_race.exe -- record sor --scale small -p 4 --drop 0.2 -o _build/sor.cvmt
 	dune exec bin/cvm_race.exe -- replay _build/sor.cvmt
 	dune exec bin/cvm_race.exe -- replay --log-only _build/sor.cvmt

@@ -3,9 +3,9 @@
    Subcommands:
      run     run one application with online race detection and print the
              races, dynamic statistics, and (optionally) the slowdown
-     hunt    the full section 6.1 flow: a detection run, then a replayed
-             run with a watch list that maps each racy address to the
-             source sites that touched it
+     hunt    the full section 6.1 flow: a detection run, then the same
+             run again with a watch list that maps each racy address to
+             the source sites that touched it
      record  run with the deterministic trace recorder and save the
              binary event log
      replay  re-execute a recorded run and verify the event streams are
@@ -386,11 +386,15 @@ let hunt_command =
     Core.Report.races ~symtab:run1.Core.Driver.symtab ppf run1.Core.Driver.races;
     if racy = [] then Format.fprintf ppf "nothing to hunt.@."
     else begin
-      Format.fprintf ppf
-        "run 2: replaying the recorded order with a watch on %d address(es)...@."
+      Format.fprintf ppf "run 2: re-running with a watch on %d address(es)...@."
         (List.length racy);
-      let cfg2 = { Coherence.Config.default with replay = run1.Core.Driver.sync_trace } in
-      let run2 = Core.Driver.run ~cfg:cfg2 ~app ~nprocs:procs ~watch_addrs:racy () in
+      let run2 = Core.Driver.run ~cfg:cfg1 ~app ~nprocs:procs ~watch_addrs:racy () in
+      (* the sites below are run 2's; they name run 1's races only if
+         both runs granted every lock in the same order *)
+      if run2.Core.Driver.sync_trace <> run1.Core.Driver.sync_trace then begin
+        Format.fprintf ppf "run 2 left run 1's synchronization order@.";
+        exit 1
+      end;
       Format.fprintf ppf "source sites involved in the races:@.";
       List.iter
         (fun hit -> Format.fprintf ppf "  %a@." Instrument.Watch.pp_hit hit)
@@ -401,8 +405,9 @@ let hunt_command =
   Cmd.v
     (Cmd.info "hunt"
        ~doc:
-         "Two-run race hunt (section 6.1): detect races, then replay under the recorded \
-          synchronization order to identify the source sites.")
+         "Two-run race hunt (section 6.1): detect races, then run the same configuration \
+          again with a watch on the racy addresses to identify the source sites. Exits 1 \
+          if the second run grants locks in a different order from the first.")
     term
 
 let record_command =
@@ -450,7 +455,7 @@ let replay_command =
     guarded @@ fun () ->
     let log = Core.Trace_run.load log_path in
     if log_only then begin
-      let decoded = Trace.Codec.decode log in
+      let decoded, _ = Core.Trace_run.decode log in
       let m = decoded.Trace.Codec.meta in
       Format.fprintf ppf "== %s on %d processors (%s, from log only) ==@."
         m.Trace.Codec.m_app m.Trace.Codec.m_nprocs (machine_of_meta m);
@@ -508,7 +513,7 @@ let trace_command =
   let trace log_path chrome stats events =
     guarded @@ fun () ->
     let log = Core.Trace_run.load log_path in
-    let decoded = Trace.Codec.decode log in
+    let decoded, _ = Core.Trace_run.decode log in
     let m = decoded.Trace.Codec.meta in
     Format.fprintf ppf
       "%s: %s on %d processors, %s, scale %s, seed %d, %d event(s), %d bytes@." log_path
@@ -539,7 +544,8 @@ let trace_command =
     done;
     match chrome with
     | Some out ->
-        Core.Trace_run.save out (Trace.Chrome.export decoded);
+        let oc = open_out_bin out in
+        Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Trace.Chrome.export oc decoded);
         Format.fprintf ppf "chrome trace -> %s@." out
     | None -> ()
   in

@@ -22,10 +22,8 @@
    Deliberate scope limits versus the DSM cluster: no fault injection or
    reliable transport (there is no lossy wire on a bus; Config.check
    rejects both), no multi-writer diffs and no [retain_sites] (the
-   configuration Config.check returns has both off), no interval GC, and
-   no lock-grant replay ([Config.replay] is ignored — the machine is
-   deterministic, so re-running reproduces the order; [record_sync]
-   still records it). *)
+   configuration Config.check returns has both off), and no interval
+   GC. *)
 
 module Front = Coherence.Front
 

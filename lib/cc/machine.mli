@@ -13,8 +13,8 @@
     transfer, and supplier latency through the simulation engine.
 
     Not supported: fault injection and the reliable transport (no lossy
-    wire on a bus; {!Coherence.Config.check} rejects them), lock-grant
-    replay, interval GC, diff-based stores, and site retention. *)
+    wire on a bus; {!Coherence.Config.check} rejects them), interval GC,
+    diff-based stores, and site retention. *)
 
 type protocol = Mesi | Dragon
 

@@ -28,8 +28,9 @@ type t = {
       (* the access/synchronization log, when [record_trace] was set *)
   timed_trace : unit -> (int * int * Racedetect.Oracle.event) list;
       (* the same log as (ns, proc, event), for [Core.Timeline] *)
-  sync_trace : unit -> Sync_trace.t option;
-      (* the recorded lock-grant order, when [record_sync] was set *)
+  sync_trace : unit -> (int * int) list option;
+      (* (lock, grantee) at every grant, in grant order, when
+         [record_sync] was set *)
   sim_time : unit -> int;  (* final simulated time, ns *)
   memory_checksum : unit -> int;
       (* FNV-1a digest of the coherent shared-memory image *)

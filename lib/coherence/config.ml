@@ -1,7 +1,7 @@
 (* Run configuration: which backend and coherence protocol to run,
    whether the race-detection machinery is active, the wire, and
-   debugging/replay switches. [check] judges a configuration once, for
-   every caller: the CLI, log metadata and Backends.create. *)
+   recording and debugging switches. [check] judges a configuration
+   once, for every caller: the CLI, log metadata and Backends.create. *)
 
 type protocol =
   | Single_writer
@@ -32,8 +32,7 @@ type t = {
          (site) per accessed word per interval so races resolve to source
          sites without a second run — at a storage and runtime cost *)
   record_trace : bool;  (* log every access/sync event for the oracle *)
-  replay : Sync_trace.t option;  (* enforce a recorded lock-grant order *)
-  record_sync : bool;  (* record lock-grant order for later replay *)
+  record_sync : bool;  (* record (lock, grantee) at every lock grant *)
   seed : int;
       (* roots the network RNG streams (jitter and fault plan); with no
          jitter and no faults it changes nothing *)
@@ -76,7 +75,6 @@ let default =
     stores_from_diffs = false;
     retain_sites = false;
     record_trace = false;
-    replay = None;
     record_sync = false;
     seed = 42;
     fault = Sim.Fault.none;

@@ -1,7 +1,7 @@
 (** Run configuration: coherence backend and protocol, detection
-    switches, the wire, and replay/debug options. {!check} is the one
-    place a configuration is judged; [Backends.create] calls it on every
-    run. *)
+    switches, the wire, and recording and debug options. {!check} is the
+    one place a configuration is judged; [Backends.create] calls it on
+    every run. *)
 
 (** The lrc backend's coherence protocol, all three lazy release
     consistent. The sequentially consistent machine is a bus backend
@@ -40,8 +40,11 @@ type t = {
           [site-retention] ablation. Effective only on the lrc backend
           ({!check}). *)
   record_trace : bool;  (** log every access/sync event for the oracle *)
-  replay : Sync_trace.t option;  (** enforce a recorded lock-grant order *)
-  record_sync : bool;  (** record lock-grant order for later replay *)
+  record_sync : bool;
+      (** record [(lock, grantee)] at every lock grant, in grant order
+          ([Backend.t.sync_trace]). A second run of the same
+          configuration grants in the same order: the simulation is
+          deterministic and a watch charges no simulated time. *)
   seed : int;
       (** roots the network RNG streams: the jitter draws and the fault
           plan's per-link decisions. With [jitter_ns = 0] and no faults

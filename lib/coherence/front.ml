@@ -41,7 +41,7 @@ type t = {
   nprocs : int;
   procs : proc array;
   elide : (string, unit) Hashtbl.t;
-  recorder : Sync_trace.recorder option;
+  mutable grants : (int * int) list;
   mutable timed : (int * int * Racedetect.Oracle.event) list;
   mutable races : Proto.Race.t list;
   mutable race_seen : bool;
@@ -295,9 +295,7 @@ let alloc t ~who ?name ?align bytes =
 (* Synchronization points                                               *)
 
 let record_grant t ~lock ~grantee =
-  match t.recorder with
-  | Some recorder -> Sync_trace.record recorder ~lock ~grantee
-  | None -> ()
+  if t.cfg.Config.record_sync then t.grants <- (lock, grantee) :: t.grants
 
 let acquired t p ~lock =
   trace_sync t p (Racedetect.Oracle.Acquire lock);
@@ -424,7 +422,8 @@ let backend t ~who ~view ~memory_checksum =
     race_sites = race_sites t;
     trace = (fun () -> List.rev_map (fun (_, proc, event) -> (proc, event)) t.timed);
     timed_trace = (fun () -> List.rev t.timed);
-    sync_trace = (fun () -> Option.map Sync_trace.of_recorder t.recorder);
+    sync_trace =
+      (fun () -> if t.cfg.Config.record_sync then Some (List.rev t.grants) else None);
     sim_time = (fun () -> Sim.Engine.now t.engine);
     memory_checksum;
     set_access_observer = (fun id observer -> t.procs.(id).observer <- Some observer);
@@ -474,8 +473,7 @@ let create ~name ~cost ~cfg ~nprocs ~pages =
       nprocs;
       procs = Array.init nprocs proc;
       elide;
-      recorder =
-        (if cfg.Config.record_sync then Some (Sync_trace.new_recorder ()) else None);
+      grants = [];
       timed = [];
       races = [];
       race_seen = false;

@@ -54,7 +54,9 @@ type t = private {
   nprocs : int;
   procs : proc array;
   elide : (string, unit) Hashtbl.t;  (** statically race-free sites *)
-  recorder : Sync_trace.recorder option;
+  mutable grants : (int * int) list;
+      (** [(lock, grantee)] at every grant under [record_sync], newest
+          first *)
   mutable timed : (int * int * Racedetect.Oracle.event) list;
       (** oracle trace, (ns, proc, event), newest first *)
   mutable races : Proto.Race.t list;
@@ -139,7 +141,8 @@ val publish_interval : t -> proc -> Proto.Interval.t -> unit
     that summarizes writes at close does so between the two calls. *)
 
 val record_grant : t -> lock:int -> grantee:int -> unit
-(** Lock-grant order, when [record_sync] is set. *)
+(** A backend calls it when it grants [lock] to processor [grantee];
+    under [record_sync] the pair is kept for [sync_trace]. *)
 
 val acquired : t -> proc -> lock:int -> unit
 val released : t -> proc -> lock:int -> unit

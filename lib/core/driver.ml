@@ -10,7 +10,7 @@ type outcome = {
   stats : Sim.Stats.t;
   races : Proto.Race.t list;
   trace : Racedetect.Oracle.trace;
-  sync_trace : Coherence.Sync_trace.t option;
+  sync_trace : (int * int) list option;  (* (lock, grantee) at every grant, in grant order *)
   watch_hits : Instrument.Watch.hit list;
   symtab : Mem.Symtab.t;  (* variable names for symbolic race reports *)
   mem_checksum : int;  (* digest of the final shared-memory image *)

@@ -9,7 +9,9 @@ type outcome = {
   stats : Sim.Stats.t;
   races : Proto.Race.t list;
   trace : Racedetect.Oracle.trace;  (** empty unless [record_trace] *)
-  sync_trace : Coherence.Sync_trace.t option;  (** present when [record_sync] *)
+  sync_trace : (int * int) list option;
+      (** [(lock, grantee)] at every grant, in grant order; present when
+          [record_sync] *)
   watch_hits : Instrument.Watch.hit list;  (** present when watching *)
   symtab : Mem.Symtab.t;  (** variable names for symbolic race reports *)
   mem_checksum : int;

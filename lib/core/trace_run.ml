@@ -85,6 +85,10 @@ let config_of_meta (m : Trace.Codec.meta) : Coherence.Config.t =
   | cfg -> cfg
   | exception Invalid_argument msg -> bad "%s" msg
 
+let decode log =
+  let decoded = Trace.Codec.decode log in
+  (decoded, config_of_meta decoded.Trace.Codec.meta)
+
 let record ?(cfg = Coherence.Config.default) ~app_name ~scale ~nprocs () =
   let app = Apps.Registry.make ~scale app_name in
   let meta = meta_of ~app_name ~scale ~nprocs cfg in
@@ -104,9 +108,8 @@ type replay_result = {
 let clean r = r.rr_divergence = None && r.rr_races_match && r.rr_checksum_match
 
 let replay log =
-  let decoded = Trace.Codec.decode log in
+  let decoded, cfg = decode log in
   let m = decoded.Trace.Codec.meta in
-  let cfg = config_of_meta m in
   let app = Apps.Registry.make ~scale:(scale_of_name m.Trace.Codec.m_scale) m.Trace.Codec.m_app in
   let verifier = Trace.Replay.create decoded in
   let cfg = { cfg with Coherence.Config.tracer = Some (Trace.Replay.sink verifier) } in

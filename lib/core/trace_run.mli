@@ -22,6 +22,12 @@ val config_of_meta : Trace.Codec.meta -> Coherence.Config.t
     for [m_nprocs] processors. Raises {!Trace.Codec.Corrupt}
     ("metadata: ...") otherwise. *)
 
+val decode : string -> Trace.Codec.decoded * Coherence.Config.t
+(** {!Trace.Codec.decode}, then {!config_of_meta} of the log's metadata:
+    the one way a command reads a log, so a forged field (a processor
+    count of 0 or 2{^60}, say) raises {!Trace.Codec.Corrupt} before
+    anything is sized by it. *)
+
 val record :
   ?cfg:Coherence.Config.t ->
   app_name:string ->
@@ -46,8 +52,7 @@ val clean : replay_result -> bool
 
 val replay : string -> replay_result
 (** Verify a binary log by re-execution. Raises {!Trace.Codec.Corrupt}
-    on a malformed log or metadata {!config_of_meta} rejects, before
-    anything is built. *)
+    on a log {!decode} rejects, before anything is built. *)
 
 val load : string -> string
 (** Read a whole binary file. *)

@@ -64,7 +64,7 @@ type page_mgr = {
   waiting : Message.t Queue.t;
 }
 
-type lock_mgr = { mutable token : int; mutable next_seq : int; parked : Message.t Queue.t }
+type lock_mgr = { mutable token : int; mutable next_seq : int }
 
 type barrier_master = {
   mutable arrivals : (int * Proto.Vclock.t * Proto.Interval.t list) list;
@@ -587,7 +587,7 @@ let lock_mgr_state t lock =
   match Hashtbl.find_opt t.lock_mgrs lock with
   | Some m -> m
   | None ->
-      let m = { token = 0; next_seq = 0; parked = Queue.create () } in
+      let m = { token = 0; next_seq = 0 } in
       Hashtbl.add t.lock_mgrs lock m;
       m
 
@@ -602,46 +602,9 @@ let forward_lock_req t m = function
       send_after t ~delay ~dst:target (Message.Lock_fwd { lock; requester; vc; seq })
   | _ -> assert false
 
-let rec drain_parked_requests t m ~lock =
-  (* Replay mode: release parked requests in the recorded grant order. *)
-  match t.rt.cfg.Coherence.Config.replay with
-  | None -> assert false
-  | Some trace -> (
-      match Coherence.Sync_trace.next_grantee trace ~lock with
-      | None ->
-          (* past the recorded history: fall back to FIFO *)
-          if not (Queue.is_empty m.parked) then begin
-            forward_lock_req t m (Queue.pop m.parked);
-            drain_parked_requests t m ~lock
-          end
-      | Some grantee ->
-          let found = ref None in
-          let rest = Queue.create () in
-          Queue.iter
-            (fun msg ->
-              match msg with
-              | Message.Lock_req { requester; _ } when requester = grantee && !found = None ->
-                  found := Some msg
-              | _ -> Queue.add msg rest)
-            m.parked;
-          (match !found with
-          | Some msg ->
-              Queue.clear m.parked;
-              Queue.transfer rest m.parked;
-              Coherence.Sync_trace.advance trace ~lock;
-              forward_lock_req t m msg;
-              drain_parked_requests t m ~lock
-          | None -> ()))
-
 let on_lock_req t msg =
   match msg with
-  | Message.Lock_req { lock; _ } -> (
-      let m = lock_mgr_state t lock in
-      match t.rt.cfg.Coherence.Config.replay with
-      | None -> forward_lock_req t m msg
-      | Some _ ->
-          Queue.add msg m.parked;
-          drain_parked_requests t m ~lock)
+  | Message.Lock_req { lock; _ } -> forward_lock_req t (lock_mgr_state t lock) msg
   | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
@@ -1017,14 +980,6 @@ let service_diagnostics t =
   (* Central-service queue depths at the manager, for the engine's
      structured deadlock diagnosis. *)
   let lines = ref [] in
-  Hashtbl.iter
-    (fun lck m ->
-      if not (Queue.is_empty m.parked) then
-        lines :=
-          Printf.sprintf "lock %d: %d request(s) parked at the manager" lck
-            (Queue.length m.parked)
-          :: !lines)
-    t.lock_mgrs;
   Array.iteri
     (fun page m ->
       if not (Queue.is_empty m.waiting) then

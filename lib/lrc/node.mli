@@ -35,7 +35,7 @@ val coherent_page : t -> int -> Mem.Page.t option
     over, so the cluster's [memory_checksum] can hash any one of them. *)
 
 val service_diagnostics : t -> string list
-(** Queue depths of the central services hosted at this node (parked lock
-    requests, queued page-ownership requests, barrier arrivals) — only
-    nonempty at the manager. Fed to {!Sim.Engine.add_diagnostic} so a
+(** Queue depths of the central services hosted at this node (queued
+    page-ownership requests, barrier arrivals) — only nonempty at the
+    manager. Fed to {!Sim.Engine.add_diagnostic} so a
     deadlock diagnosis shows where requests are stuck. *)

@@ -1,6 +1,7 @@
 (* Chrome trace-event export: one JSON object per event in the "trace
    event format" that chrome://tracing and Perfetto load directly. The
-   events come from a reader over the log's bytes, one at a time.
+   events come from a reader over the log's bytes, one at a time, and
+   each object goes to the output channel as it is made.
 
    Track layout (all under pid 0): one tid per processor, then one tid
    per directed link that ever carried traffic. Blocked stretches render
@@ -23,7 +24,7 @@ let escape s =
   Buffer.contents buf
 
 type emitter = {
-  buf : Buffer.t;
+  oc : out_channel;
   mutable first : bool;
   nprocs : int;
   link_tids : (int * int, int) Hashtbl.t;  (* (src, dst) -> tid *)
@@ -32,14 +33,14 @@ type emitter = {
 }
 
 let obj e fields =
-  if e.first then e.first <- false else Buffer.add_string e.buf ",\n";
-  Buffer.add_char e.buf '{';
+  if e.first then e.first <- false else output_string e.oc ",\n";
+  output_char e.oc '{';
   List.iteri
     (fun i (k, v) ->
-      if i > 0 then Buffer.add_char e.buf ',';
-      Buffer.add_string e.buf (Printf.sprintf "\"%s\":%s" k v))
+      if i > 0 then output_char e.oc ',';
+      Printf.fprintf e.oc "\"%s\":%s" k v)
     fields;
-  Buffer.add_char e.buf '}'
+  output_char e.oc '}'
 
 let str s = Printf.sprintf "\"%s\"" (escape s)
 let ts_us ns = Printf.sprintf "%.3f" (float_of_int ns /. 1000.)
@@ -196,11 +197,11 @@ let emit_event e ~time (event : Event.t) =
         (args "{\"checksum\":%d,\"sim_time_ns\":%d,\"races\":%d}" checksum sim_time_ns
            races)
 
-let export (decoded : Codec.decoded) =
+let export oc (decoded : Codec.decoded) =
   let nprocs = max 1 decoded.Codec.meta.Codec.m_nprocs in
   let e =
     {
-      buf = Buffer.create 65536;
+      oc;
       first = true;
       nprocs;
       link_tids = Hashtbl.create 16;
@@ -208,7 +209,7 @@ let export (decoded : Codec.decoded) =
       open_block = Array.make nprocs false;
     }
   in
-  Buffer.add_string e.buf "[\n";
+  output_string oc "[\n";
   for p = 0 to nprocs - 1 do
     thread_name e ~tid:p (Printf.sprintf "proc %d" p)
   done;
@@ -221,5 +222,4 @@ let export (decoded : Codec.decoded) =
   Array.iteri
     (fun p open_ -> if open_ then slice e ~tid:p ~time:(Codec.time r) ~ph:"E" ~name:"")
     e.open_block;
-  Buffer.add_string e.buf "\n]\n";
-  Buffer.contents e.buf
+  output_string oc "\n]\n"

@@ -5,7 +5,8 @@
 # a usage line; 2 from the bench/main.exe and gen_equiv_golden flag
 # parsers, for a file that cannot be read or written, and for a
 # malformed --trace-file; 3 for a truncated, bit-flipped or forged trace
-# log, forged log metadata, or a log of a retired format.
+# log, forged log metadata (on every command that reads a log), or a log
+# of a retired format.
 #
 #   sh test/cli_exit_codes.sh CVM_RACE_EXE BENCH_EXE GEN_EQUIV_GOLDEN_EXE
 
@@ -208,7 +209,11 @@ if "$cvm" record sor --scale small -p 2 -o "$tmp/ok.cvmt" >/dev/null 2>"$err"; t
   check 3 "$cvm" replay "$tmp/vclen.cvmt"
   says "bad vclock length"
   # forged metadata, rejected before anything is built: the first byte
-  # of the app name ("sor" -> "xor") and a zeroed processor count
+  # of the app name ("sor" -> "xor"), a zeroed processor count, and a
+  # processor count of 2^60 (zigzag LEB128: eight continuation bytes,
+  # then 0x20, in place of the one-byte count at offset 15). Every
+  # command that reads a log checks its metadata first, so none sizes
+  # anything by the count.
   cp "$tmp/ok.cvmt" "$tmp/app.cvmt"
   printf 'x' | dd of="$tmp/app.cvmt" bs=1 seek=6 conv=notrunc 2>/dev/null
   check 3 "$cvm" replay "$tmp/app.cvmt"
@@ -217,6 +222,18 @@ if "$cvm" record sor --scale small -p 2 -o "$tmp/ok.cvmt" >/dev/null 2>"$err"; t
   printf '\000' | dd of="$tmp/procs.cvmt" bs=1 seek=15 conv=notrunc 2>/dev/null
   check 3 "$cvm" replay "$tmp/procs.cvmt"
   says "processor count 0"
+  { head -c 15 "$tmp/ok.cvmt"; printf '\200\200\200\200\200\200\200\200\040'
+    tail -c +17 "$tmp/ok.cvmt"; } >"$tmp/huge.cvmt"
+  for log in procs huge; do
+    for sub in trace "replay --log-only"; do
+      check 3 "$cvm" $sub "$tmp/$log.cvmt"
+      says "processor count"
+    done
+    check 3 "$cvm" trace "$tmp/$log.cvmt" --chrome "$tmp/$log.json"
+    says "processor count"
+  done
+  check 3 "$cvm" replay "$tmp/huge.cvmt"
+  says "processor count 1152921504606846976"
 else
   echo "FAIL could not record the log to corrupt:"
   cat "$err"

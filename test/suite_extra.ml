@@ -193,30 +193,6 @@ let test_detect_changes_traffic_only_in_detect_runs () =
   check Alcotest.bool "bitmap round when on" true (on.Sim.Stats.bitmap_round_bytes > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Sync_trace unit behaviour                                           *)
-
-let test_sync_trace_cursor () =
-  let recorder = Coherence.Sync_trace.new_recorder () in
-  Coherence.Sync_trace.record recorder ~lock:1 ~grantee:2;
-  Coherence.Sync_trace.record recorder ~lock:1 ~grantee:0;
-  Coherence.Sync_trace.record recorder ~lock:9 ~grantee:1;
-  let trace = Coherence.Sync_trace.of_recorder recorder in
-  check Alcotest.int "total grants" 3 (Coherence.Sync_trace.total_grants trace);
-  check (Alcotest.option Alcotest.int) "lock 1 first" (Some 2)
-    (Coherence.Sync_trace.next_grantee trace ~lock:1);
-  Coherence.Sync_trace.advance trace ~lock:1;
-  check (Alcotest.option Alcotest.int) "lock 1 second" (Some 0)
-    (Coherence.Sync_trace.next_grantee trace ~lock:1);
-  Coherence.Sync_trace.advance trace ~lock:1;
-  check (Alcotest.option Alcotest.int) "lock 1 exhausted" None
-    (Coherence.Sync_trace.next_grantee trace ~lock:1);
-  check (Alcotest.option Alcotest.int) "other locks independent" (Some 1)
-    (Coherence.Sync_trace.next_grantee trace ~lock:9);
-  Coherence.Sync_trace.reset trace;
-  check (Alcotest.option Alcotest.int) "reset rewinds" (Some 2)
-    (Coherence.Sync_trace.next_grantee trace ~lock:1)
-
-(* ------------------------------------------------------------------ *)
 (* Experiments helpers (small scale)                                   *)
 
 let test_experiments_table2 () =
@@ -285,7 +261,6 @@ let suite =
         Alcotest.test_case "charges" `Quick test_stats_charges;
         Alcotest.test_case "detection traffic" `Quick
           test_detect_changes_traffic_only_in_detect_runs;
-        Alcotest.test_case "sync trace cursor" `Quick test_sync_trace_cursor;
       ] );
     ( "extra:experiments",
       [

@@ -530,7 +530,17 @@ let test_chrome_export () =
   let _, log =
     Core.Trace_run.record ~cfg:lossy_cfg ~app_name:"fft" ~scale:Apps.Registry.Small ~nprocs:4 ()
   in
-  let json = Trace.Chrome.export (Trace.Codec.decode log) in
+  let path = Filename.temp_file "chrome" ".json" in
+  let json =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out_bin path in
+        Fun.protect
+          ~finally:(fun () -> close_out oc)
+          (fun () -> Trace.Chrome.export oc (Trace.Codec.decode log));
+        Core.Trace_run.load path)
+  in
   check Alcotest.bool "is a JSON array" true
     (String.length json > 2 && json.[0] = '[' && Testutil.contains json "]");
   check Alcotest.bool "names every processor track" true

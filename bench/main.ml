@@ -93,6 +93,19 @@ let micro_tests () =
       (List.init nprocs Fun.id)
   in
   let first = List.hd epoch_intervals and tenth = List.nth epoch_intervals 9 in
+  (* the bus machine's per-miss cost: 8 processes of 64 advances each on
+     one engine, durations differing by process so the queue reorders *)
+  let engine_advances () =
+    let engine = Sim.Engine.create () in
+    for _ = 1 to 8 do
+      ignore
+        (Sim.Engine.spawn engine (fun pid ->
+             for _ = 1 to 64 do
+               Sim.Engine.advance engine (1 + pid)
+             done))
+    done;
+    Sim.Engine.run engine
+  in
   Test.make_grouped ~name:"micro"
     [
       Test.make ~name:"vclock-compare"
@@ -108,6 +121,7 @@ let micro_tests () =
       Test.make ~name:"diff-apply" (Staged.stage (fun () -> Mem.Diff.apply diff target));
       Test.make ~name:"concurrent-pairs-64"
         (Staged.stage (fun () -> Racedetect.Detector.concurrent_pairs epoch_intervals));
+      Test.make ~name:"engine-advance" (Staged.stage engine_advances);
     ]
 
 let run_micro () =

@@ -412,17 +412,28 @@ let hunt_command =
 
 let record_command =
   let out_arg =
-    let doc = "Output file for the binary trace log." in
+    let doc =
+      "Output file for the binary trace log. It is opened before the run starts, so an \
+       unwritable path fails at once; a run that fails leaves it empty."
+    in
     Arg.(value & opt string "run.cvmt" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let record ((app_name, procs), cfg) scale out =
     guarded @@ fun () ->
+    (* an output that cannot be opened fails before the simulation *)
+    let oc = open_out_bin out in
     print_faults cfg;
-    let outcome, log = Core.Trace_run.record ~cfg ~app_name ~scale ~nprocs:procs () in
-    Core.Trace_run.save out log;
-    print_outcome outcome;
-    Format.fprintf ppf "trace: %d event(s), %d bytes -> %s@."
-      (Trace.Codec.decode log).Trace.Codec.count (String.length log) out
+    match Core.Trace_run.run_recorded ~cfg ~app_name ~scale ~nprocs:procs () with
+    | exception e ->
+        close_out_noerr oc;
+        raise e
+    | outcome, recorder ->
+        let log = Trace.Sink.contents recorder in
+        output_string oc log;
+        close_out oc;
+        print_outcome outcome;
+        Format.fprintf ppf "trace: %d event(s), %d bytes -> %s@."
+          (Trace.Sink.recorded_count recorder) (String.length log) out
   in
   let target = Term.(const (fun app procs -> (app, procs)) $ app_arg $ procs_arg) in
   let term = Term.(const record $ config_term target $ scale_arg $ out_arg) in

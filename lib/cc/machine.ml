@@ -91,7 +91,7 @@ let close_interval m p =
    occupancy. FCFS arbitration is a single virtual-time high-water mark;
    contention appears as [start - now]. *)
 let bus m p ~kind ~line ~words ~supply =
-  Front.flush_time p.fe;
+  Front.flush_time m.rt p.fe;
   let stats = m.rt.stats in
   stats.Sim.Stats.bus_transactions <- stats.Sim.Stats.bus_transactions + 1;
   stats.Sim.Stats.bus_words <- stats.Sim.Stats.bus_words + words;
@@ -118,7 +118,7 @@ let bus m p ~kind ~line ~words ~supply =
   let now = Sim.Engine.now m.rt.engine in
   let start = max now m.bus_busy_until in
   m.bus_busy_until <- start + dur;
-  Sim.Engine.advance (start + dur - now)
+  Sim.Engine.advance m.rt.engine (start + dur - now)
 
 let line_of addr = addr lsr line_shift
 
@@ -332,7 +332,7 @@ let grant m p l lock_id =
   Front.acquired m.rt p.fe ~lock:lock_id
 
 let lock m p lock_id =
-  Front.flush_time p.fe;
+  Front.flush_time m.rt p.fe;
   m.rt.stats.Sim.Stats.lock_acquires <- m.rt.stats.Sim.Stats.lock_acquires + 1;
   let l = lock_state m lock_id in
   if l.holder = Some p.fe.id then invalid_arg "Machine.lock: lock already held (not reentrant)";
@@ -347,7 +347,7 @@ let lock m p lock_id =
   grant m p l lock_id
 
 let unlock m p lock_id =
-  Front.flush_time p.fe;
+  Front.flush_time m.rt p.fe;
   let l = lock_state m lock_id in
   if l.holder <> Some p.fe.id then invalid_arg "Machine.unlock: lock not held";
   bus m p ~kind:Trace.Event.Bus_sync ~line:lock_id ~words:1 ~supply:`Mem;
@@ -372,7 +372,7 @@ let run_detection m ~epoch =
   let races, bitmaps_ns = Front.resolve m.rt ~epoch ~store entries in
   (* the last arriver performs the detection serially before anyone is
      released, like the DSM barrier master *)
-  Sim.Engine.advance (int_of_float (intervals_ns +. bitmaps_ns));
+  Sim.Engine.advance m.rt.engine (int_of_float (intervals_ns +. bitmaps_ns));
   races
 
 let release_barrier m ~last ~epoch =
@@ -393,7 +393,7 @@ let release_barrier m ~last ~epoch =
     arrivals
 
 let barrier m p =
-  Front.flush_time p.fe;
+  Front.flush_time m.rt p.fe;
   Front.enter_barrier m.rt p.fe;
   (* arrival is a fetch-and-increment on the barrier word *)
   bus m p ~kind:Trace.Event.Bus_sync ~line:0 ~words:1 ~supply:`Mem;
@@ -457,7 +457,7 @@ let view m id =
     unlock = (fun l -> unlock m p l);
     barrier = (fun () -> barrier m p);
     compute = (fun ops -> Front.compute rt fe ops);
-    idle = (fun ns -> Front.idle fe ns);
+    idle = (fun ns -> Front.idle rt fe ns);
     touch_private = (fun n -> Front.touch_private rt fe n);
   }
 

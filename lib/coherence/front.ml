@@ -62,12 +62,12 @@ let charge_category t p category ns =
   Sim.Stats.charge t.stats category ns;
   charge_local p ns
 
-let flush_time p =
+let flush_time t p =
   let debt = Array.unsafe_get p.debt 0 in
   if debt >= 1.0 then begin
     let ns = int_of_float debt in
     Array.unsafe_set p.debt 0 (debt -. float_of_int ns);
-    Sim.Engine.advance ns
+    Sim.Engine.advance t.engine ns
   end
 
 let compute t p ops = charge_local p (t.cost.Sim.Cost.instr_ns *. ops)
@@ -81,9 +81,9 @@ let touch_private t p n =
     charge_category t p Sim.Stats.Access_check (t.cost.Sim.Cost.access_check_ns *. fn)
   end
 
-let idle p ns =
-  flush_time p;
-  Sim.Engine.advance (int_of_float ns)
+let idle t p ns =
+  flush_time t p;
+  Sim.Engine.advance t.engine (int_of_float ns)
 
 (* ------------------------------------------------------------------ *)
 (* Trace emission                                                       *)

@@ -86,7 +86,7 @@ val create :
 
 (** {1 Time} *)
 
-val flush_time : proc -> unit
+val flush_time : t -> proc -> unit
 (** Advance simulated time by the whole nanoseconds of accrued debt. *)
 
 val compute : t -> proc -> float -> unit
@@ -96,7 +96,7 @@ val touch_private : t -> proc -> int -> unit
 (** [n] private accesses that survived static elimination: they pay the
     analysis-routine cost but never set a bitmap bit. *)
 
-val idle : proc -> float -> unit
+val idle : t -> proc -> float -> unit
 (** Advance simulated time now (to stage interleavings). *)
 
 (** {1 Shared accesses} *)

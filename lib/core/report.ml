@@ -191,7 +191,7 @@ let faults ppf rows =
 
 let retention ppf rows =
   Format.fprintf ppf
-    "Ablation (section 6.1): single-run site retention vs two-run replay@.";
+    "Ablation (section 6.1): single-run site retention vs plain detection@.";
   hr ppf 80;
   Format.fprintf ppf "%-8s %16s %18s %14s %12s@." "App" "Plain slowdown" "Retain slowdown"
     "Site entries" "~KB kept";

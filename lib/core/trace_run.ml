@@ -89,12 +89,15 @@ let decode log =
   let decoded = Trace.Codec.decode log in
   (decoded, config_of_meta decoded.Trace.Codec.meta)
 
-let record ?(cfg = Coherence.Config.default) ~app_name ~scale ~nprocs () =
+let run_recorded ?(cfg = Coherence.Config.default) ~app_name ~scale ~nprocs () =
   let app = Apps.Registry.make ~scale app_name in
   let meta = meta_of ~app_name ~scale ~nprocs cfg in
   let recorder = Trace.Sink.recorder meta in
   let cfg = { cfg with Coherence.Config.tracer = Some (Trace.Sink.sink recorder) } in
-  let outcome = Driver.run ~cfg ~app ~nprocs () in
+  (Driver.run ~cfg ~app ~nprocs (), recorder)
+
+let record ?cfg ~app_name ~scale ~nprocs () =
+  let outcome, recorder = run_recorded ?cfg ~app_name ~scale ~nprocs () in
   (outcome, Trace.Sink.contents recorder)
 
 type replay_result = {
@@ -139,7 +142,3 @@ let load path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let save path contents =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)

@@ -39,6 +39,17 @@ val record :
     replay assumes); returns the outcome and the binary log. Any [tracer]
     already present in [cfg] is replaced by the recorder. *)
 
+val run_recorded :
+  ?cfg:Coherence.Config.t ->
+  app_name:string ->
+  scale:Apps.Registry.scale ->
+  nprocs:int ->
+  unit ->
+  Driver.outcome * Trace.Sink.recorder
+(** {!record}, returning the recorder itself: its log is
+    {!Trace.Sink.contents} and its event count
+    {!Trace.Sink.recorded_count}. *)
+
 type replay_result = {
   rr_meta : Trace.Codec.meta;
   rr_outcome : Driver.outcome;
@@ -56,6 +67,3 @@ val replay : string -> replay_result
 
 val load : string -> string
 (** Read a whole binary file. *)
-
-val save : string -> string -> unit
-(** Write a binary file. *)

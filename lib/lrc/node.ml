@@ -293,8 +293,8 @@ let rec await_reply t ~label =
 (* Page faults                                                         *)
 
 let fault_prologue t =
-  Front.flush_time t.fe;
-  Sim.Engine.advance t.rt.cost.Sim.Cost.fault_ns
+  Front.flush_time t.rt t.fe;
+  Sim.Engine.advance t.rt.engine t.rt.cost.Sim.Cost.fault_ns
 
 let install_page t page bytes =
   let entry = t.pages.(page) in
@@ -323,8 +323,8 @@ let rec sw_write_fault t page =
        and an ownership transfer can be serviced during the yield — if it
        was, fall back to the remote path, or the write would land in a
        stale copy whose content never travels with the page. *)
-    Front.flush_time t.fe;
-    Sim.Engine.advance (t.rt.cost.Sim.Cost.fault_ns / 10);
+    Front.flush_time t.rt t.fe;
+    Sim.Engine.advance t.rt.engine (t.rt.cost.Sim.Cost.fault_ns / 10);
     if not entry.owner then sw_write_fault t page
     else finish_sw_write_fault t page
   end
@@ -390,7 +390,7 @@ let mw_apply_pending t page =
         Front.emit_sink t.rt
           (Trace.Event.Diff_apply { proc = t.fe.id; page; words = Mem.Diff.word_count diff }))
       ordered;
-    Sim.Engine.advance_f
+    Sim.Engine.advance_f t.rt.engine
       (t.rt.cost.Sim.Cost.diff_word_ns
       *. float_of_int (List.fold_left (fun acc (_, d) -> acc + Mem.Diff.word_count d) 0 ordered));
     entry.pending <- []);
@@ -428,8 +428,8 @@ let twin_write_fault t page entry =
   ensure_readable t page entry;
   t.rt.stats.Sim.Stats.write_faults <- t.rt.stats.Sim.Stats.write_faults + 1;
   Front.emit_sink t.rt (Trace.Event.Page_fault { proc = t.fe.id; page; kind = Proto.Race.Write });
-  Front.flush_time t.fe;
-  Sim.Engine.advance (t.rt.cost.Sim.Cost.fault_ns / 10);
+  Front.flush_time t.rt t.fe;
+  Sim.Engine.advance t.rt.engine (t.rt.cost.Sim.Cost.fault_ns / 10);
   entry.twin <- Some (Bytes.copy entry.data);
   charge_local t (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
   entry.state <- P_write;
@@ -507,7 +507,7 @@ let grant_lock t ~lock ~requester ~requester_vc =
     (Message.Lock_grant { lock; granter_vc = Proto.Vclock.copy upto; intervals })
 
 let lock t lock_id =
-  Front.flush_time t.fe;
+  Front.flush_time t.rt t.fe;
   t.rt.stats.Sim.Stats.lock_acquires <- t.rt.stats.Sim.Stats.lock_acquires + 1;
   let l = lock_state t lock_id in
   if l.held then invalid_arg "Node.lock: lock already held (not reentrant)";
@@ -528,7 +528,7 @@ let lock t lock_id =
   | _ -> assert false
 
 let unlock t lock_id =
-  Front.flush_time t.fe;
+  Front.flush_time t.rt t.fe;
   let l = lock_state t lock_id in
   if not l.held then invalid_arg "Node.unlock: lock not held";
   close_interval t;
@@ -749,7 +749,7 @@ let gc_diffs t =
       end
 
 let barrier t =
-  Front.flush_time t.fe;
+  Front.flush_time t.rt t.fe;
   Front.enter_barrier t.rt t.fe;
   close_interval t;
   let intervals = List.rev (Front.arrive t.rt t.fe) in
@@ -1013,6 +1013,6 @@ let view t =
     unlock = (fun id -> unlock t id);
     barrier = (fun () -> barrier t);
     compute = (fun ops -> Front.compute rt fe ops);
-    idle = (fun ns -> Front.idle fe ns);
+    idle = (fun ns -> Front.idle rt fe ns);
     touch_private = (fun n -> Front.touch_private rt fe n);
   }

@@ -2,18 +2,22 @@
 
    Each simulated processor is a coroutine implemented with OCaml 5 effect
    handlers. A process runs real OCaml code and interacts with virtual time
-   through two effects: [Advance n] consumes [n] simulated nanoseconds, and
+   through two effects: [Advance] consumes simulated nanoseconds, and
    [Block] suspends the process until another party calls [wake].
 
    The scheduler is a single event loop over a deterministic priority queue,
-   so a given program and seed always produce the same interleaving.
+   so a given program and seed always produce the same interleaving. The
+   queue holds integers: a process is queued by its pid (it has at most
+   one entry, its start or its resume) and a timed thunk by [-1 - slot]
+   in a free-listed thunk table, whose slot is cleared when the thunk runs.
 
    [Advance] is the hot path: every bus transaction and every flush of a
-   processor's time debt performs one. Each process therefore owns its
-   [Resume] action and its [Advance] handler, built once, with the
-   duration passed through [pending]; what an advance still allocates
-   is the effect payload, the continuation, [Some k] and the queue
-   entry, 11 words in all.
+   processor's time debt performs one. The duration passes through the
+   engine's [pending] field, the effect is a constant, each process owns
+   its [Advance] handler, built once when it starts, and the parked
+   continuation goes into the process record's [cont] field, which only
+   the [Ready] and [Blocked] states read. What an advance allocates is
+   the continuation itself, 2 words.
 
    One failure detector guards the loop. If the event queue drains while
    processes are still blocked (a lost wakeup, a lock cycle, or a link
@@ -27,26 +31,30 @@
 
 type pid = int
 
-type proc_state = Created | Running | Blocked | Finished
+(* [Created]: its start is queued. [Ready]: parked by [advance], its
+   resume queued. [Blocked]: parked by [block], nothing queued. [cont]
+   holds the parked continuation in [Ready] and [Blocked] only. *)
+type proc_state = Created | Running | Ready | Blocked | Finished
 
 type proc = {
   pid : pid;
   mutable state : proc_state;
-  mutable cont : (unit, unit) Effect.Deep.continuation option;
+  mutable body : pid -> unit;  (* until the process starts *)
+  mutable cont : (unit, unit) Effect.Deep.continuation;
   mutable wake_pending : bool;
   mutable blocked_label : string;  (* what the process is waiting for *)
-  mutable pending : int;  (* duration of the [Advance] being handled *)
-  resume : action;  (* [Resume] of this process, queued on every wakeup *)
 }
-
-and action = Start of proc * (pid -> unit) | Resume of proc | Thunk of (unit -> unit)
 
 type t = {
   mutable now : int;
-  queue : action Pqueue.t;
+  queue : Pqueue.t;  (* pids, and [-1 - slot] for timed thunks *)
   mutable procs : proc array;  (* indexed by pid; first [nprocs] slots live *)
   mutable nprocs : int;
   mutable live : int;
+  mutable thunks : (unit -> unit) array;  (* queued thunks by slot *)
+  mutable next_free : int array;  (* free-list links between thunk slots *)
+  mutable free : int;  (* first free thunk slot, -1 when none *)
+  mutable pending : int;  (* duration of the [Advance] being performed *)
   mutable diagnostics : (unit -> string list) list;  (* subsystem reporters *)
   mutable tracer : Trace.Sink.t option;  (* the run's record/replay sink *)
 }
@@ -79,6 +87,10 @@ let create () =
     procs = [||];
     nprocs = 0;
     live = 0;
+    thunks = [||];
+    next_free = [||];
+    free = -1;
+    pending = 0;
     diagnostics = [];
     tracer = None;
   }
@@ -91,24 +103,51 @@ let tracer t = t.tracer
 
 let add_diagnostic t f = t.diagnostics <- t.diagnostics @ [ f ]
 
+(* Timed thunks. *)
+
+let no_thunk () = ()
+
+let grow_thunks t =
+  let used = Array.length t.thunks in
+  let capacity = max 16 (2 * used) in
+  let thunks = Array.make capacity no_thunk in
+  Array.blit t.thunks 0 thunks 0 used;
+  t.thunks <- thunks;
+  (* every old slot is in use: the new ones form the whole free list *)
+  t.next_free <- Array.init capacity (fun i -> if i + 1 < capacity then i + 1 else -1);
+  t.free <- used
+
 let schedule t ~at f =
   if at < t.now then invalid_arg "Engine.schedule: cannot schedule in the past";
-  Pqueue.push t.queue ~time:at (Thunk f)
+  if t.free < 0 then grow_thunks t;
+  let slot = t.free in
+  t.free <- t.next_free.(slot);
+  t.thunks.(slot) <- f;
+  Pqueue.push t.queue ~time:at (-1 - slot)
 
 let schedule_after t ~delay f = schedule t ~at:(t.now + delay) f
 
+(* Clear and free the slot before the thunk runs, so the thunk is
+   collectable once it returns and can reuse its own slot. *)
+let run_thunk t slot =
+  let f = t.thunks.(slot) in
+  t.thunks.(slot) <- no_thunk;
+  t.next_free.(slot) <- t.free;
+  t.free <- slot;
+  f ()
+
+(* Processes. *)
+
+let no_body (_ : pid) = ()
+
+(* Read only in the [Ready] and [Blocked] states, which store a real
+   continuation first. *)
+let no_cont : (unit, unit) Effect.Deep.continuation = Obj.magic ()
+
 let spawn t body =
   let pid = t.nprocs in
-  let rec proc =
-    {
-      pid;
-      state = Created;
-      cont = None;
-      wake_pending = false;
-      blocked_label = "";
-      pending = 0;
-      resume = Resume proc;
-    }
+  let proc =
+    { pid; state = Created; body; cont = no_cont; wake_pending = false; blocked_label = "" }
   in
   if pid >= Array.length t.procs then begin
     let grown = Array.make (max 8 (2 * Array.length t.procs)) proc in
@@ -118,7 +157,7 @@ let spawn t body =
   t.procs.(pid) <- proc;
   t.nprocs <- t.nprocs + 1;
   t.live <- t.live + 1;
-  Pqueue.push t.queue ~time:t.now (Start (proc, body));
+  Pqueue.push t.queue ~time:t.now pid;
   pid
 
 let find_proc t pid =
@@ -129,14 +168,17 @@ let find_proc t pid =
 (* Effects performed by process bodies. *)
 
 type _ Effect.t +=
-  | Advance : int -> unit Effect.t
+  | Advance : unit Effect.t
   | Block : string -> unit Effect.t
 
-let advance ns =
+let advance t ns =
   if ns < 0 then invalid_arg "Engine.advance: negative duration";
-  if ns > 0 then Effect.perform (Advance ns)
+  if ns > 0 then begin
+    t.pending <- ns;
+    Effect.perform Advance
+  end
 
-let advance_f ns = advance (int_of_float ns)
+let advance_f t ns = advance t (int_of_float ns)
 
 let block ~label = Effect.perform (Block label)
 
@@ -144,24 +186,27 @@ let wake t pid =
   let proc = find_proc t pid in
   match proc.state with
   | Blocked ->
-      proc.state <- Running;
+      proc.state <- Ready;
       (match t.tracer with
       | Some sink -> Trace.Sink.emit sink ~time:t.now (Trace.Event.Proc_resume { proc = pid })
       | None -> ());
-      Pqueue.push t.queue ~time:t.now proc.resume
-  | Created | Running -> proc.wake_pending <- true
+      Pqueue.push t.queue ~time:t.now pid
+  | Created | Running | Ready -> proc.wake_pending <- true
   | Finished -> ()
 
 (* The scheduler. *)
 
-let run_fiber t proc body =
+let run_fiber t proc =
   let open Effect.Deep in
+  let body = proc.body in
+  proc.body <- no_body;
   proc.state <- Running;
   let on_advance =
     Some
       (fun (k : (unit, unit) continuation) ->
-        proc.cont <- Some k;
-        Pqueue.push t.queue ~time:(t.now + proc.pending) proc.resume)
+        proc.cont <- k;
+        proc.state <- Ready;
+        Pqueue.push t.queue ~time:(t.now + t.pending) proc.pid)
   in
   match_with body proc.pid
     {
@@ -177,9 +222,7 @@ let run_fiber t proc body =
       effc =
         (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
-          | Advance ns ->
-              proc.pending <- ns;
-              on_advance
+          | Advance -> on_advance
           | Block label ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -190,7 +233,7 @@ let run_fiber t proc body =
                   else begin
                     proc.state <- Blocked;
                     proc.blocked_label <- label;
-                    proc.cont <- Some k;
+                    proc.cont <- k;
                     match t.tracer with
                     | Some sink ->
                         Trace.Sink.emit sink ~time:t.now
@@ -199,14 +242,6 @@ let run_fiber t proc body =
                   end)
           | _ -> None);
     }
-
-let resume_fiber proc =
-  match proc.cont with
-  | Some k ->
-      proc.cont <- None;
-      proc.state <- Running;
-      Effect.Deep.continue k ()
-  | None -> invalid_arg "Engine: resume of a process with no continuation"
 
 let blocked_procs t =
   let acc = ref [] in
@@ -225,17 +260,19 @@ let diagnose t =
   }
 
 let run t =
-  let rec loop () =
-    if Pqueue.is_empty t.queue then begin
-      if t.live > 0 then raise (Deadlock (diagnose t))
-    end
+  while not (Pqueue.is_empty t.queue) do
+    t.now <- Pqueue.top_time t.queue;
+    let handle = Pqueue.take t.queue in
+    if handle < 0 then run_thunk t (-1 - handle)
     else begin
-      t.now <- Pqueue.top_time t.queue;
-      (match Pqueue.take t.queue with
-      | Start (proc, body) -> run_fiber t proc body
-      | Resume proc -> resume_fiber proc
-      | Thunk f -> f ());
-      loop ()
+      let proc = t.procs.(handle) in
+      match proc.state with
+      | Created -> run_fiber t proc
+      | Ready ->
+          proc.state <- Running;
+          Effect.Deep.continue proc.cont ()
+      | Running | Blocked | Finished ->
+          invalid_arg (Printf.sprintf "Engine: p%d queued but not runnable" handle)
     end
-  in
-  loop ()
+  done;
+  if t.live > 0 then raise (Deadlock (diagnose t))

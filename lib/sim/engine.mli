@@ -38,18 +38,21 @@ val spawn : t -> (pid -> unit) -> pid
     a growable array indexed by pid, so [spawn] and pid lookup are O(1). *)
 
 val schedule : t -> at:int -> (unit -> unit) -> unit
-(** Run a thunk at an absolute simulated time (e.g. message delivery). *)
+(** Run a thunk at an absolute simulated time (e.g. message delivery).
+    The engine holds the thunk in a slot of its thunk table until it
+    runs and clears the slot before calling it, so a thunk that has run
+    is not kept reachable by the engine. *)
 
 val schedule_after : t -> delay:int -> (unit -> unit) -> unit
 
-val advance : int -> unit
-(** From within a process: consume simulated nanoseconds. A positive
-    duration suspends the process and allocates 11 minor words: the
-    effect payload, the continuation, its [Some] and the event-queue
-    entry. The process's resume action and handler are built once, when
-    it starts. *)
+val advance : t -> int -> unit
+(** From within a process of this engine: consume simulated
+    nanoseconds. A positive duration suspends the process and allocates
+    2 minor words, the continuation: the duration goes into an engine
+    field, the effect is a constant, the process's handler is built once
+    when it starts, and the event queue stores integers. *)
 
-val advance_f : float -> unit
+val advance_f : t -> float -> unit
 
 val block : label:string -> unit
 (** From within a process: suspend until [wake]. The label appears in

@@ -1,84 +1,102 @@
-(* Binary min-heap keyed by (time, seq). The sequence number makes pops
-   deterministic: events scheduled earlier win ties, which is what makes the
-   whole simulation reproducible run-to-run. *)
+(* Binary min-heap of integer handles keyed by (time, seq). The sequence
+   number makes pops deterministic: events scheduled earlier win ties,
+   which is what makes the whole simulation reproducible run-to-run.
 
-type 'a entry = { time : int; seq : int; value : 'a }
+   Entry i of the heap is [times.(i)], [seqs.(i)] and [handles.(i)]:
+   three int arrays, so a push allocates no entry record and a sift
+   stores no pointer through the write barrier. Sifting moves entries
+   into a hole and writes the moving entry once, where the hole stops. *)
 
-type 'a t = {
-  mutable data : 'a entry array;
+type t = {
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable handles : int array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-(* Filler for unused slots. The heap never reads slots at or beyond
-   [size], so the only requirement is that the filler does not keep any
-   popped value reachable: its [value] is an immediate, which is safe to
-   view at any type (it is never looked at). Without this, a popped
-   entry stayed pinned in the vacated tail slot for the life of the
-   queue — closures, messages and all. *)
-let nil : Obj.t entry = { time = min_int; seq = min_int; value = Obj.repr 0 }
-
-let nil_entry () : 'a entry = Obj.magic nil
-
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create () = { times = [||]; seqs = [||]; handles = [||]; size = 0; next_seq = 0 }
 
 let length t = t.size
 
 let is_empty t = t.size = 0
 
-let entry_before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
 let grow t =
-  let capacity = max 16 (2 * Array.length t.data) in
-  let data = Array.make capacity (nil_entry ()) in
-  Array.blit t.data 0 data 0 t.size;
-  t.data <- data
+  let capacity = max 16 (2 * Array.length t.times) in
+  let extend a =
+    let b = Array.make capacity 0 in
+    Array.blit a 0 b 0 t.size;
+    b
+  in
+  t.times <- extend t.times;
+  t.seqs <- extend t.seqs;
+  t.handles <- extend t.handles
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_before t.data.(i) t.data.(parent) then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
+let move t ~src ~dst =
+  Array.unsafe_set t.times dst (Array.unsafe_get t.times src);
+  Array.unsafe_set t.seqs dst (Array.unsafe_get t.seqs src);
+  Array.unsafe_set t.handles dst (Array.unsafe_get t.handles src)
 
-let rec sift_down t i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < t.size && entry_before t.data.(left) t.data.(!smallest) then
-    smallest := left;
-  if right < t.size && entry_before t.data.(right) t.data.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
+let place t i ~time ~seq handle =
+  Array.unsafe_set t.times i time;
+  Array.unsafe_set t.seqs i seq;
+  Array.unsafe_set t.handles i handle
 
-let push t ~time value =
-  let entry = { time; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
-  if t.size = Array.length t.data then grow t;
-  t.data.(t.size) <- entry;
+(* Does slot [i] come before the key [(time, seq)]? *)
+let before t i ~time ~seq =
+  let ti = Array.unsafe_get t.times i in
+  ti < time || (ti = time && Array.unsafe_get t.seqs i < seq)
+
+let push t ~time handle =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  if t.size = Array.length t.times then grow t;
+  (* sift up from a hole at the end; every slot below [size] is in
+     bounds of all three arrays *)
+  let hole = ref t.size and rising = ref true in
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  while !rising && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    if before t parent ~time ~seq then rising := false
+    else begin
+      move t ~src:parent ~dst:!hole;
+      hole := parent
+    end
+  done;
+  place t !hole ~time ~seq handle
 
 let top_time t =
   if t.size = 0 then invalid_arg "Pqueue.top_time: empty queue";
-  t.data.(0).time
+  Array.unsafe_get t.times 0
 
 let take t =
   if t.size = 0 then invalid_arg "Pqueue.take: empty queue";
-  let top = t.data.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.data.(0) <- t.data.(t.size);
-    t.data.(t.size) <- nil_entry ();
-    sift_down t 0
-  end
-  else t.data.(0) <- nil_entry ();
-  top.value
+  let top = Array.unsafe_get t.handles 0 in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    (* sift the last entry down from the root's hole *)
+    let time = Array.unsafe_get t.times last and seq = Array.unsafe_get t.seqs last in
+    let handle = Array.unsafe_get t.handles last in
+    let hole = ref 0 and sifting = ref true in
+    while !sifting do
+      let left = (2 * !hole) + 1 in
+      if left >= last then sifting := false
+      else begin
+        let right = left + 1 in
+        let child =
+          if right < last && before t right ~time:(Array.unsafe_get t.times left)
+               ~seq:(Array.unsafe_get t.seqs left)
+          then right
+          else left
+        in
+        if before t child ~time ~seq then begin
+          move t ~src:child ~dst:!hole;
+          hole := child
+        end
+        else sifting := false
+      end
+    done;
+    place t !hole ~time ~seq handle
+  end;
+  top

@@ -1,26 +1,29 @@
-(** Deterministic binary min-heap of timed events.
+(** Deterministic binary min-heap of timed integer handles.
 
     Entries are ordered by [time]; ties break by insertion order, so a run
-    that schedules the same events in the same order always pops them in the
-    same order.
+    that schedules the same handles in the same order always pops them in
+    the same order. What a handle names is the caller's business: the
+    engine queues a process by its pid and a timed thunk by a slot of its
+    thunk table.
 
-    [push] allocates one 4-word entry; [top_time] and [take] allocate
-    nothing. *)
+    The heap is three [int] arrays, so no operation stores a pointer:
+    [push], [top_time] and [take] allocate nothing, apart from [push]
+    doubling the arrays when they are full. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val create : unit -> t
+val length : t -> int
+val is_empty : t -> bool
 
-val push : 'a t -> time:int -> 'a -> unit
-(** [push t ~time v] inserts [v] at simulated time [time] (nanoseconds). *)
+val push : t -> time:int -> int -> unit
+(** [push t ~time h] inserts handle [h] at simulated time [time]
+    (nanoseconds). *)
 
-val top_time : 'a t -> int
+val top_time : t -> int
 (** Time of the earliest entry. Raises [Invalid_argument] when the queue
     is empty. *)
 
-val take : 'a t -> 'a
-(** Remove the earliest entry and return its value. The vacated slot is
-    cleared, so taken values do not stay reachable through the heap's
-    backing array. Raises [Invalid_argument] when the queue is empty. *)
+val take : t -> int
+(** Remove the earliest entry and return its handle. Raises
+    [Invalid_argument] when the queue is empty. *)

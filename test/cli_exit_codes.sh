@@ -117,6 +117,12 @@ for cmd in run record; do
   check 124 "$cvm" $cmd sor --scale small -p 4 --partition=-1,0,0,100
 done
 check 124 "$cvm" litmus --protocol sc
+# record opens its output before simulating: an unwritable path exits 2
+# at once, not after a run that would end in a deadlock diagnosis
+check 2 "$cvm" record sor --scale small -p 2 --partition 0,1,0,999999999999 --max-retries 4 \
+  -o /nonexistent/x.cvmt
+says "No such file or directory"
+silent
 check 124 "$cvm" fuzz --count=-1
 check 2 "$cvm" replay /nonexistent/run.cvmt
 check 2 "$cvm" analyze --json /nonexistent/analyze.json

@@ -147,6 +147,10 @@ let prop_tsp_reference_optimal =
       let params = { Apps.Tsp.ncities = 7; seed; dfs_threshold = 7 } in
       Apps.Tsp.reference params = brute_force_optimum (Apps.Tsp.distances params))
 
+let test_tsp_paper_optimum () =
+  (* the optimum every paper-scale TSP run checks its bound against *)
+  check Alcotest.int "16 cities, seed 10" 3860 (Apps.Tsp.reference Apps.Tsp.paper_params)
+
 let test_tsp_distances_symmetric () =
   let dist = Apps.Tsp.distances Apps.Tsp.paper_params in
   Array.iteri
@@ -222,6 +226,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_tsp_lower_bound_admissible;
         QCheck_alcotest.to_alcotest prop_tsp_lower_bound_matches_naive;
         QCheck_alcotest.to_alcotest prop_tsp_reference_optimal;
+        Alcotest.test_case "paper optimum" `Quick test_tsp_paper_optimum;
         Alcotest.test_case "distances symmetric" `Quick test_tsp_distances_symmetric;
       ] );
     ( "numerics:sor",

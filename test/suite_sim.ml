@@ -8,16 +8,16 @@ let check = Alcotest.check
 
 let test_pqueue_ordering () =
   let q = Sim.Pqueue.create () in
-  Sim.Pqueue.push q ~time:30 "c";
-  Sim.Pqueue.push q ~time:10 "a";
-  Sim.Pqueue.push q ~time:20 "b";
+  Sim.Pqueue.push q ~time:30 3;
+  Sim.Pqueue.push q ~time:10 1;
+  Sim.Pqueue.push q ~time:20 2;
   let next () =
     let time = Sim.Pqueue.top_time q in
     (time, Sim.Pqueue.take q)
   in
-  check (Alcotest.pair Alcotest.int Alcotest.string) "first" (10, "a") (next ());
-  check (Alcotest.pair Alcotest.int Alcotest.string) "second" (20, "b") (next ());
-  check (Alcotest.pair Alcotest.int Alcotest.string) "third" (30, "c") (next ());
+  check (Alcotest.pair Alcotest.int Alcotest.int) "first" (10, 1) (next ());
+  check (Alcotest.pair Alcotest.int Alcotest.int) "second" (20, 2) (next ());
+  check (Alcotest.pair Alcotest.int Alcotest.int) "third" (30, 3) (next ());
   check Alcotest.bool "empty" true (Sim.Pqueue.is_empty q);
   Alcotest.check_raises "take from an empty queue"
     (Invalid_argument "Pqueue.take: empty queue") (fun () -> ignore (Sim.Pqueue.take q))
@@ -34,7 +34,7 @@ let test_pqueue_peek () =
   Alcotest.check_raises "top_time of an empty queue"
     (Invalid_argument "Pqueue.top_time: empty queue") (fun () ->
       ignore (Sim.Pqueue.top_time q));
-  Sim.Pqueue.push q ~time:42 ();
+  Sim.Pqueue.push q ~time:42 0;
   check Alcotest.int "top_time" 42 (Sim.Pqueue.top_time q);
   check Alcotest.int "length" 1 (Sim.Pqueue.length q)
 
@@ -57,25 +57,24 @@ let prop_pqueue_sorted =
       in
       popped = sorted)
 
-let test_pqueue_pop_clears_slot () =
-  (* the vacated heap slot must not keep the popped value alive: a
-     long-running engine pops millions of events whose payloads close
-     over messages and pages *)
+let test_pqueue_no_alloc () =
+  (* the engine pushes and takes once per event: neither may allocate
+     once the arrays have grown *)
   let q = Sim.Pqueue.create () in
-  let w = Weak.create 1 in
-  let () =
-    (* allocate in a local scope so no stack root survives below *)
-    let v = Bytes.make 64 'x' in
-    Weak.set w 0 (Some v);
-    Sim.Pqueue.push q ~time:1 (Some v);
-    Sim.Pqueue.push q ~time:2 None
-  in
-  ignore (Sim.Pqueue.take q);
-  Gc.full_major ();
-  Gc.full_major ();
-  check Alcotest.bool "popped value is collectable while the queue lives" true
-    (Weak.get w 0 = None);
-  check Alcotest.int "the other entry is still queued" 1 (Sim.Pqueue.length q)
+  for i = 0 to 7 do
+    Sim.Pqueue.push q ~time:i i
+  done;
+  let rounds = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to rounds do
+    let time = Sim.Pqueue.top_time q in
+    let handle = Sim.Pqueue.take q in
+    Sim.Pqueue.push q ~time:(time + 1 + (i land 7)) handle
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "still 8 entries" 8 (Sim.Pqueue.length q);
+  if words > 16.0 then
+    Alcotest.failf "%d takes and pushes allocated %.0f minor words" rounds words
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -120,15 +119,15 @@ let test_engine_advance_interleaves () =
   let log = ref [] in
   let mark pid = log := (pid, Sim.Engine.now engine) :: !log in
   let body_a _pid =
-    Sim.Engine.advance 10;
+    Sim.Engine.advance engine 10;
     mark 0;
-    Sim.Engine.advance 20;
+    Sim.Engine.advance engine 20;
     mark 0
   in
   let body_b _pid =
-    Sim.Engine.advance 15;
+    Sim.Engine.advance engine 15;
     mark 1;
-    Sim.Engine.advance 1;
+    Sim.Engine.advance engine 1;
     mark 1
   in
   ignore (Sim.Engine.spawn engine body_a);
@@ -149,7 +148,7 @@ let test_engine_block_wake () =
     woke_at := Sim.Engine.now engine
   in
   let waker _pid =
-    Sim.Engine.advance 500;
+    Sim.Engine.advance engine 500;
     Sim.Engine.wake engine !sleeper_pid
   in
   sleeper_pid := Sim.Engine.spawn engine sleeper;
@@ -163,7 +162,7 @@ let test_engine_wake_before_block () =
   let finished = ref false in
   let pid = ref (-1) in
   let sleeper _pid =
-    Sim.Engine.advance 100;
+    Sim.Engine.advance engine 100;
     Sim.Engine.block ~label:"late block";
     finished := true
   in
@@ -208,29 +207,29 @@ let test_engine_many_procs () =
   in
   ignore
     (Sim.Engine.spawn engine (fun _ ->
-         Sim.Engine.advance 10;
+         Sim.Engine.advance engine 10;
          Array.iter (fun pid -> Sim.Engine.wake engine pid) pids));
   Sim.Engine.run engine;
   check Alcotest.bool "all woken" true (Array.for_all Fun.id woken)
 
 let test_engine_advance_words () =
   (* [advance] is performed on every bus transaction: it may allocate
-     the effect payload, the continuation, [Some k] and the queue entry
-     (11 words), plus a fixed start-up per run under 1,000 words *)
+     only the continuation (2 words), plus a fixed start-up per run
+     under 1,000 words *)
   let procs = 4 and advances = 10_000 in
   let engine = Sim.Engine.create () in
   for _ = 1 to procs do
     ignore
       (Sim.Engine.spawn engine (fun _ ->
            for _ = 1 to advances do
-             Sim.Engine.advance 3
+             Sim.Engine.advance engine 3
            done))
   done;
   let before = Gc.minor_words () in
   Sim.Engine.run engine;
   let words = Gc.minor_words () -. before in
   let calls = float_of_int (procs * advances) in
-  if words > (11.0 *. calls) +. 1000.0 then
+  if words > (2.0 *. calls) +. 1000.0 then
     Alcotest.failf "%.0f advances allocated %.0f minor words (%.2f per call)" calls words
       (words /. calls)
 
@@ -248,6 +247,242 @@ let test_engine_schedule_thunk () =
   Sim.Engine.run engine;
   check Alcotest.int "thunk time" 77 !fired
 
+let test_engine_thunk_collectable () =
+  (* a thunk that has run must not stay reachable through the engine's
+     thunk table: a long run schedules millions of thunks that close
+     over messages and pages *)
+  let engine = Sim.Engine.create () in
+  let w = Weak.create 1 in
+  let () =
+    (* allocate in a local scope so no stack root survives below *)
+    let v = Bytes.make 64 'x' in
+    Weak.set w 0 (Some v);
+    Sim.Engine.schedule engine ~at:1 (fun () -> ignore (Sys.opaque_identity v))
+  in
+  let collectable = ref false in
+  Sim.Engine.schedule engine ~at:2 (fun () ->
+      Gc.full_major ();
+      Gc.full_major ();
+      collectable := Weak.get w 0 = None);
+  Sim.Engine.run engine;
+  check Alcotest.bool "a thunk that has run is collectable while the engine lives" true
+    !collectable
+
+let test_engine_thunk_table_growth () =
+  (* 40 thunks queued at once grow the table past its first capacity,
+     and each schedules three more as it runs, into freed and new slots
+     alike: all 160 fire once, in (time, schedule order) *)
+  let engine = Sim.Engine.create () in
+  let fired = ref [] and next_id = ref 0 in
+  let rec sched ~at ~children =
+    let id = !next_id in
+    incr next_id;
+    Sim.Engine.schedule engine ~at (fun () ->
+        let now = Sim.Engine.now engine in
+        fired := (now, id) :: !fired;
+        if children then
+          for _ = 1 to 3 do
+            sched ~at:(now + (!next_id mod 5)) ~children:false
+          done)
+  in
+  for i = 0 to 39 do
+    sched ~at:(i * 7 mod 13) ~children:true
+  done;
+  Sim.Engine.run engine;
+  let fired = List.rev !fired in
+  check Alcotest.int "every thunk fired" 160 (List.length fired);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "(time, schedule order)" (List.sort compare fired) fired;
+  check (Alcotest.list Alcotest.int) "each once" (List.init 160 Fun.id)
+    (List.sort compare (List.map snd fired))
+
+(* A script-driven differential test of the engine. A process runs a
+   list of operations; a thunk logs itself and may wake a process. The
+   reference below interprets the same scripts without effects, on the
+   entry-record heap the engine used before its queue held integers,
+   and both must log the same (time, who) sequence and end in the same
+   blocked set. *)
+
+type op =
+  | Adv of int  (** advance; 0 does not suspend *)
+  | Blk
+  | Wk of int  (** wake pid [k mod nprocs] *)
+  | Sch of int * int option  (** a thunk after a delay, waking [k mod nprocs] *)
+  | Spn of op list
+
+let rec pp_op = function
+  | Adv n -> Printf.sprintf "adv %d" n
+  | Blk -> "block"
+  | Wk k -> Printf.sprintf "wake %d" k
+  | Sch (d, None) -> Printf.sprintf "sched +%d" d
+  | Sch (d, Some k) -> Printf.sprintf "sched +%d wake %d" d k
+  | Spn ops -> "spawn [" ^ String.concat "; " (List.map pp_op ops) ^ "]"
+
+let gen_script =
+  let open QCheck.Gen in
+  let leaf =
+    [
+      (4, map (fun n -> Adv n) (int_bound 20));
+      (2, return Blk);
+      (2, map (fun k -> Wk k) (int_bound 7));
+      (2, map2 (fun d k -> Sch (d, k)) (int_bound 20) (opt (int_bound 7)));
+    ]
+  in
+  let ops depth =
+    list_size (int_bound 8)
+      (frequency
+         (if depth = 0 then leaf
+          else (1, map (fun s -> Spn s) (list_size (int_bound 6) (frequency leaf))) :: leaf))
+  in
+  list_size (int_range 1 4) (ops 1)
+
+(* The engine: each process interprets its script. *)
+let engine_log scripts =
+  let engine = Sim.Engine.create () in
+  let log = ref [] and thunks = ref 0 in
+  let nprocs = ref 0 in
+  let wake k = Sim.Engine.wake engine (k mod !nprocs) in
+  let rec body ops pid =
+    List.iteri
+      (fun pc op ->
+        log := (Sim.Engine.now engine, Printf.sprintf "p%d.%d" pid pc) :: !log;
+        match op with
+        | Adv n -> Sim.Engine.advance engine n
+        | Blk -> Sim.Engine.block ~label:"script"
+        | Wk k -> wake k
+        | Sch (d, target) ->
+            let id = !thunks in
+            incr thunks;
+            Sim.Engine.schedule_after engine ~delay:d (fun () ->
+                log := (Sim.Engine.now engine, Printf.sprintf "t%d" id) :: !log;
+                Option.iter wake target)
+        | Spn ops -> spawn ops)
+      ops
+  and spawn ops =
+    incr nprocs;
+    ignore (Sim.Engine.spawn engine (body ops))
+  in
+  List.iter spawn scripts;
+  let blocked =
+    match Sim.Engine.run engine with
+    | () -> []
+    | exception Sim.Engine.Deadlock d -> List.map fst d.Sim.Engine.diag_blocked
+  in
+  (List.rev !log, blocked)
+
+(* The reference's queue: entry records keyed by (time, seq), the key
+   the engine's heap kept in a record per event before it held integers;
+   [take] scans for the minimum. *)
+module Entry_heap = struct
+  type 'a entry = { time : int; seq : int; value : 'a }
+  type 'a t = { mutable data : 'a entry list; mutable next_seq : int }
+
+  let create () = { data = []; next_seq = 0 }
+  let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+  let push t ~time value =
+    t.data <- { time; seq = t.next_seq; value } :: t.data;
+    t.next_seq <- t.next_seq + 1
+
+  let take t =
+    match t.data with
+    | [] -> None
+    | e :: rest ->
+        let min = List.fold_left (fun m e -> if before e m then e else m) e rest in
+        t.data <- List.filter (fun e -> e != min) t.data;
+        Some min
+end
+
+type ref_state = R_created | R_running | R_blocked | R_finished
+
+type ref_proc = {
+  script : op array;
+  mutable pc : int;
+  mutable st : ref_state;
+  mutable pending_wake : bool;
+}
+
+type ref_action = Run of int | Thunk of int * int option
+
+let reference_log scripts =
+  let q = Entry_heap.create () in
+  let procs = ref [||] and now = ref 0 and log = ref [] and thunks = ref 0 in
+  let spawn ops =
+    let pid = Array.length !procs in
+    procs :=
+      Array.append !procs
+        [| { script = Array.of_list ops; pc = 0; st = R_created; pending_wake = false } |];
+    Entry_heap.push q ~time:!now (Run pid)
+  in
+  let wake k =
+    let pid = k mod Array.length !procs in
+    let p = !procs.(pid) in
+    match p.st with
+    | R_blocked ->
+        p.st <- R_running;
+        Entry_heap.push q ~time:!now (Run pid)
+    | R_created | R_running -> p.pending_wake <- true
+    | R_finished -> ()
+  in
+  (* run [pid] until it suspends or finishes *)
+  let rec step pid =
+    let p = !procs.(pid) in
+    if p.pc >= Array.length p.script then p.st <- R_finished
+    else begin
+      let pc = p.pc in
+      p.pc <- pc + 1;
+      log := (!now, Printf.sprintf "p%d.%d" pid pc) :: !log;
+      match p.script.(pc) with
+      | Adv n when n > 0 -> Entry_heap.push q ~time:(!now + n) (Run pid)
+      | Adv _ -> step pid
+      | Blk ->
+          if p.pending_wake then begin
+            p.pending_wake <- false;
+            step pid
+          end
+          else p.st <- R_blocked
+      | Wk k ->
+          wake k;
+          step pid
+      | Sch (d, target) ->
+          Entry_heap.push q ~time:(!now + d) (Thunk (!thunks, target));
+          incr thunks;
+          step pid
+      | Spn ops ->
+          spawn ops;
+          step pid
+    end
+  in
+  List.iter spawn scripts;
+  let rec loop () =
+    match Entry_heap.take q with
+    | None -> ()
+    | Some { Entry_heap.time; value; _ } ->
+        now := time;
+        (match value with
+        | Run pid ->
+            !procs.(pid).st <- R_running;
+            step pid
+        | Thunk (id, target) ->
+            log := (time, Printf.sprintf "t%d" id) :: !log;
+            Option.iter wake target);
+        loop ()
+  in
+  loop ();
+  let blocked = ref [] in
+  Array.iteri (fun pid p -> if p.st = R_blocked then blocked := pid :: !blocked) !procs;
+  (List.rev !log, List.rev !blocked)
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine = entry-record reference on random scripts" ~count:500
+    (QCheck.make
+       ~print:(fun scripts ->
+         String.concat "\n"
+           (List.map (fun ops -> "[" ^ String.concat "; " (List.map pp_op ops) ^ "]") scripts))
+       gen_script)
+    (fun scripts -> engine_log scripts = reference_log scripts)
+
 (* ------------------------------------------------------------------ *)
 (* Net                                                                 *)
 
@@ -260,7 +495,7 @@ let test_net_latency_and_accounting () =
   Sim.Net.set_handler net ~node:1 (fun () -> delivered_at := Sim.Engine.now engine);
   ignore
     (Sim.Engine.spawn engine (fun _ ->
-         Sim.Engine.advance 1000;
+         Sim.Engine.advance engine 1000;
          Sim.Net.send net ~src:0 ~dst:1 ()));
   Sim.Engine.run engine;
   check Alcotest.int "latency model" (1000 + Sim.Cost.message_ns cost ~bytes:100) !delivered_at;
@@ -385,7 +620,7 @@ let test_transport_retry_cap_diagnosed () =
   ignore (Sim.Engine.spawn engine (fun _ -> Sim.Engine.block ~label:"net recv at node 0"));
   ignore
     (Sim.Engine.spawn engine (fun _ ->
-         Sim.Engine.advance 10;
+         Sim.Engine.advance engine 10;
          Sim.Net.send net ~src:1 ~dst:0 42));
   (match Sim.Engine.run engine with
   | () -> Alcotest.fail "expected Deadlock"
@@ -477,7 +712,7 @@ let suite =
         Alcotest.test_case "tie-break fifo" `Quick test_pqueue_tie_break;
         Alcotest.test_case "peek/length" `Quick test_pqueue_peek;
         QCheck_alcotest.to_alcotest prop_pqueue_sorted;
-        Alcotest.test_case "pop clears the vacated slot" `Quick test_pqueue_pop_clears_slot;
+        Alcotest.test_case "push and take allocate nothing" `Quick test_pqueue_no_alloc;
       ] );
     ( "sim:rng",
       [
@@ -496,7 +731,11 @@ let suite =
         Alcotest.test_case "growable proc table" `Quick test_engine_many_procs;
         Alcotest.test_case "exception propagates" `Quick test_engine_exception_propagates;
         Alcotest.test_case "scheduled thunk" `Quick test_engine_schedule_thunk;
-        Alcotest.test_case "advance allocates 11 words" `Quick test_engine_advance_words;
+        Alcotest.test_case "advance allocates 2 words" `Quick test_engine_advance_words;
+        Alcotest.test_case "a run thunk is collectable" `Quick test_engine_thunk_collectable;
+        Alcotest.test_case "thunk table growth keeps order" `Quick
+          test_engine_thunk_table_growth;
+        QCheck_alcotest.to_alcotest prop_engine_matches_reference;
       ] );
     ( "sim:net",
       [

@@ -299,10 +299,10 @@ let test_engine_thunk_table_growth () =
 
 (* A script-driven differential test of the engine. A process runs a
    list of operations; a thunk logs itself and may wake a process. The
-   reference below interprets the same scripts without effects, on the
-   entry-record heap the engine used before its queue held integers,
-   and both must log the same (time, who) sequence and end in the same
-   blocked set. *)
+   reference below interprets the same scripts without effects, over
+   entry records keyed by (time, seq) as the engine's heap kept them
+   before its queue held integers, and both must log the same
+   (time, who) sequence and end in the same blocked set. *)
 
 type op =
   | Adv of int  (** advance; 0 does not suspend *)
@@ -329,13 +329,9 @@ let gen_script =
       (2, map2 (fun d k -> Sch (d, k)) (int_bound 20) (opt (int_bound 7)));
     ]
   in
-  let ops depth =
-    list_size (int_bound 8)
-      (frequency
-         (if depth = 0 then leaf
-          else (1, map (fun s -> Spn s) (list_size (int_bound 6) (frequency leaf))) :: leaf))
-  in
-  list_size (int_range 1 4) (ops 1)
+  (* a spawned process runs leaf operations only *)
+  let spawn = map (fun s -> Spn s) (list_size (int_bound 6) (frequency leaf)) in
+  list_size (int_range 1 4) (list_size (int_bound 8) (frequency ((1, spawn) :: leaf)))
 
 (* The engine: each process interprets its script. *)
 let engine_log scripts =
@@ -371,9 +367,9 @@ let engine_log scripts =
   in
   (List.rev !log, blocked)
 
-(* The reference's queue: entry records keyed by (time, seq), the key
-   the engine's heap kept in a record per event before it held integers;
-   [take] scans for the minimum. *)
+(* The reference's queue: a list of entry records whose [take] scans
+   for the least (time, seq), so it shares no sifting code with the
+   engine's heap. *)
 module Entry_heap = struct
   type 'a entry = { time : int; seq : int; value : 'a }
   type 'a t = { mutable data : 'a entry list; mutable next_seq : int }

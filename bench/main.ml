@@ -106,6 +106,22 @@ let micro_tests () =
     done;
     Sim.Engine.run engine
   in
+  (* the per-access path with detection on: one processor, a fresh
+     machine per call, a warm-up write of 8 words of one page, then 4,096
+     read hits and 4,096 write hits over those words *)
+  let access_hits backend () =
+    let cfg = { Coherence.Config.default with Coherence.Config.backend } in
+    let machine = Backends.create ~cfg ~nprocs:1 ~pages:2 () in
+    let base = machine.Coherence.Backend.alloc (8 * Mem.Page.word_size) ~name:"hits" in
+    machine.Coherence.Backend.run (fun node ->
+        for w = 0 to 7 do
+          Lrc.Dsm.write_int_at node ~site:"warm" base w 0
+        done;
+        for i = 0 to 4095 do
+          ignore (Lrc.Dsm.read_int_at node ~site:"hit:r" base (i land 7));
+          Lrc.Dsm.write_int_at node ~site:"hit:w" base (i land 7) i
+        done)
+  in
   Test.make_grouped ~name:"micro"
     [
       Test.make ~name:"vclock-compare"
@@ -122,6 +138,8 @@ let micro_tests () =
       Test.make ~name:"concurrent-pairs-64"
         (Staged.stage (fun () -> Racedetect.Detector.concurrent_pairs epoch_intervals));
       Test.make ~name:"engine-advance" (Staged.stage engine_advances);
+      Test.make ~name:"access-hit-lrc" (Staged.stage (access_hits "lrc"));
+      Test.make ~name:"access-hit-mesi" (Staged.stage (access_hits "mesi"));
     ]
 
 let run_micro () =

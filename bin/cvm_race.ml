@@ -161,9 +161,10 @@ let diff_stores_arg =
 
 let gc_epochs_arg =
   let doc =
-    "Interval garbage collection: every $(docv) barrier epochs, validate invalid pages \
-     and reclaim unreachable diffs. Bounds diff storage on long runs; races and the \
-     final memory image are unaffected."
+    "Interval garbage collection, multi-writer only: every $(docv) barrier epochs, \
+     validate invalid pages and reclaim unreachable diffs. Bounds diff storage on long \
+     runs; races and the final memory image are unaffected. Other protocols and the bus \
+     backends keep no diffs, and there the flag does nothing."
   in
   Arg.(value & opt (some int) None & info [ "gc-epochs" ] ~docv:"K" ~doc)
 
@@ -204,8 +205,8 @@ let partition_arg =
 
 let net_seed_arg =
   let doc =
-    "Seed for the network RNG streams: the jitter draws and the fault plan's per-link \
-     decisions. It is the run's only seed; with no faults and no jitter it changes nothing."
+    "Seed for the network RNG streams, which drive the fault plan's per-link decisions. \
+     It is the run's only seed; without a fault flag it changes nothing."
   in
   Arg.(value & opt int Coherence.Config.default.seed & info [ "net-seed" ] ~docv:"N" ~doc)
 

@@ -276,42 +276,6 @@ let cache_write m p addr =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Shared-memory accesses                                               *)
-
-(* The access path proper: the front-end checks the address (so a bad
-   one fails with the machine's diagnostic), accounts and instruments;
-   then the cache runs and the page holding [addr] comes back. The page
-   is an existing block, so nothing here allocates; each accessor finds
-   its word itself. *)
-let read_access m p ~site addr =
-  let page = Front.read_note m.rt p.fe ~site addr in
-  cache_read m p addr;
-  m.pages.(page)
-
-let write_access m p ~site addr =
-  let page = Front.write_note m.rt p.fe ~site addr in
-  cache_write m p addr;
-  m.pages.(page)
-
-let word_of m addr = Front.word_of m.rt addr
-
-let read_word_int m p ?(site = "?") addr =
-  let page = read_access m p ~site addr in
-  Mem.Page.get_int page (word_of m addr)
-
-let read_word_float m p ?(site = "?") addr =
-  let page = read_access m p ~site addr in
-  Mem.Page.get_float page (word_of m addr)
-
-let write_word_int m p ?(site = "?") addr value =
-  let page = write_access m p ~site addr in
-  Mem.Page.set_int page (word_of m addr) value
-
-let write_word_float m p ?(site = "?") addr value =
-  let page = write_access m p ~site addr in
-  Mem.Page.set_float page (word_of m addr) value
-
-(* ------------------------------------------------------------------ *)
 (* Locks: a bus read-modify-write plus an FCFS grant queue              *)
 
 let lock_state m lock =
@@ -332,8 +296,6 @@ let grant m p l lock_id =
   Front.acquired m.rt p.fe ~lock:lock_id
 
 let lock m p lock_id =
-  Front.flush_time m.rt p.fe;
-  m.rt.stats.Sim.Stats.lock_acquires <- m.rt.stats.Sim.Stats.lock_acquires + 1;
   let l = lock_state m lock_id in
   if l.holder = Some p.fe.id then invalid_arg "Machine.lock: lock already held (not reentrant)";
   bus m p ~kind:Trace.Event.Bus_sync ~line:lock_id ~words:1 ~supply:`Mem;
@@ -347,7 +309,6 @@ let lock m p lock_id =
   grant m p l lock_id
 
 let unlock m p lock_id =
-  Front.flush_time m.rt p.fe;
   let l = lock_state m lock_id in
   if l.holder <> Some p.fe.id then invalid_arg "Machine.unlock: lock not held";
   bus m p ~kind:Trace.Event.Bus_sync ~line:lock_id ~words:1 ~supply:`Mem;
@@ -393,8 +354,6 @@ let release_barrier m ~last ~epoch =
     arrivals
 
 let barrier m p =
-  Front.flush_time m.rt p.fe;
-  Front.enter_barrier m.rt p.fe;
   (* arrival is a fetch-and-increment on the barrier word *)
   bus m p ~kind:Trace.Event.Bus_sync ~line:0 ~words:1 ~supply:`Mem;
   close_interval m p;
@@ -442,23 +401,23 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~protoco
         [ Printf.sprintf "barrier: %d/%d arrived" (List.length m.barrier_arrivals) nprocs ]);
   m
 
-let view m id =
-  let rt = m.rt and p = m.procs.(id) in
-  let fe = p.fe in
+(* Processor [id]'s five operations. The cache runs on the checked
+   address; the page is an existing block of the one memory image, so a
+   hit allocates nothing. *)
+let machine m id =
+  let p = m.procs.(id) in
   {
-    Coherence.Node.id = fe.Front.id;
-    nprocs = rt.Front.nprocs;
-    malloc = (fun ?name ?align bytes -> Front.malloc rt fe ?name ?align bytes);
-    read_word_int = (fun ?site addr -> read_word_int m p ?site addr);
-    write_word_int = (fun ?site addr value -> write_word_int m p ?site addr value);
-    read_word_float = (fun ?site addr -> read_word_float m p ?site addr);
-    write_word_float = (fun ?site addr value -> write_word_float m p ?site addr value);
-    lock = (fun l -> lock m p l);
-    unlock = (fun l -> unlock m p l);
+    Front.readable =
+      (fun ~addr ~page ->
+        cache_read m p addr;
+        m.pages.(page));
+    writable =
+      (fun ~addr ~page ->
+        cache_write m p addr;
+        m.pages.(page));
+    lock = lock m p;
+    unlock = unlock m p;
     barrier = (fun () -> barrier m p);
-    compute = (fun ops -> Front.compute rt fe ops);
-    idle = (fun ns -> Front.idle rt fe ns);
-    touch_private = (fun n -> Front.touch_private rt fe n);
   }
 
 let memory_checksum m =
@@ -469,5 +428,5 @@ let memory_checksum m =
 
 let backend ?cost ?cfg ~protocol ~nprocs ~pages () =
   let m = create ?cost ?cfg ~protocol ~nprocs ~pages () in
-  Front.backend m.rt ~who:"Machine.malloc" ~view:(view m)
+  Coherence.Backend.make m.rt ~who:"Machine.malloc" ~machine:(machine m)
     ~memory_checksum:(fun () -> memory_checksum m)

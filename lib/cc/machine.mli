@@ -1,8 +1,8 @@
 (** A snooping-bus cache-coherent machine running the online race
     detector off bus-observed coherence events.
 
-    Same programming model as the LRC cluster ({!Coherence.Node.t}
-    views, SPMD [run]), but consistency is maintained by hardware-style
+    Same programming model as the LRC cluster ({!Coherence.Front.handle}
+    handles, SPMD [run]), but consistency is maintained by hardware-style
     cache coherence over a shared bus instead of DSM messages: MESI
     invalidates remote copies on write, Dragon broadcasts word updates.
     Data lives in one coherent memory image behind an atomic bus, so the

@@ -48,7 +48,8 @@ type t = {
          diffs to be fetched) and, one barrier later, drop the diffs no
          reachable write notice can request any more. Bounds diff storage
          on long multi-writer runs at the cost of extra validation traffic.
-         None (the default) keeps every diff for the whole run. *)
+         None (the default) keeps every diff for the whole run; [check]
+         returns None outside lrc multi-writer, which keeps no diffs. *)
   tracer : Trace.Sink.t option;
       (* record/replay event sink: every sim- and protocol-level event is
          emitted into it (recorder, replay verifier, or a tee of both) *)
@@ -139,4 +140,6 @@ let check ~nprocs t =
        else t.transport);
     stores_from_diffs = t.stores_from_diffs && lrc && t.protocol = Multi_writer;
     retain_sites = t.retain_sites && lrc;
+    (* only multi-writer keeps diffs for faults to request *)
+    gc_epochs = (if lrc && t.protocol = Multi_writer then t.gc_epochs else None);
   }

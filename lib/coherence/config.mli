@@ -61,7 +61,8 @@ type t = {
           [k >= 1] barrier epochs, validate all invalid pages and, one
           barrier later, drop the diffs no reachable write notice can
           request any more. [None] (the default) retains every diff for
-          the run. *)
+          the run. Effective only on the lrc backend's multi-writer
+          protocol, the one that keeps diffs ({!check}). *)
   tracer : Trace.Sink.t option;
       (** record/replay event sink: every sim- and protocol-level event
           the run produces is emitted into it — a {!Trace.Sink.recorder}
@@ -93,9 +94,9 @@ val check : nprocs:int -> t -> t
     faults or the transport on a backend other than lrc; or a GC cadence
     below 1. Otherwise it returns the effective configuration: the
     transport on (with {!Sim.Transport.default_config}) when the wire has
-    faults, [stores_from_diffs] only under lrc multi-writer,
-    [retain_sites] only on lrc. Checking twice returns the same
-    configuration. *)
+    faults, [stores_from_diffs] and [gc_epochs] only under lrc
+    multi-writer, [retain_sites] only on lrc. Checking twice returns the
+    same configuration. *)
 
 val protocol_name : protocol -> string
 

@@ -9,6 +9,8 @@
    [-opaque] nothing is inlined across modules, and a float passed to
    another module is boxed. *)
 
+type observer = site:string -> addr:int -> Proto.Race.access_kind -> unit
+
 type proc = {
   id : int;
   debt : float array;
@@ -27,7 +29,7 @@ type proc = {
   cur_sites : (int * int * Proto.Race.access_kind, string) Hashtbl.t;
   site_store : (Proto.Interval.id * int * int * Proto.Race.access_kind, string) Hashtbl.t;
   mutable alloc_next : int;
-  mutable observer : Backend.observer option;
+  mutable observer : observer option;
 }
 
 type t = {
@@ -50,6 +52,16 @@ type t = {
   g_page_shift : int;
   g_page_mask : int;
 }
+
+type machine = {
+  readable : addr:int -> page:int -> Mem.Page.t;
+  writable : addr:int -> page:int -> Mem.Page.t;
+  lock : int -> unit;
+  unlock : int -> unit;
+  barrier : unit -> unit;
+}
+
+type handle = { front : t; proc : proc; machine : machine }
 
 let words_per_page t = Mem.Geometry.words_per_page t.geometry
 
@@ -291,6 +303,8 @@ let alloc t ~who ?name ?align bytes =
   Array.iter (fun p -> p.alloc_next <- next) t.procs;
   start
 
+let set_observer t id observer = t.procs.(id).observer <- Some observer
+
 (* ------------------------------------------------------------------ *)
 (* Synchronization points                                               *)
 
@@ -393,41 +407,12 @@ let report t races =
   t.stats.Sim.Stats.races_reported <- t.stats.Sim.Stats.races_reported + List.length races;
   t.stats.Sim.Stats.barriers <- t.stats.Sim.Stats.barriers + 1
 
-(* ------------------------------------------------------------------ *)
-(* The backend surface                                                  *)
-
-(* Engine pids are dense from 0 in spawn order, and [run] spawns the
-   processors in id order, so processor [id] is process [id]: a backend
-   wakes a blocked processor by its id. *)
-let run t ~view body =
-  Array.iter
-    (fun p -> ignore (Sim.Engine.spawn t.engine (fun _pid -> body (view p.id))))
-    t.procs;
-  Sim.Engine.run t.engine
-
 let race_sites t (race : Proto.Race.t) =
   let side ((interval : Proto.Interval.id), kind) =
     Hashtbl.find_opt t.procs.(interval.proc).site_store
       (interval, race.page, race.word, kind)
   in
   (side race.first, side race.second)
-
-let backend t ~who ~view ~memory_checksum =
-  {
-    Backend.stats = t.stats;
-    symtab = t.symtab;
-    alloc = (fun ?name ?align bytes -> alloc t ~who ?name ?align bytes);
-    run = run t ~view;
-    races = (fun () -> Proto.Race.dedup t.races);
-    race_sites = race_sites t;
-    trace = (fun () -> List.rev_map (fun (_, proc, event) -> (proc, event)) t.timed);
-    timed_trace = (fun () -> List.rev t.timed);
-    sync_trace =
-      (fun () -> if t.cfg.Config.record_sync then Some (List.rev t.grants) else None);
-    sim_time = (fun () -> Sim.Engine.now t.engine);
-    memory_checksum;
-    set_access_observer = (fun id observer -> t.procs.(id).observer <- Some observer);
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)

@@ -10,7 +10,15 @@
 
     [create] takes the configuration {!Config.check} returned, so the
     DSM-only mechanisms are already off on the bus: [stores_from_diffs]
-    holds only under lrc multi-writer, [retain_sites] only on lrc. *)
+    holds only under lrc multi-writer, [retain_sites] only on lrc.
+
+    A processor's {!handle} joins its front-end state to its {!machine},
+    the five operations through which a backend differs; {!Lrc.Dsm} runs
+    every access and synchronization through it. *)
+
+type observer = site:string -> addr:int -> Proto.Race.access_kind -> unit
+(** Watch mode (paper section 6.1): called at every shared access of one
+    processor, elided or not. *)
 
 (** One processor's front-end state. Only this module assigns its
     fields. A backend reads them, adds its own per-access time to [debt]
@@ -38,7 +46,7 @@ type proc = private {
   cur_sites : (int * int * Proto.Race.access_kind, string) Hashtbl.t;
   site_store : (Proto.Interval.id * int * int * Proto.Race.access_kind, string) Hashtbl.t;
   mutable alloc_next : int;  (** bump-allocator cursor *)
-  mutable observer : Backend.observer option;  (** watch mode (section 6.1) *)
+  mutable observer : observer option;
 }
 
 (** One run's front-end, shared by its processors; only this module
@@ -69,6 +77,25 @@ type t = private {
   g_page_shift : int;
   g_page_mask : int;
 }
+
+(** How one processor's machine moves data and synchronizes. [readable]
+    and [writable] make [page], which holds the checked address [addr],
+    coherent for the access (an LRC fault, a cache fill) and return its
+    bytes; they charge their own time. [lock], [unlock] and [barrier] are
+    the machine's part of each synchronization, run after the
+    front-end's (time debt settled, acquire counted, barrier entry
+    traced). *)
+type machine = {
+  readable : addr:int -> page:int -> Mem.Page.t;
+  writable : addr:int -> page:int -> Mem.Page.t;
+  lock : int -> unit;
+  unlock : int -> unit;
+  barrier : unit -> unit;
+}
+
+(** The processor handle applications receive: one processor's
+    front-end state and its machine. *)
+type handle = { front : t; proc : proc; machine : machine }
 
 val create :
   name:string ->
@@ -127,6 +154,13 @@ val malloc : t -> proc -> ?name:string -> ?align:int -> int -> int
     same program points get identical addresses on every processor.
     Processor 0 registers [name] in the symbol table. *)
 
+val alloc : t -> who:string -> ?name:string -> ?align:int -> int -> int
+(** Pre-run allocation through processor 0's cursor, copied to every
+    processor, with [who] prefixing its diagnostics. *)
+
+val set_observer : t -> int -> observer -> unit
+(** Watch one processor's shared accesses. *)
+
 (** {1 Intervals and synchronization points} *)
 
 val open_interval : t -> proc -> unit
@@ -182,16 +216,10 @@ val report : t -> Proto.Race.t list -> unit
 (** Close a barrier's detection: apply [first_race_only], keep the races,
     trace and count them. *)
 
-(** {1 Trace and the backend surface} *)
+(** {1 Trace and races} *)
 
 val tracing : t -> bool
 val emit_sink : t -> Trace.Event.t -> unit
 
-val backend :
-  t -> who:string -> view:(int -> Node.t) -> memory_checksum:(unit -> int) -> Backend.t
-(** The run behind the backend interface. [alloc] is pre-run allocation
-    through processor 0's cursor, copied to every processor, with [who]
-    prefixing its diagnostics. [run] spawns one process per processor in
-    id order, each running the body on [view id], and drives the engine
-    to completion; so processor [id] is engine process [id], which is how
-    a backend wakes it. *)
+val race_sites : t -> Proto.Race.t -> string option * string option
+(** With [retain_sites]: the source sites of a race's two halves. *)

@@ -229,7 +229,6 @@ let all =
 type kernel = {
   k_name : string;
   k_nprocs : int;
-  k_pages : int;
   k_words : int;
   k_cfg : Coherence.Config.t -> Coherence.Config.t;
       (* per-kernel config adjustments (e.g. interval GC cadence) applied
@@ -248,6 +247,24 @@ type kernel_outcome = {
   watch_hits : Instrument.Watch.hit list;  (* [] unless watch_addrs given *)
 }
 
+(* A kernel as an application: every processor first allocates the
+   kernel's words (SPMD, so all of them get the same base), then runs the
+   body. The driver sizes the shared segment from [memory_bytes]; Table
+   1's two columns do not apply. *)
+let app kernel =
+  let bytes = kernel.k_words * Mem.Page.word_size in
+  {
+    Apps.App.name = kernel.k_name;
+    input_description = "";
+    synchronization = "";
+    memory_bytes = bytes;
+    binary = kernel.k_binary;
+    body =
+      (fun node ->
+        let base = Lrc.Dsm.malloc node ~name:("kernel:" ^ kernel.k_name) bytes in
+        kernel.k_body ~base node);
+  }
+
 let run_kernel ?(backend = "lrc") ?(protocol = Coherence.Config.Multi_writer)
     ?(watch_addrs = []) ?(elide = false) kernel =
   let cfg =
@@ -258,43 +275,17 @@ let run_kernel ?(backend = "lrc") ?(protocol = Coherence.Config.Multi_writer)
         protocol;
         detect = true;
         record_trace = true;
+        elide_sites = (if elide then Some [] else None);
       }
   in
-  let cfg =
-    if elide then
-      {
-        cfg with
-        Coherence.Config.elide_sites = Some (Instrument.Mhp.race_free_sites (kernel.k_binary ()));
-      }
-    else cfg
+  let outcome =
+    Core.Driver.run ~cfg ~watch_addrs ~app:(app kernel) ~nprocs:kernel.k_nprocs ()
   in
-  let machine = Backends.create ~cfg ~nprocs:kernel.k_nprocs ~pages:kernel.k_pages () in
-  let watch =
-    match watch_addrs with
-    | [] -> None
-    | addrs ->
-        let watch = Instrument.Watch.create ~addrs in
-        for id = 0 to kernel.k_nprocs - 1 do
-          machine.Coherence.Backend.set_access_observer id
-            (Instrument.Watch.observe watch)
-        done;
-        Some watch
-  in
-  let base =
-    machine.Coherence.Backend.alloc (kernel.k_words * Mem.Page.word_size)
-      ~name:("kernel:" ^ kernel.k_name)
-  in
-  machine.Coherence.Backend.run (fun node -> kernel.k_body ~base node);
   {
-    detected =
-      machine.Coherence.Backend.races ()
-      |> List.map (fun (r : Proto.Race.t) -> r.Proto.Race.addr)
-      |> List.sort_uniq compare;
-    oracle =
-      Racedetect.Oracle.racy_addrs ~nprocs:kernel.k_nprocs
-        (machine.Coherence.Backend.trace ());
-    checksum = machine.Coherence.Backend.memory_checksum ();
-    watch_hits = (match watch with Some w -> Instrument.Watch.hits w | None -> []);
+    detected = Core.Driver.racy_addrs outcome;
+    oracle = Core.Driver.oracle_addrs outcome;
+    checksum = outcome.Core.Driver.mem_checksum;
+    watch_hits = outcome.Core.Driver.watch_hits;
   }
 
 (* Straight-line kernel binary: register 0 holds the kernel's one shared
@@ -325,7 +316,6 @@ let diff_cache_reuse =
   {
     k_name = "diff-cache-reuse";
     k_nprocs = 4;
-    k_pages = 4;
     k_words = 2 * wpp;
     k_cfg = Fun.id;
     k_body =
@@ -370,7 +360,6 @@ let gc_interval_rerequest =
   {
     k_name = "gc-interval-rerequest";
     k_nprocs = 4;
-    k_pages = 4;
     k_words = 2 * wpp;
     k_cfg = (fun cfg -> { cfg with Coherence.Config.gc_epochs = Some 2 });
     k_body =
@@ -421,7 +410,6 @@ let write_notice_invalid_page =
   {
     k_name = "write-notice-invalid";
     k_nprocs = 3;
-    k_pages = 2;
     k_words = wpp;
     k_cfg = Fun.id;
     k_body =
@@ -466,7 +454,6 @@ let lock_handoff_chain =
   {
     k_name = "lock-handoff-chain";
     k_nprocs = 4;
-    k_pages = 2;
     k_words = wpp;
     k_cfg = Fun.id;
     k_body =
@@ -514,7 +501,6 @@ let lock_chained_publish =
   {
     k_name = "lock-chained-publish";
     k_nprocs = 3;
-    k_pages = 2;
     k_words = wpp;
     k_cfg = Fun.id;
     k_body =
@@ -561,7 +547,6 @@ let false_sharing_writers =
   {
     k_name = "false-sharing-writers";
     k_nprocs = 4;
-    k_pages = 2;
     k_words = wpp;
     k_cfg = Fun.id;
     k_body =
@@ -594,7 +579,6 @@ let true_sharing_overlap =
   {
     k_name = "true-sharing-overlap";
     k_nprocs = 4;
-    k_pages = 2;
     k_words = wpp;
     k_cfg = Fun.id;
     k_body =
@@ -618,7 +602,6 @@ let multi_reader_race =
   {
     k_name = "multi-reader-race";
     k_nprocs = 4;
-    k_pages = 2;
     k_words = wpp;
     k_cfg = Fun.id;
     k_body =
@@ -647,7 +630,6 @@ let partially_locked =
   {
     k_name = "partially-locked";
     k_nprocs = 3;
-    k_pages = 2;
     k_words = wpp;
     k_cfg = Fun.id;
     k_body =

@@ -70,7 +70,6 @@ val all : test list
 type kernel = {
   k_name : string;
   k_nprocs : int;
-  k_pages : int;
   k_words : int;
   k_cfg : Coherence.Config.t -> Coherence.Config.t;
   k_body : base:int -> Lrc.Dsm.node -> unit;
@@ -87,6 +86,10 @@ type kernel_outcome = {
   watch_hits : Instrument.Watch.hit list;  (** [] unless [watch_addrs] given *)
 }
 
+val app : kernel -> Apps.App.t
+(** The kernel as an application: each processor [malloc]s the kernel's
+    [k_words] words, then runs [k_body] on them. *)
+
 val run_kernel :
   ?backend:string ->
   ?protocol:Coherence.Config.protocol ->
@@ -94,12 +97,13 @@ val run_kernel :
   ?elide:bool ->
   kernel ->
   kernel_outcome
-(** One deterministic execution under the given backend (default
-    ["lrc"]) and protocol (default multi-writer, the protocol whose
-    machinery the kernels stress; bus backends ignore it).
-    [watch_addrs] wires an {!Instrument.Watch} observer onto every node;
-    [elide] skips runtime checks at the sites the kernel's binary is
-    statically proven race-free at. *)
+(** One deterministic {!Core.Driver.run} of {!app} under the given
+    backend (default ["lrc"]) and protocol (default multi-writer, the
+    protocol whose machinery the kernels stress; bus backends ignore
+    it), with detection on and the oracle trace recorded. [watch_addrs]
+    wires an {!Instrument.Watch} observer onto every node; [elide] skips
+    runtime checks at the sites the kernel's binary is statically proven
+    race-free at. *)
 
 val diff_cache_reuse : kernel
 val gc_interval_rerequest : kernel

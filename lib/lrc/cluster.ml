@@ -40,5 +40,6 @@ let backend ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs
     done;
     Mem.Checksum.finish !h
   in
-  Front.backend front ~who:"Cluster.alloc" ~view:(fun id -> Node.view nodes.(id))
+  Coherence.Backend.make front ~who:"Cluster.alloc"
+    ~machine:(fun id -> Node.machine nodes.(id))
     ~memory_checksum

@@ -4,28 +4,59 @@
    [compute]/[touch_private] pair with which SPMD programs model their
    private computation under the cost model.
 
-   Since the coherence-protocol interface was factored out, a node is the
-   backend-independent {!Coherence.Node.t} handle, so the same
-   application bodies run unmodified on the LRC DSM cluster or on the
-   snooping-bus cache backends. *)
+   A node is the processor handle {!Coherence.Front.handle}: the
+   processor's front-end state and its machine's five operations. The
+   access path and the front-end's part of every synchronization are
+   here, once for every machine, so the same application bodies run
+   unmodified on the LRC DSM cluster or on the snooping-bus cache
+   backends. *)
 
-type node = Coherence.Node.t
+module Front = Coherence.Front
 
-let pid (n : node) = n.Coherence.Node.id
-let nprocs (n : node) = n.Coherence.Node.nprocs
+type node = Front.handle
 
-let malloc (n : node) ?name ?align bytes = n.Coherence.Node.malloc ?name ?align bytes
+let pid (n : node) = n.proc.Front.id
+let nprocs (n : node) = n.front.Front.nprocs
 
-let read_float (n : node) ?site addr = n.Coherence.Node.read_word_float ?site addr
+let malloc (n : node) ?name ?align bytes = Front.malloc n.front n.proc ?name ?align bytes
 
-let write_float (n : node) ?site addr value =
-  n.Coherence.Node.write_word_float ?site addr value
+(* The front-end checks, accounts and instruments the access and names
+   its page; the machine makes that page coherent (an LRC fault, a cache
+   fill) and returns it. A bad address fails in the front-end, with the
+   machine's name, before any accounting. *)
+let readable (n : node) ~site addr =
+  n.machine.readable ~addr ~page:(Front.read_note n.front n.proc ~site addr)
 
-let read_int (n : node) ?site addr = n.Coherence.Node.read_word_int ?site addr
-let write_int (n : node) ?site addr value = n.Coherence.Node.write_word_int ?site addr value
+let writable (n : node) ~site addr =
+  n.machine.writable ~addr ~page:(Front.write_note n.front n.proc ~site addr)
 
-let lock (n : node) lock_id = n.Coherence.Node.lock lock_id
-let unlock (n : node) lock_id = n.Coherence.Node.unlock lock_id
+let read_float (n : node) ?(site = "?") addr =
+  let page = readable n ~site addr in
+  Mem.Page.get_float page (Front.word_of n.front addr)
+
+let write_float (n : node) ?(site = "?") addr value =
+  let page = writable n ~site addr in
+  Mem.Page.set_float page (Front.word_of n.front addr) value
+
+let read_int (n : node) ?(site = "?") addr =
+  let page = readable n ~site addr in
+  Mem.Page.get_int page (Front.word_of n.front addr)
+
+let write_int (n : node) ?(site = "?") addr value =
+  let page = writable n ~site addr in
+  Mem.Page.set_int page (Front.word_of n.front addr) value
+
+(* Each synchronization settles the processor's time debt first; the
+   machine's part follows. *)
+let lock (n : node) lock_id =
+  Front.flush_time n.front n.proc;
+  let stats = n.front.Front.stats in
+  stats.Sim.Stats.lock_acquires <- stats.Sim.Stats.lock_acquires + 1;
+  n.machine.lock lock_id
+
+let unlock (n : node) lock_id =
+  Front.flush_time n.front n.proc;
+  n.machine.unlock lock_id
 
 let with_lock node lock_id f =
   lock node lock_id;
@@ -37,7 +68,10 @@ let with_lock node lock_id f =
       unlock node lock_id;
       raise exn
 
-let barrier (n : node) = n.Coherence.Node.barrier ()
+let barrier (n : node) =
+  Front.flush_time n.front n.proc;
+  Front.enter_barrier n.front n.proc;
+  n.machine.barrier ()
 
 let consolidate node =
   (* Section 6.3: global-state consolidation for programs that synchronize
@@ -45,9 +79,9 @@ let consolidate node =
      as an internal global synchronization that runs the same detection. *)
   barrier node
 
-let compute (n : node) ops = n.Coherence.Node.compute ops
-let idle (n : node) ns = n.Coherence.Node.idle ns
-let touch_private (n : node) count = n.Coherence.Node.touch_private count
+let compute (n : node) ops = Front.compute n.front n.proc ops
+let idle (n : node) ns = Front.idle n.front n.proc ns
+let touch_private (n : node) count = Front.touch_private n.front n.proc count
 
 (* Block/word helpers used heavily by the applications. *)
 

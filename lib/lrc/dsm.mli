@@ -7,10 +7,10 @@
     optional [site] labels are symbolic program counters used by the
     two-run race identification of paper section 6.1. *)
 
-type node = Coherence.Node.t
+type node = Coherence.Front.handle
 (** The backend-independent processor handle: the same application bodies
     run unmodified on the LRC DSM cluster and on the snooping-bus cache
-    backends. {!Node.view} produces one from an LRC node. *)
+    backends. A backend's [run] hands one to each processor. *)
 
 val pid : node -> int
 val nprocs : node -> int

@@ -435,43 +435,13 @@ let twin_write_fault t page entry =
   entry.state <- P_write;
   Proto.Interval.add_write_page t.fe.cur page
 
-(* ------------------------------------------------------------------ *)
-(* Shared-memory access operations                                     *)
-
+(* Resolve any fault so [entry.data] is a copy the write may change. *)
 let ensure_writable t page entry =
   match t.rt.cfg.Coherence.Config.protocol with
   | Coherence.Config.Single_writer -> (
       match entry.state with P_write -> () | P_invalid | P_read -> sw_write_fault t page)
   | Coherence.Config.Multi_writer | Coherence.Config.Home_based -> (
       match entry.state with P_write -> () | P_invalid | P_read -> twin_write_fault t page entry)
-
-let word_of t addr = Front.word_of t.rt addr
-
-(* The front-end checks, accounts and instruments the access and names
-   its page; the protocol then resolves any fault. *)
-let read_access t ~site addr =
-  let page = Front.read_note t.rt t.fe ~site addr in
-  let entry = Array.unsafe_get t.pages page in
-  ensure_readable t page entry;
-  entry
-
-let write_access t ~site addr =
-  let page = Front.write_note t.rt t.fe ~site addr in
-  let entry = Array.unsafe_get t.pages page in
-  ensure_writable t page entry;
-  entry
-
-let read_word_int t ?(site = "?") addr =
-  Mem.Page.get_int (read_access t ~site addr).data (word_of t addr)
-
-let read_word_float t ?(site = "?") addr =
-  Mem.Page.get_float (read_access t ~site addr).data (word_of t addr)
-
-let write_word_int t ?(site = "?") addr value =
-  Mem.Page.set_int (write_access t ~site addr).data (word_of t addr) value
-
-let write_word_float t ?(site = "?") addr value =
-  Mem.Page.set_float (write_access t ~site addr).data (word_of t addr) value
 
 (* ------------------------------------------------------------------ *)
 (* Locks                                                               *)
@@ -507,8 +477,6 @@ let grant_lock t ~lock ~requester ~requester_vc =
     (Message.Lock_grant { lock; granter_vc = Proto.Vclock.copy upto; intervals })
 
 let lock t lock_id =
-  Front.flush_time t.rt t.fe;
-  t.rt.stats.Sim.Stats.lock_acquires <- t.rt.stats.Sim.Stats.lock_acquires + 1;
   let l = lock_state t lock_id in
   if l.held then invalid_arg "Node.lock: lock already held (not reentrant)";
   l.expecting <- true;
@@ -528,7 +496,6 @@ let lock t lock_id =
   | _ -> assert false
 
 let unlock t lock_id =
-  Front.flush_time t.rt t.fe;
   let l = lock_state t lock_id in
   if not l.held then invalid_arg "Node.unlock: lock not held";
   close_interval t;
@@ -716,14 +683,15 @@ let prune_intervals t =
 
 let gc_diffs t =
   (* Interval garbage collection (TreadMarks-style lineage GC), gated on
-     [Coherence.Config.gc_epochs]. Two phases, one barrier apart: at every k-th
-     epoch boundary each node validates its invalid pages — forcing every
-     pending diff to be fetched now — and schedules a drop; at the next
-     barrier the diffs whose creating epoch predates that validation are
-     dropped. A diff can still be requested between the validation and the
-     drop (the requester cannot reach the dropping node's next barrier
-     before its own validation fetches complete), which is why the drop
-     waits a barrier. *)
+     [Coherence.Config.gc_epochs], which Config.check sets only under
+     multi-writer, the one protocol that keeps diffs. Two phases, one
+     barrier apart: at every k-th epoch boundary each node validates its
+     invalid pages — forcing every pending diff to be fetched now — and
+     schedules a drop; at the next barrier the diffs whose creating epoch
+     predates that validation are dropped. A diff can still be requested
+     between the validation and the drop (the requester cannot reach the
+     dropping node's next barrier before its own validation fetches
+     complete), which is why the drop waits a barrier. *)
   match t.rt.cfg.Coherence.Config.gc_epochs with
   | None -> ()
   | Some k ->
@@ -739,8 +707,7 @@ let gc_diffs t =
         t.rt.stats.Sim.Stats.diffs_gced <-
           t.rt.stats.Sim.Stats.diffs_gced + List.length doomed
       end;
-      if t.fe.epoch mod k = 0 && t.rt.cfg.Coherence.Config.protocol = Coherence.Config.Multi_writer
-      then begin
+      if t.fe.epoch mod k = 0 then begin
         Array.iteri
           (fun page entry ->
             match entry.pending with [] -> () | _ -> mw_apply_pending t page)
@@ -749,8 +716,6 @@ let gc_diffs t =
       end
 
 let barrier t =
-  Front.flush_time t.rt t.fe;
-  Front.enter_barrier t.rt t.fe;
   close_interval t;
   let intervals = List.rev (Front.arrive t.rt t.fe) in
   send t ~dst:0
@@ -996,23 +961,19 @@ let service_diagnostics t =
       :: !lines;
   List.sort compare !lines
 
-let view t =
-  (* The backend-independent processor handle (a record of closures over
-     this node) that application bodies receive — the surface shared with
-     the bus-cache backends. *)
-  let rt = t.rt and fe = t.fe in
+(* This node's five operations. An access's page comes back coherent:
+   [readable] and [writable] resolve any fault first; the address is
+   already checked, and its page named, by the front-end. *)
+let machine t =
+  let page_data ensure ~addr:_ ~page =
+    let entry = Array.unsafe_get t.pages page in
+    ensure t page entry;
+    entry.data
+  in
   {
-    Coherence.Node.id = fe.Front.id;
-    nprocs = rt.Front.nprocs;
-    malloc = (fun ?name ?align bytes -> Front.malloc rt fe ?name ?align bytes);
-    read_word_int = (fun ?site addr -> read_word_int t ?site addr);
-    write_word_int = (fun ?site addr value -> write_word_int t ?site addr value);
-    read_word_float = (fun ?site addr -> read_word_float t ?site addr);
-    write_word_float = (fun ?site addr value -> write_word_float t ?site addr value);
-    lock = (fun id -> lock t id);
-    unlock = (fun id -> unlock t id);
+    Front.readable = page_data ensure_readable;
+    writable = page_data ensure_writable;
+    lock = lock t;
+    unlock = unlock t;
     barrier = (fun () -> barrier t);
-    compute = (fun ops -> Front.compute rt fe ops);
-    idle = (fun ns -> Front.idle rt fe ns);
-    touch_private = (fun n -> Front.touch_private rt fe n);
   }

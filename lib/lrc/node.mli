@@ -1,9 +1,8 @@
 (** Per-processor DSM state and protocol engine — the CVM analogue.
 
-    Application coroutines call the access and synchronization operations
-    through {!view}; protocol messages from other processors are serviced
-    by [handle_message], which the network invokes at delivery time
-    (CVM's SIGIO handler). Handlers never block; replies the application
+    Application coroutines reach a node through its {!machine}; protocol
+    messages from other processors are serviced by [handle_message],
+    which the network invokes at delivery time (CVM's SIGIO handler). Handlers never block; replies the application
     waits for are parked and the application coroutine is woken.
 
     Processor 0 additionally plays the three central roles of the paper's
@@ -23,11 +22,12 @@ val handle_message : t -> Message.t -> unit
 (** Network delivery entry point; runs in handler context and never
     blocks. *)
 
-val view : t -> Coherence.Node.t
-(** The backend-independent processor handle over this node — what the
-    cluster's [run] hands to application bodies. Reads and writes fault,
-    fetch and instrument as the configuration dictates; [site] is the
-    symbolic "program counter" recorded by watch mode (section 6.1). *)
+val machine : t -> Coherence.Front.machine
+(** This node's part of the processor handle the cluster's [run] hands
+    to application bodies: [readable] and [writable] fault and fetch as
+    the protocol dictates, then return the local copy of the page; the
+    lock, unlock and barrier protocols run after the front-end's
+    bookkeeping. *)
 
 val coherent_page : t -> int -> Mem.Page.t option
 (** This node's copy of a page, if coherent: valid and with no pending

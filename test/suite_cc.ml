@@ -23,15 +23,8 @@ let kernel_stats backend kernel =
     kernel.Litmus.k_cfg
       { Coherence.Config.default with Coherence.Config.backend; detect = true }
   in
-  let machine =
-    Backends.create ~cfg ~nprocs:kernel.Litmus.k_nprocs ~pages:kernel.Litmus.k_pages ()
-  in
-  let base =
-    machine.Coherence.Backend.alloc (kernel.Litmus.k_words * 8)
-      ~name:("kernel:" ^ kernel.Litmus.k_name)
-  in
-  machine.Coherence.Backend.run (fun node -> kernel.Litmus.k_body ~base node);
-  machine.Coherence.Backend.stats
+  (Core.Driver.run ~cfg ~app:(Litmus.app kernel) ~nprocs:kernel.Litmus.k_nprocs ())
+    .Core.Driver.stats
 
 let test_mesi_invalidates () =
   let stats = kernel_stats "mesi" Litmus.false_sharing_writers in
@@ -53,7 +46,7 @@ let test_dragon_updates () =
    counters and a bitmap bit, never the minor heap. On LRC a hit is an
    access to a valid page, under every caching protocol, whether the
    site's check runs or is elided. Int accessors only: a float crosses
-   the Coherence.Node closure boxed on every backend. *)
+   the Lrc.Dsm module boundary boxed on every backend. *)
 
 let test_hits_allocate_nothing ?(protocol = Coherence.Config.Single_writer) ?(elide = false)
     backend () =
@@ -72,13 +65,13 @@ let test_hits_allocate_nothing ?(protocol = Coherence.Config.Single_writer) ?(el
   machine.Coherence.Backend.run (fun node ->
       (* the miss (or write fault) that brings the line (or page) in,
          then a read and a write that settle its state *)
-      node.Coherence.Node.write_word_int ~site:"warm" addr 1;
-      ignore (node.Coherence.Node.read_word_int ~site:"warm" addr);
-      node.Coherence.Node.write_word_int ~site:"warm" addr 2;
+      Lrc.Dsm.write_int node ~site:"warm" addr 1;
+      ignore (Lrc.Dsm.read_int node ~site:"warm" addr);
+      Lrc.Dsm.write_int node ~site:"warm" addr 2;
       let before = Gc.minor_words () in
       for i = 1 to 10_000 do
-        ignore (Sys.opaque_identity (node.Coherence.Node.read_word_int ~site:"hit:r" addr));
-        node.Coherence.Node.write_word_int ~site:"hit:w" addr i
+        ignore (Sys.opaque_identity (Lrc.Dsm.read_int node ~site:"hit:r" addr));
+        Lrc.Dsm.write_int node ~site:"hit:w" addr i
       done;
       words := Gc.minor_words () -. before);
   let stats = machine.Coherence.Backend.stats in
@@ -110,9 +103,11 @@ let lrc_hit_cases =
     ]
 
 (* A bad address fails with the machine's own diagnostic, before any
-   page arithmetic or accounting. *)
+   page arithmetic or accounting: one check in the access path every
+   backend shares, prefixed with the machine's name. *)
 let test_bad_address_rejected backend () =
   let cfg = { Coherence.Config.default with Coherence.Config.backend } in
+  let prefix = if backend = "lrc" then "Node" else "Machine" in
   let expect what access message =
     let machine = Backends.create ~cfg ~nprocs:1 ~pages:2 () in
     let base = machine.Coherence.Backend.alloc 16 ~name:"bad" in
@@ -123,17 +118,17 @@ let test_bad_address_rejected backend () =
   in
   let private_addr = 64 in
   expect "private read"
-    (fun node _ -> ignore (node.Coherence.Node.read_word_int private_addr))
-    "Machine: address 0x40 outside the shared segment";
+    (fun node _ -> ignore (Lrc.Dsm.read_int node private_addr))
+    (prefix ^ ": address 0x40 outside the shared segment");
   expect "private write"
-    (fun node _ -> node.Coherence.Node.write_word_int private_addr 1)
-    "Machine: address 0x40 outside the shared segment";
+    (fun node _ -> Lrc.Dsm.write_int node private_addr 1)
+    (prefix ^ ": address 0x40 outside the shared segment");
   expect "unaligned read"
-    (fun node base -> ignore (node.Coherence.Node.read_word_float (base + 3)))
-    "Machine: unaligned shared access";
+    (fun node base -> ignore (Lrc.Dsm.read_float node (base + 3)))
+    (prefix ^ ": unaligned shared access");
   expect "unaligned write"
-    (fun node base -> node.Coherence.Node.write_word_int (base + 3) 1)
-    "Machine: unaligned shared access"
+    (fun node base -> Lrc.Dsm.write_int node (base + 3) 1)
+    (prefix ^ ": unaligned shared access")
 
 (* Replacement: an invalid way first, else the least recently touched;
    [find] touches, [probe] does not. *)
@@ -209,18 +204,18 @@ let random_program ~rounds ~words seed =
   (* deterministic per-(seed, round, proc) access list: a few reads and
      writes into a small shared array, some racy, some disjoint *)
   let acc = Hashtbl.hash in
-  fun (node : Coherence.Node.t) base ->
-    let pid = node.Coherence.Node.id in
+  fun node base ->
+    let pid = Lrc.Dsm.pid node in
     for round = 0 to rounds - 1 do
       for k = 0 to 3 do
         let h = acc (seed, round, pid, k) in
         let word = h mod words in
         let addr = base + (8 * word) in
         if h land 16 = 0 then
-          node.Coherence.Node.write_word_int ~site:"prop:w" addr h
-        else ignore (node.Coherence.Node.read_word_int ~site:"prop:r" addr)
+          Lrc.Dsm.write_int node ~site:"prop:w" addr h
+        else ignore (Lrc.Dsm.read_int node ~site:"prop:r" addr)
       done;
-      node.Coherence.Node.barrier ()
+      Lrc.Dsm.barrier node
     done
 
 let racy_addrs_under ~backend ~nprocs ~words ~rounds seed =
@@ -284,6 +279,8 @@ let suite =
           (test_bad_address_rejected "mesi");
         Alcotest.test_case "dragon rejects bad addresses" `Quick
           (test_bad_address_rejected "dragon");
+        Alcotest.test_case "lrc rejects bad addresses" `Quick
+          (test_bad_address_rejected "lrc");
         QCheck_alcotest.to_alcotest prop_backend_independent;
       ] );
     ("lrc:allocation", lrc_hit_cases);

@@ -1,5 +1,5 @@
 (* Coherence.Config.check, the one place a run configuration is judged:
-   every setting it rejects, each with a one-line message, and the three
+   every setting it rejects, each with a one-line message, and the four
    effective values it returns. *)
 
 let check = Alcotest.check
@@ -96,6 +96,18 @@ let test_check_table () =
   in
   check Alcotest.bool "retain_sites on lrc" true (sites "lrc");
   check Alcotest.bool "no retain_sites on a bus" false (sites "dragon");
+  let gc backend protocol =
+    (effective { base with Coherence.Config.backend; protocol; gc_epochs = Some 2 })
+      .Coherence.Config.gc_epochs
+  in
+  check (Alcotest.option Alcotest.int) "gc_epochs under lrc multi-writer" (Some 2)
+    (gc "lrc" Coherence.Config.Multi_writer);
+  check (Alcotest.option Alcotest.int) "no gc_epochs under lrc single-writer" None
+    (gc "lrc" Coherence.Config.Single_writer);
+  check (Alcotest.option Alcotest.int) "no gc_epochs under lrc home-based" None
+    (gc "lrc" Coherence.Config.Home_based);
+  check (Alcotest.option Alcotest.int) "no gc_epochs on a bus" None
+    (gc "mesi" Coherence.Config.Multi_writer);
   let lossy = faults (plan ~drop:0.2 ~reorder:0.1 ()) in
   check Alcotest.bool "checking twice changes nothing" true
     (effective (effective lossy) = effective lossy)

@@ -177,13 +177,13 @@ let test_lock_cycle_diagnosed backend () =
      lock until the event queue drains *)
   let cfg = { Coherence.Config.default with Coherence.Config.backend } in
   let machine = Backends.create ~cfg ~nprocs:2 ~pages:2 () in
-  let body (node : Coherence.Node.t) =
-    let first, second = if node.id = 0 then (1, 2) else (2, 1) in
-    node.lock first;
-    node.idle 1_000_000.0;
-    node.lock second;
-    node.unlock second;
-    node.unlock first
+  let body node =
+    let first, second = if Lrc.Dsm.pid node = 0 then (1, 2) else (2, 1) in
+    Lrc.Dsm.lock node first;
+    Lrc.Dsm.idle node 1_000_000.0;
+    Lrc.Dsm.lock node second;
+    Lrc.Dsm.unlock node second;
+    Lrc.Dsm.unlock node first
   in
   match machine.Coherence.Backend.run body with
   | () -> Alcotest.fail "expected Deadlock"

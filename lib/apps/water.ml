@@ -34,15 +34,15 @@ let softening = 0.1
 let sites = 3
 let mol_words = 64 (* padded struct: 27 live words + derivative slack *)
 
-(* Deterministic initial site positions: O on a jittered lattice, the two
+(* Deterministic initial site positions: O on a perturbed lattice, the two
    H sites at fixed offsets; a pure function of (molecule, site). *)
 let initial_site n mol site =
   let side = int_of_float (Float.ceil (Float.cbrt (float_of_int n))) in
   let ix = mol mod side and iy = mol / side mod side and iz = mol / (side * side) in
-  let jitter k seed = 0.05 *. sin (float_of_int ((mol * 31) + (k * 17) + seed)) in
-  let ox = (2.0 *. float_of_int ix) +. jitter 0 1 in
-  let oy = (2.0 *. float_of_int iy) +. jitter 1 2 in
-  let oz = (2.0 *. float_of_int iz) +. jitter 2 3 in
+  let perturb k seed = 0.05 *. sin (float_of_int ((mol * 31) + (k * 17) + seed)) in
+  let ox = (2.0 *. float_of_int ix) +. perturb 0 1 in
+  let oy = (2.0 *. float_of_int iy) +. perturb 1 2 in
+  let oz = (2.0 *. float_of_int iz) +. perturb 2 3 in
   match site with
   | 0 -> (ox, oy, oz)
   | 1 -> (ox +. 0.2, oy +. 0.15, oz)

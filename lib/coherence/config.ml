@@ -34,8 +34,8 @@ type t = {
   record_trace : bool;  (* log every access/sync event for the oracle *)
   record_sync : bool;  (* record (lock, grantee) at every lock grant *)
   seed : int;
-      (* roots the network RNG streams (jitter and fault plan); with no
-         jitter and no faults it changes nothing *)
+      (* roots the fault plan's per-link RNG streams; with no faults it
+         changes nothing *)
   fault : Sim.Fault.plan;
       (* wire fault plan (drops/dups/reorder/partitions); lrc only, and
          [check] turns the transport on when it is active *)

@@ -46,9 +46,8 @@ type t = {
           configuration grants in the same order: the simulation is
           deterministic and a watch charges no simulated time. *)
   seed : int;
-      (** roots the network RNG streams: the jitter draws and the fault
-          plan's per-link decisions. With [jitter_ns = 0] and no faults
-          it changes nothing. *)
+      (** roots the fault plan's per-link RNG streams. Without faults it
+          changes nothing. *)
   fault : Sim.Fault.plan;
       (** wire fault plan (drops, duplicates, reorder, partitions); lrc
           only. An active plan turns [transport] on ({!check}). *)

@@ -10,14 +10,12 @@ let backend ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs
   let front = Front.create ~name:"Node" ~cost ~cfg ~nprocs ~pages in
   let engine = front.Front.engine in
   let size_of = Message.size ~with_read_notices:cfg.Coherence.Config.detect in
-  (* The jitter and fault-plan RNGs are split from one root so they are
-     independent streams: enabling fault injection does not perturb the
-     jitter draws of an otherwise identical run. *)
   let root_rng = Sim.Rng.create ~seed:cfg.Coherence.Config.seed in
-  let jitter_rng = Sim.Rng.split root_rng in
+  (* the fault stream is the root's second split: every recorded log replays it *)
+  ignore (Sim.Rng.split root_rng);
   let fault_rng = Sim.Rng.split root_rng in
   let net =
-    Sim.Net.create ~rng:jitter_rng ~fault:cfg.Coherence.Config.fault ~fault_rng
+    Sim.Net.create ~fault:cfg.Coherence.Config.fault ~fault_rng
       ?transport:cfg.Coherence.Config.transport ~describe:Message.describe engine cost
       front.Front.stats ~nodes:nprocs ~size_of
   in

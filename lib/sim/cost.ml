@@ -21,7 +21,6 @@ type t = {
   notice_setup_ns : float;  (* per read/write notice bookkeeping ("CVM mods") *)
   interval_setup_ns : float;  (* per interval-structure creation *)
   lock_manager_ns : int;  (* lock manager / barrier master per-request work *)
-  jitter_ns : int;  (* max random extra delivery delay (failure injection) *)
   max_message_bytes : int;  (* wire MTU: larger payloads fragment (section 5.3) *)
   fragment_overhead_bytes : int;  (* per-fragment header *)
   page_size : int;  (* bytes; DECstation pages were large, we default 4096 *)
@@ -53,7 +52,6 @@ let default =
     notice_setup_ns = 450.0;
     interval_setup_ns = 4_000.0;
     lock_manager_ns = 12_000;
-    jitter_ns = 0;
     max_message_bytes = 65_536;
     fragment_overhead_bytes = 24;
     page_size = 4096;

@@ -22,7 +22,6 @@ type t = {
   notice_setup_ns : float;
   interval_setup_ns : float;
   lock_manager_ns : int;
-  jitter_ns : int;
   max_message_bytes : int;
   fragment_overhead_bytes : int;
   page_size : int;

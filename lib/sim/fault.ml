@@ -3,9 +3,9 @@
    to a frame — drop it, duplicate it, delay it into a reorder, or
    black-hole it during a scheduled partition. Every decision is drawn
    from a per-link SplitMix stream, so a (plan, seed) pair always
-   produces the same fault schedule regardless of what any other link (or
-   the jitter model) draws. Coherence.Config.check judges a plan before
-   any run is built from it. *)
+   produces the same fault schedule regardless of what any other link
+   draws. Coherence.Config.check judges a plan before any run is built
+   from it. *)
 
 type partition = {
   p_a : int;  (* link endpoints; faults apply in both directions *)
@@ -77,8 +77,6 @@ let judge_verdict t ~src ~dst ~now =
     in
     { v_delays = survivors; v_dropped = dropped; v_partitioned = false }
   end
-
-let windows t = t.plan.partitions
 
 let describe plan =
   if not (active plan) then "none"

@@ -4,8 +4,8 @@
     duplicate it, hold it back into a reorder, or black-hole it during a
     scheduled partition window. Decisions are drawn from one independent
     {!Rng} stream per (src, dst) link, so a given (plan, seed) pair
-    produces an identical fault schedule no matter what any other link —
-    or the jitter model — draws.
+    produces an identical fault schedule no matter what any other link
+    draws.
 
     A plan is trusted as given: [Coherence.Config.check] judges it
     (probabilities in [0, 1], windows with [0 <= from <= until], two
@@ -51,10 +51,6 @@ val judge_verdict : t -> src:int -> dst:int -> now:int -> verdict
 (** The fate of one wire frame on link (src, dst) at time [now], with
     what happened, so an observer (the trace recorder) can tell a random
     drop from a partition black-hole. *)
-
-val windows : t -> partition list
-(** The plan's scheduled partition windows (for partition open/close
-    observation). *)
 
 val describe : plan -> string
 (** Human-readable one-line summary ("drop 20%, dup 5%, ..."). *)

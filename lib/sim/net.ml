@@ -5,8 +5,9 @@
    Two modes:
 
    - Reliable wire (default, the seed behaviour): every message is
-     delivered exactly once; per-link FIFO order is enforced even under
-     delivery jitter.
+     delivered exactly once, {!Cost.message_ns} after it is sent. A
+     per-link clamp keeps FIFO order: a short message never overtakes a
+     longer one (a page) sent before it on the same link.
 
    - Lossy wire + reliable transport: an active {!Fault} plan may drop,
      duplicate, reorder or delay every wire frame (and acks!), and
@@ -29,37 +30,14 @@ type 'msg t = {
   handlers : ('msg -> unit) option array;  (* per node *)
   size_of : 'msg -> int;
   describe : 'msg -> string;  (* payload tag of the traced send/deliver events *)
-  rng : Rng.t;  (* jitter stream — independent from the fault streams *)
-  last_delivery : int array;  (* per (src, dst) link: preserve FIFO under jitter *)
-  in_flight : int array;  (* per link: wire frames scheduled, not yet delivered *)
-  fault : Fault.t option;
+  last_delivery : int array;  (* per (src, dst) link: the FIFO clamp *)
   tracer : Trace.Sink.t option;
       (* the engine's sink, read at [create]; never perturbs delivery.
          Events are built under [Some] only, so without a tracer a send
          or delivery pays one branch, not the event and the
          [describe]/[size_of] calls *)
-  partition_down : bool array;  (* last observed phase of each partition window *)
   mutable transport : 'msg Transport.t option;
 }
-
-(* Partition windows have no event of their own on the wire; report each
-   open/close transition at the first wire activity that observes it.
-   Lazy observation keeps the event queue identical with and without a
-   tracer installed. *)
-let note_partitions t =
-  match (t.fault, t.tracer) with
-  | Some fault, Some sink ->
-      let now = Engine.now t.engine in
-      List.iteri
-        (fun i (p : Fault.partition) ->
-          let down = now >= p.Fault.p_from_ns && now < p.Fault.p_until_ns in
-          if down <> t.partition_down.(i) then begin
-            t.partition_down.(i) <- down;
-            Trace.Sink.emit sink ~time:now
-              (Trace.Event.Partition { a = p.Fault.p_a; b = p.Fault.p_b; up = not down })
-          end)
-        (Fault.windows fault)
-  | _ -> ()
 
 let set_handler t ~node f = t.handlers.(node) <- Some f
 
@@ -73,22 +51,12 @@ let deliver t ~src ~dst msg =
   | Some f -> f msg
   | None -> invalid_arg (Printf.sprintf "Net: no handler at node %d" dst)
 
-let base_delay t ~bytes =
-  let delay = Cost.message_ns t.cost ~bytes in
-  if t.cost.Cost.jitter_ns > 0 then delay + Rng.int t.rng (t.cost.Cost.jitter_ns + 1)
-  else delay
-
-let link_of t ~src ~dst = (src * Array.length t.handlers) + dst
-
 (* Reliable delivery with the per-link FIFO clamp (seed behaviour). *)
 let deliver_ordered t ~src ~dst ~delay msg =
-  let link = link_of t ~src ~dst in
+  let link = (src * Array.length t.handlers) + dst in
   let at = max (Engine.now t.engine + delay) (t.last_delivery.(link) + 1) in
   t.last_delivery.(link) <- at;
-  t.in_flight.(link) <- t.in_flight.(link) + 1;
-  Engine.schedule t.engine ~at (fun () ->
-      t.in_flight.(link) <- t.in_flight.(link) - 1;
-      deliver t ~src ~dst msg)
+  Engine.schedule t.engine ~at (fun () -> deliver t ~src ~dst msg)
 
 let send t ~src ~dst msg =
   if dst < 0 || dst >= Array.length t.handlers then invalid_arg "Net.send: bad destination";
@@ -111,11 +79,11 @@ let send t ~src ~dst msg =
     | None ->
         t.stats.Stats.fragments <- t.stats.Stats.fragments + Cost.fragments t.cost ~bytes;
         t.stats.Stats.bytes <- t.stats.Stats.bytes + Cost.wire_bytes t.cost ~bytes;
-        deliver_ordered t ~src ~dst ~delay:(base_delay t ~bytes) msg
+        deliver_ordered t ~src ~dst ~delay:(Cost.message_ns t.cost ~bytes) msg
 
-let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transport
+let create ?fault:(plan = Fault.none) ?(fault_rng = Rng.create ~seed:1) ?transport
     ?(describe = fun _ -> "msg") engine cost stats ~nodes ~size_of =
-  if Fault.active fault && transport = None then
+  if Fault.active plan && transport = None then
     invalid_arg "Net.create: an active fault plan requires the reliable transport";
   let t =
     {
@@ -124,18 +92,8 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
       stats;
       size_of;
       describe;
-      rng;
       last_delivery = Array.make (nodes * nodes) 0;
-      in_flight = Array.make (nodes * nodes) 0;
-      fault =
-        (if transport = None then None
-         else
-           let frng =
-             match fault_rng with Some r -> r | None -> Rng.create ~seed:1
-           in
-           Some (Fault.create ~nodes ~rng:frng fault));
       tracer = Engine.tracer engine;
-      partition_down = Array.make (List.length fault.Fault.partitions) false;
       transport = None;
       handlers = Array.make nodes None;
     }
@@ -143,6 +101,24 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
   (match transport with
   | None -> ()
   | Some cfg ->
+      let faults = Fault.create ~nodes ~rng:fault_rng plan in
+      (* Partition windows have no event of their own on the wire; report
+         each open/close transition at the first wire activity that
+         observes it. Lazy observation keeps the event queue identical
+         with and without a tracer installed. *)
+      let partition_down = Array.make (List.length plan.Fault.partitions) false in
+      let note_partitions sink =
+        let now = Engine.now engine in
+        List.iteri
+          (fun i (p : Fault.partition) ->
+            let down = now >= p.Fault.p_from_ns && now < p.Fault.p_until_ns in
+            if down <> partition_down.(i) then begin
+              partition_down.(i) <- down;
+              Trace.Sink.emit sink ~time:now
+                (Trace.Event.Partition { a = p.Fault.p_a; b = p.Fault.p_b; up = not down })
+            end)
+          plan.Fault.partitions
+      in
       let payload_bytes = size_of in
       (* the wire below the transport: per-frame byte accounting, fault
          verdicts, unclamped delivery *)
@@ -150,17 +126,13 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
         let bytes = Transport.frame_bytes ~payload_bytes frame in
         stats.Stats.fragments <- stats.Stats.fragments + Cost.fragments cost ~bytes;
         stats.Stats.bytes <- stats.Stats.bytes + Cost.wire_bytes cost ~bytes;
-        note_partitions t;
-        let verdict =
-          match t.fault with
-          | Some fault -> Fault.judge_verdict fault ~src ~dst ~now:(Engine.now engine)
-          | None -> { Fault.v_delays = [ 0 ]; v_dropped = false; v_partitioned = false }
-        in
+        let verdict = Fault.judge_verdict faults ~src ~dst ~now:(Engine.now engine) in
         let verdicts = verdict.Fault.v_delays in
         (* report only frames the plan actually touched *)
         (match t.tracer with
         | None -> ()
         | Some sink -> (
+            note_partitions sink;
             let fault outcome =
               Trace.Sink.emit sink ~time:(Engine.now engine)
                 (Trace.Event.Fault { src; dst; outcome })
@@ -178,13 +150,10 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
         | _ :: extra_copies ->
             stats.Stats.frames_duplicated <-
               stats.Stats.frames_duplicated + List.length extra_copies);
-        let link = link_of t ~src ~dst in
         List.iter
           (fun extra ->
-            let at = Engine.now engine + base_delay t ~bytes + extra in
-            t.in_flight.(link) <- t.in_flight.(link) + 1;
+            let at = Engine.now engine + Cost.message_ns cost ~bytes + extra in
             Engine.schedule engine ~at (fun () ->
-                t.in_flight.(link) <- t.in_flight.(link) - 1;
                 match t.transport with
                 | Some tr -> Transport.wire_receive tr ~src ~dst frame
                 | None -> ()))
@@ -196,19 +165,4 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
 
 let transport t = t.transport
 
-let diagnostics t =
-  let n = Array.length t.handlers in
-  let wire_lines = ref [] in
-  for src = n - 1 downto 0 do
-    for dst = n - 1 downto 0 do
-      let inflight = t.in_flight.(link_of t ~src ~dst) in
-      if inflight > 0 then
-        wire_lines :=
-          Printf.sprintf "link %d->%d: %d frame(s) in flight on the wire" src dst inflight
-          :: !wire_lines
-    done
-  done;
-  let transport_lines =
-    match t.transport with Some tr -> Transport.diagnostics tr | None -> []
-  in
-  !wire_lines @ transport_lines
+let diagnostics t = match t.transport with Some tr -> Transport.diagnostics tr | None -> []

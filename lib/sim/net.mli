@@ -1,11 +1,14 @@
 (** Simulated network: point-to-point messages with a latency + bandwidth
     cost model (CVM's UDP protocols on 155 Mbit ATM).
 
-    By default the wire is reliable and per-link FIFO. With [~transport],
-    a {!Transport} instance is layered between the senders and a wire
-    that an active {!Fault} plan may drop, duplicate, reorder or delay —
-    the layer above still sees exactly-once FIFO delivery, but wire bytes
-    (retransmissions, acks, duplicates) are charged to {!Stats}.
+    By default the wire is reliable: a message arrives {!Cost.message_ns}
+    after it is sent, and no message overtakes an earlier one on its link
+    (a short message sent after a page waits for the page). With
+    [~transport], a {!Transport} instance is layered between the senders
+    and a wire that an active {!Fault} plan may drop, duplicate, reorder
+    or delay — the layer above still sees exactly-once FIFO delivery, but
+    wire bytes (retransmissions, acks, duplicates) are charged to
+    {!Stats}.
 
     Messages are delivered to a per-node handler at delivery time — the
     analogue of CVM servicing requests from a SIGIO handler — so protocol
@@ -15,7 +18,6 @@
 type 'msg t
 
 val create :
-  ?rng:Rng.t ->
   ?fault:Fault.plan ->
   ?fault_rng:Rng.t ->
   ?transport:Transport.config ->
@@ -27,12 +29,10 @@ val create :
   size_of:('msg -> int) ->
   'msg t
 (** [size_of] gives the payload size in bytes; it drives both the bandwidth
-    cost model and the byte counters in {!Stats}. [rng] feeds the optional
-    delivery jitter ({!Cost.t.jitter_ns}) and is independent of
-    [fault_rng], which seeds the fault plan's per-link streams — enabling
-    fault injection does not perturb the jitter draws. An active [fault]
-    plan requires [transport] (raises [Invalid_argument] otherwise);
-    [transport] alone runs the reliable transport over a fault-free wire.
+    cost model and the byte counters in {!Stats}. [fault_rng] seeds the
+    fault plan's per-link streams. An active [fault] plan requires
+    [transport] (raises [Invalid_argument] otherwise); [transport] alone
+    runs the reliable transport over a fault-free wire.
 
     When the engine has a tracer ({!Engine.set_tracer}), the network
     emits sends, deliveries, per-frame fault outcomes and partition
@@ -55,5 +55,5 @@ val transport : 'msg t -> 'msg Transport.t option
     tests and diagnostics). *)
 
 val diagnostics : 'msg t -> string list
-(** Wire frames in flight plus the transport's per-link report — suitable
-    for {!Engine.add_diagnostic}. *)
+(** The transport's per-link report ([[]] without a transport) —
+    suitable for {!Engine.add_diagnostic}. *)

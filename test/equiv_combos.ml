@@ -114,9 +114,9 @@ let all : combo list =
       [ "sor"; "water"; "tsp" ]
   in
   let seed_variants =
-    (* the seed roots only the network RNG, so with no faults and no
-       jitter it is inert: these combos pin each lock-heavy app's outcome
-       equal to its default-seed twin (tsp-sw-p8, water-sw-p8) *)
+    (* the seed roots only the fault plan's RNG, so with no faults it is
+       inert: these combos pin each lock-heavy app's outcome equal to its
+       default-seed twin (tsp-sw-p8, water-sw-p8) *)
     List.concat_map
       (fun app ->
         List.map

@@ -147,49 +147,6 @@ let test_fragments_counted () =
   check Alcotest.bool "more fragments than messages" true
     (stats.Sim.Stats.fragments > stats.Sim.Stats.messages)
 
-(* ------------------------------------------------------------------ *)
-(* Failure injection: delivery jitter must not break coherence or
-   detection (per-link FIFO is preserved by the network layer)          *)
-
-let test_jitter_coherence protocol () =
-  List.iter
-    (fun seed ->
-      let cost = { Sim.Cost.default with jitter_ns = 400_000 } in
-      let cfg = { Testutil.detect_cfg with protocol; seed } in
-      let cluster = Backends.create ~cost ~cfg ~nprocs:4 ~pages:4 () in
-      let counter = cluster.Coherence.Backend.alloc 8 in
-      let racy = cluster.Coherence.Backend.alloc 8 in
-      let body node =
-        let open Lrc.Dsm in
-        barrier node;
-        for _ = 1 to 5 do
-          with_lock node 3 (fun () ->
-              let v = read_int node counter in
-              compute node 20_000.0;
-              write_int node counter (v + 1))
-        done;
-        if pid node = 0 then write_int node racy 1;
-        if pid node = 3 then ignore (read_int node racy);
-        barrier node;
-        if pid node = 0 then begin
-          let total = read_int node counter in
-          if total <> 20 then failwith (Printf.sprintf "jitter lost updates: %d" total)
-        end;
-        barrier node
-      in
-      cluster.Coherence.Backend.run body;
-      let detected = Testutil.racy_addrs_of cluster in
-      let oracle = Racedetect.Oracle.racy_addrs ~nprocs:4 (cluster.Coherence.Backend.trace ()) in
-      check Testutil.addr_list "detector = oracle under jitter" oracle detected;
-      check Testutil.addr_list "exactly the racy word" [ racy ] detected)
-    [ 1; 7; 23 ]
-
-let test_jitter_water () =
-  let cost = { Sim.Cost.default with jitter_ns = 250_000 } in
-  let app = Apps.Registry.make ~scale:Apps.Registry.Small "water" in
-  (* the body self-checks against the reference; jitter must not corrupt *)
-  ignore (Core.Driver.run ~cost ~app ~nprocs:4 ())
-
 let suite =
   [
     ( "extensions:lu",
@@ -207,16 +164,6 @@ let suite =
       [
         Alcotest.test_case "fetch waits for flush" `Quick test_hb_fetch_waits_for_flush;
         Alcotest.test_case "coherence counters" `Quick test_hb_paper_counters;
-      ] );
-    ( "extensions:robustness",
-      [
-        Alcotest.test_case "jitter: single-writer" `Quick
-          (test_jitter_coherence Coherence.Config.Single_writer);
-        Alcotest.test_case "jitter: multi-writer" `Quick
-          (test_jitter_coherence Coherence.Config.Multi_writer);
-        Alcotest.test_case "jitter: home-based" `Quick
-          (test_jitter_coherence Coherence.Config.Home_based);
-        Alcotest.test_case "jitter: water self-check" `Quick test_jitter_water;
       ] );
     ( "extensions:fragmentation",
       [

@@ -499,17 +499,22 @@ let test_net_latency_and_accounting () =
   check Alcotest.int "message counted" 1 stats.Sim.Stats.messages;
   check Alcotest.int "bytes counted" 100 stats.Sim.Stats.bytes
 
-let test_net_fifo_same_size () =
+(* messages of the given sizes, sent back to back on one link, arrive in
+   send order: after a 4,096-byte page, a 64-byte message would arrive
+   221,760 ns earlier without the per-link clamp *)
+let test_net_fifo sizes () =
   let engine = Sim.Engine.create () in
   let stats = Sim.Stats.create () in
-  let net = Sim.Net.create engine Sim.Cost.default stats ~nodes:2 ~size_of:(fun _ -> 64) in
+  let net = Sim.Net.create engine Sim.Cost.default stats ~nodes:2 ~size_of:snd in
   let received = ref [] in
-  Sim.Net.set_handler net ~node:1 (fun v -> received := v :: !received);
+  Sim.Net.set_handler net ~node:1 (fun (i, _) -> received := i :: !received);
   ignore
     (Sim.Engine.spawn engine (fun _ ->
-         List.iter (fun v -> Sim.Net.send net ~src:0 ~dst:1 v) [ 1; 2; 3 ]));
+         List.iteri (fun i bytes -> Sim.Net.send net ~src:0 ~dst:1 (i, bytes)) sizes));
   Sim.Engine.run engine;
-  check (Alcotest.list Alcotest.int) "fifo" [ 1; 2; 3 ] (List.rev !received)
+  check (Alcotest.list Alcotest.int) "fifo"
+    (List.init (List.length sizes) Fun.id)
+    (List.rev !received)
 
 let test_net_no_handler_raises () =
   let engine = Sim.Engine.create () in
@@ -559,10 +564,11 @@ let lossy_net ?(transport = Sim.Transport.default_config) ~plan ~seed ~nodes () 
   let engine = Sim.Engine.create () in
   let stats = Sim.Stats.create () in
   let root = Sim.Rng.create ~seed in
-  let jitter_rng = Sim.Rng.split root in
+  (* the fault stream is the root's second split, as in Lrc.Cluster *)
+  ignore (Sim.Rng.split root);
   let fault_rng = Sim.Rng.split root in
   let net =
-    Sim.Net.create ~rng:jitter_rng ~fault:plan ~fault_rng ~transport engine
+    Sim.Net.create ~fault:plan ~fault_rng ~transport engine
       Sim.Cost.default stats ~nodes ~size_of:(fun _ -> 64)
   in
   (engine, stats, net)
@@ -740,7 +746,8 @@ let suite =
     ( "sim:net",
       [
         Alcotest.test_case "latency + accounting" `Quick test_net_latency_and_accounting;
-        Alcotest.test_case "fifo same-size" `Quick test_net_fifo_same_size;
+        Alcotest.test_case "fifo same-size" `Quick (test_net_fifo [ 64; 64; 64 ]);
+        Alcotest.test_case "fifo page then short" `Quick (test_net_fifo [ 4096; 64 ]);
         Alcotest.test_case "no handler raises" `Quick test_net_no_handler_raises;
         Alcotest.test_case "engine tracer sees sends and deliveries" `Quick
           test_engine_tracer_events;

@@ -24,24 +24,39 @@ type test = {
   body : base:int -> Lrc.Dsm.node -> delay:(float -> unit) -> registers;
 }
 
+(* A program as an application: every processor first allocates the
+   program's words (SPMD, so all of them get the same base), then runs
+   the body on them. The driver sizes the shared segment from
+   [memory_bytes]; Table 1's two columns do not apply. *)
+let app ~name ~words ~binary body =
+  let bytes = words * Mem.Page.word_size in
+  {
+    Apps.App.name;
+    input_description = "";
+    synchronization = "";
+    memory_bytes = bytes;
+    binary;
+    body = (fun node -> body ~base:(Lrc.Dsm.malloc node ~name bytes) node);
+  }
+
+(* Detection and elision are off, so the driver never analyses the
+   shape's empty binary. *)
 let run ?(backend = "lrc") ?(protocol = Coherence.Config.Single_writer) ~delays test =
   if Array.length delays <> test.nprocs then invalid_arg "Litmus.run: delay per processor";
   let cfg =
     { Coherence.Config.default with Coherence.Config.backend; protocol; detect = false }
   in
-  let cluster = Backends.create ~cfg ~nprocs:test.nprocs ~pages:4 () in
-  let base =
-    cluster.Coherence.Backend.alloc (test.shared_words * Mem.Page.word_size) ~name:"litmus"
-  in
   let observed = Array.make test.nprocs [] in
-  let body node =
+  let body ~base node =
     let pid = Lrc.Dsm.pid node in
     Lrc.Dsm.barrier node;
     Lrc.Dsm.idle node delays.(pid);
     observed.(pid) <- test.body ~base node ~delay:(Lrc.Dsm.idle node);
     Lrc.Dsm.barrier node
   in
-  cluster.Coherence.Backend.run body;
+  let binary () = Instrument.Binary.make ~name:test.name () in
+  let app = app ~name:test.name ~words:test.shared_words ~binary body in
+  ignore (Core.Driver.run ~cfg ~app ~nprocs:test.nprocs ());
   List.concat (Array.to_list observed)
 
 let default_grid =
@@ -247,24 +262,6 @@ type kernel_outcome = {
   watch_hits : Instrument.Watch.hit list;  (* [] unless watch_addrs given *)
 }
 
-(* A kernel as an application: every processor first allocates the
-   kernel's words (SPMD, so all of them get the same base), then runs the
-   body. The driver sizes the shared segment from [memory_bytes]; Table
-   1's two columns do not apply. *)
-let app kernel =
-  let bytes = kernel.k_words * Mem.Page.word_size in
-  {
-    Apps.App.name = kernel.k_name;
-    input_description = "";
-    synchronization = "";
-    memory_bytes = bytes;
-    binary = kernel.k_binary;
-    body =
-      (fun node ->
-        let base = Lrc.Dsm.malloc node ~name:("kernel:" ^ kernel.k_name) bytes in
-        kernel.k_body ~base node);
-  }
-
 let run_kernel ?(backend = "lrc") ?(protocol = Coherence.Config.Multi_writer)
     ?(watch_addrs = []) ?(elide = false) kernel =
   let cfg =
@@ -278,9 +275,10 @@ let run_kernel ?(backend = "lrc") ?(protocol = Coherence.Config.Multi_writer)
         elide_sites = (if elide then Some [] else None);
       }
   in
-  let outcome =
-    Core.Driver.run ~cfg ~watch_addrs ~app:(app kernel) ~nprocs:kernel.k_nprocs ()
+  let app =
+    app ~name:kernel.k_name ~words:kernel.k_words ~binary:kernel.k_binary kernel.k_body
   in
+  let outcome = Core.Driver.run ~cfg ~watch_addrs ~app ~nprocs:kernel.k_nprocs () in
   {
     detected = Core.Driver.racy_addrs outcome;
     oracle = Core.Driver.oracle_addrs outcome;

@@ -18,12 +18,22 @@ type test = {
   body : base:int -> Lrc.Dsm.node -> delay:(float -> unit) -> registers;
 }
 
+val app :
+  name:string ->
+  words:int ->
+  binary:(unit -> Instrument.Binary.t) ->
+  (base:int -> Lrc.Dsm.node -> unit) ->
+  Apps.App.t
+(** A program as an application: each processor [malloc]s [words]
+    words, then runs the body on them with their [base] address. *)
+
 val run :
   ?backend:string -> ?protocol:Coherence.Config.protocol -> delays:float array -> test -> registers
-(** One deterministic execution on [backend] (default ["lrc"]) under
-    [protocol] (default single-writer; bus backends ignore it) with the
-    given per-processor start delays; returns the union of every
-    processor's observed registers. *)
+(** One deterministic {!Core.Driver.run} of the shape on [backend]
+    (default ["lrc"]) under [protocol] (default single-writer; bus
+    backends ignore it), detection off, with the given per-processor
+    start delays; returns the union of every processor's observed
+    registers. *)
 
 val default_grid : float array
 
@@ -86,10 +96,6 @@ type kernel_outcome = {
   watch_hits : Instrument.Watch.hit list;  (** [] unless [watch_addrs] given *)
 }
 
-val app : kernel -> Apps.App.t
-(** The kernel as an application: each processor [malloc]s the kernel's
-    [k_words] words, then runs [k_body] on them. *)
-
 val run_kernel :
   ?backend:string ->
   ?protocol:Coherence.Config.protocol ->
@@ -97,13 +103,13 @@ val run_kernel :
   ?elide:bool ->
   kernel ->
   kernel_outcome
-(** One deterministic {!Core.Driver.run} of {!app} under the given
-    backend (default ["lrc"]) and protocol (default multi-writer, the
-    protocol whose machinery the kernels stress; bus backends ignore
-    it), with detection on and the oracle trace recorded. [watch_addrs]
-    wires an {!Instrument.Watch} observer onto every node; [elide] skips
-    runtime checks at the sites the kernel's binary is statically proven
-    race-free at. *)
+(** One deterministic {!Core.Driver.run} of the kernel as an {!app}
+    under the given backend (default ["lrc"]) and protocol (default
+    multi-writer, the protocol whose machinery the kernels stress; bus
+    backends ignore it), with detection on and the oracle trace
+    recorded. [watch_addrs] wires an {!Instrument.Watch} observer onto
+    every node; [elide] skips runtime checks at the sites the kernel's
+    binary is statically proven race-free at. *)
 
 val diff_cache_reuse : kernel
 val gc_interval_rerequest : kernel

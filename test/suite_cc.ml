@@ -23,8 +23,11 @@ let kernel_stats backend kernel =
     kernel.Litmus.k_cfg
       { Coherence.Config.default with Coherence.Config.backend; detect = true }
   in
-  (Core.Driver.run ~cfg ~app:(Litmus.app kernel) ~nprocs:kernel.Litmus.k_nprocs ())
-    .Core.Driver.stats
+  let app =
+    Litmus.app ~name:kernel.Litmus.k_name ~words:kernel.Litmus.k_words
+      ~binary:kernel.Litmus.k_binary kernel.Litmus.k_body
+  in
+  (Core.Driver.run ~cfg ~app ~nprocs:kernel.Litmus.k_nprocs ()).Core.Driver.stats
 
 let test_mesi_invalidates () =
   let stats = kernel_stats "mesi" Litmus.false_sharing_writers in

@@ -558,21 +558,15 @@ let lock_mgr_state t lock =
       Hashtbl.add t.lock_mgrs lock m;
       m
 
-let forward_lock_req t m = function
-  | Message.Lock_req { lock; requester; vc } ->
-      let target = m.token in
-      let seq = m.next_seq in
-      m.next_seq <- seq + 1;
-      m.token <- requester;
-      let delay = t.rt.cost.Sim.Cost.lock_manager_ns in
-      send_after t ~delay ~dst:requester (Message.Lock_ack { lock; seq });
-      send_after t ~delay ~dst:target (Message.Lock_fwd { lock; requester; vc; seq })
-  | _ -> assert false
-
-let on_lock_req t msg =
-  match msg with
-  | Message.Lock_req { lock; _ } -> forward_lock_req t (lock_mgr_state t lock) msg
-  | _ -> assert false
+let on_lock_req t ~lock ~requester ~vc =
+  let m = lock_mgr_state t lock in
+  let target = m.token in
+  let seq = m.next_seq in
+  m.next_seq <- seq + 1;
+  m.token <- requester;
+  let delay = t.rt.cost.Sim.Cost.lock_manager_ns in
+  send_after t ~delay ~dst:requester (Message.Lock_ack { lock; seq });
+  send_after t ~delay ~dst:target (Message.Lock_fwd { lock; requester; vc; seq })
 
 (* ------------------------------------------------------------------ *)
 (* Barrier master (runs at processor 0, in handler context)            *)
@@ -746,12 +740,7 @@ let process_page_request t m msg =
       send t ~dst:previous (Message.Own_fwd { page; requester })
   | _ -> assert false
 
-let on_page_request t msg =
-  let page =
-    match msg with
-    | Message.Copy_req { page; _ } | Message.Own_req { page; _ } -> page
-    | _ -> assert false
-  in
+let on_page_request t ~page msg =
   let m = t.page_mgrs.(page) in
   if m.busy then Queue.add msg m.waiting else process_page_request t m msg
 
@@ -862,14 +851,14 @@ let handle_message t msg =
   | Message.Own_data _ | Message.Diff_reply _ | Message.Home_data _ ->
       push_reply t msg
   (* central services *)
-  | Message.Lock_req _ -> on_lock_req t msg
+  | Message.Lock_req { lock; requester; vc } -> on_lock_req t ~lock ~requester ~vc
   | Message.Lock_ack { lock; seq } -> on_lock_ack t ~lock ~seq
   | Message.Lock_fwd { lock; requester; vc; seq } -> on_lock_fwd t ~lock ~requester ~vc ~seq
   | Message.Barrier_arrive { from_; vc; intervals } ->
       master_on_arrive t ~from_ ~vc ~intervals
   | Message.Bitmap_req { requests } -> on_bitmap_req t ~requests
   | Message.Bitmap_reply { bitmaps; _ } -> master_on_bitmap_reply t ~bitmaps
-  | Message.Copy_req _ | Message.Own_req _ -> on_page_request t msg
+  | Message.Copy_req { page; _ } | Message.Own_req { page; _ } -> on_page_request t ~page msg
   | Message.Copy_fwd { page; requester } -> on_copy_fwd t ~page ~requester
   | Message.Own_fwd { page; requester } -> on_own_fwd t ~page ~requester
   | Message.Page_done { page; _ } -> on_page_done t ~page

@@ -3,9 +3,9 @@
    Subcommands:
      run     run one application with online race detection and print the
              races, dynamic statistics, and (optionally) the slowdown
-     hunt    the full section 6.1 flow: a detection run, then the same
-             run again with a watch list that maps each racy address to
-             the source sites that touched it
+     hunt    the full section 6.1 flow: a recorded detection run, then a
+             verified replay of its log with a watch list that maps each
+             racy address to the source sites that touched it
      record  run with the deterministic trace recorder and save the
              binary event log
      replay  re-execute a recorded run and verify the event streams are
@@ -377,38 +377,45 @@ let run_command =
        ~doc:"Run an application (or a $(b,--trace-file) workload) under online race detection.")
     term
 
+(* A replay that is not clean prints its first divergence, or which
+   part of the outcome differs, and exits 1. *)
+let exit_unless_clean (result : Core.Trace_run.replay_result) =
+  if not (Core.Trace_run.clean result) then begin
+    (match result.Core.Trace_run.rr_divergence with
+    | Some d -> Format.fprintf ppf "%a@." Trace.Replay.pp_divergence d
+    | None ->
+        Format.fprintf ppf "event streams identical but outcome mismatch (races %s, checksum %s)@."
+          (if result.Core.Trace_run.rr_races_match then "match" else "DIFFER")
+          (if result.Core.Trace_run.rr_checksum_match then "matches" else "DIFFERS"));
+    exit 1
+  end
+
 let hunt_command =
   let hunt app_name procs scale =
-    let app = Apps.Registry.make ~scale app_name in
     Format.fprintf ppf "run 1: detecting races and recording synchronization order...@.";
-    let cfg1 = { Coherence.Config.default with record_sync = true } in
-    let run1 = Core.Driver.run ~cfg:cfg1 ~app ~nprocs:procs () in
-    let racy = Core.Driver.racy_addrs run1 in
+    let run1, run2 = Core.Trace_run.hunt ~app_name ~scale ~nprocs:procs () in
     Core.Report.races ~symtab:run1.Core.Driver.symtab ppf run1.Core.Driver.races;
-    if racy = [] then Format.fprintf ppf "nothing to hunt.@."
-    else begin
-      Format.fprintf ppf "run 2: re-running with a watch on %d address(es)...@."
-        (List.length racy);
-      let run2 = Core.Driver.run ~cfg:cfg1 ~app ~nprocs:procs ~watch_addrs:racy () in
-      (* the sites below are run 2's; they name run 1's races only if
-         both runs granted every lock in the same order *)
-      if run2.Core.Driver.sync_trace <> run1.Core.Driver.sync_trace then begin
-        Format.fprintf ppf "run 2 left run 1's synchronization order@.";
-        exit 1
-      end;
-      Format.fprintf ppf "source sites involved in the races:@.";
-      List.iter
-        (fun hit -> Format.fprintf ppf "  %a@." Instrument.Watch.pp_hit hit)
-        run2.Core.Driver.watch_hits
-    end
+    match run2 with
+    | None -> Format.fprintf ppf "nothing to hunt.@."
+    | Some run2 ->
+        Format.fprintf ppf "run 2: re-running with a watch on %d address(es)...@."
+          (List.length (Core.Driver.racy_addrs run1));
+        (* the sites below are run 2's; they name run 1's races only if
+           run 2 replayed run 1's log event for event *)
+        exit_unless_clean run2;
+        Format.fprintf ppf "source sites involved in the races:@.";
+        List.iter
+          (fun hit -> Format.fprintf ppf "  %a@." Instrument.Watch.pp_hit hit)
+          run2.Core.Trace_run.rr_outcome.Core.Driver.watch_hits
   in
   let term = Term.(const hunt $ app_arg $ procs_arg $ scale_arg) in
   Cmd.v
     (Cmd.info "hunt"
        ~doc:
-         "Two-run race hunt (section 6.1): detect races, then run the same configuration \
-          again with a watch on the racy addresses to identify the source sites. Exits 1 \
-          if the second run grants locks in a different order from the first.")
+         "Two-run race hunt (section 6.1): detect races while recording the run, then \
+          replay its log with a watch on the racy addresses to identify the source sites. \
+          Exits 1, printing the first divergence, unless the replay repeats the first run \
+          exactly.")
     term
 
 let record_command =
@@ -484,21 +491,10 @@ let replay_command =
       let m = result.Core.Trace_run.rr_meta in
       Format.fprintf ppf "== replaying %s on %d processors (%s, scale %s) ==@."
         m.Trace.Codec.m_app m.Trace.Codec.m_nprocs (machine_of_meta m) m.Trace.Codec.m_scale;
-      match result.Core.Trace_run.rr_divergence with
-      | Some d ->
-          Format.fprintf ppf "%a@." Trace.Replay.pp_divergence d;
-          exit 1
-      | None ->
-          if not (Core.Trace_run.clean result) then begin
-            Format.fprintf ppf
-              "event streams identical but outcome mismatch (races %s, checksum %s)@."
-              (if result.Core.Trace_run.rr_races_match then "match" else "DIFFER")
-              (if result.Core.Trace_run.rr_checksum_match then "matches" else "DIFFERS");
-            exit 1
-          end;
-          print_outcome result.Core.Trace_run.rr_outcome;
-          Format.fprintf ppf
-            "replay verified: event streams, race set and memory checksum identical@."
+      exit_unless_clean result;
+      print_outcome result.Core.Trace_run.rr_outcome;
+      Format.fprintf ppf
+        "replay verified: event streams, race set and memory checksum identical@."
     end
   in
   let term = Term.(const replay $ log_arg $ log_only_arg) in

@@ -287,7 +287,6 @@ let lock_state m lock =
       l
 
 let grant m p l lock_id =
-  Front.record_grant m.rt ~lock:lock_id ~grantee:p.fe.id;
   close_interval m p;
   (match l.release_vc with
   | Some vc -> Proto.Vclock.merge_into ~dst:p.fe.vc vc

@@ -1,8 +1,8 @@
 (* A running coherence backend, as the driver and the test harnesses see
    it: one simulated machine (engine, shared segment, [nprocs] processor
    handles) plus the observation surface the detection/trace/bench stack
-   consumes — races, the oracle event log, the recorded lock-grant order,
-   statistics, the final-memory digest.
+   consumes — races, the oracle event log, statistics, the final-memory
+   digest.
 
    Backends are first-class records rather than a functor or a registry
    of side-effecting modules: [Backends.create] dispatches on the
@@ -27,8 +27,8 @@ type t = {
   timed_trace : unit -> (int * int * Racedetect.Oracle.event) list;
       (* the same log as (ns, proc, event), for [Core.Timeline] *)
   sync_trace : unit -> (int * int) list option;
-      (* (lock, grantee) at every grant, in grant order, when
-         [record_sync] was set *)
+      (* always None: no machine records its lock grants. perfbench/ops.ml
+         reads it, so it goes with the next change to the benchmark *)
   sim_time : unit -> int;  (* final simulated time, ns *)
   memory_checksum : unit -> int;
       (* FNV-1a digest of the coherent shared-memory image *)
@@ -61,9 +61,7 @@ let make (front : Front.t) ~who ~machine ~memory_checksum =
     trace =
       (fun () -> List.rev_map (fun (_, proc, event) -> (proc, event)) front.Front.timed);
     timed_trace = (fun () -> List.rev front.Front.timed);
-    sync_trace =
-      (fun () ->
-        if front.Front.cfg.Config.record_sync then Some (List.rev front.Front.grants) else None);
+    sync_trace = (fun () -> None);
     sim_time = (fun () -> Sim.Engine.now engine);
     memory_checksum;
     set_access_observer = Front.set_observer front;

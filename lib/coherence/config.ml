@@ -32,7 +32,6 @@ type t = {
          (site) per accessed word per interval so races resolve to source
          sites without a second run — at a storage and runtime cost *)
   record_trace : bool;  (* log every access/sync event for the oracle *)
-  record_sync : bool;  (* record (lock, grantee) at every lock grant *)
   seed : int;
       (* roots the fault plan's per-link RNG streams; with no faults it
          changes nothing *)
@@ -76,7 +75,6 @@ let default =
     stores_from_diffs = false;
     retain_sites = false;
     record_trace = false;
-    record_sync = false;
     seed = 42;
     fault = Sim.Fault.none;
     transport = None;

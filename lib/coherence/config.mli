@@ -40,11 +40,6 @@ type t = {
           [site-retention] ablation. Effective only on the lrc backend
           ({!check}). *)
   record_trace : bool;  (** log every access/sync event for the oracle *)
-  record_sync : bool;
-      (** record [(lock, grantee)] at every lock grant, in grant order
-          ([Backend.t.sync_trace]). A second run of the same
-          configuration grants in the same order: the simulation is
-          deterministic and a watch charges no simulated time. *)
   seed : int;
       (** roots the fault plan's per-link RNG streams. Without faults it
           changes nothing. *)

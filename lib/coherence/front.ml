@@ -43,7 +43,6 @@ type t = {
   nprocs : int;
   procs : proc array;
   elide : (string, unit) Hashtbl.t;
-  mutable grants : (int * int) list;
   mutable timed : (int * int * Racedetect.Oracle.event) list;
   mutable races : Proto.Race.t list;
   mutable race_seen : bool;
@@ -308,9 +307,6 @@ let set_observer t id observer = t.procs.(id).observer <- Some observer
 (* ------------------------------------------------------------------ *)
 (* Synchronization points                                               *)
 
-let record_grant t ~lock ~grantee =
-  if t.cfg.Config.record_sync then t.grants <- (lock, grantee) :: t.grants
-
 let acquired t p ~lock =
   trace_sync t p (Racedetect.Oracle.Acquire lock);
   if tracing t then
@@ -458,7 +454,6 @@ let create ~name ~cost ~cfg ~nprocs ~pages =
       nprocs;
       procs = Array.init nprocs proc;
       elide;
-      grants = [];
       timed = [];
       races = [];
       race_seen = false;

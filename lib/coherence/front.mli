@@ -62,9 +62,6 @@ type t = private {
   nprocs : int;
   procs : proc array;
   elide : (string, unit) Hashtbl.t;  (** statically race-free sites *)
-  mutable grants : (int * int) list;
-      (** [(lock, grantee)] at every grant under [record_sync], newest
-          first *)
   mutable timed : (int * int * Racedetect.Oracle.event) list;
       (** oracle trace, (ns, proc, event), newest first *)
   mutable races : Proto.Race.t list;
@@ -173,10 +170,6 @@ val close_interval : t -> proc -> Proto.Interval.t
 val publish_interval : t -> proc -> Proto.Interval.t -> unit
 (** Hand a closed interval to the next barrier and the trace. A backend
     that summarizes writes at close does so between the two calls. *)
-
-val record_grant : t -> lock:int -> grantee:int -> unit
-(** A backend calls it when it grants [lock] to processor [grantee];
-    under [record_sync] the pair is kept for [sync_trace]. *)
 
 val acquired : t -> proc -> lock:int -> unit
 val released : t -> proc -> lock:int -> unit

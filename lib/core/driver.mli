@@ -10,8 +10,8 @@ type outcome = {
   races : Proto.Race.t list;
   trace : Racedetect.Oracle.trace;  (** empty unless [record_trace] *)
   sync_trace : (int * int) list option;
-      (** [(lock, grantee)] at every grant, in grant order; present when
-          [record_sync] *)
+      (** always [None]; perfbench/ops.ml builds an outcome with it, so
+          it goes with the next change to the benchmark *)
   watch_hits : Instrument.Watch.hit list;  (** present when watching *)
   symtab : Mem.Symtab.t;  (** variable names for symbolic race reports *)
   mem_checksum : int;

@@ -110,13 +110,13 @@ type replay_result = {
 
 let clean r = r.rr_divergence = None && r.rr_races_match && r.rr_checksum_match
 
-let replay log =
+let replay ?watch_addrs log =
   let decoded, cfg = decode log in
   let m = decoded.Trace.Codec.meta in
   let app = Apps.Registry.make ~scale:(scale_of_name m.Trace.Codec.m_scale) m.Trace.Codec.m_app in
   let verifier = Trace.Replay.create decoded in
   let cfg = { cfg with Coherence.Config.tracer = Some (Trace.Replay.sink verifier) } in
-  let outcome = Driver.run ~cfg ~app ~nprocs:m.Trace.Codec.m_nprocs () in
+  let outcome = Driver.run ~cfg ?watch_addrs ~app ~nprocs:m.Trace.Codec.m_nprocs () in
   let divergence = Trace.Replay.finish verifier in
   let log_races = Trace.Replay.races_of_log decoded in
   let races_match =
@@ -136,6 +136,12 @@ let replay log =
     rr_races_match = races_match;
     rr_checksum_match = checksum_match;
   }
+
+let hunt ~app_name ~scale ~nprocs () =
+  let run1, log = record ~app_name ~scale ~nprocs () in
+  match Driver.racy_addrs run1 with
+  | [] -> (run1, None)
+  | racy -> (run1, Some (replay ~watch_addrs:racy log))
 
 let load path =
   let ic = open_in_bin path in

@@ -61,9 +61,20 @@ type replay_result = {
 val clean : replay_result -> bool
 (** No divergence, races match, checksum matches. *)
 
-val replay : string -> replay_result
-(** Verify a binary log by re-execution. Raises {!Trace.Codec.Corrupt}
-    on a log {!decode} rejects, before anything is built. *)
+val replay : ?watch_addrs:int list -> string -> replay_result
+(** Verify a binary log by re-execution, watching [watch_addrs] as
+    {!Driver.run} does (a watch charges no simulated time, so it changes
+    no event). Raises {!Trace.Codec.Corrupt} on a log {!decode} rejects,
+    before anything is built. *)
+
+val hunt :
+  app_name:string -> scale:Apps.Registry.scale -> nprocs:int -> unit ->
+  Driver.outcome * replay_result option
+(** Section 6.1's two-run hunt under the default configuration:
+    {!record} a detection run, then, if it found races, {!replay} its
+    log watching the racy addresses. The replay's watch hits name the
+    source sites of run 1's races when it is {!clean}. [None] when run 1
+    found no race. *)
 
 val load : string -> string
 (** Read a whole binary file. *)

@@ -472,7 +472,6 @@ let grant_lock t ~lock ~requester ~requester_vc =
     match l.release_vc with Some vc -> vc | None -> Proto.Vclock.create t.rt.nprocs
   in
   let intervals = unseen_intervals t ~upto ~requester_vc in
-  Front.record_grant t.rt ~lock ~grantee:requester;
   send t ~dst:requester
     (Message.Lock_grant { lock; granter_vc = Proto.Vclock.copy upto; intervals })
 

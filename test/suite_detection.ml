@@ -313,17 +313,14 @@ let test_site_retention_off_resolves_nothing () =
 (* Section 6.1: two-run reference identification                       *)
 
 let test_two_run_site_identification () =
-  let app = Apps.Registry.make ~scale:Apps.Registry.Small "tsp" in
-  (* run 1: detect races, record the lock-grant order *)
-  let cfg = { Coherence.Config.default with record_sync = true } in
-  let run1 = Core.Driver.run ~cfg ~app ~nprocs:4 () in
+  (* run 1 detects races and is recorded; run 2 replays its log,
+     watching the racy addresses *)
+  let run1, replay = Core.Trace_run.hunt ~app_name:"tsp" ~scale:Apps.Registry.Small ~nprocs:4 () in
   let racy = Core.Driver.racy_addrs run1 in
   check Alcotest.bool "run 1 found the bound race" true (racy <> []);
-  (* run 2: the same configuration, watching the racy addresses *)
-  let run2 = Core.Driver.run ~cfg ~app ~nprocs:4 ~watch_addrs:racy () in
-  check
-    Alcotest.(option (list (pair int int)))
-    "run 2 grants in run 1's order" run1.Core.Driver.sync_trace run2.Core.Driver.sync_trace;
+  let replay = Option.get replay in
+  check Alcotest.bool "run 2 replays run 1 exactly" true (Core.Trace_run.clean replay);
+  let run2 = replay.Core.Trace_run.rr_outcome in
   check Testutil.addr_list "same races in run 2" racy (Core.Driver.racy_addrs run2);
   let hit_sites = List.map (fun h -> h.Instrument.Watch.site) run2.Core.Driver.watch_hits in
   check Alcotest.bool "the unsynchronized pruning read is identified" true

@@ -227,45 +227,6 @@ let test_node_malloc_follows_cluster_alloc () =
   | _ -> Alcotest.fail "expected two allocations"
 
 (* ------------------------------------------------------------------ *)
-(* Lock-grant recording                                                *)
-
-let grant_order_of cluster =
-  (* reconstruct the grant order from the oracle trace's acquires *)
-  cluster.Coherence.Backend.trace ()
-  |> List.filter_map (function
-       | proc, Racedetect.Oracle.Acquire lock -> Some (lock, proc)
-       | _ -> None)
-
-(* [record_sync] keeps (lock, grantee) at every grant, in the order the
-   acquirers then see the lock; a second run of one configuration grants
-   in the same order, which is what a two-run hunt rests on. *)
-let test_grant_order_recorded () =
-  let body counter node =
-    let open Lrc.Dsm in
-    barrier node;
-    for _ = 1 to 5 do
-      with_lock node 9 (fun () ->
-          let v = read_int node counter in
-          compute node (float_of_int (1000 * (pid node + 1)));
-          write_int node counter (v + 1))
-    done;
-    barrier node
-  in
-  let run () =
-    let cfg = { Coherence.Config.default with record_sync = true; record_trace = true } in
-    let cluster = Backends.create ~cfg ~nprocs:4 ~pages:4 () in
-    let counter = cluster.Coherence.Backend.alloc 8 in
-    cluster.Coherence.Backend.run (body counter);
-    (Option.get (cluster.Coherence.Backend.sync_trace ()), grant_order_of cluster)
-  in
-  let grants = Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int) in
-  let recorded1, acquired1 = run () in
-  let recorded2, _ = run () in
-  check Alcotest.int "every acquire granted" 20 (List.length recorded1);
-  check grants "grants in acquire order" acquired1 recorded1;
-  check grants "a second run grants in the same order" recorded1 recorded2
-
-(* ------------------------------------------------------------------ *)
 (* Determinism: same configuration, same everything                    *)
 
 let test_deterministic_runs () =
@@ -332,7 +293,6 @@ let suite =
       ] );
     ( "lrc:replay",
       [
-        Alcotest.test_case "grant order recorded" `Quick test_grant_order_recorded;
         Alcotest.test_case "deterministic runs" `Quick test_deterministic_runs;
       ] );
   ]

@@ -138,19 +138,20 @@ let statically_explained report hits addr =
 let test_app_soundness name () =
   let a = app name in
   let report = Instrument.Mhp.analyze (a.Apps.App.binary ()) in
-  let cfg = { Testutil.detect_cfg with Coherence.Config.record_sync = true } in
-  let run1 = Core.Driver.run ~cfg ~app:a ~nprocs:4 () in
+  let run1, log =
+    Core.Trace_run.record ~cfg:Testutil.detect_cfg ~app_name:name ~scale:Apps.Registry.Small
+      ~nprocs:4 ()
+  in
   let detected = Core.Driver.racy_addrs run1 in
   let oracle = Racedetect.Oracle.racy_addrs ~nprocs:4 run1.Core.Driver.trace in
   let racy = List.sort_uniq compare (detected @ oracle) in
   if racy <> [] then begin
-    (* run again with the racy words watched, mapping each back to
+    (* replay run 1 with the racy words watched, mapping each back to
        source sites (the section 6.1 second run) *)
-    let run2 = Core.Driver.run ~cfg ~app:a ~nprocs:4 ~watch_addrs:racy () in
-    check
-      Alcotest.(option (list (pair int int)))
-      (name ^ ": the watch run grants in run 1's order")
-      run1.Core.Driver.sync_trace run2.Core.Driver.sync_trace;
+    let replay = Core.Trace_run.replay ~watch_addrs:racy log in
+    check Alcotest.bool (name ^ ": the watch run replays run 1 exactly") true
+      (Core.Trace_run.clean replay);
+    let run2 = replay.Core.Trace_run.rr_outcome in
     check Testutil.addr_list (name ^ ": the watch run reproduces the race set") detected
       (Core.Driver.racy_addrs run2);
     List.iter

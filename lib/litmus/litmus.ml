@@ -18,10 +18,10 @@ type test = {
   name : string;
   nprocs : int;
   shared_words : int;
-  (* [body node ~delay] runs one processor; [delay d] burns d abstract
-     nanoseconds so the sweep can reshape the interleaving. Returns the
-     processor's observed registers. *)
-  body : base:int -> Lrc.Dsm.node -> delay:(float -> unit) -> registers;
+  (* [body ~base node] runs one processor and returns its observed
+     registers; its [idle] calls, like the sweep's start delays, reshape
+     the interleaving. *)
+  body : base:int -> Lrc.Dsm.node -> registers;
 }
 
 (* A program as an application: every processor first allocates the
@@ -51,7 +51,7 @@ let run ?(backend = "lrc") ?(protocol = Coherence.Config.Single_writer) ~delays 
     let pid = Lrc.Dsm.pid node in
     Lrc.Dsm.barrier node;
     Lrc.Dsm.idle node delays.(pid);
-    observed.(pid) <- test.body ~base node ~delay:(Lrc.Dsm.idle node);
+    observed.(pid) <- test.body ~base node;
     Lrc.Dsm.barrier node
   in
   let binary () = Instrument.Binary.make ~name:test.name () in
@@ -98,11 +98,11 @@ let message_passing =
     nprocs = 2;
     shared_words = 1024;
     body =
-      (fun ~base node ~delay ->
+      (fun ~base node ->
         let open Lrc.Dsm in
         if pid node = 0 then begin
           write_int node (addr base x_word) 1;
-          delay 100_000.0;
+          idle node 100_000.0;
           write_int node (addr base y_word) 1;
           []
         end
@@ -110,7 +110,7 @@ let message_passing =
           (* warm both locations so later reads hit cached copies *)
           ignore (read_int node (addr base y_word));
           ignore (read_int node (addr base x_word));
-          delay 1_000_000.0;
+          idle node 1_000_000.0;
           let r1 = read_int node (addr base y_word) in
           let r2 = read_int node (addr base x_word) in
           [ ("r1", r1); ("r2", r2) ]
@@ -125,17 +125,17 @@ let message_passing_synchronized =
     nprocs = 2;
     shared_words = 1024;
     body =
-      (fun ~base node ~delay ->
+      (fun ~base node ->
         let open Lrc.Dsm in
         if pid node = 0 then begin
           with_lock node 1 (fun () ->
               write_int node (addr base x_word) 1;
-              delay 100_000.0;
+              idle node 100_000.0;
               write_int node (addr base y_word) 1);
           []
         end
         else begin
-          delay 500_000.0;
+          idle node 500_000.0;
           with_lock node 1 (fun () ->
               let r1 = read_int node (addr base y_word) in
               let r2 = read_int node (addr base x_word) in
@@ -151,19 +151,19 @@ let store_buffering =
     nprocs = 2;
     shared_words = 1024;
     body =
-      (fun ~base node ~delay ->
+      (fun ~base node ->
         let open Lrc.Dsm in
         if pid node = 0 then begin
           (* warm y so the read does not fetch a fresh copy *)
           ignore (read_int node (addr base y_word));
-          delay 200_000.0;
+          idle node 200_000.0;
           write_int node (addr base x_word) 1;
           let r1 = read_int node (addr base y_word) in
           [ ("r1", r1) ]
         end
         else begin
           ignore (read_int node (addr base x_word));
-          delay 200_000.0;
+          idle node 200_000.0;
           write_int node (addr base y_word) 1;
           let r2 = read_int node (addr base x_word) in
           [ ("r2", r2) ]
@@ -178,17 +178,17 @@ let coherence_rr =
     nprocs = 2;
     shared_words = 1024;
     body =
-      (fun ~base node ~delay ->
+      (fun ~base node ->
         let open Lrc.Dsm in
         if pid node = 0 then begin
           write_int node (addr base x_word) 1;
-          delay 400_000.0;
+          idle node 400_000.0;
           write_int node (addr base x_word) 2;
           []
         end
         else begin
           let r1 = read_int node (addr base x_word) in
-          delay 800_000.0;
+          idle node 800_000.0;
           let r2 = read_int node (addr base x_word) in
           [ ("r1", r1); ("r2", r2) ]
         end);
@@ -205,16 +205,16 @@ let message_passing_late_publish =
     nprocs = 2;
     shared_words = 1024;
     body =
-      (fun ~base node ~delay ->
+      (fun ~base node ->
         let open Lrc.Dsm in
         if pid node = 0 then begin
           with_lock node 1 (fun () -> write_int node (addr base y_word) 1);
-          delay 100_000.0;
+          idle node 100_000.0;
           write_int node (addr base x_word) 1;
           []
         end
         else begin
-          delay 1_500_000.0;
+          idle node 1_500_000.0;
           let r1 = with_lock node 1 (fun () -> read_int node (addr base y_word)) in
           let r2 = read_int node (addr base x_word) in
           [ ("r1", r1); ("r2", r2) ]

@@ -15,7 +15,7 @@ type test = {
   name : string;
   nprocs : int;
   shared_words : int;
-  body : base:int -> Lrc.Dsm.node -> delay:(float -> unit) -> registers;
+  body : base:int -> Lrc.Dsm.node -> registers;
 }
 
 val app :

@@ -482,11 +482,11 @@ let () =
         let procs = List.map int_of_string_opt (String.split_on_char ',' spec) in
         if
           List.exists
-            (function Some n -> n < 1 || n > Workload.Program.max_procs | None -> true)
+            (function Some n -> n < 1 || n > Coherence.Config.max_procs | None -> true)
             procs
         then
           fail "--procs requires comma-separated processor counts from 1 to %d, got %S"
-            Workload.Program.max_procs spec;
+            Coherence.Config.max_procs spec;
         sweep_procs := Some (List.filter_map Fun.id procs);
         parse_flags rest
     | "--procs" :: [] -> fail "--procs requires a comma-separated list"

@@ -55,12 +55,12 @@ let int_from lo =
 let procs_conv =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 && n <= Workload.Program.max_procs -> Ok n
+    | Some n when n >= 1 && n <= Coherence.Config.max_procs -> Ok n
     | _ ->
         Error
           (`Msg
             (Printf.sprintf "expected a processor count from 1 to %d, got %S"
-               Workload.Program.max_procs s))
+               Coherence.Config.max_procs s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
@@ -92,7 +92,7 @@ let trace_file_arg =
 
 let procs_arg =
   let doc =
-    Printf.sprintf "Number of simulated processors (at most %d)." Workload.Program.max_procs
+    Printf.sprintf "Number of simulated processors (at most %d)." Coherence.Config.max_procs
   in
   Arg.(value & opt procs_conv 8 & info [ "p"; "procs" ] ~docv:"N" ~doc)
 
@@ -646,17 +646,7 @@ let json_of_analysis ~name (result : Instrument.Static_analysis.result) ~warning
     ]
 
 let read_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      List.rev (List.filter (fun l -> String.trim l <> "") !lines))
+  List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' (Core.Trace_run.load path))
 
 let analyze_command =
   let app_opt_arg =
@@ -818,13 +808,13 @@ let fuzz_command =
   in
   let fuzz seed count no_shrink repro_dir json backends =
     guarded @@ fun () ->
+    let reject what =
+      Format.eprintf "%s (available: %s)@." what (String.concat ", " Backends.all);
+      exit 2
+    in
+    if backends = [] then reject "--backends: no backend given";
     List.iter
-      (fun b ->
-        if not (Backends.known b) then begin
-          Format.eprintf "unknown backend %S (available: %s)@." b
-            (String.concat ", " Backends.all);
-          exit 2
-        end)
+      (fun b -> if not (Backends.known b) then reject (Printf.sprintf "unknown backend %S" b))
       backends;
     let report =
       Workload.Harness.fuzz ~backends ?repro_dir ~seed ~count ~shrink:(not no_shrink) ()

@@ -16,8 +16,7 @@ type outcome = {
   mem_checksum : int;  (* digest of the final shared-memory image *)
 }
 
-let run ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ?(watch_addrs = [])
-    ~(app : Apps.App.t) ~nprocs () =
+let run ?(cfg = Coherence.Config.default) ?(watch_addrs = []) ~(app : Apps.App.t) ~nprocs () =
   (* One static pass serves both uses below, and runs only if one needs
      it. [Some []] means "derive the elision set": the statically
      race-free sites of the app's binary per the MHP analysis.
@@ -40,12 +39,12 @@ let run ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ?(watch_add
   let cost =
     if cfg.Coherence.Config.detect then
       {
-        cost with
+        Sim.Cost.default with
         Sim.Cost.access_check_ns =
-          cost.Sim.Cost.access_check_ns
+          Sim.Cost.default.Sim.Cost.access_check_ns
           *. (Lazy.force analysis).Instrument.Static_analysis.check_cost_scale;
       }
-    else cost
+    else Sim.Cost.default
   in
   let pages = Apps.App.pages_needed app ~page_size:cost.Sim.Cost.page_size in
   let backend = Backends.create ~cost ~cfg ~nprocs ~pages () in
@@ -92,9 +91,9 @@ type slowdown = {
   factor : float;
 }
 
-let measure_slowdown ?cost ?(cfg = Coherence.Config.default) ~app ~nprocs () =
-  let base = run ?cost ~cfg:{ cfg with Coherence.Config.detect = false } ~app ~nprocs () in
-  let instrumented = run ?cost ~cfg:{ cfg with Coherence.Config.detect = true } ~app ~nprocs () in
+let measure_slowdown ?(cfg = Coherence.Config.default) ~app ~nprocs () =
+  let base = run ~cfg:{ cfg with Coherence.Config.detect = false } ~app ~nprocs () in
+  let instrumented = run ~cfg:{ cfg with Coherence.Config.detect = true } ~app ~nprocs () in
   {
     base;
     instrumented;

@@ -20,14 +20,9 @@ type outcome = {
 }
 
 val run :
-  ?cost:Sim.Cost.t ->
-  ?cfg:Coherence.Config.t ->
-  ?watch_addrs:int list ->
-  app:Apps.App.t ->
-  nprocs:int ->
-  unit ->
+  ?cfg:Coherence.Config.t -> ?watch_addrs:int list -> app:Apps.App.t -> nprocs:int -> unit ->
   outcome
-(** Run one application once. [watch_addrs] installs the section 6.1
+(** Run one application once, under {!Sim.Cost.default}. [watch_addrs] installs the section 6.1
     watch list on every node. With detection enabled, the per-access
     check charge is scaled by the static pass's redundant-check batching
     ({!Instrument.Static_analysis.analyze}). The application's
@@ -40,8 +35,7 @@ type slowdown = {
   factor : float;
 }
 
-val measure_slowdown :
-  ?cost:Sim.Cost.t -> ?cfg:Coherence.Config.t -> app:Apps.App.t -> nprocs:int -> unit -> slowdown
+val measure_slowdown : ?cfg:Coherence.Config.t -> app:Apps.App.t -> nprocs:int -> unit -> slowdown
 (** The paper's slowdown metric: the same run with and without detection. *)
 
 val overhead_percentages : slowdown -> (Sim.Stats.overhead_category * float) list

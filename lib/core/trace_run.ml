@@ -143,8 +143,8 @@ let hunt ~app_name ~scale ~nprocs () =
   | [] -> (run1, None)
   | racy -> (run1, Some (replay ~watch_addrs:racy log))
 
+(* Opening names the path in its error; reading (a directory, say) does
+   not. *)
 let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  In_channel.with_open_bin path (fun ic ->
+      try In_channel.input_all ic with Sys_error msg -> raise (Sys_error (path ^ ": " ^ msg)))

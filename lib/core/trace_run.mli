@@ -77,4 +77,5 @@ val hunt :
     found no race. *)
 
 val load : string -> string
-(** Read a whole binary file. *)
+(** Read a whole file. Raises [Sys_error] naming the path when it cannot
+    be opened or read (a directory, say). *)

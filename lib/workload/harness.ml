@@ -48,7 +48,10 @@ let kind_name = function
 let shrinkable = function Ground_truth _ -> false | _ -> true
 let pp_set ws = "{" ^ String.concat "," (List.map string_of_int ws) ^ "}"
 
+let no_backend who = invalid_arg (who ^ ": no backend to check")
+
 let check ?(backends = Backends.all) ~runner ?ground_truth program =
+  if backends = [] then no_backend "Harness.check";
   let exception Found of mismatch in
   let fail kind detail = raise (Found { program; kind; detail }) in
   try
@@ -75,23 +78,21 @@ let check ?(backends = Backends.all) ~runner ?ground_truth program =
           (backend, plain))
         backends
     in
-    (match results with
-    | [] -> ()
-    | (backend_a, reference) :: rest ->
-        List.iter
-          (fun (backend_b, r) ->
-            if r.detected <> reference.detected then
-              fail
-                (Backend_dependent { backend_a; backend_b })
-                (Printf.sprintf "%s detected %s but %s detected %s" backend_a
-                   (pp_set reference.detected) backend_b (pp_set r.detected)))
-          rest;
-        (match ground_truth with
-        | Some gt when reference.detected <> gt ->
-            fail (Ground_truth { backend = backend_a })
-              (Printf.sprintf "planted races %s but every backend detected %s" (pp_set gt)
-                 (pp_set reference.detected))
-        | _ -> ()));
+    let backend_a, reference = List.hd results in
+    List.iter
+      (fun (backend_b, r) ->
+        if r.detected <> reference.detected then
+          fail
+            (Backend_dependent { backend_a; backend_b })
+            (Printf.sprintf "%s detected %s but %s detected %s" backend_a
+               (pp_set reference.detected) backend_b (pp_set r.detected)))
+      results;
+    (match ground_truth with
+    | Some gt when reference.detected <> gt ->
+        fail (Ground_truth { backend = backend_a })
+          (Printf.sprintf "planted races %s but every backend detected %s" (pp_set gt)
+             (pp_set reference.detected))
+    | _ -> ());
     None
   with Found m -> Some m
 
@@ -249,6 +250,7 @@ let rec mkdir_p dir =
 
 let fuzz ?(backends = Backends.all) ?(runner = driver_runner) ?repro_dir ~seed ~count
     ~shrink:do_shrink () =
+  if backends = [] then no_backend "Harness.fuzz";
   let events = ref 0 and planted = ref 0 and found = ref 0 in
   let clean = ref 0 and shrink_steps = ref 0 in
   let mismatches = ref [] and repro_files = ref [] in

@@ -56,8 +56,10 @@ val check :
   Program.t ->
   mismatch option
 (** Run the full differential matrix ([backends], by default
-    {!Backends.all}, x elide) and return the first violation, if any. [ground_truth] additionally pins the
-    detected set to the generator's planted racy words. *)
+    {!Backends.all}, x elide) and return the first violation, if any.
+    [ground_truth] additionally pins the detected set to the generator's
+    planted racy words. Raises [Invalid_argument] on an empty
+    [backends]: a check that runs nothing would pass every program. *)
 
 type report = {
   programs : int;  (** programs generated and checked *)
@@ -83,4 +85,5 @@ val fuzz :
     ({!Generator.generate_seeded}), {!check} each against its ground
     truth, shrink internal mismatches when [shrink] is set, and
     write each mismatch's (minimized) program as a trace file under
-    [repro_dir] when given, creating the directory as needed. *)
+    [repro_dir] when given, creating the directory as needed. Raises
+    [Invalid_argument] on an empty [backends], as {!check} does. *)

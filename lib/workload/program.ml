@@ -29,12 +29,11 @@ let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
    counts, so an unchecked count from a file or a flag can exhaust
    memory before the run starts: 256 processors x 2^20 words runs in a
    few seconds, 1024 x 2^20 does not finish. *)
-let max_procs = Coherence.Config.max_procs
 let max_words = 1 lsl 20
 
 let validate t =
-  if t.nprocs < 1 || t.nprocs > max_procs then
-    invalid "nprocs must be in [1, %d] (got %d)" max_procs t.nprocs;
+  if t.nprocs < 1 || t.nprocs > Coherence.Config.max_procs then
+    invalid "nprocs must be in [1, %d] (got %d)" Coherence.Config.max_procs t.nprocs;
   if t.words < 1 || t.words > max_words then
     invalid "words must be in [1, %d] (got %d)" max_words t.words;
   if Array.length t.streams <> t.nprocs then

@@ -31,16 +31,12 @@ type t = {
 exception Invalid of string
 (** Raised by {!validate} with a human-readable reason. *)
 
-val max_procs : int
-(** {!Coherence.Config.max_procs} (256): the largest processor count a
-    program, a trace file or the CLI's [-p] accepts. *)
-
 val max_words : int
 (** 2^20: the largest shared-array length, in words, a program or a
     trace file accepts. *)
 
 val validate : t -> unit
-(** Structural checks: [nprocs] in [[1, max_procs]], [words] in
+(** Structural checks: [nprocs] in [[1, Coherence.Config.max_procs]], [words] in
     [[1, max_words]], stream count matches [nprocs], word and lock ids
     in range, every stream holds the same number of barriers
     (they are global rendezvous), locks acquired at most once, released

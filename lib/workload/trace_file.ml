@@ -100,8 +100,8 @@ let parse_string ?name text =
           if !events_seen then fail lineno "procs directive must precede events";
           if !procs <> None then fail lineno "duplicate procs directive";
           let n = int_of ~line:lineno "processor count" n in
-          if n < 1 || n > Program.max_procs then
-            fail lineno "procs must be in [1, %d], got %d" Program.max_procs n;
+          if n < 1 || n > Coherence.Config.max_procs then
+            fail lineno "procs must be in [1, %d], got %d" Coherence.Config.max_procs n;
           procs := Some n;
           streams := Array.make n []
       | [ "words"; n ] ->
@@ -155,11 +155,7 @@ let parse_string ?name text =
   t
 
 let parse_file path =
-  let name = Filename.remove_extension (Filename.basename path) in
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse_string ~name (really_input_string ic (in_channel_length ic)))
+  parse_string ~name:(Filename.remove_extension (Filename.basename path)) (Core.Trace_run.load path)
 
 (* Phase-by-phase rendering: within a phase, each processor's segment in
    stream order, then one global [b]. Any interleaving parses back to

@@ -7,7 +7,7 @@
 
     {v
     name <name>           # optional; defaults to the file's basename
-    procs <n>             # required, before any event; 1 to Program.max_procs
+    procs <n>             # required, before any event; 1 to Coherence.Config.max_procs
     words <n>             # required, before any event; 1 to Program.max_words
     <p> r <word>          # processor p reads shared word <word>
     <p> w <word>          # processor p writes shared word <word>

@@ -128,6 +128,18 @@ check 2 "$cvm" replay /nonexistent/run.cvmt
 check 2 "$cvm" analyze --json /nonexistent/analyze.json
 check 2 "$cvm" analyze --expect /nonexistent/expect.txt
 check 2 "$cvm" fuzz --count 1 --json /nonexistent/fuzz.json
+# a directory given as an input file: every reader names the path
+check 2 "$cvm" replay "$tmp"
+says "$tmp: Is a directory"
+check 2 "$cvm" trace "$tmp"
+says "$tmp: Is a directory"
+check 2 "$cvm" run --trace-file "$tmp"
+says "$tmp: Is a directory"
+check 2 "$cvm" analyze --expect "$tmp"
+says "$tmp: Is a directory"
+# fuzzing on no backend would check nothing and pass
+check 2 "$cvm" fuzz --count 1 --backends ""
+says "no backend"
 check 2 "$bench" --procs 4,x sweep
 check 2 "$bench" --procs 300 sweep
 says "from 1 to 256"

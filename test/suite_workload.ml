@@ -36,7 +36,7 @@ let test_validate_rejects () =
   expect_invalid "unlock not held" (program "t" 1 1 [ [ Unlock 0 ] ]);
   expect_invalid "lock across barrier" (program "t" 1 1 [ [ Lock 0; Barrier; Unlock 0 ] ]);
   expect_invalid "lock past stream end" (program "t" 1 1 [ [ Lock 0 ] ]);
-  expect_invalid "too many procs" (program "t" (max_procs + 1) 1 []);
+  expect_invalid "too many procs" (program "t" (Coherence.Config.max_procs + 1) 1 []);
   expect_invalid "too many words" (program "t" 1 (max_words + 1) [ [] ]);
   (* and the well-formed shapes pass *)
   validate (program "t" 2 2 [ [ Lock 0; Write 0; Unlock 0; Barrier ]; [ Read 1; Barrier ] ])
@@ -141,15 +141,15 @@ let test_trace_directive_limits () =
   expect_error "procs 10^8" ~line:1 "procs 100000000\nwords 1\n0 w 0\n";
   expect_error "words max_int" ~line:2 "procs 1\nwords 4611686018427387903\n0 w 0\n";
   expect_error "one past the procs limit" ~line:1
-    (Printf.sprintf "procs %d\nwords 1\n" (Workload.Program.max_procs + 1));
+    (Printf.sprintf "procs %d\nwords 1\n" (Coherence.Config.max_procs + 1));
   expect_error "one past the words limit" ~line:2
     (Printf.sprintf "procs 1\nwords %d\n" (Workload.Program.max_words + 1));
   let p =
     Workload.Trace_file.parse_string
-      (Printf.sprintf "procs %d\nwords %d\n0 w 0\n" Workload.Program.max_procs
+      (Printf.sprintf "procs %d\nwords %d\n0 w 0\n" Coherence.Config.max_procs
          Workload.Program.max_words)
   in
-  check Alcotest.int "both limits themselves parse" Workload.Program.max_procs
+  check Alcotest.int "both limits themselves parse" Coherence.Config.max_procs
     p.Workload.Program.nprocs
 
 let corpus_dir () = if Sys.file_exists "corpus" then "corpus" else "test/corpus"
@@ -391,6 +391,17 @@ let test_clean_fuzz_run () =
     report.Workload.Harness.found;
   check Alcotest.int "all programs checked" 5 report.Workload.Harness.programs
 
+(* With no backend the matrix runs nothing, so every program would pass
+   and every planted race would count as found. *)
+let test_no_backend_rejected () =
+  let p = (Workload.Generator.generate_seeded ~seed:1 ~index:0 ()).Workload.Generator.program in
+  let runner ~backend:_ ~elide:_ _ = Alcotest.fail "no configuration should run" in
+  Alcotest.check_raises "check" (Invalid_argument "Harness.check: no backend to check")
+    (fun () -> ignore (Workload.Harness.check ~backends:[] ~runner p));
+  Alcotest.check_raises "fuzz, even of no program"
+    (Invalid_argument "Harness.fuzz: no backend to check") (fun () ->
+      ignore (Workload.Harness.fuzz ~backends:[] ~runner ~seed:1 ~count:0 ~shrink:false ()))
+
 (* ------------------------------------------------------------------ *)
 (* Static passes on generated programs: the MHP analysis now sees
    multi-processor, lock-nested, multi-phase programs (not just the
@@ -505,6 +516,7 @@ let suite =
           test_clean_fuzz_run;
         Alcotest.test_case "MHP elision sound on generated programs" `Quick
           test_mhp_sound_on_generated;
+        Alcotest.test_case "an empty backend list is rejected" `Quick test_no_backend_rejected;
       ] );
     ( "workload:corpus",
       [ Alcotest.test_case "regression corpus replays clean" `Quick test_corpus_replays_clean ] );

@@ -20,10 +20,10 @@ test:
 # - smokes: a 20%-drop lossy run, paper-scale TSP p8 on a lossy wire (a
 #   lock grant overtaking its retransmitted ack once crashed the lock
 #   forwarding path), elision, the section 6.1 hunt on TSP (it exits 1
-#   unless its watched second run grants every lock in the first run's
-#   order), record->replay (lossy, interval-GC, and both bus backends),
-#   mesi/dragon runs checked against the oracle, a corpus trace file,
-#   and a short seeded fuzz;
+#   unless its watched second run, a replay of the first run's log,
+#   verifies clean), record->replay (lossy, interval-GC, and both bus
+#   backends), mesi/dragon runs checked against the oracle, a corpus
+#   trace file, and a short seeded fuzz;
 # - the bench gate: a --jobs 1 small sweep against bench/baseline_small.json
 #   (deterministic fields exact, wall within a loose 50% because the
 #   baseline came from other hardware; see docs/BENCH.md);

@@ -3,11 +3,11 @@
 
    Retaining a program counter for every shared access would be
    prohibitive, so the first (detection) run reports only addresses and
-   epochs. A second run of the same configuration, which grants every lock
-   in the same order (the simulation is deterministic and a watch costs no
-   simulated time), installs a watch on the racy addresses; every
-   instrumented access to a watched address records its site ("program
-   counter"), which maps each race back to source locations. *)
+   epochs. The second run replays the first run's log (the simulation is
+   deterministic and a watch costs no simulated time, so the replay
+   verifier sees the same events) with a watch on the racy addresses;
+   every instrumented access to a watched address records its site
+   ("program counter"), which maps each race back to source locations. *)
 
 type hit = { site : string; addr : int; kind : Proto.Race.access_kind; count : int }
 

@@ -2,10 +2,10 @@
     section 6.1.
 
     The first run reports only racy addresses and epochs (keeping a
-    program counter per access would be prohibitive). A second run of the
-    same configuration — which grants every lock in the same order —
-    watches exactly those addresses and records the site of every
-    instrumented access to them, mapping each race back to source
+    program counter per access would be prohibitive). The second run, a
+    replay of the first run's log that the replay verifier checks event
+    for event, watches exactly those addresses and records the site of
+    every instrumented access to them, mapping each race back to source
     locations. *)
 
 type hit = { site : string; addr : int; kind : Proto.Race.access_kind; count : int }

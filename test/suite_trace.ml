@@ -303,6 +303,22 @@ let test_first_divergence_pinpointed () =
       check Alcotest.bool "report names the event index" true
         (Testutil.contains report (string_of_int k))
 
+(* The hunt's second run, a replay with a watch, is verified like any
+   other: a log it does not repeat is reported at its first divergence. *)
+let test_watched_replay_divergence () =
+  let run1, log = Core.Trace_run.record ~app_name:"tsp" ~scale:Apps.Registry.Small ~nprocs:4 () in
+  let watch_addrs = Core.Driver.racy_addrs run1 in
+  check Alcotest.bool "the watched replay of the log is clean" true
+    (Core.Trace_run.clean (Core.Trace_run.replay ~watch_addrs log));
+  let decoded = Trace.Codec.decode log in
+  let events = events_of decoded in
+  let k = Array.length events / 2 in
+  events.(k) <- (fst events.(k), Trace.Event.Link_failure { src = 6; dst = 7 });
+  let r = Core.Trace_run.replay ~watch_addrs (Trace.Codec.encode decoded.Trace.Codec.meta events) in
+  match r.Core.Trace_run.rr_divergence with
+  | Some d -> check Alcotest.int "first divergence at the mutated index" k d.Trace.Replay.d_index
+  | None -> Alcotest.fail "mutation not detected"
+
 (* `dune runtest` runs with the test directory as cwd; `dune exec
    test/test_main.exe` runs from the workspace root *)
 let golden_file name =
@@ -696,6 +712,8 @@ let suite =
         Alcotest.test_case "record->replay: water" `Quick (test_record_replay_identity "water");
         Alcotest.test_case "record->replay: lu" `Quick (test_record_replay_identity "lu");
         Alcotest.test_case "mutated event pinpointed" `Quick test_first_divergence_pinpointed;
+        Alcotest.test_case "watched replay pinpoints a mutation" `Quick
+          test_watched_replay_divergence;
         Alcotest.test_case "short live stream flagged" `Quick
           test_truncated_live_stream_diverges;
         Alcotest.test_case "divergence report matches golden" `Quick

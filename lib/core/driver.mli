@@ -22,12 +22,12 @@ type outcome = {
 val run :
   ?cfg:Coherence.Config.t -> ?watch_addrs:int list -> app:Apps.App.t -> nprocs:int -> unit ->
   outcome
-(** Run one application once, under {!Sim.Cost.default}. [watch_addrs] installs the section 6.1
-    watch list on every node. With detection enabled, the per-access
-    check charge is scaled by the static pass's redundant-check batching
-    ({!Instrument.Static_analysis.analyze}). The application's
-    self-check raises on a wrong answer, so an [outcome] implies a
-    correct run. *)
+(** Run one application once, under {!Sim.Cost.default}. [watch_addrs]
+    installs the section 6.1 watch list on every node. With detection
+    enabled, the per-access check charge is scaled by the static pass's
+    redundant-check batching ({!Instrument.Static_analysis.analyze}). The
+    application's self-check raises on a wrong answer, so an [outcome]
+    implies a correct run. *)
 
 type slowdown = {
   base : outcome;  (** uninstrumented binary on unaltered CVM *)

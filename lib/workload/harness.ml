@@ -48,10 +48,8 @@ let kind_name = function
 let shrinkable = function Ground_truth _ -> false | _ -> true
 let pp_set ws = "{" ^ String.concat "," (List.map string_of_int ws) ^ "}"
 
-let no_backend who = invalid_arg (who ^ ": no backend to check")
-
 let check ?(backends = Backends.all) ~runner ?ground_truth program =
-  if backends = [] then no_backend "Harness.check";
+  if backends = [] then invalid_arg "Harness.check: no backend to check";
   let exception Found of mismatch in
   let fail kind detail = raise (Found { program; kind; detail }) in
   try
@@ -250,7 +248,7 @@ let rec mkdir_p dir =
 
 let fuzz ?(backends = Backends.all) ?(runner = driver_runner) ?repro_dir ~seed ~count
     ~shrink:do_shrink () =
-  if backends = [] then no_backend "Harness.fuzz";
+  if backends = [] then invalid_arg "Harness.fuzz: no backend to check";
   let events = ref 0 and planted = ref 0 and found = ref 0 in
   let clean = ref 0 and shrink_steps = ref 0 in
   let mismatches = ref [] and repro_files = ref [] in

@@ -306,6 +306,15 @@ let guarded f =
       Format.eprintf "corrupt trace log: %s@." msg;
       exit 3
 
+(* A --json FILE is opened before any work, as [record] opens -o FILE:
+   an unwritable path exits 2 at once, and a run that fails leaves the
+   file empty. The report is written at the end. *)
+let open_json = Option.map (fun path -> (path, open_out path))
+
+let write_json oc v =
+  output_string oc (Bench_json.to_string v);
+  close_out oc
+
 let print_faults cfg =
   if Sim.Fault.active cfg.Coherence.Config.fault then
     Format.fprintf ppf "wire faults: %s@." (Sim.Fault.describe cfg.Coherence.Config.fault)
@@ -678,6 +687,7 @@ let analyze_command =
   in
   let analyze app_name all scale mhp json expect =
     guarded @@ fun () ->
+    let json = open_json json in
     let names =
       match (app_name, all) with
       | _, true -> Apps.Registry.extended_names
@@ -710,8 +720,8 @@ let analyze_command =
       names;
     let warning_lines = List.rev !warning_lines in
     (match json with
-    | Some path ->
-        Bench_json.to_file path
+    | Some (path, oc) ->
+        write_json oc
           (Bench_json.Obj
              [
                ("schema", Bench_json.String "cvm-race-analyze/1");
@@ -816,6 +826,7 @@ let fuzz_command =
     List.iter
       (fun b -> if not (Backends.known b) then reject (Printf.sprintf "unknown backend %S" b))
       backends;
+    let json = open_json json in
     let report =
       Workload.Harness.fuzz ~backends ?repro_dir ~seed ~count ~shrink:(not no_shrink) ()
     in
@@ -835,7 +846,7 @@ let fuzz_command =
       (fun path -> Format.fprintf ppf "repro -> %s@." path)
       report.Workload.Harness.repro_files;
     (match json with
-    | Some path ->
+    | Some (path, oc) ->
         let mismatch_json (m : Workload.Harness.mismatch) =
           Bench_json.Obj
             [
@@ -847,7 +858,7 @@ let fuzz_command =
               ("events", Bench_json.Int (Workload.Program.size m.Workload.Harness.program));
             ]
         in
-        Bench_json.to_file path
+        write_json oc
           (Bench_json.Obj
              [
                ("schema", Bench_json.String "cvm-race-fuzz/1");

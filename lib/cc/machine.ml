@@ -74,11 +74,6 @@ type t = {
   mutable barrier_intervals : Proto.Interval.t list;
 }
 
-(* The cache-hit charge, added in place: a float passed to another
-   module would be boxed on every access. *)
-let charge_local p ns =
-  Array.unsafe_set p.fe.debt 0 (Array.unsafe_get p.fe.debt 0 +. ns)
-
 let close_interval m p =
   Front.publish_interval m.rt p.fe (Front.close_interval m.rt p.fe)
 
@@ -247,7 +242,7 @@ let dragon_write_miss m p ~line =
 
 let cache_read m p addr =
   let line = line_of addr in
-  charge_local p m.rt.cost.Sim.Cost.cache_hit_ns;
+  Front.charge_local p.fe m.rt.cost.Sim.Cost.cache_hit_ns;
   if Cache.find p.cache ~line ~is_valid >= 0 then
     m.rt.stats.Sim.Stats.cache_hits <- m.rt.stats.Sim.Stats.cache_hits + 1
   else begin
@@ -259,7 +254,7 @@ let cache_read m p addr =
 
 let cache_write m p addr =
   let line = line_of addr in
-  charge_local p m.rt.cost.Sim.Cost.cache_hit_ns;
+  Front.charge_local p.fe m.rt.cost.Sim.Cost.cache_hit_ns;
   let i = Cache.find p.cache ~line ~is_valid in
   if i >= 0 then begin
     m.rt.stats.Sim.Stats.cache_hits <- m.rt.stats.Sim.Stats.cache_hits + 1;

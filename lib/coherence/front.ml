@@ -5,9 +5,10 @@
    puts that difference in what communication costs), so the LRC cluster
    and the bus machine call this module instead of keeping copies.
 
-   Everything charged per access stays inside this module: with
-   [-opaque] nothing is inlined across modules, and a float passed to
-   another module is boxed. *)
+   The time charges ([charge_local], [charge_category], [compute]) are
+   inlined, in this module and in their callers elsewhere, and so is
+   {!Sim.Stats.charge} inside them, so no float charged per access or per
+   unit of private work is boxed. *)
 
 type observer = site:string -> addr:int -> Proto.Race.access_kind -> unit
 
@@ -67,9 +68,9 @@ let words_per_page t = Mem.Geometry.words_per_page t.geometry
 (* ------------------------------------------------------------------ *)
 (* Time: debt accumulates and is advanced at synchronization points    *)
 
-let charge_local p ns = Array.unsafe_set p.debt 0 (Array.unsafe_get p.debt 0 +. ns)
+let[@inline] charge_local p ns = Array.unsafe_set p.debt 0 (Array.unsafe_get p.debt 0 +. ns)
 
-let charge_category t p category ns =
+let[@inline] charge_category t p category ns =
   Sim.Stats.charge t.stats category ns;
   charge_local p ns
 
@@ -81,7 +82,7 @@ let flush_time t p =
     Sim.Engine.advance t.engine ns
   end
 
-let compute t p ops = charge_local p (t.cost.Sim.Cost.instr_ns *. ops)
+let[@inline] compute t p ops = charge_local p (t.cost.Sim.Cost.instr_ns *. ops)
 
 let touch_private t p n =
   t.stats.Sim.Stats.private_accesses <- t.stats.Sim.Stats.private_accesses + n;

@@ -22,14 +22,13 @@ type observer = site:string -> addr:int -> Proto.Race.access_kind -> unit
 
 (** One processor's front-end state. Only this module assigns its
     fields. A backend reads them, adds its own per-access time to [debt]
-    in place, and (LRC under [stores_from_diffs]) puts the write bitmaps
-    it derives from diffs into [bitmaps]. *)
+    with {!charge_local}, and (LRC under [stores_from_diffs]) puts the
+    write bitmaps it derives from diffs into [bitmaps]. *)
 type proc = private {
   id : int;
   debt : float array;
       (** local time accrued but not yet advanced, in ns; a 1-element
-          float array so per-access additions stay unboxed. A backend
-          charging per-access time of its own adds to it in place. *)
+          float array so per-access additions stay unboxed *)
   vc : Proto.Vclock.t;
   mutable cur : Proto.Interval.t;  (** the open interval *)
   mutable epoch : int;  (** barrier epoch of the open interval *)
@@ -109,6 +108,11 @@ val create :
     word. *)
 
 (** {1 Time} *)
+
+val charge_local : proc -> float -> unit
+(** Add [ns] of the processor's own time to its debt, attributed to no
+    overhead category: a backend's per-access time (a cache hit, a diff,
+    a page copy). Inlined into the caller, so [ns] is not boxed. *)
 
 val flush_time : t -> proc -> unit
 (** Advance simulated time by the whole nanoseconds of accrued debt. *)

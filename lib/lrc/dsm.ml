@@ -24,26 +24,33 @@ let malloc (n : node) ?name ?align bytes = Front.malloc n.front n.proc ?name ?al
    its page; the machine makes that page coherent (an LRC fault, a cache
    fill) and returns it. A bad address fails in the front-end, with the
    machine's name, before any accounting. *)
-let readable (n : node) ~site addr =
+let[@inline] readable (n : node) ?site addr =
+  let site = match site with Some site -> site | None -> "?" in
   n.machine.readable ~addr ~page:(Front.read_note n.front n.proc ~site addr)
 
-let writable (n : node) ~site addr =
+let[@inline] writable (n : node) ?site addr =
+  let site = match site with Some site -> site | None -> "?" in
   n.machine.writable ~addr ~page:(Front.write_note n.front n.proc ~site addr)
 
-let read_float (n : node) ?(site = "?") addr =
-  let page = readable n ~site addr in
+(* The accessors, their [_at] helpers and the private-work charges
+   inline into the application (the build is not [-opaque]), so a float
+   read or written, or a computed charge, stays unboxed. [?site] has no
+   default: a defaulted optional argument splits a function into an
+   inlined wrapper and an out-of-line body that returns its float boxed. *)
+let[@inline] read_float (n : node) ?site addr =
+  let page = readable n ?site addr in
   Mem.Page.get_float page (Front.word_of n.front addr)
 
-let write_float (n : node) ?(site = "?") addr value =
-  let page = writable n ~site addr in
+let[@inline] write_float (n : node) ?site addr value =
+  let page = writable n ?site addr in
   Mem.Page.set_float page (Front.word_of n.front addr) value
 
-let read_int (n : node) ?(site = "?") addr =
-  let page = readable n ~site addr in
+let[@inline] read_int (n : node) ?site addr =
+  let page = readable n ?site addr in
   Mem.Page.get_int page (Front.word_of n.front addr)
 
-let write_int (n : node) ?(site = "?") addr value =
-  let page = writable n ~site addr in
+let[@inline] write_int (n : node) ?site addr value =
+  let page = writable n ?site addr in
   Mem.Page.set_int page (Front.word_of n.front addr) value
 
 (* Each synchronization settles the processor's time debt first; the
@@ -79,20 +86,21 @@ let consolidate node =
      as an internal global synchronization that runs the same detection. *)
   barrier node
 
-let compute (n : node) ops = Front.compute n.front n.proc ops
+let[@inline] compute (n : node) ops = Front.compute n.front n.proc ops
 let idle (n : node) ns = Front.idle n.front n.proc ns
-let touch_private (n : node) count = Front.touch_private n.front n.proc count
+let[@inline] touch_private (n : node) count = Front.touch_private n.front n.proc count
 
 (* Block/word helpers used heavily by the applications. *)
 
-let addr_of_index base index = base + (index * Mem.Page.word_size)
+let[@inline] addr_of_index base index = base + (index * Mem.Page.word_size)
 
-let read_float_at node ?site base index = read_float node ?site (addr_of_index base index)
+let[@inline] read_float_at node ?site base index =
+  read_float node ?site (addr_of_index base index)
 
-let write_float_at node ?site base index value =
+let[@inline] write_float_at node ?site base index value =
   write_float node ?site (addr_of_index base index) value
 
-let read_int_at node ?site base index = read_int node ?site (addr_of_index base index)
+let[@inline] read_int_at node ?site base index = read_int node ?site (addr_of_index base index)
 
-let write_int_at node ?site base index value =
+let[@inline] write_int_at node ?site base index value =
   write_int node ?site (addr_of_index base index) value

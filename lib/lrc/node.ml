@@ -102,10 +102,6 @@ type t = {
 
 let words_per_page t = Mem.Geometry.words_per_page t.rt.geometry
 
-(* Protocol-side time (diffs, page copies), added in place: a float
-   passed to another module would be boxed. *)
-let charge_local t ns = Array.unsafe_set t.fe.debt 0 (Array.unsafe_get t.fe.debt 0 +. ns)
-
 let detect_on t = t.rt.cfg.Coherence.Config.detect
 
 let send t ~dst msg =
@@ -161,7 +157,7 @@ let make_diffs t interval =
           t.rt.stats.Sim.Stats.diffs_created <- t.rt.stats.Sim.Stats.diffs_created + 1;
           t.rt.stats.Sim.Stats.diff_words <-
             t.rt.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
-          charge_local t
+          Front.charge_local t.fe
             (t.rt.cost.Sim.Cost.diff_word_ns *. float_of_int (words_per_page t));
           if home_based then
             send t ~dst:(home_of t page)
@@ -431,7 +427,7 @@ let twin_write_fault t page entry =
   Front.flush_time t.rt t.fe;
   Sim.Engine.advance t.rt.engine (t.rt.cost.Sim.Cost.fault_ns / 10);
   entry.twin <- Some (Bytes.copy entry.data);
-  charge_local t (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
+  Front.charge_local t.fe (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
   entry.state <- P_write;
   Proto.Interval.add_write_page t.fe.cur page
 
@@ -752,7 +748,7 @@ let on_page_done t ~page =
 
 let on_copy_fwd t ~page ~requester =
   let entry = t.pages.(page) in
-  charge_local t (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
+  Front.charge_local t.fe (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
   send t ~dst:requester
     (Message.Copy_data { page; data = Bytes.copy entry.data })
 

@@ -14,34 +14,34 @@ let create ~page_size =
 let words t = Bytes.length t / word_size
 
 (* Bounds-checked 64-bit loads/stores as compiler primitives, so the int64
-   stays unboxed inside each accessor body (no flambda: crossing a function
-   boundary with an int64 would box it). The bounds check is the word's
+   stays unboxed inside each accessor body. The bounds check is the word's
    range check. The wire format is little-endian, like
-   Bytes.get_int64_le. *)
+   Bytes.get_int64_le. The accessors inline into their callers, so a
+   float read or written on the access path is not boxed. *)
 external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
-let get_int64 t word =
+let[@inline] get_int64 t word =
   let v = bytes_get64 t (word * word_size) in
   if Sys.big_endian then swap64 v else v
 
-let set_int64 t word v =
+let[@inline] set_int64 t word v =
   let v = if Sys.big_endian then swap64 v else v in
   bytes_set64 t (word * word_size) v
 
-let get_int t word =
+let[@inline] get_int t word =
   let v = bytes_get64 t (word * word_size) in
   Int64.to_int (if Sys.big_endian then swap64 v else v)
 
-let set_int t word v =
+let[@inline] set_int t word v =
   let v = Int64.of_int v in
   bytes_set64 t (word * word_size) (if Sys.big_endian then swap64 v else v)
 
-let get_float t word =
+let[@inline] get_float t word =
   let v = bytes_get64 t (word * word_size) in
   Int64.float_of_bits (if Sys.big_endian then swap64 v else v)
 
-let set_float t word v =
+let[@inline] set_float t word v =
   let v = Int64.bits_of_float v in
   bytes_set64 t (word * word_size) (if Sys.big_endian then swap64 v else v)

@@ -119,14 +119,17 @@ let create () =
     charges = Array.make (List.length all_categories) 0.0;
   }
 
-let category_index = function
+let[@inline] category_index = function
   | Cvm_mods -> 0
   | Proc_call -> 1
   | Access_check -> 2
   | Intervals -> 3
   | Bitmaps -> 4
 
-let charge t category ns = t.charges.(category_index category) <- t.charges.(category_index category) +. ns
+(* Inlined into the per-access charges, so [ns] is never boxed. *)
+let[@inline] charge t category ns =
+  let i = category_index category in
+  t.charges.(i) <- t.charges.(i) +. ns
 
 let charged t category = t.charges.(category_index category)
 

@@ -125,9 +125,12 @@ says "No such file or directory"
 silent
 check 124 "$cvm" fuzz --count=-1
 check 2 "$cvm" replay /nonexistent/run.cvmt
+# like record -o, a --json output is opened before any work
 check 2 "$cvm" analyze --json /nonexistent/analyze.json
+silent
 check 2 "$cvm" analyze --expect /nonexistent/expect.txt
 check 2 "$cvm" fuzz --count 1 --json /nonexistent/fuzz.json
+silent
 # a directory given as an input file: every reader names the path
 check 2 "$cvm" replay "$tmp"
 says "$tmp: Is a directory"

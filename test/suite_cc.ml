@@ -48,8 +48,26 @@ let test_dragon_updates () =
 (* The hit path allocates nothing: a shared access that hits pays
    counters and a bitmap bit, never the minor heap. On LRC a hit is an
    access to a valid page, under every caching protocol, whether the
-   site's check runs or is elided. Int accessors only: a float crosses
-   the Lrc.Dsm module boundary boxed on every backend. *)
+   site's check runs or is elided. Float accesses and private-work
+   charges count too: the access path inlines into its caller, so no
+   float is boxed. These pins fail by design under [--profile dev],
+   where dune compiles every module [-opaque] and nothing inlines
+   across modules. *)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Fails naming every loop of 10,000 operations that allocated more than
+   the measurement's own slack. *)
+let check_allocated_nothing loops =
+  match List.filter (fun (_, words) -> words > 64.0) loops with
+  | [] -> ()
+  | bad ->
+      Alcotest.failf "allocated: %s"
+        (String.concat "; "
+           (List.map (fun (what, words) -> Printf.sprintf "%s %.0f minor words" what words) bad))
 
 let test_hits_allocate_nothing ?(protocol = Coherence.Config.Single_writer) ?(elide = false)
     backend () =
@@ -64,32 +82,69 @@ let test_hits_allocate_nothing ?(protocol = Coherence.Config.Single_writer) ?(el
   in
   let machine = Backends.create ~cfg ~nprocs:1 ~pages:2 () in
   let addr = machine.Coherence.Backend.alloc 8 ~name:"hits" in
-  let words = ref 0.0 in
+  let int_words = ref 0.0 and float_words = ref 0.0 in
   machine.Coherence.Backend.run (fun node ->
       (* the miss (or write fault) that brings the line (or page) in,
          then a read and a write that settle its state *)
       Lrc.Dsm.write_int node ~site:"warm" addr 1;
       ignore (Lrc.Dsm.read_int node ~site:"warm" addr);
       Lrc.Dsm.write_int node ~site:"warm" addr 2;
-      let before = Gc.minor_words () in
-      for i = 1 to 10_000 do
-        ignore (Sys.opaque_identity (Lrc.Dsm.read_int node ~site:"hit:r" addr));
-        Lrc.Dsm.write_int node ~site:"hit:w" addr i
-      done;
-      words := Gc.minor_words () -. before);
+      int_words :=
+        minor_words_of (fun () ->
+            for i = 1 to 10_000 do
+              ignore (Sys.opaque_identity (Lrc.Dsm.read_int node ~site:"hit:r" addr));
+              Lrc.Dsm.write_int node ~site:"hit:w" addr i
+            done);
+      Lrc.Dsm.write_float node ~site:"warm" addr 0.0;
+      float_words :=
+        minor_words_of (fun () ->
+            for _ = 1 to 10_000 do
+              let v = Lrc.Dsm.read_float node ~site:"hit:r" addr in
+              Lrc.Dsm.write_float node ~site:"hit:w" addr (v +. 1.0)
+            done));
   let stats = machine.Coherence.Backend.stats in
   if backend = "lrc" then begin
     check Alcotest.int "one write fault, at the warm-up" 1 stats.Sim.Stats.write_faults;
     check Alcotest.int "no read fault" 0 stats.Sim.Stats.read_faults;
-    check Alcotest.int "elided checks" (if elide then 20_000 else 0)
+    check Alcotest.int "elided checks" (if elide then 40_000 else 0)
       stats.Sim.Stats.elided_checks
   end
   else check Alcotest.int "one miss, every other access a hit" 1 stats.Sim.Stats.cache_misses;
-  if !words > 64.0 then
-    Alcotest.failf "20,000 %s cache hits allocated %.0f minor words" backend !words
+  check_allocated_nothing
+    [
+      (Printf.sprintf "10,000 int read+write hit pairs on %s" backend, !int_words);
+      (Printf.sprintf "10,000 float read+write hit pairs on %s" backend, !float_words);
+    ]
+
+(* Private work: a detecting [touch_private] charges two overhead
+   categories, and a [compute] of a computed float charges its
+   instructions; neither boxes the charge. *)
+let test_private_work_allocates_nothing () =
+  let cfg = { Coherence.Config.default with Coherence.Config.detect = true } in
+  let machine = Backends.create ~cfg ~nprocs:1 ~pages:2 () in
+  let touch_words = ref 0.0 and compute_words = ref 0.0 in
+  machine.Coherence.Backend.run (fun node ->
+      touch_words :=
+        minor_words_of (fun () ->
+            for _ = 1 to 10_000 do
+              Lrc.Dsm.touch_private node 3
+            done);
+      compute_words :=
+        minor_words_of (fun () ->
+            for i = 1 to 10_000 do
+              Lrc.Dsm.compute node (float_of_int i *. 0.5)
+            done));
+  let stats = machine.Coherence.Backend.stats in
+  check Alcotest.int "private accesses" 30_000 stats.Sim.Stats.private_accesses;
+  check Alcotest.bool "procedure calls charged" true
+    (Sim.Stats.charged stats Sim.Stats.Proc_call > 0.0);
+  check_allocated_nothing
+    [ ("10,000 touch_private calls", !touch_words); ("10,000 compute calls", !compute_words) ]
 
 let lrc_hit_cases =
-  List.concat_map
+  Alcotest.test_case "detecting touch_private and compute allocate nothing" `Quick
+    test_private_work_allocates_nothing
+  :: List.concat_map
     (fun (name, protocol) ->
       List.map
         (fun elide ->

@@ -21,8 +21,10 @@ test:
 #   lock grant overtaking its retransmitted ack once crashed the lock
 #   forwarding path), elision, the section 6.1 hunt on TSP (it exits 1
 #   unless its watched second run, a replay of the first run's log,
-#   verifies clean), record->replay (lossy, interval-GC, and both bus
-#   backends), mesi/dragon runs checked against the oracle, a corpus
+#   verifies clean), record->replay (lossy single-writer, interval-GC,
+#   lossy home-based, whose diff flushes and page fetches cross the
+#   dropping wire, and both bus backends), mesi/dragon runs checked
+#   against the oracle, a corpus
 #   trace file, and a short seeded fuzz;
 # - the bench gate: a --jobs 1 small sweep against bench/baseline_small.json
 #   (deterministic fields exact, wall within a loose 50% because the
@@ -54,6 +56,8 @@ check:
 	dune exec bin/cvm_race.exe -- replay --log-only _build/sor.cvmt
 	dune exec bin/cvm_race.exe -- record sor --scale small -p 4 --protocol mw --gc-epochs 2 -o _build/sor_gc.cvmt
 	dune exec bin/cvm_race.exe -- replay _build/sor_gc.cvmt
+	dune exec bin/cvm_race.exe -- record sor --scale small -p 4 --protocol hb --drop 0.2 -o _build/sor_hb.cvmt
+	dune exec bin/cvm_race.exe -- replay _build/sor_hb.cvmt
 	dune exec bin/cvm_race.exe -- run fft --scale small -p 4 --backend mesi --oracle
 	dune exec bin/cvm_race.exe -- record sor --scale small -p 4 --backend mesi -o _build/sor_mesi.cvmt
 	dune exec bin/cvm_race.exe -- replay _build/sor_mesi.cvmt

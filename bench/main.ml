@@ -67,7 +67,7 @@ let micro_tests () =
   let bitmap_a = Mem.Bitmap.create words and bitmap_b = Mem.Bitmap.create words in
   List.iter (fun i -> Mem.Bitmap.set bitmap_a ((i * 7) mod words)) (List.init 64 Fun.id);
   List.iter (fun i -> Mem.Bitmap.set bitmap_b ((i * 11) mod words)) (List.init 64 Fun.id);
-  let page_size = 4096 in
+  let page_size = Sim.Cost.default.Sim.Cost.page_size in
   let twin = Mem.Page.create ~page_size in
   let current = Mem.Page.create ~page_size in
   for i = 0 to 63 do
@@ -75,7 +75,8 @@ let micro_tests () =
   done;
   let diff = Mem.Diff.create ~page:0 ~twin ~current in
   let target = Mem.Page.create ~page_size in
-  (* a synthetic barrier epoch: 8 procs x 8 intervals, cross-proc concurrent *)
+  (* a synthetic barrier epoch: 8 procs x 8 intervals, cross-proc concurrent;
+     concurrent-check-list-64 runs [Coherence.Front.plan]'s scan over it *)
   let epoch_intervals =
     List.concat_map
       (fun proc ->
@@ -135,8 +136,8 @@ let micro_tests () =
       Test.make ~name:"diff-create"
         (Staged.stage (fun () -> Mem.Diff.create ~page:0 ~twin ~current));
       Test.make ~name:"diff-apply" (Staged.stage (fun () -> Mem.Diff.apply diff target));
-      Test.make ~name:"concurrent-pairs-64"
-        (Staged.stage (fun () -> Racedetect.Detector.concurrent_pairs epoch_intervals));
+      Test.make ~name:"concurrent-check-list-64"
+        (Staged.stage (fun () -> Racedetect.Detector.concurrent_check_list epoch_intervals));
       Test.make ~name:"engine-advance" (Staged.stage engine_advances);
       Test.make ~name:"access-hit-lrc" (Staged.stage (access_hits "lrc"));
       Test.make ~name:"access-hit-mesi" (Staged.stage (access_hits "mesi"));

@@ -687,6 +687,7 @@ let analyze_command =
   in
   let analyze app_name all scale mhp json expect =
     guarded @@ fun () ->
+    let baseline = Option.map (fun path -> (path, read_lines path)) expect in
     let json = open_json json in
     let names =
       match (app_name, all) with
@@ -730,10 +731,9 @@ let analyze_command =
         Format.fprintf ppf "analysis JSON -> %s@." path
     | None -> ());
     let drifted =
-      match expect with
+      match baseline with
       | None -> false
-      | Some path ->
-          let expected = read_lines path in
+      | Some (path, expected) ->
           let missing = List.filter (fun l -> not (List.mem l warning_lines)) expected in
           let unexpected = List.filter (fun l -> not (List.mem l expected)) warning_lines in
           List.iter (fun l -> Format.fprintf ppf "MISSING (expected, not emitted): %s@." l) missing;

@@ -41,7 +41,7 @@ let binary () =
      interleave, so every im access batches onto its re check. *)
   let open Instrument.Ir in
   let data = 0 and trans = 1 and work = 2 and twiddle = 3 in
-  let page = 4096 in
+  let page = Sim.Cost.default.Sim.Cost.page_size in
   let entry =
     block "entry"
       (App.fp_gp_ops ~name:"fft" ~stack:1285 ~static_data:1496

@@ -43,7 +43,7 @@ let binary () =
      private workspace for the multiplier row. *)
   let open Instrument.Ir in
   let matrix = 0 and work = 1 in
-  let page = 4096 in
+  let page = Sim.Cost.default.Sim.Cost.page_size in
   let entry =
     block "entry"
       (App.fp_gp_ops ~name:"lu" ~stack:410 ~static_data:1380

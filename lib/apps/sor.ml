@@ -58,7 +58,7 @@ let binary () =
      batch onto the row's first check. *)
   let open Instrument.Ir in
   let grid0 = 0 and grid1 = 1 and scratch = 2 and row = 3 in
-  let page = 4096 in
+  let page = Sim.Cost.default.Sim.Cost.page_size in
   let entry =
     block "entry"
       (App.fp_gp_ops ~name:"sor" ~stack:342 ~static_data:1304

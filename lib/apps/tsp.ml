@@ -179,7 +179,7 @@ let binary () =
   let open Instrument.Ir in
   let matrix = 0 and queue = 1 and bound = 2 and inflight = 3 in
   let best = 4 and dfs = 5 and visited = 6 in
-  let page = 4096 in
+  let page = Sim.Cost.default.Sim.Cost.page_size in
   let entry =
     block "entry"
       (App.fp_gp_ops ~name:"tsp" ~stack:244 ~static_data:1213

@@ -132,7 +132,7 @@ let binary () =
      the lock discipline on forces is visible to the analysis. *)
   let open Instrument.Ir in
   let pos = 0 and frc = 1 and vel = 2 and pot = 3 and pforce = 4 in
-  let page = 4096 in
+  let page = Sim.Cost.default.Sim.Cost.page_size in
   let entry =
     block "entry"
       (App.fp_gp_ops ~name:"water" ~stack:649 ~static_data:1919

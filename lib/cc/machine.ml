@@ -100,13 +100,13 @@ let bus m p ~kind ~line ~words ~supply =
   if Front.tracing m.rt then Front.emit_sink m.rt (Trace.Event.Bus { proc = p.fe.id; kind; line });
   let supply_ns =
     match supply with
-    | `Mem -> m.rt.cost.Sim.Cost.bus_mem_ns
-    | `Cache -> m.rt.cost.Sim.Cost.bus_c2c_ns
+    | `Mem -> Sim.Cost.bus_mem_ns
+    | `Cache -> Sim.Cost.bus_c2c_ns
     | `None -> 0.0
   in
   let dur_ns =
-    m.rt.cost.Sim.Cost.bus_arb_ns
-    +. (m.rt.cost.Sim.Cost.bus_word_ns *. float_of_int words)
+    Sim.Cost.bus_arb_ns
+    +. (Sim.Cost.bus_word_ns *. float_of_int words)
     +. supply_ns
   in
   let dur = max 1 (int_of_float dur_ns) in
@@ -242,7 +242,7 @@ let dragon_write_miss m p ~line =
 
 let cache_read m p addr =
   let line = line_of addr in
-  Front.charge_local p.fe m.rt.cost.Sim.Cost.cache_hit_ns;
+  Front.charge_local p.fe Sim.Cost.cache_hit_ns;
   if Cache.find p.cache ~line ~is_valid >= 0 then
     m.rt.stats.Sim.Stats.cache_hits <- m.rt.stats.Sim.Stats.cache_hits + 1
   else begin
@@ -254,7 +254,7 @@ let cache_read m p addr =
 
 let cache_write m p addr =
   let line = line_of addr in
-  Front.charge_local p.fe m.rt.cost.Sim.Cost.cache_hit_ns;
+  Front.charge_local p.fe Sim.Cost.cache_hit_ns;
   let i = Cache.find p.cache ~line ~is_valid in
   if i >= 0 then begin
     m.rt.stats.Sim.Stats.cache_hits <- m.rt.stats.Sim.Stats.cache_hits + 1;

@@ -82,14 +82,14 @@ let flush_time t p =
     Sim.Engine.advance t.engine ns
   end
 
-let[@inline] compute t p ops = charge_local p (t.cost.Sim.Cost.instr_ns *. ops)
+let[@inline] compute p ops = charge_local p (Sim.Cost.instr_ns *. ops)
 
 let touch_private t p n =
   t.stats.Sim.Stats.private_accesses <- t.stats.Sim.Stats.private_accesses + n;
   let fn = float_of_int n in
-  charge_local p (t.cost.Sim.Cost.instr_ns *. fn);
+  charge_local p (Sim.Cost.instr_ns *. fn);
   if t.cfg.Config.detect then begin
-    charge_category t p Sim.Stats.Proc_call (t.cost.Sim.Cost.proc_call_ns *. fn);
+    charge_category t p Sim.Stats.Proc_call (Sim.Cost.proc_call_ns *. fn);
     charge_category t p Sim.Stats.Access_check (t.cost.Sim.Cost.access_check_ns *. fn)
   end
 
@@ -124,7 +124,7 @@ let open_interval t p =
   if tracing t then
     emit_sink t (Trace.Event.Interval_open { proc = p.id; index; epoch = p.epoch });
   t.stats.Sim.Stats.intervals_created <- t.stats.Sim.Stats.intervals_created + 1;
-  charge_local p t.cost.Sim.Cost.interval_setup_ns
+  charge_local p Sim.Cost.interval_setup_ns
 
 let snapshot_bitmaps t p interval =
   (* Freeze the interval's access bitmaps and derive its notices
@@ -153,7 +153,7 @@ let snapshot_bitmaps t p interval =
       if Mem.Bitmap.any_set writes then Proto.Interval.add_write_page interval page;
       Hashtbl.replace p.bitmaps (id, page) { Racedetect.Detector.reads; writes };
       t.stats.Sim.Stats.bitmaps_total <- t.stats.Sim.Stats.bitmaps_total + 1;
-      charge_category t p Sim.Stats.Cvm_mods t.cost.Sim.Cost.notice_setup_ns;
+      charge_category t p Sim.Stats.Cvm_mods Sim.Cost.notice_setup_ns;
       Array.unsafe_set p.read_cache page None;
       Array.unsafe_set p.write_cache page None)
     pages;
@@ -217,7 +217,7 @@ let word_of t addr = (addr land t.g_page_mask) lsr word_shift
 (* The inserted analysis-routine call: a procedure call plus the check
    that decides shared vs private and sets the per-page bitmap bit. *)
 let instrument t p page word kind ~site =
-  charge_category t p Sim.Stats.Proc_call t.cost.Sim.Cost.proc_call_ns;
+  charge_category t p Sim.Stats.Proc_call Sim.Cost.proc_call_ns;
   charge_category t p Sim.Stats.Access_check t.cost.Sim.Cost.access_check_ns;
   let cache =
     match kind with Proto.Race.Read -> p.read_cache | Proto.Race.Write -> p.write_cache
@@ -237,7 +237,7 @@ let instrument t p page word kind ~site =
   Mem.Bitmap.set bitmap word;
   if t.cfg.Config.retain_sites then begin
     (* the extra bookkeeping the paper's section 6.1 prices out *)
-    charge_category t p Sim.Stats.Access_check 60.0;
+    charge_category t p Sim.Stats.Access_check Sim.Cost.site_retention_ns;
     let key = (page, word, kind) in
     if not (Hashtbl.mem p.cur_sites key) then Hashtbl.replace p.cur_sites key site
   end
@@ -255,7 +255,7 @@ let observe p ~site ~addr kind =
 let read_note t p ~site addr =
   check_addr t addr;
   let page = page_of t addr in
-  charge_local p t.cost.Sim.Cost.instr_ns;
+  charge_local p Sim.Cost.instr_ns;
   t.stats.Sim.Stats.shared_reads <- t.stats.Sim.Stats.shared_reads + 1;
   if t.cfg.Config.detect then
     if elided t site then t.stats.Sim.Stats.elided_checks <- t.stats.Sim.Stats.elided_checks + 1
@@ -267,7 +267,7 @@ let read_note t p ~site addr =
 let write_note t p ~site addr =
   check_addr t addr;
   let page = page_of t addr in
-  charge_local p t.cost.Sim.Cost.instr_ns;
+  charge_local p Sim.Cost.instr_ns;
   t.stats.Sim.Stats.shared_writes <- t.stats.Sim.Stats.shared_writes + 1;
   if t.cfg.Config.detect && not t.cfg.Config.stores_from_diffs then
     if elided t site then t.stats.Sim.Stats.elided_checks <- t.stats.Sim.Stats.elided_checks + 1
@@ -339,10 +339,6 @@ let leave_barrier t p =
 (* ------------------------------------------------------------------ *)
 (* Detection at a barrier (the paper's steps 2-5)                       *)
 
-(* master-side work per concurrent interval pair, beyond its
-   version-vector comparison *)
-let concurrent_pair_ns = 200.0
-
 let empty_pair t =
   {
     Racedetect.Detector.reads = Mem.Bitmap.create (words_per_page t);
@@ -368,8 +364,8 @@ let plan t ~epoch intervals =
   let n_concurrent, entries = Racedetect.Detector.concurrent_check_list ~stats ?probe intervals in
   let comparisons = stats.Sim.Stats.interval_comparisons - before in
   let intervals_ns =
-    (t.cost.Sim.Cost.vv_compare_ns *. float_of_int comparisons)
-    +. (concurrent_pair_ns *. float_of_int n_concurrent)
+    (Sim.Cost.vv_compare_ns *. float_of_int comparisons)
+    +. (Sim.Cost.concurrent_pair_ns *. float_of_int n_concurrent)
   in
   Sim.Stats.charge stats Sim.Stats.Intervals intervals_ns;
   (entries, intervals_ns)
@@ -386,7 +382,7 @@ let resolve t ~epoch ~store entries =
   in
   let compared = stats.Sim.Stats.bitmap_comparisons - before in
   let bitmaps_ns =
-    t.cost.Sim.Cost.bitmap_word_ns *. float_of_int (3 * compared * words_per_page t)
+    Sim.Cost.bitmap_word_ns *. float_of_int (3 * compared * words_per_page t)
   in
   Sim.Stats.charge stats Sim.Stats.Bitmaps bitmaps_ns;
   (races, bitmaps_ns)
@@ -416,7 +412,7 @@ let race_sites t (race : Proto.Race.t) =
 
 let create ~name ~cost ~cfg ~nprocs ~pages =
   let engine = Sim.Engine.create () in
-  let geometry = Mem.Geometry.of_cost cost ~pages in
+  let geometry = Mem.Geometry.create ~page_size:cost.Sim.Cost.page_size ~pages () in
   let page_size = geometry.Mem.Geometry.page_size in
   let elide = Hashtbl.create 8 in
   (match cfg.Config.elide_sites with

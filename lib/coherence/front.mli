@@ -117,7 +117,7 @@ val charge_local : proc -> float -> unit
 val flush_time : t -> proc -> unit
 (** Advance simulated time by the whole nanoseconds of accrued debt. *)
 
-val compute : t -> proc -> float -> unit
+val compute : proc -> float -> unit
 (** Accrue [ops] instructions of private work. *)
 
 val touch_private : t -> proc -> int -> unit

@@ -170,9 +170,8 @@ type figure5_result = {
    the slot races cannot occur. *)
 let figure5 ?(backend = "lrc") () =
   let cfg = { Coherence.Config.default with backend; detect = true } in
-  let cost = Sim.Cost.default in
-  let cluster = Backends.create ~cost ~cfg ~nprocs:3 ~pages:8 () in
-  let page = cost.Sim.Cost.page_size in
+  let cluster = Backends.create ~cfg ~nprocs:3 ~pages:8 () in
+  let page = Sim.Cost.default.Sim.Cost.page_size in
   let word = Mem.Page.word_size in
   let qptr = cluster.Coherence.Backend.alloc ~align:page word in
   let qempty = cluster.Coherence.Backend.alloc ~align:page word in

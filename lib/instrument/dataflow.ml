@@ -280,9 +280,9 @@ type access = {
 let proven_private a =
   match a.a_base with Ir.Fp _ | Ir.Gp _ -> true | Ir.Reg _ -> is_private a.a_prov
 
-(* the page size the batching groups checks by: every simulated run uses
-   4096-byte pages *)
-let page_size = 4096
+(* the page size the batching groups checks by: the default's, which
+   every simulated run uses *)
+let page_size = Sim.Cost.default.Sim.Cost.page_size
 
 let analyze (proc : Ir.proc) =
   let in_states = fixpoint proc in

@@ -16,7 +16,7 @@ let backend ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~nprocs
   let fault_rng = Sim.Rng.split root_rng in
   let net =
     Sim.Net.create ~fault:cfg.Coherence.Config.fault ~fault_rng
-      ?transport:cfg.Coherence.Config.transport ~describe:Message.describe engine cost
+      ?transport:cfg.Coherence.Config.transport ~describe:Message.describe engine
       front.Front.stats ~nodes:nprocs ~size_of
   in
   let nodes = Array.init nprocs (fun id -> Node.create front net ~id) in

@@ -10,7 +10,7 @@ val backend :
   unit ->
   Coherence.Backend.t
 (** A fresh cluster of [nprocs] processors over a shared segment of
-    [pages] pages; page and word sizes come from the cost model, and
+    [pages] pages; the page size comes from the cost model, and
     [cfg] is the effective configuration {!Coherence.Config.check}
     returned. Detection, intervals and the oracle trace are the shared
     {!Coherence.Front}'s; the cluster adds pages, faults, diffs and the

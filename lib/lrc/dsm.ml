@@ -86,7 +86,7 @@ let consolidate node =
      as an internal global synchronization that runs the same detection. *)
   barrier node
 
-let[@inline] compute (n : node) ops = Front.compute n.front n.proc ops
+let[@inline] compute (n : node) ops = Front.compute n.proc ops
 let idle (n : node) ns = Front.idle n.front n.proc ns
 let[@inline] touch_private (n : node) count = Front.touch_private n.front n.proc count
 

@@ -115,7 +115,7 @@ let send t ~dst msg =
         t.rt.stats.Sim.Stats.read_notice_bytes <-
           t.rt.stats.Sim.Stats.read_notice_bytes + extra;
         Sim.Stats.charge t.rt.stats Sim.Stats.Cvm_mods
-          (t.rt.cost.Sim.Cost.byte_ns *. float_of_int extra)
+          (Sim.Cost.byte_ns *. float_of_int extra)
       end
   | Message.Bitmap_req _ | Message.Bitmap_reply _ ->
       t.rt.stats.Sim.Stats.bitmap_round_bytes <-
@@ -158,7 +158,7 @@ let make_diffs t interval =
           t.rt.stats.Sim.Stats.diff_words <-
             t.rt.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
           Front.charge_local t.fe
-            (t.rt.cost.Sim.Cost.diff_word_ns *. float_of_int (words_per_page t));
+            (Sim.Cost.diff_word_ns *. float_of_int (words_per_page t));
           if home_based then
             send t ~dst:(home_of t page)
               (Message.Diff_flush
@@ -290,7 +290,7 @@ let rec await_reply t ~label =
 
 let fault_prologue t =
   Front.flush_time t.rt t.fe;
-  Sim.Engine.advance t.rt.engine t.rt.cost.Sim.Cost.fault_ns
+  Sim.Engine.advance t.rt.engine Sim.Cost.fault_ns
 
 let install_page t page bytes =
   let entry = t.pages.(page) in
@@ -320,7 +320,7 @@ let rec sw_write_fault t page =
        was, fall back to the remote path, or the write would land in a
        stale copy whose content never travels with the page. *)
     Front.flush_time t.rt t.fe;
-    Sim.Engine.advance t.rt.engine (t.rt.cost.Sim.Cost.fault_ns / 10);
+    Sim.Engine.advance t.rt.engine Sim.Cost.local_fault_ns;
     if not entry.owner then sw_write_fault t page
     else finish_sw_write_fault t page
   end
@@ -387,7 +387,7 @@ let mw_apply_pending t page =
           (Trace.Event.Diff_apply { proc = t.fe.id; page; words = Mem.Diff.word_count diff }))
       ordered;
     Sim.Engine.advance_f t.rt.engine
-      (t.rt.cost.Sim.Cost.diff_word_ns
+      (Sim.Cost.diff_word_ns
       *. float_of_int (List.fold_left (fun acc (_, d) -> acc + Mem.Diff.word_count d) 0 ordered));
     entry.pending <- []);
   entry.state <- P_read
@@ -425,9 +425,9 @@ let twin_write_fault t page entry =
   t.rt.stats.Sim.Stats.write_faults <- t.rt.stats.Sim.Stats.write_faults + 1;
   Front.emit_sink t.rt (Trace.Event.Page_fault { proc = t.fe.id; page; kind = Proto.Race.Write });
   Front.flush_time t.rt t.fe;
-  Sim.Engine.advance t.rt.engine (t.rt.cost.Sim.Cost.fault_ns / 10);
+  Sim.Engine.advance t.rt.engine Sim.Cost.local_fault_ns;
   entry.twin <- Some (Bytes.copy entry.data);
-  Front.charge_local t.fe (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
+  Front.charge_local t.fe (Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
   entry.state <- P_write;
   Proto.Interval.add_write_page t.fe.cur page
 
@@ -559,7 +559,7 @@ let on_lock_req t ~lock ~requester ~vc =
   let seq = m.next_seq in
   m.next_seq <- seq + 1;
   m.token <- requester;
-  let delay = t.rt.cost.Sim.Cost.lock_manager_ns in
+  let delay = Sim.Cost.lock_manager_ns in
   send_after t ~delay ~dst:requester (Message.Lock_ack { lock; seq });
   send_after t ~delay ~dst:target (Message.Lock_fwd { lock; requester; vc; seq })
 
@@ -748,7 +748,7 @@ let on_page_done t ~page =
 
 let on_copy_fwd t ~page ~requester =
   let entry = t.pages.(page) in
-  Front.charge_local t.fe (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
+  Front.charge_local t.fe (Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
   send t ~dst:requester
     (Message.Copy_data { page; data = Bytes.copy entry.data })
 

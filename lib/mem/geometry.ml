@@ -22,8 +22,6 @@ let create ?(base = 0x4000_0000) ~page_size ~pages () =
          page_size base pages Page.word_size);
   { base; page_size; pages }
 
-let of_cost (cost : Sim.Cost.t) ~pages = create ~page_size:cost.Sim.Cost.page_size ~pages ()
-
 let words_per_page t = t.page_size / Page.word_size
 
 let limit t = t.base + (t.pages * t.page_size)

@@ -15,9 +15,6 @@ val create : ?base:int -> page_size:int -> pages:int -> unit -> t
     smaller than a word, [base] is page-aligned and [pages] is not
     negative. *)
 
-val of_cost : Sim.Cost.t -> pages:int -> t
-(** Geometry using the page size of a cost model. *)
-
 val words_per_page : t -> int
 
 val limit : t -> int

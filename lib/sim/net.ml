@@ -21,11 +21,10 @@
    requests are serviced even while the node's application code is blocked
    or computing. Handlers route replies to the waiting application
    coroutine themselves. Self-sends use the loopback path: no wire, no
-   faults, {!Cost.t.loopback_ns} delay. *)
+   faults, {!Cost.loopback_ns} delay. *)
 
 type 'msg t = {
   engine : Engine.t;
-  cost : Cost.t;
   stats : Stats.t;
   handlers : ('msg -> unit) option array;  (* per node *)
   size_of : 'msg -> int;
@@ -40,6 +39,11 @@ type 'msg t = {
 }
 
 let set_handler t ~node f = t.handlers.(node) <- Some f
+
+(* a message's or wire frame's fragments and bytes on the wire *)
+let count_wire stats ~bytes =
+  stats.Stats.fragments <- stats.Stats.fragments + Cost.fragments ~bytes;
+  stats.Stats.bytes <- stats.Stats.bytes + Cost.wire_bytes ~bytes
 
 let deliver t ~src ~dst msg =
   (match t.tracer with
@@ -69,26 +73,23 @@ let send t ~src ~dst msg =
   t.stats.Stats.messages <- t.stats.Stats.messages + 1;
   if src = dst then begin
     (* loopback: protocol stack only — no wire, no faults, no transport *)
-    t.stats.Stats.fragments <- t.stats.Stats.fragments + Cost.fragments t.cost ~bytes;
-    t.stats.Stats.bytes <- t.stats.Stats.bytes + Cost.wire_bytes t.cost ~bytes;
-    deliver_ordered t ~src ~dst ~delay:t.cost.Cost.loopback_ns msg
+    count_wire t.stats ~bytes;
+    deliver_ordered t ~src ~dst ~delay:Cost.loopback_ns msg
   end
   else
     match t.transport with
     | Some transport -> Transport.send transport ~src ~dst msg
     | None ->
-        t.stats.Stats.fragments <- t.stats.Stats.fragments + Cost.fragments t.cost ~bytes;
-        t.stats.Stats.bytes <- t.stats.Stats.bytes + Cost.wire_bytes t.cost ~bytes;
-        deliver_ordered t ~src ~dst ~delay:(Cost.message_ns t.cost ~bytes) msg
+        count_wire t.stats ~bytes;
+        deliver_ordered t ~src ~dst ~delay:(Cost.message_ns ~bytes) msg
 
 let create ?fault:(plan = Fault.none) ?(fault_rng = Rng.create ~seed:1) ?transport
-    ?(describe = fun _ -> "msg") engine cost stats ~nodes ~size_of =
+    ?(describe = fun _ -> "msg") engine stats ~nodes ~size_of =
   if Fault.active plan && transport = None then
     invalid_arg "Net.create: an active fault plan requires the reliable transport";
   let t =
     {
       engine;
-      cost;
       stats;
       size_of;
       describe;
@@ -124,8 +125,7 @@ let create ?fault:(plan = Fault.none) ?(fault_rng = Rng.create ~seed:1) ?transpo
          verdicts, unclamped delivery *)
       let wire_send ~src ~dst frame =
         let bytes = Transport.frame_bytes ~payload_bytes frame in
-        stats.Stats.fragments <- stats.Stats.fragments + Cost.fragments cost ~bytes;
-        stats.Stats.bytes <- stats.Stats.bytes + Cost.wire_bytes cost ~bytes;
+        count_wire stats ~bytes;
         let verdict = Fault.judge_verdict faults ~src ~dst ~now:(Engine.now engine) in
         let verdicts = verdict.Fault.v_delays in
         (* report only frames the plan actually touched *)
@@ -152,7 +152,7 @@ let create ?fault:(plan = Fault.none) ?(fault_rng = Rng.create ~seed:1) ?transpo
               stats.Stats.frames_duplicated + List.length extra_copies);
         List.iter
           (fun extra ->
-            let at = Engine.now engine + Cost.message_ns cost ~bytes + extra in
+            let at = Engine.now engine + Cost.message_ns ~bytes + extra in
             Engine.schedule engine ~at (fun () ->
                 match t.transport with
                 | Some tr -> Transport.wire_receive tr ~src ~dst frame

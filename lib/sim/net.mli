@@ -23,7 +23,6 @@ val create :
   ?transport:Transport.config ->
   ?describe:('msg -> string) ->
   Engine.t ->
-  Cost.t ->
   Stats.t ->
   nodes:int ->
   size_of:('msg -> int) ->
@@ -46,7 +45,7 @@ val set_handler : 'msg t -> node:int -> ('msg -> unit) -> unit
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Asynchronous send; delivery happens after latency + bandwidth delay.
-    A self-send is delivered after {!Cost.t.loopback_ns} — loopback never
+    A self-send is delivered after {!Cost.loopback_ns} — loopback never
     touches the wire, so it is lossless even under an aggressive fault
     plan. *)
 

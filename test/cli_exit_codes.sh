@@ -125,10 +125,12 @@ says "No such file or directory"
 silent
 check 124 "$cvm" fuzz --count=-1
 check 2 "$cvm" replay /nonexistent/run.cvmt
-# like record -o, a --json output is opened before any work
+# like record -o, a --json output is opened, and an --expect baseline
+# read, before any work
 check 2 "$cvm" analyze --json /nonexistent/analyze.json
 silent
 check 2 "$cvm" analyze --expect /nonexistent/expect.txt
+silent
 check 2 "$cvm" fuzz --count 1 --json /nonexistent/fuzz.json
 silent
 # a directory given as an input file: every reader names the path
@@ -140,6 +142,7 @@ check 2 "$cvm" run --trace-file "$tmp"
 says "$tmp: Is a directory"
 check 2 "$cvm" analyze --expect "$tmp"
 says "$tmp: Is a directory"
+silent
 # fuzzing on no backend would check nothing and pass
 check 2 "$cvm" fuzz --count 1 --backends ""
 says "no backend"

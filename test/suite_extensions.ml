@@ -87,10 +87,32 @@ let test_symbolic_race_reports () =
 
 let test_hb_fetch_waits_for_flush () =
   (* the home must not serve a fetch until the flush carrying the needed
-     version has arrived — force the gap with a slow network *)
-  let cost = { Sim.Cost.default with msg_latency_ns = 2_000_000 } in
-  let cfg = { Coherence.Config.default with protocol = Coherence.Config.Home_based } in
-  let cluster = Backends.create ~cost ~cfg ~nprocs:3 ~pages:4 () in
+     version has arrived. On this lossy wire (seed 3) the writer's
+     diff-flush is retransmitted, while the lock grant it sent after it
+     travels another link; so the reader's home-req reaches the home
+     first, and the home must hold it until the flush lands *)
+  let home_deliveries = ref [] in
+  let sink =
+    {
+      Trace.Sink.emit =
+        (fun ~time:_ ev ->
+          match ev with
+          | Trace.Event.Msg_deliver { src; dst = 0; kind; _ } ->
+              home_deliveries := (src, kind) :: !home_deliveries
+          | _ -> ());
+    }
+  in
+  let cfg =
+    {
+      Coherence.Config.default with
+      protocol = Coherence.Config.Home_based;
+      seed = 3;
+      fault = { Sim.Fault.none with Sim.Fault.drop = 0.2 };
+      transport = Some Sim.Transport.default_config;
+      tracer = Some sink;
+    }
+  in
+  let cluster = Backends.create ~cfg ~nprocs:3 ~pages:4 () in
   let x = cluster.Coherence.Backend.alloc 8 in
   (* page 0's home is processor 0; the writer and reader are 1 and 2 *)
   let body node =
@@ -104,7 +126,14 @@ let test_hb_fetch_waits_for_flush () =
     end;
     barrier node
   in
-  cluster.Coherence.Backend.run body
+  cluster.Coherence.Backend.run body;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "the home gets the fetch before the flush"
+    [ (2, "home-req"); (1, "diff-flush") ]
+    (List.filter
+       (fun (_, kind) -> kind = "home-req" || kind = "diff-flush")
+       (List.rev !home_deliveries))
 
 let test_hb_paper_counters () =
   (* under HLRC all coherence data motion is flushes + home fetches *)
@@ -121,31 +150,32 @@ let test_hb_paper_counters () =
 (* Fragmentation                                                       *)
 
 let test_fragmentation_math () =
-  let cost = { Sim.Cost.default with max_message_bytes = 1000; fragment_overhead_bytes = 10 } in
-  check Alcotest.int "small payload" 1 (Sim.Cost.fragments cost ~bytes:999);
-  check Alcotest.int "exact fit" 1 (Sim.Cost.fragments cost ~bytes:1000);
-  check Alcotest.int "one over" 2 (Sim.Cost.fragments cost ~bytes:1001);
-  check Alcotest.int "wire bytes include headers" (2501 + 20)
-    (Sim.Cost.wire_bytes cost ~bytes:2501);
+  (* the wire's MTU and per-fragment header *)
+  check Alcotest.int "MTU" 65_536 Sim.Cost.max_message_bytes;
+  check Alcotest.int "fragment header" 24 Sim.Cost.fragment_overhead_bytes;
+  check Alcotest.int "small payload" 1 (Sim.Cost.fragments ~bytes:65_535);
+  check Alcotest.int "exact fit" 1 (Sim.Cost.fragments ~bytes:65_536);
+  check Alcotest.int "one over" 2 (Sim.Cost.fragments ~bytes:65_537);
+  check Alcotest.int "wire bytes include headers" (163_841 + 48)
+    (Sim.Cost.wire_bytes ~bytes:163_841);
   check Alcotest.bool "fragmented message slower" true
-    (Sim.Cost.message_ns cost ~bytes:2501 > Sim.Cost.message_ns cost ~bytes:999)
+    (Sim.Cost.message_ns ~bytes:65_537 > Sim.Cost.message_ns ~bytes:65_535)
 
 let test_fragments_counted () =
-  (* a tiny MTU forces page fetches to fragment *)
-  let cost = { Sim.Cost.default with max_message_bytes = 1024 } in
-  let cluster = Backends.create ~cost ~nprocs:2 ~pages:2 () in
-  let x = cluster.Coherence.Backend.alloc 8 in
-  let body node =
-    let open Lrc.Dsm in
-    if pid node = 0 then write_int node x 5;
-    barrier node;
-    if pid node = 1 then ignore (read_int node x) (* 4 KB page fetch: 4+ fragments *);
-    barrier node
-  in
-  cluster.Coherence.Backend.run body;
-  let stats = cluster.Coherence.Backend.stats in
-  check Alcotest.bool "more fragments than messages" true
-    (stats.Sim.Stats.fragments > stats.Sim.Stats.messages)
+  (* one payload a byte over the MTU, on a reliable wire: two fragments,
+     one extra header on the wire, and one latency plus the wire time of
+     every byte (110,000 + 55 x 65,561 ns) *)
+  let engine = Sim.Engine.create () in
+  let stats = Sim.Stats.create () in
+  let net = Sim.Net.create engine stats ~nodes:2 ~size_of:(fun () -> 65_537) in
+  let arrived = ref (-1) in
+  Sim.Net.set_handler net ~node:1 (fun () -> arrived := Sim.Engine.now engine);
+  ignore (Sim.Engine.spawn engine (fun _ -> Sim.Net.send net ~src:0 ~dst:1 ()));
+  Sim.Engine.run engine;
+  check Alcotest.int "one message" 1 stats.Sim.Stats.messages;
+  check Alcotest.int "two fragments" 2 stats.Sim.Stats.fragments;
+  check Alcotest.int "wire bytes" (65_537 + 24) stats.Sim.Stats.bytes;
+  check Alcotest.int "arrival" 3_715_855 !arrived
 
 let suite =
   [

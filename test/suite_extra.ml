@@ -8,13 +8,13 @@ let check = Alcotest.check
 (* Cost model                                                          *)
 
 let test_cost_message_ns () =
-  let cost = Sim.Cost.default in
-  let base = Sim.Cost.message_ns cost ~bytes:0 in
-  let big = Sim.Cost.message_ns cost ~bytes:4096 in
-  check Alcotest.int "latency only at 0 bytes" cost.Sim.Cost.msg_latency_ns base;
+  let base = Sim.Cost.message_ns ~bytes:0 in
+  let big = Sim.Cost.message_ns ~bytes:4096 in
+  check Alcotest.int "latency only at 0 bytes" Sim.Cost.msg_latency_ns base;
   check Alcotest.bool "bandwidth term grows" true (big > base);
   check Alcotest.int "words per page" 512
-    (Mem.Geometry.words_per_page (Mem.Geometry.of_cost cost ~pages:1))
+    (Mem.Geometry.words_per_page
+       (Mem.Geometry.create ~page_size:Sim.Cost.default.Sim.Cost.page_size ~pages:1 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Message sizes                                                       *)

@@ -485,9 +485,8 @@ let prop_engine_matches_reference =
 
 let test_net_latency_and_accounting () =
   let engine = Sim.Engine.create () in
-  let cost = Sim.Cost.default in
   let stats = Sim.Stats.create () in
-  let net = Sim.Net.create engine cost stats ~nodes:2 ~size_of:(fun _ -> 100) in
+  let net = Sim.Net.create engine stats ~nodes:2 ~size_of:(fun _ -> 100) in
   let delivered_at = ref (-1) in
   Sim.Net.set_handler net ~node:1 (fun () -> delivered_at := Sim.Engine.now engine);
   ignore
@@ -495,7 +494,7 @@ let test_net_latency_and_accounting () =
          Sim.Engine.advance engine 1000;
          Sim.Net.send net ~src:0 ~dst:1 ()));
   Sim.Engine.run engine;
-  check Alcotest.int "latency model" (1000 + Sim.Cost.message_ns cost ~bytes:100) !delivered_at;
+  check Alcotest.int "latency model" (1000 + Sim.Cost.message_ns ~bytes:100) !delivered_at;
   check Alcotest.int "message counted" 1 stats.Sim.Stats.messages;
   check Alcotest.int "bytes counted" 100 stats.Sim.Stats.bytes
 
@@ -505,7 +504,7 @@ let test_net_latency_and_accounting () =
 let test_net_fifo sizes () =
   let engine = Sim.Engine.create () in
   let stats = Sim.Stats.create () in
-  let net = Sim.Net.create engine Sim.Cost.default stats ~nodes:2 ~size_of:snd in
+  let net = Sim.Net.create engine stats ~nodes:2 ~size_of:snd in
   let received = ref [] in
   Sim.Net.set_handler net ~node:1 (fun (i, _) -> received := i :: !received);
   ignore
@@ -519,7 +518,7 @@ let test_net_fifo sizes () =
 let test_net_no_handler_raises () =
   let engine = Sim.Engine.create () in
   let net =
-    Sim.Net.create engine Sim.Cost.default (Sim.Stats.create ()) ~nodes:2 ~size_of:(fun _ -> 8)
+    Sim.Net.create engine (Sim.Stats.create ()) ~nodes:2 ~size_of:(fun _ -> 8)
   in
   ignore (Sim.Engine.spawn engine (fun _ -> Sim.Net.send net ~src:0 ~dst:1 42));
   match Sim.Engine.run engine with
@@ -536,14 +535,14 @@ let test_engine_tracer_events () =
     (Some
        { Trace.Sink.emit = (fun ~time e -> seen := (time, Trace.Event.to_string e) :: !seen) });
   let net =
-    Sim.Net.create ~describe:string_of_int engine Sim.Cost.default (Sim.Stats.create ())
-      ~nodes:2 ~size_of:(fun _ -> 64)
+    Sim.Net.create ~describe:string_of_int engine (Sim.Stats.create ()) ~nodes:2
+      ~size_of:(fun _ -> 64)
   in
   Sim.Net.set_handler net ~node:1 (fun _ -> Sim.Engine.wake engine 1);
   ignore (Sim.Engine.spawn engine (fun _ -> Sim.Net.send net ~src:0 ~dst:1 7));
   ignore (Sim.Engine.spawn engine (fun _ -> Sim.Engine.block ~label:"msg"));
   Sim.Engine.run engine;
-  let at = Sim.Cost.message_ns Sim.Cost.default ~bytes:64 in
+  let at = Sim.Cost.message_ns ~bytes:64 in
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
     "events"
@@ -568,8 +567,8 @@ let lossy_net ?(transport = Sim.Transport.default_config) ~plan ~seed ~nodes () 
   ignore (Sim.Rng.split root);
   let fault_rng = Sim.Rng.split root in
   let net =
-    Sim.Net.create ~fault:plan ~fault_rng ~transport engine
-      Sim.Cost.default stats ~nodes ~size_of:(fun _ -> 64)
+    Sim.Net.create ~fault:plan ~fault_rng ~transport engine stats ~nodes
+      ~size_of:(fun _ -> 64)
   in
   (engine, stats, net)
 

@@ -8,9 +8,8 @@ let contains haystack needle =
   needle_len = 0 || scan 0
 
 (* Run an SPMD body on a fresh cluster and return it for inspection. *)
-let run_cluster ?(cfg = Coherence.Config.default) ?(cost = Sim.Cost.default) ?(nprocs = 4)
-    ?(pages = 8) body =
-  let cluster = Backends.create ~cost ~cfg ~nprocs ~pages () in
+let run_cluster ?(cfg = Coherence.Config.default) ?(nprocs = 4) ?(pages = 8) body =
+  let cluster = Backends.create ~cfg ~nprocs ~pages () in
   cluster.Coherence.Backend.run body;
   cluster
 
